@@ -1,21 +1,21 @@
 //! `bench_net` — the tracked transport-throughput benchmark.
 //!
-//! Runs identical loopback clusters on both TCP backends (the
-//! readiness-polled reactor and the thread-per-connection baseline) —
-//! token-serialized LASS at 8 nodes and broadcast-heavy Maddi at 16 —
-//! and records, per backend, the two numbers the reactor work is judged
-//! by:
+//! Runs loopback clusters over the TCP reactor — token-serialized LASS
+//! at 8 nodes and broadcast-heavy Maddi at 16 — and records the two
+//! numbers the transport is judged by:
 //!
 //! * **frames per CPU-second** (`wire_frames / process_cpu_time`) — the
 //!   per-core throughput claim.  CPU time, not wall time: an 8-node
 //!   cluster in one process overlaps its nodes on however many cores the
 //!   machine has, so wall-based rates would mostly measure core count.
 //! * **syscalls per frame** (`(read_calls + write_calls) / wire_frames`)
-//!   — the coalescing claim.  One-frame-per-write transports sit at ≥ 2
-//!   (one read + one write per frame); batched flushes push it below 1.
+//!   — the coalescing claim, with frames counted once per direction.
+//!   One blocking write plus a header and a payload read per frame is
+//!   3 syscalls over 2 counts = 1.5, the thread-per-connection floor;
+//!   batched flushes push the reactor below 1.
 //!
-//! A third measurement runs the reactor with the reliable session layer
-//! and a 10% drop shim, so ack piggybacking/coalescing under loss has a
+//! A third measurement adds the reliable session layer and a 10% drop
+//! shim, so ack piggybacking/coalescing under loss has a
 //! tracked data point too.
 //!
 //! Results land in `BENCH_net.json` at the repo root (same pattern as
@@ -31,7 +31,7 @@ use mra_baselines::Maddi;
 use mra_bench::{write_bench_net_json, NetBenchEntry};
 use mra_core::LassConfig;
 use mra_net::sys::process_cpu_time;
-use mra_net::{run_tcp_cluster, NetBackend, TcpClusterConfig};
+use mra_net::{run_tcp_cluster, TcpClusterConfig};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_sim::FixedWorkload;
@@ -47,8 +47,8 @@ fn workloads(n: usize) -> Vec<FixedWorkload> {
     // Near-zero think/CS: nodes re-request as fast as the transport can
     // carry tokens, so the measurement saturates the wire instead of
     // timing sleeps.  This is the "under load" regime the coalescing
-    // claims are about — at idle rates the wakeup path dominates and both
-    // backends pay roughly one syscall per frame.
+    // claims are about — at idle rates the wakeup path dominates and a
+    // frame costs roughly one syscall.
     (0..n)
         .map(|_| FixedWorkload {
             think: Time::from_micros(5),
@@ -65,7 +65,7 @@ enum Algo {
     /// wakeup-dominated regime, the reactor's worst case.
     LassLoan,
     /// Broadcast-per-request: every node talks to every peer each cycle —
-    /// concurrent traffic where coalescing and the thread-count gap show.
+    /// concurrent traffic where coalescing shows.
     Maddi,
 }
 
@@ -74,15 +74,7 @@ struct Point {
     algo: Algo,
     nodes: usize,
     rounds: usize,
-    backend: NetBackend,
     lossy: bool,
-}
-
-fn backend_name(b: NetBackend) -> &'static str {
-    match b {
-        NetBackend::Reactor => "reactor",
-        NetBackend::Threaded => "threaded",
-    }
 }
 
 /// One measured cluster run: CPU-time delta around the whole run (the
@@ -91,7 +83,6 @@ fn backend_name(b: NetBackend) -> &'static str {
 fn run_once(p: &Point, seed: u64) -> NetBenchEntry {
     let rounds = if fast() { p.rounds / 4 } else { p.rounds };
     let cfg = TcpClusterConfig {
-        backend: p.backend,
         faults: p.lossy.then(|| FaultPlan::new(0xFA17).drop_rate(0.1)),
         reliability: p.lossy.then(|| Reliability::with_rto(Time::from_millis(2))),
         ..TcpClusterConfig::new(rounds, seed)
@@ -113,7 +104,6 @@ fn run_once(p: &Point, seed: u64) -> NetBenchEntry {
     let wire = net.wire_frames_out();
     NetBenchEntry {
         scenario: p.label.to_string(),
-        backend: backend_name(p.backend).to_string(),
         algo: res.algo.clone(),
         nodes: n,
         frames_out: net.frames_out,
@@ -147,15 +137,11 @@ fn bench_net(c: &mut Criterion) {
     #[rustfmt::skip]
     let points = [
         Point { label: "lass_loan_8n_reactor", algo: Algo::LassLoan, nodes: 8, rounds: 80,
-                backend: NetBackend::Reactor, lossy: false },
-        Point { label: "lass_loan_8n_threaded", algo: Algo::LassLoan, nodes: 8, rounds: 80,
-                backend: NetBackend::Threaded, lossy: false },
+                lossy: false },
         Point { label: "maddi_16n_reactor", algo: Algo::Maddi, nodes: 16, rounds: 40,
-                backend: NetBackend::Reactor, lossy: false },
-        Point { label: "maddi_16n_threaded", algo: Algo::Maddi, nodes: 16, rounds: 40,
-                backend: NetBackend::Threaded, lossy: false },
+                lossy: false },
         Point { label: "lass_loan_8n_reactor_reliable_loss10", algo: Algo::LassLoan, nodes: 8,
-                rounds: 80, backend: NetBackend::Reactor, lossy: true },
+                rounds: 80, lossy: true },
     ];
     let entries: Vec<NetBenchEntry> = points.iter().map(measure).collect();
 
@@ -184,22 +170,20 @@ fn bench_net(c: &mut Criterion) {
         }
     }
 
-    // Criterion timings of a short run per backend for local comparisons.
+    // Criterion timing of a short run for local comparisons.
     let mut group = c.benchmark_group("net");
     group.sample_size(10);
-    for backend in [NetBackend::Reactor, NetBackend::Threaded] {
-        group.bench_function(format!("lass_8n_{}", backend_name(backend)), |b| {
-            b.iter(|| {
-                let res = run_tcp_cluster(
-                    LassConfig::with_loan(8, M).build_nodes(),
-                    workloads(8),
-                    M,
-                    TcpClusterConfig { backend, ..TcpClusterConfig::new(3, 7) },
-                );
-                std::hint::black_box(res.cs_completed)
-            })
-        });
-    }
+    group.bench_function("lass_8n_reactor", |b| {
+        b.iter(|| {
+            let res = run_tcp_cluster(
+                LassConfig::with_loan(8, M).build_nodes(),
+                workloads(8),
+                M,
+                TcpClusterConfig::new(3, 7),
+            );
+            std::hint::black_box(res.cs_completed)
+        })
+    });
     group.finish();
 }
 

@@ -70,14 +70,12 @@ pub struct EngineBenchEntry {
 }
 
 /// One transport-throughput measurement of the `bench_net` target: a
-/// whole loopback cluster run on one backend, with the counters every
-/// node's transport folded into the run report.
+/// whole loopback cluster run, with the counters of every node's
+/// transport folded into the run report.
 #[derive(Clone, Debug)]
 pub struct NetBenchEntry {
     /// Measurement label, e.g. `lass_loan_8n_reactor`.
     pub scenario: String,
-    /// Transport backend (`reactor` or `threaded`).
-    pub backend: String,
     /// Algorithm name as reported by the run.
     pub algo: String,
     /// Cluster size (nodes).
@@ -222,14 +220,13 @@ pub fn write_bench_net_json(entries: &[NetBenchEntry], mode: &str) -> std::io::R
     out.push_str("  \"results\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"algo\": \"{}\", \
+            "    {{\"scenario\": \"{}\", \"algo\": \"{}\", \
              \"nodes\": {}, \"frames_out\": {}, \"wire_frames\": {}, \
              \"write_calls\": {}, \"read_calls\": {}, \"wall_ns\": {}, \
              \"cpu_ns\": {}, \"frames_per_sec_per_core\": {}, \
              \"syscalls_per_frame\": {}, \"frames_per_write\": {}, \
              \"cs_completed\": {}}}{}\n",
             esc(&e.scenario),
-            esc(&e.backend),
             esc(&e.algo),
             e.nodes,
             e.frames_out,

@@ -1,7 +1,8 @@
 //! Binary wire codecs for the LASS messages (see `mra_protocol::wire`).
 //!
 //! Layouts (all integers little-endian, ids as `u32`, counters as `u64`,
-//! marks as `f64` bit patterns, sets as raw [`mra_types::BitSet256`] words):
+//! marks as `f64` bit patterns, sets as length-prefixed
+//! [`mra_types::DynSet`] words):
 //!
 //! ```text
 //! ResReq     := r:u32 sinit:u32 id:u64 mark:f64

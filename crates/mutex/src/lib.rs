@@ -12,8 +12,6 @@
 //!   (N − 1 requests + 1 token message per CS).  The Maddi baseline
 //!   ("token based solutions to m resources allocation", SAC'97) is
 //!   described by the paper as multiple instances of it.
-//! * [`raymond`] — Raymond's static-tree token algorithm (paper citation
-//!   \[20\]), provided as an alternative substrate for comparisons.
 //!
 //! Both are written *embedding-friendly*: handlers emit messages through a
 //! caller-provided sink instead of owning a network handle, so a
@@ -23,13 +21,11 @@
 
 pub mod adapter;
 pub mod naimi_trehel;
-pub mod raymond;
 pub mod suzuki_kasami;
 pub mod wire;
 
 pub use adapter::MutexAllocator;
 pub use naimi_trehel::{NaimiTrehel, NtMsg};
-pub use raymond::{RayMsg, Raymond};
 pub use suzuki_kasami::{SkMsg, SkToken, SuzukiKasami};
 
 use mra_types::NodeId;

@@ -9,11 +9,9 @@
 //! NtMsg<T>  := 0 origin:u32 | 1 T
 //! SkToken   := ln:vec<u64> queue:vecdeque<u32>
 //! SkMsg     := 0 origin:u32 seq:u64 | 1 SkToken
-//! RayMsg    := 0 (Request) | 1 (Token)
 //! ```
 
 use crate::naimi_trehel::NtMsg;
-use crate::raymond::RayMsg;
 use crate::suzuki_kasami::{SkMsg, SkToken};
 use mra_protocol::wire::{put_u64, put_usize, DecodeError, WireReader};
 use mra_protocol::WireCodec;
@@ -82,23 +80,6 @@ impl WireCodec for SkMsg {
     }
 }
 
-impl WireCodec for RayMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            RayMsg::Request => 0,
-            RayMsg::Token => 1,
-        });
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8("RayMsg tag")? {
-            0 => Ok(RayMsg::Request),
-            1 => Ok(RayMsg::Token),
-            tag => Err(DecodeError::BadTag { what: "RayMsg", tag }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,12 +107,5 @@ mod tests {
             ln: vec![0, u64::MAX, 7],
             queue: VecDeque::from([2usize, 0, 1]),
         }));
-    }
-
-    #[test]
-    fn ray_roundtrips() {
-        roundtrip_bytes(&RayMsg::Request);
-        roundtrip_bytes(&RayMsg::Token);
-        assert!(RayMsg::from_bytes(&[2]).is_err());
     }
 }

@@ -17,9 +17,7 @@
 
 use mra_baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
 use mra_core::LassConfig;
-use mra_net::{
-    run_solo_node, run_tcp_cluster, NetBackend, PeerDirectory, SoloConfig, TcpClusterConfig,
-};
+use mra_net::{run_solo_node, run_tcp_cluster, PeerDirectory, SoloConfig, TcpClusterConfig};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
@@ -56,13 +54,6 @@ OPTIONS:
   --help             print this help
 
 ENVIRONMENT:
-  MRA_NET_REACTOR=B  choose the TCP transport: truthy pins the readiness-
-                     polled reactor (one thread + one poller per node,
-                     coalesced writes — the default on unix), falsy pins
-                     the thread-per-connection baseline
-  MRA_NET_THREADS=1  shorthand for the threaded baseline (loses to an
-                     explicit MRA_NET_REACTOR); every process of one
-                     cluster must pick the same backend
   MRA_LOSS=P         install the frame-level fault shim: drop each inbound
                      protocol frame with probability P (deterministic per
                      link).  Without MRA_RELIABLE lost tokens are never
@@ -242,7 +233,6 @@ where
                 faults,
                 reliability,
                 metrics: opts.metrics,
-                backend: NetBackend::from_env(),
             },
         )
         .unwrap_or_else(|e| die(&format!("transport setup failed: {e}")))
@@ -253,14 +243,12 @@ where
             workloads,
             opts.resources,
             TcpClusterConfig {
-                rounds: opts.rounds,
-                seed: opts.seed,
                 extra_latency,
                 active_nodes: Some(active),
                 faults,
                 reliability,
                 metrics: opts.metrics,
-                backend: NetBackend::from_env(),
+                ..TcpClusterConfig::new(opts.rounds, opts.seed)
             },
         )
     }

@@ -14,11 +14,9 @@
 //!   enforced by the protocols themselves (the monitor can only see the
 //!   local node).
 
-use crate::reactor::{connect_reactor_mesh, ReactorPort};
+use crate::reactor::connect_reactor_mesh;
 use crate::sys;
-use crate::transport::{
-    connect_mesh, MeshConfig, NetBackend, PeerDirectory, PortCtrl, TcpPort,
-};
+use crate::transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};
 use mra_obs::NetCounters;
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
@@ -58,15 +56,12 @@ pub struct TcpClusterConfig {
     /// Per-node transport counter dump to stderr when each port shuts
     /// down (see [`MeshConfig::metrics`]).
     pub metrics: bool,
-    /// Which transport moves the frames ([`NetBackend::from_env`] by
-    /// default: the reactor on unix, overridable with `MRA_NET_REACTOR` /
-    /// `MRA_NET_THREADS`).
+    /// Vestige, read by nothing (see [`NetBackend`]).
     pub backend: NetBackend,
 }
 
 impl TcpClusterConfig {
-    /// `rounds` cycles on every node, no artificial latency, no faults,
-    /// transport backend from the environment.
+    /// `rounds` cycles on every node, no artificial latency, no faults.
     pub fn new(rounds: usize, seed: u64) -> Self {
         TcpClusterConfig {
             rounds,
@@ -76,55 +71,17 @@ impl TcpClusterConfig {
             faults: None,
             reliability: None,
             metrics: false,
-            backend: NetBackend::from_env(),
+            backend: NetBackend::Reactor,
         }
     }
-}
-
-/// Connect the chosen backend's mesh and drive the node loop over it.
-/// The two port types are distinct (one owns reader threads, the other a
-/// reactor handle), so the dispatch happens here — once — instead of at
-/// every harness.
-#[allow(clippy::too_many_arguments)]
-fn drive_over_backend<A, W>(
-    backend: NetBackend,
-    me: NodeId,
-    n: usize,
-    listener: TcpListener,
-    dir: &PeerDirectory,
-    ctrl: PortCtrl,
-    mesh: MeshConfig,
-    proto: A,
-    workload: W,
-    shared: &RunShared,
-    node_cfg: NodeCfg,
-) -> io::Result<()>
-where
-    A: Allocator + Send + 'static,
-    A::Msg: WireCodec,
-    W: Workload + 'static,
-{
-    match backend {
-        NetBackend::Reactor => {
-            let port: ReactorPort<A::Msg> =
-                connect_reactor_mesh(me, listener, dir, ctrl, mesh)?;
-            drive_node(me, n, proto, workload, port, shared, node_cfg);
-        }
-        NetBackend::Threaded => {
-            let port: TcpPort<A::Msg> = connect_mesh(me, listener, dir, ctrl, mesh)?;
-            drive_node(me, n, proto, workload, port, shared, node_cfg);
-        }
-    }
-    Ok(())
 }
 
 /// File descriptors an `n`-node loopback cluster needs inside one
-/// process, with headroom: both connection endpoints live here, plus
-/// listeners, wake pipes and poller fds.  The threaded topology's
-/// `2·n·(n-1)` endpoints dominate; the reactor halves that but the bound
-/// must cover whichever backend runs.
+/// process, with headroom: both endpoints of the `n·(n-1)/2` connections
+/// live here (`n²` covers them), plus listeners, wake pipes and poller
+/// fds (`6n`).
 fn fd_budget(n: usize) -> u64 {
-    (2 * n * n + 6 * n + 64) as u64
+    (n * n + 6 * n + 64) as u64
 }
 
 /// Run `protos` as an N-node cluster over loopback TCP until every active
@@ -155,7 +112,7 @@ where
     assert!(active >= 1 && active <= n);
 
     // Bind every listener up front so the concurrent connect phase cannot
-    // race a missing acceptor (see `connect_mesh`).
+    // race a missing acceptor (see `connect_reactor_mesh`).
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
         .collect();
@@ -172,9 +129,9 @@ where
 
     let shared = Arc::new(RunShared::new(n, m));
     let remaining = Arc::new(AtomicUsize::new(active));
-    // One counters slot per node: each port publishes its transport
-    // tallies there (reactor: every iteration; threaded: on drop) and the
-    // harness folds them into the run's observability report.
+    // One counters slot per node: each reactor publishes its transport
+    // tallies there every iteration and the harness folds them into the
+    // run's observability report.
     let slots: Vec<Arc<Mutex<NetCounters>>> = (0..n)
         .map(|_| Arc::new(Mutex::new(NetCounters::default())))
         .collect();
@@ -202,7 +159,6 @@ where
             counters_slot: Some(Arc::clone(&slots[i])),
             ..mesh.clone()
         };
-        let backend = cfg.backend;
         let node_cfg = NodeCfg {
             rounds: cfg.rounds,
             seed: cfg.seed,
@@ -212,20 +168,10 @@ where
             std::thread::Builder::new()
                 .name(format!("mra-tcp-node-{i}"))
                 .spawn(move || {
-                    drive_over_backend(
-                        backend,
-                        i,
-                        n,
-                        listener,
-                        &dir,
-                        PortCtrl::Cluster(remaining),
-                        mesh,
-                        proto,
-                        workload,
-                        &shared,
-                        node_cfg,
-                    )
-                    .expect("TCP mesh setup");
+                    let port =
+                        connect_reactor_mesh(i, listener, &dir, PortCtrl::Cluster(remaining), mesh)
+                            .expect("TCP mesh setup");
+                    drive_node(i, n, proto, workload, port, &shared, node_cfg);
                 })
                 .expect("spawn node thread"),
         );
@@ -286,11 +232,6 @@ pub struct SoloConfig {
     /// Transport counter dump to stderr when the port shuts down (see
     /// [`MeshConfig::metrics`]; `mra-node --metrics` / `MRA_METRICS=1`).
     pub metrics: bool,
-    /// Which transport moves the frames (`MRA_NET_REACTOR` /
-    /// `MRA_NET_THREADS` via [`NetBackend::from_env`]).  Backends
-    /// interoperate on the wire only within the same topology, so every
-    /// process of one cluster must choose the same backend.
-    pub backend: NetBackend,
 }
 
 /// Run node `me` of a multi-process cluster on the current thread,
@@ -326,10 +267,8 @@ where
         seed: cfg.seed,
         is_active: me < cfg.active,
     };
-    drive_over_backend(
-        cfg.backend,
+    let port = connect_reactor_mesh(
         me,
-        n,
         listener,
         dir,
         PortCtrl::Solo {
@@ -345,11 +284,8 @@ where
             metrics: cfg.metrics,
             counters_slot: Some(Arc::clone(&slot)),
         },
-        proto,
-        workload,
-        &shared,
-        node_cfg,
     )?;
+    drive_node(me, n, proto, workload, port, &shared, node_cfg);
 
     let end = shared.now();
     let mut obs = shared.finish_obs();
@@ -518,7 +454,6 @@ mod tests {
                         faults: None,
                         reliability: None,
                         metrics: false,
-                        backend: NetBackend::from_env(),
                     },
                 )
                 .expect("solo node run")

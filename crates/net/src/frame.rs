@@ -8,16 +8,14 @@
 //! mpsc runtime assume.
 //!
 //! A connection opens with a 4-byte handshake: the connector's `NodeId` as
-//! `u32 LE`.  The threaded transport uses links unidirectionally (each
-//! ordered node pair has its own connection); the reactor transport runs
-//! one **bidirectional** connection per unordered pair.  Either way the
-//! handshake is all the receiver needs to attribute traffic.
+//! `u32 LE`, written and parsed by the reactor, which runs one
+//! **bidirectional** connection per unordered pair — the handshake is all
+//! the acceptor needs to attribute traffic.
 //!
-//! Two decoders share the wire format: [`read_frame`] (blocking, one
-//! reader thread per connection) and [`FrameBuf`] (incremental, for
-//! nonblocking sockets under the reactor).
+//! Two decoders share the wire format: [`FrameBuf`] (incremental, for the
+//! reactor's nonblocking sockets) and [`read_frame`] (blocking — the
+//! reference decoder the property tests hold `FrameBuf` against).
 
-use mra_types::NodeId;
 use std::io::{self, Read, Write};
 
 /// Frame tag: the payload is one encoded protocol message.
@@ -111,26 +109,6 @@ pub fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> io::Result<u8> {
     Ok(scratch[0])
 }
 
-/// Send the connection handshake: the connector's node id.
-pub fn write_handshake(w: &mut impl Write, me: NodeId) -> io::Result<()> {
-    debug_assert!(me <= u32::MAX as usize);
-    w.write_all(&(me as u32).to_le_bytes())
-}
-
-/// Receive the connection handshake, validating the id against `n`.
-pub fn read_handshake(r: &mut impl Read, n: usize) -> io::Result<NodeId> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    let id = u32::from_le_bytes(b) as usize;
-    if id >= n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("handshake node id {id} out of range 0..{n}"),
-        ));
-    }
-    Ok(id)
-}
-
 /// Split a [`TAG_RDATA`] payload (`scratch[1..]`) into `(seq, ack, body)`.
 /// Errors on a short payload.
 pub fn split_rdata(payload: &[u8]) -> io::Result<(u64, u64, &[u8])> {
@@ -147,10 +125,10 @@ pub fn split_rdata(payload: &[u8]) -> io::Result<(u64, u64, &[u8])> {
 
 /// Incremental frame decoder for nonblocking sockets.
 ///
-/// [`read_frame`] assumes it may block until a whole frame arrives — fine
-/// for one reader thread per connection, useless under a readiness-polled
-/// reactor where a read returns *whatever bytes the kernel has*, cutting
-/// frames anywhere (mid-length-word, mid-payload, three frames at once).
+/// [`read_frame`] assumes it may block until a whole frame arrives —
+/// useless under a readiness-polled reactor where a read returns
+/// *whatever bytes the kernel has*, cutting frames anywhere
+/// (mid-length-word, mid-payload, three frames at once).
 /// `FrameBuf` accumulates those arbitrary chunks and yields complete
 /// frames in the same `scratch` convention as [`read_frame`]: the body
 /// (tag at `[0]`, payload after) with the length word stripped.
@@ -611,13 +589,5 @@ mod tests {
             wb.consume(take);
         }
         assert_eq!(wb.pending(), expect.len());
-    }
-
-    #[test]
-    fn handshake_roundtrip_and_validation() {
-        let mut wire = Vec::new();
-        write_handshake(&mut wire, 6).unwrap();
-        assert_eq!(read_handshake(&mut Cursor::new(&wire), 8).unwrap(), 6);
-        assert!(read_handshake(&mut Cursor::new(&wire), 6).is_err());
     }
 }

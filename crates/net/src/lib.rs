@@ -10,24 +10,23 @@
 //!
 //! Layers:
 //!
-//! * [`frame`] — length-prefixed framing and the connection handshake;
-//!   messages are encoded with the hand-rolled
-//!   [`WireCodec`](mra_protocol::WireCodec) implementations that live
+//! * [`frame`] — length-prefixed framing; messages are encoded with the
+//!   hand-rolled [`WireCodec`](mra_protocol::WireCodec) implementations
+//!   that live
 //!   next to each protocol's message types (no serde: the wire format is
 //!   specified in `mra_protocol::wire`).
-//! * [`transport`] — the threaded TCP mesh: one framed connection per
-//!   ordered node pair (per-link FIFO for free), a peer directory
-//!   (`NodeId → SocketAddr`), reader threads, and transport-level
-//!   shutdown coordination.  Implements [`mra_sim::NodePort`], the same
-//!   abstraction the mpsc runtime uses, so both substrates are backends
-//!   of one shared node loop (`mra_sim::runtime`).
-//! * [`reactor`] — the readiness-polled transport (the default): one
-//!   reactor thread per node drives every peer socket through the
-//!   [`polling`] epoll/kqueue shim, with one **bidirectional** connection
-//!   per unordered pair, write coalescing (many frames + piggybacked
+//! * [`transport`] — what the transport and the harnesses share: the
+//!   peer directory (`NodeId → SocketAddr`), mesh parameters and the
+//!   transport-level shutdown coordination.
+//! * [`reactor`] — the TCP transport: one reactor thread per node drives
+//!   every peer socket through the [`polling`] epoll/kqueue shim (so TCP
+//!   runs need a unix host; the other three substrates stay portable),
+//!   with one **bidirectional** connection per unordered pair (TCP keeps
+//!   each direction FIFO), write coalescing (many frames + piggybacked
 //!   acks per `write(2)`), and reliability RTOs on the reactor's timer
-//!   wheel.  Select with [`NetBackend`] / `MRA_NET_REACTOR` /
-//!   `MRA_NET_THREADS`.
+//!   wheel.  Implements [`mra_sim::NodePort`], the same abstraction the
+//!   mpsc runtime uses, so both substrates are backends of one shared
+//!   node loop (`mra_sim::runtime`).
 //! * [`sys`] — raw-FFI odds and ends `std` lacks: nonblocking
 //!   `connect(2)`, listen-backlog deepening, fd rlimit raising, process
 //!   CPU time for the frames-per-core benchmark.
@@ -71,4 +70,4 @@ pub mod transport;
 
 pub use cluster::{run_solo_node, run_tcp_cluster, SoloConfig, TcpClusterConfig};
 pub use reactor::{connect_reactor_mesh, ReactorPort};
-pub use transport::{connect_mesh, MeshConfig, NetBackend, PeerDirectory, PortCtrl, TcpPort};
+pub use transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};

@@ -1,12 +1,10 @@
-//! The readiness-polled TCP transport: one reactor thread per node
-//! drives *every* peer socket through an epoll/kqueue poller.
+//! The TCP transport: one reactor thread per node drives *every* peer
+//! socket through an epoll/kqueue poller.
 //!
-//! The threaded transport ([`crate::transport`]) spends one OS thread and
-//! one ordered-pair connection per link — `n-1` reader threads and
-//! `2(n-1)` sockets per node, one `write(2)` per frame.  Fine at 8
-//! nodes; at 256 that is 65 k threads and 130 k sockets cluster-wide,
-//! and every hot-path frame costs a syscall.  This module replaces all
-//! of it with, per node:
+//! A thread and a connection per directed link would cost `n-1` reader
+//! threads and `2(n-1)` sockets per node and one `write(2)` per frame —
+//! 65 k threads and 130 k sockets cluster-wide at 256 nodes, a syscall
+//! per hot-path frame.  Instead, per node:
 //!
 //! * **one thread** — the reactor — owning one [`polling::Poller`] and
 //!   every socket;
@@ -25,8 +23,7 @@
 //!   parks the remainder and resumes on write-readiness;
 //! * **reactor-owned timers** — reliability RTO deadlines and connect
 //!   retries bound the poll timeout; retransmission is serviced by the
-//!   reactor, not (as on the threaded port) by whoever happens to be
-//!   sitting in `recv`.
+//!   reactor whether or not the node loop is sitting in `recv`.
 //!
 //! The node loop talks to the reactor through two mpsc channels plus a
 //! socketpair-based wakeup: senders enqueue a command and write one byte
@@ -35,9 +32,9 @@
 //! lost wakeup impossible.  See DESIGN.md §12 for the full contract.
 //!
 //! Everything here is unix-only (the vendored poller has no backend
-//! elsewhere); [`NetBackend::from_env`](crate::NetBackend::from_env)
-//! never selects the reactor on other platforms, and the stub
-//! `connect_reactor_mesh` below reports `Unsupported` if forced.
+//! elsewhere): `mra-net`'s TCP substrate requires epoll or kqueue.  On
+//! other platforms the stub `connect_reactor_mesh` below keeps the crate
+//! compiling and reports `Unsupported`.
 
 #[cfg(unix)]
 pub use imp::{connect_reactor_mesh, ReactorPort};
@@ -427,9 +424,8 @@ mod imp {
         /// Flush owed session acks: at most **one** standalone
         /// [`TAG_RACK`] per peer per iteration, and none at all when a
         /// data frame queued this pass already piggybacked it (its
-        /// [`RxBatch::piggyback`] consumed the flag).  This is the ack
-        /// batching the threaded transport lacks — it acks every data
-        /// frame individually, straight to the socket.
+        /// [`RxBatch::piggyback`] consumed the flag) — a burst of data
+        /// frames costs one cumulative ack, not one ack per frame.
         fn queue_owed_acks(&mut self) {
             let Reactor { sess, conns, buf, counters, .. } = self;
             let Some(s) = sess.as_mut() else {
@@ -521,8 +517,8 @@ mod imp {
         }
 
         /// Tear down one link.  Outside draining this also tells the node
-        /// loop the run is over — peers only close links on shutdown (or
-        /// breakage), the same contract as the threaded reader threads.
+        /// loop the run is over: peers only close links on shutdown (or
+        /// breakage), and either way the node must exit rather than wedge.
         fn fatal_link(&mut self, peer: NodeId) {
             if let Some(s) = self.conns[peer].stream.take() {
                 let _ = self.poller.delete(&s);
@@ -713,9 +709,8 @@ mod imp {
         }
 
         /// Process one decoded frame (body in `self.scratch`, tag at
-        /// `[0]`).  Returns false when the link must die — mode-mismatched
-        /// or unknown tags and undecodable payloads, the same verdicts as
-        /// the threaded reader's `_ =>` arm.
+        /// `[0]`).  Returns false when the link must die: mode-mismatched
+        /// or unknown tags and undecodable payloads.
         fn handle_frame(&mut self, peer: NodeId, tag: u8) -> bool {
             // The wire is tallied before the fault filter — these numbers
             // describe what arrived, not what was delivered.
@@ -865,9 +860,8 @@ mod imp {
                 }
             }
             if broken {
-                // Peer past shutdown — matches the threaded port's
-                // ignored write errors; the read side sees the EOF and
-                // ends the run if it matters.
+                // Peer past shutdown: the write error is ignored; the
+                // read side sees the EOF and ends the run if it matters.
                 c.wbuf.clear();
                 return;
             }
@@ -934,8 +928,9 @@ mod imp {
                 };
                 match got {
                     Err(()) => return PortEvent::Shutdown,
-                    // Stamp 0 for the same reason as the threaded port:
-                    // the wire format carries no Lamport stamps (§11).
+                    // Stamp 0: the wire format carries no Lamport stamps,
+                    // so the tracer has per-node ordering and counters but
+                    // no cross-node edges (DESIGN.md §11).
                     Ok(Up::Msg { from, deliver_at, msg }) => {
                         return PortEvent::Msg { from, deliver_at, stamp: 0, msg }
                     }
@@ -997,12 +992,13 @@ mod imp {
         }
     }
 
-    /// Build node `me`'s reactor-backed mesh.  Unlike
-    /// [`connect_mesh`](crate::connect_mesh) this returns immediately:
-    /// connecting, accepting and handshaking proceed on the reactor
-    /// thread, and frames sent before the mesh completes park in the
-    /// per-peer write queues.  The caller must still have bound
-    /// `listener` before any node starts connecting.
+    /// Build node `me`'s mesh.  Returns immediately: connecting,
+    /// accepting and handshaking proceed on the reactor thread, and
+    /// frames sent before the mesh completes park in the per-peer write
+    /// queues.  The caller must have bound `listener` (on `dir.addr(me)`
+    /// or, for loopback harnesses, wherever the directory says) before
+    /// any node starts connecting: a connect then completes against the
+    /// listen backlog even while the acceptor is still connecting out.
     pub fn connect_reactor_mesh<M>(
         me: NodeId,
         listener: TcpListener,
@@ -1100,9 +1096,8 @@ mod stub {
     use std::marker::PhantomData;
     use std::net::TcpListener;
 
-    /// Unsupported on this platform; [`crate::NetBackend::from_env`]
-    /// never selects the reactor here, so this exists only to keep the
-    /// API surface uniform.
+    /// Unsupported on this platform (no epoll/kqueue); exists only to
+    /// keep the crate compiling — `connect_reactor_mesh` never returns one.
     pub struct ReactorPort<M>(PhantomData<M>);
 
     impl<M: WireCodec + Clone + Send> NodePort<M> for ReactorPort<M> {
@@ -1132,7 +1127,7 @@ mod stub {
     {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the reactor transport needs epoll/kqueue; use NetBackend::Threaded",
+            "mra-net's TCP transport needs epoll or kqueue (unix only)",
         ))
     }
 }
@@ -1192,6 +1187,12 @@ mod tests {
             MeshConfig::default(),
         )
         .unwrap();
+        // A connection whose handshake names an id that may not connect
+        // here (only smaller ids do) is closed, not indexed or adopted.
+        let mut rogue = std::net::TcpStream::connect(dir.addr(1)).unwrap();
+        rogue.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        std::io::Write::write_all(&mut rogue, &7u32.to_le_bytes()).unwrap();
+        assert_eq!(std::io::Read::read(&mut rogue, &mut [0u8; 1]).unwrap(), 0);
         p1.send(0, 7, 0);
         match p1.recv() {
             PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, 0xDEAD_BEEF)),
@@ -1202,8 +1203,9 @@ mod tests {
 
     #[test]
     fn reactor_drop_shim_loses_exactly_the_planned_frames() {
-        // Same expectations as the threaded twin: the deterministic
-        // per-link filter yields identical verdicts on both transports.
+        // Replay the plan's verdicts for link 0 → 1: without sessions
+        // duplicates are absorbed by TCP semantics, so everything but
+        // Drop arrives once.
         let plan = FaultPlan::new(0xC0FFEE).drop_rate(0.3).dup_rate(0.1);
         const FRAMES: u64 = 200;
         let mut filter = LinkFilter::new(&plan, 0, 1, 2);
@@ -1256,8 +1258,7 @@ mod tests {
     fn reliable_reactor_recovers_drops_and_batches_acks() {
         // The session contract — exactly-once, in-order delivery under a
         // lossy+duplicating shim — must survive coalesced acking, and the
-        // receiver must *not* send one standalone ack per data frame the
-        // way the threaded transport does.
+        // receiver must *not* send one standalone ack per data frame.
         const FRAMES: u64 = 200;
         let plan = FaultPlan::new(0xC0FFEE).drop_rate(0.3).dup_rate(0.1);
         let shim = MeshConfig {

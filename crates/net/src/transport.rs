@@ -1,47 +1,26 @@
-//! The threaded TCP mesh: per-peer framed connections implementing
-//! [`mra_sim::NodePort`], one blocking reader thread per inbound link.
-//! The readiness-polled alternative (and default) lives in
-//! [`crate::reactor`]; this module remains the baseline transport for the
-//! tracked benchmark, the shared vocabulary ([`PortCtrl`],
-//! [`NetBackend`], [`MeshConfig`]) and platforms without epoll/kqueue.
-//!
-//! Topology: every ordered node pair `(i, j)` gets its own connection,
-//! opened by `i` and used only for `i → j` traffic.  One TCP stream per
-//! direction gives per-link FIFO for free and sidesteps write-contention
-//! on shared sockets.  Each inbound connection is drained by a dedicated
-//! reader thread that decodes frames and forwards them to the node loop
-//! over an internal channel; writes happen inline on the node thread
-//! (loopback and LAN socket buffers absorb them without blocking).
+//! Vocabulary the TCP transport ([`crate::reactor`]) and the cluster
+//! harnesses share: the peer directory, mesh construction parameters and
+//! the transport-level shutdown protocol.
 //!
 //! Shutdown is coordinated at the transport level so the shared runtime
 //! loop stays substrate-agnostic:
 //!
 //! * **in-process clusters** ([`PortCtrl::Cluster`]) count finishers in a
-//!   shared atomic — the last one broadcasts [`TAG_SHUTDOWN`] frames;
-//! * **multi-process deployments** ([`PortCtrl::Solo`]) send [`TAG_DONE`]
-//!   frames to node 0, which broadcasts the shutdown once every active
-//!   node (itself included) has finished.
-//!
-//! A reader that hits EOF or a decode error injects a shutdown event
-//! rather than wedging the node: peers only close links when the run is
-//! over (or broken), and either way the node must exit.
+//!   shared atomic — the last one broadcasts
+//!   [`TAG_SHUTDOWN`](crate::frame::TAG_SHUTDOWN) frames;
+//! * **multi-process deployments** ([`PortCtrl::Solo`]) send
+//!   [`TAG_DONE`](crate::frame::TAG_DONE) frames to node 0, which
+//!   broadcasts the shutdown once every active node (itself included) has
+//!   finished.
 
-use crate::frame::{
-    begin_frame, end_frame, read_frame, read_handshake, split_rack, split_rdata, write_frame,
-    write_handshake, HEADER, TAG_DONE, TAG_MSG, TAG_RACK, TAG_RDATA, TAG_SHUTDOWN,
-};
 use mra_obs::NetCounters;
-use mra_protocol::faults::{FaultPlan, FrameFate, LinkFilter};
-use mra_protocol::reliable::{Reliability, RtoVerdict, RxSession, RxVerdict, TxSession};
-use mra_protocol::WireCodec;
-use mra_sim::{NodePort, PortEvent};
+use mra_protocol::faults::FaultPlan;
+use mra_protocol::reliable::Reliability;
 use mra_types::{NodeId, Time};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The cluster map: `NodeId → SocketAddr` for every node.
 #[derive(Clone, Debug)]
@@ -95,41 +74,13 @@ impl PeerDirectory {
     }
 }
 
-/// Which TCP transport drives the mesh.
+/// Vestige kept only because `benchmark/src/{serve,probes}.rs` (frozen
+/// outside `benchmark` PRs) name it; the next such PR removes it and
+/// `TcpClusterConfig::backend`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetBackend {
-    /// One reactor thread per node polls every peer socket for readiness
-    /// (`crate::reactor`): one bidirectional connection per unordered
-    /// pair, coalesced writes, RTOs on the reactor's timer wheel.  The
-    /// default on unix.
+    /// [`crate::reactor`], the only TCP transport.
     Reactor,
-    /// One blocking reader thread per inbound link, writes inline on the
-    /// node thread (this module).  The pre-reactor transport, kept as the
-    /// baseline for the tracked benchmark and as the only backend on
-    /// platforms without epoll/kqueue.
-    Threaded,
-}
-
-impl NetBackend {
-    /// Resolve the backend from the environment: `MRA_NET_REACTOR`
-    /// (truthy/falsy) wins when set; otherwise a truthy `MRA_NET_THREADS`
-    /// selects [`NetBackend::Threaded`]; otherwise the reactor.  Non-unix
-    /// platforms always get the threaded backend.
-    pub fn from_env() -> NetBackend {
-        fn truthy(v: &str) -> bool {
-            matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes" | "on")
-        }
-        if !cfg!(unix) {
-            return NetBackend::Threaded;
-        }
-        if let Ok(v) = std::env::var("MRA_NET_REACTOR") {
-            return if truthy(&v) { NetBackend::Reactor } else { NetBackend::Threaded };
-        }
-        if std::env::var("MRA_NET_THREADS").as_deref().map(truthy).unwrap_or(false) {
-            return NetBackend::Threaded;
-        }
-        NetBackend::Reactor
-    }
 }
 
 /// How a TCP port coordinates cluster-wide shutdown.
@@ -137,7 +88,7 @@ pub enum PortCtrl {
     /// In-process loopback cluster: finishers decrement the shared count;
     /// the last one broadcasts shutdown frames.
     Cluster(Arc<AtomicUsize>),
-    /// One process per node: finishers report [`TAG_DONE`] to node 0,
+    /// One process per node: finishers report `TAG_DONE` to node 0,
     /// which broadcasts shutdown once all `active` nodes are done.
     Solo {
         /// Number of request-issuing nodes (`0..active`; node 0 included).
@@ -150,12 +101,11 @@ pub enum PortCtrl {
 }
 
 /// What a node that just finished its quota must do next, as decided by
-/// [`PortCtrl::self_done`].  Shared by both transports so the shutdown
-/// protocol cannot drift between them.
+/// [`PortCtrl::self_done`].
 pub(crate) enum DoneAct {
-    /// Every active node is done: broadcast [`TAG_SHUTDOWN`] and stop.
+    /// Every active node is done: broadcast `TAG_SHUTDOWN` and stop.
     LastFinisher,
-    /// Report [`TAG_DONE`] to node 0 and keep serving the protocol.
+    /// Report `TAG_DONE` to node 0 and keep serving the protocol.
     ReportDone,
     /// Keep serving until shutdown arrives.
     Wait,
@@ -188,7 +138,7 @@ impl PortCtrl {
         }
     }
 
-    /// A [`TAG_DONE`] frame arrived (meaningful on solo node 0 only).
+    /// A `TAG_DONE` frame arrived (meaningful on solo node 0 only).
     /// True when every active node — this one included — has finished:
     /// time to broadcast shutdown and stop.
     pub(crate) fn peer_done(&mut self) -> bool {
@@ -199,348 +149,6 @@ impl PortCtrl {
             }
             // Done frames only flow in solo deployments.
             PortCtrl::Cluster(_) => false,
-        }
-    }
-}
-
-/// Transport-level event forwarded by reader threads to the node loop.
-enum Inbound<M> {
-    Msg {
-        from: NodeId,
-        deliver_at: Instant,
-        msg: M,
-    },
-    /// Reliable-session data frame (reliability on): the node loop runs
-    /// the receive window and acks.
-    Data {
-        from: NodeId,
-        deliver_at: Instant,
-        seq: u64,
-        ack: u64,
-        msg: M,
-    },
-    /// Reliable-session standalone cumulative ack.
-    Ack { from: NodeId, ack: u64 },
-    Done,
-    Shutdown,
-}
-
-/// Inbound frame tallies, bumped by the reader threads and folded into the
-/// port's [`NetCounters`] snapshot by [`TcpPort::counters`].  Relaxed
-/// ordering suffices: the values are statistics, read after the run.
-#[derive(Debug, Default)]
-struct RxCounters {
-    frames_in: AtomicU64,
-    bytes_in: AtomicU64,
-    /// `read(2)`-equivalents: each `read_frame` costs two `read_exact`
-    /// servicings (length word, then body).  An approximation — a short
-    /// read inside `read_exact` re-reads — but loopback/LAN frames fit a
-    /// segment, so in practice it *is* the syscall count.
-    read_calls: AtomicU64,
-}
-
-/// Per-port session state (reliability on): one [`TxSession`]/[`RxSession`]
-/// pair per peer plus the per-peer retransmit deadline.  Wall-clock
-/// instants are mapped onto the session layer's [`mra_types::Time`] axis
-/// through the port's `epoch`.
-struct TcpSessions<M> {
-    cfg: Reliability,
-    epoch: Instant,
-    tx: Vec<TxSession<M>>,
-    rx: Vec<RxSession>,
-    deadline: Vec<Option<Instant>>,
-}
-
-impl<M: Clone> TcpSessions<M> {
-    fn new(cfg: Reliability, n: usize) -> Self {
-        TcpSessions {
-            epoch: Instant::now(),
-            tx: (0..n).map(|_| TxSession::new(cfg.window)).collect(),
-            rx: vec![RxSession::default(); n],
-            deadline: vec![None; n],
-            cfg,
-        }
-    }
-
-    /// Now on the session time axis.
-    fn now(&self) -> Time {
-        Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// The earliest armed retransmit deadline across peers.
-    fn next_deadline(&self) -> Option<Instant> {
-        self.deadline.iter().flatten().min().copied()
-    }
-}
-
-/// A node's TCP connection bundle: implements [`NodePort`] over real
-/// sockets.  Build one with [`connect_mesh`].
-pub struct TcpPort<M> {
-    me: NodeId,
-    /// Outbound stream per peer (`None` at `me`).
-    writers: Vec<Option<TcpStream>>,
-    rx: mpsc::Receiver<Inbound<M>>,
-    ctrl: PortCtrl,
-    /// Reusable encode buffer (header + payload, written in one call).
-    buf: Vec<u8>,
-    /// Reliable-session state, when [`MeshConfig::reliability`] is set.
-    sess: Option<TcpSessions<M>>,
-    /// Outbound-side transport tallies (frames/bytes by direction, frame
-    /// kind, retransmissions, RTO fires).  Inbound lives in `rx_counters`.
-    counters: NetCounters,
-    /// Inbound tallies shared with the reader threads.
-    rx_counters: Arc<RxCounters>,
-    /// Dump [`TcpPort::counters`] to stderr when the port drops
-    /// ([`MeshConfig::metrics`], `--metrics` / `MRA_METRICS=1`).
-    metrics: bool,
-    /// Publish the final counters here on drop ([`MeshConfig::counters_slot`]).
-    slot: Option<Arc<Mutex<NetCounters>>>,
-}
-
-impl<M> TcpPort<M> {
-    /// Snapshot of this port's transport counters, with the reader
-    /// threads' inbound tallies folded in.  Byte counts are on-wire frame
-    /// sizes (header included).
-    pub fn counters(&self) -> NetCounters {
-        let mut c = self.counters.clone();
-        c.frames_in = self.rx_counters.frames_in.load(Ordering::Relaxed);
-        c.bytes_in = self.rx_counters.bytes_in.load(Ordering::Relaxed);
-        c.read_calls = self.rx_counters.read_calls.load(Ordering::Relaxed);
-        c
-    }
-}
-
-impl<M> Drop for TcpPort<M> {
-    fn drop(&mut self) {
-        if let Some(slot) = &self.slot {
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = self.counters();
-        }
-        if self.metrics {
-            eprintln!("{}", self.counters().render(self.me));
-        }
-    }
-}
-
-impl<M: Clone> TcpPort<M> {
-    fn broadcast_shutdown(&mut self) {
-        for w in self.writers.iter_mut().flatten() {
-            let _ = write_frame(w, TAG_SHUTDOWN, &[]);
-            self.counters.frames_out += 1;
-            self.counters.bytes_out += HEADER as u64;
-            self.counters.write_calls += 1;
-            self.counters.by_kind.bump("Shutdown", 1);
-        }
-    }
-
-    /// Write a standalone cumulative ack to `peer`.
-    fn write_rack(&mut self, peer: NodeId, ack: u64) {
-        if let Some(w) = self.writers[peer].as_mut() {
-            let _ = write_frame(w, TAG_RACK, &ack.to_le_bytes());
-            self.counters.ack_frames += 1;
-            self.counters.bytes_out += (HEADER + 8) as u64;
-            self.counters.write_calls += 1;
-            self.counters.by_kind.bump("RAck", 1);
-        }
-    }
-
-    /// Translate a transport event; `None` means "keep receiving" (a
-    /// control frame that did not end the run).
-    fn translate(&mut self, inb: Inbound<M>) -> Option<PortEvent<M>> {
-        match inb {
-            // The TCP wire format predates tracing and does not carry
-            // Lamport stamps: delivered events carry stamp 0 (the tracer
-            // then has per-node ordering and counters, no cross-node
-            // edges).  See DESIGN.md §11.
-            Inbound::Msg { from, deliver_at, msg } => {
-                Some(PortEvent::Msg { from, deliver_at, stamp: 0, msg })
-            }
-            Inbound::Data { from, deliver_at, seq, ack, msg } => {
-                let s = self.sess.as_mut().expect("rdata without reliability");
-                // Piggybacked ack first, then the receive window.
-                s.tx[from].ack(ack);
-                if !s.tx[from].has_unacked() {
-                    s.deadline[from] = None;
-                }
-                let verdict = s.rx[from].accept(seq);
-                let cum = s.rx[from].cum();
-                // Ack every data frame immediately — duplicates included,
-                // so a lost ack cannot wedge the sender.  (The next data
-                // frame we send additionally piggybacks the same value.)
-                self.write_rack(from, cum);
-                match verdict {
-                    RxVerdict::Deliver => {
-                        Some(PortEvent::Msg { from, deliver_at, stamp: 0, msg })
-                    }
-                    RxVerdict::Stale | RxVerdict::Gap => None,
-                }
-            }
-            Inbound::Ack { from, ack } => {
-                let s = self.sess.as_mut().expect("rack without reliability");
-                s.tx[from].ack(ack);
-                if !s.tx[from].has_unacked() {
-                    s.deadline[from] = None;
-                }
-                None
-            }
-            Inbound::Shutdown => Some(PortEvent::Shutdown),
-            Inbound::Done => {
-                if self.ctrl.peer_done() {
-                    self.broadcast_shutdown();
-                    return Some(PortEvent::Shutdown);
-                }
-                None
-            }
-        }
-    }
-
-    /// Fire every due retransmit timer: re-send the unacked window of each
-    /// due peer (go-back-N with the current cumulative ack piggybacked) and
-    /// re-arm with the backed-off delay.
-    fn fire_rtos(&mut self)
-    where
-        M: WireCodec,
-    {
-        let Some(s) = self.sess.as_mut() else {
-            return;
-        };
-        let wall = Instant::now();
-        let now = s.now();
-        let TcpSessions { cfg, epoch, tx, rx, deadline } = s;
-        for (peer, dl) in deadline.iter_mut().enumerate() {
-            if !dl.is_some_and(|d| d <= wall) {
-                continue;
-            }
-            match tx[peer].on_rto(now, cfg) {
-                RtoVerdict::Idle => *dl = None,
-                RtoVerdict::Rearm(at) => *dl = Some(*epoch + at.to_std()),
-                RtoVerdict::Retransmit(_) => {
-                    self.counters.rto_fires += 1;
-                    let ack = rx[peer].cum();
-                    if let Some(w) = self.writers[peer].as_mut() {
-                        for (seq, msg) in tx[peer].unacked() {
-                            begin_frame(&mut self.buf);
-                            self.buf.extend_from_slice(&seq.to_le_bytes());
-                            self.buf.extend_from_slice(&ack.to_le_bytes());
-                            msg.encode(&mut self.buf);
-                            end_frame(&mut self.buf, TAG_RDATA);
-                            let _ = io::Write::write_all(w, &self.buf);
-                            self.counters.retransmit_frames += 1;
-                            self.counters.bytes_out += self.buf.len() as u64;
-                            self.counters.write_calls += 1;
-                            self.counters.by_kind.bump("RData", 1);
-                        }
-                    }
-                    *dl = Some(wall + tx[peer].rto_delay(cfg).to_std());
-                }
-            }
-        }
-    }
-
-    /// One blocking wait step shared by `recv` and `recv_deadline`:
-    /// honours the earlier of the caller's deadline and the next retransmit
-    /// deadline, firing due RTOs internally.
-    fn wait(&mut self, caller: Option<Instant>) -> PortEvent<M>
-    where
-        M: WireCodec,
-    {
-        loop {
-            let rto = self.sess.as_ref().and_then(TcpSessions::next_deadline);
-            let bound = match (caller, rto) {
-                (Some(c), Some(r)) => Some(c.min(r)),
-                (Some(c), None) => Some(c),
-                (None, r) => r,
-            };
-            let received = match bound {
-                None => self.rx.recv().map_err(|_| ()),
-                Some(d) => match self
-                    .rx
-                    .recv_timeout(d.saturating_duration_since(Instant::now()))
-                {
-                    Ok(inb) => Ok(inb),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if caller.is_some_and(|c| Instant::now() >= c) {
-                            return PortEvent::TimedOut;
-                        }
-                        self.fire_rtos();
-                        continue;
-                    }
-                },
-            };
-            match received {
-                Err(()) => return PortEvent::Shutdown,
-                Ok(inb) => {
-                    if let Some(ev) = self.translate(inb) {
-                        return ev;
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<M: WireCodec + Clone + Send> NodePort<M> for TcpPort<M> {
-    // `_stamp` is minted by the runtime's tracer but the wire format does
-    // not carry it — receivers deliver stamp 0 (see `translate`).
-    fn send(&mut self, to: NodeId, msg: M, _stamp: u64) {
-        begin_frame(&mut self.buf);
-        let (tag, label) = match self.sess.as_mut() {
-            None => {
-                msg.encode(&mut self.buf);
-                (TAG_MSG, "Msg")
-            }
-            Some(s) => {
-                // Session mode: sequence the frame, retain the retransmit
-                // copy, piggyback the cumulative ack for this peer, and
-                // make sure a retransmit deadline is ticking.
-                let now = s.now();
-                let seq = s.tx[to].send(&msg, now);
-                let ack = s.rx[to].cum();
-                self.buf.extend_from_slice(&seq.to_le_bytes());
-                self.buf.extend_from_slice(&ack.to_le_bytes());
-                msg.encode(&mut self.buf);
-                if s.deadline[to].is_none() {
-                    s.deadline[to] = Some(Instant::now() + s.tx[to].rto_delay(&s.cfg).to_std());
-                }
-                (TAG_RDATA, "RData")
-            }
-        };
-        end_frame(&mut self.buf, tag);
-        if let Some(w) = self.writers[to].as_mut() {
-            // Failures mean the peer is past shutdown; the run is over.
-            let _ = io::Write::write_all(w, &self.buf);
-            self.counters.frames_out += 1;
-            self.counters.bytes_out += self.buf.len() as u64;
-            self.counters.write_calls += 1;
-            self.counters.by_kind.bump(label, 1);
-        }
-    }
-
-    fn recv(&mut self) -> PortEvent<M> {
-        self.wait(None)
-    }
-
-    fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M> {
-        self.wait(Some(deadline))
-    }
-
-    fn quota_done(&mut self) -> bool {
-        match self.ctrl.self_done(self.me) {
-            DoneAct::LastFinisher => {
-                self.broadcast_shutdown();
-                true
-            }
-            DoneAct::ReportDone => {
-                if let Some(w) = self.writers[0].as_mut() {
-                    let _ = write_frame(w, TAG_DONE, &[]);
-                    self.counters.frames_out += 1;
-                    self.counters.bytes_out += HEADER as u64;
-                    self.counters.write_calls += 1;
-                    self.counters.by_kind.bump("Done", 1);
-                }
-                false
-            }
-            DoneAct::Wait => false,
         }
     }
 }
@@ -561,7 +169,7 @@ pub struct MeshConfig {
     /// same verdict as on the simulated substrates).  What TCP cannot
     /// reproduce: duplicate frames (the kernel's sequence numbers already
     /// absorb them, so dup verdicts are ignored here — unlike the
-    /// simulated substrates nothing aggregates per-reader counters into
+    /// simulated substrates nothing aggregates per-link counters into
     /// `RunResult::faults`) and time-based faults (partitions/outages name
     /// *simulated* instants; a real wire has no such clock).  See
     /// DESIGN.md §8.
@@ -574,8 +182,8 @@ pub struct MeshConfig {
     pub faults: Option<FaultPlan>,
     /// Reliable-delivery session layer (`mra_protocol::reliable`): when
     /// set, every protocol message travels as a sequenced
-    /// [`TAG_RDATA`] frame with a piggybacked cumulative ack, receivers
-    /// ack (standalone [`TAG_RACK`] frames) and dedup, and the node loop
+    /// `TAG_RDATA` frame with a piggybacked cumulative ack, receivers ack
+    /// (standalone `TAG_RACK` frames) and dedup, and the reactor
     /// retransmits unacked frames on a capped-backoff timer — so
     /// [`MeshConfig::faults`] drops are *recovered* instead of absorbed
     /// into lost liveness.  `MRA_RELIABLE` / `MRA_RTO_MS` feed this in the
@@ -585,11 +193,11 @@ pub struct MeshConfig {
     /// kind, retransmissions, RTO fires) to stderr when the port drops.
     /// Fed by `mra-node --metrics` / `MRA_METRICS=1`.
     pub metrics: bool,
-    /// Where the transport publishes its final [`NetCounters`]: loopback
+    /// Where the transport publishes its [`NetCounters`]: loopback
     /// harnesses hand each node a slot and merge them into the run's
-    /// observability report after the port drops.  The reactor backend
-    /// additionally refreshes the slot every iteration, so it can be read
-    /// live.  `None` keeps the counters port-local.
+    /// observability report after the port drops.  The reactor refreshes
+    /// the slot every iteration, so it can be read live.  `None` keeps the
+    /// counters port-local.
     pub counters_slot: Option<Arc<Mutex<NetCounters>>>,
 }
 
@@ -602,222 +210,6 @@ impl Default for MeshConfig {
             reliability: None,
             metrics: false,
             counters_slot: None,
-        }
-    }
-}
-
-fn connect_retry(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        e.kind(),
-                        format!("connecting to {addr} timed out: {e}"),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-}
-
-/// Build node `me`'s full mesh: connect to every peer in `dir`, accept
-/// every peer's inbound connection on `listener`, and spawn one reader
-/// thread per inbound link.
-///
-/// The caller must have bound `listener` (on `dir.addr(me)` or, for
-/// loopback harnesses, wherever the directory says) **before** any node
-/// starts connecting — pre-bound listeners make the connect phase
-/// deadlock-free: a `connect` completes against the listen backlog even
-/// while the acceptor is still connecting out.
-pub fn connect_mesh<M>(
-    me: NodeId,
-    listener: TcpListener,
-    dir: &PeerDirectory,
-    ctrl: PortCtrl,
-    cfg: MeshConfig,
-) -> io::Result<TcpPort<M>>
-where
-    M: WireCodec + Clone + Send + 'static,
-{
-    let n = dir.len();
-    assert!(me < n, "node id {me} outside directory 0..{n}");
-
-    // Outbound: one connection per peer, handshake first.
-    let mut writers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    for (to, slot) in writers.iter_mut().enumerate() {
-        if to == me {
-            continue;
-        }
-        let mut s = connect_retry(dir.addr(to), cfg.connect_timeout)?;
-        s.set_nodelay(true)?;
-        write_handshake(&mut s, me)?;
-        *slot = Some(s);
-    }
-
-    // Inbound: accept n-1 links; the handshake names the sender.
-    let (tx, rx) = mpsc::channel::<Inbound<M>>();
-    let extra = cfg.extra_latency.to_std();
-    let reliable = cfg.reliability.is_some();
-    let rx_counters = Arc::new(RxCounters::default());
-    for _ in 0..n - 1 {
-        let (mut stream, _) = listener.accept()?;
-        stream.set_nodelay(true)?;
-        let from = read_handshake(&mut stream, n)?;
-        let tx = tx.clone();
-        let filter = cfg
-            .faults
-            .as_ref()
-            .map(|plan| LinkFilter::new(plan, from, me, n));
-        let tallies = Arc::clone(&rx_counters);
-        std::thread::Builder::new()
-            .name(format!("mra-net-rx-{me}-from-{from}"))
-            .spawn(move || reader_loop::<M>(stream, from, tx, extra, filter, reliable, tallies))
-            .expect("spawn reader thread");
-    }
-
-    Ok(TcpPort {
-        me,
-        writers,
-        rx,
-        ctrl,
-        buf: Vec::with_capacity(256),
-        sess: cfg.reliability.map(|r| TcpSessions::new(r, n)),
-        counters: NetCounters::default(),
-        rx_counters,
-        metrics: cfg.metrics,
-        slot: cfg.counters_slot,
-    })
-}
-
-/// Drain one inbound link: decode frames, stamp delivery deadlines, feed
-/// the node loop.  Exits on shutdown, EOF, decode failure or a dropped
-/// receiver.  With a fault `filter` installed, each decoded protocol frame
-/// first runs through the plan's deterministic per-link verdict: dropped
-/// frames vanish here (the wire-level loss point), duplicate verdicts are
-/// absorbed (TCP already delivers exactly once — see [`MeshConfig`]).
-fn reader_loop<M: WireCodec + Clone>(
-    mut stream: TcpStream,
-    from: NodeId,
-    tx: mpsc::Sender<Inbound<M>>,
-    extra_latency: Duration,
-    mut filter: Option<LinkFilter>,
-    reliable: bool,
-    tallies: Arc<RxCounters>,
-) {
-    let mut scratch = Vec::with_capacity(256);
-    loop {
-        // One filter verdict per frame (data *and* ack frames: an ack can
-        // be lost or duplicated on a real wire just like data).
-        let mut fate = FrameFate::Deliver;
-        let got = read_frame(&mut stream, &mut scratch);
-        if got.is_ok() {
-            // Every decodable frame counts, *before* the fault filter —
-            // these tallies describe the wire, not the delivery outcome.
-            // On-wire size = 4-byte length prefix + body (tag + payload).
-            tallies.frames_in.fetch_add(1, Ordering::Relaxed);
-            tallies.bytes_in.fetch_add(scratch.len() as u64 + 4, Ordering::Relaxed);
-            tallies.read_calls.fetch_add(2, Ordering::Relaxed);
-        }
-        let event = match got {
-            Ok(TAG_MSG) if !reliable => match M::from_bytes(&scratch[1..]) {
-                Ok(msg) => {
-                    if let Some(f) = filter.as_mut() {
-                        if f.next_fate() == FrameFate::Drop {
-                            continue;
-                        }
-                    }
-                    Inbound::Msg {
-                        from,
-                        deliver_at: Instant::now() + extra_latency,
-                        msg,
-                    }
-                }
-                Err(e) => {
-                    eprintln!("mra-net: dropping link from node {from}: {e}");
-                    Inbound::Shutdown
-                }
-            },
-            Ok(TAG_RDATA) if reliable => {
-                if let Some(f) = filter.as_mut() {
-                    fate = f.next_fate();
-                    if fate == FrameFate::Drop {
-                        continue;
-                    }
-                }
-                match split_rdata(&scratch[1..])
-                    .and_then(|(seq, ack, body)| {
-                        M::from_bytes(body)
-                            .map(|msg| (seq, ack, msg))
-                            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-                    }) {
-                    Ok((seq, ack, msg)) => Inbound::Data {
-                        from,
-                        deliver_at: Instant::now() + extra_latency,
-                        seq,
-                        ack,
-                        msg,
-                    },
-                    Err(e) => {
-                        eprintln!("mra-net: dropping link from node {from}: {e}");
-                        Inbound::Shutdown
-                    }
-                }
-            }
-            Ok(TAG_RACK) if reliable => {
-                if let Some(f) = filter.as_mut() {
-                    fate = f.next_fate();
-                    if fate == FrameFate::Drop {
-                        continue;
-                    }
-                }
-                match split_rack(&scratch[1..]) {
-                    Ok(ack) => Inbound::Ack { from, ack },
-                    Err(e) => {
-                        eprintln!("mra-net: dropping link from node {from}: {e}");
-                        Inbound::Shutdown
-                    }
-                }
-            }
-            Ok(TAG_DONE) => Inbound::Done,
-            // TAG_SHUTDOWN, mode-mismatched and unknown tags, and IO errors
-            // (EOF included) all end the link; the node loop decides
-            // nothing more arrives.
-            _ => Inbound::Shutdown,
-        };
-        let terminal = matches!(event, Inbound::Shutdown);
-        // A duplicate verdict puts a second copy behind the original —
-        // only meaningful in session mode, where Data dedup and Ack
-        // idempotence absorb it (session frames are the only ones
-        // filtered, so the clone is cheap and rare).
-        let dup = !terminal && fate == FrameFate::Duplicate;
-        if dup {
-            let copy = match &event {
-                Inbound::Data { from, deliver_at, seq, ack, msg } => Some(Inbound::Data {
-                    from: *from,
-                    deliver_at: *deliver_at,
-                    seq: *seq,
-                    ack: *ack,
-                    msg: msg.clone(),
-                }),
-                Inbound::Ack { from, ack } => Some(Inbound::Ack { from: *from, ack: *ack }),
-                _ => None,
-            };
-            if tx.send(event).is_err() {
-                return;
-            }
-            if let Some(copy) = copy {
-                if tx.send(copy).is_err() {
-                    return;
-                }
-            }
-            continue;
-        }
-        if tx.send(event).is_err() || terminal {
-            return;
         }
     }
 }
@@ -867,215 +259,4 @@ mod tests {
         assert!(err.contains("#0"), "{err}");
     }
 
-    #[test]
-    fn two_node_mesh_moves_messages() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dir = PeerDirectory::new(vec![
-            l0.local_addr().unwrap(),
-            l1.local_addr().unwrap(),
-        ]);
-        let d0 = dir.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: TcpPort<u64> = connect_mesh(
-                0,
-                l0,
-                &d0,
-                PortCtrl::Cluster(r0),
-                MeshConfig::default(),
-            )
-            .unwrap();
-            p0.send(1, 0xDEAD_BEEF, 0);
-            match p0.recv() {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!((from, msg), (1, 7));
-                }
-                _ => panic!("expected message"),
-            }
-        });
-        let mut p1: TcpPort<u64> = connect_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        p1.send(0, 7, 0);
-        match p1.recv() {
-            PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, 0xDEAD_BEEF)),
-            _ => panic!("expected message"),
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn drop_shim_loses_exactly_the_planned_frames() {
-        let plan = FaultPlan::new(0xC0FFEE).drop_rate(0.3).dup_rate(0.1);
-        const FRAMES: u64 = 200;
-        // Replay the plan's verdicts for link 0 → 1: duplicates are
-        // absorbed by TCP semantics, so everything but Drop arrives once.
-        let mut filter = LinkFilter::new(&plan, 0, 1, 2);
-        let expected = (0..FRAMES)
-            .filter(|_| filter.next_fate() != FrameFate::Drop)
-            .count() as u64;
-        assert!(expected > 0 && expected < FRAMES, "degenerate plan");
-
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dir = PeerDirectory::new(vec![
-            l0.local_addr().unwrap(),
-            l1.local_addr().unwrap(),
-        ]);
-        let d0 = dir.clone();
-        let shim = MeshConfig {
-            faults: Some(plan),
-            ..MeshConfig::default()
-        };
-        let cfg0 = shim.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: TcpPort<u64> =
-                connect_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            for k in 0..FRAMES {
-                p0.send(1, k, 0);
-            }
-            // Dropping p0 closes the stream; the peer's reader sees EOF.
-        });
-        let mut p1: TcpPort<u64> = connect_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        loop {
-            match p1.recv() {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!(from, 0);
-                    got.push(msg);
-                }
-                PortEvent::Shutdown => break,
-                PortEvent::TimedOut => unreachable!("recv never times out"),
-            }
-        }
-        t.join().unwrap();
-        assert_eq!(got.len() as u64, expected, "shim lost the wrong frames");
-        // FIFO survives the shim: payloads arrive in send order.
-        assert!(got.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn reliable_link_recovers_every_planned_drop_in_order() {
-        // The counterpart of `drop_shim_loses_exactly_the_planned_frames`:
-        // with the session layer on, the same 30%-drop plan loses nothing —
-        // every frame arrives exactly once, in order, via retransmission.
-        const FRAMES: u64 = 200;
-        let plan = FaultPlan::new(0xC0FFEE).drop_rate(0.3).dup_rate(0.1);
-        let shim = MeshConfig {
-            faults: Some(plan),
-            reliability: Some(Reliability::with_rto(mra_types::Time::from_millis(5))),
-            ..MeshConfig::default()
-        };
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dir = PeerDirectory::new(vec![
-            l0.local_addr().unwrap(),
-            l1.local_addr().unwrap(),
-        ]);
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: TcpPort<u64> =
-                connect_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            for k in 0..FRAMES {
-                p0.send(1, k, 0);
-            }
-            // Keep pumping: retransmit timers fire inside the recv loop
-            // until the peer confirms full receipt with one reliable
-            // message of its own.
-            let deadline = Instant::now() + Duration::from_secs(20);
-            match p0.recv_deadline(deadline) {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!((from, msg), (1, u64::MAX));
-                }
-                PortEvent::Shutdown => panic!("peer vanished early"),
-                PortEvent::TimedOut => panic!("confirmation never arrived"),
-            }
-        });
-        let mut p1: TcpPort<u64> = connect_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while (got.len() as u64) < FRAMES {
-            match p1.recv_deadline(deadline) {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!(from, 0);
-                    got.push(msg);
-                }
-                PortEvent::Shutdown => panic!("sender vanished early"),
-                PortEvent::TimedOut => panic!(
-                    "reliable link stalled with {}/{FRAMES} frames",
-                    got.len()
-                ),
-            }
-        }
-        // Exactly once, in order — the session contract.
-        assert_eq!(got, (0..FRAMES).collect::<Vec<u64>>());
-        p1.send(0, u64::MAX, 0);
-        // Serve the confirmation's retransmissions until the peer is done.
-        let handoff = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < handoff && !t.is_finished() {
-            let _ = p1.recv_deadline(Instant::now() + Duration::from_millis(20));
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn last_finisher_shutdown_reaches_peer() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dir = PeerDirectory::new(vec![
-            l0.local_addr().unwrap(),
-            l1.local_addr().unwrap(),
-        ]);
-        let d0 = dir.clone();
-        let remaining = Arc::new(AtomicUsize::new(1));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: TcpPort<u64> = connect_mesh(
-                0,
-                l0,
-                &d0,
-                PortCtrl::Cluster(r0),
-                MeshConfig::default(),
-            )
-            .unwrap();
-            // Only active node finishes: broadcasts shutdown, exits.
-            assert!(p0.quota_done());
-        });
-        let mut p1: TcpPort<u64> = connect_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        assert!(matches!(p1.recv(), PortEvent::Shutdown));
-        t.join().unwrap();
-    }
 }

@@ -11,7 +11,7 @@
 use mra_baselines::{BlMsg, CentralMsg, ControlToken, CtEntry, IncMsg, MadMsg};
 use mra_baselines::maddi::MadToken;
 use mra_core::{CounterVal, LassMsg, LoanReq, Request, ResReq, Token};
-use mra_mutex::{NtMsg, RayMsg, SkMsg, SkToken};
+use mra_mutex::{NtMsg, SkMsg, SkToken};
 use mra_protocol::WireCodec;
 use mra_types::{NodeSet, ResourceSet};
 use proptest::collection::vec;
@@ -205,11 +205,6 @@ proptest! {
     #[test]
     fn suzuki_kasami_messages_roundtrip(m in any_sk_msg()) {
         assert_roundtrip(&m)?;
-    }
-
-    #[test]
-    fn raymond_messages_roundtrip(token in any::<bool>()) {
-        assert_roundtrip(&if token { RayMsg::Token } else { RayMsg::Request })?;
     }
 
     #[test]

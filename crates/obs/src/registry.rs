@@ -64,13 +64,12 @@ pub struct NetCounters {
     pub retransmit_frames: u64,
     /// Retransmission-timer expiries serviced.
     pub rto_fires: u64,
-    /// `write(2)` calls issued for frame traffic.  Under the coalescing
-    /// reactor many frames share one call; the threaded transport issues
-    /// one per frame.  `frames_out + retransmit_frames + standalone acks`
-    /// divided by this is the coalescing ratio.
+    /// `write(2)` calls issued for frame traffic; the reactor coalesces,
+    /// so many frames can share one call.  `frames_out +
+    /// retransmit_frames + standalone acks` divided by this is the
+    /// coalescing ratio.
     pub write_calls: u64,
-    /// `read(2)` calls issued for frame traffic (the blocking transport
-    /// counts each `read_exact` servicing as one).
+    /// `read(2)` calls issued for frame traffic.
     pub read_calls: u64,
     /// Standalone ack frames sent (not piggybacked on data).
     pub ack_frames: u64,
@@ -98,9 +97,9 @@ impl NetCounters {
         self.frames_out + self.retransmit_frames + self.ack_frames
     }
 
-    /// Outbound frames per `write(2)` call — the coalescing ratio.
-    /// 1.0 for the threaded transport by construction; > 1.0 when the
-    /// reactor batches.  `None` before any write happened.
+    /// Outbound frames per `write(2)` call — the coalescing ratio: 1.0
+    /// with one write per frame, > 1.0 when the reactor batches.  `None`
+    /// before any write happened.
     pub fn frames_per_write(&self) -> Option<f64> {
         (self.write_calls > 0).then(|| self.wire_frames_out() as f64 / self.write_calls as f64)
     }

@@ -12,11 +12,7 @@
 //! * sequences as a `u32` element count followed by the elements;
 //! * sets ([`DynSet`], i.e. `ResourceSet`/`NodeSet`) as a `u32` word count
 //!   followed by that many raw words, trailing zero words trimmed (see
-//!   [`DynSet::to_words`]).  **Wire-format change note:** before the
-//!   dynamic-set refactor, sets were `BitSet256` and encoded as exactly
-//!   four raw words with no length prefix; the two formats are not
-//!   interoperable.  The legacy fixed-width codec is retained on
-//!   [`BitSet256`] itself for the parity tests.
+//!   [`DynSet::to_words`]).
 //!
 //! Codecs are *total on the encode side* and *validating on the decode
 //! side*: [`WireCodec::decode`] returns [`DecodeError`] instead of
@@ -31,7 +27,7 @@
 //! Framing (length prefixes on the wire, peer handshakes) is the
 //! transport's job — see the `mra-net` crate.
 
-use mra_types::{BitSet256, DynSet, Time};
+use mra_types::{DynSet, Time};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -281,22 +277,6 @@ impl WireCodec for Time {
     }
 }
 
-impl WireCodec for BitSet256 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for w in self.to_words() {
-            put_u64(out, w);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let mut words = [0u64; 4];
-        for w in &mut words {
-            *w = r.get_u64("BitSet256")?;
-        }
-        Ok(BitSet256::from_words(words))
-    }
-}
-
 impl WireCodec for DynSet {
     fn encode(&self, out: &mut Vec<u8>) {
         let words = self.to_words();
@@ -401,9 +381,6 @@ mod tests {
         roundtrip(VecDeque::from([4usize, 5]));
         roundtrip(Some(9u64));
         roundtrip(Option::<u64>::None);
-        roundtrip(BitSet256::full(256));
-        roundtrip(BitSet256::EMPTY);
-        roundtrip([0usize, 63, 64, 255].into_iter().collect::<BitSet256>());
     }
 
     #[test]
@@ -413,10 +390,9 @@ mod tests {
         roundtrip(DynSet::full(1000));
         roundtrip([0usize, 63, 64, 255, 256, 99_999].into_iter().collect::<DynSet>());
         // The empty set costs exactly the 4-byte length prefix; a small set
-        // costs prefix + one word — not the fixed 32 bytes of BitSet256.
+        // costs prefix + one word.
         assert_eq!(DynSet::EMPTY.to_bytes().len(), 4);
         assert_eq!(DynSet::singleton(3).to_bytes().len(), 4 + 8);
-        assert_eq!(BitSet256::EMPTY.to_bytes().len(), 32);
     }
 
     #[test]

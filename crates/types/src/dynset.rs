@@ -1,25 +1,23 @@
 //! Dynamic-capacity bitsets.
 //!
-//! [`DynSet`] replaces the fixed 256-element [`crate::BitSet256`] behind
-//! the [`ResourceSet`]/[`NodeSet`] aliases so scenarios can scale past the
-//! paper's N = 32 / M = 80 shape to 10k+ nodes and 100k+ resources.  The
-//! representation is a word vector with an **inline small-set fast path**:
-//! sets whose largest element is below 256 live in four inline words
-//! (exactly the old `BitSet256` footprint) and never touch the heap, so
-//! the protocol hot paths of paper-scale runs stay allocation-free.
-//! Inserting an element ≥ 256 promotes the set to a heap word vector of
-//! whatever length the largest element needs.
+//! [`DynSet`] sits behind the [`ResourceSet`]/[`NodeSet`] aliases so
+//! scenarios can scale past the paper's N = 32 / M = 80 shape to 10k+
+//! nodes and 100k+ resources.  The representation is a word vector with an
+//! **inline small-set fast path**: sets whose largest element is below 256
+//! live in four inline words and never touch the heap, so the protocol hot
+//! paths of paper-scale runs stay allocation-free.  Inserting an element
+//! ≥ 256 promotes the set to a heap word vector of whatever length the
+//! largest element needs.
 //!
-//! Unlike `BitSet256`, `DynSet` is `Clone` but not `Copy`; call sites that
-//! used to copy sets implicitly now clone explicitly.  Equality and
-//! hashing are representation-independent: trailing zero words are
-//! ignored, so an inline `{3}` equals a heap `{3}` that once held 10_000.
+//! `DynSet` is `Clone` but not `Copy`.  Equality and hashing are
+//! representation-independent: trailing zero words are ignored, so an
+//! inline `{3}` equals a heap `{3}` that once held 10_000.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// Number of inline words: 4 × 64 = 256 elements before heap promotion,
-/// matching the old fixed capacity (the paper's shape plus headroom).
+/// Number of inline words: 4 × 64 = 256 elements before heap promotion
+/// (the paper's shape plus headroom).
 const INLINE_WORDS: usize = 4;
 const INLINE_BITS: usize = INLINE_WORDS * 64;
 

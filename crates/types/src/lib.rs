@@ -9,18 +9,14 @@
 //!   runtime.
 //! * [`DynSet`] — a dynamic word-vector bitset with an inline ≤256-element
 //!   fast path.  [`ResourceSet`] and [`NodeSet`] are typed aliases.
-//! * [`BitSet256`] — the historical fixed-capacity (256 element) `Copy`
-//!   bitset, retained as the reference model for `DynSet` parity tests.
 //! * [`ResTable`] — per-resource state storage, dense for small universes
 //!   and lazily materialized at 100k-resource scale.
 //! * [`NodeId`] / [`ResourceId`] / [`RequestId`] — plain index aliases.
 
-pub mod bitset;
 pub mod dynset;
 pub mod restable;
 pub mod time;
 
-pub use bitset::BitSet256;
 pub use dynset::{DynSet, SetIter};
 pub use restable::{ResTable, DENSE_TABLE_MAX};
 pub use time::Time;
@@ -48,7 +44,7 @@ pub type ResourceId = usize;
 /// `(NodeId, RequestId)` uniquely identifies a critical-section request.
 pub type RequestId = u64;
 
-/// Capacity of the fixed [`BitSet256`] and the inline fast path of
-/// [`DynSet`].  The paper evaluates N = 32 processes and M = 80 resources;
-/// sets whose elements stay below this bound never touch the heap.
+/// Capacity of the inline fast path of [`DynSet`].  The paper evaluates
+/// N = 32 processes and M = 80 resources; sets whose elements stay below
+/// this bound never touch the heap.
 pub const MAX_UNIVERSE: usize = 256;

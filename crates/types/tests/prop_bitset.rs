@@ -1,7 +1,9 @@
 //! Property-based tests: `BitSet256` behaves exactly like a `HashSet<usize>`
 //! restricted to `0..256`, and the set-algebra identities hold.
 
-use mra_types::BitSet256;
+mod bitset256;
+
+use bitset256::BitSet256;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -81,4 +83,126 @@ proptest! {
         let s: BitSet256 = elems.iter().copied().collect();
         prop_assert_eq!(s.first(), elems.iter().copied().min());
     }
+}
+
+#[test]
+fn insert_remove_contains() {
+    let mut s = BitSet256::new();
+    assert!(s.is_empty());
+    assert!(s.insert(5));
+    assert!(!s.insert(5));
+    assert!(s.contains(5));
+    assert!(!s.contains(6));
+    assert_eq!(s.len(), 1);
+    assert!(s.remove(5));
+    assert!(!s.remove(5));
+    assert!(s.is_empty());
+}
+
+#[test]
+fn word_boundaries() {
+    let mut s = BitSet256::new();
+    for i in [0usize, 63, 64, 127, 128, 191, 192, 255] {
+        assert!(s.insert(i));
+        assert!(s.contains(i));
+    }
+    assert_eq!(s.len(), 8);
+    assert_eq!(s.to_vec(), vec![0, 63, 64, 127, 128, 191, 192, 255]);
+}
+
+#[test]
+#[should_panic]
+fn insert_out_of_range_panics() {
+    BitSet256::new().insert(256);
+}
+
+#[test]
+fn contains_out_of_range_is_false() {
+    assert!(!BitSet256::full(256).contains(1000));
+}
+
+#[test]
+fn set_algebra() {
+    let a: BitSet256 = [1, 2, 3].into_iter().collect();
+    let b: BitSet256 = [3, 4].into_iter().collect();
+    assert_eq!(a.union(&b).to_vec(), vec![1, 2, 3, 4]);
+    assert_eq!(a.intersection(&b).to_vec(), vec![3]);
+    assert_eq!(a.difference(&b).to_vec(), vec![1, 2]);
+    assert!(!a.is_disjoint(&b));
+    assert!(a.difference(&b).is_disjoint(&b));
+    assert!(a.intersection(&b).is_subset(&a));
+    assert!(a.intersection(&b).is_subset(&b));
+    assert!(BitSet256::EMPTY.is_subset(&a));
+}
+
+#[test]
+fn full_and_first() {
+    let s = BitSet256::full(80);
+    assert_eq!(s.len(), 80);
+    assert_eq!(s.first(), Some(0));
+    assert_eq!(BitSet256::EMPTY.first(), None);
+    assert_eq!(BitSet256::singleton(79).first(), Some(79));
+}
+
+#[test]
+fn iterator_matches_model() {
+    let elems = [0usize, 7, 64, 65, 130, 255];
+    let s: BitSet256 = elems.iter().copied().collect();
+    let collected: Vec<usize> = s.iter().collect();
+    assert_eq!(collected, elems);
+    assert_eq!(s.iter().len(), elems.len());
+}
+
+#[test]
+fn words_roundtrip() {
+    let s: BitSet256 = [0usize, 63, 64, 200, 255].into_iter().collect();
+    assert_eq!(BitSet256::from_words(s.to_words()), s);
+    assert_eq!(BitSet256::from_words([0; 4]), BitSet256::EMPTY);
+    assert_eq!(BitSet256::from_words([u64::MAX; 4]), BitSet256::full(256));
+}
+
+#[test]
+fn in_place_ops_match_pure_ops() {
+    let a: BitSet256 = [1, 5, 9].into_iter().collect();
+    let b: BitSet256 = [5, 6].into_iter().collect();
+    let mut u = a;
+    u.union_with(&b);
+    assert_eq!(u, a.union(&b));
+    let mut d = a;
+    d.difference_with(&b);
+    assert_eq!(d, a.difference(&b));
+}
+
+#[test]
+fn model_based_random_ops() {
+    // Deterministic pseudo-random sequence; compares against HashSet.
+    let mut seed = 0x9E3779B97F4A7C15u64;
+    let mut next = || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    let mut s = BitSet256::new();
+    let mut model: HashSet<usize> = HashSet::new();
+    for _ in 0..4000 {
+        let v = (next() % 256) as usize;
+        match next() % 3 {
+            0 => {
+                assert_eq!(s.insert(v), model.insert(v));
+            }
+            1 => {
+                assert_eq!(s.remove(v), model.remove(&v));
+            }
+            _ => {
+                assert_eq!(s.contains(v), model.contains(&v));
+            }
+        }
+        assert_eq!(s.len(), model.len());
+    }
+    let mut got = s.to_vec();
+    let mut want: Vec<usize> = model.into_iter().collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want);
 }

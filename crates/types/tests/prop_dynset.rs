@@ -5,7 +5,10 @@
 //! universe, and the big-universe behaviour (including sets that cross the
 //! inline→heap boundary and come back) is modeled with `HashSet`.
 
-use mra_types::{BitSet256, DynSet};
+mod bitset256;
+
+use bitset256::BitSet256;
+use mra_types::DynSet;
 use proptest::prelude::*;
 use std::collections::HashSet;
 

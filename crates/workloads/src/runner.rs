@@ -87,38 +87,89 @@ pub fn run(algo: Algorithm, sc: &Scenario) -> RunResult {
     run_with_faults(algo, sc, None)
 }
 
-/// Build the fleet, optionally install the fault plan and the reliable
-/// session layer, run, collect.
+/// What to run on an algorithm's fleet once [`with_fleet`] has built it.
+/// A trait, not a closure: the allocator type differs per algorithm and
+/// closures cannot be generic over it.
+pub(crate) trait FleetVisitor {
+    type Out;
+
+    /// One workload slot per node; `cfg` carries the algorithm's latency
+    /// model and, when a passive coordinator rides along, `active_nodes`.
+    fn launch<A: Allocator + Send>(self, nodes: Vec<A>, cfg: SimConfig) -> Self::Out;
+}
+
+/// Build `algo`'s protocol fleet and latency model for `sc` (see [`run`])
+/// and hand them to `v`.
+pub(crate) fn with_fleet<V: FleetVisitor>(algo: Algorithm, sc: &Scenario, v: V) -> V::Out {
+    let (n, m) = (sc.n, sc.m);
+    match algo {
+        Algorithm::Incremental => v.launch(Incremental::build_nodes(n, m), sc.sim_config()),
+        Algorithm::BouabdallahLaforest => {
+            v.launch(BouabdallahLaforest::build_nodes(n, m), sc.sim_config())
+        }
+        Algorithm::LassNoLoan => {
+            let mut cfg = LassConfig::without_loan(n, m);
+            cfg.policy = sc.policy;
+            v.launch(cfg.build_nodes(), sc.sim_config())
+        }
+        Algorithm::LassLoan => {
+            let mut cfg = LassConfig::with_loan(n, m);
+            cfg.policy = sc.policy;
+            cfg.loan = Some(sc.loan_threshold);
+            v.launch(cfg.build_nodes(), sc.sim_config())
+        }
+        Algorithm::Central | Algorithm::CentralGreedy => {
+            let policy = if algo == Algorithm::Central {
+                GrantPolicy::Conservative
+            } else {
+                GrantPolicy::Greedy
+            };
+            // `build_nodes` appends one passive coordinator as node n.
+            let mut cfg = sc.sim_config_zero_latency();
+            cfg.active_nodes = Some(n);
+            v.launch(Central::build_nodes(n, policy), cfg)
+        }
+        Algorithm::Maddi => v.launch(Maddi::build_nodes(n, m), sc.sim_config()),
+    }
+}
+
+/// The closed-loop paper workload on the simulator, with the optional
+/// fault plan and reliable session layer installed.
 ///
 /// Tracing arms from the environment (`MRA_TRACE` / `MRA_TRACE_FILE`, see
 /// [`mra_sim::obs`]); when `MRA_TRACE_FILE` is set the merged trace is
 /// written there as JSONL after the run (each run overwrites it, so point
 /// it at a per-run path when sweeping).
-fn launch<A: Allocator + Send>(
-    nodes: Vec<A>,
-    workload_slots: usize,
-    sc: &Scenario,
-    cfg: SimConfig,
-    faults: Option<&FaultPlan>,
+struct PaperRun<'a> {
+    sc: &'a Scenario,
+    faults: Option<&'a FaultPlan>,
     reliability: Option<Reliability>,
-) -> RunResult {
-    let mut sim = Sim::new(nodes, PaperWorkload::per_node(sc, workload_slots), sc.m, cfg);
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan.clone());
-    }
-    if let Some(rel) = reliability {
-        sim.set_reliability(rel);
-    }
-    sim.set_tracing(mra_sim::obs::trace_mode_from_env());
-    let res = sim.run();
-    if let (Some(path), Some(trace)) =
-        (mra_sim::obs::trace_file_from_env(), res.obs.trace.as_ref())
-    {
-        if let Err(e) = mra_sim::obs::write_jsonl_file(&path, trace, &res.algo, res.n, res.m) {
-            eprintln!("mra-workloads: writing trace to {path} failed: {e}");
+}
+
+impl FleetVisitor for PaperRun<'_> {
+    type Out = RunResult;
+
+    fn launch<A: Allocator + Send>(self, nodes: Vec<A>, cfg: SimConfig) -> RunResult {
+        let sc = self.sc;
+        let workloads = PaperWorkload::per_node(sc, nodes.len());
+        let mut sim = Sim::new(nodes, workloads, sc.m, cfg);
+        if let Some(plan) = self.faults {
+            sim.set_fault_plan(plan.clone());
         }
+        if let Some(rel) = self.reliability {
+            sim.set_reliability(rel);
+        }
+        sim.set_tracing(mra_sim::obs::trace_mode_from_env());
+        let res = sim.run();
+        if let (Some(path), Some(trace)) =
+            (mra_sim::obs::trace_file_from_env(), res.obs.trace.as_ref())
+        {
+            if let Err(e) = mra_sim::obs::write_jsonl_file(&path, trace, &res.algo, res.n, res.m) {
+                eprintln!("mra-workloads: writing trace to {path} failed: {e}");
+            }
+        }
+        res
     }
-    res
 }
 
 /// [`run`] with an optional [`FaultPlan`] threaded into the simulator —
@@ -144,43 +195,7 @@ pub fn run_configured(
     faults: Option<&FaultPlan>,
     reliability: Option<Reliability>,
 ) -> RunResult {
-    match algo {
-        Algorithm::Incremental => {
-            let nodes = Incremental::build_nodes(sc.n, sc.m);
-            launch(nodes, sc.n, sc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::BouabdallahLaforest => {
-            let nodes = BouabdallahLaforest::build_nodes(sc.n, sc.m);
-            launch(nodes, sc.n, sc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::LassNoLoan => {
-            let mut cfg = LassConfig::without_loan(sc.n, sc.m);
-            cfg.policy = sc.policy;
-            launch(cfg.build_nodes(), sc.n, sc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::LassLoan => {
-            let mut cfg = LassConfig::with_loan(sc.n, sc.m);
-            cfg.policy = sc.policy;
-            cfg.loan = Some(sc.loan_threshold);
-            launch(cfg.build_nodes(), sc.n, sc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::Central | Algorithm::CentralGreedy => {
-            let policy = if algo == Algorithm::Central {
-                GrantPolicy::Conservative
-            } else {
-                GrantPolicy::Greedy
-            };
-            let nodes = Central::build_nodes(sc.n, policy);
-            let mut cfg = sc.sim_config_zero_latency();
-            cfg.active_nodes = Some(sc.n);
-            // One extra (passive) workload slot for the coordinator.
-            launch(nodes, sc.n + 1, sc, cfg, faults, reliability)
-        }
-        Algorithm::Maddi => {
-            let nodes = Maddi::build_nodes(sc.n, sc.m);
-            launch(nodes, sc.n, sc, sc.sim_config(), faults, reliability)
-        }
-    }
+    with_fleet(algo, sc, PaperRun { sc, faults, reliability })
 }
 
 #[cfg(test)]

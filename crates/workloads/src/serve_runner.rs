@@ -8,10 +8,8 @@
 //! (offered/admitted/shed, arrival-keyed latency histograms) next to the
 //! engine's [`RunResult`].
 
-use crate::runner::Algorithm;
+use crate::runner::{with_fleet, Algorithm, FleetVisitor};
 use crate::scenario::Scenario;
-use mra_baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
-use mra_core::LassConfig;
 use mra_protocol::Allocator;
 use mra_serve::{check_conservation, ServeConfig, ServeStats, ServeWorkload, SharedServeStats};
 use mra_sim::faults::FaultPlan;
@@ -94,37 +92,39 @@ impl ServeOutcome {
     }
 }
 
-fn launch<A: Allocator + Send>(
-    nodes: Vec<A>,
-    active: usize,
-    slots: usize,
-    ssc: &ServeScenario,
-    cfg: SimConfig,
-    faults: Option<&FaultPlan>,
+/// The open-loop serving fleet on the simulator, with the optional fault
+/// plan and reliable session layer installed.
+struct ServeRun<'a> {
+    ssc: &'a ServeScenario,
+    faults: Option<&'a FaultPlan>,
     reliability: Option<Reliability>,
-) -> ServeOutcome {
-    let (workloads, handles): (Vec<ServeWorkload>, Vec<SharedServeStats>) = {
-        let (w, h) = ServeWorkload::fleet(&ssc.serve, slots);
-        (w, h)
-    };
-    let span = cfg.warmup + cfg.measure;
-    let mut sim = Sim::new(nodes, workloads, ssc.sc.m, cfg);
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan.clone());
-    }
-    if let Some(rel) = reliability {
-        sim.set_reliability(rel);
-    }
-    sim.set_tracing(mra_sim::obs::trace_mode_from_env());
-    let result = sim.run();
-    // Passive slots (a central coordinator) never issue; merging their
-    // untouched stats is harmless, but restricting to active nodes keeps
-    // `offered` a function of the arrival processes that actually ran.
-    let serve = SharedServeStats::merge_all(&handles[..active]);
-    ServeOutcome {
-        result,
-        serve,
-        span,
+}
+
+impl FleetVisitor for ServeRun<'_> {
+    type Out = ServeOutcome;
+
+    fn launch<A: Allocator + Send>(self, nodes: Vec<A>, cfg: SimConfig) -> ServeOutcome {
+        let active = cfg.active_nodes.unwrap_or(nodes.len());
+        let (workloads, handles) = ServeWorkload::fleet(&self.ssc.serve, nodes.len());
+        let span = cfg.warmup + cfg.measure;
+        let mut sim = Sim::new(nodes, workloads, self.ssc.sc.m, cfg);
+        if let Some(plan) = self.faults {
+            sim.set_fault_plan(plan.clone());
+        }
+        if let Some(rel) = self.reliability {
+            sim.set_reliability(rel);
+        }
+        sim.set_tracing(mra_sim::obs::trace_mode_from_env());
+        let result = sim.run();
+        // Passive slots (a central coordinator) never issue; merging their
+        // untouched stats is harmless, but restricting to active nodes keeps
+        // `offered` a function of the arrival processes that actually ran.
+        let serve = SharedServeStats::merge_all(&handles[..active]);
+        ServeOutcome {
+            result,
+            serve,
+            span,
+        }
     }
 }
 
@@ -136,46 +136,7 @@ pub fn run_serve(
     faults: Option<&FaultPlan>,
     reliability: Option<Reliability>,
 ) -> ServeOutcome {
-    let sc = &ssc.sc;
-    match algo {
-        Algorithm::Incremental => {
-            let nodes = Incremental::build_nodes(sc.n, sc.m);
-            launch(nodes, sc.n, sc.n, ssc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::BouabdallahLaforest => {
-            let nodes = BouabdallahLaforest::build_nodes(sc.n, sc.m);
-            launch(nodes, sc.n, sc.n, ssc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::LassNoLoan => {
-            let mut cfg = LassConfig::without_loan(sc.n, sc.m);
-            cfg.policy = sc.policy;
-            let nodes = cfg.build_nodes();
-            launch(nodes, sc.n, sc.n, ssc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::LassLoan => {
-            let mut cfg = LassConfig::with_loan(sc.n, sc.m);
-            cfg.policy = sc.policy;
-            cfg.loan = Some(sc.loan_threshold);
-            let nodes = cfg.build_nodes();
-            launch(nodes, sc.n, sc.n, ssc, sc.sim_config(), faults, reliability)
-        }
-        Algorithm::Central | Algorithm::CentralGreedy => {
-            let policy = if algo == Algorithm::Central {
-                GrantPolicy::Conservative
-            } else {
-                GrantPolicy::Greedy
-            };
-            let nodes = Central::build_nodes(sc.n, policy);
-            let mut cfg = sc.sim_config_zero_latency();
-            cfg.active_nodes = Some(sc.n);
-            // One extra (passive) workload slot for the coordinator.
-            launch(nodes, sc.n, sc.n + 1, ssc, cfg, faults, reliability)
-        }
-        Algorithm::Maddi => {
-            let nodes = Maddi::build_nodes(sc.n, sc.m);
-            launch(nodes, sc.n, sc.n, ssc, sc.sim_config(), faults, reliability)
-        }
-    }
+    with_fleet(algo, &ssc.sc, ServeRun { ssc, faults, reliability })
 }
 
 #[cfg(test)]

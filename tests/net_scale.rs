@@ -1,11 +1,10 @@
-//! Reactor-transport scale smoke: big loopback clusters that the
-//! thread-per-connection baseline cannot reasonably host.
+//! TCP transport scale smoke: big loopback clusters, one reactor thread
+//! per node.
 //!
 //! * [`all_algorithms_complete_a_64_node_reactor_cluster`] runs in the
 //!   regular suite: every protocol in the repertoire to quota at 64
 //!   nodes — ~2 000 real TCP connections in one process, one reactor
-//!   thread per node (the threaded baseline would need ~4 000 reader
-//!   threads and twice the sockets for the same mesh).
+//!   thread per node.
 //! * [`lass_and_bl_complete_a_256_node_lossy_reactor_cluster`] is
 //!   `#[ignore]`-gated: 256 nodes need ~66 k file descriptors in one
 //!   process (the harness raises `RLIMIT_NOFILE`, but containers often
@@ -21,7 +20,7 @@
 
 use mra::baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
 use mra::core::LassConfig;
-use mra::net::{run_tcp_cluster, NetBackend, TcpClusterConfig};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::protocol::{Allocator, WireCodec};
@@ -49,9 +48,9 @@ fn workloads(count: usize, m: usize) -> Vec<FixedWorkload> {
         .collect()
 }
 
-/// Run `protos` to quota on the pinned reactor backend and assert exact
-/// completion.  `active` may be smaller than `protos.len()` (central's
-/// passive coordinator).
+/// Run `protos` to quota over loopback TCP and assert exact completion.
+/// `active` may be smaller than `protos.len()` (central's passive
+/// coordinator).
 fn quota_run<A>(
     protos: Vec<A>,
     active: usize,
@@ -76,7 +75,6 @@ fn all_algorithms_complete_a_64_node_reactor_cluster() {
     const M: usize = 16;
     let rounds = rounds();
     let cfg = |seed: u64, active: Option<usize>| TcpClusterConfig {
-        backend: NetBackend::Reactor,
         active_nodes: active,
         ..TcpClusterConfig::new(rounds, seed)
     };
@@ -133,7 +131,6 @@ fn lass_and_bl_complete_a_256_node_lossy_reactor_cluster() {
     const M: usize = 16;
     let rounds = rounds();
     let cfg = |seed: u64| TcpClusterConfig {
-        backend: NetBackend::Reactor,
         faults: Some(FaultPlan::new(0xFA17).drop_rate(0.05)),
         reliability: Some(Reliability::with_rto(Time::from_millis(10))),
         ..TcpClusterConfig::new(rounds, seed)

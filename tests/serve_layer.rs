@@ -16,7 +16,7 @@
 //! 3. **Determinism** — seeded arrival streams make whole serving runs
 //!    reproducible on the simulator.
 
-use mra::net::{run_tcp_cluster, NetBackend, TcpClusterConfig};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::serve::{ServeConfig, ServeWorkload, SharedServeStats};
@@ -197,8 +197,7 @@ fn serve_workload_over_tcp_reactor_cluster() {
     let (workloads, handles): (Vec<ServeWorkload>, Vec<SharedServeStats>) =
         ServeWorkload::fleet(&shaped, N);
     let lass = mra::core::LassConfig::with_loan(N, M);
-    let mut ccfg = TcpClusterConfig::new(rounds, 0x5EED);
-    ccfg.backend = NetBackend::Reactor;
+    let ccfg = TcpClusterConfig::new(rounds, 0x5EED);
     let res = run_tcp_cluster(lass.build_nodes(), workloads, M, ccfg);
     assert_eq!(res.cs_completed, (N * rounds) as u64);
     assert_eq!(res.censored, 0);

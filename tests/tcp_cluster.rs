@@ -8,7 +8,7 @@
 
 use mra::baselines::BouabdallahLaforest;
 use mra::core::LassConfig;
-use mra::net::{run_tcp_cluster, NetBackend, TcpClusterConfig};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::sim::FixedWorkload;
@@ -72,21 +72,15 @@ fn bouabdallah_laforest_8_node_cluster_over_tcp() {
     assert!(res.msgs_per_cs() >= 1.0);
 }
 
-/// One quota run per transport backend, explicitly pinned — the suite's
-/// other tests take the backend from the environment, so without these
-/// twins a CI machine pinned to one backend would never exercise the
-/// other.
-fn pinned_backend_run(backend: NetBackend) {
+#[test]
+fn lass_8_node_cluster_on_the_reactor_backend() {
     let rounds = rounds();
     let cfg = LassConfig::with_loan(N, M);
     let res = run_tcp_cluster(
         cfg.build_nodes(),
         workloads(),
         M,
-        TcpClusterConfig {
-            backend,
-            ..TcpClusterConfig::new(rounds, 0xC0FF_EE01)
-        },
+        TcpClusterConfig::new(rounds, 0xC0FF_EE01),
     );
     assert_eq!(res.cs_completed, (N * rounds) as u64);
     assert_eq!(res.censored, 0);
@@ -99,21 +93,11 @@ fn pinned_backend_run(backend: NetBackend) {
 }
 
 #[test]
-fn lass_8_node_cluster_on_the_reactor_backend() {
-    pinned_backend_run(NetBackend::Reactor);
-}
-
-#[test]
-fn lass_8_node_cluster_on_the_threaded_backend() {
-    pinned_backend_run(NetBackend::Threaded);
-}
-
-#[test]
 fn reactor_backend_recovers_a_lossy_wire_with_the_session_layer() {
-    // Reliability + a 10% drop shim on the reactor path: the session
-    // layer runs *inside* the reactor here (RTOs on its timer wheel,
-    // acks coalesced into the next flush), so the exact quota under loss
-    // is the end-to-end proof that batching broke no session invariant.
+    // Reliability + a 10% drop shim: the session layer runs *inside* the
+    // reactor (RTOs on its timer wheel, acks coalesced into the next
+    // flush), so the exact quota under loss is the end-to-end proof that
+    // batching broke no session invariant.
     let rounds = rounds();
     let cfg = LassConfig::with_loan(N, M);
     let res = run_tcp_cluster(
@@ -121,7 +105,6 @@ fn reactor_backend_recovers_a_lossy_wire_with_the_session_layer() {
         workloads(),
         M,
         TcpClusterConfig {
-            backend: NetBackend::Reactor,
             faults: Some(FaultPlan::new(0xFA17).drop_rate(0.1).dup_rate(0.05)),
             reliability: Some(Reliability::with_rto(Time::from_millis(2))),
             ..TcpClusterConfig::new(rounds, 0xC0FF_EE02)
