@@ -98,7 +98,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NaimiTrehel, SuzukiKasami};
+    use crate::NaimiTrehel;
     use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -112,13 +112,6 @@ mod tests {
                 }
                 MutexAllocator::new(nt, "naimi-trehel")
             })
-            .collect();
-        VirtualNet::new(nodes, 1)
-    }
-
-    fn sk_net(n: usize) -> VirtualNet<MutexAllocator<SuzukiKasami>> {
-        let nodes = (0..n)
-            .map(|i| MutexAllocator::new(SuzukiKasami::new(i, n, 0), "suzuki-kasami"))
             .collect();
         VirtualNet::new(nodes, 1)
     }
@@ -142,17 +135,6 @@ mod tests {
             let rep = run_random_workload(&mut net, &single_resource_cfg(6), &mut rng);
             assert_eq!(rep.cs_completed, 36, "seed {seed}");
             // Single resource: concurrency can never exceed 1.
-            assert_eq!(rep.max_concurrency, 1, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn suzuki_kasami_random_safety_liveness() {
-        for seed in 0..10 {
-            let mut net = sk_net(6);
-            let mut rng = StdRng::seed_from_u64(100 + seed);
-            let rep = run_random_workload(&mut net, &single_resource_cfg(6), &mut rng);
-            assert_eq!(rep.cs_completed, 36, "seed {seed}");
             assert_eq!(rep.max_concurrency, 1, "seed {seed}");
         }
     }

@@ -8,12 +8,8 @@
 //!   **incremental** baseline runs `M` instances of it (one per resource)
 //!   and **Bouabdallah–Laforest** uses one instance to circulate its control
 //!   token (the paper's global lock).
-//! * [`suzuki_kasami`] — the Suzuki-Kasami broadcast token algorithm
-//!   (N − 1 requests + 1 token message per CS).  The Maddi baseline
-//!   ("token based solutions to m resources allocation", SAC'97) is
-//!   described by the paper as multiple instances of it.
 //!
-//! Both are written *embedding-friendly*: handlers emit messages through a
+//! It is written *embedding-friendly*: handlers emit messages through a
 //! caller-provided sink instead of owning a network handle, so a
 //! multi-resource protocol can multiplex many instances over one message
 //! type.  [`adapter::MutexAllocator`] lifts any [`SingleMutex`] into the
@@ -21,12 +17,10 @@
 
 pub mod adapter;
 pub mod naimi_trehel;
-pub mod suzuki_kasami;
 pub mod wire;
 
 pub use adapter::MutexAllocator;
 pub use naimi_trehel::{NaimiTrehel, NtMsg};
-pub use suzuki_kasami::{SkMsg, SkToken, SuzukiKasami};
 
 use mra_types::NodeId;
 

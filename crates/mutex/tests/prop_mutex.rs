@@ -1,8 +1,8 @@
 //! Property-based tests of the mutual-exclusion substrates: mutual
 //! exclusion, liveness and token conservation under arbitrary shapes and
-//! interleavings, for both algorithms.
+//! interleavings.
 
-use mra_mutex::{MutexAllocator, NaimiTrehel, SuzukiKasami};
+use mra_mutex::{MutexAllocator, NaimiTrehel};
 use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,20 +40,6 @@ proptest! {
         prop_assert_eq!(rep.cs_completed as usize, 4 * n);
         prop_assert_eq!(rep.max_concurrency, 1);
         // Exactly one token survives.
-        let holders = (0..n).filter(|&i| net.node(i).inner().holds_token()).count();
-        prop_assert_eq!(holders, 1);
-    }
-
-    #[test]
-    fn suzuki_kasami_excludes(seed in any::<u64>(), n in 2usize..8) {
-        let nodes: Vec<_> = (0..n)
-            .map(|i| MutexAllocator::new(SuzukiKasami::new(i, n, 0), "sk"))
-            .collect();
-        let mut net = VirtualNet::new(nodes, 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rep = run_random_workload(&mut net, &cfg(4), &mut rng);
-        prop_assert_eq!(rep.cs_completed as usize, 4 * n);
-        prop_assert_eq!(rep.max_concurrency, 1);
         let holders = (0..n).filter(|&i| net.node(i).inner().holds_token()).count();
         prop_assert_eq!(holders, 1);
     }

@@ -22,7 +22,7 @@ use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
 use mra_sim::{FixedWorkload, RunResult, WaitStats};
-use mra_types::Time;
+use mra_types::{env_flag, Time};
 use std::process::exit;
 use std::time::Duration;
 
@@ -151,7 +151,7 @@ fn parse_opts() -> Opts {
     }
     // MRA_METRICS=1 is the flag's environment twin (handy when the
     // command line is owned by a harness).
-    if std::env::var("MRA_METRICS").is_ok_and(|v| v == "1") {
+    if env_flag("MRA_METRICS") {
         opts.metrics = true;
     }
     opts

@@ -11,12 +11,11 @@
 use mra_baselines::{BlMsg, CentralMsg, ControlToken, CtEntry, IncMsg, MadMsg};
 use mra_baselines::maddi::MadToken;
 use mra_core::{CounterVal, LassMsg, LoanReq, Request, ResReq, Token};
-use mra_mutex::{NtMsg, SkMsg, SkToken};
+use mra_mutex::NtMsg;
 use mra_protocol::WireCodec;
 use mra_types::{NodeSet, ResourceSet};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::VecDeque;
 use std::fmt::Debug;
 
 fn assert_roundtrip<T: WireCodec + Debug>(v: &T) -> Result<(), TestCaseError> {
@@ -128,18 +127,6 @@ fn any_lass_msg() -> impl Strategy<Value = LassMsg> {
     ]
 }
 
-fn any_sk_msg() -> impl Strategy<Value = SkMsg> {
-    prop_oneof![
-        (0usize..256, any_counter()).prop_map(|(origin, seq)| SkMsg::Request { origin, seq }),
-        (vec(any_counter(), 0..16), vec(0usize..256, 0..16)).prop_map(|(ln, q)| {
-            SkMsg::Token(SkToken {
-                ln,
-                queue: VecDeque::from(q),
-            })
-        }),
-    ]
-}
-
 fn any_control_token() -> impl Strategy<Value = ControlToken> {
     vec(
         prop_oneof![
@@ -199,11 +186,6 @@ proptest! {
         (0usize..256).prop_map(|origin| NtMsg::<u64>::Request { origin }),
         any::<u64>().prop_map(NtMsg::Token),
     ]) {
-        assert_roundtrip(&m)?;
-    }
-
-    #[test]
-    fn suzuki_kasami_messages_roundtrip(m in any_sk_msg()) {
         assert_roundtrip(&m)?;
     }
 

@@ -1,6 +1,4 @@
-//! JSONL trace export/import — hand-rolled, like the rest of the
-//! workspace's JSON (no serde offline; same approach as
-//! `write_bench_engine_json`).
+//! JSONL trace export/import — hand-rolled (no serde offline).
 //!
 //! ## Schema
 //!

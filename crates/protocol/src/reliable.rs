@@ -44,7 +44,7 @@
 //! and the engines re-arm their deadlock detectors accordingly.
 
 use crate::faults::FaultPlan;
-use mra_types::{NodeId, Time};
+use mra_types::{env_flag, NodeId, Time};
 use std::collections::VecDeque;
 
 /// Retransmission never backs off beyond `rto << MAX_BACKOFF`.
@@ -90,16 +90,9 @@ impl Reliability {
         }
     }
 
-    /// Is `MRA_RELIABLE` set to a truthy value (`1`, `true`, `yes`, `on`)?
+    /// Is `MRA_RELIABLE` switched on ([`env_flag`])?
     pub fn env_enabled() -> bool {
-        std::env::var("MRA_RELIABLE")
-            .map(|v| {
-                matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "1" | "true" | "yes" | "on"
-                )
-            })
-            .unwrap_or(false)
+        env_flag("MRA_RELIABLE")
     }
 
     /// The initial RTO from `MRA_RTO_MS` (fractional milliseconds), or

@@ -28,7 +28,6 @@
 //! transport's job — see the `mra-net` crate.
 
 use mra_types::{DynSet, Time};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Decoding failure: the input was truncated or structurally invalid.
@@ -314,24 +313,6 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
 }
 
-impl<T: WireCodec> WireCodec for VecDeque<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.len());
-        for x in self {
-            x.encode(out);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let len = r.get_len(1, "VecDeque")?;
-        let mut v = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            v.push_back(T::decode(r)?);
-        }
-        Ok(v)
-    }
-}
-
 impl<T: WireCodec> WireCodec for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -378,7 +359,6 @@ mod tests {
     fn containers_roundtrip() {
         roundtrip(vec![1u64, 2, 3]);
         roundtrip(Vec::<u64>::new());
-        roundtrip(VecDeque::from([4usize, 5]));
         roundtrip(Some(9u64));
         roundtrip(Option::<u64>::None);
     }

@@ -28,7 +28,7 @@
 use rand::rngs::StdRng;
 
 use mra_sim::Workload;
-use mra_types::{ResourceSet, Time};
+use mra_types::{env_flag, ResourceSet, Time};
 
 use crate::admission::{Admission, AdmissionQueue, ServeReq};
 use crate::arrivals::{ArrivalGen, Interarrival, RequestShape};
@@ -100,8 +100,8 @@ impl ServeConfig {
         if let Some(v) = num::<f64>("MRA_SERVE_RATE") {
             self.rate_hz = v.max(1e-3);
         }
-        if let Some(v) = num::<u8>("MRA_SERVE_BURSTY") {
-            self.bursty = v != 0;
+        if std::env::var_os("MRA_SERVE_BURSTY").is_some() {
+            self.bursty = env_flag("MRA_SERVE_BURSTY");
         }
         if let Some(v) = num::<usize>("MRA_SERVE_DEPTH") {
             self.max_depth = v.max(1);

@@ -228,8 +228,8 @@ impl RunResult {
         out
     }
 
-    /// Simulator throughput in events per wall-clock second — the tracked
-    /// engine-performance metric (`BENCH_engine.json`).  Zero when the run
+    /// Simulator throughput in events per wall-clock second — what the
+    /// benchmark reports as `simnet.events_per_s`.  Zero when the run
     /// recorded no wall time (non-simulator engines).
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {

@@ -12,6 +12,8 @@
 //! * [`ResTable`] — per-resource state storage, dense for small universes
 //!   and lazily materialized at 100k-resource scale.
 //! * [`NodeId`] / [`ResourceId`] / [`RequestId`] — plain index aliases.
+//! * [`env_flag`] — the one parser of the workspace's boolean `MRA_*`
+//!   environment knobs.
 
 pub mod dynset;
 pub mod restable;
@@ -48,3 +50,41 @@ pub type RequestId = u64;
 /// N = 32 processes and M = 80 resources; sets whose elements stay below
 /// this bound never touch the heap.
 pub const MAX_UNIVERSE: usize = 256;
+
+/// Is the boolean environment knob `name` switched on?  On means `1`,
+/// `true`, `yes` or `on` (ASCII case-insensitive, surrounding whitespace
+/// ignored); unset, empty or anything else is off.  Every boolean `MRA_*`
+/// knob (`MRA_FAST`, `MRA_RELIABLE`, `MRA_METRICS`, `MRA_SERVE_BURSTY`) is
+/// read through here, so a value means the same thing to each of them.
+pub fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| is_truthy(&v))
+}
+
+fn is_truthy(value: &str) -> bool {
+    let value = value.trim();
+    ["1", "true", "yes", "on"].iter().any(|on| value.eq_ignore_ascii_case(on))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn env_flag_truth_table() {
+        for on in ["1", "true", "TRUE", "True", "yes", "Yes", "on", "ON", " 1 ", "on\n"] {
+            assert!(is_truthy(on), "{on:?} must read as on");
+        }
+        for off in ["", " ", "0", "false", "no", "off", "2", "11", "y", "t", "enabled"] {
+            assert!(!is_truthy(off), "{off:?} must read as off");
+        }
+        // Own variable name: no other test reads or writes it.
+        const KNOB: &str = "MRA_TYPES_ENV_FLAG_TEST";
+        std::env::remove_var(KNOB);
+        assert!(!env_flag(KNOB), "unset is off");
+        std::env::set_var(KNOB, "true");
+        assert!(env_flag(KNOB));
+        std::env::set_var(KNOB, "0");
+        assert!(!env_flag(KNOB));
+        std::env::remove_var(KNOB);
+    }
+}

@@ -2,8 +2,8 @@
 //!
 //! Each `figN` function runs the corresponding sweep of the paper's
 //! evaluation and returns both structured rows and a rendered [`Table`]
-//! whose series match what the figure plots.  The `mra-bench` binaries and
-//! bench targets are thin wrappers around these functions.
+//! whose series match what the figure plots.  The `mra-bench` binaries are
+//! thin wrappers around these functions.
 //!
 //! Runtime scaling: the full paper grid at 32×80 takes minutes; set
 //! `MRA_FAST=1` (or `MRA_MEASURE_SECS=<s>`) to shrink the measurement
@@ -15,11 +15,13 @@
 use crate::pool;
 use crate::runner::{run, run_configured, Algorithm};
 use crate::scenario::{Load, Scenario};
+use crate::serve_runner::{run_serve, ServeScenario};
 use crate::table::Table;
+use mra_serve::ServeConfig;
 use mra_sim::faults::FaultPlan;
 use mra_sim::reliable::Reliability;
 use mra_sim::WaitStats;
-use mra_types::Time;
+use mra_types::{env_flag, Time};
 
 /// Measurement window (seconds) honoring `MRA_MEASURE_SECS` / `MRA_FAST`,
 /// for the figure sweeps (10 s full, 2 s fast).
@@ -41,11 +43,8 @@ pub fn measure_secs_or(default: f64) -> f64 {
     })
 }
 
-/// `MRA_FAST` is on when set to anything but `""`/`"0"` — the same rule the
-/// vendored proptest and criterion stand-ins apply, so one variable means
-/// one thing across the workspace.
 fn mra_fast() -> bool {
-    std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
+    env_flag("MRA_FAST")
 }
 
 /// `MRA_MEASURE_SECS` if set and numeric, clamped to a 0.1 s floor.
@@ -524,6 +523,145 @@ pub fn fig_faults_table(rows: &[FaultRow]) -> Table {
     t
 }
 
+/// The load points of the serving figure (`fig_serve`): `(label,
+/// algorithm, per-node arrival rate in requests/second)`.  LASS with loan
+/// at three levels — comfortably under, near, and past the fleet's service
+/// capacity for the 8-node topology — and every other family at the middle
+/// level.
+const FIG_SERVE_POINTS: [(&str, Algorithm, f64); 8] = [
+    ("lass_loan_50hz", Algorithm::LassLoan, 50.0),
+    ("lass_loan_200hz", Algorithm::LassLoan, 200.0),
+    ("lass_loan_800hz", Algorithm::LassLoan, 800.0),
+    ("lass_noloan_200hz", Algorithm::LassNoLoan, 200.0),
+    ("bl_200hz", Algorithm::BouabdallahLaforest, 200.0),
+    ("incremental_200hz", Algorithm::Incremental, 200.0),
+    ("central_200hz", Algorithm::Central, 200.0),
+    ("maddi_200hz", Algorithm::Maddi, 200.0),
+];
+
+/// One point of the serving figure: one algorithm at one offered load.
+#[derive(Clone, Debug)]
+pub struct FigServeRow {
+    /// Point label, e.g. `lass_loan_200hz`.
+    pub label: &'static str,
+    /// Algorithm.
+    pub algo: Algorithm,
+    /// Fleet-wide measured offered load, requests per simulated second.
+    pub offered_hz: f64,
+    /// Fleet-wide goodput: fully served requests per simulated second.
+    pub goodput_hz: f64,
+    /// Arrivals generated.
+    pub offered: u64,
+    /// Arrivals the admission queues accepted.
+    pub admitted: u64,
+    /// Arrivals the admission queues refused.
+    pub shed: u64,
+    /// Engine critical-section requests issued (one per batch).
+    pub batches: u64,
+    /// Requests folded into those batches; over `batches` it is the
+    /// batching factor.
+    pub batched_reqs: u64,
+    /// Arrival→grant latency percentiles in milliseconds — keyed by when
+    /// the request *wanted* to run, so free of coordinated omission.
+    pub p50_ms: f64,
+    pub p95_ms: f64,
+    pub p99_ms: f64,
+    pub p999_ms: f64,
+    /// Issue-keyed p99 of the same run; its gap to `p99_ms` is the
+    /// coordinated-omission bias the arrival-keyed metric removes.
+    pub wait_p99_ms: f64,
+}
+
+/// Serving figure: offered load vs goodput and arrival-keyed tail latency
+/// of the open-loop front end (`mra-serve`, Poisson arrivals per node) on
+/// an 8-node × 16-resource simulated cluster, over `FIG_SERVE_POINTS`.
+/// Simulated time throughout, so the rows track queueing and
+/// synchronization cost and repeat exactly.  `MRA_SERVE_*` overrides apply
+/// to every point.  Points run in parallel (`MRA_THREADS`), rows in input
+/// order.
+pub fn fig_serve(measure_secs: f64) -> Vec<FigServeRow> {
+    pool::sweep(FIG_SERVE_POINTS.to_vec(), |(label, algo, rate_hz)| {
+        let sc = Scenario::builder()
+            .nodes(8)
+            .resources(16)
+            .max_request_size(3)
+            .seed(0x5E21)
+            .measure_secs(measure_secs)
+            .build();
+        let serve = ServeConfig {
+            rate_hz,
+            ..ServeConfig::default()
+        }
+        .from_env();
+        let out = run_serve(algo, &ServeScenario::new(sc, serve), None, None);
+        out.check()
+            .unwrap_or_else(|e| panic!("{label}: conservation broken: {e}"));
+        // `LogHist::quantile` takes a percentile (0–100) and returns what
+        // was recorded: nanoseconds.
+        let ms = |q: f64| out.serve.grant_latency.quantile(q) / 1e6;
+        FigServeRow {
+            label,
+            algo,
+            offered_hz: out.offered_hz(),
+            goodput_hz: out.goodput_hz(),
+            offered: out.serve.offered,
+            admitted: out.serve.admitted,
+            shed: out.serve.shed(),
+            batches: out.serve.batches,
+            batched_reqs: out.serve.batched_reqs,
+            p50_ms: ms(50.0),
+            p95_ms: ms(95.0),
+            p99_ms: ms(99.0),
+            p999_ms: ms(99.9),
+            wait_p99_ms: out.result.wait_stats().p99_ms,
+        }
+    })
+}
+
+/// The serving figure as one table, one row per point.  The `fig_serve`
+/// binary prints and writes exactly this table and the sweep-determinism
+/// test compares exactly this table.
+pub fn fig_serve_table(rows: &[FigServeRow]) -> Table {
+    let mut t = Table::new(
+        "fig_serve: offered load vs goodput and arrival-keyed latency (8 nodes, simulated time)",
+        &[
+            "scenario",
+            "algorithm",
+            "offered_hz",
+            "goodput_hz",
+            "offered",
+            "admitted",
+            "shed",
+            "batches",
+            "batched_reqs",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+            "p999_ms",
+            "wait_p99_ms",
+        ],
+    );
+    for r in rows {
+        t.row(vec![
+            r.label.into(),
+            r.algo.label().into(),
+            format!("{:.1}", r.offered_hz),
+            format!("{:.1}", r.goodput_hz),
+            r.offered.to_string(),
+            r.admitted.to_string(),
+            r.shed.to_string(),
+            r.batches.to_string(),
+            r.batched_reqs.to_string(),
+            WaitStats::cell(r.p50_ms, 3),
+            WaitStats::cell(r.p95_ms, 3),
+            WaitStats::cell(r.p99_ms, 3),
+            WaitStats::cell(r.p999_ms, 3),
+            WaitStats::cell(r.wait_p99_ms, 3),
+        ]);
+    }
+    t
+}
+
 /// Loan-threshold ablation (the paper's §6 future work): use rate and mean
 /// wait as the threshold grows, at a given φ and load.
 pub fn ablation_loan(
@@ -686,5 +824,32 @@ mod tests {
         assert!(table.contains("fig_faults"), "{table}");
         assert!(table.contains("1.000%"), "{table}");
         assert!(table.contains("reliable"), "{table}");
+    }
+
+    #[test]
+    fn fig_serve_rows_are_self_consistent() {
+        let rows = fig_serve(0.5);
+        assert_eq!(rows.len(), FIG_SERVE_POINTS.len());
+        for r in &rows {
+            assert!(r.offered > 0, "{r:?}");
+            assert_eq!(r.offered, r.admitted + r.shed, "{r:?}");
+            assert!(r.batches <= r.batched_reqs && r.batched_reqs <= r.admitted, "{r:?}");
+            assert!(r.goodput_hz <= r.offered_hz + 1e-9, "goodput exceeds offered: {r:?}");
+            assert!(
+                r.p50_ms <= r.p95_ms && r.p95_ms <= r.p99_ms && r.p99_ms <= r.p999_ms,
+                "percentiles out of order: {r:?}"
+            );
+            // Arrival precedes issue on every record, so the arrival-keyed
+            // p99 dominates the issue-keyed one; LogHist bucketing is
+            // granted 2x slack.
+            assert!(2.0 * r.p99_ms >= r.wait_p99_ms, "{r:?}");
+        }
+        assert!(
+            rows.iter().any(|r| r.shed > 0),
+            "sweep never pushed past saturation"
+        );
+        let t = fig_serve_table(&rows);
+        assert_eq!(t.len(), rows.len());
+        assert!(t.render().contains("lass_loan_800hz"));
     }
 }

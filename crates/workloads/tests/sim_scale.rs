@@ -10,7 +10,7 @@
 //!
 //! No speedup is asserted anywhere here — CI runners have ~2 cores and
 //! shared tenancy, so a wall-clock assertion would flake.  Throughput
-//! scaling is tracked by `bench_engine` (`MRA_BENCH_BIG=1`) instead.
+//! scaling is the benchmark's `sim-scale` workload (`simnet.shard_speedup`).
 
 use mra_sim::RunResult;
 use mra_workloads::{run, Algorithm, Scenario};

@@ -10,7 +10,8 @@
 //! race another test in this binary.
 
 use mra_workloads::experiments::{
-    fig5, fig5_tables, fig6, fig6_table, fig_faults, fig_faults_csv, fig_faults_table,
+    fig5, fig5_tables, fig6, fig6_table, fig_faults, fig_faults_csv, fig_faults_table, fig_serve,
+    fig_serve_table,
 };
 use mra_workloads::{pool, Load, Table};
 
@@ -46,6 +47,13 @@ fn fig_faults_artifacts(seed: u64) -> (String, String) {
     (table, fig_faults_csv(&rows).to_csv())
 }
 
+/// Render the exact artifacts the fig_serve binary emits: its one table,
+/// as text and as CSV.
+fn fig_serve_artifacts() -> (String, String) {
+    let table = fig_serve_table(&fig_serve(0.3));
+    (table.render(), table.to_csv())
+}
+
 #[test]
 fn mra_threads_4_is_byte_identical_to_mra_threads_1() {
     // Through the real `MRA_THREADS` plumbing (what CI and users set).
@@ -54,12 +62,14 @@ fn mra_threads_4_is_byte_identical_to_mra_threads_1() {
     let (tables_seq, csv_seq) = fig5_artifacts(42);
     let fig6_seq = fig6_table(&fig6(&[Load::Medium, Load::High], 42, 0.3)).render();
     let (faults_tbl_seq, faults_csv_seq) = fig_faults_artifacts(42);
+    let serve_seq = fig_serve_artifacts();
 
     std::env::set_var("MRA_THREADS", "4");
     assert_eq!(pool::configured_threads(), 4);
     let (tables_par, csv_par) = fig5_artifacts(42);
     let fig6_par = fig6_table(&fig6(&[Load::Medium, Load::High], 42, 0.3)).render();
     let (faults_tbl_par, faults_csv_par) = fig_faults_artifacts(42);
+    let serve_par = fig_serve_artifacts();
     std::env::remove_var("MRA_THREADS");
 
     // Through the real `MRA_SIM_SHARDS` plumbing: scenarios without a
@@ -68,6 +78,7 @@ fn mra_threads_4_is_byte_identical_to_mra_threads_1() {
     std::env::set_var("MRA_SIM_SHARDS", "2");
     let (tables_sharded, csv_sharded) = fig5_artifacts(42);
     let (faults_tbl_sharded, faults_csv_sharded) = fig_faults_artifacts(42);
+    let serve_sharded = fig_serve_artifacts();
     std::env::remove_var("MRA_SIM_SHARDS");
     assert_eq!(
         tables_seq, tables_sharded,
@@ -82,6 +93,7 @@ fn mra_threads_4_is_byte_identical_to_mra_threads_1() {
         faults_csv_seq, faults_csv_sharded,
         "fig_faults CSV diverged on the sharded engine"
     );
+    assert_eq!(serve_seq, serve_sharded, "fig_serve diverged on the sharded engine");
 
     assert_eq!(tables_seq, tables_par, "fig5 tables diverged across thread counts");
     assert_eq!(csv_seq, csv_par, "fig5 CSV diverged across thread counts");
@@ -94,9 +106,12 @@ fn mra_threads_4_is_byte_identical_to_mra_threads_1() {
         faults_csv_seq, faults_csv_par,
         "fig_faults CSV diverged across thread counts"
     );
+    assert_eq!(serve_seq, serve_par, "fig_serve diverged across thread counts");
     // Sanity: this is real output, not two empty strings agreeing.
     assert!(csv_seq.lines().count() > 30);
     assert!(tables_seq.contains("Fig.5(high)"));
     assert!(faults_csv_seq.lines().count() > 12);
     assert!(faults_tbl_seq.contains("fig_faults"));
+    assert!(serve_seq.0.contains("fig_serve"));
+    assert_eq!(serve_seq.1.lines().count(), 9);
 }

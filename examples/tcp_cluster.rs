@@ -41,7 +41,7 @@ fn report(label: &str, res: &RunResult) {
 }
 
 fn main() {
-    let fast = std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0");
+    let fast = mra::types::env_flag("MRA_FAST");
     let rounds = if fast { 4 } else { 12 };
     let seed = 7;
 

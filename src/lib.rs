@@ -12,7 +12,7 @@
 //!   loan mechanism.
 //! * [`baselines`] — incremental locking, Bouabdallah–Laforest, the
 //!   shared-memory ("central") scheduler and the Maddi broadcast algorithm.
-//! * [`mutex`] — Naimi-Trehel and Suzuki-Kasami single-resource substrates.
+//! * [`mutex`] — the Naimi-Trehel single-resource substrate.
 //! * [`net`] — the real TCP transport: wire framing, the full-socket mesh,
 //!   the loopback cluster harness and the solo node runtime behind the
 //!   `mra-node` binary.

@@ -29,7 +29,7 @@ use mra::types::Time;
 
 /// Per-node round quota; `MRA_FAST` (the CI knob) shrinks it.
 fn rounds() -> usize {
-    let fast = std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0");
+    let fast = mra::types::env_flag("MRA_FAST");
     if fast {
         2
     } else {

@@ -179,7 +179,7 @@ fn serve_workload_over_tcp_reactor_cluster() {
     const N: usize = 4;
     const M: usize = 12;
     let rounds = {
-        let fast = std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0");
+        let fast = mra::types::env_flag("MRA_FAST");
         if fast {
             4
         } else {
