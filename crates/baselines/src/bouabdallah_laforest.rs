@@ -468,7 +468,7 @@ mod chain_epoch_regression {
     use super::*;
     use mra_protocol::faults::FaultPlan;
     use mra_protocol::reliable::Reliability;
-    use mra_protocol::testkit::{run_faulty_workload, ExerciseCfg, VirtualNet};
+    use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -485,7 +485,7 @@ mod chain_epoch_regression {
         net.install_faults(&FaultPlan::new(7896035992339410799).drop_rate(0.20));
         net.enable_reliability(Reliability::default());
         let mut rng = StdRng::seed_from_u64(5932657913863570347);
-        let rep = run_faulty_workload(
+        let rep = run_random_workload(
             &mut net,
             &ExerciseCfg {
                 rounds_per_node: 3,

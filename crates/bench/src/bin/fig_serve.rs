@@ -8,9 +8,8 @@
 //! cargo run -p mra-bench --release --bin fig_serve
 //! ```
 //!
-//! Environment: `MRA_SERVE_*` override the serving configuration of every
-//! point; `MRA_MEASURE_SECS` / `MRA_FAST` scale the simulated window as
-//! usual (2 s full, 0.5 s fast).
+//! Environment: `MRA_MEASURE_SECS` / `MRA_FAST` scale the simulated window
+//! as usual (2 s full, 0.5 s fast).
 
 use mra_bench::save_csv;
 use mra_workloads::experiments::{fig_serve, fig_serve_table, measure_secs_or};

@@ -206,3 +206,62 @@ fn deterministic_given_seed() {
     };
     assert_eq!(run(77), run(77), "same seed must give identical runs");
 }
+
+/// The merged harness with no plan is the old perfect-link harness: same
+/// RNG draws in the same order, hence the same schedule.  The literals
+/// are `(actions, delivered, cs_completed, max_concurrency)` of
+/// `run_random_workload` at the commit before the merge, seeds 0..32.
+#[test]
+fn merged_harness_reproduces_the_perfect_link_schedule() {
+    const BEFORE: [(u64, u64, u64, usize); 32] = [
+        (424, 274, 30, 2),
+        (450, 300, 30, 2),
+        (423, 273, 30, 2),
+        (374, 224, 30, 3),
+        (411, 261, 30, 3),
+        (408, 258, 30, 4),
+        (375, 225, 30, 3),
+        (460, 310, 30, 3),
+        (404, 254, 30, 3),
+        (400, 250, 30, 3),
+        (410, 260, 30, 3),
+        (355, 205, 30, 3),
+        (418, 268, 30, 3),
+        (395, 245, 30, 3),
+        (403, 253, 30, 3),
+        (418, 268, 30, 3),
+        (406, 256, 30, 3),
+        (366, 216, 30, 3),
+        (420, 270, 30, 2),
+        (431, 281, 30, 2),
+        (405, 255, 30, 3),
+        (456, 306, 30, 3),
+        (411, 261, 30, 3),
+        (385, 235, 30, 3),
+        (367, 217, 30, 3),
+        (413, 263, 30, 2),
+        (384, 234, 30, 2),
+        (394, 244, 30, 3),
+        (389, 239, 30, 3),
+        (331, 181, 30, 3),
+        (356, 206, 30, 4),
+        (440, 290, 30, 3),
+    ];
+    for (seed, want) in BEFORE.iter().enumerate() {
+        let cfg = LassConfig::with_loan(5, 8);
+        let mut net = net_for(cfg);
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let ex = ExerciseCfg {
+            rounds_per_node: 6,
+            max_req_size: 4,
+            m: cfg.m,
+            hold_steps: 3,
+            active_nodes: None,
+            step_cap: 3_000_000,
+        };
+        let r = run_random_workload(&mut net, &ex, &mut rng);
+        let got = (r.actions, r.delivered, r.cs_completed, r.max_concurrency);
+        assert_eq!(got, *want, "seed {seed}");
+        assert!(r.starved.is_empty());
+    }
+}

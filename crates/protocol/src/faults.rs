@@ -320,7 +320,7 @@ pub fn frame_fate(seed: u64, link: u64, k: u64, faults: &LinkFaults) -> FrameFat
 }
 
 /// Per-link fault filter for substrates that own one link at a time (the
-/// TCP reader threads).  Carries its own frame counter.
+/// TCP reactor).  Carries its own frame counter.
 #[derive(Clone, Debug)]
 pub struct LinkFilter {
     seed: u64,
@@ -354,17 +354,19 @@ impl LinkFilter {
     }
 }
 
-/// What an engine should do with a popped delivery.
+/// What an engine should do with a popped delivery — the answer of
+/// [`Link::arrive`](crate::link::Link::arrive), which composes this
+/// module's wire verdict with the session layer's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admit {
     /// Hand the message to the protocol.
     Deliver,
-    /// Deliver, *and* a duplicate copy follows on the wire.  Only surfaced
-    /// by [`FaultState::admit_wire`] (session-layer mode, where the
-    /// receiver's dedup window absorbs the copy); [`FaultState::admit`]
-    /// folds it into [`Admit::Deliver`] and counts the absorption itself.
-    Duplicate,
-    /// The message is lost (already counted in the stats).
+    /// The frame reached the receiver but carries nothing (new) for the
+    /// protocol — a stale or out-of-order session frame, or a standalone
+    /// ack: the link layer consumed it.
+    Absorb,
+    /// The message is lost (already counted in the stats, and traced
+    /// unless it was an ack).
     Drop,
     /// The receiver is paused: re-schedule delivery at the given instant.
     Defer(Time),
@@ -466,9 +468,9 @@ impl FaultState {
     /// Probabilistic verdict for the next frame on `from → to` (bumps the
     /// link's frame counter and the drop/duplicated stats).  A
     /// [`FrameFate::Duplicate`] is counted as *duplicated on the wire*
-    /// only; whoever absorbs the copy — this state's [`FaultState::admit`]
-    /// in perfect-link mode, or the reliable session layer's dedup window —
-    /// accounts for the absorption ([`FaultStats::deduped`] /
+    /// only; whoever absorbs the copy — the [`Link`](crate::link::Link) on
+    /// a sessionless frame, or the session layer's dedup window — accounts
+    /// for the absorption ([`FaultStats::deduped`] /
     /// `ReliabilityStats::dup_dropped`).
     #[inline]
     pub fn fate(&mut self, from: NodeId, to: NodeId) -> FrameFate {
@@ -484,56 +486,34 @@ impl FaultState {
         fate
     }
 
-    /// Record a wire duplicate as absorbed by this fault layer (perfect-link
-    /// mode, where no session layer exists to re-deliver it).
+    /// The wire's verdict on a frame popped for delivery on `from → to`.
+    /// With a clock (`at = Some(..)`) the receiver's outage windows come
+    /// first — a pause returns `Err(restart instant)`: nothing happened to
+    /// the frame yet, re-schedule it; a crash loses it — then partitions,
+    /// then the probabilistic per-link verdict.  A clockless engine
+    /// (`at = None`) gets the per-link verdict alone.  All counting
+    /// happens here, except the absorption of a [`FrameFate::Duplicate`]
+    /// (see [`FaultState::fate`]).
     #[inline]
-    pub fn note_dedup(&mut self) {
-        self.stats.deduped += 1;
-    }
-
-    /// Full admission decision for a message popped for delivery at `at`:
-    /// outage handling first (pause defers, crash drops), then partitions,
-    /// then the probabilistic per-link verdict.  All counting happens here;
-    /// duplicate verdicts are absorbed (the paper's perfect-link model has
-    /// no duplicates to show the protocol).
-    #[inline]
-    pub fn admit(&mut self, from: NodeId, to: NodeId, at: Time) -> Admit {
-        match self.admit_wire(from, to, at) {
-            Admit::Duplicate => {
-                self.note_dedup();
-                Admit::Deliver
-            }
-            other => other,
-        }
-    }
-
-    /// Like [`FaultState::admit`], but surfaces duplicate verdicts as
-    /// [`Admit::Duplicate`] so a session-layer engine can put the extra
-    /// copy on the wire and let the receive-side dedup window absorb it —
-    /// the *real* channel model instead of the emulated one.
-    #[inline]
-    pub fn admit_wire(&mut self, from: NodeId, to: NodeId, at: Time) -> Admit {
-        if let Some((kind, until)) = self.outage(to, at) {
-            match kind {
-                OutageKind::Pause => {
+    pub fn admit(&mut self, from: NodeId, to: NodeId, at: Option<Time>) -> Result<FrameFate, Time> {
+        if let Some(at) = at {
+            match self.outage(to, at) {
+                Some((OutageKind::Pause, until)) => {
                     self.stats.deferred += 1;
-                    return Admit::Defer(until);
+                    return Err(until);
                 }
-                OutageKind::Crash => {
+                Some((OutageKind::Crash, _)) => {
                     self.stats.dropped_crash += 1;
-                    return Admit::Drop;
+                    return Ok(FrameFate::Drop);
                 }
+                None => {}
+            }
+            if self.partitioned(from, to, at) {
+                self.stats.dropped_partition += 1;
+                return Ok(FrameFate::Drop);
             }
         }
-        if self.partitioned(from, to, at) {
-            self.stats.dropped_partition += 1;
-            return Admit::Drop;
-        }
-        match self.fate(from, to) {
-            FrameFate::Drop => Admit::Drop,
-            FrameFate::Deliver => Admit::Deliver,
-            FrameFate::Duplicate => Admit::Duplicate,
-        }
+        Ok(self.fate(from, to))
     }
 }
 
@@ -617,15 +597,15 @@ mod tests {
             Some((OutageKind::Pause, Time::from_millis(10)))
         );
         assert_eq!(state.outage(2, mid), None);
-        assert_eq!(state.admit(2, 0, mid), Admit::Defer(Time::from_millis(10)));
-        assert_eq!(state.admit(2, 1, mid), Admit::Drop);
-        assert_eq!(state.admit(0, 2, mid), Admit::Deliver);
+        assert_eq!(state.admit(2, 0, Some(mid)), Err(Time::from_millis(10)));
+        assert_eq!(state.admit(2, 1, Some(mid)), Ok(FrameFate::Drop));
+        assert_eq!(state.admit(0, 2, Some(mid)), Ok(FrameFate::Deliver));
         assert_eq!(state.stats.deferred, 1);
         assert_eq!(state.stats.dropped_crash, 1);
         // After the restart instant both nodes deliver again.
         let after = Time::from_millis(10);
-        assert_eq!(state.admit(2, 0, after), Admit::Deliver);
-        assert_eq!(state.admit(2, 1, after), Admit::Deliver);
+        assert_eq!(state.admit(2, 0, Some(after)), Ok(FrameFate::Deliver));
+        assert_eq!(state.admit(2, 1, Some(after)), Ok(FrameFate::Deliver));
     }
 
     #[test]
@@ -665,19 +645,5 @@ mod tests {
             .partition(vec![0], Time::ZERO, Time::from_secs(1))
             .crash(1, Time::ZERO, Time::from_secs(1))
             .is_recoverable());
-    }
-
-    #[test]
-    fn admit_absorbs_duplicates_admit_wire_surfaces_them() {
-        let plan = FaultPlan::new(5).dup_rate(1.0);
-        let at = Time::from_millis(1);
-        let mut absorb = FaultState::new(plan.clone(), 2);
-        assert_eq!(absorb.admit(0, 1, at), Admit::Deliver);
-        assert_eq!(absorb.stats.duplicated, 1);
-        assert_eq!(absorb.stats.deduped, 1);
-        let mut wire = FaultState::new(plan, 2);
-        assert_eq!(wire.admit_wire(0, 1, at), Admit::Duplicate);
-        assert_eq!(wire.stats.duplicated, 1);
-        assert_eq!(wire.stats.deduped, 0, "the session layer absorbs it");
     }
 }

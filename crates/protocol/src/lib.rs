@@ -15,8 +15,14 @@
 //! 3. `mra-sim`'s threaded runtime — real OS threads and `std::sync::mpsc` channels;
 //! 4. `mra-net`'s TCP transport — real sockets, one process or many, using
 //!    the [`wire`] codecs to put messages on an actual wire.
+//!
+//! Under the protocols sits the link layer: [`faults`] (what the wire does
+//! to a frame), [`reliable`] (the session protocol that repairs it) and
+//! [`link::Link`], which composes the two for the engines that own every
+//! link of a run (1 and 2).
 
 pub mod faults;
+pub mod link;
 pub mod reliable;
 pub mod testkit;
 pub mod wire;

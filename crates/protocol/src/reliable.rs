@@ -31,7 +31,8 @@
 //! The state containers come in two granularities: [`TxSession`] /
 //! [`RxSession`] for substrates that own one link at a time (the TCP
 //! transport keeps one pair per peer), and [`ReliableState`] for engines
-//! that own all `n²` links of a run (`Sim`, `VirtualNet`).  All buffers are
+//! that own all `n²` links of a run (`Sim`, `VirtualNet` — which reach it
+//! only through [`crate::link::Link`]).  All buffers are
 //! pre-sized at construction ([`Reliability::window`]), so the steady-state
 //! send/ack path performs no heap allocation beyond cloning the message
 //! payload into the retransmit window — the simulator's zero-alloc guard
@@ -43,7 +44,6 @@
 //! crate::faults::FaultPlan::is_recoverable) — every drop rate below 1.0 —
 //! and the engines re-arm their deadlock detectors accordingly.
 
-use crate::faults::FaultPlan;
 use mra_types::{env_flag, NodeId, Time};
 use std::collections::VecDeque;
 
@@ -339,12 +339,11 @@ impl RxSession {
     }
 }
 
-/// [`RxSession`] plus the ack-owed flag, at per-pair granularity: the
-/// transport-side analogue of the per-link `ack_owed` bookkeeping inside
-/// [`ReliableState`].  Transports that own one session per peer (the TCP
-/// ports) use this to *batch* acks — an owed ack rides piggybacked on the
-/// next outbound data frame, or is flushed as one standalone ack frame
-/// per servicing pass, instead of one ack write per received frame.
+/// [`RxSession`] plus the ack-owed flag: the receiver half every substrate
+/// keeps per directed link ([`ReliableState`] one per link, the TCP
+/// reactor one per peer).  An owed ack rides piggybacked on the next
+/// outbound data frame, or is flushed as one standalone ack frame per
+/// servicing pass, instead of one ack write per received frame.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RxBatch {
     sess: RxSession,
@@ -391,19 +390,17 @@ impl RxBatch {
     }
 }
 
-/// A session-layer frame as it travels a link.  Engines whose links carry
-/// typed messages (`VirtualNet`) enqueue these; the TCP transport encodes
-/// the same three shapes as wire frames.
+/// A frame as it travels a link of an engine whose links carry typed
+/// messages (`Sim`, `VirtualNet`); the TCP transport encodes the same
+/// shapes as wire frames.
 #[derive(Clone, Debug)]
 pub enum Packet<M> {
-    /// Reliability off: the raw protocol message, no session framing.
-    Plain(M),
-    /// A sequenced protocol message with a piggybacked cumulative ack.
+    /// A protocol message.
     Data {
-        /// Monotone per-link sequence number.
-        seq: u64,
-        /// Cumulative ack for the reverse direction.
-        ack: u64,
+        /// The session header `(seq, ack)` — monotone per-link sequence
+        /// number, piggybacked cumulative ack for the reverse direction —
+        /// or `None` on a perfect link (reliability off).
+        session: Option<(u64, u64)>,
         /// The protocol payload.
         msg: M,
     },
@@ -414,16 +411,8 @@ pub enum Packet<M> {
     },
 }
 
-/// Receiver bookkeeping of one directed link inside [`ReliableState`].
-#[derive(Clone, Debug, Default)]
-struct LinkRx {
-    sess: RxSession,
-    /// An ack is owed to the sender and has not yet been piggybacked.
-    ack_owed: bool,
-}
-
 /// Session state for engines that own **all** links of an `n`-node run
-/// (`Sim`, `VirtualNet`): one [`TxSession`]/[`RxSession`] pair per directed
+/// (`Sim`, `VirtualNet`): one [`TxSession`]/[`RxBatch`] pair per directed
 /// link (`from * n + to`), plus per-link timer-armed flags and the running
 /// [`ReliabilityStats`].
 ///
@@ -440,7 +429,7 @@ pub struct ReliableState<M> {
     cfg: Reliability,
     n: usize,
     tx: Vec<TxSession<M>>,
-    rx: Vec<LinkRx>,
+    rx: Vec<RxBatch>,
     /// Is a retransmit timer event in flight for this tx link?  (Engines
     /// with an event heap keep exactly one timer per link.)
     armed: Vec<bool>,
@@ -454,16 +443,11 @@ impl<M: Clone> ReliableState<M> {
         ReliableState {
             n,
             tx: (0..n * n).map(|_| TxSession::new(cfg.window)).collect(),
-            rx: vec![LinkRx::default(); n * n],
+            rx: vec![RxBatch::default(); n * n],
             armed: vec![false; n * n],
             stats: ReliabilityStats::default(),
             cfg,
         }
-    }
-
-    /// The installed configuration.
-    pub fn cfg(&self) -> &Reliability {
-        &self.cfg
     }
 
     #[inline]
@@ -482,12 +466,11 @@ impl<M: Clone> ReliableState<M> {
         let seq = self.tx[l].send(msg, now);
         let rev = self.link(to, from);
         let r = &mut self.rx[rev];
-        if r.ack_owed {
-            r.ack_owed = false;
+        if r.ack_owed() {
             self.stats.acks_piggybacked += 1;
         }
         self.stats.data_sent += 1;
-        (seq, r.sess.cum())
+        (seq, r.piggyback())
     }
 
     /// Process an arriving data frame on `from → to`.  Applies the
@@ -498,9 +481,7 @@ impl<M: Clone> ReliableState<M> {
         let rev = self.link(to, from);
         self.tx[rev].ack(ack);
         let l = self.link(from, to);
-        let r = &mut self.rx[l];
-        r.ack_owed = true;
-        match r.sess.accept(seq) {
+        match self.rx[l].accept(seq) {
             RxVerdict::Deliver => true,
             RxVerdict::Stale => {
                 self.stats.dup_dropped += 1;
@@ -528,20 +509,15 @@ impl<M: Clone> ReliableState<M> {
     /// `None`.
     pub fn pending_ack(&mut self, from: NodeId, to: NodeId) -> Option<u64> {
         let l = self.link(from, to);
-        let r = &mut self.rx[l];
-        if r.ack_owed {
-            r.ack_owed = false;
-            self.stats.acks_sent += 1;
-            Some(r.sess.cum())
-        } else {
-            None
-        }
+        let ack = self.rx[l].take_owed()?;
+        self.stats.acks_sent += 1;
+        Some(ack)
     }
 
     /// The current piggyback ack value for data on `from → to` *without*
     /// consuming the owed flag (used when re-encoding retransmissions).
     pub fn ack_for(&self, from: NodeId, to: NodeId) -> u64 {
-        self.rx[self.link(to, from)].sess.cum()
+        self.rx[self.link(to, from)].cum()
     }
 
     /// Should the engine arm a retransmit timer for `from → to` now?
@@ -590,11 +566,6 @@ impl<M: Clone> ReliableState<M> {
         self.tx[self.link(from, to)].unacked()
     }
 
-    /// Any unacknowledged frame on any link?
-    pub fn has_unacked_any(&self) -> bool {
-        self.tx.iter().any(|t| t.has_unacked())
-    }
-
     /// Re-emit every unacknowledged frame on every link through `emit`
     /// (clockless engines call this when the network would otherwise be
     /// stuck — the abstract "all timers fired at once").  Returns the
@@ -611,23 +582,15 @@ impl<M: Clone> ReliableState<M> {
                 continue;
             }
             let (from, to) = (l / n, l % n);
-            let ack = self.rx[to * n + from].sess.cum();
+            let ack = self.rx[to * n + from].cum();
             self.stats.rto_fires += 1;
             self.stats.retransmits += k as u64;
             for (seq, msg) in self.tx[l].unacked() {
-                emit(from, to, Packet::Data { seq, ack, msg: msg.clone() });
+                emit(from, to, Packet::Data { session: Some((seq, ack)), msg: msg.clone() });
             }
             count += k;
         }
         count
-    }
-
-    /// True when the installed fault `plan` is one this session layer can
-    /// fully recover from (every drop rate `< 1.0`; partitions heal and
-    /// outages end by construction).  `None` — no plan — is trivially
-    /// recoverable.
-    pub fn recovers(plan: Option<&FaultPlan>) -> bool {
-        plan.map_or(true, FaultPlan::is_recoverable)
     }
 }
 
@@ -754,7 +717,7 @@ mod tests {
         assert_eq!(st.pending_ack(0, 1), Some(1));
         assert_eq!(st.pending_ack(0, 1), None, "flag consumed");
         st.on_ack(1, 0, 1);
-        assert!(!st.has_unacked_any());
+        assert!(st.unacked(0, 1).next().is_none());
         assert_eq!(st.stats.acks_sent, 1);
         assert_eq!(st.stats.acks_piggybacked, 0);
     }
@@ -814,7 +777,7 @@ mod tests {
         st.on_send(2, 0, &3, Time::ZERO);
         let mut seen = Vec::new();
         let k = st.retransmit_all(|from, to, p| {
-            if let Packet::Data { seq, msg, .. } = p {
+            if let Packet::Data { session: Some((seq, _)), msg } = p {
                 seen.push((from, to, seq, msg));
             }
         });
@@ -830,20 +793,6 @@ mod tests {
         assert_eq!(cfg.delay(3), Time::from_millis(40));
         assert_eq!(cfg.delay(63), cfg.rto_cap);
         assert_eq!(cfg.delay(200), cfg.rto_cap, "shift is clamped");
-    }
-
-    #[test]
-    fn recovers_classifies_plans() {
-        assert!(ReliableState::<u32>::recovers(None));
-        assert!(ReliableState::<u32>::recovers(Some(
-            &FaultPlan::new(1).drop_rate(0.99)
-        )));
-        assert!(!ReliableState::<u32>::recovers(Some(
-            &FaultPlan::new(1).drop_rate(1.0)
-        )));
-        let total_link = FaultPlan::new(1)
-            .link_override(0, 1, crate::faults::LinkFaults { drop: 1.0, dup: 0.0 });
-        assert!(!ReliableState::<u32>::recovers(Some(&total_link)));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! makes it ideal for exploring protocol corner cases that a timed simulator
 //! would rarely hit.
 
-use crate::faults::{FaultPlan, FaultState, FaultStats, FrameFate};
-use crate::reliable::{Packet, Reliability, ReliabilityStats, ReliableState};
+use crate::faults::{Admit, FaultPlan, FaultStats};
+use crate::link::Link;
+use crate::reliable::{Packet, Reliability, ReliabilityStats};
 use crate::{Allocator, Ctx, ProcState, WireMsg};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceMode};
 use mra_types::{NodeId, ResourceSet, Time};
@@ -200,6 +201,7 @@ impl Allocator for EchoProbe {
 }
 
 /// Per-node bookkeeping inside the virtual network.
+#[derive(Clone)]
 struct Slot<A: Allocator> {
     proto: A,
     ctx: Ctx<A::Msg>,
@@ -209,20 +211,19 @@ struct Slot<A: Allocator> {
 
 /// A synchronous network of `Allocator` nodes with per-link FIFO queues and
 /// externally driven, randomized delivery.
+#[derive(Clone)]
 pub struct VirtualNet<A: Allocator> {
     slots: Vec<Slot<A>>,
-    /// `links[src * n + dst]`: FIFO queue of in-flight session frames
-    /// ([`Packet::Plain`] when reliability is off), each carrying the
-    /// Lamport stamp its sender's tracer minted (0 when tracing is
-    /// disarmed, and on standalone ack frames, which are untraced).
+    /// `links[src * n + dst]`: FIFO queue of in-flight frames, each
+    /// carrying the Lamport stamp its sender's tracer minted (0 when
+    /// tracing is disarmed, and on standalone ack frames, which are
+    /// untraced).
     links: Vec<VecDeque<(u64, Packet<A::Msg>)>>,
     n: usize,
     steps: u64,
     delivered: u64,
-    /// Installed fault layer, if any (queue-pop injection).
-    faults: Option<FaultState>,
-    /// Installed reliable-delivery session layer, if any.
-    reliable: Option<ReliableState<A::Msg>>,
+    /// Fault plan (queue-pop injection) and session layer, if installed.
+    link: Link<A::Msg>,
     /// Causal tracer; a disarmed no-op unless [`VirtualNet::arm_tracing`]
     /// was called.  Keys events by the step counter (the network's only
     /// clock).
@@ -250,8 +251,7 @@ impl<A: Allocator> VirtualNet<A> {
             n,
             steps: 0,
             delivered: 0,
-            faults: None,
-            reliable: None,
+            link: Link::new(n),
             tracer: EngineTracer::disarmed(),
             monitor: SafetyMonitor::new(n, m),
             slots: Vec::new(),
@@ -311,7 +311,7 @@ impl<A: Allocator> VirtualNet<A> {
     /// per-link drop/duplicate filter (time-based faults — partitions,
     /// outages — do not apply here: the virtual network has no clock).
     pub fn install_faults(&mut self, plan: &FaultPlan) {
-        self.faults = Some(FaultState::new(plan.clone(), self.n));
+        self.link.set_faults(plan.clone());
     }
 
     /// Arm causal tracing.  Events are keyed by the step counter — the
@@ -330,12 +330,10 @@ impl<A: Allocator> VirtualNet<A> {
         for (l, queue) in self.links.iter_mut().enumerate() {
             let (src, dst) = (l / self.n, l % self.n);
             for (stamp, packet) in queue.iter_mut() {
-                let msg = match packet {
-                    Packet::Plain(msg) => msg,
-                    Packet::Data { msg, .. } => msg,
-                    Packet::Ack { .. } => continue, // acks stay untraced
-                };
-                *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32, None);
+                // Acks stay untraced.
+                if let Packet::Data { msg, .. } = packet {
+                    *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32, None);
+                }
             }
         }
     }
@@ -347,14 +345,9 @@ impl<A: Allocator> VirtualNet<A> {
         std::mem::take(&mut self.tracer).finish()
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// Fault counters accumulated so far (zero when no plan is installed).
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+        self.link.fault_stats()
     }
 
     /// Enable the reliable-delivery session layer: every subsequent send is
@@ -364,29 +357,31 @@ impl<A: Allocator> VirtualNet<A> {
     /// FIFO delivery.  Messages already in flight (e.g. `on_init` token
     /// placement) are retroactively sequenced so they are protected too.
     pub fn enable_reliability(&mut self, cfg: Reliability) {
-        assert!(self.reliable.is_none(), "reliability enabled twice");
-        let mut st = ReliableState::new(cfg, self.n);
+        self.link.set_sessions(cfg);
         for (l, queue) in self.links.iter_mut().enumerate() {
             let (src, dst) = (l / self.n, l % self.n);
             for (_, packet) in queue.iter_mut() {
-                if let Packet::Plain(msg) = packet {
-                    let (seq, ack) = st.on_send(src, dst, msg, Time::ZERO);
-                    let msg = msg.clone();
-                    *packet = Packet::Data { seq, ack, msg };
+                if let Packet::Data { session, msg } = packet {
+                    *session = self.link.stamp(src, dst, msg, Time::ZERO);
                 }
             }
         }
-        self.reliable = Some(st);
     }
 
     /// Is the session layer installed?
     pub fn reliability_on(&self) -> bool {
-        self.reliable.is_some()
+        self.link.sessions_on()
+    }
+
+    /// Is liveness owed under the installed plan and session layer
+    /// ([`Link::owes_liveness`])?
+    pub fn owes_liveness(&self) -> bool {
+        self.link.owes_liveness()
     }
 
     /// Session-layer counters accumulated so far (zero when disabled).
     pub fn reliability_stats(&self) -> ReliabilityStats {
-        self.reliable.as_ref().map(|r| r.stats).unwrap_or_default()
+        self.link.session_stats()
     }
 
     /// Re-enqueue every unacknowledged session frame on its link — the
@@ -397,13 +392,10 @@ impl<A: Allocator> VirtualNet<A> {
     /// frame through.  Returns the number of frames re-enqueued (0 when
     /// reliability is off or everything is acked).
     pub fn retransmit_all(&mut self) -> usize {
-        let Some(st) = self.reliable.as_mut() else {
-            return 0;
-        };
         let links = &mut self.links;
         let tracer = &mut self.tracer;
         let n = self.n;
-        st.retransmit_all(|from, to, packet| {
+        self.link.retransmit_all(|from, to, packet| {
             // Each re-emitted copy is a distinct wire event: it gets a
             // fresh stamp (matching the simulator's RTO path).
             let stamp = match &packet {
@@ -476,92 +468,37 @@ impl<A: Allocator> VirtualNet<A> {
     }
 
     fn deliver_from_link(&mut self, link: usize) {
-        let (stamp, packet) = self.links[link].pop_front().expect("link not empty");
+        let (stamp, frame) = self.links[link].pop_front().expect("link not empty");
         let (src, dst) = (link / self.n, link % self.n);
-        // A wire duplicate is a one-off copy arriving right behind the
-        // original; it does not re-enter the fault filter (a copy of a
-        // copy would otherwise cascade at high dup rates).  In session
-        // mode it reaches the receiver and the dedup window absorbs it —
-        // processed inline after the original below.
-        let mut dup_copy = false;
-        if let Some(fs) = self.faults.as_mut() {
-            match fs.fate(src, dst) {
-                // Lost on the wire: the pop consumed it, nobody sees it.
-                FrameFate::Drop => {
-                    let tag = match &packet {
-                        Packet::Plain(msg) | Packet::Data { msg, .. } => msg.kind(),
-                        Packet::Ack { .. } => "RAck",
-                    };
-                    self.tracer.on_fault(dst, src, tag, stamp);
-                    return;
-                }
-                FrameFate::Duplicate => {
-                    if self.reliable.is_some() {
-                        dup_copy = true;
-                    } else {
-                        // Perfect-link mode: absorbed here, delivered once.
-                        fs.note_dedup();
-                    }
-                }
-                FrameFate::Deliver => {}
+        // `at = None`: the net has no clock, so time-keyed faults
+        // (partitions, outages) do not apply — and nothing ever defers.
+        let verdict = self.link.arrive(&mut self.tracer, src, dst, None, stamp, &frame);
+        match (verdict, frame) {
+            (Admit::Deliver, Packet::Data { msg, .. }) => {
+                self.tick();
+                self.delivered += 1;
+                // One dispatch key per delivery; the in-flight count
+                // doubles as the queue-depth sample (the net has no event
+                // queue).
+                self.tracer
+                    .on_dispatch(Time::from_nanos(self.steps), 0, self.in_flight());
+                self.tracer
+                    .on_recv(src, dst, msg.kind(), msg.weight() as u32, stamp);
+                let slot = &mut self.slots[dst];
+                slot.ctx.set_now(Time::from_nanos(self.steps));
+                slot.proto.on_message(&mut slot.ctx, src, msg);
+                self.after_dispatch(dst);
             }
+            (Admit::Absorb, _) => {}
+            // Lost on the wire: the pop consumed it, nobody sees it.
+            (Admit::Drop, _) => return,
+            (verdict, _) => unreachable!("{verdict:?} on the clockless net"),
         }
-        let msg = match packet {
-            Packet::Plain(msg) => msg,
-            Packet::Data { seq, ack, msg } => {
-                let st = self
-                    .reliable
-                    .as_mut()
-                    .expect("Data frame without a session layer");
-                let deliver = st.on_data(src, dst, seq, ack);
-                if dup_copy {
-                    // The copy is stale by construction (the original just
-                    // advanced — or failed to advance — the window).
-                    st.on_data(src, dst, seq, ack);
-                }
-                // Standalone ack unless the handler's own reply (flushed
-                // inside `after_dispatch` below) piggybacks it first — the
-                // dispatch order makes the piggyback win, so only check
-                // afterwards.
-                if !deliver {
-                    self.queue_pending_ack(src, dst);
-                    return;
-                }
-                msg
-            }
-            Packet::Ack { ack } => {
-                // Duplicated acks are idempotent; apply once.
-                self.reliable
-                    .as_mut()
-                    .expect("Ack frame without a session layer")
-                    .on_ack(src, dst, ack);
-                return;
-            }
-        };
-        self.tick();
-        self.delivered += 1;
-        // One dispatch key per delivery; the in-flight count doubles as
-        // the queue-depth sample (the net has no event queue).
-        self.tracer
-            .on_dispatch(Time::from_nanos(self.steps), 0, self.in_flight());
-        self.tracer
-            .on_recv(src, dst, msg.kind(), msg.weight() as u32, stamp);
-        let slot = &mut self.slots[dst];
-        slot.ctx.set_now(Time::from_nanos(self.steps));
-        slot.proto.on_message(&mut slot.ctx, src, msg);
-        self.after_dispatch(dst);
-        self.queue_pending_ack(src, dst);
-    }
-
-    /// If `dst` still owes `src` an ack for the data link `src → dst`
-    /// (nothing piggybacked it), enqueue the standalone ack frame on the
-    /// reverse link.  No-op with reliability off.
-    fn queue_pending_ack(&mut self, src: NodeId, dst: NodeId) {
-        if let Some(st) = self.reliable.as_mut() {
-            if let Some(ack) = st.pending_ack(src, dst) {
-                // Stamp 0: standalone acks are session plumbing, untraced.
-                self.links[dst * self.n + src].push_back((0, Packet::Ack { ack }));
-            }
+        // The handler's reply (flushed inside `after_dispatch`) piggybacks
+        // an owed ack; otherwise it goes out standalone on the reverse
+        // link.  Stamp 0: acks are session plumbing, untraced.
+        if let Some(ack) = self.link.take_ack(src, dst) {
+            self.links[dst * self.n + src].push_back((0, ack));
         }
     }
 
@@ -598,54 +535,10 @@ impl<A: Allocator> VirtualNet<A> {
         // Disjoint field borrows: the outbox drains in place while the
         // link queues are appended — no per-dispatch allocation.
         let slot = &mut self.slots[i];
-        let links = &mut self.links;
-        let tracer = &mut self.tracer;
-        match self.reliable.as_mut() {
-            None => {
-                for (to, msg) in slot.ctx.drain_outbox() {
-                    let stamp = tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
-                    links[i * self.n + to].push_back((stamp, Packet::Plain(msg)));
-                }
-            }
-            Some(st) => {
-                for (to, msg) in slot.ctx.drain_outbox() {
-                    let stamp = tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
-                    let (seq, ack) = st.on_send(i, to, &msg, Time::ZERO);
-                    links[i * self.n + to].push_back((stamp, Packet::Data { seq, ack, msg }));
-                }
-            }
-        }
-    }
-}
-
-impl<A: Allocator + Clone> Clone for Slot<A>
-where
-    A::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        Slot {
-            proto: self.proto.clone(),
-            ctx: self.ctx.clone(),
-            pending: self.pending.clone(),
-        }
-    }
-}
-
-impl<A: Allocator + Clone> Clone for VirtualNet<A>
-where
-    A::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        VirtualNet {
-            slots: self.slots.clone(),
-            links: self.links.clone(),
-            n: self.n,
-            steps: self.steps,
-            delivered: self.delivered,
-            faults: self.faults.clone(),
-            reliable: self.reliable.clone(),
-            tracer: self.tracer.clone(),
-            monitor: self.monitor.clone(),
+        for (to, msg) in slot.ctx.drain_outbox() {
+            let stamp = self.tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
+            let session = self.link.stamp(i, to, &msg, Time::ZERO);
+            self.links[i * self.n + to].push_back((stamp, Packet::Data { session, msg }));
         }
     }
 }
@@ -782,37 +675,59 @@ impl Default for ExerciseCfg {
     }
 }
 
-/// Outcome of a randomized workload run.
+/// Outcome of [`run_random_workload`].
 #[derive(Clone, Debug)]
 pub struct ExerciseReport {
-    /// Critical sections completed (== rounds_per_node × active nodes).
+    /// Critical sections completed (== rounds_per_node × active nodes
+    /// whenever liveness is owed).
     pub cs_completed: u64,
+    /// Nodes left waiting forever because the fault plan destroyed the
+    /// liveness of their request (empty whenever liveness is owed).
+    pub starved: Vec<NodeId>,
     /// Scheduler actions executed.
     pub actions: u64,
-    /// Messages delivered.
+    /// Messages delivered to protocol handlers.
     pub delivered: u64,
     /// Maximum CS concurrency observed (≥ 2 proves the concurrency property
     /// is exploited on non-conflicting requests).
     pub max_concurrency: usize,
+    /// What the fault layer did (all-zero without a plan).
+    pub stats: FaultStats,
+    /// What the reliable session layer did (all-zero when disabled).
+    pub reliability: ReliabilityStats,
 }
 
-/// Drive a network with a random workload under a random interleaving and
-/// check safety + liveness throughout.
+/// Drive a (possibly faulty) network with a random workload under a random
+/// interleaving and check the invariants throughout.
 ///
 /// Every active node performs `rounds_per_node` request/CS/release cycles
 /// with uniformly random resource sets.  Actions (deliver a message, issue a
 /// request, progress a CS) are chosen uniformly at random, so every
-/// interleaving has positive probability.
+/// interleaving has positive probability.  Checked:
+///
+/// * **safety** — continuously, via the [`SafetyMonitor`];
+/// * **conservation** — at quiescence nobody is left in CS and the holder
+///   table is empty ([`SafetyMonitor::assert_conservation`]);
+/// * **liveness, where owed** ([`VirtualNet::owes_liveness`]: no plan, a
+///   non-lossy plan, or a recoverable plan with the session layer on) —
+///   every request must complete.  When the scheduler runs out of actions
+///   with nodes still waiting it first triggers
+///   [`VirtualNet::retransmit_all`] (the clockless retransmission timer);
+///   only a retransmission-free stall — a genuine protocol deadlock —
+///   panics.  Where liveness is *not* owed (a lossy plan nothing repairs)
+///   starved nodes are reported, not treated as failures: a dropped token
+///   legitimately destroys liveness.
 ///
 /// # Panics
-/// * on any safety violation (via [`SafetyMonitor`]);
-/// * on deadlock: requests pending but no action possible;
-/// * on liveness failure: `step_cap` exceeded.
+/// On any safety violation, on a granted-resource leak at quiescence, on
+/// deadlock or starvation where liveness is owed, and if `cfg.step_cap` is
+/// exceeded.
 pub fn run_random_workload<A: Allocator>(
     net: &mut VirtualNet<A>,
     cfg: &ExerciseCfg,
     rng: &mut StdRng,
 ) -> ExerciseReport {
+    let owed = net.owes_liveness();
     let n_active = cfg.active_nodes.unwrap_or(net.len());
     assert!(n_active <= net.len());
     assert!(cfg.max_req_size >= 1 && cfg.max_req_size <= cfg.m);
@@ -822,6 +737,7 @@ pub fn run_random_workload<A: Allocator>(
     let mut completed = 0u64;
     let mut actions = 0u64;
     let mut max_conc = 0usize;
+    let mut starved: Vec<NodeId> = Vec::new();
 
     #[derive(Clone, Copy)]
     enum Act {
@@ -849,254 +765,93 @@ pub fn run_random_workload<A: Allocator>(
 
         if candidates.is_empty() {
             let waiting: Vec<NodeId> = (0..n_active)
-                .filter(|&i| {
-                    !net.in_cs(i) && net.state(i) != ProcState::Idle
-                })
-                .collect();
-            if waiting.is_empty() {
-                break; // all quotas exhausted, everything granted: done
-            }
-            let states: Vec<String> = (0..net.len())
-                .map(|i| format!("n{}={}", i, net.state(i)))
-                .collect();
-            panic!(
-                "DEADLOCK: nodes {waiting:?} waiting, no messages in flight, \
-                 nobody in CS; states: {}",
-                states.join(" ")
-            );
-        }
-
-        match candidates[rng.gen_range(0..candidates.len())] {
-            Act::Deliver => {
-                net.deliver_one(rng);
-            }
-            Act::Issue(i) => {
-                let size = rng.gen_range(1..=cfg.max_req_size);
-                let mut set = ResourceSet::new();
-                while set.len() < size {
-                    set.insert(rng.gen_range(0..cfg.m));
-                }
-                quota[i] -= 1;
-                holds[i] = cfg.hold_steps;
-                net.request(i, set);
-            }
-            Act::Hold(i) => {
-                if holds[i] > 0 {
-                    holds[i] -= 1;
-                } else {
-                    net.release(i);
-                    completed += 1;
-                }
-            }
-        }
-        max_conc = max_conc.max(net.monitor.concurrency());
-        actions += 1;
-        assert!(
-            actions <= cfg.step_cap,
-            "LIVENESS FAILURE: exceeded {} actions with {} CS completed \
-             (of {}); in flight: {}",
-            cfg.step_cap,
-            completed,
-            (cfg.rounds_per_node * n_active) as u64,
-            net.in_flight()
-        );
-    }
-
-    ExerciseReport {
-        cs_completed: completed,
-        actions,
-        delivered: net.delivered(),
-        max_concurrency: max_conc,
-    }
-}
-
-/// Outcome of [`run_faulty_workload`].
-#[derive(Clone, Debug)]
-pub struct FaultyReport {
-    /// Critical sections completed.
-    pub cs_completed: u64,
-    /// Nodes left waiting forever because the fault plan destroyed the
-    /// liveness of their request (empty under a non-lossy plan).
-    pub starved: Vec<NodeId>,
-    /// Scheduler actions executed.
-    pub actions: u64,
-    /// Messages actually delivered to protocol handlers.
-    pub delivered: u64,
-    /// What the fault layer did.
-    pub stats: FaultStats,
-    /// What the reliable session layer did (all-zero when disabled).
-    pub reliability: ReliabilityStats,
-}
-
-/// Drive a (possibly faulty) network with a random workload and check the
-/// invariants that must survive an imperfect network:
-///
-/// * **safety** — continuously, via the [`SafetyMonitor`] (any exclusivity
-///   violation panics);
-/// * **conservation** — after quiescence every granted resource was
-///   released: nobody is left in CS and the holder table is empty
-///   ([`SafetyMonitor::assert_conservation`]);
-/// * **fault-aware liveness** — under a *non-lossy* plan (clean, dup-only)
-///   every request must complete, exactly like [`run_random_workload`];
-///   under a lossy plan **without** the session layer starved nodes are
-///   *reported*, not treated as failures — a dropped token legitimately
-///   destroys liveness.  With [`VirtualNet::enable_reliability`] on and a
-///   [recoverable](FaultPlan::is_recoverable) plan (every drop rate
-///   `< 1.0`) the deadlock panic is **re-armed**: when the scheduler runs
-///   out of actions with nodes still waiting it triggers
-///   [`VirtualNet::retransmit_all`] (the clockless retransmission timer),
-///   and only a retransmission-free stall — a genuine protocol deadlock —
-///   panics.  Every request must then complete despite the losses.
-///
-/// The run quiesces when no action remains: all messages delivered or
-/// dropped, every critical section released, and every remaining request
-/// either completed or permanently starved.
-///
-/// # Panics
-/// On any safety violation, on a granted-resource leak at quiescence, on
-/// starvation under a non-lossy (or reliability-recovered) plan, and if
-/// `cfg.step_cap` is exceeded.
-pub fn run_faulty_workload<A: Allocator>(
-    net: &mut VirtualNet<A>,
-    cfg: &ExerciseCfg,
-    rng: &mut StdRng,
-) -> FaultyReport {
-    // The session layer restores the reliable-channel model for any
-    // recoverable plan: liveness is then owed again.
-    let recovered =
-        net.reliability_on() && net.fault_plan().map_or(true, FaultPlan::is_recoverable);
-    let lossy = net.fault_plan().is_some_and(|p| p.is_lossy()) && !recovered;
-    let n_active = cfg.active_nodes.unwrap_or(net.len());
-    assert!(n_active <= net.len());
-    assert!(cfg.max_req_size >= 1 && cfg.max_req_size <= cfg.m);
-
-    let mut quota = vec![cfg.rounds_per_node; n_active];
-    let mut holds = vec![0usize; n_active];
-    let mut completed = 0u64;
-    let mut actions = 0u64;
-    let mut starved: Vec<NodeId> = Vec::new();
-
-    #[derive(Clone, Copy)]
-    enum Act {
-        Deliver,
-        Issue(NodeId),
-        Hold(NodeId),
-    }
-
-    loop {
-        let mut candidates: Vec<Act> = Vec::new();
-        if net.in_flight() > 0 {
-            for _ in 0..net.in_flight().min(8) {
-                candidates.push(Act::Deliver);
-            }
-        }
-        for (i, &q) in quota.iter().enumerate().take(n_active) {
-            if net.in_cs(i) {
-                candidates.push(Act::Hold(i));
-            } else if q > 0 && net.state(i) == ProcState::Idle {
-                candidates.push(Act::Issue(i));
-            }
-        }
-
-        if candidates.is_empty() {
-            let waiting: Vec<NodeId> = (0..n_active)
                 .filter(|&i| !net.in_cs(i) && net.state(i) != ProcState::Idle)
                 .collect();
             if waiting.is_empty() {
                 break; // every request served, all quotas spent
             }
-            if recovered && net.retransmit_all() > 0 {
-                // The clockless retransmission timer: unacked session
-                // frames go back on the wire and the scheduler resumes.
-                // Counted as an action so `step_cap` still bounds a
-                // pathological no-progress loop.
-                actions += 1;
-                assert!(
-                    actions <= cfg.step_cap,
-                    "LIVENESS FAILURE: {actions} actions (retransmitting) \
-                     with {completed} CS completed"
-                );
-                continue;
-            }
-            if lossy {
+            if !owed {
                 // Permanent starvation caused by message loss: an expected
                 // liveness casualty, recorded and tolerated.
                 starved = waiting;
                 break;
             }
-            let states: Vec<String> = (0..net.len())
-                .map(|i| format!("n{}={}", i, net.state(i)))
-                .collect();
-            panic!(
-                "DEADLOCK under a non-lossy fault plan: nodes {waiting:?} \
-                 waiting, nothing in flight, nobody in CS; states: {} \
-                 (reliability {}; rel {:?}; faults {:?})",
-                states.join(" "),
-                if net.reliability_on() { "on" } else { "off" },
-                net.reliability_stats(),
-                net.fault_stats(),
-            );
-        }
-
-        match candidates[rng.gen_range(0..candidates.len())] {
-            Act::Deliver => {
-                net.deliver_one(rng);
+            // The clockless retransmission timer: unacked session frames go
+            // back on the wire and the scheduler resumes (0 with sessions
+            // off).  Counted as an action — without a random draw — so
+            // `step_cap` still bounds a pathological no-progress loop.
+            if net.retransmit_all() == 0 {
+                let states: Vec<String> = (0..net.len())
+                    .map(|i| format!("n{}={}", i, net.state(i)))
+                    .collect();
+                panic!(
+                    "DEADLOCK: nodes {waiting:?} waiting, nothing in flight, \
+                     nobody in CS; states: {} (reliability {}; rel {:?}; faults {:?})",
+                    states.join(" "),
+                    if net.reliability_on() { "on" } else { "off" },
+                    net.reliability_stats(),
+                    net.fault_stats(),
+                );
             }
-            Act::Issue(i) => {
-                let size = rng.gen_range(1..=cfg.max_req_size);
-                let mut set = ResourceSet::new();
-                while set.len() < size {
-                    set.insert(rng.gen_range(0..cfg.m));
+        } else {
+            match candidates[rng.gen_range(0..candidates.len())] {
+                Act::Deliver => {
+                    net.deliver_one(rng);
                 }
-                quota[i] -= 1;
-                holds[i] = cfg.hold_steps;
-                net.request(i, set);
-            }
-            Act::Hold(i) => {
-                if holds[i] > 0 {
-                    holds[i] -= 1;
-                } else {
-                    net.release(i);
-                    completed += 1;
+                Act::Issue(i) => {
+                    let size = rng.gen_range(1..=cfg.max_req_size);
+                    let mut set = ResourceSet::new();
+                    while set.len() < size {
+                        set.insert(rng.gen_range(0..cfg.m));
+                    }
+                    quota[i] -= 1;
+                    holds[i] = cfg.hold_steps;
+                    net.request(i, set);
+                }
+                Act::Hold(i) => {
+                    if holds[i] > 0 {
+                        holds[i] -= 1;
+                    } else {
+                        net.release(i);
+                        completed += 1;
+                    }
                 }
             }
+            max_conc = max_conc.max(net.monitor.concurrency());
         }
         actions += 1;
         assert!(
             actions <= cfg.step_cap,
             "LIVENESS FAILURE: exceeded {} actions with {completed} CS \
-             completed; in flight: {}",
+             completed (of {}); in flight: {}",
             cfg.step_cap,
+            cfg.rounds_per_node * n_active,
             net.in_flight()
         );
     }
 
     // Quiescence invariants: no granted resource leaked.
-    assert_eq!(
-        net.monitor.concurrency(),
-        0,
-        "nodes left inside CS at quiescence"
-    );
+    assert_eq!(net.monitor.concurrency(), 0, "nodes left inside CS at quiescence");
     assert_eq!(
         net.monitor.held_resources(),
         0,
         "resources left marked held at quiescence"
     );
     net.monitor.assert_conservation();
-    if !lossy {
+    if owed {
         assert_eq!(
             completed as usize,
             cfg.rounds_per_node * n_active,
-            "a non-lossy (or reliability-recovered) plan must not cost a \
-             single critical section"
+            "where liveness is owed a plan must not cost a single critical section"
         );
     }
 
-    FaultyReport {
+    ExerciseReport {
         cs_completed: completed,
         starved,
         actions,
         delivered: net.delivered(),
+        max_concurrency: max_conc,
         stats: net.fault_stats(),
         reliability: net.reliability_stats(),
     }
@@ -1263,7 +1018,7 @@ mod tests {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.install_faults(&crate::faults::FaultPlan::new(5));
         let mut rng = StdRng::seed_from_u64(3);
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
         assert_eq!(rep.cs_completed, 12);
         assert!(rep.starved.is_empty());
         assert_eq!(rep.stats, FaultStats::default());
@@ -1273,21 +1028,8 @@ mod tests {
     fn faulty_harness_without_any_plan_behaves_like_clean() {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         let mut rng = StdRng::seed_from_u64(4);
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
         assert_eq!(rep.cs_completed, 12);
-    }
-
-    #[test]
-    fn dup_only_plan_is_absorbed_and_costs_nothing() {
-        let mut net = VirtualNet::new(TinyLock::pair(), 1);
-        net.install_faults(&crate::faults::FaultPlan::new(5).dup_rate(1.0));
-        let mut rng = StdRng::seed_from_u64(7);
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(6), &mut rng);
-        // Non-lossy: the harness itself asserts full completion; every
-        // delivered frame was duplicated on the wire and absorbed.
-        assert_eq!(rep.cs_completed, 12);
-        assert!(rep.stats.duplicated > 0);
-        assert_eq!(rep.stats.duplicated, rep.stats.deduped);
     }
 
     #[test]
@@ -1298,7 +1040,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         // The harness itself asserts full completion: with the session
         // layer on, a 40% drop rate is recovered and liveness is owed.
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
         assert_eq!(rep.cs_completed, 12);
         assert!(rep.starved.is_empty());
         assert!(rep.stats.dropped_link > 0, "the plan did drop frames");
@@ -1311,7 +1053,7 @@ mod tests {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.enable_reliability(crate::reliable::Reliability::default());
         let mut rng = StdRng::seed_from_u64(3);
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
         assert_eq!(rep.cs_completed, 12);
         assert_eq!(rep.reliability.retransmits, 0);
         assert_eq!(rep.reliability.gap_dropped, 0);
@@ -1320,26 +1062,11 @@ mod tests {
     }
 
     #[test]
-    fn reliability_redelivers_wire_duplicates_and_dedups_them() {
-        let mut net = VirtualNet::new(TinyLock::pair(), 1);
-        net.install_faults(&crate::faults::FaultPlan::new(5).dup_rate(1.0));
-        net.enable_reliability(crate::reliable::Reliability::default());
-        let mut rng = StdRng::seed_from_u64(7);
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(6), &mut rng);
-        assert_eq!(rep.cs_completed, 12);
-        assert!(rep.stats.duplicated > 0);
-        // Session-layer mode: the wire really carries the copies and the
-        // dedup window — not the fault layer — absorbs them.
-        assert_eq!(rep.stats.deduped, 0);
-        assert!(rep.reliability.dup_dropped > 0);
-    }
-
-    #[test]
     fn total_loss_starves_the_tokenless_node_but_stays_safe() {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.install_faults(&crate::faults::FaultPlan::new(5).drop_rate(1.0));
         let mut rng = StdRng::seed_from_u64(11);
-        let rep = run_faulty_workload(&mut net, &tiny_cfg(4), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(4), &mut rng);
         // Node 0 holds the token and completes locally; node 1's requests
         // all vanish on the wire.
         assert_eq!(rep.cs_completed, 4);
@@ -1348,12 +1075,33 @@ mod tests {
     }
 
     #[test]
+    fn time_keyed_faults_do_not_apply_on_the_clockless_net() {
+        // The step counter is not a clock: a pause and a partition that
+        // cover all of time must leave the net untouched.
+        let forever = Time::from_nanos(u64::MAX);
+        let plan = crate::faults::FaultPlan::new(5)
+            .pause(1, Time::ZERO, forever)
+            .crash(0, Time::ZERO, forever)
+            .partition(vec![0], Time::ZERO, forever);
+        let mut net = VirtualNet::new(TinyLock::pair(), 1);
+        net.install_faults(&plan);
+        // Crash and partition windows make the plan lossy on paper, so
+        // the harness would tolerate starvation — there must be none.
+        assert!(!net.owes_liveness());
+        let mut rng = StdRng::seed_from_u64(3);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
+        assert_eq!(rep.cs_completed, 12);
+        assert!(rep.starved.is_empty());
+        assert_eq!(rep.stats, FaultStats::default());
+    }
+
+    #[test]
     fn drop_decisions_are_reproducible_across_runs() {
         let run = |seed: u64| {
             let mut net = VirtualNet::new(TinyLock::pair(), 1);
             net.install_faults(&crate::faults::FaultPlan::new(seed).drop_rate(0.3));
             let mut rng = StdRng::seed_from_u64(9);
-            let rep = run_faulty_workload(&mut net, &tiny_cfg(5), &mut rng);
+            let rep = run_random_workload(&mut net, &tiny_cfg(5), &mut rng);
             (rep.cs_completed, rep.stats)
         };
         assert_eq!(run(21), run(21));

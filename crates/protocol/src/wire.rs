@@ -6,8 +6,9 @@
 //!
 //! * fixed-width little-endian integers (`u8`/`u32`/`u64`);
 //! * `f64` as its IEEE-754 bit pattern (NaN-preserving);
-//! * ids (`NodeId`, `ResourceId`, lengths) as `u32` — the workspace caps
-//!   both universes at 256, so 32 bits leave ample headroom;
+//! * ids (`NodeId`, `ResourceId`, lengths) as `u32` — sets are dynamic
+//!   and the largest universe anything runs is 100 000 resources, so 32
+//!   bits leave ample headroom;
 //! * enums as a leading `u8` variant tag;
 //! * sequences as a `u32` element count followed by the elements;
 //! * sets ([`DynSet`], i.e. `ResourceSet`/`NodeSet`) as a `u32` word count
@@ -180,8 +181,8 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-/// Append a `usize` as `u32` (ids and counts; the workspace universe is
-/// capped at 256 so this never truncates in practice — asserted anyway).
+/// Append a `usize` as `u32` (ids and counts; far below `u32::MAX` in
+/// every universe this workspace runs — asserted anyway).
 #[inline]
 pub fn put_usize(out: &mut Vec<u8>, v: usize) {
     debug_assert!(v <= u32::MAX as usize, "usize {v} exceeds wire width");

@@ -28,39 +28,36 @@
 use rand::rngs::StdRng;
 
 use mra_sim::Workload;
-use mra_types::{env_flag, ResourceSet, Time};
+use mra_types::{ResourceSet, Time};
 
 use crate::admission::{Admission, AdmissionQueue, ServeReq};
 use crate::arrivals::{ArrivalGen, Interarrival, RequestShape};
 use crate::stats::{ServeStats, SharedServeStats};
 
-/// Configuration for one node's serving front end.
-///
-/// Every field has an `MRA_SERVE_*` environment override (applied by
-/// [`ServeConfig::from_env`]) so benches and CI can sweep without
-/// recompiling.
+/// Configuration for one node's serving front end.  These fields are the
+/// one way to configure serving — there are no environment overrides.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Offered arrival rate per node, in requests/second
-    /// (`MRA_SERVE_RATE`).
+    /// Offered arrival rate per node, in requests/second.
     pub rate_hz: f64,
-    /// Use heavy-tailed bursty interarrivals instead of Poisson
-    /// (`MRA_SERVE_BURSTY=1`), with this Pareto shape.
+    /// Use heavy-tailed bounded-Pareto interarrivals (mean-matched to
+    /// `rate_hz`) instead of Poisson.
     pub bursty: bool,
     /// Pareto shape parameter for bursty mode.
     pub pareto_alpha: f64,
-    /// Admission-queue depth bound (`MRA_SERVE_DEPTH`).
+    /// Admission-queue depth bound; arrivals past it are shed and
+    /// accounted, never silently dropped.
     pub max_depth: usize,
-    /// Max requests folded into one critical-section batch
-    /// (`MRA_SERVE_BATCH`).
+    /// Max pairwise-disjoint requests folded into one critical-section
+    /// batch.
     pub max_batch: usize,
     /// How many entries past the queue head to scan for disjoint sets
-    /// (`MRA_SERVE_SCAN`).
+    /// (`0` = strict FIFO, no batching).
     pub batch_scan: usize,
-    /// Number of service classes (`MRA_SERVE_CLASSES`).
+    /// Number of service classes (keep `shape.classes` equal).
     pub classes: usize,
-    /// Per-class queued-request quota; `None` disables
-    /// (`MRA_SERVE_QUOTA`, `0` = disabled).
+    /// Per-class queued-request quota (`None` = off); arrivals of a class
+    /// at quota are shed as `ShedClass`.
     pub class_quota: Option<usize>,
     /// Shape of fabricated requests.
     pub shape: RequestShape,
@@ -92,37 +89,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Apply `MRA_SERVE_*` environment overrides on top of `self`.
-    pub fn from_env(mut self) -> Self {
-        fn num<T: std::str::FromStr>(key: &str) -> Option<T> {
-            std::env::var(key).ok()?.trim().parse().ok()
-        }
-        if let Some(v) = num::<f64>("MRA_SERVE_RATE") {
-            self.rate_hz = v.max(1e-3);
-        }
-        if std::env::var_os("MRA_SERVE_BURSTY").is_some() {
-            self.bursty = env_flag("MRA_SERVE_BURSTY");
-        }
-        if let Some(v) = num::<usize>("MRA_SERVE_DEPTH") {
-            self.max_depth = v.max(1);
-        }
-        if let Some(v) = num::<usize>("MRA_SERVE_BATCH") {
-            self.max_batch = v.max(1);
-        }
-        if let Some(v) = num::<usize>("MRA_SERVE_SCAN") {
-            self.batch_scan = v;
-        }
-        if let Some(v) = num::<usize>("MRA_SERVE_CLASSES") {
-            let v = v.max(1);
-            self.classes = v;
-            self.shape.classes = v;
-        }
-        if let Some(v) = num::<usize>("MRA_SERVE_QUOTA") {
-            self.class_quota = if v == 0 { None } else { Some(v) };
-        }
-        self
-    }
-
     fn interarrival(&self) -> Interarrival {
         if self.bursty {
             Interarrival::ParetoBurst {
@@ -387,38 +353,5 @@ mod tests {
         // Shedding kicked in at the 64-deep bound: ~50 ms at 1 kHz ≈ 50
         // arrivals normally, but jumping the clock pumps them all at once.
         assert!(w.queue.len() <= 64);
-    }
-
-    #[test]
-    fn env_overrides_apply() {
-        // Serialize with other env-reading tests by using unique keys only
-        // here; set → read → clear.
-        std::env::set_var("MRA_SERVE_RATE", "750");
-        std::env::set_var("MRA_SERVE_DEPTH", "9");
-        std::env::set_var("MRA_SERVE_BATCH", "2");
-        std::env::set_var("MRA_SERVE_SCAN", "3");
-        std::env::set_var("MRA_SERVE_CLASSES", "4");
-        std::env::set_var("MRA_SERVE_QUOTA", "5");
-        std::env::set_var("MRA_SERVE_BURSTY", "1");
-        let c = ServeConfig::default().from_env();
-        for k in [
-            "MRA_SERVE_RATE",
-            "MRA_SERVE_DEPTH",
-            "MRA_SERVE_BATCH",
-            "MRA_SERVE_SCAN",
-            "MRA_SERVE_CLASSES",
-            "MRA_SERVE_QUOTA",
-            "MRA_SERVE_BURSTY",
-        ] {
-            std::env::remove_var(k);
-        }
-        assert_eq!(c.rate_hz, 750.0);
-        assert_eq!(c.max_depth, 9);
-        assert_eq!(c.max_batch, 2);
-        assert_eq!(c.batch_scan, 3);
-        assert_eq!(c.classes, 4);
-        assert_eq!(c.shape.classes, 4);
-        assert_eq!(c.class_quota, Some(5));
-        assert!(c.bursty);
     }
 }

@@ -38,8 +38,9 @@ use crate::driver::{Driver, DriverState, Workload};
 use crate::latency::LatencyModel;
 use crate::metrics::{Collector, RunResult};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceLog, TraceMode};
-use mra_protocol::faults::{Admit, FaultPlan, FaultState, FaultStats};
-use mra_protocol::reliable::{Reliability, ReliabilityStats, ReliableState, RtoVerdict};
+use mra_protocol::faults::{Admit, FaultPlan, FaultStats};
+use mra_protocol::link::Link;
+use mra_protocol::reliable::{Packet, Reliability, ReliabilityStats, RtoVerdict};
 use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{NodeId, ResourceSet, Time};
@@ -104,29 +105,18 @@ impl SimConfig {
 }
 
 enum Ev<M> {
-    /// Perfect-link delivery (reliability off).  `stamp` is the sender's
-    /// Lamport stamp when tracing is armed (0 disarmed): riding inside the
-    /// event is what carries causality across shard mailboxes, loss and
-    /// duplication without any side channel.
-    Deliver {
+    /// A frame arriving at `to`: a protocol message (with a session header
+    /// when reliability is on) or a standalone session ack.  `stamp` is
+    /// the sender's Lamport stamp when tracing is armed (0 disarmed, and on
+    /// acks, which are untraced): riding inside the event is what carries
+    /// causality across shard mailboxes, loss and duplication without any
+    /// side channel.
+    Frame {
         from: NodeId,
         to: NodeId,
         stamp: u64,
-        msg: M,
+        frame: Packet<M>,
     },
-    /// Session-layer data frame (reliability on): sequenced, carries a
-    /// piggybacked cumulative ack for the reverse direction (and the
-    /// sender's Lamport stamp, like [`Ev::Deliver`]).
-    DeliverData {
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        ack: u64,
-        stamp: u64,
-        msg: M,
-    },
-    /// Session-layer standalone cumulative ack.
-    DeliverAck { from: NodeId, to: NodeId, ack: u64 },
     /// Retransmit timer of the directed link `from → to`.
     Rto { from: NodeId, to: NodeId },
     Think { node: NodeId },
@@ -135,14 +125,12 @@ enum Ev<M> {
 
 impl<M> Ev<M> {
     /// The node at which this event executes — and therefore the shard
-    /// that owns it.  Deliveries and acks run at the receiver; timers
-    /// (including retransmit timers) at the node that armed them.
+    /// that owns it.  Frames run at the receiver; timers (including
+    /// retransmit timers) at the node that armed them.
     #[inline]
     fn executor(&self) -> NodeId {
         match *self {
-            Ev::Deliver { to, .. }
-            | Ev::DeliverData { to, .. }
-            | Ev::DeliverAck { to, .. } => to,
+            Ev::Frame { to, .. } => to,
             Ev::Rto { from, .. } => from,
             Ev::Think { node } | Ev::CsEnd { node } => node,
         }
@@ -385,30 +373,89 @@ struct CsNote {
     elems: Vec<u32>,
 }
 
+/// A shard's scheduling state: its event queue, the lane table that mints
+/// ordering keys, and the outbound mail of events other shards execute.
+struct Sched<M> {
+    /// This shard's index, the shard count and the node count.
+    id: usize,
+    k: usize,
+    n: usize,
+    queue: EventQueue<M>,
+    lanes: LaneTable,
+    /// Outbound cross-shard events, one buffer per destination shard.
+    mail_out: Vec<Vec<Mail<M>>>,
+}
+
+impl<M> Sched<M> {
+    /// Route an event to its executor: push locally, or into the mail
+    /// buffer of the owning shard.
+    #[inline]
+    fn route(&mut self, at: Time, ord: u64, ev: Ev<M>) {
+        let dst = ev.executor() % self.k;
+        if dst == self.id {
+            self.queue.push(at, ord, ev);
+        } else {
+            self.mail_out[dst].push(Mail { at, ord, ev });
+        }
+    }
+
+    /// Push an event `node` (owned by this shard) schedules for itself —
+    /// a timer or a fault deferral — keyed on its local lane.
+    #[inline]
+    fn push_local(&mut self, node: NodeId, at: Time, ev: Ev<M>) {
+        let lane = (self.n * self.n + node) as u32;
+        let ord = mk_ord(lane, self.lanes.ent(lane));
+        self.queue.push(at, ord, ev);
+    }
+
+    /// Put a data frame sent at `now` with sampled latency `lat` on the
+    /// wire lane `from → to` — first transmissions and retransmissions
+    /// alike.  Reliable FIFO links: never deliver before an earlier frame
+    /// on the same link (1 ns separation keeps strict order even under
+    /// jittered latency).  The `now + 1` floor makes delivery *strictly*
+    /// after the send even under `LatencyModel::Zero`: the canonical trace
+    /// key order `(at, ord)` then respects causality, which the per-lane
+    /// `ord` counters alone cannot guarantee for same-instant cross-lane
+    /// events.
+    #[inline]
+    fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        now: Time,
+        lat: Time,
+        stamp: u64,
+        frame: Packet<M>,
+    ) {
+        let lane = (from * self.n + to) as u32;
+        let e = self.lanes.ent(lane);
+        let at = (now + lat)
+            .max(now + Time::from_nanos(1))
+            .max(e.last + Time::from_nanos(1));
+        e.last = at;
+        let ord = mk_ord(lane, e);
+        self.route(at, ord, Ev::Frame { from, to, stamp, frame });
+    }
+}
+
 /// One worker shard: the nodes `i ≡ id (mod k)`, their event queue, lanes,
 /// clock and per-shard copies of every state the event handlers touch.
 /// Fault link filters are indexed by receiver, session-layer endpoints by
 /// their owning node, so under the executor mapping every access lands on
 /// the shard-local copy and no cross-shard locking is ever needed.
 struct Shard<A: Allocator, W: Workload> {
-    id: usize,
-    k: usize,
-    n: usize,
     nodes: Vec<SimNode<A, W>>,
-    queue: EventQueue<A::Msg>,
-    lanes: LaneTable,
+    sched: Sched<A::Msg>,
     now: Time,
     events: u64,
     horizon_cut: bool,
-    faults: Option<FaultState>,
-    reliable: Option<ReliableState<A::Msg>>,
+    /// Fault plan and session layer, if installed.
+    link: Link<A::Msg>,
     collector: Collector,
     /// Online safety monitor — single-shard runs only.
     monitor: Option<SafetyMonitor>,
     /// CS observations for the end-of-run replay — sharded runs only.
     cs_log: Vec<CsNote>,
-    /// Outbound cross-shard events, one buffer per destination shard.
-    mail_out: Vec<Vec<Mail<A::Msg>>>,
     /// Causal tracing + live metrics; disarmed by default (every hook is
     /// a single-branch no-op — the zero-alloc guard covers this state).
     tracer: EngineTracer,
@@ -419,40 +466,19 @@ struct Shard<A: Allocator, W: Workload> {
     active: usize,
 }
 
-/// Route an event to its executor: push locally, or into the mail buffer
-/// of the owning shard.
-#[inline]
-fn route<M>(
-    me: usize,
-    k: usize,
-    queue: &mut EventQueue<M>,
-    mail: &mut [Vec<Mail<M>>],
-    at: Time,
-    ord: u64,
-    ev: Ev<M>,
-) {
-    let dst = ev.executor() % k;
-    if dst == me {
-        queue.push(at, ord, ev);
-    } else {
-        mail[dst].push(Mail { at, ord, ev });
-    }
-}
-
 impl<A: Allocator, W: Workload> Shard<A, W> {
     /// Local slot of a node this shard owns.
     #[inline]
     fn local(&self, i: NodeId) -> usize {
-        debug_assert_eq!(i % self.k, self.id, "node {i} not owned by shard {}", self.id);
-        i / self.k
+        let Sched { id, k, .. } = self.sched;
+        debug_assert_eq!(i % k, id, "node {i} not owned by shard {id}");
+        i / k
     }
 
-    /// Mint an ordering key on the local timer lane of `node` (which this
-    /// shard owns — local pushes never cross shards).
+    /// The node in local slot `j`.
     #[inline]
-    fn local_ord(&mut self, node: NodeId) -> u64 {
-        let lane = (self.n * self.n + node) as u32;
-        mk_ord(lane, self.lanes.ent(lane))
+    fn global(&self, j: usize) -> NodeId {
+        j * self.sched.k + self.sched.id
     }
 
     /// Initialize this shard's protocols and seed their think timers.
@@ -462,7 +488,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             node.proto.on_init(&mut node.ctx);
         }
         for j in 0..self.nodes.len() {
-            let i = j * self.k + self.id;
+            let i = self.global(j);
             // Init-time sends run before any dispatch has set a trace key:
             // give each node's init outbox a synthetic per-node key.  It
             // cannot collide with real dispatch keys — those are
@@ -474,15 +500,14 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             self.schedule_outbox(i);
         }
         for j in 0..self.nodes.len() {
-            let i = j * self.k + self.id;
+            let i = self.global(j);
             if i < self.active {
                 let think = {
                     let SimNode { workload, rng, .. } = &mut self.nodes[j];
                     workload.set_now(Time::ZERO);
                     workload.think_time(rng)
                 };
-                let ord = self.local_ord(i);
-                self.queue.push(think, ord, Ev::Think { node: i });
+                self.sched.push_local(i, think, Ev::Think { node: i });
             }
         }
     }
@@ -498,63 +523,20 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             // updates, absorbed tokens).
             return;
         }
-        let queue = &mut self.queue;
-        let lanes = &mut self.lanes;
-        let mail = &mut self.mail_out;
-        let tracer = &mut self.tracer;
-        let latency = &self.latency;
         let now = self.now;
-        let n = self.n;
-        let (me, k) = (self.id, self.k);
-        match self.reliable.as_mut() {
-            None => {
-                for (to, msg) in ctx.drain_outbox() {
-                    // `sample` fast-paths deterministic models (the paper's
-                    // γ = const) without touching the RNG.
-                    let lat = latency.sample(from, to, net_rng);
-                    let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
-                    let lane = (from * n + to) as u32;
-                    let e = lanes.ent(lane);
-                    // Reliable FIFO links: never deliver before an earlier
-                    // message on the same link (1 ns separation keeps
-                    // strict order even under jittered latency).  The
-                    // `now + 1` floor makes delivery *strictly* after the
-                    // send even under `LatencyModel::Zero`: the canonical
-                    // trace key order `(at, ord)` then respects causality,
-                    // which the per-lane `ord` counters alone cannot
-                    // guarantee for same-instant cross-lane events.
-                    let at = (now + lat)
-                        .max(now + Time::from_nanos(1))
-                        .max(e.last + Time::from_nanos(1));
-                    e.last = at;
-                    let ord = mk_ord(lane, e);
-                    route(me, k, queue, mail, at, ord, Ev::Deliver { from, to, stamp, msg });
-                }
-            }
-            Some(st) => {
-                for (to, msg) in ctx.drain_outbox() {
-                    // Session mode: stamp the frame, retain the retransmit
-                    // copy, piggyback the cumulative ack, and make sure a
-                    // retransmit timer is ticking for this link.
-                    let (seq, ack) = st.on_send(from, to, &msg, now);
-                    let lat = latency.sample(from, to, net_rng);
-                    let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
-                    let lane = (from * n + to) as u32;
-                    let e = lanes.ent(lane);
-                    // Same strictly-after-send floor as the unreliable arm.
-                    let at = (now + lat)
-                        .max(now + Time::from_nanos(1))
-                        .max(e.last + Time::from_nanos(1));
-                    e.last = at;
-                    let ord = mk_ord(lane, e);
-                    route(me, k, queue, mail, at, ord, Ev::DeliverData { from, to, seq, ack, stamp, msg });
-                    if st.needs_arm(from, to) {
-                        // The retransmit timer executes at `from` = here.
-                        let tl = (n * n + from) as u32;
-                        let tord = mk_ord(tl, lanes.ent(tl));
-                        queue.push(now + st.rto_delay(from, to), tord, Ev::Rto { from, to });
-                    }
-                }
+        for (to, msg) in ctx.drain_outbox() {
+            // Session mode: stamp the frame, retain the retransmit copy,
+            // piggyback the cumulative ack (`None` on perfect links).
+            let session = self.link.stamp(from, to, &msg, now);
+            // `sample` fast-paths deterministic models (the paper's
+            // γ = const) without touching the RNG.
+            let lat = self.latency.sample(from, to, net_rng);
+            let stamp = self.tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
+            self.sched.send(from, to, now, lat, stamp, Packet::Data { session, msg });
+            // Make sure a retransmit timer is ticking for this link; it
+            // executes at `from` = here.
+            if let Some(delay) = self.link.arm_rto(from, to) {
+                self.sched.push_local(from, now + delay, Ev::Rto { from, to });
             }
         }
     }
@@ -562,11 +544,8 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     /// If `to` still owes `from` an ack for the data link `from → to`
     /// (no reply piggybacked it), put the standalone ack frame on the
     /// reverse wire.  No-op with reliability off.
-    fn flush_pending_ack(&mut self, from: NodeId, to: NodeId) {
-        let Some(st) = self.reliable.as_mut() else {
-            return;
-        };
-        let Some(ack) = st.pending_ack(from, to) else {
+    fn flush_ack(&mut self, from: NodeId, to: NodeId) {
+        let Some(ack) = self.link.take_ack(from, to) else {
             return;
         };
         let j = self.local(to);
@@ -578,18 +557,17 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         // reliability-off schedule when no frame is ever lost.  The ack
         // still draws its key from the `to → from` wire lane (same writer:
         // this shard owns `to`), just without bumping the FIFO mark.
-        let lane = (to * self.n + from) as u32;
-        let ord = mk_ord(lane, self.lanes.ent(lane));
-        let at = self.now + lat;
-        route(
-            self.id,
-            self.k,
-            &mut self.queue,
-            &mut self.mail_out,
-            at,
-            ord,
-            Ev::DeliverAck { from: to, to: from, ack },
-        );
+        let lane = (to * self.sched.n + from) as u32;
+        let ord = mk_ord(lane, self.sched.lanes.ent(lane));
+        let ev = Ev::Frame { from: to, to: from, stamp: 0, frame: ack };
+        self.sched.route(self.now + lat, ord, ev);
+    }
+
+    /// Re-schedule `ev` for `node`, which is down (or paused) at `at`, at
+    /// its restart instant `until` — strictly later, so the clock moves.
+    fn defer(&mut self, node: NodeId, at: Time, until: Time, ev: Ev<A::Msg>) {
+        let when = until.max(at + Time::from_nanos(1));
+        self.sched.push_local(node, when, ev);
     }
 
     fn note_cs_enter(&mut self, node: NodeId, ord: u64, set: ResourceSet) {
@@ -633,8 +611,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             self.nodes[j].workload.on_grant(now);
             self.tracer.on_cs(EventKind::CsEnter, i, size);
             let cs = self.nodes[j].driver.granted();
-            let lord = self.local_ord(i);
-            self.queue.push(now + cs, lord, Ev::CsEnd { node: i });
+            self.sched.push_local(i, now + cs, Ev::CsEnd { node: i });
         }
     }
 
@@ -648,130 +625,52 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         );
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.tracer.on_dispatch(at, ord, self.queue.len());
+        self.tracer.on_dispatch(at, ord, self.sched.queue.len());
+        if !matches!(ev, Ev::Frame { .. }) {
+            // A down node (paused or crashed) runs none of its timers —
+            // its application lifecycle stops (a frozen node holds its
+            // resources through the outage), its retransmissions too;
+            // they all resume at restart.
+            let node = ev.executor();
+            if let Some(until) = self.link.down_until(node, at) {
+                self.defer(node, at, until, ev);
+                return;
+            }
+        }
         match ev {
-            Ev::Deliver { from, to, stamp, msg } => {
+            Ev::Frame { from, to, stamp, frame } => {
                 // Fault admission at event pop: the zero-alloc hot path is
                 // preserved — decisions are pure hashes over pre-sized
                 // tables, a deferral re-pushes into the free-list slab.
-                let verdict = match self.faults.as_mut() {
-                    Some(fs) => fs.admit(from, to, at),
-                    None => Admit::Deliver,
-                };
-                match verdict {
-                    Admit::Drop => {
-                        self.tracer.on_fault(to, from, msg.kind(), stamp);
-                        return;
-                    }
+                match self.link.arrive(&mut self.tracer, from, to, Some(at), stamp, &frame) {
+                    Admit::Drop => return,
                     Admit::Defer(until) => {
-                        let when = until.max(at + Time::from_nanos(1));
-                        let lord = self.local_ord(to);
-                        self.queue.push(when, lord, Ev::Deliver { from, to, stamp, msg });
+                        self.defer(to, at, until, Ev::Frame { from, to, stamp, frame });
                         return;
                     }
-                    // `admit` folds wire duplicates into Deliver; the
-                    // variant only flows out of `admit_wire`.
-                    Admit::Deliver | Admit::Duplicate => {}
-                }
-                self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
-                self.collector.on_message(msg.kind(), msg.weight());
-                let j = self.local(to);
-                let node = &mut self.nodes[j];
-                node.ctx.set_now(at);
-                node.proto.on_message(&mut node.ctx, from, msg);
-                self.post_dispatch(to, ord);
-            }
-            Ev::DeliverData { from, to, seq, ack, stamp, msg } => {
-                // A wire duplicate is a one-off copy arriving right behind
-                // the original; it is absorbed by the receive window
-                // inline (it never re-enters the fault filter — a copy of
-                // a copy would cascade at high dup rates).
-                let verdict = match self.faults.as_mut() {
-                    Some(fs) => fs.admit_wire(from, to, at),
-                    None => Admit::Deliver,
-                };
-                let mut dup_copy = false;
-                match verdict {
-                    Admit::Drop => {
-                        self.tracer.on_fault(to, from, msg.kind(), stamp);
-                        return;
+                    Admit::Absorb => {}
+                    Admit::Deliver => {
+                        let Packet::Data { msg, .. } = frame else {
+                            unreachable!("only data frames deliver");
+                        };
+                        // Session dedup absorbs stale frames before this
+                        // point, so exactly one recv is traced per
+                        // accepted frame.
+                        self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
+                        self.collector.on_message(msg.kind(), msg.weight());
+                        let j = self.local(to);
+                        let node = &mut self.nodes[j];
+                        node.ctx.set_now(at);
+                        node.proto.on_message(&mut node.ctx, from, msg);
+                        self.post_dispatch(to, ord);
                     }
-                    Admit::Defer(until) => {
-                        let when = until.max(at + Time::from_nanos(1));
-                        let lord = self.local_ord(to);
-                        self.queue
-                            .push(when, lord, Ev::DeliverData { from, to, seq, ack, stamp, msg });
-                        return;
-                    }
-                    Admit::Duplicate => dup_copy = true,
-                    Admit::Deliver => {}
-                }
-                let st = self
-                    .reliable
-                    .as_mut()
-                    .expect("data frame without a session layer");
-                let deliver = st.on_data(from, to, seq, ack);
-                if dup_copy {
-                    // Stale by construction: the original just ran.
-                    st.on_data(from, to, seq, ack);
-                }
-                if deliver {
-                    // Session dedup absorbs stale frames before this point,
-                    // so exactly one recv is traced per accepted frame.
-                    self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
-                    self.collector.on_message(msg.kind(), msg.weight());
-                    let j = self.local(to);
-                    let node = &mut self.nodes[j];
-                    node.ctx.set_now(at);
-                    node.proto.on_message(&mut node.ctx, from, msg);
-                    self.post_dispatch(to, ord);
                 }
                 // The handler's reply (if any) piggybacked the ack inside
                 // `post_dispatch`; otherwise a standalone ack goes out now.
-                self.flush_pending_ack(from, to);
-            }
-            Ev::DeliverAck { from, to, ack } => {
-                let verdict = match self.faults.as_mut() {
-                    Some(fs) => fs.admit_wire(from, to, at),
-                    None => Admit::Deliver,
-                };
-                match verdict {
-                    Admit::Drop => return,
-                    Admit::Defer(until) => {
-                        let when = until.max(at + Time::from_nanos(1));
-                        let lord = self.local_ord(to);
-                        self.queue.push(when, lord, Ev::DeliverAck { from, to, ack });
-                        return;
-                    }
-                    // A duplicated ack is idempotent: apply once.
-                    Admit::Deliver | Admit::Duplicate => {}
-                }
-                self.reliable
-                    .as_mut()
-                    .expect("ack frame without a session layer")
-                    .on_ack(from, to, ack);
+                self.flush_ack(from, to);
             }
             Ev::Rto { from, to } => {
-                // The sender owns this timer: a frozen/crashed node's
-                // timers resume at restart, like its Think/CsEnd timers.
-                let deferred = match self.faults.as_mut() {
-                    Some(fs) => fs.outage(from, at).map(|(_, until)| {
-                        fs.stats.deferred += 1;
-                        until
-                    }),
-                    None => None,
-                };
-                if let Some(until) = deferred {
-                    let when = until.max(at + Time::from_nanos(1));
-                    let lord = self.local_ord(from);
-                    self.queue.push(when, lord, Ev::Rto { from, to });
-                    return;
-                }
-                let st = self
-                    .reliable
-                    .as_mut()
-                    .expect("rto without a session layer");
-                match st.on_rto(from, to, at) {
+                match self.link.on_rto(from, to, at) {
                     // Everything acked in the meantime; the timer dies and
                     // the next send re-arms it.
                     RtoVerdict::Idle => return,
@@ -779,8 +678,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                     // (the timer was armed for an already-acked frame):
                     // follow it without retransmitting or backing off.
                     RtoVerdict::Rearm(when) => {
-                        let lord = self.local_ord(from);
-                        self.queue.push(when, lord, Ev::Rto { from, to });
+                        self.sched.push_local(from, when, Ev::Rto { from, to });
                         return;
                     }
                     RtoVerdict::Retransmit(_) => {}
@@ -789,60 +687,21 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                 // latency samples, then re-arm with the backed-off delay.
                 // Field-disjoint borrows: the session state is read while
                 // the queue/lane table/RNG are written.
-                let st = self.reliable.as_ref().expect("session layer vanished");
-                let delay = st.rto_delay(from, to);
-                let ack = st.ack_for(from, to);
-                let j = from / self.k;
-                let SimNode { net_rng, .. } = &mut self.nodes[j];
-                let queue = &mut self.queue;
-                let lanes = &mut self.lanes;
-                let mail = &mut self.mail_out;
-                let tracer = &mut self.tracer;
-                let latency = &self.latency;
-                let (me, k, n) = (self.id, self.k, self.n);
-                let lane = (from * n + to) as u32;
-                for (seq, msg) in st.unacked(from, to) {
-                    let lat = latency.sample(from, to, net_rng);
+                let j = self.local(from);
+                let net_rng = &mut self.nodes[j].net_rng;
+                for (session, msg) in self.link.unacked(from, to) {
+                    let lat = self.latency.sample(from, to, net_rng);
                     // A retransmission is a later event than the original
                     // send: it mints a fresh Lamport stamp.
-                    let stamp = tracer.on_retransmit(from, to, msg.kind(), msg.weight() as u32);
-                    let e = lanes.ent(lane);
-                    // Strictly after the RTO fire, like first transmissions
-                    // are strictly after their send.
-                    let when = (at + lat)
-                        .max(at + Time::from_nanos(1))
-                        .max(e.last + Time::from_nanos(1));
-                    e.last = when;
-                    let o = mk_ord(lane, e);
-                    route(me, k, queue, mail, when, o, Ev::DeliverData {
-                        from,
-                        to,
-                        seq,
-                        ack,
-                        stamp,
-                        msg: msg.clone(),
-                    });
+                    let stamp =
+                        self.tracer.on_retransmit(from, to, msg.kind(), msg.weight() as u32);
+                    let frame = Packet::Data { session: Some(session), msg: msg.clone() };
+                    self.sched.send(from, to, at, lat, stamp, frame);
                 }
-                let tl = (n * n + from) as u32;
-                let tord = mk_ord(tl, lanes.ent(tl));
-                queue.push(at + delay, tord, Ev::Rto { from, to });
+                let delay = self.link.rto_delay(from, to);
+                self.sched.push_local(from, at + delay, Ev::Rto { from, to });
             }
             Ev::Think { node: i } => {
-                // A down node (paused or crashed) does not run its
-                // application lifecycle; the timer resumes at restart.
-                let deferred = match self.faults.as_mut() {
-                    Some(fs) => fs.outage(i, at).map(|(_, until)| {
-                        fs.stats.deferred += 1;
-                        until
-                    }),
-                    None => None,
-                };
-                if let Some(until) = deferred {
-                    let when = until.max(at + Time::from_nanos(1));
-                    let lord = self.local_ord(i);
-                    self.queue.push(when, lord, Ev::Think { node: i });
-                    return;
-                }
                 let j = self.local(i);
                 if at >= self.stop_issuing {
                     self.nodes[j].driver.park();
@@ -869,21 +728,6 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                 self.post_dispatch(i, ord);
             }
             Ev::CsEnd { node: i } => {
-                let deferred = match self.faults.as_mut() {
-                    Some(fs) => fs.outage(i, at).map(|(_, until)| {
-                        // The frozen node holds its resources through the
-                        // outage; it releases at restart.
-                        fs.stats.deferred += 1;
-                        until
-                    }),
-                    None => None,
-                };
-                if let Some(until) = deferred {
-                    let when = until.max(at + Time::from_nanos(1));
-                    let lord = self.local_ord(i);
-                    self.queue.push(when, lord, Ev::CsEnd { node: i });
-                    return;
-                }
                 self.collector.on_release(i, at);
                 self.note_cs_exit(i, ord);
                 self.tracer.on_cs(EventKind::CsExit, i, 0);
@@ -899,8 +743,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                     workload.set_now(at);
                     workload.think_time(rng)
                 };
-                let lord = self.local_ord(i);
-                self.queue.push(at + think, lord, Ev::Think { node: i });
+                self.sched.push_local(i, at + think, Ev::Think { node: i });
             }
         }
     }
@@ -908,7 +751,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     /// Sequential engine step: pop–check–dispatch.  Only valid when this
     /// shard is the whole simulation (`k == 1`).
     fn step_seq(&mut self) -> bool {
-        let Some((at, ord, ev)) = self.queue.pop() else {
+        let Some((at, ord, ev)) = self.sched.queue.pop() else {
             return false;
         };
         if at > self.end_at {
@@ -922,7 +765,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     /// Process every local event strictly below `horizon` (and not past
     /// the drain cut-off).
     fn process_window(&mut self, horizon: Time) {
-        while let Some(top) = self.queue.peek_at() {
+        while let Some(top) = self.sched.queue.peek_at() {
             if top >= horizon {
                 return;
             }
@@ -930,7 +773,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                 self.horizon_cut = true;
                 return;
             }
-            let (at, ord, ev) = self.queue.pop().expect("peeked event vanished");
+            let (at, ord, ev) = self.sched.queue.pop().expect("peeked event vanished");
             self.dispatch(at, ord, ev);
         }
     }
@@ -938,7 +781,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     /// Earliest local timestamp in nanoseconds (`u64::MAX` = empty), the
     /// value shards publish to agree on the next window.
     fn local_min(&self) -> u64 {
-        self.queue.peek_at().map_or(u64::MAX, |t| t.as_nanos())
+        self.sched.queue.peek_at().map_or(u64::MAX, |t| t.as_nanos())
     }
 }
 
@@ -1061,17 +904,19 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             .into_iter()
             .enumerate()
             .map(|(id, nodes)| Shard {
-                id,
-                k,
-                n,
                 nodes,
-                queue: EventQueue::new(),
-                lanes: LaneTable::new(n),
+                sched: Sched {
+                    id,
+                    k,
+                    n,
+                    queue: EventQueue::new(),
+                    lanes: LaneTable::new(n),
+                    mail_out: (0..k).map(|_| Vec::new()).collect(),
+                },
                 now: Time::ZERO,
                 events: 0,
                 horizon_cut: false,
-                faults: None,
-                reliable: None,
+                link: Link::new(n),
                 collector: Collector::new(n, m, window),
                 monitor: if k == 1 {
                     Some(SafetyMonitor::new(n, m))
@@ -1079,7 +924,6 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                     None
                 },
                 cs_log: Vec::new(),
-                mail_out: (0..k).map(|_| Vec::new()).collect(),
                 tracer: EngineTracer::disarmed(),
                 latency: cfg.latency.clone(),
                 stop_issuing,
@@ -1121,7 +965,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert!(!self.initialized, "install the fault plan before init()");
         for s in &mut self.shards {
-            s.faults = Some(FaultState::new(plan.clone(), self.n));
+            s.link.set_faults(plan.clone());
         }
     }
 
@@ -1130,9 +974,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn fault_stats(&self) -> FaultStats {
         let mut acc = FaultStats::default();
         for s in &self.shards {
-            if let Some(f) = &s.faults {
-                acc.absorb(&f.stats);
-            }
+            acc.absorb(&s.link.fault_stats());
         }
         acc
     }
@@ -1157,7 +999,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn set_reliability(&mut self, cfg: Reliability) {
         assert!(!self.initialized, "enable reliability before init()");
         for s in &mut self.shards {
-            s.reliable = Some(ReliableState::new(cfg, self.n));
+            s.link.set_sessions(cfg);
         }
     }
 
@@ -1166,9 +1008,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn reliability_stats(&self) -> ReliabilityStats {
         let mut acc = ReliabilityStats::default();
         for s in &self.shards {
-            if let Some(r) = &s.reliable {
-                acc.absorb(&r.stats);
-            }
+            acc.absorb(&s.link.session_stats());
         }
         acc
     }
@@ -1209,8 +1049,8 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     /// retransmission bursts included — inside pre-sized buffers up front.
     pub fn reserve_events(&mut self, slots: usize) {
         for s in &mut self.shards {
-            s.queue.reserve(slots);
-            for buf in &mut s.mail_out {
+            s.sched.queue.reserve(slots);
+            for buf in &mut s.sched.mail_out {
                 buf.reserve(slots);
             }
         }
@@ -1239,15 +1079,15 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     fn exchange_mail(&mut self) {
         for src in 0..self.k {
             for dst in 0..self.k {
-                if src == dst || self.shards[src].mail_out[dst].is_empty() {
+                if src == dst || self.shards[src].sched.mail_out[dst].is_empty() {
                     continue;
                 }
-                let mut buf = std::mem::take(&mut self.shards[src].mail_out[dst]);
-                let q = &mut self.shards[dst].queue;
+                let mut buf = std::mem::take(&mut self.shards[src].sched.mail_out[dst]);
+                let q = &mut self.shards[dst].sched.queue;
                 for mail in buf.drain(..) {
                     q.push(mail.at, mail.ord, mail.ev);
                 }
-                self.shards[src].mail_out[dst] = buf;
+                self.shards[src].sched.mail_out[dst] = buf;
             }
         }
     }
@@ -1287,7 +1127,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             .expect("at least one shard");
         if t == u64::MAX || Time::from_nanos(t) > self.end_at {
             for s in &mut self.shards {
-                if !s.queue.is_empty() {
+                if !s.sched.queue.is_empty() {
                     s.horizon_cut = true;
                 }
             }
@@ -1306,7 +1146,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let algo = self.shards[0].nodes[0].proto.name().to_string();
         let active = self.cfg.active_nodes.unwrap_or(self.n);
         let horizon_cut = self.shards.iter().any(|s| s.horizon_cut);
-        let queues_empty = self.shards.iter().all(|s| s.queue.is_empty());
+        let queues_empty = self.shards.iter().all(|s| s.sched.queue.is_empty());
         let now_max = self.shards.iter().map(|s| s.now).max().expect("k >= 1");
         // Sanity: a *naturally* exhausted event queue (no horizon cut) with
         // a node still waiting is a genuine deadlock — nothing can ever
@@ -1316,20 +1156,10 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         // (the starvation shows up as `censored` requests instead).  With
         // reliability enabled the check is re-armed for every recoverable
         // plan (drop rates < 1.0): retransmission owes liveness again.
-        let recovered = self.shards[0].reliable.is_some()
-            && self.shards[0]
-                .faults
-                .as_ref()
-                .map_or(true, |f| f.plan().is_recoverable());
-        let lossy = self.shards[0]
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.plan().is_lossy())
-            && !recovered;
-        if !horizon_cut && queues_empty && !lossy {
+        if !horizon_cut && queues_empty && self.shards[0].link.owes_liveness() {
             for s in &self.shards {
                 for (j, node) in s.nodes.iter().enumerate() {
-                    let i = j * s.k + s.id;
+                    let i = s.global(j);
                     if i < active && node.driver.state() == DriverState::Waiting {
                         panic!(
                             "liveness failure: node {i} still waiting at {now_max} \
@@ -1492,7 +1322,7 @@ fn drive_shard<A: Allocator, W: Workload>(
     lookahead: Time,
     end_at: Time,
 ) {
-    let me = shard.id;
+    let me = shard.sched.id;
     loop {
         // Drain the mail the previous window flushed to this shard.
         for (src, boxes) in mailboxes.iter().enumerate() {
@@ -1501,7 +1331,7 @@ fn drive_shard<A: Allocator, W: Workload>(
             }
             let mut inbox = lock(&boxes[me]);
             for mail in inbox.drain(..) {
-                shard.queue.push(mail.at, mail.ord, mail.ev);
+                shard.sched.queue.push(mail.at, mail.ord, mail.ev);
             }
         }
         // Publish my earliest timestamp; the barrier's lock ordering makes
@@ -1518,13 +1348,13 @@ fn drive_shard<A: Allocator, W: Workload>(
         if t == u64::MAX || Time::from_nanos(t) > end_at {
             // Uniform decision: every shard computed the same `t`, so all
             // of them return here without another barrier.
-            if !shard.queue.is_empty() {
+            if !shard.sched.queue.is_empty() {
                 shard.horizon_cut = true;
             }
             return;
         }
         shard.process_window(Time::from_nanos(t) + lookahead);
-        for (dst, buf) in shard.mail_out.iter_mut().enumerate() {
+        for (dst, buf) in shard.sched.mail_out.iter_mut().enumerate() {
             if dst == me || buf.is_empty() {
                 continue;
             }

@@ -576,9 +576,8 @@ pub struct FigServeRow {
 /// of the open-loop front end (`mra-serve`, Poisson arrivals per node) on
 /// an 8-node × 16-resource simulated cluster, over `FIG_SERVE_POINTS`.
 /// Simulated time throughout, so the rows track queueing and
-/// synchronization cost and repeat exactly.  `MRA_SERVE_*` overrides apply
-/// to every point.  Points run in parallel (`MRA_THREADS`), rows in input
-/// order.
+/// synchronization cost and repeat exactly.  Points run in parallel
+/// (`MRA_THREADS`), rows in input order.
 pub fn fig_serve(measure_secs: f64) -> Vec<FigServeRow> {
     pool::sweep(FIG_SERVE_POINTS.to_vec(), |(label, algo, rate_hz)| {
         let sc = Scenario::builder()
@@ -591,8 +590,7 @@ pub fn fig_serve(measure_secs: f64) -> Vec<FigServeRow> {
         let serve = ServeConfig {
             rate_hz,
             ..ServeConfig::default()
-        }
-        .from_env();
+        };
         let out = run_serve(algo, &ServeScenario::new(sc, serve), None, None);
         out.check()
             .unwrap_or_else(|e| panic!("{label}: conservation broken: {e}"));

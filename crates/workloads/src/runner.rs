@@ -84,7 +84,7 @@ impl Algorithm {
 /// scheduler runs with zero latency and a passive coordinator node,
 /// matching the paper's "no network communication" framing.
 pub fn run(algo: Algorithm, sc: &Scenario) -> RunResult {
-    run_with_faults(algo, sc, None)
+    run_configured(algo, sc, None, None)
 }
 
 /// What to run on an algorithm's fleet once [`with_fleet`] has built it.
@@ -172,23 +172,13 @@ impl FleetVisitor for PaperRun<'_> {
     }
 }
 
-/// [`run`] with an optional [`FaultPlan`] threaded into the simulator —
-/// the entry point of the fault-robustness experiments (`fig_faults`).
-/// Under a lossy plan requests may starve; the degradation shows up as
-/// fewer completed critical sections and a non-zero `censored` count.
-pub fn run_with_faults(
-    algo: Algorithm,
-    sc: &Scenario,
-    faults: Option<&FaultPlan>,
-) -> RunResult {
-    run_configured(algo, sc, faults, None)
-}
-
-/// [`run_with_faults`] plus an optional reliable-delivery session layer
-/// (`mra_sim::reliable`): the entry point of the reliability ablation.
-/// With reliability on, a recoverable lossy plan costs retransmission
-/// overhead instead of liveness, and the simulator's deadlock check stays
-/// armed.
+/// [`run`] with an optional [`FaultPlan`] threaded into the simulator and
+/// an optional reliable-delivery session layer (`mra_sim::reliable`) — the
+/// entry point of the fault-robustness experiments (`fig_faults`).  Under a
+/// lossy plan requests may starve; the degradation shows up as fewer
+/// completed critical sections and a non-zero `censored` count.  With
+/// reliability on, a recoverable lossy plan costs retransmission overhead
+/// instead of liveness, and the simulator's deadlock check stays armed.
 pub fn run_configured(
     algo: Algorithm,
     sc: &Scenario,
@@ -254,13 +244,14 @@ mod tests {
     fn faulty_run_degrades_and_clean_plan_matches_no_plan() {
         let sc = small(3, Load::High, 8);
         let bare = run(Algorithm::LassLoan, &sc);
-        let clean = run_with_faults(Algorithm::LassLoan, &sc, Some(&FaultPlan::new(1)));
+        let clean = run_configured(Algorithm::LassLoan, &sc, Some(&FaultPlan::new(1)), None);
         assert_eq!(bare.cs_completed, clean.cs_completed);
         assert_eq!(bare.msgs_total, clean.msgs_total);
-        let lossy = run_with_faults(
+        let lossy = run_configured(
             Algorithm::LassLoan,
             &sc,
             Some(&FaultPlan::new(1).drop_rate(0.2)),
+            None,
         );
         assert!(lossy.faults.dropped_link > 0);
         assert!(lossy.cs_completed < bare.cs_completed);

@@ -24,7 +24,7 @@ use mra::core::LassConfig;
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::protocol::testkit::{
-    run_faulty_workload, run_random_workload, ExerciseCfg, VirtualNet,
+    run_random_workload, ExerciseCfg, VirtualNet,
 };
 use mra::protocol::Allocator;
 use mra::sim::{
@@ -221,7 +221,7 @@ fn survives_loss<A: Allocator>(nodes: Vec<A>, active: Option<usize>, seed: u64, 
     net.install_faults(&FaultPlan::new(fault_seed).drop_rate(0.20));
     net.enable_reliability(Reliability::default());
     let mut rng = StdRng::seed_from_u64(seed);
-    let rep = run_faulty_workload(
+    let rep = run_random_workload(
         &mut net,
         &ExerciseCfg {
             rounds_per_node: 3,

@@ -7,7 +7,7 @@
 //!   message loss: a lost message may starve a node, never double-grant);
 //! * **conservation** — after quiescence no granted resource leaks: every
 //!   CS entry was matched by an exit and the holder table is empty
-//!   (asserted inside [`run_faulty_workload`]);
+//!   (asserted inside [`run_random_workload`]);
 //! * **fault-aware liveness** — starvation is tolerated *only* under a
 //!   lossy plan; with drops disabled every request must complete.
 //!
@@ -26,7 +26,7 @@ use mra::core::LassConfig;
 use mra::obs::{check_events, TraceMode};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
-use mra::protocol::testkit::{run_faulty_workload, ExerciseCfg, FaultyReport, VirtualNet};
+use mra::protocol::testkit::{run_random_workload, ExerciseCfg, ExerciseReport, VirtualNet};
 use mra::protocol::Allocator;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -43,7 +43,7 @@ fn exercise<A: Allocator>(
     plan: &FaultPlan,
     reliable: bool,
     seed: u64,
-) -> FaultyReport {
+) -> ExerciseReport {
     let mut net = VirtualNet::new(nodes, m);
     net.arm_tracing(TraceMode::Unbounded);
     net.install_faults(plan);
@@ -59,7 +59,7 @@ fn exercise<A: Allocator>(
         active_nodes: active,
         step_cap: 2_000_000,
     };
-    let report = run_faulty_workload(&mut net, &cfg, &mut rng);
+    let report = run_random_workload(&mut net, &cfg, &mut rng);
     let obs = net.take_obs();
     let trace = obs.trace.expect("tracing was armed");
     // Unbounded mode never overwrites, so the full positional checks run.
