@@ -1,28 +1,29 @@
-//! Lift a [`SingleMutex`] into the workspace-wide [`Allocator`] interface.
+//! Lift a [`NaimiTrehel`] instance into the workspace-wide [`Allocator`]
+//! interface.
 //!
-//! This serves two purposes: it lets the mutual-exclusion substrates be
+//! This serves two purposes: it lets the mutual-exclusion substrate be
 //! tested under the same randomized `VirtualNet` harness (and the timed
 //! simulator) as the multi-resource protocols, and it documents the precise
 //! correspondence: a single-resource system is the degenerate multi-resource
 //! problem with `M = 1`.
 
-use crate::SingleMutex;
-use mra_protocol::{Allocator, Ctx, ProcState, WireMsg};
+use crate::{NaimiTrehel, NtMsg};
+use mra_protocol::{Allocator, Ctx, ProcState};
 use mra_types::{NodeId, ResourceSet};
 
-/// [`Allocator`] adapter over any [`SingleMutex`].
+/// [`Allocator`] adapter over [`NaimiTrehel`].
 ///
 /// Every request must be for the same singleton resource set (conventionally
 /// `{0}`); the adapter asserts this.
-pub struct MutexAllocator<X: SingleMutex> {
-    inner: X,
+pub struct MutexAllocator<T> {
+    inner: NaimiTrehel<T>,
     state: ProcState,
     name: &'static str,
 }
 
-impl<X: SingleMutex> MutexAllocator<X> {
+impl<T> MutexAllocator<T> {
     /// Wrap `inner`, reporting `name` in summaries.
-    pub fn new(inner: X, name: &'static str) -> Self {
+    pub fn new(inner: NaimiTrehel<T>, name: &'static str) -> Self {
         MutexAllocator {
             inner,
             state: ProcState::Idle,
@@ -31,13 +32,13 @@ impl<X: SingleMutex> MutexAllocator<X> {
     }
 
     /// Access the wrapped protocol (tests inspect token position).
-    pub fn inner(&self) -> &X {
+    pub fn inner(&self) -> &NaimiTrehel<T> {
         &self.inner
     }
 }
 
-/// Bridge a `Ctx` send queue into the `FnMut(NodeId, Msg)` sink the mutex
-/// substrates expect.
+/// Bridge a `Ctx` send queue into the `FnMut(NodeId, Msg)` sink
+/// [`NaimiTrehel`] expects.
 fn with_sink<M, R>(ctx: &mut Ctx<M>, f: impl FnOnce(&mut dyn FnMut(NodeId, M)) -> R) -> R {
     let mut buf: Vec<(NodeId, M)> = Vec::new();
     let r = f(&mut |to, m| buf.push((to, m)));
@@ -47,16 +48,13 @@ fn with_sink<M, R>(ctx: &mut Ctx<M>, f: impl FnOnce(&mut dyn FnMut(NodeId, M)) -
     r
 }
 
-impl<X: SingleMutex> Allocator for MutexAllocator<X>
-where
-    X::Msg: WireMsg,
-{
-    type Msg = X::Msg;
+impl<T: Clone + Send + 'static> Allocator for MutexAllocator<T> {
+    type Msg = NtMsg<T>;
 
     fn on_init(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
 
-    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: NodeId, msg: Self::Msg) {
-        let acquired = with_sink(ctx, |sink| self.inner.on_message(from, msg, sink));
+    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, _from: NodeId, msg: Self::Msg) {
+        let acquired = with_sink(ctx, |sink| self.inner.on_message(msg, sink));
         if acquired {
             debug_assert_eq!(self.state, ProcState::WaitCS);
             self.state = ProcState::InCS;
@@ -98,12 +96,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NaimiTrehel;
     use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn nt_net(n: usize) -> VirtualNet<MutexAllocator<NaimiTrehel<()>>> {
+    fn nt_net(n: usize) -> VirtualNet<MutexAllocator<()>> {
         let nodes = (0..n)
             .map(|i| {
                 let mut nt = NaimiTrehel::new(i, 0);

@@ -18,7 +18,6 @@
 //! piggyback state on it (Bouabdallah–Laforest's control token carries the
 //! per-resource vector).
 
-use crate::SingleMutex;
 use mra_protocol::WireMsg;
 use mra_types::NodeId;
 use std::fmt;
@@ -199,38 +198,6 @@ impl<T> NaimiTrehel<T> {
     /// Is this node waiting for (or using) the token?
     pub fn is_requesting(&self) -> bool {
         self.requesting
-    }
-}
-
-impl<T: Clone + Send + 'static> SingleMutex for NaimiTrehel<T>
-where
-    T: Default,
-{
-    type Msg = NtMsg<T>;
-
-    fn request(&mut self, out: &mut dyn FnMut(NodeId, NtMsg<T>)) -> bool {
-        NaimiTrehel::request(self, out)
-    }
-
-    fn on_message(
-        &mut self,
-        _from: NodeId,
-        msg: NtMsg<T>,
-        out: &mut dyn FnMut(NodeId, NtMsg<T>),
-    ) -> bool {
-        NaimiTrehel::on_message(self, msg, out)
-    }
-
-    fn release(&mut self, out: &mut dyn FnMut(NodeId, NtMsg<T>)) {
-        NaimiTrehel::release(self, out)
-    }
-
-    fn holds_token(&self) -> bool {
-        NaimiTrehel::holds_token(self)
-    }
-
-    fn is_requesting(&self) -> bool {
-        NaimiTrehel::is_requesting(self)
     }
 }
 

@@ -22,7 +22,7 @@ use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
 use mra_sim::{FixedWorkload, RunResult, WaitStats};
-use mra_types::{env_flag, Time};
+use mra_types::Time;
 use std::process::exit;
 use std::time::Duration;
 
@@ -47,10 +47,11 @@ OPTIONS:
   --solo             run a single node instead of a loopback cluster
   --id I             this node's id (solo mode)
   --peers LIST       comma-separated host:port per node id (solo mode)
-  --metrics          dump each node's transport counters (frames/bytes and
-                     syscalls per direction, coalescing ratios, frame
-                     kinds, retransmissions, RTO fires) to stderr on
-                     shutdown
+  --metrics          after the run, print the transport counters to stderr
+                     (frames/bytes and syscalls per direction, coalescing
+                     ratios, frame kinds, retransmissions, RTO fires):
+                     this node's in solo mode, the cluster-wide sum
+                     otherwise
   --help             print this help
 
 ENVIRONMENT:
@@ -63,7 +64,6 @@ ENVIRONMENT:
                      cumulative acks and timer-driven retransmission turn
                      MRA_LOSS drops into latency instead of lost liveness
   MRA_RTO_MS=T       initial retransmission timeout in ms (default 10)
-  MRA_METRICS=1      same as --metrics
   MRA_TRACE=MODE     arm causal tracing in the node loops (per-node event
                      ordering and counters; the TCP wire does not carry
                      Lamport stamps) -- '0' off, 'ring'/'ring:N' bounded,
@@ -149,11 +149,6 @@ fn parse_opts() -> Opts {
     if opts.size == 0 || opts.size > opts.resources {
         die("--size must be in 1..=resources");
     }
-    // MRA_METRICS=1 is the flag's environment twin (handy when the
-    // command line is owned by a harness).
-    if env_flag("MRA_METRICS") {
-        opts.metrics = true;
-    }
     opts
 }
 
@@ -232,7 +227,6 @@ where
                 connect_timeout: Duration::from_secs(30),
                 faults,
                 reliability,
-                metrics: opts.metrics,
             },
         )
         .unwrap_or_else(|e| die(&format!("transport setup failed: {e}")))
@@ -247,7 +241,6 @@ where
                 active_nodes: Some(active),
                 faults,
                 reliability,
-                metrics: opts.metrics,
                 ..TcpClusterConfig::new(opts.rounds, opts.seed)
             },
         )
@@ -299,6 +292,11 @@ fn main() {
         other => die(&format!("unknown algorithm {other:?}")),
     };
     print_result(&res, &opts);
+    if opts.metrics {
+        // Solo: this node's counters; loopback cluster: the sum over nodes.
+        let whose = if opts.solo { opts.id.to_string() } else { "cluster".into() };
+        eprint!("{}", res.obs.net.render(whose));
+    }
     // MRA_TRACE_FILE: persist the merged trace (armed automatically by
     // RunShared when the knob is set).  TCP frames carry no Lamport
     // stamps, so the trace has per-node ordering and counters only.

@@ -53,9 +53,6 @@ pub struct TcpClusterConfig {
     /// around the frame codec, restoring exactly-once FIFO delivery under
     /// a lossy `faults` shim.
     pub reliability: Option<Reliability>,
-    /// Per-node transport counter dump to stderr when each port shuts
-    /// down (see [`MeshConfig::metrics`]).
-    pub metrics: bool,
     /// Vestige, read by nothing (see [`NetBackend`]).
     pub backend: NetBackend,
 }
@@ -70,7 +67,6 @@ impl TcpClusterConfig {
             active_nodes: None,
             faults: None,
             reliability: None,
-            metrics: false,
             backend: NetBackend::Reactor,
         }
     }
@@ -140,7 +136,6 @@ where
         connect_timeout: Duration::from_secs(10),
         faults: cfg.faults.clone(),
         reliability: cfg.reliability,
-        metrics: cfg.metrics,
         counters_slot: None,
     };
 
@@ -180,30 +175,12 @@ where
         h.join().expect("node thread panicked");
     }
 
-    let end = shared.now();
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("thread leaked a RunShared reference"));
-    let mut obs = shared.finish_obs();
+    let mut res = Arc::try_unwrap(shared)
+        .unwrap_or_else(|_| panic!("thread leaked a RunShared reference"))
+        .into_result(&algo, n);
     for slot in &slots {
-        obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
+        res.obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
     }
-    // Post-run conservation: every node finished outside its CS, so the
-    // holder table must be empty — a leak here means a grant/release pair
-    // corrupted it (the monitor's exit check is a hard assert in release
-    // builds exactly so this cannot pass silently).
-    let monitor = shared
-        .monitor
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    assert_eq!(monitor.concurrency(), 0, "node left inside CS after the run");
-    assert_eq!(monitor.held_resources(), 0, "resources leaked after the run");
-    monitor.assert_conservation();
-    let mut res = shared
-        .collector
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .finish(&algo, n, end);
-    res.obs = obs;
     res
 }
 
@@ -229,9 +206,6 @@ pub struct SoloConfig {
     /// every process must enable it for the session framing to be
     /// coherent (`MRA_RELIABLE=1` across the cluster).
     pub reliability: Option<Reliability>,
-    /// Transport counter dump to stderr when the port shuts down (see
-    /// [`MeshConfig::metrics`]; `mra-node --metrics` / `MRA_METRICS=1`).
-    pub metrics: bool,
 }
 
 /// Run node `me` of a multi-process cluster on the current thread,
@@ -281,21 +255,13 @@ where
             connect_timeout: cfg.connect_timeout,
             faults: cfg.faults.clone(),
             reliability: cfg.reliability,
-            metrics: cfg.metrics,
             counters_slot: Some(Arc::clone(&slot)),
         },
     )?;
     drive_node(me, n, proto, workload, port, &shared, node_cfg);
 
-    let end = shared.now();
-    let mut obs = shared.finish_obs();
-    obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
-    let mut res = shared
-        .collector
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .finish(&algo, n, end);
-    res.obs = obs;
+    let mut res = shared.into_result(&algo, n);
+    res.obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
     Ok(res)
 }
 
@@ -453,7 +419,6 @@ mod tests {
                         connect_timeout: Duration::from_secs(10),
                         faults: None,
                         reliability: None,
-                        metrics: false,
                     },
                 )
                 .expect("solo node run")

@@ -894,7 +894,6 @@ mod imp {
         wake_tx: UnixStream,
         woken: Arc<AtomicBool>,
         slot: Arc<Mutex<NetCounters>>,
-        metrics: bool,
         handle: Option<std::thread::JoinHandle<()>>,
     }
 
@@ -985,9 +984,6 @@ mod imp {
             self.wake();
             if let Some(h) = self.handle.take() {
                 let _ = h.join();
-            }
-            if self.metrics {
-                eprintln!("{}", self.counters().render(self.me));
             }
         }
     }
@@ -1080,7 +1076,6 @@ mod imp {
             wake_tx,
             woken,
             slot,
-            metrics: cfg.metrics,
             handle: Some(handle),
         })
     }

@@ -89,7 +89,6 @@ mod imp {
         fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
         fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
         fn getrusage(who: c_int, usage: *mut RusageHead) -> c_int;
-        fn close(fd: c_int) -> c_int;
     }
 
     /// Start a nonblocking TCP connect to `addr`.  Returns the socket
@@ -207,15 +206,6 @@ mod imp {
         let secs = (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) as u64;
         let usecs = (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) as u64;
         Duration::from_secs(secs) + Duration::from_micros(usecs)
-    }
-
-    /// Close an arbitrary fd (used only in tests; `TcpStream` closes its
-    /// own on drop).
-    #[allow(dead_code)]
-    pub fn close_fd(fd: c_int) {
-        unsafe {
-            close(fd);
-        }
     }
 }
 

@@ -189,10 +189,6 @@ pub struct MeshConfig {
     /// into lost liveness.  `MRA_RELIABLE` / `MRA_RTO_MS` feed this in the
     /// `mra-node` binary.
     pub reliability: Option<Reliability>,
-    /// Dump the port's [`NetCounters`] (frames/bytes per direction and
-    /// kind, retransmissions, RTO fires) to stderr when the port drops.
-    /// Fed by `mra-node --metrics` / `MRA_METRICS=1`.
-    pub metrics: bool,
     /// Where the transport publishes its [`NetCounters`]: loopback
     /// harnesses hand each node a slot and merge them into the run's
     /// observability report after the port drops.  The reactor refreshes
@@ -208,7 +204,6 @@ impl Default for MeshConfig {
             connect_timeout: Duration::from_secs(10),
             faults: None,
             reliability: None,
-            metrics: false,
             counters_slot: None,
         }
     }

@@ -40,7 +40,7 @@ const MAX_DETAILS: usize = 20;
 pub struct CheckReport {
     /// Total events examined.
     pub events: usize,
-    /// Total violations found (details capped at [`MAX_DETAILS`]).
+    /// Total violations found (exact; only `details` is capped).
     pub violations: u64,
     /// Human-readable descriptions of the first violations.
     pub details: Vec<String>,

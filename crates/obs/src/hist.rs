@@ -3,10 +3,10 @@
 //! Where `WaitStats::from_ms` keeps the full sample vector and computes
 //! exact percentiles, [`LogHist`] keeps 64 counters — one per power of
 //! two — and answers quantiles with at most one bucket (~2×) of relative
-//! error.  That trade is what lets live metrics survive millions of
-//! requests: recording is two array ops, merging is 64 additions, and the
-//! struct never allocates after construction (it is embedded in the
-//! tracer that the zero-alloc guard covers).
+//! error.  That trade is what lets the serving layer's latency metrics
+//! (`mra-serve::ServeStats`, its one production owner) survive millions
+//! of requests and merge across a fleet: recording is two array ops,
+//! merging is 64 additions, and the struct never allocates.
 
 /// Number of buckets: bucket `b` (b ≥ 1) holds values in `[2^(b-1), 2^b)`,
 /// bucket 0 holds exactly 0.  64 buckets cover the full `u64` range.

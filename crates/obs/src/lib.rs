@@ -1,4 +1,4 @@
-//! # mra-obs — unified causal tracing and live metrics
+//! # mra-obs — unified causal tracing and transport counters
 //!
 //! The paper's whole argument is an observability claim: synchronization
 //! *cost*, measured as messages and waiting time per critical section.
@@ -6,7 +6,10 @@
 //! per-message-type, per-link, causally ordered quantity — on every
 //! substrate (simulator, virtual test network, threaded runtime, TCP).
 //!
-//! Three pieces:
+//! A run's *numbers* (messages and waiting time per critical section)
+//! come from one place, `mra-sim`'s `Collector → RunResult`; this crate
+//! adds the causal event stream beside them and carries the transport's
+//! counters out.  What is here:
 //!
 //! * **Structured event tracing** ([`tracer`]) — a compact, fixed-size
 //!   [`TraceEvent`] (send / recv / cs-request / cs-enter / cs-exit /
@@ -15,10 +18,15 @@
 //!   that is a no-op unless armed: every hook is one inline flag check,
 //!   so the simulator's zero-alloc guard passes with tracing compiled in
 //!   and disarmed.
-//! * **Low-overhead live metrics** ([`hist`], [`registry`]) — log2-bucketed
-//!   [`LogHist`] histograms (waiting time, message latency, queue depth)
-//!   and per-message-type counters: mergeable fixed-size state that scales
-//!   to millions of requests where full sample vectors cannot.
+//! * **Counters** ([`registry`]) — [`KindCounts`], the per-message-type
+//!   table behind `RunResult::msg_by_kind` and [`NetCounters::by_kind`],
+//!   and [`NetCounters`], what the TCP reactor tallies and
+//!   `RunResult::obs.net` reports.
+//! * **A mergeable histogram** ([`hist`]) — log2-bucketed [`LogHist`]:
+//!   the serving layer's (`mra-serve::ServeStats`) fleet-mergeable
+//!   latency histogram, fixed-size state that scales to millions of
+//!   requests where a full sample vector cannot.  Everything else in the
+//!   workspace reports exact percentiles over `RunResult::records`.
 //! * **Sinks + analysis** ([`jsonl`], [`analyze`]) — an in-memory ring or
 //!   unbounded sink, a hand-rolled JSONL export/import (this workspace has
 //!   no serde), and the causal-consistency checks behind the `mra-trace`

@@ -1,12 +1,11 @@
-//! Transport-level counters: the live-metrics registry the TCP port (and
-//! anything else that moves frames) reports through.
+//! Counters: per-message-type counts and the transport's frame tallies.
 //!
 //! [`NetCounters`] is plain mergeable state — no atomics, no locks; each
 //! owner keeps its own instance and either merges at the end or snapshots
-//! on demand.  [`KindCounts`] is the same move-to-front small-vec pattern
-//! the simulator's `Collector::on_message` uses: per-message-type tags
-//! are a handful of `&'static str`s, so a linear probe with ptr-compare
-//! beats hashing.
+//! on demand.  [`KindCounts`] is the workspace's one per-message-type
+//! table (`Collector::on_message` and the reactor both bump it):
+//! per-message-type tags are a handful of `&'static str`s, so a linear
+//! probe with ptr-compare beats hashing.
 
 /// Per-message-type counters keyed by the protocol's static tag strings.
 #[derive(Clone, Debug, Default)]
@@ -16,15 +15,16 @@ impl KindCounts {
     /// Add `n` to the counter for `tag`.
     #[inline]
     pub fn bump(&mut self, tag: &'static str, n: u64) {
-        // Tags come from a fixed set of statics; ptr equality is the
-        // fast path, string equality the correctness backstop.
-        for ent in self.0.iter_mut() {
-            if std::ptr::eq(ent.0, tag) || ent.0 == tag {
-                ent.1 += n;
-                return;
-            }
+        // Tags come from a fixed set of statics, so a known tag almost
+        // always matches by address; byte equality is the backstop for
+        // equal literals at distinct addresses.  Two passes keep byte
+        // compares off the per-message path.
+        let by_addr = self.0.iter().position(|e| std::ptr::eq(e.0, tag));
+        let hit = by_addr.or_else(|| self.0.iter().position(|e| e.0 == tag));
+        match hit {
+            Some(i) => self.0[i].1 += n,
+            None => self.0.push((tag, n)),
         }
-        self.0.push((tag, n));
     }
 
     pub fn get(&self, tag: &str) -> u64 {
@@ -112,10 +112,11 @@ impl NetCounters {
         (frames > 0).then(|| (self.write_calls + self.read_calls) as f64 / frames as f64)
     }
 
-    /// One-line-per-field snapshot for `--metrics` / `MRA_METRICS=1`
-    /// stderr dumps: `metrics[node]: frames_out=… bytes_out=… …` then a
-    /// `by_kind` line when any frame went out.
-    pub fn render(&self, node: usize) -> String {
+    /// One-line-per-field snapshot for `mra-node --metrics`:
+    /// `metrics[node]: frames_out=… bytes_out=… …` then a `by_kind` line
+    /// when any frame went out.  `node` labels whose counters these are
+    /// (a node id, or a word for a cluster-wide sum).
+    pub fn render(&self, node: impl std::fmt::Display) -> String {
         let mut out = format!(
             "metrics[{}]: frames_out={} bytes_out={} frames_in={} bytes_in={} retransmits={} rto_fires={}\n",
             node,

@@ -1,4 +1,4 @@
-//! The engine-side tracer: armed/disarmed event capture + live histograms.
+//! The engine-side tracer: armed/disarmed causal event capture.
 //!
 //! One [`EngineTracer`] lives per execution domain — per shard in the
 //! simulator, one shared (mutex-guarded) instance in the threaded and TCP
@@ -32,8 +32,6 @@
 //! untraced run execute the identical event sequence.
 
 use crate::event::{EventKind, OwnedEvent, TraceEvent, NO_PEER};
-use crate::hist::LogHist;
-use crate::jsonl;
 use mra_types::Time;
 
 /// Default ring capacity for `MRA_TRACE=ring` (events, not bytes).
@@ -97,11 +95,6 @@ impl TraceLog {
         self.recs.is_empty()
     }
 
-    /// Render as JSONL (see [`crate::jsonl`] for the schema).
-    pub fn to_jsonl(&self, algo: &str, n: usize, m: usize) -> String {
-        jsonl::render_jsonl(self, algo, n, m)
-    }
-
     /// Owned copies of the events, in canonical order, for the analyzer.
     pub fn to_owned_events(&self) -> Vec<OwnedEvent> {
         self.recs
@@ -122,30 +115,36 @@ impl TraceLog {
     }
 }
 
-/// Per-run observability summary attached to `RunResult`.
+/// Per-run observability summary attached to `RunResult`: the causal
+/// trace and the transport counters.  Latency is not here — it is exact,
+/// per request, in `RunResult::records`.
 #[derive(Clone, Debug, Default)]
 pub struct ObsReport {
     /// Whether tracing was armed for this run.
     pub armed: bool,
-    /// Request-issue → grant waiting time, nanoseconds.
-    pub wait: LogHist,
-    /// Intended-arrival → grant serving latency, nanoseconds: the
-    /// open-loop client's end-to-end view, queueing delay before issue
-    /// included.  Mirrors `wait` exactly for closed-loop workloads
-    /// (arrival = issue); the gap between the two under an open-loop
-    /// generator is the coordinated-omission bias.
-    pub serve: LogHist,
-    /// Send → delivery latency of protocol messages, nanoseconds.
-    pub msg_latency: LogHist,
-    /// Event-queue depth sampled at each dispatch (per-shard in sharded
-    /// runs — depth is a property of each shard's queue, so unlike the
-    /// trace it is not k-invariant; it is excluded from JSONL).
-    pub queue_depth: LogHist,
     /// The captured event log, if a capturing mode was armed.
     pub trace: Option<TraceLog>,
     /// Aggregate transport counters (all-zero for substrates with no real
     /// wire: the TCP harnesses fill this in after the run).
     pub net: crate::NetCounters,
+}
+
+impl ObsReport {
+    /// Fold the tracers of one run — one per execution domain — into its
+    /// report: buffers merge in canonical order ([`TraceLog::merge`]), so
+    /// the trace is independent of how many domains the run used.
+    pub fn from_tracers(tracers: impl IntoIterator<Item = EngineTracer>) -> ObsReport {
+        let mut parts = Vec::new();
+        let mut dropped = 0;
+        for mut t in tracers {
+            if t.armed {
+                dropped += t.dropped;
+                parts.push(t.take_buf());
+            }
+        }
+        let trace = (!parts.is_empty()).then(|| TraceLog::merge(parts, dropped));
+        ObsReport { armed: trace.is_some(), trace, net: Default::default() }
+    }
 }
 
 /// The capture engine.  See the module docs for the ordering and
@@ -164,10 +163,6 @@ pub struct EngineTracer {
     cur_at: Time,
     cur_ord: u64,
     next_seq: u32,
-    wait: LogHist,
-    serve: LogHist,
-    msg_latency: LogHist,
-    queue_depth: LogHist,
 }
 
 impl Default for EngineTracer {
@@ -190,10 +185,6 @@ impl EngineTracer {
             cur_at: Time::ZERO,
             cur_ord: 0,
             next_seq: 0,
-            wait: LogHist::new(),
-            serve: LogHist::new(),
-            msg_latency: LogHist::new(),
-            queue_depth: LogHist::new(),
         }
     }
 
@@ -217,11 +208,6 @@ impl EngineTracer {
         t
     }
 
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Events lost to ring overwrite so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -237,16 +223,6 @@ impl EngineTracer {
         self.cur_at = at;
         self.cur_ord = ord;
         self.next_seq = 0;
-    }
-
-    /// Dispatch-start hook: sets the key and samples queue depth.
-    #[inline]
-    pub fn on_dispatch(&mut self, at: Time, ord: u64, queue_depth: usize) {
-        if !self.armed {
-            return;
-        }
-        self.set_key(at, ord);
-        self.queue_depth.record(queue_depth as u64);
     }
 
     #[inline]
@@ -272,25 +248,13 @@ impl EngineTracer {
 
     /// First transmission of a protocol message.  Returns the Lamport
     /// stamp the frame must carry; disarmed, returns 0 (a stamp the recv
-    /// side joins as a no-op).  `latency` is the sampled network delay
-    /// when the sender knows it (the simulator does; wall-clock runtimes
-    /// pass `None` and the latency histogram stays empty there).
+    /// side joins as a no-op).
     #[inline]
-    pub fn on_send(
-        &mut self,
-        from: usize,
-        to: usize,
-        tag: &'static str,
-        weight: u32,
-        latency: Option<Time>,
-    ) -> u64 {
+    pub fn on_send(&mut self, from: usize, to: usize, tag: &'static str, weight: u32) -> u64 {
         if !self.armed {
             return 0;
         }
         let stamp = self.tick(from);
-        if let Some(l) = latency {
-            self.msg_latency.record(l.as_nanos());
-        }
         self.push(TraceEvent {
             kind: EventKind::Send,
             node: from as u32,
@@ -386,25 +350,6 @@ impl EngineTracer {
         });
     }
 
-    /// Record one issue→grant waiting time into the live histogram.
-    #[inline]
-    pub fn record_wait(&mut self, wait: Time) {
-        if !self.armed {
-            return;
-        }
-        self.wait.record(wait.as_nanos());
-    }
-
-    /// Record one intended-arrival→grant serving latency into the live
-    /// histogram (see [`ObsReport::serve`]).
-    #[inline]
-    pub fn record_serve(&mut self, latency: Time) {
-        if !self.armed {
-            return;
-        }
-        self.serve.record(latency.as_nanos());
-    }
-
     /// Drain this tracer's buffer in canonical emission order (ring mode
     /// rotates so the oldest surviving event comes first).  Leaves the
     /// tracer disarmed and empty.
@@ -419,41 +364,9 @@ impl EngineTracer {
         buf
     }
 
-    /// Finish this tracer into an [`ObsReport`] (single-domain runs;
-    /// sharded runs merge via [`absorb_into`](Self::absorb_into) +
-    /// [`TraceLog::merge`]).
-    pub fn finish(mut self) -> ObsReport {
-        let armed = self.armed;
-        let dropped = self.dropped;
-        let wait = std::mem::take(&mut self.wait);
-        let serve = std::mem::take(&mut self.serve);
-        let msg_latency = std::mem::take(&mut self.msg_latency);
-        let queue_depth = std::mem::take(&mut self.queue_depth);
-        let trace = if armed {
-            let mut recs = self.take_buf();
-            recs.sort_unstable_by_key(|r| (r.at, r.ord, r.seq));
-            Some(TraceLog { recs, dropped })
-        } else {
-            None
-        };
-        ObsReport { armed, wait, serve, msg_latency, queue_depth, trace, net: Default::default() }
-    }
-
-    /// Merge this tracer's histograms into `report` and append its raw
-    /// buffer to `parts` (the caller finishes with [`TraceLog::merge`]).
-    /// Returns the number of ring-dropped events.
-    pub fn absorb_into(mut self, report: &mut ObsReport, parts: &mut Vec<Vec<TraceRec>>) -> u64 {
-        if !self.armed {
-            return 0;
-        }
-        report.armed = true;
-        report.wait.merge(&self.wait);
-        report.serve.merge(&self.serve);
-        report.msg_latency.merge(&self.msg_latency);
-        report.queue_depth.merge(&self.queue_depth);
-        let dropped = self.dropped;
-        parts.push(self.take_buf());
-        dropped
+    /// Finish a single-domain run's tracer into its [`ObsReport`].
+    pub fn finish(self) -> ObsReport {
+        ObsReport::from_tracers([self])
     }
 }
 
@@ -464,29 +377,24 @@ mod tests {
     #[test]
     fn disarmed_hooks_are_noops() {
         let mut t = EngineTracer::disarmed();
-        assert!(!t.is_armed());
-        t.on_dispatch(Time::from_millis(1), 7, 3);
-        assert_eq!(t.on_send(0, 1, "Req", 24, Some(Time::from_micros(40))), 0);
+        t.set_key(Time::from_millis(1), 7);
+        assert_eq!(t.on_send(0, 1, "Req", 24), 0);
         t.on_recv(0, 1, "Req", 24, 0);
         assert_eq!(t.on_retransmit(0, 1, "Req", 24), 0);
         t.on_fault(1, 0, "Req", 0);
         t.on_cs(EventKind::CsEnter, 0, 2);
-        t.record_wait(Time::from_millis(5));
-        t.record_serve(Time::from_millis(9));
         let rep = t.finish();
         assert!(!rep.armed);
         assert!(rep.trace.is_none());
-        assert!(rep.wait.is_empty());
-        assert!(rep.serve.is_empty());
     }
 
     #[test]
     fn lamport_send_recv_join() {
         let mut t = EngineTracer::armed(3, TraceMode::Unbounded);
         t.set_key(Time::from_millis(1), 1);
-        let s1 = t.on_send(0, 1, "Req", 10, None);
+        let s1 = t.on_send(0, 1, "Req", 10);
         assert_eq!(s1, 1);
-        let s2 = t.on_send(0, 2, "Req", 10, None);
+        let s2 = t.on_send(0, 2, "Req", 10);
         assert_eq!(s2, 2);
         t.set_key(Time::from_millis(2), 2);
         t.on_recv(0, 1, "Req", 10, s1);
@@ -511,7 +419,7 @@ mod tests {
         let mut t = EngineTracer::armed(2, TraceMode::Unbounded);
         t.set_key(Time::from_millis(1), 5);
         t.on_recv(1, 0, "Req", 8, 1);
-        t.on_send(0, 1, "Grant", 8, None);
+        t.on_send(0, 1, "Grant", 8);
         t.set_key(Time::from_millis(2), 6);
         t.on_recv(0, 1, "Grant", 8, 2);
         let log = t.finish().trace.unwrap();
@@ -523,7 +431,7 @@ mod tests {
         let mut t = EngineTracer::armed(2, TraceMode::Ring(4));
         for i in 0..10u64 {
             t.set_key(Time::from_nanos(i), i);
-            t.on_send(0, 1, "Req", 1, None);
+            t.on_send(0, 1, "Req", 1);
         }
         assert_eq!(t.dropped(), 6);
         let buf = t.take_buf();
@@ -540,15 +448,13 @@ mod tests {
         let mut a = EngineTracer::armed(4, TraceMode::Unbounded);
         let mut b = EngineTracer::armed(4, TraceMode::Unbounded);
         a.set_key(Time::from_nanos(10), 2);
-        a.on_send(0, 1, "Req", 1, None);
+        a.on_send(0, 1, "Req", 1);
         b.set_key(Time::from_nanos(10), 1);
-        b.on_send(2, 3, "Req", 1, None);
+        b.on_send(2, 3, "Req", 1);
         a.set_key(Time::from_nanos(5), 9);
         a.on_cs(EventKind::CsRequest, 0, 2);
-        let mut rep = ObsReport::default();
-        let mut parts = Vec::new();
-        let d = a.absorb_into(&mut rep, &mut parts) + b.absorb_into(&mut rep, &mut parts);
-        let log = TraceLog::merge(parts, d);
+        let rep = ObsReport::from_tracers([a, b]);
+        let log = rep.trace.as_ref().unwrap();
         let keys: Vec<(u64, u64)> = log.recs.iter().map(|r| (r.at.as_nanos(), r.ord)).collect();
         assert_eq!(keys, vec![(5, 9), (10, 1), (10, 2)]);
         assert!(rep.armed);
@@ -558,7 +464,7 @@ mod tests {
     fn retransmit_mints_fresh_stamp() {
         let mut t = EngineTracer::armed(2, TraceMode::Unbounded);
         t.set_key(Time::from_millis(1), 1);
-        let s = t.on_send(0, 1, "Req", 4, None);
+        let s = t.on_send(0, 1, "Req", 4);
         t.set_key(Time::from_millis(4), 2);
         let r = t.on_retransmit(0, 1, "Req", 4);
         assert!(r > s);

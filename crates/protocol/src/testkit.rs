@@ -90,11 +90,6 @@ impl SafetyMonitor {
         self.in_cs[who].is_some()
     }
 
-    /// The set held by `who`, if it is in CS.
-    pub fn held_by(&self, who: NodeId) -> Option<ResourceSet> {
-        self.in_cs[who].clone()
-    }
-
     /// Number of nodes currently in CS.
     pub fn concurrency(&self) -> usize {
         self.in_cs.iter().filter(|s| s.is_some()).count()
@@ -332,7 +327,7 @@ impl<A: Allocator> VirtualNet<A> {
             for (stamp, packet) in queue.iter_mut() {
                 // Acks stay untraced.
                 if let Packet::Data { msg, .. } = packet {
-                    *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32, None);
+                    *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32);
                 }
             }
         }
@@ -477,11 +472,8 @@ impl<A: Allocator> VirtualNet<A> {
             (Admit::Deliver, Packet::Data { msg, .. }) => {
                 self.tick();
                 self.delivered += 1;
-                // One dispatch key per delivery; the in-flight count
-                // doubles as the queue-depth sample (the net has no event
-                // queue).
-                self.tracer
-                    .on_dispatch(Time::from_nanos(self.steps), 0, self.in_flight());
+                // One dispatch key per delivery.
+                self.tracer.set_key(Time::from_nanos(self.steps), 0);
                 self.tracer
                     .on_recv(src, dst, msg.kind(), msg.weight() as u32, stamp);
                 let slot = &mut self.slots[dst];
@@ -536,7 +528,7 @@ impl<A: Allocator> VirtualNet<A> {
         // link queues are appended — no per-dispatch allocation.
         let slot = &mut self.slots[i];
         for (to, msg) in slot.ctx.drain_outbox() {
-            let stamp = self.tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
+            let stamp = self.tracer.on_send(i, to, msg.kind(), msg.weight() as u32);
             let session = self.link.stamp(i, to, &msg, Time::ZERO);
             self.links[i * self.n + to].push_back((stamp, Packet::Data { session, msg }));
         }

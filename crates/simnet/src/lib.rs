@@ -20,8 +20,8 @@
 //!   ([`driver::Workload`] is implemented by `mra-workloads`);
 //! * [`metrics`] — per-request records, use-rate accounting and summaries;
 //! * [`stats`] — small numerically careful helpers (mean/std/percentiles);
-//! * [`obs`] — causal tracing + live metrics (re-exported from
-//!   [`mra_obs`]): [`Sim::set_tracing`] / `MRA_TRACE` arm it;
+//! * [`obs`] — causal tracing and transport counters (re-exported from
+//!   [`mra_obs`]): [`Sim::set_tracing`] / `MRA_TRACE` arm the trace;
 //! * [`trace`] — ASCII Gantt rendering of runs (the paper's Fig. 1 / 4);
 //! * [`runtime`] — the substrate-independent real-time node loop shared by
 //!   the threaded runtime and `mra-net`'s TCP transport;
@@ -49,7 +49,7 @@ pub mod reliable {
 }
 pub mod latency;
 pub mod metrics;
-/// Causal tracing, log2-bucketed live metrics and trace analysis
+/// Causal tracing, counters and trace analysis
 /// (re-exported from [`mra_obs`], where the layer lives so all four
 /// substrates — and the `mra-trace` analyzer — share one event model):
 /// [`Sim::set_tracing`] arms the simulator; the runtimes arm from the

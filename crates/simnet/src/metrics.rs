@@ -2,7 +2,7 @@
 //! summary statistics (the paper's §5.2 and §5.3 metrics).
 
 use crate::stats;
-use mra_obs::ObsReport;
+use mra_obs::{KindCounts, ObsReport};
 use mra_protocol::faults::FaultStats;
 use mra_protocol::reliable::ReliabilityStats;
 use mra_types::{NodeId, ResourceSet, Time};
@@ -59,9 +59,8 @@ pub struct WaitStats {
     pub p95_ms: f64,
     /// 99th percentile (ms).
     pub p99_ms: f64,
-    /// 99.9th percentile (ms) — the tail-SLO figure.  Exact here (full
-    /// sample vector); the live, fixed-memory variant is the log2
-    /// histogram in [`mra_obs::LogHist`], reported via `RunResult::obs`.
+    /// 99.9th percentile (ms) — the tail-SLO figure.  Exact, like every
+    /// field here: computed over the full sample vector.
     pub p999_ms: f64,
 }
 
@@ -73,10 +72,9 @@ impl WaitStats {
     /// figure sweep and bench run).
     ///
     /// With zero samples the percentile fields are `NaN` (a percentile of
-    /// nothing does not exist — see [`stats::percentile`], and
-    /// [`mra_obs::LogHist::quantile`] for the same contract on the live
-    /// histograms); render them with [`WaitStats::cell`], which writes
-    /// `"n/a"` instead of leaking `NaN` into tables and CSVs.
+    /// nothing does not exist — see [`stats::percentile`]); render them
+    /// with [`WaitStats::cell`], which writes `"n/a"` instead of leaking
+    /// `NaN` into tables and CSVs.
     pub fn from_ms(mut ms: Vec<f64>) -> Self {
         ms.sort_by(|a, b| a.total_cmp(b));
         WaitStats {
@@ -153,9 +151,9 @@ pub struct RunResult {
     /// Events processed per shard (sums to `events_processed`; empty for
     /// the non-simulator runtimes).
     pub shard_events: Vec<u64>,
-    /// Observability capture: live histograms and (when armed) the causal
-    /// event trace.  Default (disarmed) unless tracing was enabled via
-    /// `Sim::set_tracing` / `MRA_TRACE`.
+    /// Observability capture: the causal event trace (when armed via
+    /// `Sim::set_tracing` / `MRA_TRACE`; disarmed by default) and the
+    /// transport counters of a TCP run.
     pub obs: ObsReport,
 }
 
@@ -172,15 +170,16 @@ impl RunResult {
         total / (span * self.m as f64)
     }
 
+    /// Exact statistics over whichever latency `pick` reads off each
+    /// record (`None` = the record has none, e.g. never granted).
+    fn stats_over(&self, pick: impl Fn(&ReqRecord) -> Option<Time>) -> WaitStats {
+        let ms = self.records.iter().filter_map(pick).map(|t| t.as_millis_f64());
+        WaitStats::from_ms(ms.collect())
+    }
+
     /// Waiting-time statistics over all granted requests in the window.
     pub fn wait_stats(&self) -> WaitStats {
-        let ms: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(|r| r.wait())
-            .map(|t| t.as_millis_f64())
-            .collect();
-        WaitStats::from_ms(ms)
+        self.stats_over(ReqRecord::wait)
     }
 
     /// Serving-latency statistics (intended arrival → grant) over all
@@ -190,26 +189,13 @@ impl RunResult {
     /// generator the gap between the two *is* the coordinated-omission
     /// bias the issue-keyed metric hides.
     pub fn serve_stats(&self) -> WaitStats {
-        let ms: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(|r| r.serve_wait())
-            .map(|t| t.as_millis_f64())
-            .collect();
-        WaitStats::from_ms(ms)
+        self.stats_over(ReqRecord::serve_wait)
     }
 
     /// Waiting-time statistics restricted to request sizes in `lo..=hi`
     /// (the paper's Fig. 7 buckets).
     pub fn wait_stats_sized(&self, lo: usize, hi: usize) -> WaitStats {
-        let ms: Vec<f64> = self
-            .records
-            .iter()
-            .filter(|r| r.size >= lo && r.size <= hi)
-            .filter_map(|r| r.wait())
-            .map(|t| t.as_millis_f64())
-            .collect();
-        WaitStats::from_ms(ms)
+        self.stats_over(|r| r.wait().filter(|_| (lo..=hi).contains(&r.size)))
     }
 
     /// Split `1..=phi` into `buckets` contiguous ranges and return
@@ -245,28 +231,6 @@ impl RunResult {
         }
         self.msgs_total as f64 / self.cs_completed as f64
     }
-
-    /// Mean CS concurrency: average number of nodes simultaneously in CS
-    /// (time-weighted, window-clipped).
-    pub fn mean_concurrency(&self) -> f64 {
-        let (a, b) = self.window;
-        let span = (b - a).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        let cs_time: f64 = self
-            .records
-            .iter()
-            .filter_map(|r| {
-                let g = r.granted?;
-                let e = r.released.unwrap_or(b);
-                let s = g.max(a).min(b);
-                let t = e.max(a).min(b);
-                Some((t.saturating_sub(s)).as_secs_f64())
-            })
-            .sum();
-        cs_time / span
-    }
 }
 
 /// Accumulates metrics while a run executes.
@@ -279,7 +243,7 @@ pub struct Collector {
     busy: Vec<Time>,
     msgs_total: u64,
     msg_weight: u64,
-    msg_by_kind: Vec<(&'static str, u64)>,
+    msg_by_kind: KindCounts,
     cs_completed: u64,
 }
 
@@ -294,7 +258,7 @@ impl Collector {
             busy: vec![Time::ZERO; m],
             msgs_total: 0,
             msg_weight: 0,
-            msg_by_kind: Vec::new(),
+            msg_by_kind: KindCounts::default(),
             cs_completed: 0,
         }
     }
@@ -317,16 +281,11 @@ impl Collector {
         });
     }
 
-    /// The node entered its CS.  Returns `(issue → grant, arrival →
-    /// grant)` when a matching outstanding request exists (the tracer
-    /// feeds them to the live wait/serve histograms without recomputing).
-    pub fn on_grant(&mut self, node: NodeId, now: Time) -> Option<(Time, Time)> {
+    /// The node entered its CS.
+    pub fn on_grant(&mut self, node: NodeId, now: Time) {
         if let Some(rec) = self.outstanding[node].as_mut() {
             debug_assert!(rec.granted.is_none());
             rec.granted = Some(now);
-            Some((now - rec.issued, now - rec.arrival))
-        } else {
-            None
         }
     }
 
@@ -338,41 +297,11 @@ impl Collector {
         }
     }
 
-    /// A message was delivered.
-    ///
-    /// This runs once per simulated message, so the kind table is kept
-    /// move-to-front with a pointer-compare fast path: message kinds are
-    /// `&'static str` literals, so the leading entries almost always match
-    /// by address alone (kinds arrive in long runs and few protocols have
-    /// more than ~6 kinds).  Byte comparison is only the fallback for the
-    /// rare case of equal literals at distinct addresses across codegen
-    /// units.  The top *two* entries are hot without reshuffling —
-    /// request/token-style protocols alternate between two kinds, and
-    /// promoting on every alternation would swap per message — deeper hits
-    /// move to the front.
+    /// A message was delivered (runs once per simulated message).
     pub fn on_message(&mut self, kind: &'static str, weight: usize) {
         self.msgs_total += 1;
         self.msg_weight += weight as u64;
-        let same = |k: &'static str| {
-            (std::ptr::eq(k.as_ptr(), kind.as_ptr()) && k.len() == kind.len()) || k == kind
-        };
-        for (k, c) in self.msg_by_kind.iter_mut().take(2) {
-            if same(k) {
-                *c += 1;
-                return;
-            }
-        }
-        match self.msg_by_kind.iter().skip(2).position(|(k, _)| same(k)) {
-            Some(i) => {
-                self.msg_by_kind[i + 2].1 += 1;
-                self.msg_by_kind.swap(0, i + 2);
-            }
-            None => {
-                self.msg_by_kind.push((kind, 1));
-                let last = self.msg_by_kind.len() - 1;
-                self.msg_by_kind.swap(0, last);
-            }
-        }
+        self.msg_by_kind.bump(kind, 1);
     }
 
     /// Fold another shard's collector into this one.  Node ownership is
@@ -396,12 +325,7 @@ impl Collector {
         self.msgs_total += other.msgs_total;
         self.msg_weight += other.msg_weight;
         self.cs_completed += other.cs_completed;
-        for (kind, count) in other.msg_by_kind {
-            match self.msg_by_kind.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, c)) => *c += count,
-                None => self.msg_by_kind.push((kind, count)),
-            }
-        }
+        self.msg_by_kind.merge(&other.msg_by_kind);
     }
 
     fn fold(&mut self, rec: ReqRecord) {
@@ -446,10 +370,6 @@ impl Collector {
             }
         }
         debug_assert_eq!(self.busy.len(), self.m);
-        // Canonical kind order: move-to-front reshuffles the table by
-        // arrival pattern, so sort once here to make the reported
-        // aggregation independent of message order.
-        self.msg_by_kind.sort_unstable_by(|a, b| a.0.cmp(b.0));
         // Canonical record order: records accumulate in *release* order —
         // and, on a sharded run, grouped by shard — so sort by
         // `(issued, node)` (unique: one outstanding request per node) to
@@ -464,7 +384,8 @@ impl Collector {
             busy: self.busy,
             msgs_total: self.msgs_total,
             msg_weight: self.msg_weight,
-            msg_by_kind: self.msg_by_kind,
+            // Sorted by kind: independent of message arrival order.
+            msg_by_kind: self.msg_by_kind.sorted(),
             cs_completed: self.cs_completed,
             censored,
             events_processed: 0,
@@ -532,9 +453,7 @@ mod tests {
         // latency sees the full 10 ms — the coordinated-omission gap.
         let mut c = Collector::new(1, 1, (t(0), t(100)));
         c.on_issue(0, ResourceSet::singleton(0), t(16), t(10));
-        let (wait, serve) = c.on_grant(0, t(20)).unwrap();
-        assert_eq!(wait, t(4));
-        assert_eq!(serve, t(10));
+        c.on_grant(0, t(20));
         c.on_release(0, t(25));
         let res = c.finish("x", 1, t(100));
         assert_eq!(res.records[0].wait(), Some(t(4)));

@@ -16,8 +16,8 @@
 //! the port, see [`NodePort::quota_done`] — reaches it.
 
 use crate::driver::{Driver, DriverState, Workload};
-use crate::metrics::Collector;
-use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, ObsReport, TraceMode};
+use crate::metrics::{Collector, RunResult};
+use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, TraceMode};
 use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{NodeId, Time};
@@ -129,14 +129,25 @@ impl RunShared {
         Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    /// Take the tracer out (after all node threads joined) and fold it
-    /// into an [`ObsReport`].  Returns a disarmed default report when
-    /// tracing was off.
-    pub fn finish_obs(&self) -> ObsReport {
-        match &self.obs {
-            Some(m) => std::mem::take(&mut *lock(m)).finish(),
-            None => ObsReport::default(),
+    /// Close the run once every node loop has returned: stamp the end
+    /// time, check the monitor, fold the tracer and finish the collector.
+    ///
+    /// # Panics
+    /// If the monitor still has a node inside its CS or a resource marked
+    /// held.  Every node loop exits outside its CS, so the holder table
+    /// must be empty — a leak means a grant/release pair corrupted it.
+    pub fn into_result(self, algo: &str, n: usize) -> RunResult {
+        let end = self.now();
+        let monitor = self.monitor.into_inner().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(monitor.concurrency(), 0, "node left inside CS after the run");
+        assert_eq!(monitor.held_resources(), 0, "resources leaked after the run");
+        monitor.assert_conservation();
+        let collector = self.collector.into_inner().unwrap_or_else(|e| e.into_inner());
+        let mut res = collector.finish(algo, n, end);
+        if let Some(tracer) = self.obs {
+            res.obs = tracer.into_inner().unwrap_or_else(|e| e.into_inner()).finish();
         }
+        res
     }
 }
 
@@ -323,7 +334,7 @@ fn flush_and_grants<M: WireMsg, W: Workload, P: NodePort<M>>(
         for (to, msg) in ctx.drain_outbox() {
             collector.on_message(msg.kind(), msg.weight());
             let stamp = match obs.as_deref_mut() {
-                Some(t) => t.on_send(me, to, msg.kind(), msg.weight() as u32, None),
+                Some(t) => t.on_send(me, to, msg.kind(), msg.weight() as u32),
                 None => 0,
             };
             port.send(to, msg, stamp);
@@ -334,18 +345,30 @@ fn flush_and_grants<M: WireMsg, W: Workload, P: NodePort<M>>(
         let size = set.len() as u32;
         lock(&shared.monitor).enter(me, set);
         let now = shared.now();
-        let waits = lock(&shared.collector).on_grant(me, now);
+        lock(&shared.collector).on_grant(me, now);
         workload.on_grant(now);
         if let Some(obs) = &shared.obs {
             let mut t = lock(obs);
             t.set_key(now, 0);
-            if let Some((wait, serve)) = waits {
-                t.record_wait(wait);
-                t.record_serve(serve);
-            }
             t.on_cs(EventKind::CsEnter, me, size);
         }
         let cs = driver.granted();
         *deadline = Some(Instant::now() + cs.to_std());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mra_types::ResourceSet;
+
+    /// The post-run monitor check guards every wall-clock harness (mpsc,
+    /// TCP cluster, solo), not the TCP cluster alone.
+    #[test]
+    #[should_panic(expected = "node left inside CS after the run")]
+    fn into_result_rejects_a_holder_left_inside() {
+        let shared = RunShared::new(2, 2);
+        lock(&shared.monitor).enter(1, ResourceSet::singleton(0));
+        shared.into_result("x", 2);
     }
 }

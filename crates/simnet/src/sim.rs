@@ -37,7 +37,7 @@
 use crate::driver::{Driver, DriverState, Workload};
 use crate::latency::LatencyModel;
 use crate::metrics::{Collector, RunResult};
-use mra_obs::{EngineTracer, EventKind, ObsReport, TraceLog, TraceMode};
+use mra_obs::{EngineTracer, EventKind, ObsReport, TraceMode};
 use mra_protocol::faults::{Admit, FaultPlan, FaultStats};
 use mra_protocol::link::Link;
 use mra_protocol::reliable::{Packet, Reliability, ReliabilityStats, RtoVerdict};
@@ -314,12 +314,6 @@ impl<M> EventQueue<M> {
         self.heap.first().map(|k| k.at)
     }
 
-    /// Number of queued events (the tracer's queue-depth sample).
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -456,8 +450,8 @@ struct Shard<A: Allocator, W: Workload> {
     monitor: Option<SafetyMonitor>,
     /// CS observations for the end-of-run replay — sharded runs only.
     cs_log: Vec<CsNote>,
-    /// Causal tracing + live metrics; disarmed by default (every hook is
-    /// a single-branch no-op — the zero-alloc guard covers this state).
+    /// Causal tracing; disarmed by default (every hook is a
+    /// single-branch no-op — the zero-alloc guard covers this state).
     tracer: EngineTracer,
     latency: LatencyModel,
     stop_issuing: Time,
@@ -531,7 +525,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             // `sample` fast-paths deterministic models (the paper's
             // γ = const) without touching the RNG.
             let lat = self.latency.sample(from, to, net_rng);
-            let stamp = self.tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
+            let stamp = self.tracer.on_send(from, to, msg.kind(), msg.weight() as u32);
             self.sched.send(from, to, now, lat, stamp, Packet::Data { session, msg });
             // Make sure a retransmit timer is ticking for this link; it
             // executes at `from` = here.
@@ -604,10 +598,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             let size = set.len() as u32;
             let now = self.now;
             self.note_cs_enter(i, ord, set);
-            if let Some((wait, serve)) = self.collector.on_grant(i, now) {
-                self.tracer.record_wait(wait);
-                self.tracer.record_serve(serve);
-            }
+            self.collector.on_grant(i, now);
             self.nodes[j].workload.on_grant(now);
             self.tracer.on_cs(EventKind::CsEnter, i, size);
             let cs = self.nodes[j].driver.granted();
@@ -625,7 +616,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         );
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.tracer.on_dispatch(at, ord, self.sched.queue.len());
+        self.tracer.set_key(at, ord);
         if !matches!(ev, Ev::Frame { .. }) {
             // A down node (paused or crashed) runs none of its timers —
             // its application lifecycle stops (a frozen node holds its
@@ -1013,7 +1004,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         acc
     }
 
-    /// Arm causal tracing + live metrics capture (see [`mra_obs`]).
+    /// Arm causal trace capture (see [`mra_obs`]).
     ///
     /// Each shard gets its own [`EngineTracer`]; at the end of the run the
     /// per-shard buffers merge in canonical `(at, ord, seq)` order — the
@@ -1195,20 +1186,10 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let events: u64 = shard_events.iter().sum();
         let k = self.k;
         let n = self.n;
-        // Merge per-shard tracers: histograms fold (exact), trace buffers
-        // concatenate and sort by the canonical `(at, ord, seq)` key — the
-        // same global order the safety replay above uses — so the merged
-        // trace is independent of the shard layout.
-        let mut obs = ObsReport::default();
-        let mut parts = Vec::new();
-        let mut trace_dropped = 0u64;
-        for s in &mut self.shards {
-            let tracer = std::mem::take(&mut s.tracer);
-            trace_dropped += tracer.absorb_into(&mut obs, &mut parts);
-        }
-        if obs.armed {
-            obs.trace = Some(TraceLog::merge(parts, trace_dropped));
-        }
+        // Per-shard trace buffers merge in the canonical `(at, ord, seq)`
+        // order — the same global order the safety replay above uses.
+        let obs =
+            ObsReport::from_tracers(self.shards.iter_mut().map(|s| std::mem::take(&mut s.tracer)));
         let mut it = self.shards.into_iter();
         let mut collector = it.next().expect("k >= 1").collector;
         for s in it {

@@ -172,17 +172,9 @@ where
         h.join().expect("node thread panicked");
     }
 
-    let end = shared.now();
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("thread leaked a Shared reference"));
-    let obs = shared.finish_obs();
-    let mut res = shared
-        .collector
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .finish(&algo, n, end);
-    res.obs = obs;
-    res
+    Arc::try_unwrap(shared)
+        .unwrap_or_else(|_| panic!("thread leaked a Shared reference"))
+        .into_result(&algo, n)
 }
 
 #[cfg(test)]

@@ -66,8 +66,8 @@ fn steady_state_deliver_dispatch_is_allocation_free() {
 }
 
 /// The armed `MRA_TRACE=ring` hot path must be allocation-free too: the
-/// ring buffer, the per-node Lamport clocks and the log2 histograms are
-/// all pre-sized when tracing is armed, so recording — including ring
+/// ring buffer and the per-node Lamport clocks are pre-sized when
+/// tracing is armed, so recording — including ring
 /// overwrite once the buffer is full — performs zero allocations over 20k
 /// steady-state events.  The ring is sized well below the warmup event
 /// count so the measured window runs entirely in overwrite mode, the

@@ -1,6 +1,7 @@
 //! Dynamic-capacity bitsets.
 //!
-//! [`DynSet`] sits behind the [`ResourceSet`]/[`NodeSet`] aliases so
+//! [`DynSet`] sits behind the [`ResourceSet`](crate::ResourceSet) /
+//! [`NodeSet`](crate::NodeSet) aliases so
 //! scenarios can scale past the paper's N = 32 / M = 80 shape to 10k+
 //! nodes and 100k+ resources.  The representation is a word vector with an
 //! **inline small-set fast path**: sets whose largest element is below 256

@@ -54,7 +54,7 @@ pub const MAX_UNIVERSE: usize = 256;
 /// Is the boolean environment knob `name` switched on?  On means `1`,
 /// `true`, `yes` or `on` (ASCII case-insensitive, surrounding whitespace
 /// ignored); unset, empty or anything else is off.  Every boolean `MRA_*`
-/// knob (`MRA_FAST`, `MRA_RELIABLE`, `MRA_METRICS`) is read through here,
+/// knob (`MRA_FAST`, `MRA_RELIABLE`) is read through here,
 /// so a value means the same thing to each of them.
 pub fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| is_truthy(&v))

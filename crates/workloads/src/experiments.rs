@@ -594,8 +594,8 @@ pub fn fig_serve(measure_secs: f64) -> Vec<FigServeRow> {
         let out = run_serve(algo, &ServeScenario::new(sc, serve), None, None);
         out.check()
             .unwrap_or_else(|e| panic!("{label}: conservation broken: {e}"));
-        // `LogHist::quantile` takes a percentile (0–100) and returns what
-        // was recorded: nanoseconds.
+        // The serve layer's histogram: `quantile` takes a percentile
+        // (0–100) and returns what was recorded, nanoseconds.
         let ms = |q: f64| out.serve.grant_latency.quantile(q) / 1e6;
         FigServeRow {
             label,
@@ -838,8 +838,8 @@ mod tests {
                 "percentiles out of order: {r:?}"
             );
             // Arrival precedes issue on every record, so the arrival-keyed
-            // p99 dominates the issue-keyed one; LogHist bucketing is
-            // granted 2x slack.
+            // p99 dominates the issue-keyed one; the histogram's log2
+            // bucketing is granted 2x slack.
             assert!(2.0 * r.p99_ms >= r.wait_p99_ms, "{r:?}");
         }
         assert!(

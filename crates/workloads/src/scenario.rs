@@ -209,13 +209,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Set the CS-time range in milliseconds.
-    pub fn alpha_ms(mut self, min: f64, max: f64) -> Self {
-        self.sc.alpha_min_ms = min;
-        self.sc.alpha_max_ms = max;
-        self
-    }
-
     /// Set γ.
     pub fn gamma(mut self, gamma: Time) -> Self {
         self.sc.gamma = gamma;

@@ -85,8 +85,7 @@ impl ServeOutcome {
         self.serve.served as f64 / span
     }
 
-    /// Serving-layer conservation check (see
-    /// [`check_conservation`](mra_serve::check_conservation)).
+    /// Serving-layer conservation check (see [`check_conservation`]).
     pub fn check(&self) -> Result<(), String> {
         check_conservation(&self.serve, self.queued_end(), self.inflight_end())
     }

@@ -17,8 +17,8 @@
 //!   the loopback cluster harness and the solo node runtime behind the
 //!   `mra-node` binary.
 //! * [`obs`] — the observability layer: causal event tracing (Lamport
-//!   stamps, JSONL export, consistency checks), log2-bucketed live
-//!   histograms and per-link network counters, shared by all substrates.
+//!   stamps, JSONL export, consistency checks), per-message-type and
+//!   transport counters, and the serving layer's log2 histogram.
 //! * [`protocol`] — the engine-independent `Allocator` interface, the
 //!   binary wire codec and a randomized virtual network for testing.
 //! * [`serve`] — the allocation-as-a-service front end: open-loop arrival
