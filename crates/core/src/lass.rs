@@ -106,6 +106,133 @@ pub struct LassStats {
     pub yields: u64,
 }
 
+/// Emptied values kept for their heap capacity: the payload vectors of
+/// consumed messages, the token snapshots `process_update` overwrites.
+///
+/// Two rules.  **Bounded:** a stash keeps one value for every
+/// [`Spares::MISSES_PER_SPARE`] times it was found empty ([`Spares::take`]),
+/// and never more than [`Spares::MAX`] — a node that sends in bursts of
+/// eight soon keeps eight, one of 10 000 nodes that sends a message now and
+/// then keeps none (a spare it would not reuse is only resident memory).
+/// **Capacity, never payload:** callers empty a value before they
+/// [`Spares::put`] it, so nothing a message carried (the 12 KB sets of a
+/// 100k-resource run) outlives its handler here.
+#[derive(Clone)]
+struct Spares<T> {
+    kept: Vec<T>,
+    /// How many times `take` came back empty-handed (saturating).
+    misses: usize,
+}
+
+impl<T> Spares<T> {
+    /// Constants, not knobs: a handler answers a handful of messages, and a
+    /// stash that ran dry four times belongs to a node that keeps sending.
+    const MAX: usize = 8;
+    const MISSES_PER_SPARE: usize = 4;
+
+    fn take(&mut self) -> Option<T> {
+        let spare = self.kept.pop();
+        if spare.is_none() && self.misses < Self::MAX * Self::MISSES_PER_SPARE {
+            self.misses += 1;
+        }
+        spare
+    }
+
+    fn put(&mut self, emptied: T) {
+        if self.kept.len() < self.misses / Self::MISSES_PER_SPARE {
+            self.kept.push(emptied);
+        }
+    }
+}
+
+// (Not derived: the derive would ask for `T: Default`.)
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares {
+            kept: Vec::new(),
+            misses: 0,
+        }
+    }
+}
+
+/// The aggregation buffer of one message kind (§4.2.2): items staged per
+/// destination, built directly in the `Vec` that travels as the message
+/// payload.
+///
+/// Ordering contract (run digests depend on it): [`Batches::flush`] emits
+/// destinations in the order of their first [`Batches::push`] since the last
+/// flush, and each batch holds its items in push order.
+#[derive(Clone)]
+struct Batches<T> {
+    /// Open batches; drained in place by `flush`, so the capacity stays.
+    open: Vec<(NodeId, Vec<T>)>,
+    /// Payload vectors of received messages, for the next batches.
+    spares: Spares<Vec<T>>,
+}
+
+impl<T> Default for Batches<T> {
+    fn default() -> Self {
+        Batches {
+            open: Vec::new(),
+            spares: Spares::default(),
+        }
+    }
+}
+
+impl<T> Batches<T> {
+    /// Stage `item` for `dest`.
+    fn push(&mut self, dest: NodeId, item: T) {
+        match self.open.iter_mut().find(|(d, _)| *d == dest) {
+            Some((_, batch)) => batch.push(item),
+            None => {
+                let mut batch = self.spares.take().unwrap_or_default();
+                batch.push(item);
+                self.open.push((dest, batch));
+            }
+        }
+    }
+
+    /// Hand every open batch to `send` (see the ordering contract).
+    fn flush(&mut self, mut send: impl FnMut(NodeId, Vec<T>)) {
+        for (dest, batch) in self.open.drain(..) {
+            send(dest, batch);
+        }
+    }
+
+    /// Keep the payload vector of a consumed message for a later batch.
+    fn recycle(&mut self, mut payload: Vec<T>) {
+        payload.clear();
+        self.spares.put(payload);
+    }
+}
+
+/// What a handler stages and what it recycles: one heap block per node,
+/// allocated when the node first handles anything.  Inline, these 200 bytes
+/// made `Lass` 640 bytes instead of 448, and a fleet is moved several times
+/// while it is built (10 000 nodes per run of the scale-out shape: 4.4 →
+/// 4.9 ms of set-up); allocated with the node, 32 boxes showed in the 55 µs
+/// it takes to set up the paper's shape.
+#[derive(Clone, Default)]
+struct Staging {
+    // --- aggregation buffers (§4.2.2) ---
+    buf_req: Batches<Request>,
+    buf_cnt: Batches<CounterVal>,
+    buf_tok: Batches<Token>,
+    /// Cleared token snapshots: `process_update` retires the stale snapshot
+    /// it overwrites here, `send_token` refills one with `clone_from`.
+    spare_toks: Spares<Token>,
+}
+
+/// A `T` on the heap from its first use on.
+#[derive(Clone)]
+struct OnDemand<T>(Option<Box<T>>);
+
+impl<T: Default> OnDemand<T> {
+    fn get(&mut self) -> &mut T {
+        self.0.get_or_insert_with(Box::default)
+    }
+}
+
 /// One site's LASS state (annex A figure 9).
 ///
 /// All per-resource tables are [`ResTable`]s: dense vectors at paper scale
@@ -146,10 +273,8 @@ pub struct Lass {
     loan_asked: bool,
     /// Whether the current CS was entered thanks to borrowed tokens.
     borrowed_in_cs: bool,
-    // --- aggregation buffers (§4.2.2) ---
-    buf_req: Vec<(NodeId, Request)>,
-    buf_cnt: Vec<(NodeId, CounterVal)>,
-    buf_tok: Vec<(NodeId, Token)>,
+    /// Aggregation buffers and spare token snapshots.
+    stage: OnDemand<Staging>,
     /// Event counters.
     pub stats: LassStats,
 }
@@ -179,9 +304,7 @@ impl Lass {
             t_lent: ResourceSet::new(),
             loan_asked: false,
             borrowed_in_cs: false,
-            buf_req: Vec::new(),
-            buf_cnt: Vec::new(),
-            buf_tok: Vec::new(),
+            stage: OnDemand(None),
             stats: LassStats::default(),
             cfg,
         }
@@ -282,76 +405,28 @@ impl Lass {
     // Aggregation buffers (§4.2.2)
     // ------------------------------------------------------------------
 
-    fn buffer_request(&mut self, dest: NodeId, req: Request) {
-        self.buf_req.push((dest, req));
+    /// Send everything the handler staged: responses first (`SendBuf`:
+    /// counters, then tokens), then requests (`SendBufReq`), every batch of
+    /// requests tagged with the same visited set.
+    fn flush_all(&mut self, ctx: &mut Ctx<LassMsg>, visited: &NodeSet) {
+        let stage = self.stage.get();
+        stage.buf_cnt.flush(|to, vals| ctx.send(to, LassMsg::Counters(vals)));
+        stage.buf_tok.flush(|to, toks| ctx.send(to, LassMsg::Tokens(toks)));
+        stage.buf_req.flush(|to, reqs| {
+            ctx.send(to, LassMsg::Requests { visited: visited.clone(), reqs })
+        });
     }
 
-    /// Flush buffered request messages, one batch per destination, all
-    /// tagged with the same visited set (`SendBufReq`).
-    fn flush_requests<F: FnMut(NodeId, LassMsg)>(&mut self, visited: NodeSet, send: &mut F) {
-        if self.buf_req.is_empty() {
-            return;
-        }
-        let items = std::mem::take(&mut self.buf_req);
-        let mut dests: Vec<NodeId> = Vec::new();
-        for (d, _) in &items {
-            if !dests.contains(d) {
-                dests.push(*d);
-            }
-        }
-        for d in dests {
-            let reqs: Vec<Request> = items
-                .iter()
-                .filter(|(dd, _)| *dd == d)
-                .map(|(_, q)| q.clone())
-                .collect();
-            send(d, LassMsg::Requests { visited: visited.clone(), reqs });
-        }
-    }
-
-    /// Flush buffered response messages (`SendBuf`): counters then tokens,
-    /// batched per destination.
-    fn flush_responses<F: FnMut(NodeId, LassMsg)>(&mut self, send: &mut F) {
-        if !self.buf_cnt.is_empty() {
-            let items = std::mem::take(&mut self.buf_cnt);
-            let mut dests: Vec<NodeId> = Vec::new();
-            for (d, _) in &items {
-                if !dests.contains(d) {
-                    dests.push(*d);
-                }
-            }
-            for d in dests {
-                let vals: Vec<CounterVal> = items
-                    .iter()
-                    .filter(|(dd, _)| *dd == d)
-                    .map(|(_, c)| c.clone())
-                    .collect();
-                send(d, LassMsg::Counters(vals));
-            }
-        }
-        if !self.buf_tok.is_empty() {
-            let items = std::mem::take(&mut self.buf_tok);
-            let mut dests: Vec<NodeId> = Vec::new();
-            for (d, _) in &items {
-                if !dests.contains(d) {
-                    dests.push(*d);
-                }
-            }
-            for d in dests {
-                let toks: Vec<Token> = items
-                    .iter()
-                    .filter(|(dd, _)| *dd == d)
-                    .map(|(_, t)| t.clone())
-                    .collect();
-                send(d, LassMsg::Tokens(toks));
-            }
-        }
-    }
-
-    fn flush_all(&mut self, ctx: &mut Ctx<LassMsg>, visited: NodeSet) {
-        let mut send = |to: NodeId, m: LassMsg| ctx.send(to, m);
-        self.flush_responses(&mut send);
-        self.flush_requests(visited, &mut send);
+    /// [`Lass::flush_all`] for a handler whose requests start here: the
+    /// visited set is `{me}` — built only if a request is actually staged
+    /// (past 256 nodes it lives on the heap, and most handlers stage none).
+    fn flush_own(&mut self, ctx: &mut Ctx<LassMsg>) {
+        let visited = if self.stage.get().buf_req.open.is_empty() {
+            NodeSet::new()
+        } else {
+            NodeSet::singleton(self.me)
+        };
+        self.flush_all(ctx, &visited);
     }
 
     // ------------------------------------------------------------------
@@ -363,8 +438,14 @@ impl Lass {
     fn send_token(&mut self, r: ResourceId, dest: NodeId) {
         debug_assert!(self.t_owned.contains(r), "sending unowned token {r}");
         debug_assert_ne!(dest, self.me, "token self-send");
-        let snapshot = self.tok_mut(r).clone();
-        self.buf_tok.push((dest, snapshot));
+        let snapshot = match self.stage.get().spare_toks.take() {
+            Some(mut spare) => {
+                spare.clone_from(self.tok_mut(r));
+                spare
+            }
+            None => self.tok_mut(r).clone(),
+        };
+        self.stage.get().buf_tok.push(dest, snapshot);
         self.set_father(r, Some(dest));
         self.t_owned.remove(r);
     }
@@ -409,7 +490,7 @@ impl Lass {
         for r in self.t_required.iter() {
             if !self.t_owned.contains(r) {
                 let father = self.father(r).expect("non-owner has a father");
-                self.buffer_request(
+                self.stage.get().buf_req.push(
                     father,
                     Request::Res(ResReq {
                         r,
@@ -459,8 +540,8 @@ impl Lass {
 
     fn process_req_loan(&mut self, req: LoanReq) {
         debug_assert!(self.t_owned.contains(req.r));
-        if self.tok_obsolete(req.r, &Request::Loan(req.clone())) {
-            return;
+        if self.last_tok.get(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
+            return; // obsolete
         }
         if req.sinit == self.me {
             // [guard] our own wandering loan request: our need is tracked
@@ -468,7 +549,6 @@ impl Lass {
             return;
         }
         if self.can_lend(&req) {
-            self.t_lent = req.missing.clone();
             self.stats.loans_granted += 1;
             let me = self.me;
             for r2 in req.missing.iter() {
@@ -479,6 +559,7 @@ impl Lass {
                 self.tok_mut(r2).remove_site(req.sinit);
                 self.send_token(r2, req.sinit);
             }
+            self.t_lent = req.missing;
         } else {
             let r = req.r;
             if !self.t_required.contains(r) || self.state == ProcState::WaitS {
@@ -503,7 +584,16 @@ impl Lass {
             // not "borrowed from ourselves".
             t.lender = None;
         }
-        self.last_tok.set(r, t);
+        match self.last_tok.get_mut(r) {
+            Some(slot) => {
+                // The snapshot left behind when the token last went away is
+                // dead now; its vectors serve the next `send_token`.
+                let mut stale = std::mem::replace(slot, t);
+                stale.clear();
+                self.stage.get().spare_toks.put(stale);
+            }
+            None => self.last_tok.set(r, t),
+        }
         self.t_owned.insert(r);
         self.set_father(r, None);
         self.t_lent.remove(r);
@@ -518,19 +608,22 @@ impl Lass {
         }
         // Replay the pending history for r (§4.2.1): requests we forwarded
         // may never have reached the holder; now that the token is here, we
-        // are the holder.
-        let history = self.pending.get_mut(r).map(std::mem::take).unwrap_or_default();
-        let mut keep: Vec<Request> = Vec::new();
-        for req in history {
-            if self.tok_obsolete(r, &req) {
-                continue; // retired for good
+        // are the holder.  The history leaves the table while the handlers
+        // below borrow `self` and is filtered in place: only resource and
+        // loan requests stay (they may have to be replayed again).
+        let Some(mut history) = self.pending.get_mut(r).map(std::mem::take) else {
+            return;
+        };
+        history.retain(|req| {
+            if self.tok_obsolete(r, req) {
+                return false; // retired for good
             }
             if req.sinit() == self.me {
                 // [guard] our own request: ownership of the token satisfies
                 // it (counter taken above; CS entry checked by the caller).
-                continue;
+                return false;
             }
-            match req {
+            match *req {
                 Request::Cnt {
                     single: false,
                     sinit,
@@ -539,7 +632,8 @@ impl Lass {
                 } => {
                     self.tok_mut(r).set_last_req_c(sinit, id);
                     let val = self.tok_mut(r).take_counter();
-                    self.buf_cnt.push((sinit, CounterVal { r, val, id }));
+                    self.stage.get().buf_cnt.push(sinit, CounterVal { r, val, id });
+                    false
                 }
                 Request::Cnt {
                     single: true,
@@ -549,20 +643,29 @@ impl Lass {
                 } => {
                     let rr = self.convert_single(r, sinit, id);
                     self.tok_mut(r).enqueue_res(rr);
+                    false
                 }
-                Request::Res(rr) => {
+                Request::Res(ref rr) => {
                     self.tok_mut(r).enqueue_res(rr.clone());
-                    keep.push(Request::Res(rr));
+                    true
                 }
-                Request::Loan(lr) => {
+                Request::Loan(ref lr) => {
                     self.tok_mut(r).enqueue_loan(lr.clone());
-                    keep.push(Request::Loan(lr));
+                    true
                 }
             }
+        });
+        // A replay usually retires most of what piled up while the token was
+        // away.  A history left in under a quarter of its buffer moves to a
+        // tight one: 2 560 buffers held at their peak are 3.4 MB on the
+        // 32 x 80 shape, a quarter of that run's heap.  (Not `shrink_to`: a
+        // buffer cut in place leaves a tail the allocator cannot merge.)
+        if history.capacity() >= 4 * history.len().max(2) {
+            let mut tight = Vec::with_capacity(2 * history.len());
+            tight.append(&mut history);
+            history = tight;
         }
-        if !keep.is_empty() {
-            self.pending.set(r, keep);
-        }
+        self.pending.set(r, history);
     }
 
     /// §4.6.1: the holder turns a single-resource `ReqCnt` into a `ReqRes`,
@@ -582,8 +685,13 @@ impl Lass {
     // Receive Request (annex A line 159)
     // ------------------------------------------------------------------
 
-    fn on_requests(&mut self, ctx: &mut Ctx<LassMsg>, visited: NodeSet, reqs: Vec<Request>) {
-        for req in reqs {
+    fn on_requests(
+        &mut self,
+        ctx: &mut Ctx<LassMsg>,
+        mut visited: NodeSet,
+        mut reqs: Vec<Request>,
+    ) {
+        for req in reqs.drain(..) {
             let r = req.r();
             let sinit = req.sinit();
             if self.tok_obsolete(r, &req) {
@@ -615,7 +723,7 @@ impl Lass {
                             // Plain counter request: reply with the value.
                             self.tok_mut(r).set_last_req_c(sinit, id);
                             let val = self.tok_mut(r).take_counter();
-                            self.buf_cnt.push((sinit, CounterVal { r, val, id }));
+                            self.stage.get().buf_cnt.push(sinit, CounterVal { r, val, id });
                         } else {
                             // ReqRes (or converted single): conflict.
                             let rr = match q.clone() {
@@ -648,15 +756,15 @@ impl Lass {
                 }
                 if !visited.contains(father) {
                     self.push_pending(r, req.clone());
-                    self.buffer_request(father, req);
+                    self.stage.get().buf_req.push(father, req);
                 }
                 // else: a site on the visited path keeps it in its pending
                 // history; the token must cross that path (lemma 6).
             }
         }
-        let mut fwd_visited = visited;
-        fwd_visited.insert(self.me);
-        self.flush_all(ctx, fwd_visited);
+        self.stage.get().buf_req.recycle(reqs);
+        visited.insert(self.me);
+        self.flush_all(ctx, &visited);
     }
 
     fn push_pending(&mut self, r: ResourceId, req: Request) {
@@ -708,8 +816,8 @@ impl Lass {
     // Receive Counter (annex A line 255)
     // ------------------------------------------------------------------
 
-    fn on_counters(&mut self, ctx: &mut Ctx<LassMsg>, from: NodeId, vals: Vec<CounterVal>) {
-        for c in vals {
+    fn on_counters(&mut self, ctx: &mut Ctx<LassMsg>, from: NodeId, mut vals: Vec<CounterVal>) {
+        for c in vals.drain(..) {
             // [deviation 1] only accept values for the current request and
             // still-missing resources; stale replies are dropped.
             if c.id != self.cur_id || !self.cnt_needed.contains(c.r) {
@@ -723,20 +831,22 @@ impl Lass {
                 self.set_father(c.r, Some(from));
             }
         }
+        self.stage.get().buf_cnt.recycle(vals);
         if self.state == ProcState::WaitS && self.cnt_needed.is_empty() {
             self.on_counters_complete();
         }
-        self.flush_all(ctx, NodeSet::singleton(self.me));
+        self.flush_own(ctx);
     }
 
     // ------------------------------------------------------------------
     // Receive Token (annex A line 208)
     // ------------------------------------------------------------------
 
-    fn on_tokens(&mut self, ctx: &mut Ctx<LassMsg>, toks: Vec<Token>) {
-        for t in toks {
+    fn on_tokens(&mut self, ctx: &mut Ctx<LassMsg>, mut toks: Vec<Token>) {
+        for t in toks.drain(..) {
             self.process_update(t);
         }
+        self.stage.get().buf_tok.recycle(toks);
         let requesting = matches!(self.state, ProcState::WaitS | ProcState::WaitCS);
         if requesting && self.t_required.is_subset(&self.t_owned) {
             self.enter_cs(ctx);
@@ -745,7 +855,7 @@ impl Lass {
             // borrowed token to its legitimate owner (annex A lines
             // 217-223).
             let mut returned = false;
-            for r in self.t_owned.iter().collect::<Vec<_>>() {
+            for r in self.t_owned.iter() {
                 if let Some(lender) = self.last_tok.get(r).and_then(|t| t.lender) {
                     debug_assert_ne!(lender, self.me);
                     // [deviation 3] clear the loan marker on return.
@@ -781,7 +891,7 @@ impl Lass {
         }
         // Even when entering CS, counter replies buffered by processUpdate
         // must go out.
-        self.flush_all(ctx, NodeSet::singleton(self.me));
+        self.flush_own(ctx);
     }
 
     /// Annex A lines 226–238: after a token arrives, re-examine every owned
@@ -790,7 +900,7 @@ impl Lass {
     /// the resource).
     fn reschedule_owned(&mut self) {
         let my_mark = self.mark();
-        for r in self.t_owned.iter().collect::<Vec<_>>() {
+        for r in self.t_owned.iter() {
             if !self.t_owned.contains(r) {
                 continue; // handed away by a previous iteration's loan
             }
@@ -833,7 +943,7 @@ impl Lass {
 
     /// Annex A lines 241–247: retry queued loan requests of owned tokens.
     fn retry_pending_loans(&mut self) {
-        for r in self.t_owned.iter().collect::<Vec<_>>() {
+        for r in self.t_owned.iter() {
             if !self.t_owned.contains(r) {
                 continue;
             }
@@ -873,7 +983,7 @@ impl Lass {
         let mark = self.mark();
         for r in missing.iter() {
             let father = self.father(r).expect("missing resource has a father");
-            self.buffer_request(
+            self.stage.get().buf_req.push(
                 father,
                 Request::Loan(LoanReq {
                     r,
@@ -906,6 +1016,9 @@ impl Allocator for Lass {
         assert!(!resources.is_empty(), "empty request");
         debug_assert!(resources.iter().all(|r| r < self.cfg.m));
         self.cur_id += 1;
+        // A copy, not the caller's set: the copy is cut to size, while a set
+        // grown by inserts carries up to twice its words — held until the
+        // next request, at 100k resources that is 1.3 KB per node.
         self.t_required = resources.clone();
         self.cnt_needed.clear();
         self.loan_asked = false;
@@ -920,7 +1033,7 @@ impl Allocator for Lass {
                 // processUpdate reserves the counter on token arrival.
                 self.cnt_needed.insert(r);
                 let father = self.father(r).expect("non-owner has a father");
-                self.buffer_request(
+                self.stage.get().buf_req.push(
                     father,
                     Request::Cnt {
                         r,
@@ -929,7 +1042,7 @@ impl Allocator for Lass {
                         single: true,
                     },
                 );
-                self.flush_all(ctx, NodeSet::singleton(self.me));
+                self.flush_own(ctx);
                 return;
             }
         }
@@ -941,7 +1054,7 @@ impl Allocator for Lass {
             } else {
                 self.cnt_needed.insert(r);
                 let father = self.father(r).expect("non-owner has a father");
-                self.buffer_request(
+                self.stage.get().buf_req.push(
                     father,
                     Request::Cnt {
                         r,
@@ -952,7 +1065,7 @@ impl Allocator for Lass {
                 );
             }
         }
-        self.flush_all(ctx, NodeSet::singleton(self.me));
+        self.flush_own(ctx);
         if self.cnt_needed.is_empty() {
             // Every required token is already here: counters were taken
             // locally and the CS can start at once.
@@ -969,7 +1082,7 @@ impl Allocator for Lass {
         self.borrowed_in_cs = false;
         let me = self.me;
         let id = self.cur_id;
-        for r in self.t_required.iter().collect::<Vec<_>>() {
+        for r in self.t_required.iter() {
             debug_assert!(self.t_owned.contains(r));
             self.tok_mut(r).set_last_cs(me, id);
             match self.tok_mut(r).lender {
@@ -992,7 +1105,7 @@ impl Allocator for Lass {
         // [deviation 7] tokens we own but did not use can carry queued
         // requests (e.g. they returned from a borrower mid-CS); serve them
         // now — release() never visits them otherwise.
-        for r in self.t_owned.iter().collect::<Vec<_>>() {
+        for r in self.t_owned.iter() {
             if self.t_required.contains(r) {
                 continue;
             }
@@ -1009,7 +1122,7 @@ impl Allocator for Lass {
         // are now an idle owner, so canLend generally succeeds) closes the
         // liveness hole.
         self.retry_pending_loans();
-        self.flush_all(ctx, NodeSet::singleton(self.me));
+        self.flush_own(ctx);
     }
 
     fn state(&self) -> ProcState {
@@ -1034,6 +1147,57 @@ mod tests {
         let nodes = cfg.build_nodes();
         let ctxs = (0..2).map(|i| Ctx::new(i, 2)).collect();
         (nodes, ctxs)
+    }
+
+    #[test]
+    fn batches_flush_by_first_appearance_and_keep_push_order() {
+        let mut b: Batches<u32> = Batches::default();
+        for (dest, item) in [(5, 1), (2, 2), (5, 3), (9, 4), (2, 5)] {
+            b.push(dest, item);
+        }
+        let mut sent = Vec::new();
+        b.flush(|to, batch| sent.push((to, batch)));
+        assert_eq!(sent, vec![(5, vec![1, 3]), (2, vec![2, 5]), (9, vec![4])]);
+        b.flush(|_, _| panic!("a flushed buffer is empty"));
+    }
+
+    #[test]
+    fn spares_keep_one_per_four_misses_emptied_and_bounded() {
+        type S = Spares<Vec<u32>>;
+        let mut b: Batches<u32> = Batches::default();
+        // Never found empty: nothing is worth keeping.
+        b.recycle(vec![1, 2, 3]);
+        assert!(b.spares.kept.is_empty());
+        // Found empty a few times: still nothing (a node that rarely sends).
+        for _ in 1..S::MISSES_PER_SPARE {
+            b.push(1, 7);
+            b.flush(|_, _| ());
+            b.recycle(vec![4]);
+            assert!(b.spares.kept.is_empty());
+        }
+        // The next miss earns one spare — emptied, capacity intact.
+        b.push(1, 7);
+        b.flush(|_, _| ());
+        let payload = Vec::with_capacity(32);
+        let buffer = payload.as_ptr();
+        b.recycle(payload);
+        b.recycle(vec![4]);
+        assert_eq!(b.spares.kept.len(), 1);
+        b.push(2, 8);
+        b.flush(|_, batch| {
+            assert_eq!(batch, vec![8]);
+            assert_eq!((batch.as_ptr(), batch.capacity()), (buffer, 32));
+        });
+        // However often it runs dry, a stash stops at MAX.
+        for dest in 0..2 * S::MAX * S::MISSES_PER_SPARE {
+            b.push(dest, 0);
+        }
+        b.flush(|_, _| ());
+        for _ in 0..3 * S::MAX {
+            b.recycle(vec![1]);
+        }
+        assert_eq!(b.spares.kept.len(), S::MAX);
+        assert!(b.spares.kept.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use mra_types::{NodeId, RequestId, ResourceId};
 /// with a nonzero stamp appear, sorted by site id.  A fresh stamp is 0 for
 /// every site, so a fresh token costs O(1) memory regardless of `n` — the
 /// property that lets a 10k-node system hold 100k tokens.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Token {
     /// The resource this token controls.
     pub r: ResourceId,
@@ -46,6 +46,34 @@ pub struct Token {
     pub w_loan: Vec<LoanReq>,
     /// When the token is lent, the owner to return it to.
     pub lender: Option<NodeId>,
+}
+
+/// Field-wise on purpose: the derived `clone_from` is `*self = src.clone()`,
+/// which frees and reallocates all four vectors.  This one refills them in
+/// place, so snapshotting a token into a spare one (`Lass::send_token`)
+/// costs no allocation once the spare's vectors are large enough.
+impl Clone for Token {
+    fn clone(&self) -> Self {
+        Token {
+            r: self.r,
+            counter: self.counter,
+            last_req_c: self.last_req_c.clone(),
+            last_cs: self.last_cs.clone(),
+            w_queue: self.w_queue.clone(),
+            w_loan: self.w_loan.clone(),
+            lender: self.lender,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.r = src.r;
+        self.counter = src.counter;
+        self.last_req_c.clone_from(&src.last_req_c);
+        self.last_cs.clone_from(&src.last_cs);
+        self.w_queue.clone_from(&src.w_queue);
+        self.w_loan.clone_from(&src.w_loan);
+        self.lender = src.lender;
+    }
 }
 
 impl Token {
@@ -109,6 +137,19 @@ impl Token {
         Self::set_stamp(&mut self.last_cs, s, id);
     }
 
+    /// Drop everything the token carries but keep the capacity of its stamp
+    /// and queue vectors: what is left is only worth refilling with
+    /// `clone_from`.  The loan queue goes entirely — a travelling token
+    /// rarely has one, and a spare that once did would hand its 288 bytes
+    /// to every snapshot made from it.
+    pub(crate) fn clear(&mut self) {
+        self.last_req_c.clear();
+        self.last_cs.clear();
+        self.w_queue.clear();
+        self.w_loan = Vec::new();
+        self.lender = None;
+    }
+
     /// Reserve the current counter value (and advance the counter).  Only
     /// the token holder may call this — exclusivity of the counter is
     /// exactly what the token guarantees.
@@ -132,11 +173,15 @@ impl Token {
         let id = req.id();
         match req {
             Request::Cnt { single: false, .. } => id <= self.last_req_c(s),
-            Request::Cnt { single: true, .. } => {
-                id <= self.last_req_c(s) || id <= self.last_cs(s)
-            }
-            Request::Res(_) | Request::Loan(_) => id <= self.last_cs(s),
+            Request::Cnt { single: true, .. } => id <= self.last_req_c(s) || self.cs_done(s, id),
+            Request::Res(_) | Request::Loan(_) => self.cs_done(s, id),
         }
+    }
+
+    /// Has site `s` completed its critical section `id` (or a later one)?
+    /// The rule that retires resource and loan requests.
+    pub(crate) fn cs_done(&self, s: NodeId, id: RequestId) -> bool {
+        id <= self.last_cs(s)
     }
 
     /// Does the queue already contain this exact request?
@@ -286,6 +331,35 @@ mod tests {
         assert!(!t.enqueue_loan(l(3, 1, 2.0)));
         assert_eq!(t.w_loan[0].sinit, 1);
         assert_eq!(t.w_loan[1].sinit, 3);
+    }
+
+    #[test]
+    fn clone_from_refills_a_cleared_token_in_place() {
+        let mut src = Token::new(3);
+        src.counter = 9;
+        src.set_last_req_c(1, 4);
+        src.set_last_cs(2, 5);
+        src.enqueue_res(res(3, 1, 6, 2.0));
+        src.lender = Some(2);
+        let mut spare = src.clone();
+        spare.enqueue_loan(LoanReq {
+            r: 3,
+            sinit: 4,
+            id: 1,
+            mark: 1.0,
+            missing: ResourceSet::singleton(3),
+        });
+        spare.clear();
+        assert_eq!(spare.weight(), 2, "a cleared token carries nothing");
+        assert_eq!((spare.lender, spare.w_loan.capacity()), (None, 0));
+        let buffers = (spare.last_req_c.as_ptr(), spare.last_cs.as_ptr(), spare.w_queue.as_ptr());
+        spare.clone_from(&src);
+        assert_eq!(format!("{spare:?}"), format!("{src:?}"));
+        assert_eq!(
+            (spare.last_req_c.as_ptr(), spare.last_cs.as_ptr(), spare.w_queue.as_ptr()),
+            buffers,
+            "clone_from must reuse the vectors it overwrites"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!             | 1 ResReq                              (Res)
 //!             | 2 LoanReq                             (Loan)
 //! CounterVal := r:u32 val:u64 id:u64
-//! stamps     := len:u32 (site:u32 id:u64)*          (sparse, sorted by site)
+//! stamps     := vec<(site:u32, id:u64)>             (sparse, sorted by site)
 //! Token      := r:u32 counter:u64 lastReqC:stamps lastCS:stamps
 //!               wQueue:vec<ResReq> wLoan:vec<LoanReq> lender:opt<u32>
 //! LassMsg    := 0 visited:set reqs:vec<Request>       (Requests)
@@ -114,31 +114,12 @@ impl WireCodec for CounterVal {
     }
 }
 
-fn put_stamps(out: &mut Vec<u8>, stamps: &[(usize, u64)]) {
-    put_usize(out, stamps.len());
-    for &(site, id) in stamps {
-        put_usize(out, site);
-        put_u64(out, id);
-    }
-}
-
-fn get_stamps(r: &mut WireReader<'_>) -> Result<Vec<(usize, u64)>, DecodeError> {
-    let len = r.get_len(12, "Token.stamps")?;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        let site = r.get_usize("Token.stamps.site")?;
-        let id = r.get_u64("Token.stamps.id")?;
-        v.push((site, id));
-    }
-    Ok(v)
-}
-
 impl WireCodec for Token {
     fn encode(&self, out: &mut Vec<u8>) {
         put_usize(out, self.r);
         put_u64(out, self.counter);
-        put_stamps(out, &self.last_req_c);
-        put_stamps(out, &self.last_cs);
+        self.last_req_c.encode(out);
+        self.last_cs.encode(out);
         self.w_queue.encode(out);
         self.w_loan.encode(out);
         self.lender.encode(out);
@@ -148,8 +129,8 @@ impl WireCodec for Token {
         Ok(Token {
             r: r.get_usize("Token.r")?,
             counter: r.get_u64("Token.counter")?,
-            last_req_c: get_stamps(r)?,
-            last_cs: get_stamps(r)?,
+            last_req_c: WireCodec::decode(r)?,
+            last_cs: WireCodec::decode(r)?,
             w_queue: WireCodec::decode(r)?,
             w_loan: WireCodec::decode(r)?,
             lender: WireCodec::decode(r)?,

@@ -208,6 +208,14 @@ impl EngineTracer {
         t
     }
 
+    /// Whether the hooks record anything.  For callers whose hook
+    /// *arguments* are costly to compute: the hooks themselves already
+    /// return at once when disarmed.
+    #[inline]
+    pub fn is_armed(&self) -> bool {
+        self.armed
+    }
+
     /// Events lost to ring overwrite so far.
     pub fn dropped(&self) -> u64 {
         self.dropped

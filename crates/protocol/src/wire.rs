@@ -305,12 +305,32 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+        // The count is only known to fit the input at one byte per
+        // element, and an element can be a hundred times that in memory
+        // (a token): reserve for a typical batch, let `push` grow the rest
+        // as elements actually decode.
         let len = r.get_len(1, "Vec")?;
-        let mut v = Vec::with_capacity(len);
+        let mut v = Vec::with_capacity(len.min(PREALLOC_ELEMS));
         for _ in 0..len {
             v.push(T::decode(r)?);
         }
         Ok(v)
+    }
+}
+
+/// Elements a sequence decoder reserves room for before any has decoded.
+const PREALLOC_ELEMS: usize = 16;
+
+/// Pairs encode as their fields, in order (the sparse `(site, id)` stamp
+/// maps of a token travel as `Vec<(usize, u64)>`).
+impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
@@ -362,6 +382,9 @@ mod tests {
         roundtrip(Vec::<u64>::new());
         roundtrip(Some(9u64));
         roundtrip(Option::<u64>::None);
+        roundtrip(vec![(3usize, 9u64), (7, 1)]);
+        // A pair is its fields back to back: id as u32, then the u64.
+        assert_eq!((3usize, 9u64).to_bytes().len(), 4 + 8);
     }
 
     #[test]

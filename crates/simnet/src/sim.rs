@@ -525,7 +525,13 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             // `sample` fast-paths deterministic models (the paper's
             // γ = const) without touching the RNG.
             let lat = self.latency.sample(from, to, net_rng);
-            let stamp = self.tracer.on_send(from, to, msg.kind(), msg.weight() as u32);
+            // Only an armed tracer reads the kind and the weight, and
+            // `weight()` walks every token a message carries.
+            let stamp = if self.tracer.is_armed() {
+                self.tracer.on_send(from, to, msg.kind(), msg.weight() as u32)
+            } else {
+                0
+            };
             self.sched.send(from, to, now, lat, stamp, Packet::Data { session, msg });
             // Make sure a retransmit timer is ticking for this link; it
             // executes at `from` = here.
@@ -647,8 +653,9 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                         // Session dedup absorbs stale frames before this
                         // point, so exactly one recv is traced per
                         // accepted frame.
-                        self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
-                        self.collector.on_message(msg.kind(), msg.weight());
+                        let (kind, weight) = (msg.kind(), msg.weight());
+                        self.tracer.on_recv(from, to, kind, weight as u32, stamp);
+                        self.collector.on_message(kind, weight);
                         let j = self.local(to);
                         let node = &mut self.nodes[j];
                         node.ctx.set_now(at);
