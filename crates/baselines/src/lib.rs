@@ -22,8 +22,8 @@
 //!   requests; O(N) messages per request.
 //!
 //! All four implement [`mra_protocol::Allocator`] and run unchanged under
-//! the virtual test network, the discrete-event simulator, the threaded
-//! runtime and the `mra-net` TCP transport ([`wire`] holds the codecs).
+//! the virtual test network, the discrete-event simulator and the
+//! `mra-net` TCP transport ([`wire`] holds the codecs).
 
 pub mod bouabdallah_laforest;
 pub mod central;

@@ -298,7 +298,7 @@ fn main() {
         eprint!("{}", res.obs.net.render(whose));
     }
     // MRA_TRACE_FILE: persist the merged trace (armed automatically by
-    // RunShared when the knob is set).  TCP frames carry no Lamport
+    // the harness when the knob is set).  TCP frames carry no Lamport
     // stamps, so the trace has per-node ordering and counters only.
     if let (Some(path), Some(trace)) =
         (mra_obs::trace_file_from_env(), res.obs.trace.as_ref())

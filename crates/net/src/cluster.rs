@@ -1,5 +1,5 @@
 //! Cluster harnesses: spawn protocol nodes over the TCP mesh and collect
-//! the same [`RunResult`] metrics as the simulator and the mpsc runtime.
+//! the same [`RunResult`] metrics as the simulator.
 //!
 //! Two deployment shapes share all the machinery:
 //!
@@ -15,14 +15,14 @@
 //!   local node).
 
 use crate::reactor::connect_reactor_mesh;
+use crate::runtime::{drive_node, NodeCfg, RunShared};
 use crate::sys;
 use crate::transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};
 use mra_obs::NetCounters;
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
-use mra_sim::runtime::{drive_node, NodeCfg, RunShared};
-use mra_sim::{RunResult, Workload};
+use mra_sim::{lock, RunResult, Workload};
 use mra_types::{NodeId, Time};
 use std::io;
 use std::net::TcpListener;
@@ -83,9 +83,8 @@ fn fd_budget(n: usize) -> u64 {
 /// Run `protos` as an N-node cluster over loopback TCP until every active
 /// node has completed its round quota; returns the collected metrics.
 ///
-/// Mirrors [`mra_sim::run_threaded`] — same workload driver, same safety
-/// monitoring, same metrics — with the mpsc channels swapped for real
-/// sockets and the wire codec in between.
+/// Same workload driver, safety monitoring and metrics as the simulator,
+/// on wall-clock time with real sockets and the wire codec in between.
 ///
 /// # Panics
 /// On any safety violation, and on transport setup failure (a loopback
@@ -179,7 +178,7 @@ where
         .unwrap_or_else(|_| panic!("thread leaked a RunShared reference"))
         .into_result(&algo, n);
     for slot in &slots {
-        res.obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
+        res.obs.net.merge(&lock(slot));
     }
     res
 }
@@ -261,7 +260,7 @@ where
     drive_node(me, n, proto, workload, port, &shared, node_cfg);
 
     let mut res = shared.into_result(&algo, n);
-    res.obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
+    res.obs.net.merge(&lock(&slot));
     Ok(res)
 }
 

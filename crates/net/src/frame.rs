@@ -4,8 +4,7 @@
 //! payload of a [`TAG_MSG`] frame is one `WireCodec`-encoded protocol
 //! message, control frames ([`TAG_SHUTDOWN`], [`TAG_DONE`]) carry none.
 //! TCP guarantees byte order, so frames on one connection arrive intact
-//! and FIFO — exactly the per-link delivery model the simulator and the
-//! mpsc runtime assume.
+//! and FIFO — exactly the per-link delivery model the simulator assumes.
 //!
 //! A connection opens with a 4-byte handshake: the connector's `NodeId` as
 //! `u32 LE`, written and parsed by the reactor, which runs one

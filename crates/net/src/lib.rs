@@ -3,9 +3,9 @@
 //! The paper evaluated LASS on a 32-node cluster over OpenMPI; this crate
 //! is the workspace's equivalent deployment surface.  It turns the pure
 //! [`Allocator`](mra_protocol::Allocator) state machines into nodes that
-//! talk over actual sockets — the fourth substrate, after the virtual
-//! test network, the discrete-event simulator and the mpsc threaded
-//! runtime — so wire-level and simulated behavior can be compared on the
+//! talk over actual sockets — the third substrate, after the virtual
+//! test network and the discrete-event simulator, and the only wall-clock
+//! one — so wire-level and simulated behavior can be compared on the
 //! same metrics ([`RunResult`](mra_sim::RunResult)).
 //!
 //! Layers:
@@ -20,13 +20,16 @@
 //!   transport-level shutdown coordination.
 //! * [`reactor`] — the TCP transport: one reactor thread per node drives
 //!   every peer socket through the [`polling`] epoll/kqueue shim (so TCP
-//!   runs need a unix host; the other three substrates stay portable),
+//!   runs need a unix host; the other two substrates stay portable),
 //!   with one **bidirectional** connection per unordered pair (TCP keeps
 //!   each direction FIFO), write coalescing (many frames + piggybacked
 //!   acks per `write(2)`), and reliability RTOs on the reactor's timer
-//!   wheel.  Implements [`mra_sim::NodePort`], the same abstraction the
-//!   mpsc runtime uses, so both substrates are backends of one shared
-//!   node loop (`mra_sim::runtime`).
+//!   wheel.  Its [`ReactorPort`] is what the node loop sends and receives
+//!   on.
+//! * `runtime` (crate-private) — the per-node event loop: workload timers,
+//!   the allocator step, grant/release accounting against the shared
+//!   safety monitor and collector.  It has one port type and one caller
+//!   per harness, so it is concrete and lives here, beside its transport.
 //! * [`sys`] — raw-FFI odds and ends `std` lacks: nonblocking
 //!   `connect(2)`, listen-backlog deepening, fd rlimit raising, process
 //!   CPU time for the frames-per-core benchmark.
@@ -65,6 +68,7 @@
 pub mod cluster;
 pub mod frame;
 pub mod reactor;
+mod runtime;
 pub mod sys;
 pub mod transport;
 

@@ -50,8 +50,9 @@ mod imp {
     use mra_obs::NetCounters;
     use mra_protocol::faults::{FrameFate, LinkFilter};
     use mra_protocol::reliable::{Reliability, RtoVerdict, RxBatch, RxVerdict, TxSession};
+    use crate::runtime::PortEvent;
     use mra_protocol::WireCodec;
-    use mra_sim::{NodePort, PortEvent};
+    use mra_sim::lock;
     use mra_types::{NodeId, Time};
     use polling::{Event, Events, Poller};
     use std::io::{self, Read, Write};
@@ -249,11 +250,10 @@ mod imp {
         }
 
         fn publish(&self) {
-            let mut g = self.slot.lock().unwrap_or_else(|e| e.into_inner());
             // `clone_from`, not assignment: reuses the slot's `by_kind`
             // allocation, keeping the once-per-iteration publish free of
             // heap traffic.
-            g.clone_from(&self.counters);
+            lock(&self.slot).clone_from(&self.counters);
         }
 
         /// The earliest pending deadline — RTOs, connect retries, the
@@ -882,7 +882,7 @@ mod imp {
         }
     }
 
-    /// [`NodePort`] over the reactor: the node loop's thin end of the
+    /// The node loop's port onto the reactor: the thin end of the
     /// command/event channels.  All sockets, sessions and timers live on
     /// the reactor thread; `send` is an enqueue plus at most one one-byte
     /// wakeup write.
@@ -909,7 +909,7 @@ mod imp {
         /// Snapshot of the reactor's transport counters (refreshed every
         /// reactor iteration; final totals once the port has dropped).
         pub fn counters(&self) -> NetCounters {
-            self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
+            lock(&self.slot).clone()
         }
 
         fn wait(&mut self, deadline: Option<Instant>) -> PortEvent<M> {
@@ -944,24 +944,32 @@ mod imp {
                 }
             }
         }
-    }
 
-    impl<M: WireCodec + Clone + Send> NodePort<M> for ReactorPort<M> {
-        fn send(&mut self, to: NodeId, msg: M, _stamp: u64) {
+        /// Queue `msg` for delivery to `to`.  Send failures after shutdown
+        /// are ignored — the run is already over.  `_stamp` is the
+        /// tracer's send-side Lamport stamp, dropped here: see the stamp-0
+        /// note in [`Self::wait`].
+        pub(crate) fn send(&mut self, to: NodeId, msg: M, _stamp: u64) {
             if self.cmd.send(Cmd::Send { to, msg }).is_ok() {
                 self.wake();
             }
         }
 
-        fn recv(&mut self) -> PortEvent<M> {
+        /// Block until the next event (never [`PortEvent::TimedOut`]).
+        pub(crate) fn recv(&mut self) -> PortEvent<M> {
             self.wait(None)
         }
 
-        fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M> {
+        /// Block until the next event or `deadline`, whichever is first.
+        pub(crate) fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M> {
             self.wait(Some(deadline))
         }
 
-        fn quota_done(&mut self) -> bool {
+        /// This node just completed its round quota.  The port coordinates
+        /// the cluster-wide shutdown; `true` means this node was the last
+        /// active finisher and must exit immediately (the shutdown it just
+        /// broadcast releases everyone else).
+        pub(crate) fn quota_done(&mut self) -> bool {
             match self.ctrl.self_done(self.me) {
                 DoneAct::LastFinisher => {
                     let _ = self.cmd.send(Cmd::Shutdown);
@@ -1084,8 +1092,8 @@ mod imp {
 #[cfg(not(unix))]
 mod stub {
     use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
+    use crate::runtime::PortEvent;
     use mra_protocol::WireCodec;
-    use mra_sim::{NodePort, PortEvent};
     use mra_types::NodeId;
     use std::io;
     use std::marker::PhantomData;
@@ -1095,17 +1103,17 @@ mod stub {
     /// keep the crate compiling — `connect_reactor_mesh` never returns one.
     pub struct ReactorPort<M>(PhantomData<M>);
 
-    impl<M: WireCodec + Clone + Send> NodePort<M> for ReactorPort<M> {
-        fn send(&mut self, _to: NodeId, _msg: M, _stamp: u64) {
+    impl<M> ReactorPort<M> {
+        pub(crate) fn send(&mut self, _to: NodeId, _msg: M, _stamp: u64) {
             unreachable!("reactor transport is unix-only")
         }
-        fn recv(&mut self) -> PortEvent<M> {
+        pub(crate) fn recv(&mut self) -> PortEvent<M> {
             unreachable!("reactor transport is unix-only")
         }
-        fn recv_deadline(&mut self, _deadline: std::time::Instant) -> PortEvent<M> {
+        pub(crate) fn recv_deadline(&mut self, _deadline: std::time::Instant) -> PortEvent<M> {
             unreachable!("reactor transport is unix-only")
         }
-        fn quota_done(&mut self) -> bool {
+        pub(crate) fn quota_done(&mut self) -> bool {
             unreachable!("reactor transport is unix-only")
         }
     }
@@ -1135,8 +1143,8 @@ mod tests {
     use super::*;
     use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
     use mra_protocol::faults::{FaultPlan, FrameFate, LinkFilter};
+    use crate::runtime::PortEvent;
     use mra_protocol::reliable::Reliability;
-    use mra_sim::{NodePort, PortEvent};
     use mra_types::Time;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;

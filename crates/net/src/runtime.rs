@@ -1,40 +1,33 @@
-//! The substrate-independent real-time node loop.
+//! The wall-clock node loop, beside the one transport it runs over.
 //!
-//! The threaded mpsc runtime ([`crate::threaded`]) and `mra-net`'s TCP
-//! transport both drive the same per-node event loop: wait for either a
-//! message or a workload timer, feed the protocol state machine, flush its
-//! outbox, and account grants/releases against the shared
-//! [`SafetyMonitor`] and [`Collector`].  This module owns that loop —
-//! [`drive_node`] — and the [`NodePort`] abstraction the two substrates
-//! implement, so wire-level and in-process runs differ *only* in how bytes
-//! move between nodes.
+//! Every node of a TCP run — a thread of [`crate::run_tcp_cluster`] or the
+//! whole process of [`crate::run_solo_node`] — drives the same event loop:
+//! wait for either a message or a workload timer, feed the protocol state
+//! machine, flush its outbox, and account grants/releases against the
+//! shared [`SafetyMonitor`] and [`Collector`].  [`drive_node`] is that
+//! loop and [`ReactorPort`] its only port, so nothing here is generic over
+//! a transport and nothing leaves the crate: the harnesses in
+//! [`crate::cluster`] are the public surface.
 //!
 //! Lifecycle per active node: think → request → wait for grant → hold the
 //! critical section → release, repeated `rounds` times.  After its quota a
 //! node parks but keeps serving protocol traffic (forwarding requests,
 //! relaying tokens) until the cluster-wide shutdown signal — coordinated by
-//! the port, see [`NodePort::quota_done`] — reaches it.
+//! the port, see [`ReactorPort::quota_done`] — reaches it.
 
-use crate::driver::{Driver, DriverState, Workload};
-use crate::metrics::{Collector, RunResult};
+use crate::reactor::ReactorPort;
 use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, TraceMode};
 use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
+use mra_sim::driver::{node_rng, Driver, DriverState, Workload};
+use mra_sim::lock;
+use mra_sim::metrics::{Collector, RunResult};
 use mra_types::{NodeId, Time};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Lock preserving parking_lot-like semantics: a poisoned mutex (some node
-/// thread already panicked) still yields its data, so the original panic
-/// reaches the joiner instead of a PoisonError cascade.
-pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// One delivery from the port to the node loop.
-pub enum PortEvent<M> {
+pub(crate) enum PortEvent<M> {
     /// A protocol message from `from`, to be processed no earlier than
     /// `deliver_at` (ports emulating extra link latency set it in the
     /// future; the loop sleeps out the difference).
@@ -43,9 +36,8 @@ pub enum PortEvent<M> {
         from: NodeId,
         /// Earliest processing instant.
         deliver_at: Instant,
-        /// Lamport stamp minted by the sender's tracer (0 when tracing is
-        /// disarmed or the transport cannot carry it — see
-        /// [`NodePort::send`]).
+        /// The sender's Lamport stamp; 0 = unstamped, which is all the
+        /// frame format can say today (see [`ReactorPort::send`]).
         stamp: u64,
         /// The protocol message.
         msg: M,
@@ -57,39 +49,10 @@ pub enum PortEvent<M> {
     Shutdown,
 }
 
-/// A node's connection to the rest of the cluster.
-///
-/// Implementations: the mpsc channel mesh in [`crate::threaded`] and the
-/// TCP mesh in `mra-net`.  Both must deliver messages FIFO per directed
-/// link (the assumption every protocol in this workspace makes).
-pub trait NodePort<M>: Send {
-    /// Queue `msg` for delivery to `to`.  Send failures after shutdown are
-    /// ignored — the run is already over.
-    ///
-    /// `stamp` is the sender-side Lamport stamp minted by the run's tracer
-    /// (0 when disarmed).  In-process ports carry it to the receiver's
-    /// [`PortEvent::Msg`]; wire transports whose frame format predates
-    /// tracing may drop it and deliver 0 (the trace then still has
-    /// per-node ordering and counters, just no cross-node edges).
-    fn send(&mut self, to: NodeId, msg: M, stamp: u64);
-
-    /// Block until the next event (never returns [`PortEvent::TimedOut`]).
-    fn recv(&mut self) -> PortEvent<M>;
-
-    /// Block until the next event or `deadline`, whichever comes first.
-    fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M>;
-
-    /// This node just completed its round quota.  The port coordinates the
-    /// cluster-wide shutdown; a `true` return means this node was the last
-    /// active finisher and must exit immediately (the shutdown signal it
-    /// just broadcast will release everyone else).
-    fn quota_done(&mut self) -> bool;
-}
-
 /// State shared by every node of one run: safety monitoring, metrics and
 /// the common epoch that turns wall-clock instants into [`Time`] stamps.
 #[derive(Debug)]
-pub struct RunShared {
+pub(crate) struct RunShared {
     /// Mutual-exclusion safety checker (panics on violation).
     pub monitor: Mutex<SafetyMonitor>,
     /// Metrics accumulator.
@@ -109,8 +72,7 @@ impl RunShared {
     /// Fresh shared state for `n` nodes and `m` resources.  The collector
     /// window is open-ended (clamped to the actual end by
     /// [`Collector::finish`]).  Tracing arms from the environment
-    /// ([`mra_obs::trace_mode_from_env`]) so both the mpsc and the TCP
-    /// runtime pick it up from one place.
+    /// ([`mra_obs::trace_mode_from_env`]).
     pub fn new(n: usize, m: usize) -> Self {
         let obs = match trace_mode_from_env() {
             TraceMode::Off => None,
@@ -118,7 +80,7 @@ impl RunShared {
         };
         RunShared {
             monitor: Mutex::new(SafetyMonitor::new(n, m)),
-            collector: Mutex::new(Collector::new(n, m, (Time::ZERO, Time::from_secs(3600)))),
+            collector: Mutex::new(Collector::new(n, m, (Time::ZERO, Time::MAX))),
             obs,
             epoch: Instant::now(),
         }
@@ -153,7 +115,7 @@ impl RunShared {
 
 /// Per-node run parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct NodeCfg {
+pub(crate) struct NodeCfg {
     /// Request/CS cycles this node must complete (ignored when passive).
     pub rounds: usize,
     /// Master seed; each node derives its own stream from it.
@@ -168,19 +130,15 @@ pub struct NodeCfg {
 /// # Panics
 /// On any safety violation (monitored exactly like the simulator) and on
 /// protocol contract violations surfaced by the `Allocator` itself.
-pub fn drive_node<A, W, P>(
+pub(crate) fn drive_node<A: Allocator, W: Workload>(
     me: NodeId,
     n: usize,
     mut proto: A,
     mut workload: W,
-    mut port: P,
+    mut port: ReactorPort<A::Msg>,
     shared: &RunShared,
     cfg: NodeCfg,
-) where
-    A: Allocator,
-    W: Workload,
-    P: NodePort<A::Msg>,
-{
+) {
     // The loop always runs a full request/CS cycle before decrementing, so
     // a zero quota on an active node would underflow instead of no-opping.
     assert!(
@@ -189,8 +147,7 @@ pub fn drive_node<A, W, P>(
     );
     let mut ctx: Ctx<A::Msg> = Ctx::new(me, n);
     let mut driver = Driver::new();
-    let mut rng =
-        StdRng::seed_from_u64(cfg.seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = node_rng(cfg.seed, me);
 
     ctx.set_now(shared.now());
     proto.on_init(&mut ctx);
@@ -313,12 +270,12 @@ pub fn drive_node<A, W, P>(
 /// Drain the outbox onto the port and turn a grant edge into CS
 /// bookkeeping (+ CS-end timer).  The outbox drains in place (its
 /// capacity is the reused buffer), under one collector lock per burst.
-fn flush_and_grants<M: WireMsg, W: Workload, P: NodePort<M>>(
+fn flush_and_grants<M: WireMsg, W: Workload>(
     me: NodeId,
     ctx: &mut Ctx<M>,
     driver: &mut Driver,
     workload: &mut W,
-    port: &mut P,
+    port: &mut ReactorPort<M>,
     shared: &RunShared,
     deadline: &mut Option<Instant>,
 ) {
@@ -362,13 +319,28 @@ mod tests {
     use super::*;
     use mra_types::ResourceSet;
 
-    /// The post-run monitor check guards every wall-clock harness (mpsc,
-    /// TCP cluster, solo), not the TCP cluster alone.
+    /// The post-run monitor check guards both wall-clock harnesses (TCP
+    /// cluster and solo), not the cluster alone.
     #[test]
     #[should_panic(expected = "node left inside CS after the run")]
     fn into_result_rejects_a_holder_left_inside() {
         let shared = RunShared::new(2, 2);
         lock(&shared.monitor).enter(1, ResourceSet::singleton(0));
         shared.into_result("x", 2);
+    }
+
+    /// The collector window is open-ended: a CS two hours into a long
+    /// solo run counts like one in the first second.
+    #[test]
+    fn a_cs_two_hours_in_is_still_counted() {
+        let shared = RunShared::new(1, 1);
+        let at = |ms| Time::from_secs(7200) + Time::from_millis(ms);
+        let mut c = shared.collector.into_inner().unwrap();
+        c.on_issue(0, ResourceSet::singleton(0), at(0), at(0));
+        c.on_grant(0, at(1));
+        c.on_release(0, at(3));
+        let res = c.finish("x", 1, at(4));
+        assert_eq!(res.cs_completed, 1);
+        assert_eq!(res.busy[0], Time::from_millis(2));
     }
 }

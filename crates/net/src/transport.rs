@@ -2,8 +2,8 @@
 //! harnesses share: the peer directory, mesh construction parameters and
 //! the transport-level shutdown protocol.
 //!
-//! Shutdown is coordinated at the transport level so the shared runtime
-//! loop stays substrate-agnostic:
+//! Shutdown is coordinated at the transport level, so the node loop asks
+//! its port one question (`quota_done`) whatever the deployment shape:
 //!
 //! * **in-process clusters** ([`PortCtrl::Cluster`]) count finishers in a
 //!   shared atomic — the last one broadcasts

@@ -4,7 +4,7 @@
 //! *cost*, measured as messages and waiting time per critical section.
 //! This crate turns that cost from a post-hoc aggregate into a measured,
 //! per-message-type, per-link, causally ordered quantity — on every
-//! substrate (simulator, virtual test network, threaded runtime, TCP).
+//! substrate (simulator, virtual test network, TCP).
 //!
 //! A run's *numbers* (messages and waiting time per critical section)
 //! come from one place, `mra-sim`'s `Collector → RunResult`; this crate

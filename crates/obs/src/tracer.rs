@@ -1,8 +1,8 @@
 //! The engine-side tracer: armed/disarmed causal event capture.
 //!
 //! One [`EngineTracer`] lives per execution domain — per shard in the
-//! simulator, one shared (mutex-guarded) instance in the threaded and TCP
-//! runtimes, one per `VirtualNet`.  Every hook starts with a single
+//! simulator, one shared (mutex-guarded) instance in a TCP cluster run,
+//! one per `VirtualNet`.  Every hook starts with a single
 //! `if !self.armed { return }` check and is `#[inline]`, so a disarmed
 //! tracer costs one predictable branch per call site and touches no
 //! memory: the simulator's zero-alloc steady-state guard runs with these

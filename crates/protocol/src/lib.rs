@@ -5,16 +5,16 @@
 //! implementing [`Allocator`].  Handlers never talk to a network or a clock
 //! directly: they receive a [`Ctx`] that buffers outgoing messages and
 //! records a "granted" signal.  This makes the same protocol code runnable
-//! under four substrates without modification:
+//! under three substrates without modification:
 //!
 //! 1. [`testkit::VirtualNet`] — a synchronous, randomized-interleaving
 //!    network used for unit tests and property-based safety/liveness tests;
 //! 2. `mra-sim`'s discrete-event simulator — adds virtual time, link
 //!    latencies and the paper's workload model (the substrate used for all
 //!    figure reproductions);
-//! 3. `mra-sim`'s threaded runtime — real OS threads and `std::sync::mpsc` channels;
-//! 4. `mra-net`'s TCP transport — real sockets, one process or many, using
-//!    the [`wire`] codecs to put messages on an actual wire.
+//! 3. `mra-net`'s TCP transport — real threads and real sockets, one
+//!    process or many, using the [`wire`] codecs to put messages on an
+//!    actual wire.
 //!
 //! Under the protocols sits the link layer: [`faults`] (what the wire does
 //! to a frame), [`reliable`] (the session protocol that repairs it) and
@@ -103,7 +103,7 @@ impl<M> Ctx<M> {
     }
 
     /// Current time.  Under `VirtualNet` this is a step counter; under the
-    /// simulator it is virtual time; under the threaded runtime, wall time.
+    /// simulator it is virtual time; under the TCP runtime, wall time.
     #[inline]
     pub fn now(&self) -> Time {
         self.now

@@ -1,8 +1,8 @@
 //! `ServeWorkload`: the adapter that makes a closed-loop engine serve an
 //! open-loop request stream.
 //!
-//! Every engine in this workspace (discrete-event `Sim`, the threaded
-//! runtime, the TCP reactor cluster) drives nodes through the pull-based
+//! Both engines in this workspace (discrete-event `Sim`, the TCP
+//! reactor cluster) drive nodes through the pull-based
 //! [`Workload`] trait: *think, then ask for the next request*.  That is a
 //! closed loop — a slow node asks less often, and latency measured from
 //! the ask (issue time) silently forgives queueing delay.
@@ -179,7 +179,7 @@ impl ServeWorkload {
 
 impl Workload for ServeWorkload {
     fn set_now(&mut self, now: Time) {
-        // Engine clocks are monotone per node, but the threaded runtime
+        // Engine clocks are monotone per node, but the wall-clock runtime
         // may deliver a slightly stale shared clock; never move backward.
         self.now = self.now.max(now);
         self.pump();

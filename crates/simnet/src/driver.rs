@@ -10,11 +10,19 @@
 //! 3. wait for the grant — the *waiting time* metric,
 //! 4. hold the resources for α, release, go to 1.
 //!
-//! The driver is engine-agnostic: both the discrete-event simulator and the
-//! threaded runtime embed it.
+//! The driver is engine-agnostic: both the discrete-event simulator and
+//! `mra-net`'s wall-clock node loop embed it.
 
-use mra_types::{ResourceSet, Time};
+use mra_types::{NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Node `node`'s private random stream under master seed `seed` — the one
+/// derivation every engine uses, so a workload draws the same think times
+/// and request sets for a given `(seed, node)` on every substrate.
+pub fn node_rng(seed: u64, node: NodeId) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
 
 /// A request-generation model (implemented by `mra-workloads` for the
 /// paper's parameters; simple fixed models live in tests).
@@ -171,7 +179,6 @@ impl Workload for FixedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn lifecycle_roundtrip() {

@@ -22,12 +22,11 @@
 //! * [`stats`] — small numerically careful helpers (mean/std/percentiles);
 //! * [`obs`] — causal tracing and transport counters (re-exported from
 //!   [`mra_obs`]): [`Sim::set_tracing`] / `MRA_TRACE` arm the trace;
-//! * [`trace`] — ASCII Gantt rendering of runs (the paper's Fig. 1 / 4);
-//! * [`runtime`] — the substrate-independent real-time node loop shared by
-//!   the threaded runtime and `mra-net`'s TCP transport;
-//! * [`threaded`] — a real-concurrency runtime (one OS thread per node,
-//!   std::sync::mpsc channels) running the very same protocol code, used to
-//!   validate the protocols outside the simulator.
+//! * [`trace`] — ASCII Gantt rendering of runs (the paper's Fig. 1 / 4).
+//!
+//! The wall-clock counterpart — the same [`driver::Driver`],
+//! [`Workload`] and [`metrics::Collector`] under real threads and real
+//! sockets — is `mra-net`, which owns its node loop.
 
 pub mod driver;
 /// Deterministic fault injection (re-exported from
@@ -50,17 +49,15 @@ pub mod reliable {
 pub mod latency;
 pub mod metrics;
 /// Causal tracing, counters and trace analysis
-/// (re-exported from [`mra_obs`], where the layer lives so all four
+/// (re-exported from [`mra_obs`], where the layer lives so all three
 /// substrates — and the `mra-trace` analyzer — share one event model):
-/// [`Sim::set_tracing`] arms the simulator; the runtimes arm from the
-/// `MRA_TRACE` / `MRA_TRACE_FILE` environment knobs.
+/// [`Sim::set_tracing`] arms the simulator; `mra-net`'s TCP runs arm from
+/// the `MRA_TRACE` / `MRA_TRACE_FILE` environment knobs.
 pub mod obs {
     pub use mra_obs::*;
 }
-pub mod runtime;
 pub mod sim;
 pub mod stats;
-pub mod threaded;
 pub mod trace;
 
 pub use driver::{FixedWorkload, Workload};
@@ -68,7 +65,13 @@ pub use faults::{FaultPlan, FaultStats};
 pub use latency::LatencyModel;
 pub use metrics::{ReqRecord, RunResult, WaitStats};
 pub use reliable::{Reliability, ReliabilityStats};
-pub use runtime::{drive_node, NodeCfg, NodePort, PortEvent, RunShared};
 pub use sim::{Sim, SimConfig};
-pub use threaded::{run_threaded, ThreadedConfig};
 pub use trace::render_gantt;
+
+/// Lock a mutex whether or not it is poisoned: when a sibling thread (a
+/// shard worker, a TCP node, a pool job) has already panicked, the data is
+/// still handed out, so the original panic reaches the joiner instead of
+/// a `PoisonError` cascade.
+pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

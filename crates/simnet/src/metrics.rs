@@ -130,7 +130,7 @@ pub struct RunResult {
     /// (censored: excluded from waiting-time stats, reported for honesty).
     pub censored: u64,
     /// Engine events processed over the whole run (simulator runs only;
-    /// zero under the threaded/TCP runtimes, which have no event loop).
+    /// zero under the TCP runtime, which has no event loop).
     pub events_processed: u64,
     /// Wall-clock nanoseconds the engine spent executing the run (again
     /// simulator-only).  Purely observational: it never feeds back into
@@ -138,15 +138,15 @@ pub struct RunResult {
     pub wall_ns: u64,
     /// What the fault layer did during the run (all-zero when no
     /// [`FaultPlan`](mra_protocol::faults::FaultPlan) was installed, and
-    /// under the threaded/TCP runtimes, whose per-link filters are not
-    /// aggregated here).
+    /// under the TCP runtime, whose per-link filters are not aggregated
+    /// here).
     pub faults: FaultStats,
     /// What the reliable session layer did during the run (all-zero when
-    /// reliability is off, and under the threaded/TCP runtimes, whose
-    /// per-port sessions are not aggregated here).
+    /// reliability is off, and under the TCP runtime, whose per-port
+    /// sessions are not aggregated here).
     pub reliability: ReliabilityStats,
     /// How many shards the simulator engine ran on (1 for the sequential
-    /// path and for the non-simulator runtimes).
+    /// path and for TCP runs).
     pub shards: usize,
     /// Events processed per shard (sums to `events_processed`; empty for
     /// the non-simulator runtimes).
@@ -351,7 +351,7 @@ impl Collector {
     /// Close the run at `end`: outstanding requests are folded (granted
     /// ones contribute busy time up to the window end; ungranted ones are
     /// counted as censored).  The window is clamped to the actual end so
-    /// open-ended runs (threaded runtime) get a correct use-rate
+    /// open-ended runs (the TCP runtime) get a correct use-rate
     /// denominator.
     pub fn finish(mut self, algo: &str, n: usize, end: Time) -> RunResult {
         if end < self.window.1 {

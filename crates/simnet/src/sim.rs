@@ -34,8 +34,9 @@
 //! replay them in global `(at, ord)` order at the end of the run, so each
 //! simulated experiment still doubles as a large randomized protocol test.
 
-use crate::driver::{Driver, DriverState, Workload};
+use crate::driver::{node_rng, Driver, DriverState, Workload};
 use crate::latency::LatencyModel;
+use crate::lock;
 use crate::metrics::{Collector, RunResult};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceMode};
 use mra_protocol::faults::{Admit, FaultPlan, FaultStats};
@@ -45,10 +46,9 @@ use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Simulation parameters.
@@ -783,12 +783,6 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     }
 }
 
-/// A poison-tolerant mutex lock: a panicking sibling shard must not turn
-/// every subsequent lock into a second, unrelated panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A reusable barrier that can be *aborted*: when a shard worker panics it
 /// aborts the barrier instead of leaving its siblings waiting forever, and
 /// every waiter returns `false` so the workers unwind cleanly.
@@ -888,14 +882,8 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                 ctx: Ctx::new(i, n),
                 driver: Driver::new(),
                 workload,
-                rng: StdRng::seed_from_u64(
-                    cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
-                net_rng: StdRng::seed_from_u64(
-                    cfg.seed
-                        ^ 0xDEAD_BEEF_CAFE_F00D
-                        ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
+                rng: node_rng(cfg.seed, i),
+                net_rng: node_rng(cfg.seed ^ 0xDEAD_BEEF_CAFE_F00D, i),
             });
         }
         let shards = per

@@ -5,7 +5,7 @@
 //! small and `Copy` keeps the hot paths allocation-free.
 //!
 //! * [`Time`] — a nanosecond-resolution instant/duration used as virtual time
-//!   by the discrete-event simulator and as real time by the threaded
+//!   by the discrete-event simulator and as real time by the TCP
 //!   runtime.
 //! * [`DynSet`] — a dynamic word-vector bitset with an inline ≤256-element
 //!   fast path.  [`ResourceSet`] and [`NodeSet`] are typed aliases.

@@ -120,7 +120,7 @@ impl Time {
         Time::from_secs_f64(self.as_secs_f64() * k)
     }
 
-    /// Convert to `std::time::Duration` (for the threaded runtime).
+    /// Convert to `std::time::Duration` (for the wall-clock runtime).
     #[inline]
     pub fn to_std(self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.0)

@@ -16,10 +16,10 @@
 //! place.  The pool is std-only (`std::thread::scope`) because the build
 //! environment is offline; no rayon, no crossbeam.
 
-// Poison-tolerant lock shared with the node runtime: a worker panic (e.g.
-// a safety violation inside a simulation) must surface as that panic when
-// the scope joins, not as a `PoisonError` cascade from a sibling.
-use mra_sim::runtime::lock;
+// Poison-tolerant: a worker panic (e.g. a safety violation inside a
+// simulation) must surface as that panic when the scope joins, not as a
+// `PoisonError` cascade from a sibling.
+use mra_sim::lock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

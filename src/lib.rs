@@ -25,7 +25,7 @@
 //!   generators, the bounded admission queue with batching and per-class
 //!   quotas, and arrival-keyed end-to-end latency accounting.
 //! * [`sim`] — the deterministic discrete-event simulator, workload driver,
-//!   metrics, Gantt tracing and the threaded runtime.
+//!   metrics and Gantt tracing.
 //! * [`workloads`] — the paper's workload model and experiment harness.
 //! * [`types`] — time, ids and bitsets.
 //!

@@ -1,17 +1,17 @@
 //! Cross-substrate conformance: one fixed scenario — 8 active nodes, 16
 //! resources, paper LAN latency (γ = 0.6 ms where the substrate has a
-//! clock), seed 42, fault-free plan — runs on the three in-process
-//! substrates (`VirtualNet`, the discrete-event `Sim`, the mpsc threaded
-//! runtime) and they must agree on `cs_entered` **per node**, for **all
+//! clock), seed 42, fault-free plan — runs on all three substrates
+//! (`VirtualNet`, the discrete-event `Sim`, the TCP reactor cluster over
+//! loopback) and they must agree on `cs_entered` **per node**, for **all
 //! six protocol families** of the evaluation.
 //!
 //! The substrates cannot share a message schedule (one has no clock, one
-//! has a virtual clock, one real threads), so agreement is made exact by
-//! running a *quota* workload: every node performs exactly `ROUNDS`
-//! request/CS/release cycles.  Safety + liveness on each substrate then
-//! force the identical per-node count — any double grant, lost grant or
-//! phantom CS on any substrate breaks the equality (and the shared
-//! `SafetyMonitor` panics long before).
+//! has a virtual clock, one real threads and sockets), so agreement is
+//! made exact by running a *quota* workload: every node performs exactly
+//! `ROUNDS` request/CS/release cycles.  Safety + liveness on each
+//! substrate then force the identical per-node count — any double grant,
+//! lost grant or phantom CS on any substrate breaks the equality (and the
+//! shared `SafetyMonitor` panics long before).
 //!
 //! The second half of this file is the PR 5 liveness-under-loss matrix:
 //! with the reliable session layer on, a 20% drop plan must cost **zero**
@@ -26,11 +26,9 @@ use mra::protocol::reliable::Reliability;
 use mra::protocol::testkit::{
     run_random_workload, ExerciseCfg, VirtualNet,
 };
-use mra::protocol::Allocator;
-use mra::sim::{
-    run_threaded, FixedWorkload, LatencyModel, RunResult, Sim, SimConfig, ThreadedConfig,
-    Workload,
-};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
+use mra::protocol::{Allocator, WireCodec};
+use mra::sim::{FixedWorkload, LatencyModel, RunResult, Sim, SimConfig, Workload};
 use mra::types::{ResourceSet, Time};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,6 +90,7 @@ fn per_node(res: &RunResult, active: usize) -> Vec<usize> {
 fn conformance<A, F>(build: F, active: Option<usize>)
 where
     A: Allocator + Send + 'static,
+    A::Msg: WireCodec,
     F: Fn() -> Vec<A>,
 {
     let n_total = build().len();
@@ -147,18 +146,18 @@ where
         per_node(&res, n_active)
     };
 
-    // Substrate 3: the mpsc threaded runtime (real concurrency, emulated
-    // γ = 0.6 ms links), natively quota-based.
-    let mpsc_counts = {
-        let res = run_threaded(
+    // Substrate 3: the TCP reactor cluster (real threads, real loopback
+    // sockets, the wire codec, γ = 0.6 ms stacked on the wire), natively
+    // quota-based.
+    let tcp_counts = {
+        let res = run_tcp_cluster(
             build(),
             (0..n_total).map(|_| fixed()).collect::<Vec<_>>(),
             M,
-            ThreadedConfig {
-                rounds: ROUNDS,
-                latency: Time::from_micros(600),
-                seed: SEED,
+            TcpClusterConfig {
+                extra_latency: Time::from_micros(600),
                 active_nodes: active,
+                ..TcpClusterConfig::new(ROUNDS, SEED)
             },
         );
         assert_eq!(res.censored, 0);
@@ -170,8 +169,8 @@ where
         "Sim disagrees with VirtualNet on cs_entered per node"
     );
     assert_eq!(
-        mpsc_counts, vnet_counts,
-        "mpsc runtime disagrees with VirtualNet on cs_entered per node"
+        tcp_counts, vnet_counts,
+        "TCP cluster disagrees with VirtualNet on cs_entered per node"
     );
 }
 

@@ -1,7 +1,9 @@
-//! Determinism guarantees and threaded-runtime validation.
+//! Determinism guarantees, and validation of the threaded wall-clock
+//! runtime (one thread per node over the loopback TCP reactor).
 
 use mra::core::LassConfig;
-use mra::sim::{run_threaded, FixedWorkload, ThreadedConfig};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
+use mra::sim::FixedWorkload;
 use mra::types::Time;
 use mra::workloads::{run, Algorithm, Load, Scenario};
 
@@ -50,8 +52,9 @@ fn different_seeds_differ() {
 
 #[test]
 fn threaded_runtime_agrees_with_simulator_on_safety_and_quota() {
-    // Small but real: 6 threads, 12 resources, everyone completes its
-    // quota under genuine parallelism (safety checked by the monitor).
+    // Small but real: 6 node threads over loopback TCP, 12 resources,
+    // everyone completes its quota under genuine parallelism (safety
+    // checked by the monitor).
     let cfg = LassConfig::with_loan(6, 12);
     let workloads: Vec<FixedWorkload> = (0..6)
         .map(|_| FixedWorkload {
@@ -61,15 +64,13 @@ fn threaded_runtime_agrees_with_simulator_on_safety_and_quota() {
             size: 3,
         })
         .collect();
-    let res = run_threaded(
+    let res = run_tcp_cluster(
         cfg.build_nodes(),
         workloads,
         12,
-        ThreadedConfig {
-            rounds: 8,
-            latency: Time::from_micros(100),
-            seed: 5,
-            active_nodes: None,
+        TcpClusterConfig {
+            extra_latency: Time::from_micros(100),
+            ..TcpClusterConfig::new(8, 5)
         },
     );
     assert_eq!(res.cs_completed, 48);
@@ -91,22 +92,20 @@ fn threaded_runtime_runs_every_algorithm() {
             })
             .collect()
     };
-    let tc = |seed| ThreadedConfig {
-        rounds: 5,
-        latency: Time::from_micros(50),
-        seed,
-        active_nodes: None,
+    let tc = |seed| TcpClusterConfig {
+        extra_latency: Time::from_micros(50),
+        ..TcpClusterConfig::new(5, seed)
     };
-    let r = run_threaded(Incremental::build_nodes(4, 8), workloads(4), 8, tc(1));
+    let r = run_tcp_cluster(Incremental::build_nodes(4, 8), workloads(4), 8, tc(1));
     assert_eq!(r.cs_completed, 20);
-    let r = run_threaded(
+    let r = run_tcp_cluster(
         BouabdallahLaforest::build_nodes(4, 8),
         workloads(4),
         8,
         tc(2),
     );
     assert_eq!(r.cs_completed, 20);
-    let r = run_threaded(Maddi::build_nodes(4, 8), workloads(4), 8, tc(3));
+    let r = run_tcp_cluster(Maddi::build_nodes(4, 8), workloads(4), 8, tc(3));
     assert_eq!(r.cs_completed, 20);
 }
 
