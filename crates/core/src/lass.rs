@@ -115,8 +115,8 @@ pub struct LassStats {
 /// eight soon keeps eight, one of 10 000 nodes that sends a message now and
 /// then keeps none (a spare it would not reuse is only resident memory).
 /// **Capacity, never payload:** callers empty a value before they
-/// [`Spares::put`] it, so nothing a message carried (the 12 KB sets of a
-/// 100k-resource run) outlives its handler here.
+/// [`Spares::put`] it, so nothing a message carried outlives its
+/// handler here.
 #[derive(Clone)]
 struct Spares<T> {
     kept: Vec<T>,
@@ -1016,18 +1016,15 @@ impl Allocator for Lass {
         assert!(!resources.is_empty(), "empty request");
         debug_assert!(resources.iter().all(|r| r < self.cfg.m));
         self.cur_id += 1;
-        // A copy, not the caller's set: the copy is cut to size, while a set
-        // grown by inserts carries up to twice its words — held until the
-        // next request, at 100k resources that is 1.3 KB per node.
-        self.t_required = resources.clone();
+        self.t_required = resources;
         self.cnt_needed.clear();
         self.loan_asked = false;
 
         // §4.6.1: single-resource requests skip the counter phase; the
         // holder computes the mark.  (Only when the token is remote —
         // locally we just take the counter.)
-        if self.cfg.opt_single_resource && resources.len() == 1 {
-            let r = resources.first().expect("non-empty");
+        if self.cfg.opt_single_resource && self.t_required.len() == 1 {
+            let r = self.t_required.first().expect("non-empty");
             if !self.t_owned.contains(r) {
                 self.state = ProcState::WaitCS;
                 // processUpdate reserves the counter on token arrival.
@@ -1048,7 +1045,7 @@ impl Allocator for Lass {
         }
 
         self.state = ProcState::WaitS;
-        for r in resources.iter() {
+        for r in self.t_required.iter() {
             if self.t_owned.contains(r) {
                 self.take_counter_locally(r);
             } else {

@@ -47,9 +47,9 @@ use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -354,9 +354,7 @@ struct Mail<M> {
 type Mailboxes<M> = Vec<Vec<Mutex<Vec<Mail<M>>>>>;
 
 /// One CS enter/exit observation on a sharded run, replayed through a
-/// [`SafetyMonitor`] in global `(at, ord)` order at the end.  `elems`
-/// stores the granted set as a compact element list rather than a bitset:
-/// at 100 k resources a bitset clone per grant would cost ~12 KB each.
+/// [`SafetyMonitor`] in global `(at, ord)` order at the end.
 struct CsNote {
     at: Time,
     ord: u64,
@@ -364,7 +362,8 @@ struct CsNote {
     /// today — one event never logs both — but the key is kept total).
     enter: bool,
     node: NodeId,
-    elems: Vec<u32>,
+    /// The granted set (empty on exit).
+    set: ResourceSet,
 }
 
 /// A shard's scheduling state: its event queue, the lane table that mints
@@ -578,7 +577,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                 ord,
                 enter: true,
                 node,
-                elems: set.iter().map(|r| r as u32).collect(),
+                set,
             }),
         }
     }
@@ -591,7 +590,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                 ord,
                 enter: false,
                 node,
-                elems: Vec::new(),
+                set: ResourceSet::EMPTY,
             }),
         }
     }
@@ -783,57 +782,89 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     }
 }
 
+/// How long a waiter polls an [`AbortBarrier`] before it parks.  A window
+/// is a few hundred microseconds of work per shard, so the sibling is
+/// usually that close behind (at 10 000 nodes on two shards some nine
+/// waits in ten end within this budget).
+const BARRIER_SPIN: Duration = Duration::from_micros(500);
+
 /// A reusable barrier that can be *aborted*: when a shard worker panics it
 /// aborts the barrier instead of leaving its siblings waiting forever, and
 /// every waiter returns `false` so the workers unwind cleanly.
+///
+/// A waiter polls for [`BARRIER_SPIN`] before it parks, yielding the core
+/// between polls so that more workers than cores still make progress.
+/// That is not for the futex round trip: a worker that parks at every
+/// window looks idle to the kernel, which then feels free to stack both
+/// workers on one core (wake-affine) — or not, depending on what the
+/// machine ran a minute earlier — and the same simulation takes one of two
+/// speeds (DESIGN §10.2).  A worker that stays runnable keeps its core.
 struct AbortBarrier {
-    state: Mutex<BarrierState>,
+    /// Arrivals of the current generation.  `generation` and `aborted` are
+    /// only written with this lock held, so the parked path needs nothing
+    /// else; they are atomics so that the polling path can read them
+    /// without it.
+    count: Mutex<usize>,
     cv: Condvar,
     parties: usize,
-}
-
-struct BarrierState {
-    count: usize,
-    generation: u64,
-    aborted: bool,
+    generation: AtomicU64,
+    aborted: AtomicBool,
 }
 
 impl AbortBarrier {
     fn new(parties: usize) -> Self {
         AbortBarrier {
-            state: Mutex::new(BarrierState {
-                count: 0,
-                generation: 0,
-                aborted: false,
-            }),
+            count: Mutex::new(0),
             cv: Condvar::new(),
             parties,
+            generation: AtomicU64::new(0),
+            aborted: AtomicBool::new(false),
         }
+    }
+
+    /// Has generation `gen` opened (or the barrier been aborted)?
+    fn released(&self, gen: u64) -> bool {
+        self.generation.load(Ordering::Acquire) != gen || self.aborted.load(Ordering::Acquire)
     }
 
     /// Wait for all parties.  Returns `false` if the barrier was aborted.
+    /// Everything a party wrote before it arrived is visible to every party
+    /// after it returns: arrivals are ordered by the lock, and the last one
+    /// publishes the new generation with a release store.
     fn wait(&self) -> bool {
-        let mut st = lock(&self.state);
-        if st.aborted {
+        let mut count = lock(&self.count);
+        if self.aborted.load(Ordering::Relaxed) {
             return false;
         }
-        let gen = st.generation;
-        st.count += 1;
-        if st.count == self.parties {
-            st.count = 0;
-            st.generation += 1;
+        let gen = self.generation.load(Ordering::Relaxed);
+        *count += 1;
+        if *count == self.parties {
+            *count = 0;
+            self.generation.store(gen + 1, Ordering::Release);
             self.cv.notify_all();
             return true;
         }
-        while st.generation == gen && !st.aborted {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        drop(count);
+        let started = Instant::now();
+        while started.elapsed() < BARRIER_SPIN {
+            for _ in 0..32 {
+                if self.released(gen) {
+                    return !self.aborted.load(Ordering::Relaxed);
+                }
+                std::hint::spin_loop();
+            }
+            std::thread::yield_now();
         }
-        !st.aborted
+        count = lock(&self.count);
+        while !self.released(gen) {
+            count = self.cv.wait(count).unwrap_or_else(|e| e.into_inner());
+        }
+        !self.aborted.load(Ordering::Relaxed)
     }
 
     fn abort(&self) {
-        let mut st = lock(&self.state);
-        st.aborted = true;
+        let _count = lock(&self.count);
+        self.aborted.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 }
@@ -1168,9 +1199,9 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             }
             notes.sort_unstable_by_key(|nt| (nt.at, nt.ord, nt.enter));
             let mut mon = SafetyMonitor::new(self.n, self.m);
-            for nt in &notes {
+            for nt in notes {
                 if nt.enter {
-                    mon.enter(nt.node, nt.elems.iter().map(|&r| r as usize).collect());
+                    mon.enter(nt.node, nt.set);
                 } else {
                     mon.exit(nt.node);
                 }
@@ -1310,8 +1341,8 @@ fn drive_shard<A: Allocator, W: Workload>(
                 shard.sched.queue.push(mail.at, mail.ord, mail.ev);
             }
         }
-        // Publish my earliest timestamp; the barrier's lock ordering makes
-        // the relaxed stores visible to every reader after it.
+        // Publish my earliest timestamp; the barrier makes the relaxed
+        // stores visible to every reader after it.
         mins[me].store(shard.local_min(), Ordering::Relaxed);
         if !barrier.wait() {
             return;
@@ -1878,5 +1909,36 @@ mod tests {
     fn env_shards_defaults_to_one() {
         // The variable is not set in the test environment.
         assert_eq!(SimConfig::env_shards(), 1);
+    }
+
+    /// The barrier orders what the parties wrote, and an abort releases a
+    /// waiter — polling or parked — with `false`.
+    #[test]
+    fn barrier_orders_writes_and_abort_releases_waiters() {
+        // Abort inside the polling budget, then well after it.
+        for abort_after in [BARRIER_SPIN / 10, 4 * BARRIER_SPIN] {
+            let barrier = AbortBarrier::new(2);
+            let slots = [AtomicU64::new(0), AtomicU64::new(0)];
+            std::thread::scope(|scope| {
+                for me in 0..2 {
+                    let (barrier, slots) = (&barrier, &slots);
+                    scope.spawn(move || {
+                        for round in 1..=2_000u64 {
+                            slots[me].store(round, Ordering::Relaxed);
+                            assert!(barrier.wait());
+                            assert_eq!(slots[1 - me].load(Ordering::Relaxed), round);
+                            assert!(barrier.wait());
+                        }
+                    });
+                }
+            });
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| barrier.wait());
+                std::thread::sleep(abort_after);
+                barrier.abort();
+                assert!(!waiter.join().expect("waiter returns"));
+            });
+            assert!(!barrier.wait(), "an aborted barrier stays aborted");
+        }
     }
 }

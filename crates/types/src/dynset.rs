@@ -3,37 +3,131 @@
 //! [`DynSet`] sits behind the [`ResourceSet`](crate::ResourceSet) /
 //! [`NodeSet`](crate::NodeSet) aliases so
 //! scenarios can scale past the paper's N = 32 / M = 80 shape to 10k+
-//! nodes and 100k+ resources.  The representation is a word vector with an
-//! **inline small-set fast path**: sets whose largest element is below 256
-//! live in four inline words and never touch the heap, so the protocol hot
-//! paths of paper-scale runs stay allocation-free.  Inserting an element
-//! ≥ 256 promotes the set to a heap word vector of whatever length the
-//! largest element needs.
+//! nodes and 100k+ resources.  It has two representations, selected by
+//! what the set has held:
+//!
+//! * **inline** — sets whose largest element is below 256 live in four
+//!   inline words and never touch the heap, so the protocol hot paths of
+//!   paper-scale runs stay allocation-free;
+//! * **chunks** — inserting an element ≥ 256 promotes the set to its
+//!   *nonzero* 64-bit words as `(word index, bits)` pairs, sorted by index.
+//!   Memory and every operation are O(nonzero words), not O(largest
+//!   element): a 4-element request over 100 000 resources is at most four
+//!   chunks (64 bytes), where a bitmap sized by the universe is 12.5 KB.
+//!
+//! **Canonical form** of the chunk vector: indices strictly increasing, no
+//! zero word.  Every operation restores it (removing a chunk's last bit
+//! removes the chunk), so emptiness is `is_empty()` of the vector, equality
+//! of two chunked sets is slice equality, and the binary operations and
+//! relations are one merge over two sorted streams.
 //!
 //! `DynSet` is `Clone` but not `Copy`.  Equality and hashing are
-//! representation-independent: trailing zero words are ignored, so an
-//! inline `{3}` equals a heap `{3}` that once held 10_000.
+//! representation-independent: an inline `{3}` equals a chunked `{3}` that
+//! once held 10_000.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// Number of inline words: 4 × 64 = 256 elements before heap promotion
-/// (the paper's shape plus headroom).
+/// Number of inline words: 4 × 64 = 256 elements before promotion to
+/// chunks (the paper's shape plus headroom).
 const INLINE_WORDS: usize = 4;
 const INLINE_BITS: usize = INLINE_WORDS * 64;
+
+/// One nonzero word of a chunked set, `(word index, bits)`: the word at
+/// index `i` holds elements `64 i .. 64 i + 64`.
+type Chunk = (u32, u64);
+
+/// Scratch for [`DynSet::chunks`]: an inline set has at most this many.
+const NO_CHUNKS: [Chunk; INLINE_WORDS] = [(0, 0); INLINE_WORDS];
 
 #[derive(Clone)]
 enum Repr {
     Inline([u64; INLINE_WORDS]),
-    Heap(Vec<u64>),
+    /// Canonical form: indices strictly increasing, no zero word.
+    Chunks(Vec<Chunk>),
 }
 
-/// A set of `usize` elements stored as a dynamic bit vector.
+/// A set of `usize` elements: four inline words while every element is
+/// below 256, the sorted nonzero words once one is not.
 ///
-/// All operations are O(words).  Elements below 256 never allocate.
+/// Inline operations are O(4 words) and never allocate; chunked ones are
+/// O(chunks present) — point operations a binary search, binary
+/// operations and relations one merge.
 #[derive(Clone)]
 pub struct DynSet {
     repr: Repr,
+}
+
+/// Chunk index of word `wi`.  Checked: a word index past `u32` must not
+/// wrap into another element's chunk.
+#[inline]
+fn chunk_index(wi: usize) -> u32 {
+    u32::try_from(wi).expect("DynSet element out of range: word index exceeds u32")
+}
+
+/// Position of the chunk holding element `i`, or where it would go.
+#[inline]
+fn find(v: &[Chunk], i: usize) -> Result<usize, usize> {
+    match u32::try_from(i / 64) {
+        Ok(ci) => v.binary_search_by_key(&ci, |c| c.0),
+        Err(_) => Err(v.len()),
+    }
+}
+
+/// Elements held by a chunk slice.
+fn count(v: &[Chunk]) -> usize {
+    v.iter().map(|c| c.1.count_ones() as usize).sum()
+}
+
+fn is_canonical(v: &[Chunk]) -> bool {
+    v.windows(2).all(|p| p[0].0 < p[1].0) && v.iter().all(|c| c.1 != 0)
+}
+
+/// Walk two canonical chunk slices in index order, calling
+/// `f(index, a's word, b's word)` once for every index present in either
+/// (the absent side reads 0) until `f` says `false`.  Returns whether every
+/// call said `true`.
+fn merge(a: &[Chunk], b: &[Chunk], mut f: impl FnMut(u32, u64, u64) -> bool) -> bool {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let idx = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x.0.min(y.0),
+            (Some(c), None) | (None, Some(c)) => c.0,
+            (None, None) => return true,
+        };
+        let x = a.next_if(|c| c.0 == idx).map_or(0, |c| c.1);
+        let y = b.next_if(|c| c.0 == idx).map_or(0, |c| c.1);
+        if !f(idx, x, y) {
+            return false;
+        }
+    }
+}
+
+/// `v ∪= b`, both canonical, in place: count the indices `v` lacks, grow
+/// once, merge from the back.
+fn union_in_place(v: &mut Vec<Chunk>, b: &[Chunk]) {
+    let mut missing = 0;
+    merge(v, b, |_, x, _| {
+        missing += usize::from(x == 0);
+        true
+    });
+    // `v[..i]` is still to be placed, `v[k..]` is final.
+    let (mut i, mut k) = (v.len(), v.len() + missing);
+    v.resize(k, (0, 0));
+    for &(ib, y) in b.iter().rev() {
+        while i > 0 && v[i - 1].0 > ib {
+            (i, k) = (i - 1, k - 1);
+            v[k] = v[i];
+        }
+        k -= 1;
+        if i > 0 && v[i - 1].0 == ib {
+            i -= 1;
+            v[k] = (ib, v[i].1 | y);
+        } else {
+            v[k] = (ib, y);
+        }
+    }
+    debug_assert_eq!(i, k);
 }
 
 impl DynSet {
@@ -50,20 +144,21 @@ impl DynSet {
 
     /// Create the full set `{0, .., n-1}` for any `n`.
     pub fn full(n: usize) -> Self {
-        let mut s = Self::new();
-        if n > INLINE_BITS {
-            s.repr = Repr::Heap(vec![0; n.div_ceil(64)]);
+        // Word `wi` of `{0, .., n-1}`.
+        let word = |wi: usize| match n.saturating_sub(wi * 64) {
+            left if left >= 64 => u64::MAX,
+            left => (1u64 << left) - 1,
+        };
+        if n <= INLINE_BITS {
+            return DynSet {
+                repr: Repr::Inline(std::array::from_fn(word)),
+            };
         }
-        let words = s.words_mut();
-        for (wi, w) in words.iter_mut().enumerate() {
-            let lo = wi * 64;
-            if lo + 64 <= n {
-                *w = u64::MAX;
-            } else if lo < n {
-                *w = (1u64 << (n - lo)) - 1;
-            }
-        }
-        s
+        Self::from_chunks(
+            (0..n.div_ceil(64))
+                .map(|wi| (chunk_index(wi), word(wi)))
+                .collect(),
+        )
     }
 
     /// Create a singleton set `{i}`.
@@ -74,214 +169,342 @@ impl DynSet {
         s
     }
 
-    #[inline]
-    fn words(&self) -> &[u64] {
+    fn from_chunks(v: Vec<Chunk>) -> Self {
+        debug_assert!(is_canonical(&v));
+        DynSet {
+            repr: Repr::Chunks(v),
+        }
+    }
+
+    /// The set's nonzero words as a canonical chunk slice, whatever the
+    /// representation (`buf` backs the slice of an inline set).
+    fn chunks<'a>(&'a self, buf: &'a mut [Chunk; INLINE_WORDS]) -> &'a [Chunk] {
         match &self.repr {
-            Repr::Inline(w) => w,
-            Repr::Heap(v) => v,
-        }
-    }
-
-    #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.repr {
-            Repr::Inline(w) => w,
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// Grow (promoting to heap if needed) so element `i` is addressable.
-    fn grow_for(&mut self, i: usize) {
-        let need = i / 64 + 1;
-        match &mut self.repr {
-            Repr::Inline(w) if need > INLINE_WORDS => {
-                let mut v = vec![0u64; need];
-                v[..INLINE_WORDS].copy_from_slice(w);
-                self.repr = Repr::Heap(v);
-            }
-            Repr::Inline(_) => {}
-            Repr::Heap(v) => {
-                if v.len() < need {
-                    v.resize(need, 0);
+            Repr::Chunks(v) => v,
+            Repr::Inline(w) => {
+                let mut n = 0;
+                for (wi, &bits) in w.iter().enumerate() {
+                    if bits != 0 {
+                        buf[n] = (wi as u32, bits);
+                        n += 1;
+                    }
                 }
+                &buf[..n]
             }
         }
+    }
+
+    /// The chunk vector, promoting an inline set first (with room for
+    /// `extra` more chunks, and never fewer than a typical request's four).
+    fn promote(&mut self, extra: usize) -> &mut Vec<Chunk> {
+        if let Repr::Inline(_) = self.repr {
+            let mut buf = NO_CHUNKS;
+            let low = self.chunks(&mut buf);
+            let mut v = Vec::with_capacity((low.len() + extra).max(INLINE_WORDS));
+            v.extend_from_slice(low);
+            self.repr = Repr::Chunks(v);
+        }
+        let Repr::Chunks(v) = &mut self.repr else {
+            unreachable!("promoted above")
+        };
+        v
     }
 
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.words().iter().map(|w| w.count_ones() as usize).sum()
+        match &self.repr {
+            Repr::Inline(w) => w.iter().map(|w| w.count_ones() as usize).sum(),
+            Repr::Chunks(v) => count(v),
+        }
     }
 
     /// True if the set has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words().iter().all(|&w| w == 0)
+        match &self.repr {
+            Repr::Inline(w) => w.iter().all(|&w| w == 0),
+            Repr::Chunks(v) => v.is_empty(),
+        }
     }
 
     /// Add element `i`. Returns true if it was newly inserted.
     #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
-        if i / 64 >= self.words().len() {
-            self.grow_for(i);
+        if let Repr::Inline(w) = &mut self.repr {
+            if i < INLINE_BITS {
+                let (wi, bit) = (i / 64, 1u64 << (i % 64));
+                let newly = w[wi] & bit == 0;
+                w[wi] |= bit;
+                return newly;
+            }
         }
-        let (w, b) = (i / 64, i % 64);
-        let words = self.words_mut();
-        let newly = words[w] & (1 << b) == 0;
-        words[w] |= 1 << b;
+        self.insert_chunked(i)
+    }
+
+    #[inline(never)]
+    fn insert_chunked(&mut self, i: usize) -> bool {
+        let (ci, bit) = (chunk_index(i / 64), 1u64 << (i % 64));
+        let v = self.promote(1);
+        let newly = match find(v, i) {
+            Ok(k) => {
+                let newly = v[k].1 & bit == 0;
+                v[k].1 |= bit;
+                newly
+            }
+            Err(k) => {
+                v.insert(k, (ci, bit));
+                true
+            }
+        };
+        debug_assert!(is_canonical(v));
         newly
     }
 
     /// Remove element `i`. Returns true if it was present.
     #[inline]
     pub fn remove(&mut self, i: usize) -> bool {
-        let (w, b) = (i / 64, i % 64);
-        let words = self.words_mut();
-        if w >= words.len() {
-            return false;
+        let bit = 1u64 << (i % 64);
+        match &mut self.repr {
+            Repr::Inline(w) => {
+                if i >= INLINE_BITS {
+                    return false;
+                }
+                let present = w[i / 64] & bit != 0;
+                w[i / 64] &= !bit;
+                present
+            }
+            Repr::Chunks(v) => match find(v, i) {
+                Ok(k) if v[k].1 & bit != 0 => {
+                    v[k].1 &= !bit;
+                    if v[k].1 == 0 {
+                        v.remove(k);
+                    }
+                    debug_assert!(is_canonical(v));
+                    true
+                }
+                _ => false,
+            },
         }
-        let present = words[w] & (1 << b) != 0;
-        words[w] &= !(1 << b);
-        present
     }
 
-    /// Membership test (false for any element past the allocated range).
+    /// Membership test.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        let words = self.words();
-        let w = i / 64;
-        w < words.len() && words[w] & (1 << (i % 64)) != 0
+        let bit = 1u64 << (i % 64);
+        match &self.repr {
+            Repr::Inline(w) => i < INLINE_BITS && w[i / 64] & bit != 0,
+            Repr::Chunks(v) => find(v, i).is_ok_and(|k| v[k].1 & bit != 0),
+        }
     }
 
-    /// Remove all elements.  Keeps the current representation (and heap
-    /// capacity), so steady-state reuse stays allocation-free.
+    /// Remove all elements.  Keeps the current representation (and the
+    /// chunk vector's capacity), so steady-state reuse stays
+    /// allocation-free.
     #[inline]
     pub fn clear(&mut self) {
-        for w in self.words_mut() {
-            *w = 0;
+        match &mut self.repr {
+            Repr::Inline(w) => *w = [0; INLINE_WORDS],
+            Repr::Chunks(v) => v.clear(),
         }
+    }
+
+    /// `f` applied word by word: the three binary operations.  Two inline
+    /// sets give an inline one; anything else goes through the merge, whose
+    /// result has at most `bound(chunks of self, chunks of other)` chunks.
+    #[inline]
+    fn zip_words(
+        &self,
+        other: &Self,
+        f: impl Fn(u64, u64) -> u64,
+        bound: fn(usize, usize) -> usize,
+    ) -> Self {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.repr, &other.repr) {
+            return DynSet {
+                repr: Repr::Inline(std::array::from_fn(|wi| f(a[wi], b[wi]))),
+            };
+        }
+        self.zip_chunks(other, f, bound)
+    }
+
+    #[inline(never)]
+    fn zip_chunks(
+        &self,
+        other: &Self,
+        f: impl Fn(u64, u64) -> u64,
+        bound: fn(usize, usize) -> usize,
+    ) -> Self {
+        let (mut ba, mut bb) = (NO_CHUNKS, NO_CHUNKS);
+        let (a, b) = (self.chunks(&mut ba), other.chunks(&mut bb));
+        let mut out = Vec::with_capacity(bound(a.len(), b.len()));
+        merge(a, b, |idx, x, y| {
+            let bits = f(x, y);
+            if bits != 0 {
+                out.push((idx, bits));
+            }
+            true
+        });
+        Self::from_chunks(out)
+    }
+
+    /// Does `pred` hold for every pair of words: the two relations.
+    #[inline]
+    fn all_words(&self, other: &Self, pred: impl Fn(u64, u64) -> bool) -> bool {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.repr, &other.repr) {
+            return a.iter().zip(b).all(|(&x, &y)| pred(x, y));
+        }
+        self.all_chunks(other, pred)
+    }
+
+    #[inline(never)]
+    fn all_chunks(&self, other: &Self, pred: impl Fn(u64, u64) -> bool) -> bool {
+        let (mut ba, mut bb) = (NO_CHUNKS, NO_CHUNKS);
+        merge(self.chunks(&mut ba), other.chunks(&mut bb), |_, x, y| {
+            pred(x, y)
+        })
     }
 
     /// `self ∪ other`.
     #[inline]
     pub fn union(&self, other: &Self) -> Self {
-        let mut out = if self.words().len() >= other.words().len() {
-            self.clone()
-        } else {
-            other.clone()
-        };
-        let short = if self.words().len() >= other.words().len() {
-            other.words()
-        } else {
-            self.words()
-        };
-        for (a, b) in out.words_mut().iter_mut().zip(short.iter()) {
-            *a |= b;
-        }
-        out
+        self.zip_words(other, |x, y| x | y, |a, b| a + b)
     }
 
     /// `self ∩ other`.
     #[inline]
     pub fn intersection(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        let ow = other.words();
-        for (wi, a) in out.words_mut().iter_mut().enumerate() {
-            *a &= ow.get(wi).copied().unwrap_or(0);
-        }
-        out
+        self.zip_words(other, |x, y| x & y, usize::min)
     }
 
     /// `self \ other`.
     #[inline]
     pub fn difference(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.difference_with(other);
-        out
+        self.zip_words(other, |x, y| x & !y, |a, _| a)
     }
 
     /// In-place union.
     #[inline]
     pub fn union_with(&mut self, other: &Self) {
-        if other.words().len() > self.words().len() {
-            if let Some(hi) = other.last() {
-                self.grow_for(hi);
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&mut self.repr, &other.repr) {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x |= y;
+            }
+            return;
+        }
+        self.union_with_chunks(other)
+    }
+
+    #[inline(never)]
+    fn union_with_chunks(&mut self, other: &Self) {
+        let mut buf = NO_CHUNKS;
+        let b = other.chunks(&mut buf);
+        if let Repr::Inline(a) = &mut self.repr {
+            // Only an element >= 256 promotes.
+            if b.last().map_or(true, |c| (c.0 as usize) < INLINE_WORDS) {
+                for &(ci, bits) in b {
+                    a[ci as usize] |= bits;
+                }
+                return;
             }
         }
-        let ow = other.words();
-        for (a, b) in self.words_mut().iter_mut().zip(ow.iter()) {
-            *a |= b;
-        }
+        let v = self.promote(b.len());
+        union_in_place(v, b);
+        debug_assert!(is_canonical(v));
     }
 
     /// In-place difference.
     #[inline]
     pub fn difference_with(&mut self, other: &Self) {
-        let ow = other.words();
-        for (wi, a) in self.words_mut().iter_mut().enumerate() {
-            *a &= !ow.get(wi).copied().unwrap_or(0);
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&mut self.repr, &other.repr) {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x &= !y;
+            }
+            return;
+        }
+        self.difference_with_chunks(other)
+    }
+
+    #[inline(never)]
+    fn difference_with_chunks(&mut self, other: &Self) {
+        let mut buf = NO_CHUNKS;
+        let mut b = other.chunks(&mut buf);
+        match &mut self.repr {
+            Repr::Inline(a) => {
+                for &(ci, bits) in b.iter().take_while(|c| (c.0 as usize) < INLINE_WORDS) {
+                    a[ci as usize] &= !bits;
+                }
+            }
+            Repr::Chunks(v) => {
+                v.retain_mut(|(ci, bits)| {
+                    b = &b[b.partition_point(|c| c.0 < *ci)..];
+                    if let Some(&(_, y)) = b.first().filter(|c| c.0 == *ci) {
+                        *bits &= !y;
+                    }
+                    *bits != 0
+                });
+                debug_assert!(is_canonical(v));
+            }
         }
     }
 
     /// True if every element of `self` is in `other` (`self ⊆ other`).
     #[inline]
     pub fn is_subset(&self, other: &Self) -> bool {
-        let ow = other.words();
-        self.words()
-            .iter()
-            .enumerate()
-            .all(|(wi, a)| a & !ow.get(wi).copied().unwrap_or(0) == 0)
+        self.all_words(other, |x, y| x & !y == 0)
     }
 
     /// True if the sets share no element.
     #[inline]
     pub fn is_disjoint(&self, other: &Self) -> bool {
-        self.words()
-            .iter()
-            .zip(other.words().iter())
-            .all(|(a, b)| a & b == 0)
+        self.all_words(other, |x, y| x & y == 0)
     }
 
     /// Smallest element, if any.
     #[inline]
     pub fn first(&self) -> Option<usize> {
-        for (wi, &w) in self.words().iter().enumerate() {
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
+        match &self.repr {
+            Repr::Inline(w) => {
+                let wi = w.iter().position(|&w| w != 0)?;
+                Some(wi * 64 + w[wi].trailing_zeros() as usize)
             }
+            Repr::Chunks(v) => v
+                .first()
+                .map(|&(ci, bits)| ci as usize * 64 + bits.trailing_zeros() as usize),
         }
-        None
     }
 
     /// Largest element, if any.
     #[inline]
     pub fn last(&self) -> Option<usize> {
-        for (wi, &w) in self.words().iter().enumerate().rev() {
-            if w != 0 {
-                return Some(wi * 64 + 63 - w.leading_zeros() as usize);
+        match &self.repr {
+            Repr::Inline(w) => {
+                let wi = w.iter().rposition(|&w| w != 0)?;
+                Some(wi * 64 + 63 - w[wi].leading_zeros() as usize)
             }
+            Repr::Chunks(v) => v
+                .last()
+                .map(|&(ci, bits)| ci as usize * 64 + 63 - bits.leading_zeros() as usize),
         }
-        None
     }
 
     /// Iterate over elements in increasing order.
     ///
-    /// The iterator owns its words (inline sets copy four words; heap sets
-    /// clone the vector), so call sites may mutate unrelated fields of the
-    /// owner mid-loop — the pattern the protocol handlers rely on.
+    /// The iterator owns its words (inline sets copy four words, chunked
+    /// sets up to four chunks; only a larger one clones its vector), so
+    /// call sites may mutate unrelated fields of the owner mid-loop — the
+    /// pattern the protocol handlers rely on.
     #[inline]
     pub fn iter(&self) -> SetIter {
-        match &self.repr {
-            Repr::Inline(w) => SetIter {
-                words: Words::Inline(*w),
-                word_idx: 0,
-            },
-            Repr::Heap(v) => SetIter {
-                words: Words::Heap(v.clone()),
-                word_idx: 0,
-            },
-        }
+        let words = match &self.repr {
+            Repr::Inline(w) => Words::Inline(*w),
+            Repr::Chunks(v) if v.len() <= INLINE_WORDS => {
+                let mut few = NO_CHUNKS;
+                few[..v.len()].copy_from_slice(v);
+                Words::Few(few)
+            }
+            Repr::Chunks(v) => Words::Many(v.clone()),
+        };
+        SetIter { words, pos: 0 }
     }
 
     /// Collect into a `Vec<usize>` (convenience for tests and display).
@@ -294,9 +517,19 @@ impl DynSet {
     /// the length-prefixed wire codecs; every word slice is a valid set, so
     /// [`DynSet::from_words`] is total.
     pub fn to_words(&self) -> Vec<u64> {
-        let words = self.words();
-        let used = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
-        words[..used].to_vec()
+        match &self.repr {
+            Repr::Inline(w) => {
+                let used = w.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+                w[..used].to_vec()
+            }
+            Repr::Chunks(v) => {
+                let mut words = vec![0; v.last().map_or(0, |c| c.0 as usize + 1)];
+                for &(ci, bits) in v {
+                    words[ci as usize] = bits;
+                }
+                words
+            }
+        }
     }
 
     /// Rebuild a set from a word representation of any length.
@@ -305,14 +538,15 @@ impl DynSet {
         if used <= INLINE_WORDS {
             let mut w = [0u64; INLINE_WORDS];
             w[..used].copy_from_slice(&words[..used]);
-            DynSet {
+            return DynSet {
                 repr: Repr::Inline(w),
-            }
-        } else {
-            DynSet {
-                repr: Repr::Heap(words[..used].to_vec()),
-            }
+            };
         }
+        let nonzero = words[..used]
+            .iter()
+            .enumerate()
+            .filter(|(_, &bits)| bits != 0);
+        Self::from_chunks(nonzero.map(|(wi, &bits)| (chunk_index(wi), bits)).collect())
     }
 
     /// True if the set currently lives in the inline representation
@@ -330,22 +564,24 @@ impl Default for DynSet {
 }
 
 impl PartialEq for DynSet {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.words(), other.words());
-        let common = a.len().min(b.len());
-        a[..common] == b[..common]
-            && a[common..].iter().all(|&w| w == 0)
-            && b[common..].iter().all(|&w| w == 0)
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.repr, &other.repr) {
+            return a == b;
+        }
+        let (mut ba, mut bb) = (NO_CHUNKS, NO_CHUNKS);
+        self.chunks(&mut ba) == other.chunks(&mut bb)
     }
 }
 
 impl Eq for DynSet {}
 
 impl Hash for DynSet {
+    /// Folds the `(index, word)` pairs of the nonzero words, so the hash
+    /// does not depend on the representation.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let words = self.words();
-        let used = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
-        words[..used].hash(state);
+        let mut buf = NO_CHUNKS;
+        self.chunks(&mut buf).hash(state);
     }
 }
 
@@ -373,27 +609,13 @@ impl fmt::Debug for DynSet {
     }
 }
 
+/// What a [`SetIter`] drains: a copy of the inline words, a copy of up to
+/// four chunks (unused slots are zero words, which iteration skips), or a
+/// clone of a longer chunk vector.
 enum Words {
     Inline([u64; INLINE_WORDS]),
-    Heap(Vec<u64>),
-}
-
-impl Words {
-    #[inline]
-    fn slice(&self) -> &[u64] {
-        match self {
-            Words::Inline(w) => w,
-            Words::Heap(v) => v,
-        }
-    }
-
-    #[inline]
-    fn slice_mut(&mut self) -> &mut [u64] {
-        match self {
-            Words::Inline(w) => w,
-            Words::Heap(v) => v,
-        }
-    }
+    Few([Chunk; INLINE_WORDS]),
+    Many(Vec<Chunk>),
 }
 
 /// Iterator over the elements of a [`DynSet`] in increasing order.
@@ -402,7 +624,8 @@ impl Words {
 /// lifetime — protocol loops iterate a set while mutating their owner.
 pub struct SetIter {
     words: Words,
-    word_idx: usize,
+    /// The word (inline) or chunk being drained.
+    pos: usize,
 }
 
 impl Iterator for SetIter {
@@ -410,24 +633,42 @@ impl Iterator for SetIter {
 
     #[inline]
     fn next(&mut self) -> Option<usize> {
-        let n = self.words.slice().len();
-        while self.word_idx < n {
-            let w = self.words.slice()[self.word_idx];
-            if w != 0 {
-                let b = w.trailing_zeros() as usize;
-                self.words.slice_mut()[self.word_idx] = w & (w - 1);
-                return Some(self.word_idx * 64 + b);
+        let chunks: &mut [Chunk] = match &mut self.words {
+            Words::Inline(w) => {
+                while self.pos < INLINE_WORDS {
+                    let bits = w[self.pos];
+                    if bits != 0 {
+                        w[self.pos] = bits & (bits - 1);
+                        return Some(self.pos * 64 + bits.trailing_zeros() as usize);
+                    }
+                    self.pos += 1;
+                }
+                return None;
             }
-            self.word_idx += 1;
+            Words::Few(few) => few,
+            Words::Many(v) => v,
+        };
+        while let Some((ci, bits)) = chunks.get_mut(self.pos) {
+            if *bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                return Some(*ci as usize * 64 + b);
+            }
+            self.pos += 1;
         }
         None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n: usize = self.words.slice()[self.word_idx.min(self.words.slice().len())..]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
+        let n = match &self.words {
+            Words::Inline(w) => w
+                .iter()
+                .skip(self.pos)
+                .map(|w| w.count_ones() as usize)
+                .sum(),
+            Words::Few(few) => count(&few[self.pos.min(INLINE_WORDS)..]),
+            Words::Many(v) => count(&v[self.pos.min(v.len())..]),
+        };
         (n, Some(n))
     }
 }
@@ -489,11 +730,53 @@ mod tests {
 
     #[test]
     fn full_of_any_size() {
-        for n in [0usize, 1, 63, 64, 80, 256, 257, 1000] {
+        for n in [0usize, 1, 63, 64, 80, 256, 257, 1000, 4096, 100_000] {
             let s = DynSet::full(n);
             assert_eq!(s.len(), n, "full({n})");
             assert!(s.iter().eq(0..n));
+            assert_eq!(s.is_inline(), n <= 256, "full({n})");
         }
+    }
+
+    fn chunks_of(s: &DynSet) -> &[Chunk] {
+        match &s.repr {
+            Repr::Chunks(v) => v,
+            Repr::Inline(_) => panic!("{s:?} is inline"),
+        }
+    }
+
+    #[test]
+    fn a_set_costs_its_nonzero_words_not_its_largest_element() {
+        // Two representations, and the inline one sets the size.
+        assert_eq!(std::mem::size_of::<DynSet>(), 40);
+        let s: DynSet = [5usize, 70_000, 99_999].into_iter().collect();
+        assert_eq!(
+            chunks_of(&s),
+            [(0, 1 << 5), (1093, 1 << 48), (1562, 1 << 31)]
+        );
+        assert_eq!(chunks_of(&DynSet::full(100_000)).len(), 1563);
+    }
+
+    #[test]
+    fn removing_the_last_bit_of_a_chunk_removes_the_chunk() {
+        let mut s: DynSet = [7usize, 640, 641, 9_000].into_iter().collect();
+        assert!(s.remove(640));
+        assert_eq!(chunks_of(&s).len(), 3);
+        assert!(s.remove(641));
+        assert_eq!(chunks_of(&s), [(0, 1 << 7), (140, 1 << 40)]);
+        assert!(!s.remove(641));
+        assert!(!s.contains(641) && !s.contains(usize::MAX));
+        let other: DynSet = [7usize, 9_000].into_iter().collect();
+        s.difference_with(&other);
+        assert!(chunks_of(&s).is_empty() && s.is_empty());
+        assert_eq!(s, DynSet::EMPTY);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "word index exceeds u32")]
+    fn an_element_past_the_index_range_is_refused_not_wrapped() {
+        DynSet::new().insert(usize::MAX);
     }
 
     #[test]
@@ -531,7 +814,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.first(), None);
         assert_eq!(s.last(), None);
-        // clear keeps the heap representation (capacity reuse).
+        // clear keeps the chunk representation (capacity reuse).
         assert!(!s.is_inline());
         assert_eq!(s, DynSet::EMPTY);
     }

@@ -7,8 +7,10 @@
 //! * [`Time`] — a nanosecond-resolution instant/duration used as virtual time
 //!   by the discrete-event simulator and as real time by the TCP
 //!   runtime.
-//! * [`DynSet`] — a dynamic word-vector bitset with an inline ≤256-element
-//!   fast path.  [`ResourceSet`] and [`NodeSet`] are typed aliases.
+//! * [`DynSet`] — a set of indices: four inline words while every element
+//!   is below 256, its sorted nonzero 64-bit words past that, so a set
+//!   costs what it holds whatever the universe.  [`ResourceSet`] and
+//!   [`NodeSet`] are typed aliases.
 //! * [`ResTable`] — per-resource state storage, dense for small universes
 //!   and lazily materialized at 100k-resource scale.
 //! * [`NodeId`] / [`ResourceId`] / [`RequestId`] — plain index aliases.

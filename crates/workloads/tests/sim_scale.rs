@@ -7,6 +7,9 @@
 //! loan, LASS without loan and Incremental, sequentially and on 4 shards,
 //! and requires the run digests to match **exactly**: the parallel engine
 //! is bit-identical to the sequential one, not merely statistically alike.
+//! It ends by holding the process's peak resident set under a ceiling: at
+//! this shape memory must follow what the sets hold, not the 100 000-wide
+//! universe they are drawn from.
 //!
 //! No speedup is asserted anywhere here — CI runners have ~2 cores and
 //! shared tenancy, so a wall-clock assertion would flake.  Throughput
@@ -66,7 +69,8 @@ fn mid_scale_digest_parity_1_vs_3_shards() {
 /// The acceptance shape: 10 000 nodes, 100 000 resources, φ = 4, medium
 /// load, on the three algorithms that scale (the broadcast and
 /// control-token baselines are O(n) or O(m) per message and are not part
-/// of the scale story).  Digests must match between 1 and 4 shards.
+/// of the scale story).  Digests must match between 1 and 4 shards, and
+/// the whole test must fit in [`PEAK_RSS_CEILING_MB`].
 #[test]
 #[ignore = "large: ~10^7-10^8 events per run; CI runs it in the release-mode sim-scale job"]
 fn ten_thousand_nodes_digest_parity_1_vs_4_shards() {
@@ -99,4 +103,36 @@ fn ten_thousand_nodes_digest_parity_1_vs_4_shards() {
             started.elapsed().as_secs_f64()
         );
     }
+    #[cfg(target_os = "linux")]
+    {
+        let peak = peak_rss_mb();
+        println!("peak resident set {peak:.0} MB (ceiling {PEAK_RSS_CEILING_MB} MB)");
+        assert!(
+            peak <= PEAK_RSS_CEILING_MB,
+            "10 000 x 100 000 peaked at {peak:.0} MB resident (ceiling {PEAK_RSS_CEILING_MB} MB)"
+        );
+    }
+}
+
+/// Measured 75 MB over the six runs above; with every set a 12.5 KB
+/// bitmap of the universe the same test peaked at 751 MB.  Run with
+/// `--ignored` the process holds nothing else (the mid-scale test is
+/// filtered out).
+#[cfg(target_os = "linux")]
+const PEAK_RSS_CEILING_MB: f64 = 200.0;
+
+/// `VmHWM` of this process, from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .expect("VmHWM line");
+    let kb: f64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("VmHWM in kB");
+    kb / 1024.0
 }
