@@ -74,10 +74,10 @@ impl TcpClusterConfig {
 
 /// File descriptors an `n`-node loopback cluster needs inside one
 /// process, with headroom: both endpoints of the `n·(n-1)/2` connections
-/// live here (`n²` covers them), plus listeners, wake pipes and poller
-/// fds (`6n`).
+/// live here (`n²` covers them), plus a listener and a poller fd per
+/// node (`2n`).
 fn fd_budget(n: usize) -> u64 {
-    (n * n + 6 * n + 64) as u64
+    (n * n + 2 * n + 64) as u64
 }
 
 /// Run `protos` as an N-node cluster over loopback TCP until every active
@@ -124,9 +124,9 @@ where
 
     let shared = Arc::new(RunShared::new(n, m));
     let remaining = Arc::new(AtomicUsize::new(active));
-    // One counters slot per node: each reactor publishes its transport
-    // tallies there every iteration and the harness folds them into the
-    // run's observability report.
+    // One counters slot per node: each port leaves its transport tallies
+    // there when it drops and the harness folds them into the run's
+    // observability report.
     let slots: Vec<Arc<Mutex<NetCounters>>> = (0..n)
         .map(|_| Arc::new(Mutex::new(NetCounters::default())))
         .collect();
@@ -207,8 +207,9 @@ pub struct SoloConfig {
     pub reliability: Option<Reliability>,
 }
 
-/// Run node `me` of a multi-process cluster on the current thread,
-/// binding `dir.addr(me)` and meshing with every peer in `dir`.
+/// Run node `me` of a multi-process cluster on the current thread (it
+/// spawns none), binding `dir.addr(me)` and meshing with every peer in
+/// `dir`.
 ///
 /// Returns this node's local metrics once the cluster-wide shutdown
 /// (coordinated through `Done` frames at node 0) releases it.
@@ -221,9 +222,9 @@ pub fn run_solo_node<A, W>(
     cfg: SoloConfig,
 ) -> io::Result<RunResult>
 where
-    A: Allocator + Send + 'static,
+    A: Allocator,
     A::Msg: WireCodec,
-    W: Workload + 'static,
+    W: Workload,
 {
     let n = dir.len();
     assert!(me < n, "node id {me} outside directory 0..{n}");

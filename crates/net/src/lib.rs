@@ -18,21 +18,23 @@
 //! * [`transport`] — what the transport and the harnesses share: the
 //!   peer directory (`NodeId → SocketAddr`), mesh parameters and the
 //!   transport-level shutdown coordination.
-//! * [`reactor`] — the TCP transport: one reactor thread per node drives
-//!   every peer socket through the [`polling`] epoll/kqueue shim (so TCP
-//!   runs need a unix host; the other two substrates stay portable),
-//!   with one **bidirectional** connection per unordered pair (TCP keeps
-//!   each direction FIFO), write coalescing (many frames + piggybacked
-//!   acks per `write(2)`), and reliability RTOs on the reactor's timer
-//!   wheel.  Its [`ReactorPort`] is what the node loop sends and receives
-//!   on.
+//! * [`reactor`] — the TCP transport: a [`ReactorPort`] per node owns
+//!   every peer socket and drives them through the [`polling`]
+//!   epoll/kqueue shim (so TCP runs need a unix host; the other two
+//!   substrates stay portable) **on the node's own thread**, inside the
+//!   `recv` the node loop waits in — one thread per node, no hand-off per
+//!   message.  One **bidirectional** connection per unordered pair (TCP
+//!   keeps each direction FIFO), write coalescing (many frames +
+//!   piggybacked acks per `write(2)`), and reliability RTOs, connect
+//!   retries and the node's own think/CS deadline bounding one wait.
 //! * `runtime` (crate-private) — the per-node event loop: workload timers,
 //!   the allocator step, grant/release accounting against the shared
 //!   safety monitor and collector.  It has one port type and one caller
 //!   per harness, so it is concrete and lives here, beside its transport.
 //! * [`sys`] — raw-FFI odds and ends `std` lacks: nonblocking
 //!   `connect(2)`, listen-backlog deepening, fd rlimit raising, process
-//!   CPU time for the frames-per-core benchmark.
+//!   CPU time and voluntary context switches for the benchmark and the
+//!   wake-up guard (`tests/wakeups.rs`).
 //! * [`cluster`] — harnesses: [`run_tcp_cluster`] spawns an N-node
 //!   loopback cluster in one process (with full
 //!   [`SafetyMonitor`](mra_protocol::testkit::SafetyMonitor) coverage);

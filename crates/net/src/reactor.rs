@@ -1,35 +1,39 @@
-//! The TCP transport: one reactor thread per node drives *every* peer
-//! socket through an epoll/kqueue poller.
+//! The TCP transport: each node's own thread drives *every* peer socket
+//! through an epoll/kqueue poller, between two steps of its protocol.
 //!
 //! A thread and a connection per directed link would cost `n-1` reader
 //! threads and `2(n-1)` sockets per node and one `write(2)` per frame —
 //! 65 k threads and 130 k sockets cluster-wide at 256 nodes, a syscall
-//! per hot-path frame.  Instead, per node:
+//! per hot-path frame.  A reactor thread beside the node thread would
+//! cost two thread hand-offs per message (a futex wake up, a wake-pipe
+//! byte down).  Instead, per node:
 //!
-//! * **one thread** — the reactor — owning one [`polling::Poller`] and
-//!   every socket;
+//! * **no thread of its own** — [`ReactorPort`] owns one
+//!   [`polling::Poller`] and every socket, and runs on whoever calls it:
+//!   `send` encodes into the peer's write queue, `recv` / `recv_deadline`
+//!   pop an inbox and, when nothing in it is due, run one reactor *turn*
+//!   (timers → owed acks → flush → wait → service readiness);
 //! * **one bidirectional connection per unordered pair** — the smaller
 //!   node id connects to the larger id's listener (the 4-byte handshake
-//!   names the connector).  TCP is FIFO in both directions and the
-//!   reactor serializes writes, so the per-directed-link FIFO contract
+//!   names the connector).  TCP is FIFO in both directions and the one
+//!   caller serializes writes, so the per-directed-link FIFO contract
 //!   the protocols assume still holds while the socket count halves;
 //! * **incremental decode** — per-connection
 //!   [`FrameBuf`](crate::frame::FrameBuf)s absorb reads wherever the
 //!   kernel cuts them;
 //! * **coalesced writes** — frames queue into a per-connection byte
-//!   buffer and flush once per reactor iteration: protocol messages,
-//!   retransmissions, control frames and piggybacked/standalone session
-//!   acks to the same peer share a single `write(2)`.  A partial write
-//!   parks the remainder and resumes on write-readiness;
-//! * **reactor-owned timers** — reliability RTO deadlines and connect
-//!   retries bound the poll timeout; retransmission is serviced by the
-//!   reactor whether or not the node loop is sitting in `recv`.
+//!   buffer and flush once per turn: protocol messages, retransmissions,
+//!   control frames and piggybacked/standalone session acks to the same
+//!   peer share a single `write(2)`.  A partial write parks the remainder
+//!   and resumes on write-readiness;
+//! * **one wait for every deadline** — reliability RTOs, connect
+//!   retries, a held message's delivery instant and the node's own
+//!   think/CS deadline all bound the same `poller.wait`, which is why the
+//!   vendored poller waits with nanosecond precision.
 //!
-//! The node loop talks to the reactor through two mpsc channels plus a
-//! socketpair-based wakeup: senders enqueue a command and write one byte
-//! iff the `woken` flag was clear; the reactor drains the pipe, *then*
-//! clears the flag, *then* drains the queue — the order that makes a
-//! lost wakeup impossible.  See DESIGN.md §12 for the full contract.
+//! Retransmission and acking therefore happen *inside* `recv`: a node
+//! that stops calling it stops its transport, and a node loop never does
+//! (see `runtime`).  See DESIGN.md §12 for the full contract.
 //!
 //! Everything here is unix-only (the vendored poller has no backend
 //! elsewhere): `mra-net`'s TCP substrate requires epoll or kqueue.  On
@@ -42,62 +46,36 @@ pub use imp::{connect_reactor_mesh, ReactorPort};
 #[cfg(unix)]
 mod imp {
     use crate::frame::{
-        begin_frame, end_frame, split_rack, split_rdata, FrameBuf, WriteBuf, TAG_DONE, TAG_MSG,
-        TAG_RACK, TAG_RDATA, TAG_SHUTDOWN,
+        begin_frame, end_frame, split_rack, split_rdata, FrameBuf, WriteBuf, READ_CHUNK, TAG_DONE,
+        TAG_MSG, TAG_RACK, TAG_RDATA, TAG_SHUTDOWN,
     };
+    use crate::runtime::PortEvent;
     use crate::sys;
     use crate::transport::{DoneAct, MeshConfig, PeerDirectory, PortCtrl};
     use mra_obs::NetCounters;
     use mra_protocol::faults::{FrameFate, LinkFilter};
     use mra_protocol::reliable::{Reliability, RtoVerdict, RxBatch, RxVerdict, TxSession};
-    use crate::runtime::PortEvent;
     use mra_protocol::WireCodec;
     use mra_sim::lock;
     use mra_types::{NodeId, Time};
     use polling::{Event, Events, Poller};
+    use std::collections::VecDeque;
     use std::io::{self, Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc, Mutex};
+    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     /// Wait this long between connect retries (a peer process may not
     /// have bound its listener yet — solo deployments).
     const RETRY_DELAY: Duration = Duration::from_millis(20);
-    /// Reads serviced per connection per reactor iteration (~256 KiB).
-    /// See [`Reactor::service_read`] — the bound keeps one flooding peer
+    /// Reads serviced per connection per turn (~256 KiB).  See
+    /// [`ReactorPort::service_read`] — the bound keeps one flooding peer
     /// from starving everyone else's acks and timers.
     const MAX_READS_PER_PASS: usize = 16;
-    /// On stop, keep flushing parked write buffers at most this long.
+    /// On drop, keep flushing parked write buffers at most this long.
     const DRAIN_LIMIT: Duration = Duration::from_secs(5);
 
-    /// Node-loop → reactor commands.
-    enum Cmd<M> {
-        /// Encode and send one protocol message.
-        Send { to: NodeId, msg: M },
-        /// Report quota completion to node 0 ([`TAG_DONE`], solo mode).
-        Done,
-        /// Broadcast [`TAG_SHUTDOWN`] to every peer (last finisher).
-        Shutdown,
-        /// Flush what can be flushed and exit the reactor.
-        Stop,
-    }
-
-    /// Reactor → node-loop events.  The session layer already ran on the
-    /// reactor side: data frames arrive deduplicated and acked, so only
-    /// deliverable messages and control outcomes cross this channel.
-    enum Up<M> {
-        Msg {
-            from: NodeId,
-            deliver_at: Instant,
-            msg: M,
-        },
-        Done,
-        Shutdown,
-    }
-
-    /// One peer's connection state inside the reactor.
+    /// One peer's connection state.
     struct PeerConn {
         /// `None` until a socket exists (acceptor side: until the
         /// handshake names this peer).
@@ -134,8 +112,8 @@ mod imp {
         got: Vec<u8>,
     }
 
-    /// Per-peer reliable-session state (reactor-owned; the node loop
-    /// never touches sequence numbers).
+    /// Per-peer reliable-session state (the node loop never touches
+    /// sequence numbers).
     struct Sessions<M> {
         cfg: Reliability,
         epoch: Instant,
@@ -163,162 +141,162 @@ mod imp {
         }
     }
 
-    struct Reactor<M: WireCodec + Clone> {
+    /// A node's end of the mesh: every socket, session and transport
+    /// timer, driven by the thread that calls its `recv`.
+    pub struct ReactorPort<M: WireCodec + Clone> {
         me: NodeId,
         n: usize,
         addrs: Vec<SocketAddr>,
+        ctrl: PortCtrl,
         poller: Poller,
+        /// Registered under key `n`; pending handshakes follow from `n + 1`.
         listener: TcpListener,
-        wake_rx: UnixStream,
-        woken: Arc<AtomicBool>,
-        cmds: mpsc::Receiver<Cmd<M>>,
-        up: mpsc::Sender<Up<M>>,
+        /// Readiness buffer, reused across turns.
+        events: Events,
         conns: Vec<PeerConn>,
         pending: Vec<Option<Pending>>,
         sess: Option<Sessions<M>>,
         /// Per-inbound-link fault filters (`None` off-plan and at `me`).
         filters: Vec<Option<LinkFilter>>,
+        /// Deliverable events in arrival order, each held until its
+        /// instant: arrival plus [`MeshConfig::extra_latency`].  The delay
+        /// is constant, so the head is always the earliest.  The session
+        /// layer already ran: data frames enter deduplicated and acked.
+        inbox: VecDeque<(Instant, PortEvent<M>)>,
         extra: Duration,
         connect_deadline: Instant,
         counters: NetCounters,
-        slot: Arc<Mutex<NetCounters>>,
+        slot: Option<Arc<Mutex<NetCounters>>>,
         /// Reusable encode scratch (one frame at a time).
         buf: Vec<u8>,
         /// Reusable decode scratch (frame body, tag at `[0]`).
         scratch: Vec<u8>,
-        /// `Some(deadline)` once [`Cmd::Stop`] arrived.
-        draining: Option<Instant>,
     }
 
-    impl<M: WireCodec + Clone> Reactor<M> {
-        fn key_listener(&self) -> usize {
-            self.n
-        }
-        fn key_wake(&self) -> usize {
-            self.n + 1
-        }
-        fn key_pending_base(&self) -> usize {
-            self.n + 2
+    impl<M: WireCodec + Clone> ReactorPort<M> {
+        /// Queue `msg` for delivery to `to`: encoded into the peer's
+        /// write queue now, on the wire at the next turn.  Sends after
+        /// shutdown are dropped — the run is already over.  `_stamp` is
+        /// the tracer's send-side Lamport stamp, dropped here: the frame
+        /// format has no field for it (see [`Self::handle_frame`]).
+        pub(crate) fn send(&mut self, to: NodeId, msg: M, _stamp: u64) {
+            self.queue_data(to, &msg);
         }
 
-        fn run(mut self) {
-            for peer in (self.me + 1)..self.n {
-                self.start_connect(peer);
+        /// Block until the next event (never [`PortEvent::TimedOut`]).
+        pub(crate) fn recv(&mut self) -> PortEvent<M> {
+            self.wait(None)
+        }
+
+        /// Block until the next event or `deadline`, whichever is first.
+        pub(crate) fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M> {
+            self.wait(Some(deadline))
+        }
+
+        /// This node just completed its round quota.  The port coordinates
+        /// the cluster-wide shutdown; `true` means this node was the last
+        /// active finisher and must exit immediately (the shutdown it just
+        /// broadcast releases everyone else).
+        pub(crate) fn quota_done(&mut self) -> bool {
+            match self.ctrl.self_done(self.me) {
+                DoneAct::LastFinisher => {
+                    self.broadcast_shutdown();
+                    true
+                }
+                DoneAct::ReportDone => {
+                    self.queue_ctrl(0, TAG_DONE, "Done");
+                    false
+                }
+                DoneAct::Wait => false,
             }
-            let mut events = Events::new();
+        }
+
+        /// The transport counters so far.
+        pub fn counters(&self) -> &NetCounters {
+            &self.counters
+        }
+
+        /// Pop the next due event, turning the reactor until there is one
+        /// or `deadline` passes.  A deadline already behind us returns
+        /// [`PortEvent::TimedOut`] without a turn: what the node queues on
+        /// that expiry (a release's tokens, then the next request behind
+        /// it) leaves in one flush when it next has to wait — and a node
+        /// loop always does, for its grant or through its hold.
+        fn wait(&mut self, deadline: Option<Instant>) -> PortEvent<M> {
             loop {
-                self.publish();
-                let timeout = self.next_timeout();
-                if let Err(e) = self.poller.wait(&mut events, timeout) {
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    eprintln!("mra-net: reactor[{}] poll failed: {e}", self.me);
-                    break;
+                let now = Instant::now();
+                if self.inbox.front().is_some_and(|(at, _)| *at <= now) {
+                    return self.inbox.pop_front().expect("front checked above").1;
                 }
-                for ev in events.iter() {
-                    if ev.key == self.key_wake() {
-                        self.drain_wake();
-                    } else if ev.key == self.key_listener() {
-                        self.accept_all();
-                    } else if ev.key >= self.key_pending_base() {
-                        self.service_pending(ev.key - self.key_pending_base());
-                    } else {
-                        if !self.conns[ev.key].connected && ev.writable {
-                            self.finish_connect(ev.key);
-                        }
-                        if ev.readable {
-                            self.service_read(ev.key);
-                        }
-                    }
+                if deadline.is_some_and(|d| d <= now) {
+                    return PortEvent::TimedOut;
                 }
-                self.drain_cmds();
-                if self.draining.is_none() {
-                    self.fire_timers();
-                    self.queue_owed_acks();
-                }
-                self.flush_all();
-                if let Some(dl) = self.draining {
-                    if self.all_flushed() || Instant::now() >= dl {
-                        break;
-                    }
-                }
+                self.turn(deadline);
             }
-            self.publish();
-            // Dropping `up` here unblocks a node loop still in `recv`
-            // (its channel errors into `PortEvent::Shutdown`).
         }
 
-        fn publish(&self) {
-            // `clone_from`, not assignment: reuses the slot's `by_kind`
-            // allocation, keeping the once-per-iteration publish free of
-            // heap traffic.
-            lock(&self.slot).clone_from(&self.counters);
+        /// One reactor turn.  The order is the contract: everything the
+        /// node produced since the last turn (and every retransmission or
+        /// ack the timers owe) is written **before** the wait, so this
+        /// node never sleeps on bytes a peer is waiting for, and an ack
+        /// owed for what the last turn read rides the data frame the node
+        /// just answered with.  Readiness is serviced after the wait; what
+        /// it decodes lands in the inbox for the caller to pop.
+        fn turn(&mut self, deadline: Option<Instant>) {
+            self.fire_timers();
+            self.queue_owed_acks();
+            self.flush_all();
+            let timeout = self.next_timeout(deadline);
+            if let Err(e) = self.poll(timeout) {
+                eprintln!("mra-net: reactor[{}] poll failed: {e}", self.me);
+                self.deliver(PortEvent::Shutdown);
+            }
         }
 
-        /// The earliest pending deadline — RTOs, connect retries, the
-        /// drain limit — as a poll timeout.  `None` blocks until I/O or
-        /// a wakeup.
-        fn next_timeout(&self) -> Option<Duration> {
-            let mut next: Option<Instant> = self.draining;
-            let mut fold = |t: Instant| match next {
-                Some(cur) if cur <= t => {}
-                _ => next = Some(t),
-            };
-            for c in &self.conns {
-                if let Some(t) = c.retry_at {
-                    fold(t);
-                }
-            }
-            if self.draining.is_none() {
-                if let Some(s) = &self.sess {
-                    for t in s.deadline.iter().flatten() {
-                        fold(*t);
+        /// Wait for readiness (at most `timeout`) and service it.
+        fn poll(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+            let mut events = std::mem::take(&mut self.events);
+            self.counters.poll_calls += 1;
+            let waited = self.poller.wait(&mut events, timeout);
+            for ev in events.iter() {
+                if ev.key == self.n {
+                    self.accept_all();
+                } else if ev.key > self.n {
+                    self.service_pending(ev.key - self.n - 1);
+                } else {
+                    if !self.conns[ev.key].connected && ev.writable {
+                        self.finish_connect(ev.key);
+                    }
+                    if ev.readable {
+                        self.service_read(ev.key);
                     }
                 }
             }
+            self.events = events;
+            waited.map(drop)
+        }
+
+        /// Hand `ev` to the node loop, [`MeshConfig::extra_latency`] from
+        /// now.
+        fn deliver(&mut self, ev: PortEvent<M>) {
+            self.inbox.push_back((Instant::now() + self.extra, ev));
+        }
+
+        /// The earliest pending instant — the caller's own deadline, a
+        /// held message coming due, RTOs, connect retries — as a poll
+        /// timeout.  `None` blocks until I/O.
+        fn next_timeout(&self, deadline: Option<Instant>) -> Option<Duration> {
+            let held = self.inbox.front().map(|(at, _)| *at);
+            let retries = self.conns.iter().filter_map(|c| c.retry_at);
+            let rtos = self.sess.iter().flat_map(|s| s.deadline.iter().flatten().copied());
+            let next = deadline.into_iter().chain(held).chain(retries).chain(rtos).min();
             next.map(|t| t.saturating_duration_since(Instant::now()))
-        }
-
-        fn drain_wake(&mut self) {
-            let mut sink = [0u8; 64];
-            loop {
-                match (&self.wake_rx).read(&mut sink) {
-                    Ok(0) => break, // port side gone; the cmd channel decides
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break, // WouldBlock: drained
-                }
-            }
-            // Clear AFTER draining the pipe and BEFORE draining the cmd
-            // queue: a sender enqueueing between this store and the drain
-            // sees `false` and writes a fresh byte — no lost wakeup.
-            self.woken.store(false, Ordering::Release);
-        }
-
-        fn drain_cmds(&mut self) {
-            while let Ok(cmd) = self.cmds.try_recv() {
-                match cmd {
-                    Cmd::Send { to, msg } => self.queue_data(to, &msg),
-                    Cmd::Done => self.queue_ctrl(0, TAG_DONE, "Done"),
-                    Cmd::Shutdown => {
-                        for peer in 0..self.n {
-                            if peer != self.me {
-                                self.queue_ctrl(peer, TAG_SHUTDOWN, "Shutdown");
-                            }
-                        }
-                    }
-                    Cmd::Stop => {
-                        self.draining.get_or_insert(Instant::now() + DRAIN_LIMIT);
-                    }
-                }
-            }
         }
 
         /// Encode one protocol message into `to`'s write queue (session
         /// framing + piggybacked ack when reliability is on).  The bytes
-        /// ride the next flush — possibly sharing a `write(2)` with every
-        /// other frame queued to `to` this iteration.
+        /// ride the next flush — sharing a `write(2)` with every other
+        /// frame queued to `to` since the last one.
         fn queue_data(&mut self, to: NodeId, msg: &M) {
             if to == self.me || self.conns[to].dead {
                 return;
@@ -345,10 +323,7 @@ mod imp {
                     (TAG_RDATA, "RData")
                 }
             };
-            end_frame(&mut self.buf, tag);
-            self.conns[to].wbuf.queue(&self.buf);
-            self.counters.frames_out += 1;
-            self.counters.by_kind.bump(label, 1);
+            self.queue_frame(to, tag, label);
         }
 
         /// Queue an empty control frame ([`TAG_DONE`] / [`TAG_SHUTDOWN`]).
@@ -357,10 +332,22 @@ mod imp {
                 return;
             }
             begin_frame(&mut self.buf);
+            self.queue_frame(to, tag, label);
+        }
+
+        /// Close the frame begun in `self.buf` and park it for `to`.
+        fn queue_frame(&mut self, to: NodeId, tag: u8, label: &'static str) {
             end_frame(&mut self.buf, tag);
             self.conns[to].wbuf.queue(&self.buf);
             self.counters.frames_out += 1;
             self.counters.by_kind.bump(label, 1);
+        }
+
+        /// Queue [`TAG_SHUTDOWN`] to every peer (last finisher).
+        fn broadcast_shutdown(&mut self) {
+            for peer in 0..self.n {
+                self.queue_ctrl(peer, TAG_SHUTDOWN, "Shutdown");
+            }
         }
 
         /// Connect retries and retransmit timers.
@@ -372,7 +359,7 @@ mod imp {
                     self.start_connect(peer);
                 }
             }
-            let Reactor { sess, conns, buf, counters, .. } = self;
+            let ReactorPort { sess, conns, buf, counters, .. } = self;
             let Some(s) = sess.as_mut() else {
                 return;
             };
@@ -422,12 +409,12 @@ mod imp {
         }
 
         /// Flush owed session acks: at most **one** standalone
-        /// [`TAG_RACK`] per peer per iteration, and none at all when a
-        /// data frame queued this pass already piggybacked it (its
+        /// [`TAG_RACK`] per peer per turn, and none at all when a data
+        /// frame queued since the last turn already piggybacked it (its
         /// [`RxBatch::piggyback`] consumed the flag) — a burst of data
         /// frames costs one cumulative ack, not one ack per frame.
         fn queue_owed_acks(&mut self) {
-            let Reactor { sess, conns, buf, counters, .. } = self;
+            let ReactorPort { sess, conns, buf, counters, .. } = self;
             let Some(s) = sess.as_mut() else {
                 return;
             };
@@ -516,9 +503,9 @@ mod imp {
             }
         }
 
-        /// Tear down one link.  Outside draining this also tells the node
-        /// loop the run is over: peers only close links on shutdown (or
-        /// breakage), and either way the node must exit rather than wedge.
+        /// Tear down one link and tell the node loop the run is over:
+        /// peers only close links on shutdown (or breakage), and either
+        /// way the node must exit rather than wedge.
         fn fatal_link(&mut self, peer: NodeId) {
             if let Some(s) = self.conns[peer].stream.take() {
                 let _ = self.poller.delete(&s);
@@ -528,9 +515,7 @@ mod imp {
             c.connected = false;
             c.wbuf.clear();
             c.retry_at = None;
-            if self.draining.is_none() {
-                let _ = self.up.send(Up::Shutdown);
-            }
+            self.deliver(PortEvent::Shutdown);
         }
 
         /// Accept every connection the backlog holds.
@@ -548,7 +533,7 @@ mod imp {
                                 self.pending.len() - 1
                             }
                         };
-                        let key = self.key_pending_base() + idx;
+                        let key = self.n + 1 + idx;
                         if self.poller.add(&stream, Event::readable(key)).is_ok() {
                             self.pending[idx] =
                                 Some(Pending { stream, got: Vec::with_capacity(4) });
@@ -646,24 +631,24 @@ mod imp {
         }
 
         /// Service a readable connection: reads into the incremental
-        /// decoder, handling every complete frame as it appears.
+        /// decoder, handling every complete frame as it appears, until a
+        /// read comes back short.  The poller is level-triggered and
+        /// persistent, so a short read *is* the drained socket — the
+        /// `read` whose only outcome would be `WouldBlock` is never
+        /// issued, and bytes that land a moment later re-report
+        /// readability on the next `wait`.  EOF arrives the same way: a
+        /// readable event and a 0-byte read.
         ///
         /// Bounded to [`MAX_READS_PER_PASS`] reads per call: a peer that
         /// floods faster than we decode would otherwise keep this loop
         /// spinning for as long as the kernel has bytes, deferring the
         /// owed-ack drain, RTO timers and flushes for *every other peer*
         /// past their RTOs — the reverse path then sees spurious go-back-N
-        /// retransmits with zero actual loss.  The poller is
-        /// level-triggered and persistent, so leftover bytes re-report
-        /// readability on the next `wait` immediately; bounding the pass
-        /// costs nothing but interleaves the fairness-critical work.
+        /// retransmits with zero actual loss.  Leftover bytes re-report
+        /// readability immediately; bounding the pass costs nothing but
+        /// interleaves the fairness-critical work.
         fn service_read(&mut self, peer: NodeId) {
-            let mut reads = 0usize;
-            loop {
-                if reads >= MAX_READS_PER_PASS {
-                    return;
-                }
-                reads += 1;
+            for _ in 0..MAX_READS_PER_PASS {
                 let res = {
                     let c = &mut self.conns[peer];
                     let Some(s) = c.stream.as_mut() else {
@@ -671,39 +656,44 @@ mod imp {
                     };
                     c.rbuf.read_from(s)
                 };
-                match res {
+                let got = match res {
                     Ok(0) => {
                         self.fatal_link(peer);
                         return;
                     }
-                    Ok(_) => {
-                        self.counters.read_calls += 1;
-                        loop {
-                            match self.conns[peer].rbuf.next_frame_into(&mut self.scratch) {
-                                Ok(Some(tag)) => {
-                                    if !self.handle_frame(peer, tag) {
-                                        self.fatal_link(peer);
-                                        return;
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(e) => {
-                                    eprintln!(
-                                        "mra-net: reactor[{}]: dropping link from node {peer}: {e}",
-                                        self.me
-                                    );
-                                    self.fatal_link(peer);
-                                    return;
-                                }
-                            }
-                        }
+                    Ok(k) => k,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        self.counters.empty_reads += 1;
+                        return;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
                         self.fatal_link(peer);
                         return;
                     }
+                };
+                self.counters.read_calls += 1;
+                loop {
+                    match self.conns[peer].rbuf.next_frame_into(&mut self.scratch) {
+                        Ok(Some(tag)) => {
+                            if !self.handle_frame(peer, tag) {
+                                self.fatal_link(peer);
+                                return;
+                            }
+                        }
+                        Ok(None) => break,
+                        Err(e) => {
+                            eprintln!(
+                                "mra-net: reactor[{}]: dropping link from node {peer}: {e}",
+                                self.me
+                            );
+                            self.fatal_link(peer);
+                            return;
+                        }
+                    }
+                }
+                if got < READ_CHUNK {
+                    return;
                 }
             }
         }
@@ -711,6 +701,10 @@ mod imp {
         /// Process one decoded frame (body in `self.scratch`, tag at
         /// `[0]`).  Returns false when the link must die: mode-mismatched
         /// or unknown tags and undecodable payloads.
+        ///
+        /// Messages are delivered with stamp 0: the wire format carries no
+        /// Lamport stamps, so the tracer has per-node ordering and
+        /// counters but no cross-node edges (DESIGN.md §11).
         fn handle_frame(&mut self, peer: NodeId, tag: u8) -> bool {
             // The wire is tallied before the fault filter — these numbers
             // describe what arrived, not what was delivered.
@@ -730,11 +724,7 @@ mod imp {
                             return true;
                         }
                     }
-                    let _ = self.up.send(Up::Msg {
-                        from: peer,
-                        deliver_at: Instant::now() + self.extra,
-                        msg,
-                    });
+                    self.deliver(PortEvent::Msg { from: peer, stamp: 0, msg });
                     true
                 }
                 TAG_RDATA if reliable => {
@@ -774,11 +764,14 @@ mod imp {
                     true
                 }
                 TAG_DONE => {
-                    let _ = self.up.send(Up::Done);
+                    if self.ctrl.peer_done() {
+                        self.broadcast_shutdown();
+                        self.deliver(PortEvent::Shutdown);
+                    }
                     true
                 }
                 TAG_SHUTDOWN => {
-                    let _ = self.up.send(Up::Shutdown);
+                    self.deliver(PortEvent::Shutdown);
                     true
                 }
                 _ => false,
@@ -786,28 +779,19 @@ mod imp {
         }
 
         fn session_data(&mut self, peer: NodeId, seq: u64, ack: u64, msg: M) {
-            let s = self.sess.as_mut().expect("rdata without reliability");
             // Piggybacked ack first, then the receive window.  Accepting
             // marks the ack owed; `queue_owed_acks` (or the piggyback of
             // the next outbound frame) settles it before the next flush.
-            s.tx[peer].ack(ack);
-            if !s.tx[peer].has_unacked() {
-                s.deadline[peer] = None;
-            }
+            self.session_ack(peer, ack);
+            let s = self.sess.as_mut().expect("rdata without reliability");
             match s.rx[peer].accept(seq) {
-                RxVerdict::Deliver => {
-                    let _ = self.up.send(Up::Msg {
-                        from: peer,
-                        deliver_at: Instant::now() + self.extra,
-                        msg,
-                    });
-                }
+                RxVerdict::Deliver => self.deliver(PortEvent::Msg { from: peer, stamp: 0, msg }),
                 RxVerdict::Stale | RxVerdict::Gap => {}
             }
         }
 
         fn session_ack(&mut self, peer: NodeId, ack: u64) {
-            let s = self.sess.as_mut().expect("rack without reliability");
+            let s = self.sess.as_mut().expect("session frame without reliability");
             s.tx[peer].ack(ack);
             if !s.tx[peer].has_unacked() {
                 s.deadline[peer] = None;
@@ -816,14 +800,12 @@ mod imp {
 
         /// Write every connection's queued bytes — one `write(2)` per
         /// connection when the socket buffer takes it all, which is the
-        /// point: every frame queued to the same peer this iteration
+        /// point: every frame queued to the same peer since the last turn
         /// shares that call.  A partial write parks the tail and arms
         /// write-readiness to resume.
         fn flush_all(&mut self) {
             for peer in 0..self.n {
-                if peer != self.me {
-                    self.flush(peer);
-                }
+                self.flush(peer);
             }
         }
 
@@ -875,134 +857,43 @@ mod imp {
             }
         }
 
+        /// Nothing left that a socket could still take.  A link whose
+        /// connect is still in flight holds its parked frames on a live
+        /// socket and is *not* flushed; one that never got a socket
+        /// (refused, awaiting retry, never accepted) has nowhere to send.
         fn all_flushed(&self) -> bool {
-            self.conns
-                .iter()
-                .all(|c| c.parked() == 0 || !c.connected || c.stream.is_none())
+            self.conns.iter().all(|c| c.parked() == 0 || c.stream.is_none())
         }
     }
 
-    /// The node loop's port onto the reactor: the thin end of the
-    /// command/event channels.  All sockets, sessions and timers live on
-    /// the reactor thread; `send` is an enqueue plus at most one one-byte
-    /// wakeup write.
-    pub struct ReactorPort<M> {
-        me: NodeId,
-        ctrl: PortCtrl,
-        cmd: mpsc::Sender<Cmd<M>>,
-        up: mpsc::Receiver<Up<M>>,
-        wake_tx: UnixStream,
-        woken: Arc<AtomicBool>,
-        slot: Arc<Mutex<NetCounters>>,
-        handle: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl<M> ReactorPort<M> {
-        fn wake(&self) {
-            if !self.woken.swap(true, Ordering::AcqRel) {
-                // One pending byte at most; WouldBlock means a wakeup is
-                // already in flight, which is all a wakeup can achieve.
-                let _ = (&self.wake_tx).write(&[1]);
-            }
-        }
-
-        /// Snapshot of the reactor's transport counters (refreshed every
-        /// reactor iteration; final totals once the port has dropped).
-        pub fn counters(&self) -> NetCounters {
-            lock(&self.slot).clone()
-        }
-
-        fn wait(&mut self, deadline: Option<Instant>) -> PortEvent<M> {
-            loop {
-                let got = match deadline {
-                    None => self.up.recv().map_err(|_| ()),
-                    Some(d) => match self
-                        .up
-                        .recv_timeout(d.saturating_duration_since(Instant::now()))
-                    {
-                        Ok(up) => Ok(up),
-                        Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
-                        Err(mpsc::RecvTimeoutError::Timeout) => return PortEvent::TimedOut,
-                    },
-                };
-                match got {
-                    Err(()) => return PortEvent::Shutdown,
-                    // Stamp 0: the wire format carries no Lamport stamps,
-                    // so the tracer has per-node ordering and counters but
-                    // no cross-node edges (DESIGN.md §11).
-                    Ok(Up::Msg { from, deliver_at, msg }) => {
-                        return PortEvent::Msg { from, deliver_at, stamp: 0, msg }
-                    }
-                    Ok(Up::Shutdown) => return PortEvent::Shutdown,
-                    Ok(Up::Done) => {
-                        if self.ctrl.peer_done() {
-                            let _ = self.cmd.send(Cmd::Shutdown);
-                            self.wake();
-                            return PortEvent::Shutdown;
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Queue `msg` for delivery to `to`.  Send failures after shutdown
-        /// are ignored — the run is already over.  `_stamp` is the
-        /// tracer's send-side Lamport stamp, dropped here: see the stamp-0
-        /// note in [`Self::wait`].
-        pub(crate) fn send(&mut self, to: NodeId, msg: M, _stamp: u64) {
-            if self.cmd.send(Cmd::Send { to, msg }).is_ok() {
-                self.wake();
-            }
-        }
-
-        /// Block until the next event (never [`PortEvent::TimedOut`]).
-        pub(crate) fn recv(&mut self) -> PortEvent<M> {
-            self.wait(None)
-        }
-
-        /// Block until the next event or `deadline`, whichever is first.
-        pub(crate) fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M> {
-            self.wait(Some(deadline))
-        }
-
-        /// This node just completed its round quota.  The port coordinates
-        /// the cluster-wide shutdown; `true` means this node was the last
-        /// active finisher and must exit immediately (the shutdown it just
-        /// broadcast releases everyone else).
-        pub(crate) fn quota_done(&mut self) -> bool {
-            match self.ctrl.self_done(self.me) {
-                DoneAct::LastFinisher => {
-                    let _ = self.cmd.send(Cmd::Shutdown);
-                    self.wake();
-                    true
-                }
-                DoneAct::ReportDone => {
-                    let _ = self.cmd.send(Cmd::Done);
-                    self.wake();
-                    false
-                }
-                DoneAct::Wait => false,
-            }
-        }
-    }
-
-    impl<M> Drop for ReactorPort<M> {
+    impl<M: WireCodec + Clone> Drop for ReactorPort<M> {
+        /// Write out what is parked — the last finisher's shutdown
+        /// broadcast, a burst sent just before exit — for at most
+        /// `DRAIN_LIMIT`, then publish the counters.  Timers no longer
+        /// run: nothing is retransmitted or acked for a node that left.
         fn drop(&mut self) {
-            let _ = self.cmd.send(Cmd::Stop);
-            self.wake();
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
+            let limit = Instant::now() + DRAIN_LIMIT;
+            loop {
+                self.flush_all();
+                let left = limit.saturating_duration_since(Instant::now());
+                if self.all_flushed() || left.is_zero() || self.poll(Some(left)).is_err() {
+                    break;
+                }
+            }
+            if let Some(slot) = &self.slot {
+                *lock(slot) = std::mem::take(&mut self.counters);
             }
         }
     }
 
-    /// Build node `me`'s mesh.  Returns immediately: connecting,
-    /// accepting and handshaking proceed on the reactor thread, and
-    /// frames sent before the mesh completes park in the per-peer write
-    /// queues.  The caller must have bound `listener` (on `dir.addr(me)`
-    /// or, for loopback harnesses, wherever the directory says) before
-    /// any node starts connecting: a connect then completes against the
-    /// listen backlog even while the acceptor is still connecting out.
+    /// Build node `me`'s mesh.  Returns immediately with the outbound
+    /// connects started: completing them, accepting and handshaking
+    /// proceed inside the port's `recv`, and frames sent before the mesh
+    /// completes park in the per-peer write queues.  The caller must have
+    /// bound `listener` (on `dir.addr(me)` or, for loopback harnesses,
+    /// wherever the directory says) before any node starts connecting: a
+    /// connect then completes against the listen backlog even while the
+    /// acceptor is still connecting out.
     pub fn connect_reactor_mesh<M>(
         me: NodeId,
         listener: TcpListener,
@@ -1011,7 +902,7 @@ mod imp {
         cfg: MeshConfig,
     ) -> io::Result<ReactorPort<M>>
     where
-        M: WireCodec + Clone + Send + 'static,
+        M: WireCodec + Clone,
     {
         let n = dir.len();
         assert!(me < n, "node id {me} outside directory 0..{n}");
@@ -1020,19 +911,8 @@ mod imp {
         // std listens with backlog 128; every smaller peer SYNs at once
         // in a big mesh, and an overflow costs whole TCP-retry seconds.
         let _ = sys::listen_backlog(&listener, 4096);
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
         poller.add(&listener, Event::readable(n))?;
-        poller.add(&wake_rx, Event::readable(n + 1))?;
 
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<M>>();
-        let (up_tx, up_rx) = mpsc::channel::<Up<M>>();
-        let woken = Arc::new(AtomicBool::new(false));
-        let slot = cfg
-            .counters_slot
-            .clone()
-            .unwrap_or_else(|| Arc::new(Mutex::new(NetCounters::default())));
         let filters = (0..n)
             .map(|peer| {
                 (peer != me)
@@ -1051,48 +931,37 @@ mod imp {
                 dead: peer == me,
             })
             .collect();
-        let reactor = Reactor {
+        let mut port = ReactorPort {
             me,
             n,
             addrs: (0..n).map(|i| dir.addr(i)).collect(),
+            ctrl,
             poller,
             listener,
-            wake_rx,
-            woken: Arc::clone(&woken),
-            cmds: cmd_rx,
-            up: up_tx,
+            events: Events::new(),
             conns,
             pending: Vec::new(),
             sess: cfg.reliability.map(|r| Sessions::new(r, n)),
             filters,
+            inbox: VecDeque::new(),
             extra: cfg.extra_latency.to_std(),
             connect_deadline: Instant::now() + cfg.connect_timeout,
             counters: NetCounters::default(),
-            slot: Arc::clone(&slot),
+            slot: cfg.counters_slot,
             buf: Vec::with_capacity(256),
             scratch: Vec::with_capacity(256),
-            draining: None,
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("mra-net-reactor-{me}"))
-            .spawn(move || reactor.run())?;
-        Ok(ReactorPort {
-            me,
-            ctrl,
-            cmd: cmd_tx,
-            up: up_rx,
-            wake_tx,
-            woken,
-            slot,
-            handle: Some(handle),
-        })
+        for peer in (me + 1)..n {
+            port.start_connect(peer);
+        }
+        Ok(port)
     }
 }
 
 #[cfg(not(unix))]
 mod stub {
-    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
     use crate::runtime::PortEvent;
+    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
     use mra_protocol::WireCodec;
     use mra_types::NodeId;
     use std::io;
@@ -1101,9 +970,9 @@ mod stub {
 
     /// Unsupported on this platform (no epoll/kqueue); exists only to
     /// keep the crate compiling — `connect_reactor_mesh` never returns one.
-    pub struct ReactorPort<M>(PhantomData<M>);
+    pub struct ReactorPort<M: WireCodec + Clone>(PhantomData<M>);
 
-    impl<M> ReactorPort<M> {
+    impl<M: WireCodec + Clone> ReactorPort<M> {
         pub(crate) fn send(&mut self, _to: NodeId, _msg: M, _stamp: u64) {
             unreachable!("reactor transport is unix-only")
         }
@@ -1126,7 +995,7 @@ mod stub {
         _cfg: MeshConfig,
     ) -> io::Result<ReactorPort<M>>
     where
-        M: WireCodec + Clone + Send + 'static,
+        M: WireCodec + Clone,
     {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -1141,67 +1010,120 @@ pub use stub::{connect_reactor_mesh, ReactorPort};
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::runtime::PortEvent;
     use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
     use mra_protocol::faults::{FaultPlan, FrameFate, LinkFilter};
-    use crate::runtime::PortEvent;
     use mra_protocol::reliable::Reliability;
-    use mra_types::Time;
+    use mra_types::{NodeId, Time};
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+    use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
-    fn pair_dir() -> (TcpListener, TcpListener, PeerDirectory) {
+    type Port = ReactorPort<u64>;
+
+    /// A two-node loopback mesh under `shim`, `remaining` active nodes:
+    /// node 0 runs `node0` on its own thread, node 1's port comes back.
+    fn mesh_pair(
+        shim: MeshConfig,
+        remaining: usize,
+        node0: impl FnOnce(Port) + Send + 'static,
+    ) -> (Port, JoinHandle<()>, PeerDirectory) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let dir = PeerDirectory::new(vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()]);
-        (l0, l1, dir)
+        let remaining = Arc::new(AtomicUsize::new(remaining));
+        let (d0, cfg0, r0) = (dir.clone(), shim.clone(), Arc::clone(&remaining));
+        let t = std::thread::spawn(move || {
+            node0(connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap())
+        });
+        let p1 = connect_reactor_mesh(1, l1, &dir, PortCtrl::Cluster(remaining), shim).unwrap();
+        (p1, t, dir)
     }
 
-    fn kind<M>(ev: &PortEvent<M>) -> &'static str {
-        match ev {
-            PortEvent::Msg { .. } => "Msg",
-            PortEvent::TimedOut => "TimedOut",
-            PortEvent::Shutdown => "Shutdown",
+    /// The next message within 20 s, as `(from, payload)`.
+    fn expect_msg(port: &mut Port) -> (NodeId, u64) {
+        match port.recv_deadline(Instant::now() + Duration::from_secs(20)) {
+            PortEvent::Msg { from, msg, .. } => (from, msg),
+            PortEvent::TimedOut => panic!("expected a message, timed out"),
+            PortEvent::Shutdown => panic!("expected a message, peer vanished"),
         }
+    }
+
+    /// Keep `port` serving (acks, flushes) until the other node's thread
+    /// has left — its EOF shuts this port down.
+    fn serve_until_gone(port: &mut Port, other: JoinHandle<()>) {
+        while !other.is_finished() {
+            let tick = Instant::now() + Duration::from_millis(50);
+            if let PortEvent::Shutdown = port.recv_deadline(tick) {
+                break;
+            }
+        }
+        other.join().unwrap();
     }
 
     #[test]
     fn two_node_reactor_mesh_moves_messages() {
-        let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), MeshConfig::default())
-                    .unwrap();
+        let (mut p1, t, dir) = mesh_pair(MeshConfig::default(), 2, |mut p0| {
             p0.send(1, 0xDEAD_BEEF, 0);
-            match p0.recv() {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, 7)),
-                other => panic!("expected message, got {}", kind(&other)),
-            }
+            assert_eq!(expect_msg(&mut p0), (1, 7));
         });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
         // A connection whose handshake names an id that may not connect
         // here (only smaller ids do) is closed, not indexed or adopted.
         let mut rogue = std::net::TcpStream::connect(dir.addr(1)).unwrap();
-        rogue.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         std::io::Write::write_all(&mut rogue, &7u32.to_le_bytes()).unwrap();
-        assert_eq!(std::io::Read::read(&mut rogue, &mut [0u8; 1]).unwrap(), 0);
+        rogue.set_nonblocking(true).unwrap();
+        // Accepting and judging the handshake happen inside `p1`'s recv,
+        // so drive it while watching for the close; node 0's message may
+        // arrive meanwhile.
+        let mut early = None;
+        let limit = Instant::now() + Duration::from_secs(10);
+        loop {
+            match p1.recv_deadline(Instant::now() + Duration::from_millis(5)) {
+                PortEvent::Msg { from, msg, .. } => early = Some((from, msg)),
+                PortEvent::TimedOut => {}
+                PortEvent::Shutdown => panic!("a rogue connection took the port down"),
+            }
+            match std::io::Read::read(&mut rogue, &mut [0u8; 1]) {
+                Ok(0) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < limit, "rogue connection never closed");
+                }
+                other => panic!("rogue connection: {other:?}"),
+            }
+        }
         p1.send(0, 7, 0);
-        match p1.recv() {
-            PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, 0xDEAD_BEEF)),
-            other => panic!("expected message, got {}", kind(&other)),
+        let got = early.unwrap_or_else(|| expect_msg(&mut p1));
+        assert_eq!(got, (0, 0xDEAD_BEEF));
+        serve_until_gone(&mut p1, t);
+    }
+
+    /// Node 0 sends `0..frames` to node 1 and drops its port at once —
+    /// the connect is still in flight, every frame parked behind the
+    /// handshake.  Returns what node 1 received before the EOF.
+    fn send_then_drop(shim: MeshConfig, frames: u64) -> Vec<u64> {
+        let (mut p1, t, _) = mesh_pair(shim, 2, move |mut p0| {
+            for k in 0..frames {
+                p0.send(1, k, 0);
+            }
+            // Dropping p0 drains it: the connect completes, the parked
+            // frames flush, the socket closes; the peer then sees EOF.
+        });
+        let mut got = Vec::new();
+        let limit = Instant::now() + Duration::from_secs(20);
+        loop {
+            match p1.recv_deadline(limit) {
+                PortEvent::Msg { from, msg, .. } => {
+                    assert_eq!(from, 0);
+                    got.push(msg);
+                }
+                PortEvent::Shutdown => break,
+                PortEvent::TimedOut => panic!("no EOF after {} frames", got.len()),
+            }
         }
         t.join().unwrap();
+        got
     }
 
     #[test]
@@ -1217,44 +1139,17 @@ mod tests {
             .count() as u64;
         assert!(expected > 0 && expected < FRAMES, "degenerate plan");
 
-        let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let shim = MeshConfig { faults: Some(plan), ..MeshConfig::default() };
-        let cfg0 = shim.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            for k in 0..FRAMES {
-                p0.send(1, k, 0);
-            }
-            // Dropping p0 stops its reactor, which flushes the parked
-            // frames before closing; the peer then sees EOF.
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        loop {
-            match p1.recv() {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!(from, 0);
-                    got.push(msg);
-                }
-                PortEvent::Shutdown => break,
-                PortEvent::TimedOut => unreachable!("recv never times out"),
-            }
-        }
-        t.join().unwrap();
+        let got = send_then_drop(MeshConfig { faults: Some(plan), ..MeshConfig::default() }, FRAMES);
         assert_eq!(got.len() as u64, expected, "shim lost the wrong frames");
         // FIFO survives the shim: payloads arrive in send order.
         assert!(got.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn reactor_drop_while_connecting_delivers_every_parked_frame() {
+        // Regression: the drain used to call a link whose connect was
+        // still in flight "flushed" and close it with its frames parked.
+        assert_eq!(send_then_drop(MeshConfig::default(), 200), (0..200).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1269,93 +1164,42 @@ mod tests {
             reliability: Some(Reliability::with_rto(Time::from_millis(5))),
             ..MeshConfig::default()
         };
-        let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
+        let (mut p1, t, _) = mesh_pair(shim, 2, |mut p0| {
             for k in 0..FRAMES {
                 p0.send(1, k, 0);
             }
-            // The reactor retransmits on its own timers; the node loop
-            // just waits for the peer's reliable confirmation.
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, u64::MAX)),
-                PortEvent::Shutdown => panic!("peer vanished early"),
-                PortEvent::TimedOut => panic!("confirmation never arrived"),
-            }
+            // Retransmission runs on the port's timers inside
+            // `recv_deadline`; the node loop just waits for the peer's
+            // reliable confirmation.
+            assert_eq!(expect_msg(&mut p0), (1, u64::MAX));
         });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while (got.len() as u64) < FRAMES {
-            match p1.recv_deadline(deadline) {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!(from, 0);
-                    got.push(msg);
-                }
-                PortEvent::Shutdown => panic!("sender vanished early"),
-                PortEvent::TimedOut => {
-                    panic!("reliable link stalled with {}/{FRAMES} frames", got.len())
-                }
-            }
-        }
         // Exactly once, in order — the session contract survives the
         // batched acking.
-        assert_eq!(got, (0..FRAMES).collect::<Vec<u64>>());
-        let c1 = p1.counters();
+        for want in 0..FRAMES {
+            assert_eq!(expect_msg(&mut p1), (0, want), "reliable link stalled or reordered");
+        }
+        let acks = p1.counters().ack_frames;
         // Ack batching: the receiver decoded ≥ FRAMES data frames (plus
         // duplicates and retransmissions) yet sent far fewer standalone
         // acks — a burst of arrivals owes one cumulative ack, and the
         // confirmation frame piggybacks instead of acking separately.
-        assert!(
-            c1.ack_frames < FRAMES / 2,
-            "acks not batched: {} standalone acks for {FRAMES} frames",
-            c1.ack_frames
-        );
-        assert!(c1.ack_frames > 0, "one-way traffic must owe standalone acks");
+        assert!(acks < FRAMES / 2, "acks not batched: {acks} standalone acks for {FRAMES} frames");
+        assert!(acks > 0, "one-way traffic must owe standalone acks");
         p1.send(0, u64::MAX, 0);
-        // Serve until the peer exits (its reactor's EOF shuts ours down).
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
+        serve_until_gone(&mut p1, t);
     }
 
     #[test]
     fn reactor_coalesces_frames_into_fewer_writes() {
         // A burst of sends — queued while the mesh is still forming or
-        // between reactor iterations — must share write syscalls:
-        // strictly fewer `write(2)`s than frames.
+        // between two turns — must share write syscalls: strictly fewer
+        // `write(2)`s than frames.
         const BURST: u64 = 100;
-        let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), MeshConfig::default())
-                    .unwrap();
+        let (mut p1, t, _) = mesh_pair(MeshConfig::default(), 2, |mut p0| {
             for k in 0..BURST {
                 p0.send(1, k, 0);
             }
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(10)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, 1)),
-                other => panic!("expected confirmation, got {}", kind(&other)),
-            }
+            assert_eq!(expect_msg(&mut p0), (1, 1));
             let c0 = p0.counters();
             assert_eq!(c0.frames_out, BURST);
             assert!(
@@ -1364,28 +1208,11 @@ mod tests {
                 c0.write_calls
             );
         });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
         for want in 0..BURST {
-            match p1.recv_deadline(Instant::now() + Duration::from_secs(10)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, want)),
-                other => panic!("expected frame {want}, got {}", kind(&other)),
-            }
+            assert_eq!(expect_msg(&mut p1), (0, want));
         }
         p1.send(0, 1, 0);
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
+        serve_until_gone(&mut p1, t);
     }
 
     /// Re-bind a just-released address (the test advertises it before the
@@ -1419,18 +1246,13 @@ mod tests {
             reliability: Some(Reliability::with_rto(Time::from_millis(250))),
             ..MeshConfig::default()
         };
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
         let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
+        let (d0, cfg0, r0) = (dir.clone(), shim.clone(), Arc::clone(&remaining));
         let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
+            let mut p0: Port =
                 connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
             p0.send(1, 42, 0);
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, 7)),
-                other => panic!("expected confirmation, got {}", kind(&other)),
-            }
+            assert_eq!(expect_msg(&mut p0), (1, 7));
             let c0 = p0.counters();
             assert_eq!(
                 (c0.rto_fires, c0.retransmit_frames),
@@ -1442,26 +1264,11 @@ mod tests {
         // while the connection cannot form.
         std::thread::sleep(Duration::from_secs(2));
         let l1 = bind_retry(a1);
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        match p1.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-            PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, 42)),
-            other => panic!("expected the parked frame, got {}", kind(&other)),
-        }
+        let mut p1: Port =
+            connect_reactor_mesh(1, l1, &dir, PortCtrl::Cluster(remaining), shim).unwrap();
+        assert_eq!(expect_msg(&mut p1), (0, 42), "the parked frame");
         p1.send(0, 7, 0);
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
+        serve_until_gone(&mut p1, t);
     }
 
     #[test]
@@ -1470,34 +1277,27 @@ mod tests {
         // is a standalone TAG_RACK (no reverse data to piggyback on).
         // On a perfect link nothing may retransmit — the bounded
         // per-pass read drain guarantees the receiver's owed-ack queue
-        // runs every reactor iteration even while inbound is saturated.
+        // runs every turn even while inbound is saturated.
         const FRAMES: u64 = 20_000;
         const BURST: u64 = 500;
         let shim = MeshConfig {
             reliability: Some(Reliability::with_rto(Time::from_millis(200))),
             ..MeshConfig::default()
         };
-        let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
+        let (mut p1, t, _) = mesh_pair(shim, 2, |mut p0| {
             for k in 0..FRAMES {
                 p0.send(1, k, 0);
-                if (k + 1) % BURST == 0 {
+                if (k + 1) % BURST == 0 && k + 1 < FRAMES {
                     // Open-loop pacing: keep the in-flight window modest
                     // so a retransmit could only come from deferred acks,
                     // never from frames aging in our own parked backlog.
-                    std::thread::sleep(Duration::from_millis(1));
+                    // The pause is a `recv_deadline`, as in a node loop:
+                    // that is where the burst is flushed and acks are read.
+                    let pause = Instant::now() + Duration::from_millis(1);
+                    assert!(matches!(p0.recv_deadline(pause), PortEvent::TimedOut));
                 }
             }
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, u64::MAX)),
-                other => panic!("expected confirmation, got {}", kind(&other)),
-            }
+            assert_eq!(expect_msg(&mut p0), (1, u64::MAX));
             let c0 = p0.counters();
             assert_eq!(
                 c0.retransmit_frames, 0,
@@ -1505,53 +1305,50 @@ mod tests {
                 c0.rto_fires
             );
         });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(20);
         for want in 0..FRAMES {
-            match p1.recv_deadline(deadline) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, want)),
-                other => panic!("expected frame {want}, got {}", kind(&other)),
-            }
+            assert_eq!(expect_msg(&mut p1), (0, want));
         }
-        let c1 = p1.counters();
-        assert!(c1.ack_frames > 0, "one-way traffic must owe standalone acks");
+        assert!(p1.counters().ack_frames > 0, "one-way traffic must owe standalone acks");
         p1.send(0, u64::MAX, 0);
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
+        serve_until_gone(&mut p1, t);
+    }
+
+    #[test]
+    fn reactor_extra_latency_delays_delivery_not_acks() {
+        // Emulated latency above the RTO on a perfect link: a message is
+        // held in the inbox for 3 ms, but the port keeps turning while it
+        // holds — the ack leaves at once and nothing retransmits.  (A
+        // node loop that slept out the latency would put its transport to
+        // sleep with it.)
+        const ROUNDS: u64 = 30;
+        let extra = Time::from_millis(3);
+        let shim = MeshConfig {
+            extra_latency: extra,
+            reliability: Some(Reliability::with_rto(Time::from_millis(2))),
+            ..MeshConfig::default()
+        };
+        let (mut p1, t, _) = mesh_pair(shim, 2, move |mut p0| {
+            for k in 0..ROUNDS {
+                let sent = Instant::now();
+                p0.send(1, k, 0);
+                assert_eq!(expect_msg(&mut p0), (1, k));
+                assert!(sent.elapsed() >= 2 * extra.to_std(), "echo {k} beat the emulated wire");
             }
+            assert_eq!(p0.counters().retransmit_frames, 0, "acks waited out the latency");
+        });
+        for want in 0..ROUNDS {
+            assert_eq!(expect_msg(&mut p1), (0, want));
+            p1.send(0, want, 0);
         }
-        t.join().unwrap();
+        serve_until_gone(&mut p1, t);
+        assert_eq!(p1.counters().retransmit_frames, 0, "acks waited out the latency");
     }
 
     #[test]
     fn reactor_last_finisher_shutdown_reaches_peer() {
-        let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let remaining = Arc::new(AtomicUsize::new(1));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), MeshConfig::default())
-                    .unwrap();
+        let (mut p1, t, _) = mesh_pair(MeshConfig::default(), 1, |mut p0| {
             assert!(p0.quota_done());
         });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
         assert!(matches!(p1.recv(), PortEvent::Shutdown));
         t.join().unwrap();
     }

@@ -9,6 +9,12 @@
 //! a transport and nothing leaves the crate: the harnesses in
 //! [`crate::cluster`] are the public surface.
 //!
+//! The loop is the node's only thread.  The wait *is* the transport: the
+//! port's `recv` / `recv_deadline` run the reactor (flush what the last
+//! step queued, poll the sockets until a message or the deadline), so a
+//! hop costs no hand-off between threads and the loop never sleeps
+//! anywhere else.
+//!
 //! Lifecycle per active node: think → request → wait for grant → hold the
 //! critical section → release, repeated `rounds` times.  After its quota a
 //! node parks but keeps serving protocol traffic (forwarding requests,
@@ -18,7 +24,7 @@
 use crate::reactor::ReactorPort;
 use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, TraceMode};
 use mra_protocol::testkit::SafetyMonitor;
-use mra_protocol::{Allocator, Ctx, WireMsg};
+use mra_protocol::{Allocator, Ctx, WireCodec, WireMsg};
 use mra_sim::driver::{node_rng, Driver, DriverState, Workload};
 use mra_sim::lock;
 use mra_sim::metrics::{Collector, RunResult};
@@ -28,14 +34,11 @@ use std::time::Instant;
 
 /// One delivery from the port to the node loop.
 pub(crate) enum PortEvent<M> {
-    /// A protocol message from `from`, to be processed no earlier than
-    /// `deliver_at` (ports emulating extra link latency set it in the
-    /// future; the loop sleeps out the difference).
+    /// A protocol message from `from`, due now (a port emulating extra
+    /// link latency holds it back until then).
     Msg {
         /// Sending node.
         from: NodeId,
-        /// Earliest processing instant.
-        deliver_at: Instant,
         /// The sender's Lamport stamp; 0 = unstamped, which is all the
         /// frame format can say today (see [`ReactorPort::send`]).
         stamp: u64,
@@ -130,7 +133,7 @@ pub(crate) struct NodeCfg {
 /// # Panics
 /// On any safety violation (monitored exactly like the simulator) and on
 /// protocol contract violations surfaced by the `Allocator` itself.
-pub(crate) fn drive_node<A: Allocator, W: Workload>(
+pub(crate) fn drive_node<A, W>(
     me: NodeId,
     n: usize,
     mut proto: A,
@@ -138,7 +141,11 @@ pub(crate) fn drive_node<A: Allocator, W: Workload>(
     mut port: ReactorPort<A::Msg>,
     shared: &RunShared,
     cfg: NodeCfg,
-) {
+) where
+    A: Allocator,
+    A::Msg: WireCodec,
+    W: Workload,
+{
     // The loop always runs a full request/CS cycle before decrementing, so
     // a zero quota on an active node would underflow instead of no-opping.
     assert!(
@@ -171,11 +178,7 @@ pub(crate) fn drive_node<A: Allocator, W: Workload>(
 
         match event {
             PortEvent::Shutdown => return,
-            PortEvent::Msg { from, deliver_at, stamp, msg } => {
-                let wait = deliver_at.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
+            PortEvent::Msg { from, stamp, msg } => {
                 ctx.set_now(shared.now());
                 if let Some(obs) = &shared.obs {
                     let mut t = lock(obs);
@@ -270,7 +273,7 @@ pub(crate) fn drive_node<A: Allocator, W: Workload>(
 /// Drain the outbox onto the port and turn a grant edge into CS
 /// bookkeeping (+ CS-end timer).  The outbox drains in place (its
 /// capacity is the reused buffer), under one collector lock per burst.
-fn flush_and_grants<M: WireMsg, W: Workload>(
+fn flush_and_grants<M: WireMsg + WireCodec, W: Workload>(
     me: NodeId,
     ctx: &mut Ctx<M>,
     driver: &mut Driver,

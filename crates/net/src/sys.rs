@@ -1,13 +1,14 @@
 //! Thin raw-FFI helpers the reactor transport needs beyond what `std`
 //! exposes: nonblocking `connect(2)`, a deeper listen backlog, raising
-//! the fd soft limit for big meshes, and process CPU time for the
-//! frames-per-core benchmark.  Everything links against the platform
-//! libc that `std` already pulls in — no new dependencies, matching the
-//! offline-deps pattern of `vendor/`.
+//! the fd soft limit for big meshes, and the process's CPU time and
+//! voluntary context switches for the benchmark and the wake-up guard.
+//! Everything links against the platform libc that `std` already pulls
+//! in — no new dependencies, matching the offline-deps pattern of
+//! `vendor/`.
 //!
 //! Non-unix builds get honest fallbacks: blocking connect, no-op backlog
-//! and rlimit tweaks, wall-clock standing in for CPU time (the reactor
-//! itself is unix-only — see [`crate::reactor`]).
+//! and rlimit tweaks, zero for CPU time and context switches (the
+//! reactor itself is unix-only — see [`crate::reactor`]).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -73,14 +74,19 @@ mod imp {
         tv_usec: c_long,
     }
 
-    /// Leading fields of `struct rusage` (`ru_utime` + `ru_stime`); the
-    /// kernel writes the full struct, so the buffer pads out the rest.
+    /// `struct rusage`: two timevals, then fourteen `long`s in the same
+    /// order on Linux and the BSDs (`ru_maxrss` … `ru_nvcsw`,
+    /// `ru_nivcsw`).  The tail pads past any libc's idea of its size.
     #[repr(C)]
-    struct RusageHead {
+    struct Rusage {
         ru_utime: Timeval,
         ru_stime: Timeval,
-        _pad: [u64; 32],
+        ru_longs: [c_long; 14],
+        _pad: [u64; 16],
     }
+
+    /// Index of `ru_nvcsw` in [`Rusage::ru_longs`].
+    const RU_NVCSW: usize = 12;
 
     extern "C" {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
@@ -88,7 +94,7 @@ mod imp {
         fn listen(fd: c_int, backlog: c_int) -> c_int;
         fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
         fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
-        fn getrusage(who: c_int, usage: *mut RusageHead) -> c_int;
+        fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
     }
 
     /// Start a nonblocking TCP connect to `addr`.  Returns the socket
@@ -192,20 +198,34 @@ mod imp {
         Ok(want.rlim_cur)
     }
 
-    /// CPU time (user + system) consumed by this process so far.
-    pub fn process_cpu_time() -> Duration {
-        let mut ru = RusageHead {
+    /// `getrusage(RUSAGE_SELF)`: the whole process, threads that have
+    /// already exited included (`/proc/self/task` forgets those).
+    fn rusage_self() -> Option<Rusage> {
+        let mut ru = Rusage {
             ru_utime: Timeval { tv_sec: 0, tv_usec: 0 },
             ru_stime: Timeval { tv_sec: 0, tv_usec: 0 },
-            _pad: [0; 32],
+            ru_longs: [0; 14],
+            _pad: [0; 16],
         };
-        // RUSAGE_SELF = 0 everywhere.
-        if unsafe { getrusage(0, &mut ru) } < 0 {
+        // SAFETY: `ru` outlives the call and is larger than any libc's
+        // `struct rusage`.  RUSAGE_SELF = 0 everywhere.
+        (unsafe { getrusage(0, &mut ru) } >= 0).then_some(ru)
+    }
+
+    /// CPU time (user + system) consumed by this process so far.
+    pub fn process_cpu_time() -> Duration {
+        let Some(ru) = rusage_self() else {
             return Duration::ZERO;
-        }
+        };
         let secs = (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) as u64;
         let usecs = (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) as u64;
         Duration::from_secs(secs) + Duration::from_micros(usecs)
+    }
+
+    /// Times a thread of this process has given up the CPU to wait
+    /// (`ru_nvcsw`): blocking in `poll`, on a futex, in `sleep`.
+    pub fn voluntary_switches() -> u64 {
+        rusage_self().map_or(0, |ru| ru.ru_longs[RU_NVCSW] as u64)
     }
 }
 
@@ -232,9 +252,15 @@ mod imp {
     pub fn process_cpu_time() -> Duration {
         Duration::ZERO
     }
+
+    pub fn voluntary_switches() -> u64 {
+        0
+    }
 }
 
-pub use imp::{connect_nonblocking, listen_backlog, process_cpu_time, raise_nofile_limit};
+pub use imp::{
+    connect_nonblocking, listen_backlog, process_cpu_time, raise_nofile_limit, voluntary_switches,
+};
 
 #[cfg(test)]
 mod tests {
@@ -304,5 +330,15 @@ mod tests {
         std::hint::black_box(acc);
         let b = process_cpu_time();
         assert!(b >= a);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_sleep_is_a_voluntary_switch() {
+        let a = voluntary_switches();
+        for _ in 0..5 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(voluntary_switches() >= a + 5);
     }
 }

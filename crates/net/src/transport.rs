@@ -156,10 +156,11 @@ impl PortCtrl {
 /// Mesh construction parameters.
 #[derive(Clone, Debug)]
 pub struct MeshConfig {
-    /// Artificial latency added on top of the real wire (delivery of each
-    /// message is deferred by this much at the receiver).  `Time::ZERO`
-    /// measures the raw transport.  Together with `faults` this forms the
-    /// frame-level drop/delay shim.
+    /// Artificial latency added on top of the real wire: the receiving
+    /// port holds each decoded message this long before handing it to the
+    /// node loop, and keeps acking, retransmitting and flushing while it
+    /// holds.  `Time::ZERO` measures the raw transport.  Together with
+    /// `faults` this forms the frame-level drop/delay shim.
     pub extra_latency: Time,
     /// How long to keep retrying outbound connections (peers of a
     /// multi-process cluster may start later than this node).
@@ -183,17 +184,17 @@ pub struct MeshConfig {
     /// Reliable-delivery session layer (`mra_protocol::reliable`): when
     /// set, every protocol message travels as a sequenced
     /// `TAG_RDATA` frame with a piggybacked cumulative ack, receivers ack
-    /// (standalone `TAG_RACK` frames) and dedup, and the reactor
+    /// (standalone `TAG_RACK` frames) and dedup, and the port
     /// retransmits unacked frames on a capped-backoff timer — so
     /// [`MeshConfig::faults`] drops are *recovered* instead of absorbed
     /// into lost liveness.  `MRA_RELIABLE` / `MRA_RTO_MS` feed this in the
     /// `mra-node` binary.
     pub reliability: Option<Reliability>,
-    /// Where the transport publishes its [`NetCounters`]: loopback
-    /// harnesses hand each node a slot and merge them into the run's
-    /// observability report after the port drops.  The reactor refreshes
-    /// the slot every iteration, so it can be read live.  `None` keeps the
-    /// counters port-local.
+    /// Where the transport leaves its [`NetCounters`]: the harnesses hand
+    /// each node a slot and merge them into the run's observability
+    /// report.  Written once, when the port drops (after its drain) — a
+    /// live port answers `ReactorPort::counters` itself.  `None` keeps
+    /// the counters port-local.
     pub counters_slot: Option<Arc<Mutex<NetCounters>>>,
 }
 

@@ -69,8 +69,13 @@ pub struct NetCounters {
     /// retransmit_frames + standalone acks` divided by this is the
     /// coalescing ratio.
     pub write_calls: u64,
-    /// `read(2)` calls issued for frame traffic.
+    /// `read(2)` calls that returned frame bytes.
     pub read_calls: u64,
+    /// `read(2)` calls that returned nothing (`WouldBlock`): a syscall
+    /// spent learning that a socket was already drained.
+    pub empty_reads: u64,
+    /// Poller waits (`epoll_pwait2` / `kevent`): one per reactor turn.
+    pub poll_calls: u64,
     /// Standalone ack frames sent (not piggybacked on data).
     pub ack_frames: u64,
     /// Outbound frames by protocol message type.
@@ -87,6 +92,8 @@ impl NetCounters {
         self.rto_fires += other.rto_fires;
         self.write_calls += other.write_calls;
         self.read_calls += other.read_calls;
+        self.empty_reads += other.empty_reads;
+        self.poll_calls += other.poll_calls;
         self.ack_frames += other.ack_frames;
         self.by_kind.merge(&other.by_kind);
     }
@@ -129,13 +136,15 @@ impl NetCounters {
         );
         if self.write_calls > 0 || self.read_calls > 0 {
             out.push_str(&format!(
-                "metrics[{}]: write_calls={} read_calls={} ack_frames={} frames_per_write={:.2} syscalls_per_frame={:.2}\n",
+                "metrics[{}]: write_calls={} read_calls={} ack_frames={} frames_per_write={:.2} syscalls_per_frame={:.2} poll_calls={} empty_reads={}\n",
                 node,
                 self.write_calls,
                 self.read_calls,
                 self.ack_frames,
                 self.frames_per_write().unwrap_or(0.0),
                 self.syscalls_per_frame().unwrap_or(0.0),
+                self.poll_calls,
+                self.empty_reads,
             ));
         }
         if !self.by_kind.is_empty() {
@@ -211,9 +220,14 @@ mod tests {
         assert_eq!(c.wire_frames_out(), 8);
         assert_eq!(c.frames_per_write(), Some(4.0));
         assert_eq!(c.syscalls_per_frame(), Some(0.25));
+        // The two ratios count data-moving calls only; waits and empty
+        // reads are reported beside them.
+        c.poll_calls = 3;
+        c.empty_reads = 1;
+        assert_eq!(c.syscalls_per_frame(), Some(0.25));
         let s = c.render(0);
         assert!(s.contains(
-            "write_calls=2 read_calls=2 ack_frames=1 frames_per_write=4.00 syscalls_per_frame=0.25"
+            "write_calls=2 read_calls=2 ack_frames=1 frames_per_write=4.00 syscalls_per_frame=0.25 poll_calls=3 empty_reads=1"
         ));
     }
 }
