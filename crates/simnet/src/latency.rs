@@ -57,12 +57,12 @@ impl LatencyModel {
     }
 
     /// A lower bound on the latency of **any** message under this model —
-    /// the *lookahead* of the conservative parallel engine: an event
+    /// the *lookahead* of the conservative windowed engine: an event
     /// executing at time `t` can only schedule remote events at `t +
-    /// min_latency()` or later, so a window of that width can be processed
-    /// without inter-shard synchronization.  `Zero` (and a degenerate
-    /// `Uniform` with `lo == Time::ZERO`) yields zero lookahead, which
-    /// forces the engine back to a single shard.
+    /// min_latency()` or later, so each shard can process a window of that
+    /// width before any cross-shard event is delivered.  `Zero` (and a
+    /// degenerate `Uniform` with `lo == Time::ZERO`) yields zero lookahead,
+    /// which forces the engine back to a single shard.
     #[inline]
     pub fn min_latency(&self) -> Time {
         match self {

@@ -69,9 +69,10 @@ pub use sim::{Sim, SimConfig};
 pub use trace::render_gantt;
 
 /// Lock a mutex whether or not it is poisoned: when a sibling thread (a
-/// shard worker, a TCP node, a pool job) has already panicked, the data is
-/// still handed out, so the original panic reaches the joiner instead of
-/// a `PoisonError` cascade.
+/// TCP node, a pool job) has already panicked, the data is still handed
+/// out, so the original panic reaches the joiner instead of a
+/// `PoisonError` cascade.  The simulator itself has no threads; this is
+/// here for `mra-net` and the sweep pool.
 pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

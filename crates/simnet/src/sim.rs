@@ -10,14 +10,15 @@
 //!
 //! With `SimConfig::shards = k > 1` the nodes are split round-robin across
 //! `k` shards (node `i` lives on shard `i % k`), each owning its own event
-//! queue, and the engine runs a *conservative windowed* parallel schedule:
-//! the minimum link latency `L = LatencyModel::min_latency()` is the
-//! **lookahead** — an event executing at time `t` can only schedule a
-//! remote event at `t + L` or later — so after agreeing on the global
-//! minimum timestamp `T`, every shard can process its events in
-//! `[T, T + L)` without hearing from anyone.  Cross-shard events travel
-//! through mailboxes exchanged between windows; no null messages are
-//! needed because the window barrier itself carries the time guarantee.
+//! queue, and the engine runs a *conservative windowed* schedule, shard
+//! after shard on the calling thread (there is no threaded driver, by
+//! measurement: DESIGN §10.2).  The minimum link latency
+//! `L = LatencyModel::min_latency()` is the **lookahead** — an event
+//! executing at time `t` can only schedule a remote event at `t + L` or
+//! later — so from the global minimum timestamp `T`, every shard can
+//! process its events in `[T, T + L)` without hearing from anyone.
+//! Cross-shard events wait in mail buffers delivered between windows; no
+//! null messages are needed: the window boundary carries the time guarantee.
 //!
 //! Determinism does not stop at "some legal schedule": the sharded engine
 //! is **bit-identical** to the sequential one.  Every pushed event carries
@@ -36,7 +37,6 @@
 
 use crate::driver::{node_rng, Driver, DriverState, Workload};
 use crate::latency::LatencyModel;
-use crate::lock;
 use crate::metrics::{Collector, RunResult};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceMode};
 use mra_protocol::faults::{Admit, FaultPlan, FaultStats};
@@ -47,9 +47,7 @@ use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -70,9 +68,10 @@ pub struct SimConfig {
     pub active_nodes: Option<usize>,
     /// Hard cap on processed events per shard (runaway guard).
     pub max_events: u64,
-    /// Worker shards for the conservative parallel engine (clamped to
-    /// `[1, n]`; forced to 1 when the latency model has zero lookahead).
-    /// The result is bit-identical for every value.
+    /// Shards of the conservative windowed schedule, which runs on the
+    /// calling thread (clamped to `[1, n]`; forced to 1 when the latency
+    /// model has zero lookahead).  The result is bit-identical for every
+    /// value.
     pub shards: usize,
 }
 
@@ -348,11 +347,6 @@ struct Mail<M> {
     ev: Ev<M>,
 }
 
-/// The threaded driver's mailbox matrix: `boxes[src][dst]` carries mail
-/// from shard `src` to shard `dst`, written strictly before the
-/// end-of-window barrier and read strictly after it.
-type Mailboxes<M> = Vec<Vec<Mutex<Vec<Mail<M>>>>>;
-
 /// One CS enter/exit observation on a sharded run, replayed through a
 /// [`SafetyMonitor`] in global `(at, ord)` order at the end.
 struct CsNote {
@@ -431,11 +425,11 @@ impl<M> Sched<M> {
     }
 }
 
-/// One worker shard: the nodes `i ≡ id (mod k)`, their event queue, lanes,
-/// clock and per-shard copies of every state the event handlers touch.
-/// Fault link filters are indexed by receiver, session-layer endpoints by
-/// their owning node, so under the executor mapping every access lands on
-/// the shard-local copy and no cross-shard locking is ever needed.
+/// One shard: the nodes `i ≡ id (mod k)`, their event queue, lanes, clock
+/// and per-shard copies of every state the event handlers touch.  Fault
+/// link filters are indexed by receiver, session-layer endpoints by their
+/// owning node, so under the executor mapping every access lands on the
+/// shard-local copy and a window never reads another shard's state.
 struct Shard<A: Allocator, W: Workload> {
     nodes: Vec<SimNode<A, W>>,
     sched: Sched<A::Msg>,
@@ -774,99 +768,6 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             self.dispatch(at, ord, ev);
         }
     }
-
-    /// Earliest local timestamp in nanoseconds (`u64::MAX` = empty), the
-    /// value shards publish to agree on the next window.
-    fn local_min(&self) -> u64 {
-        self.sched.queue.peek_at().map_or(u64::MAX, |t| t.as_nanos())
-    }
-}
-
-/// How long a waiter polls an [`AbortBarrier`] before it parks.  A window
-/// is a few hundred microseconds of work per shard, so the sibling is
-/// usually that close behind (at 10 000 nodes on two shards some nine
-/// waits in ten end within this budget).
-const BARRIER_SPIN: Duration = Duration::from_micros(500);
-
-/// A reusable barrier that can be *aborted*: when a shard worker panics it
-/// aborts the barrier instead of leaving its siblings waiting forever, and
-/// every waiter returns `false` so the workers unwind cleanly.
-///
-/// A waiter polls for [`BARRIER_SPIN`] before it parks, yielding the core
-/// between polls so that more workers than cores still make progress.
-/// That is not for the futex round trip: a worker that parks at every
-/// window looks idle to the kernel, which then feels free to stack both
-/// workers on one core (wake-affine) — or not, depending on what the
-/// machine ran a minute earlier — and the same simulation takes one of two
-/// speeds (DESIGN §10.2).  A worker that stays runnable keeps its core.
-struct AbortBarrier {
-    /// Arrivals of the current generation.  `generation` and `aborted` are
-    /// only written with this lock held, so the parked path needs nothing
-    /// else; they are atomics so that the polling path can read them
-    /// without it.
-    count: Mutex<usize>,
-    cv: Condvar,
-    parties: usize,
-    generation: AtomicU64,
-    aborted: AtomicBool,
-}
-
-impl AbortBarrier {
-    fn new(parties: usize) -> Self {
-        AbortBarrier {
-            count: Mutex::new(0),
-            cv: Condvar::new(),
-            parties,
-            generation: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-        }
-    }
-
-    /// Has generation `gen` opened (or the barrier been aborted)?
-    fn released(&self, gen: u64) -> bool {
-        self.generation.load(Ordering::Acquire) != gen || self.aborted.load(Ordering::Acquire)
-    }
-
-    /// Wait for all parties.  Returns `false` if the barrier was aborted.
-    /// Everything a party wrote before it arrived is visible to every party
-    /// after it returns: arrivals are ordered by the lock, and the last one
-    /// publishes the new generation with a release store.
-    fn wait(&self) -> bool {
-        let mut count = lock(&self.count);
-        if self.aborted.load(Ordering::Relaxed) {
-            return false;
-        }
-        let gen = self.generation.load(Ordering::Relaxed);
-        *count += 1;
-        if *count == self.parties {
-            *count = 0;
-            self.generation.store(gen + 1, Ordering::Release);
-            self.cv.notify_all();
-            return true;
-        }
-        drop(count);
-        let started = Instant::now();
-        while started.elapsed() < BARRIER_SPIN {
-            for _ in 0..32 {
-                if self.released(gen) {
-                    return !self.aborted.load(Ordering::Relaxed);
-                }
-                std::hint::spin_loop();
-            }
-            std::thread::yield_now();
-        }
-        count = lock(&self.count);
-        while !self.released(gen) {
-            count = self.cv.wait(count).unwrap_or_else(|e| e.into_inner());
-        }
-        !self.aborted.load(Ordering::Relaxed)
-    }
-
-    fn abort(&self) {
-        let _count = lock(&self.count);
-        self.aborted.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
 }
 
 /// The simulator.
@@ -885,7 +786,7 @@ pub struct Sim<A: Allocator, W: Workload> {
 
 impl<A: Allocator, W: Workload> Sim<A, W> {
     /// Build a simulation over one protocol instance and one workload per
-    /// node.  `cfg.shards` picks the parallel layout (clamped to `[1, n]`;
+    /// node.  `cfg.shards` picks the shard layout (clamped to `[1, n]`;
     /// a zero-lookahead latency model forces one shard) — the results are
     /// bit-identical for every value.
     pub fn new(protos: Vec<A>, workloads: Vec<W>, m: usize, cfg: SimConfig) -> Self {
@@ -899,9 +800,9 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let lookahead = cfg.latency.min_latency();
         let mut k = cfg.shards.clamp(1, n);
         if lookahead == Time::ZERO {
-            // No lookahead means no window can ever be processed safely in
-            // parallel; fall back to the sequential path silently (Zero
-            // latency is the shared-memory scheduler's model).
+            // No lookahead means no window is ever wider than one instant;
+            // fall back to the sequential path silently (Zero latency is
+            // the shared-memory scheduler's model).
             k = 1;
         }
         let active = cfg.active_nodes.unwrap_or(n);
@@ -1117,45 +1018,69 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     /// entry point.
     ///
     /// # Panics
-    /// On a sharded simulation — per-event stepping has no meaning across
-    /// concurrent windows; use [`Sim::step_window`] there.
+    /// On a sharded simulation — its unit of progress is a window; use
+    /// [`Sim::step_window`] there.
     pub fn step(&mut self) -> bool {
         assert_eq!(self.k, 1, "step() requires a single shard — use step_window()");
         self.shards[0].step_seq()
     }
 
-    /// Process one conservative window across all shards **on the calling
-    /// thread** (the cooperative driver): agree on the global minimum
-    /// timestamp, let every shard process `[T, T + lookahead)`, then
-    /// exchange cross-shard mail.  Returns `false` when the simulation is
-    /// over.  Same schedule as the threaded driver inside [`Sim::run`] —
-    /// exposed so probes (the zero-alloc guard) can observe the sharded
-    /// loop without threads.
+    /// Process one conservative window across all shards: take the global
+    /// minimum timestamp `T`, let every shard in turn process
+    /// `[T, T + lookahead)`, then exchange cross-shard mail.  Returns
+    /// `false` when the simulation is over.  This is the loop [`Sim::run`]
+    /// drives for `shards > 1` — exposed so probes (the zero-alloc guard)
+    /// can observe it mid-run.
     ///
     /// # Panics
     /// On a single-shard simulation — use [`Sim::step`] there.
     pub fn step_window(&mut self) -> bool {
         assert!(self.k > 1, "step_window() requires shards > 1 — use step()");
-        let t = self
-            .shards
-            .iter()
-            .map(|s| s.local_min())
-            .min()
-            .expect("at least one shard");
-        if t == u64::MAX || Time::from_nanos(t) > self.end_at {
+        let next = self.shards.iter().filter_map(|s| s.sched.queue.peek_at()).min();
+        let Some(t) = next.filter(|&t| t <= self.end_at) else {
             for s in &mut self.shards {
                 if !s.sched.queue.is_empty() {
                     s.horizon_cut = true;
                 }
             }
             return false;
-        }
-        let horizon = Time::from_nanos(t) + self.lookahead;
+        };
+        let horizon = t + self.lookahead;
         for s in &mut self.shards {
             s.process_window(horizon);
         }
         self.exchange_mail();
         true
+    }
+
+    /// Run to completion and return the measured result.  Composes with
+    /// the stepping API: a partially stepped simulation resumes instead of
+    /// re-initializing.  Everything runs on the calling thread: one shard
+    /// event by event, several window by window ([`Sim::step_window`]).
+    ///
+    /// Throughput accounting: `wall_ns` (and thus
+    /// [`RunResult::events_per_sec`]) is only reported when `run` executed
+    /// the *whole* simulation.  A resumed run cannot know how long the
+    /// caller's stepping took, so pairing its partial wall time with the
+    /// lifetime event count would inflate the rate — it reports 0
+    /// ("not measured") instead.
+    pub fn run(mut self) -> RunResult {
+        let started = Instant::now();
+        let whole_run = self.shards.iter().map(|s| s.events).sum::<u64>() == 0;
+        if !self.initialized {
+            self.init();
+        }
+        if self.k == 1 {
+            while self.shards[0].step_seq() {}
+        } else {
+            while self.step_window() {}
+        }
+        let wall_ns = if whole_run {
+            started.elapsed().as_nanos() as u64
+        } else {
+            0
+        };
+        self.into_result(wall_ns)
     }
 
     /// Liveness check, stats aggregation, safety replay and metric merge.
@@ -1233,156 +1158,14 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     }
 }
 
-impl<A: Allocator + Send, W: Workload> Sim<A, W> {
-    /// Run to completion and return the measured result.  Composes with
-    /// the stepping API: a partially stepped simulation resumes instead of
-    /// re-initializing.  Sharded simulations run one worker thread per
-    /// shard (hence the `A: Send` bound; protocol states are plain data).
-    ///
-    /// Throughput accounting: `wall_ns` (and thus
-    /// [`RunResult::events_per_sec`]) is only reported when `run` executed
-    /// the *whole* simulation.  A resumed run cannot know how long the
-    /// caller's stepping took, so pairing its partial wall time with the
-    /// lifetime event count would inflate the rate — it reports 0
-    /// ("not measured") instead.
-    pub fn run(mut self) -> RunResult {
-        let started = Instant::now();
-        let whole_run = self.shards.iter().map(|s| s.events).sum::<u64>() == 0;
-        if !self.initialized {
-            self.init();
-        }
-        if self.k == 1 {
-            let s = &mut self.shards[0];
-            while s.step_seq() {}
-        } else if std::thread::available_parallelism().map_or(1, |p| p.get()) > 1 {
-            self.run_windowed();
-        } else {
-            // One hardware thread: workers could only time-share, turning
-            // every barrier into a scheduling quantum.  Drive the identical
-            // windowed schedule cooperatively — same windows, same events,
-            // bit-identical result, no synchronization cost.
-            while self.step_window() {}
-        }
-        let wall_ns = if whole_run {
-            started.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        self.into_result(wall_ns)
-    }
-
-    /// The threaded windowed driver: one worker per shard, two barriers
-    /// per window (publish-mins, flush-mail), mailboxes under mutexes that
-    /// are only ever touched on opposite sides of a barrier.
-    fn run_windowed(&mut self) {
-        let k = self.k;
-        let lookahead = self.lookahead;
-        let end_at = self.end_at;
-        let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let mailboxes: Mailboxes<A::Msg> = (0..k)
-            .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let barrier = AbortBarrier::new(k);
-        let mins = &mins;
-        let mailboxes = &mailboxes;
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || drive_shard(shard, mins, mailboxes, barrier, lookahead, end_at),
-                        ));
-                        if let Err(payload) = caught {
-                            // Wake the siblings parked on the barrier so
-                            // the whole fleet unwinds instead of hanging.
-                            barrier.abort();
-                            std::panic::resume_unwind(payload);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    // Re-raise the first worker panic with its original
-                    // payload (a safety/liveness message, not a generic
-                    // "a scoped thread panicked").
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-    }
-}
-
-/// The per-worker loop of the threaded driver.  All mailbox writes happen
-/// strictly before the end-of-window barrier and all reads strictly after
-/// it (likewise for the `mins` slots around the publish barrier), so the
-/// mutexes are never contended — they exist to carry ownership, not to
-/// serialize.
-fn drive_shard<A: Allocator, W: Workload>(
-    shard: &mut Shard<A, W>,
-    mins: &[AtomicU64],
-    mailboxes: &Mailboxes<A::Msg>,
-    barrier: &AbortBarrier,
-    lookahead: Time,
-    end_at: Time,
-) {
-    let me = shard.sched.id;
-    loop {
-        // Drain the mail the previous window flushed to this shard.
-        for (src, boxes) in mailboxes.iter().enumerate() {
-            if src == me {
-                continue;
-            }
-            let mut inbox = lock(&boxes[me]);
-            for mail in inbox.drain(..) {
-                shard.sched.queue.push(mail.at, mail.ord, mail.ev);
-            }
-        }
-        // Publish my earliest timestamp; the barrier makes the relaxed
-        // stores visible to every reader after it.
-        mins[me].store(shard.local_min(), Ordering::Relaxed);
-        if !barrier.wait() {
-            return;
-        }
-        let t = mins
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .min()
-            .expect("k >= 1");
-        if t == u64::MAX || Time::from_nanos(t) > end_at {
-            // Uniform decision: every shard computed the same `t`, so all
-            // of them return here without another barrier.
-            if !shard.sched.queue.is_empty() {
-                shard.horizon_cut = true;
-            }
-            return;
-        }
-        shard.process_window(Time::from_nanos(t) + lookahead);
-        for (dst, buf) in shard.sched.mail_out.iter_mut().enumerate() {
-            if dst == me || buf.is_empty() {
-                continue;
-            }
-            let mut outbox = lock(&mailboxes[me][dst]);
-            outbox.append(buf);
-        }
-        // End-of-window barrier: everyone has flushed (and finished
-        // reading `mins` — the next store happens after this point), so
-        // the next iteration's drains and publishes are race-free.
-        if !barrier.wait() {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::FixedWorkload;
     use mra_baselines::{Central, GrantPolicy, Incremental};
-    use mra_core::LassConfig;
+    use mra_core::{Lass, LassConfig};
+    use mra_protocol::testkit::EchoPing;
+    use mra_protocol::ProcState;
 
     fn fixed(n: usize, m: usize, size: usize) -> Vec<FixedWorkload> {
         (0..n)
@@ -1788,7 +1571,7 @@ mod tests {
         )
     }
 
-    fn run_sharded(shards: usize, faulty: bool, reliable: bool) -> RunResult {
+    fn build_sharded(shards: usize, faulty: bool, reliable: bool) -> Sim<Lass, FixedWorkload> {
         let cfg = LassConfig::with_loan(6, 12);
         let mut sim_cfg = SimConfig::quick(61);
         sim_cfg.shards = shards;
@@ -1804,7 +1587,11 @@ mod tests {
         if reliable {
             sim.set_reliability(Reliability::with_rto(Time::from_millis(2)));
         }
-        sim.run()
+        sim
+    }
+
+    fn run_sharded(shards: usize, faulty: bool, reliable: bool) -> RunResult {
+        build_sharded(shards, faulty, reliable).run()
     }
 
     #[test]
@@ -1868,21 +1655,29 @@ mod tests {
     }
 
     #[test]
-    fn cooperative_windows_match_threaded_run() {
+    fn stepped_windows_match_run() {
         let seq = run_sharded(1, false, false);
-        let cfg = LassConfig::with_loan(6, 12);
-        let mut sim_cfg = SimConfig::quick(61);
-        sim_cfg.shards = 3;
-        let mut sim = Sim::new(cfg.build_nodes(), fixed(6, 12, 3), 12, sim_cfg);
-        sim.init();
-        let mut windows = 0u64;
-        while sim.step_window() {
-            windows += 1;
-        }
+        // Step at most `limit` windows by hand, then let `run()` finish.
+        let stepped = |limit: u64| {
+            let mut sim = build_sharded(3, false, false);
+            sim.init();
+            let mut windows = 0u64;
+            while windows < limit && sim.step_window() {
+                windows += 1;
+            }
+            (windows, sim.run())
+        };
+        // To exhaustion (the closing `run()` only merges), then half-way:
+        // `run()` resumes the windowed loop without re-initializing — the
+        // sharded twin of `run_resumes_a_stepped_simulation_without_reinit`.
+        let (windows, exhausted) = stepped(u64::MAX);
         assert!(windows > 10, "expected many conservative windows");
-        let res = sim.run();
-        assert_eq!(res.wall_ns, 0, "partially stepped runs report no throughput");
-        assert_eq!(fingerprint(&seq), fingerprint(&res));
+        let (half, resumed) = stepped(windows / 2);
+        assert_eq!(half, windows / 2);
+        for res in [exhausted, resumed] {
+            assert_eq!(res.wall_ns, 0, "partially stepped runs report no throughput");
+            assert_eq!(fingerprint(&seq), fingerprint(&res));
+        }
     }
 
     #[test]
@@ -1911,34 +1706,55 @@ mod tests {
         assert_eq!(SimConfig::env_shards(), 1);
     }
 
-    /// The barrier orders what the parties wrote, and an abort releases a
-    /// waiter — polling or parked — with `false`.
-    #[test]
-    fn barrier_orders_writes_and_abort_releases_waiters() {
-        // Abort inside the polling budget, then well after it.
-        for abort_after in [BARRIER_SPIN / 10, 4 * BARRIER_SPIN] {
-            let barrier = AbortBarrier::new(2);
-            let slots = [AtomicU64::new(0), AtomicU64::new(0)];
-            std::thread::scope(|scope| {
-                for me in 0..2 {
-                    let (barrier, slots) = (&barrier, &slots);
-                    scope.spawn(move || {
-                        for round in 1..=2_000u64 {
-                            slots[me].store(round, Ordering::Relaxed);
-                            assert!(barrier.wait());
-                            assert_eq!(slots[1 - me].load(Ordering::Relaxed), round);
-                            assert!(barrier.wait());
-                        }
-                    });
-                }
-            });
-            std::thread::scope(|scope| {
-                let waiter = scope.spawn(|| barrier.wait());
-                std::thread::sleep(abort_after);
-                barrier.abort();
-                assert!(!waiter.join().expect("waiter returns"));
-            });
-            assert!(!barrier.wait(), "an aborted barrier stays aborted");
+    /// A broken allocator: every request is granted on the spot, so two
+    /// nodes asking for the same resource hold it together.
+    struct GrantAll;
+
+    impl Allocator for GrantAll {
+        type Msg = EchoPing;
+
+        fn on_init(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
+
+        fn on_message(&mut self, _ctx: &mut Ctx<Self::Msg>, _from: NodeId, _msg: Self::Msg) {}
+
+        fn request(&mut self, ctx: &mut Ctx<Self::Msg>, _resources: ResourceSet) {
+            ctx.grant();
         }
+
+        fn release(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
+
+        fn state(&self) -> ProcState {
+            ProcState::Idle
+        }
+
+        fn name(&self) -> &'static str {
+            "grant-all"
+        }
+    }
+
+    /// Three nodes, two of them asking for both of two resources: one overlap
+    /// at a time, so a single lost `CsNote` cannot hide behind another pair.
+    fn grant_all_sim(shards: usize) -> Sim<GrantAll, FixedWorkload> {
+        let cfg = SimConfig { shards, active_nodes: Some(2), ..SimConfig::quick(1) };
+        let sim = Sim::new(vec![GrantAll, GrantAll, GrantAll], fixed(3, 2, 2), 2, cfg);
+        assert_eq!(sim.shards(), shards);
+        sim
+    }
+
+    #[test]
+    #[should_panic(expected = "SAFETY VIOLATION")]
+    fn online_monitor_panics_on_an_overlapping_grant() {
+        grant_all_sim(1).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "SAFETY VIOLATION")]
+    fn deferred_replay_panics_on_an_overlapping_grant() {
+        // The windows themselves check nothing: a sharded run's only
+        // safety check is the replay of its `CsNote`s inside `run()`.
+        let mut sim = grant_all_sim(3);
+        sim.init();
+        while sim.step_window() {}
+        sim.run();
     }
 }

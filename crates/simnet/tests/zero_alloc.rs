@@ -147,12 +147,11 @@ fn steady_state_dispatch_with_reliability_over_loss_is_allocation_free() {
 
 /// The sharded engine's steady state must be allocation-free too: the
 /// probe runs the full fault + reliability machinery on **4 shards**
-/// (one node each, so every echo crosses shards) through the cooperative
-/// [`Sim::step_window`] driver — same windowed schedule as the threaded
-/// one, but on this thread, where the counter can see it.  Windows drain
-/// and refill the cross-shard mail buffers every iteration; after warmup
-/// those buffers, the per-shard heaps and slabs, and the session tables
-/// must all have reached their peak footprint.
+/// (one node each, so every echo crosses shards) through
+/// [`Sim::step_window`], the loop `Sim::run` drives for every sharded
+/// run.  Windows drain and refill the cross-shard mail buffers every
+/// iteration; after warmup those buffers, the per-shard heaps and slabs,
+/// and the session tables must all have reached their peak footprint.
 #[test]
 fn steady_state_windowed_dispatch_on_4_shards_is_allocation_free() {
     let plan = FaultPlan::new(0xFA17).drop_rate(0.0005).dup_rate(0.05);

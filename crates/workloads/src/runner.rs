@@ -95,7 +95,7 @@ pub(crate) trait FleetVisitor {
 
     /// One workload slot per node; `cfg` carries the algorithm's latency
     /// model and, when a passive coordinator rides along, `active_nodes`.
-    fn launch<A: Allocator + Send>(self, nodes: Vec<A>, cfg: SimConfig) -> Self::Out;
+    fn launch<A: Allocator>(self, nodes: Vec<A>, cfg: SimConfig) -> Self::Out;
 }
 
 /// Build `algo`'s protocol fleet and latency model for `sc` (see [`run`])
@@ -149,7 +149,7 @@ struct PaperRun<'a> {
 impl FleetVisitor for PaperRun<'_> {
     type Out = RunResult;
 
-    fn launch<A: Allocator + Send>(self, nodes: Vec<A>, cfg: SimConfig) -> RunResult {
+    fn launch<A: Allocator>(self, nodes: Vec<A>, cfg: SimConfig) -> RunResult {
         let sc = self.sc;
         let workloads = PaperWorkload::per_node(sc, nodes.len());
         let mut sim = Sim::new(nodes, workloads, sc.m, cfg);

@@ -70,8 +70,9 @@ pub struct Scenario {
     pub skew: f64,
     /// Simulator shard count: `None` defers to the `MRA_SIM_SHARDS`
     /// environment variable at [`Scenario::sim_config`] time, `Some(k)`
-    /// pins it.  The results are bit-identical either way — shards only
-    /// change wall-clock time.
+    /// pins it.  The results are bit-identical either way, and every
+    /// value runs on the calling thread — shards select the windowed
+    /// schedule, not a degree of parallelism.
     pub shards: Option<usize>,
 }
 

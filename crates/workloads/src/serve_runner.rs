@@ -102,7 +102,7 @@ struct ServeRun<'a> {
 impl FleetVisitor for ServeRun<'_> {
     type Out = ServeOutcome;
 
-    fn launch<A: Allocator + Send>(self, nodes: Vec<A>, cfg: SimConfig) -> ServeOutcome {
+    fn launch<A: Allocator>(self, nodes: Vec<A>, cfg: SimConfig) -> ServeOutcome {
         let active = cfg.active_nodes.unwrap_or(nodes.len());
         let (workloads, handles) = ServeWorkload::fleet(&self.ssc.serve, nodes.len());
         let span = cfg.warmup + cfg.measure;

@@ -1,19 +1,20 @@
-//! Scale smoke for the sharded conservative engine: the paper's workload
+//! Scale smoke for the sharded windowed engine: the paper's workload
 //! at shapes far past its 32 × 80 testbed.
 //!
 //! The headline test (`#[ignore]`, run by the CI `sim-scale` job and by
 //! hand via `cargo test -p mra-workloads --release --test sim_scale --
 //! --ignored`) drives 10 000 nodes × 100 000 resources through LASS with
 //! loan, LASS without loan and Incremental, sequentially and on 4 shards,
-//! and requires the run digests to match **exactly**: the parallel engine
-//! is bit-identical to the sequential one, not merely statistically alike.
+//! and requires the run digests to match **exactly**: the windowed
+//! schedule is bit-identical to the sequential one, not merely
+//! statistically alike.
 //! It ends by holding the process's peak resident set under a ceiling: at
 //! this shape memory must follow what the sets hold, not the 100 000-wide
 //! universe they are drawn from.
 //!
-//! No speedup is asserted anywhere here — CI runners have ~2 cores and
-//! shared tenancy, so a wall-clock assertion would flake.  Throughput
-//! scaling is the benchmark's `sim-scale` workload (`simnet.shard_speedup`).
+//! No speed is asserted anywhere here: every shard count runs on the
+//! calling thread (DESIGN §10.2), and wall-clock numbers are the
+//! benchmark's `sim-scale` workload, which runs this shape on 2 shards.
 
 use mra_sim::RunResult;
 use mra_workloads::{run, Algorithm, Scenario};
@@ -114,7 +115,7 @@ fn ten_thousand_nodes_digest_parity_1_vs_4_shards() {
     }
 }
 
-/// Measured 75 MB over the six runs above; with every set a 12.5 KB
+/// Measured 53 MB over the six runs above; with every set a 12.5 KB
 /// bitmap of the universe the same test peaked at 751 MB.  Run with
 /// `--ignored` the process holds nothing else (the mid-scale test is
 /// filtered out).
