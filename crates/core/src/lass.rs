@@ -233,29 +233,105 @@ impl<T: Default> OnDemand<T> {
     }
 }
 
+/// What a site knows about one resource: the paper's `tokDir[r]`,
+/// `lastTok[r]` and pending history, kept together so that a handler finds
+/// all three with one table lookup.
+#[derive(Clone)]
+struct ResState {
+    /// Father pointer in the resource's tree; `None` iff this site holds
+    /// the token (is the tree root).
+    father: Option<NodeId>,
+    /// Last known snapshot of the token; authoritative only while owned.
+    tok: Token,
+    /// Requests forwarded towards the holder, replayed on token receipt
+    /// (§4.2.1).
+    pending: Vec<Request>,
+}
+
+impl ResState {
+    /// The state of a resource this site has not touched yet.
+    fn initial(r: ResourceId, father: Option<NodeId>) -> Self {
+        ResState {
+            father,
+            tok: Token::new(r),
+            pending: Vec::new(),
+        }
+    }
+}
+
+/// `res`'s entry for `r`, materialized on first touch with `father` (the
+/// node's `initial_father`) as its father pointer.  The one way handlers
+/// reach an entry; a free function so that a handler can hold the entry
+/// while it touches the node's other fields.
+fn res_entry(res: &mut ResTable<ResState>, r: ResourceId, father: Option<NodeId>) -> &mut ResState {
+    res.get_or(r, |r| ResState::initial(r, father))
+}
+
+/// `MyVector[r] = v` on the sparse pair vector.
+fn set_vector(vector: &mut Vec<(ResourceId, u64)>, r: ResourceId, v: u64) {
+    match vector.binary_search_by_key(&r, |&(rr, _)| rr) {
+        Ok(i) => vector[i].1 = v,
+        Err(i) => vector.insert(i, (r, v)),
+    }
+}
+
+/// The owner `me` of `tok` reserves its counter for its own request `id`
+/// (`MyVector[r]`).
+fn reserve_counter(
+    tok: &mut Token,
+    my_vector: &mut Vec<(ResourceId, u64)>,
+    me: NodeId,
+    id: RequestId,
+) {
+    let v = tok.take_counter();
+    // [deviation 2] record the served counter request so a wandering
+    // duplicate ReqCnt of ours becomes obsolete.
+    tok.set_last_req_c(me, id);
+    set_vector(my_vector, tok.r, v);
+}
+
+/// §4.6.1: the holder of `tok` turns a single-resource `ReqCnt` into a
+/// `ReqRes`, computing the mark itself from the counter value it assigns.
+fn convert_single(
+    tok: &mut Token,
+    policy: SchedulingPolicy,
+    sinit: NodeId,
+    id: RequestId,
+) -> ResReq {
+    let val = tok.take_counter();
+    tok.set_last_req_c(sinit, id);
+    ResReq {
+        r: tok.r,
+        sinit,
+        id,
+        mark: policy.mark_single(val),
+    }
+}
+
 /// One site's LASS state (annex A figure 9).
 ///
-/// All per-resource tables are [`ResTable`]s: dense vectors at paper scale
-/// (M ≤ 4096), lazily materialized maps above — a node only pays for the
-/// resources it actually touches, which is what lets 10k nodes each face
-/// 100k resources.  Absent entries mean "initial value": the father pointer
-/// is the elected site, the token snapshot is fresh, the pending history is
-/// empty.
+/// Per-resource state lives in one [`ResTable`] of `ResState { father,
+/// tok, pending }`: a dense vector at paper scale (M ≤ 4096), a map
+/// materialized on first touch above — a node only pays for the resources
+/// it actually touches, which is what lets 10k nodes each face 100k
+/// resources.  An absent entry means the initial state: the father pointer
+/// is the elected site (none on the elected site itself), the token
+/// snapshot is fresh, the pending history is empty.  Handlers look a
+/// resource up once and work on the entry they got (DESIGN §10.1 counts
+/// the lookups per handler).
 #[derive(Clone)]
 pub struct Lass {
     cfg: LassConfig,
     me: NodeId,
     state: ProcState,
-    /// Father pointer per resource tree; `None` iff this site holds the
-    /// token (is the tree root).  Absent entry = initial pointer (elected
-    /// site, or root for the elected site itself).
-    tok_dir: ResTable<Option<NodeId>>,
+    /// Father pointer, token snapshot and pending history per resource.
+    res: ResTable<ResState>,
+    /// Father pointer of a resource this site has not touched: the
+    /// elected site, none on the elected site itself.
+    initial_father: Option<NodeId>,
     /// Counter vector of the current request: sparse `(resource, value)`
     /// pairs sorted by resource, nonzero values only (zero = not required).
     my_vector: Vec<(ResourceId, u64)>,
-    /// Last known snapshot of each token; authoritative only for owned
-    /// tokens.  Absent entry = fresh token (`Token::new`).
-    last_tok: ResTable<Token>,
     /// Resources of the current request.
     t_required: ResourceSet,
     /// Owned tokens.
@@ -264,9 +340,6 @@ pub struct Lass {
     cnt_needed: ResourceSet,
     /// Current request id (incremented per request).
     cur_id: RequestId,
-    /// Per-resource history of forwarded requests, replayed on token
-    /// receipt (§4.2.1).
-    pending: ResTable<Vec<Request>>,
     /// Resources currently lent out (as lender).
     t_lent: ResourceSet,
     /// Has a loan been requested for the current request?
@@ -289,9 +362,9 @@ impl Lass {
         Lass {
             me,
             state: ProcState::Idle,
-            tok_dir: ResTable::new_with(cfg.m, |_| initial_father),
+            res: ResTable::new_with(cfg.m, |r| ResState::initial(r, initial_father)),
+            initial_father,
             my_vector: Vec::new(),
-            last_tok: ResTable::new_with(cfg.m, Token::new),
             t_required: ResourceSet::new(),
             t_owned: if is_elected {
                 ResourceSet::full(cfg.m)
@@ -300,7 +373,6 @@ impl Lass {
             },
             cnt_needed: ResourceSet::new(),
             cur_id: 0,
-            pending: ResTable::new_with(cfg.m, |_| Vec::new()),
             t_lent: ResourceSet::new(),
             loan_asked: false,
             borrowed_in_cs: false,
@@ -331,17 +403,17 @@ impl Lass {
 
     /// Father pointer of resource `r`'s tree (`None` = this site is root).
     pub fn father(&self, r: ResourceId) -> Option<NodeId> {
-        match self.tok_dir.get(r) {
-            Some(f) => *f,
-            None => self.initial_father(),
+        match self.res.get(r) {
+            Some(st) => st.father,
+            None => self.initial_father,
         }
     }
 
     /// The token snapshot for `r` (authoritative iff owned).  Untouched
     /// resources yield a fresh token; diagnostics only — clones.
     pub fn token(&self, r: ResourceId) -> Token {
-        match self.last_tok.get(r) {
-            Some(t) => t.clone(),
+        match self.res.get(r) {
+            Some(st) => st.tok.clone(),
             None => Token::new(r),
         }
     }
@@ -370,35 +442,15 @@ impl Lass {
     // Sparse-table plumbing
     // ------------------------------------------------------------------
 
-    fn initial_father(&self) -> Option<NodeId> {
-        if self.me == self.cfg.elected {
-            None
-        } else {
-            Some(self.cfg.elected)
-        }
-    }
-
-    fn set_father(&mut self, r: ResourceId, f: Option<NodeId>) {
-        self.tok_dir.set(r, f);
-    }
-
-    /// Mutable token snapshot, materializing a fresh token on first touch.
-    fn tok_mut(&mut self, r: ResourceId) -> &mut Token {
-        self.last_tok.get_or(r, Token::new)
+    /// The token snapshot of `r`, if `r` has been touched.
+    fn tok(&self, r: ResourceId) -> Option<&Token> {
+        self.res.get(r).map(|st| &st.tok)
     }
 
     /// Is `req` obsolete w.r.t. the snapshot of `r`?  An untouched token
     /// has all-zero stamps, so nothing is obsolete against it.
     fn tok_obsolete(&self, r: ResourceId, req: &Request) -> bool {
-        self.last_tok.get(r).is_some_and(|t| t.obsolete(req))
-    }
-
-    /// `MyVector[r] = v` on the sparse pair vector.
-    fn set_vector(&mut self, r: ResourceId, v: u64) {
-        match self.my_vector.binary_search_by_key(&r, |&(rr, _)| rr) {
-            Ok(i) => self.my_vector[i].1 = v,
-            Err(i) => self.my_vector.insert(i, (r, v)),
-        }
+        self.tok(r).is_some_and(|t| t.obsolete(req))
     }
 
     // ------------------------------------------------------------------
@@ -438,15 +490,17 @@ impl Lass {
     fn send_token(&mut self, r: ResourceId, dest: NodeId) {
         debug_assert!(self.t_owned.contains(r), "sending unowned token {r}");
         debug_assert_ne!(dest, self.me, "token self-send");
-        let snapshot = match self.stage.get().spare_toks.take() {
+        let st = res_entry(&mut self.res, r, self.initial_father);
+        let stage = self.stage.get();
+        let snapshot = match stage.spare_toks.take() {
             Some(mut spare) => {
-                spare.clone_from(self.tok_mut(r));
+                spare.clone_from(&st.tok);
                 spare
             }
-            None => self.tok_mut(r).clone(),
+            None => st.tok.clone(),
         };
-        self.stage.get().buf_tok.push(dest, snapshot);
-        self.set_father(r, Some(dest));
+        stage.buf_tok.push(dest, snapshot);
+        st.father = Some(dest);
         self.t_owned.remove(r);
     }
 
@@ -456,7 +510,7 @@ impl Lass {
         self.borrowed_in_cs = self
             .t_required
             .iter()
-            .any(|r| self.last_tok.get(r).is_some_and(|t| t.lender.is_some()));
+            .any(|r| self.tok(r).is_some_and(|t| t.lender.is_some()));
         if self.borrowed_in_cs {
             self.stats.loans_used += 1;
         }
@@ -467,13 +521,9 @@ impl Lass {
     /// Reserve the counter of an owned token for the current request.
     fn take_counter_locally(&mut self, r: ResourceId) {
         debug_assert!(self.t_owned.contains(r));
-        let v = self.tok_mut(r).take_counter();
-        self.set_vector(r, v);
-        // [deviation 2] record the served counter request so a wandering
-        // duplicate ReqCnt of ours becomes obsolete.
-        let me = self.me;
-        let id = self.cur_id;
-        self.tok_mut(r).set_last_req_c(me, id);
+        let (me, id) = (self.me, self.cur_id);
+        let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+        reserve_counter(tok, &mut self.my_vector, me, id);
     }
 
     // ------------------------------------------------------------------
@@ -515,7 +565,7 @@ impl Lass {
         if self
             .t_owned
             .iter()
-            .any(|r| self.last_tok.get(r).is_some_and(|t| t.lender.is_some()))
+            .any(|r| self.tok(r).is_some_and(|t| t.lender.is_some()))
         {
             return false;
         }
@@ -540,7 +590,7 @@ impl Lass {
 
     fn process_req_loan(&mut self, req: LoanReq) {
         debug_assert!(self.t_owned.contains(req.r));
-        if self.last_tok.get(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
+        if self.tok(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
             return; // obsolete
         }
         if req.sinit == self.me {
@@ -553,10 +603,11 @@ impl Lass {
             let me = self.me;
             for r2 in req.missing.iter() {
                 debug_assert!(self.t_owned.contains(r2));
-                self.tok_mut(r2).lender = Some(me);
+                let tok = &mut res_entry(&mut self.res, r2, self.initial_father).tok;
+                tok.lender = Some(me);
                 // The borrower's queued ReqRes is satisfied by the loan
                 // (annex A line 201).
-                self.tok_mut(r2).remove_site(req.sinit);
+                tok.remove_site(req.sinit);
                 self.send_token(r2, req.sinit);
             }
             self.t_lent = req.missing;
@@ -564,10 +615,10 @@ impl Lass {
             let r = req.r;
             if !self.t_required.contains(r) || self.state == ProcState::WaitS {
                 // Not a possible loan, but the token itself is free to go.
-                self.tok_mut(r).remove_site(req.sinit);
+                res_entry(&mut self.res, r, self.initial_father).tok.remove_site(req.sinit);
                 self.send_token(r, req.sinit);
             } else {
-                self.tok_mut(r).enqueue_loan(req);
+                res_entry(&mut self.res, r, self.initial_father).tok.enqueue_loan(req);
             }
         }
     }
@@ -584,41 +635,41 @@ impl Lass {
             // not "borrowed from ourselves".
             t.lender = None;
         }
-        match self.last_tok.get_mut(r) {
-            Some(slot) => {
-                // The snapshot left behind when the token last went away is
-                // dead now; its vectors serve the next `send_token`.
-                let mut stale = std::mem::replace(slot, t);
-                stale.clear();
-                self.stage.get().spare_toks.put(stale);
-            }
-            None => self.last_tok.set(r, t),
+        let me = self.me;
+        let st = res_entry(&mut self.res, r, self.initial_father);
+        // The snapshot left behind when the token last went away is dead
+        // now; its vectors serve the next `send_token` — if it has any (an
+        // entry materialized by a father pointer holds a never-used token).
+        let mut stale = std::mem::replace(&mut st.tok, t);
+        let stage = self.stage.get();
+        if stale.has_capacity() {
+            stale.clear();
+            stage.spare_toks.put(stale);
         }
         self.t_owned.insert(r);
-        self.set_father(r, None);
+        st.father = None;
         self.t_lent.remove(r);
         // [guard] our own queued request (left behind when we yielded this
         // token earlier) is satisfied by ownership; purge it so it can never
         // be "granted" back to ourselves.
-        let me = self.me;
-        self.tok_mut(r).remove_site(me);
-        if self.cnt_needed.contains(r) {
-            self.cnt_needed.remove(r);
-            self.take_counter_locally(r);
+        let tok = &mut st.tok;
+        tok.remove_site(me);
+        if self.cnt_needed.remove(r) {
+            reserve_counter(tok, &mut self.my_vector, me, self.cur_id);
         }
         // Replay the pending history for r (§4.2.1): requests we forwarded
         // may never have reached the holder; now that the token is here, we
-        // are the holder.  The history leaves the table while the handlers
-        // below borrow `self` and is filtered in place: only resource and
-        // loan requests stay (they may have to be replayed again).
-        let Some(mut history) = self.pending.get_mut(r).map(std::mem::take) else {
-            return;
-        };
+        // are the holder.  The history leaves the entry while the token
+        // beside it serves the replay, and is filtered in place: only
+        // resource and loan requests stay (they may have to be replayed
+        // again).
+        let mut history = std::mem::take(&mut st.pending);
+        let policy = self.cfg.policy;
         history.retain(|req| {
-            if self.tok_obsolete(r, req) {
+            if tok.obsolete(req) {
                 return false; // retired for good
             }
-            if req.sinit() == self.me {
+            if req.sinit() == me {
                 // [guard] our own request: ownership of the token satisfies
                 // it (counter taken above; CS entry checked by the caller).
                 return false;
@@ -630,9 +681,9 @@ impl Lass {
                     id,
                     ..
                 } => {
-                    self.tok_mut(r).set_last_req_c(sinit, id);
-                    let val = self.tok_mut(r).take_counter();
-                    self.stage.get().buf_cnt.push(sinit, CounterVal { r, val, id });
+                    tok.set_last_req_c(sinit, id);
+                    let val = tok.take_counter();
+                    stage.buf_cnt.push(sinit, CounterVal { r, val, id });
                     false
                 }
                 Request::Cnt {
@@ -641,16 +692,16 @@ impl Lass {
                     id,
                     ..
                 } => {
-                    let rr = self.convert_single(r, sinit, id);
-                    self.tok_mut(r).enqueue_res(rr);
+                    let rr = convert_single(tok, policy, sinit, id);
+                    tok.enqueue_res(rr);
                     false
                 }
                 Request::Res(ref rr) => {
-                    self.tok_mut(r).enqueue_res(rr.clone());
+                    tok.enqueue_res(rr.clone());
                     true
                 }
                 Request::Loan(ref lr) => {
-                    self.tok_mut(r).enqueue_loan(lr.clone());
+                    tok.enqueue_loan(lr.clone());
                     true
                 }
             }
@@ -665,20 +716,7 @@ impl Lass {
             tight.append(&mut history);
             history = tight;
         }
-        self.pending.set(r, history);
-    }
-
-    /// §4.6.1: the holder turns a single-resource `ReqCnt` into a `ReqRes`,
-    /// computing the mark itself from the counter value it assigns.
-    fn convert_single(&mut self, r: ResourceId, sinit: NodeId, id: RequestId) -> ResReq {
-        let val = self.tok_mut(r).take_counter();
-        self.tok_mut(r).set_last_req_c(sinit, id);
-        ResReq {
-            r,
-            sinit,
-            id,
-            mark: self.cfg.policy.mark_single(val),
-        }
+        st.pending = history;
     }
 
     // ------------------------------------------------------------------
@@ -721,19 +759,13 @@ impl Lass {
                         } = *q
                         {
                             // Plain counter request: reply with the value.
-                            self.tok_mut(r).set_last_req_c(sinit, id);
-                            let val = self.tok_mut(r).take_counter();
+                            let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+                            tok.set_last_req_c(sinit, id);
+                            let val = tok.take_counter();
                             self.stage.get().buf_cnt.push(sinit, CounterVal { r, val, id });
                         } else {
                             // ReqRes (or converted single): conflict.
-                            let rr = match q.clone() {
-                                Request::Res(rr) => rr,
-                                Request::Cnt { sinit, id, .. } => {
-                                    self.convert_single(r, sinit, id)
-                                }
-                                Request::Loan(_) => unreachable!(),
-                            };
-                            self.resolve_conflict(rr);
+                            self.resolve_conflict(q);
                         }
                     }
                 }
@@ -770,7 +802,7 @@ impl Lass {
     fn push_pending(&mut self, r: ResourceId, req: Request) {
         // One live entry per (site, kind) is enough: ids only grow.
         let key = (req.sinit(), std::mem::discriminant(&req));
-        let hist = self.pending.get_or(r, |_| Vec::new());
+        let hist = &mut res_entry(&mut self.res, r, self.initial_father).pending;
         hist.retain(|q| (q.sinit(), std::mem::discriminant(q)) != key || q.id() >= req.id());
         if !hist
             .iter()
@@ -780,35 +812,37 @@ impl Lass {
         }
     }
 
-    /// Owner in `waitCS`/`inCS` receives a conflicting `ReqRes` (annex A
-    /// lines 176–184): yield to strictly higher priority, queue otherwise.
-    fn resolve_conflict(&mut self, rr: ResReq) {
-        let r = rr.r;
-        if self
-            .last_tok
-            .get(r)
-            .is_some_and(|t| t.queue_contains(rr.sinit, rr.id))
-        {
+    /// Owner in `waitCS`/`inCS` receives a conflicting `ReqRes`, or a
+    /// single-resource `ReqCnt` it converts into one (annex A lines
+    /// 176–184): yield to strictly higher priority, queue otherwise.
+    fn resolve_conflict(&mut self, req: &Request) {
+        let r = req.r();
+        let my_mark = self.mark();
+        let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+        let rr = match *req {
+            Request::Res(ref rr) => rr.clone(),
+            Request::Cnt { sinit, id, .. } => convert_single(tok, self.cfg.policy, sinit, id),
+            Request::Loan(_) => unreachable!("loan requests are not conflicts"),
+        };
+        if tok.queue_contains(rr.sinit, rr.id) {
             return;
         }
-        let my_mark = self.mark();
         if self.state == ProcState::WaitCS
             && precedes(rr.mark, rr.sinit, my_mark, self.me)
         {
             // The newcomer overtakes us: queue ourselves, hand the token
             // over directly.
-            let mine = ResReq {
+            tok.enqueue_res(ResReq {
                 r,
                 sinit: self.me,
                 id: self.cur_id,
                 mark: my_mark,
-            };
-            self.tok_mut(r).enqueue_res(mine);
+            });
             self.stats.yields += 1;
             self.send_token(r, rr.sinit);
         } else {
             // (waitCS ∧ we precede) ∨ inCS: the request waits.
-            self.tok_mut(r).enqueue_res(rr);
+            tok.enqueue_res(rr);
         }
     }
 
@@ -823,12 +857,12 @@ impl Lass {
             if c.id != self.cur_id || !self.cnt_needed.contains(c.r) {
                 continue;
             }
-            self.set_vector(c.r, c.val);
+            set_vector(&mut self.my_vector, c.r, c.val);
             self.cnt_needed.remove(c.r);
             if self.cfg.opt_shortcut_on_counter {
                 // Path shortcut: the replier held the token just now.
                 debug_assert!(!self.t_owned.contains(c.r));
-                self.set_father(c.r, Some(from));
+                res_entry(&mut self.res, c.r, self.initial_father).father = Some(from);
             }
         }
         self.stage.get().buf_cnt.recycle(vals);
@@ -855,28 +889,31 @@ impl Lass {
             // borrowed token to its legitimate owner (annex A lines
             // 217-223).
             let mut returned = false;
+            let my_mark = self.mark();
             for r in self.t_owned.iter() {
-                if let Some(lender) = self.last_tok.get(r).and_then(|t| t.lender) {
-                    debug_assert_ne!(lender, self.me);
-                    // [deviation 3] clear the loan marker on return.
-                    self.tok_mut(r).lender = None;
-                    // [deviation 8] the lender removed our ReqRes from the
-                    // queue when it granted the loan (annex A line 201); as
-                    // the loan failed, our request must be re-queued or it
-                    // would be lost forever (liveness hole in the paper's
-                    // pseudo-code — see DESIGN.md §6).
-                    if self.state == ProcState::WaitCS && self.t_required.contains(r) {
-                        let mine = ResReq {
-                            r,
-                            sinit: self.me,
-                            id: self.cur_id,
-                            mark: self.mark(),
-                        };
-                        self.tok_mut(r).enqueue_res(mine);
-                    }
-                    self.send_token(r, lender);
-                    returned = true;
+                let Some(tok) = self.res.get_mut(r).map(|st| &mut st.tok) else {
+                    continue; // untouched token: not borrowed
+                };
+                // [deviation 3] clear the loan marker on return.
+                let Some(lender) = tok.lender.take() else {
+                    continue;
+                };
+                debug_assert_ne!(lender, self.me);
+                // [deviation 8] the lender removed our ReqRes from the
+                // queue when it granted the loan (annex A line 201); as
+                // the loan failed, our request must be re-queued or it
+                // would be lost forever (liveness hole in the paper's
+                // pseudo-code — see DESIGN.md §6).
+                if self.state == ProcState::WaitCS && self.t_required.contains(r) {
+                    tok.enqueue_res(ResReq {
+                        r,
+                        sinit: self.me,
+                        id: self.cur_id,
+                        mark: my_mark,
+                    });
                 }
+                self.send_token(r, lender);
+                returned = true;
             }
             if returned {
                 self.stats.loans_failed += 1;
@@ -904,10 +941,13 @@ impl Lass {
             if !self.t_owned.contains(r) {
                 continue; // handed away by a previous iteration's loan
             }
-            let Some(head) = self.last_tok.get(r).and_then(|t| t.head().cloned()) else {
+            let Some(tok) = self.res.get_mut(r).map(|st| &mut st.tok) else {
+                continue; // untouched token: empty queue
+            };
+            let Some(&ResReq { sinit, mark, .. }) = tok.head() else {
                 continue;
             };
-            debug_assert_ne!(head.sinit, self.me, "own request queued in own token");
+            debug_assert_ne!(sinit, self.me, "own request queued in own token");
             let yield_now = match self.state {
                 // Still gathering counters: always yield (we will re-request
                 // via ReqRes once counters are complete).
@@ -919,24 +959,23 @@ impl Lass {
                     if !self.t_required.contains(r) {
                         true // [deviation 7]
                     } else {
-                        precedes(head.mark, head.sinit, my_mark, self.me)
+                        precedes(mark, sinit, my_mark, self.me)
                     }
                 }
                 ProcState::InCS => unreachable!("rescheduling while in CS"),
             };
             if yield_now {
-                self.tok_mut(r).dequeue();
+                tok.dequeue();
                 if self.state == ProcState::WaitCS && self.t_required.contains(r) {
-                    let mine = ResReq {
+                    tok.enqueue_res(ResReq {
                         r,
                         sinit: self.me,
                         id: self.cur_id,
                         mark: my_mark,
-                    };
-                    self.tok_mut(r).enqueue_res(mine);
+                    });
                     self.stats.yields += 1;
                 }
-                self.send_token(r, head.sinit);
+                self.send_token(r, sinit);
             }
         }
     }
@@ -947,7 +986,7 @@ impl Lass {
             if !self.t_owned.contains(r) {
                 continue;
             }
-            let Some(tok) = self.last_tok.get_mut(r) else {
+            let Some(tok) = self.res.get_mut(r).map(|st| &mut st.tok) else {
                 continue; // untouched token: nothing queued
             };
             if tok.w_loan.is_empty() {
@@ -1081,22 +1120,21 @@ impl Allocator for Lass {
         let id = self.cur_id;
         for r in self.t_required.iter() {
             debug_assert!(self.t_owned.contains(r));
-            self.tok_mut(r).set_last_cs(me, id);
-            match self.tok_mut(r).lender {
-                None => {
-                    if let Some(next) = self.tok_mut(r).dequeue() {
-                        self.send_token(r, next.sinit);
-                    }
-                }
+            let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+            tok.set_last_cs(me, id);
+            let next = match tok.lender.take() {
+                None => tok.dequeue().map(|next| next.sinit),
                 Some(lender) => {
                     // Borrowed token: straight back to the lender, dropping
                     // any queued request of the lender itself (annex A
                     // line 96).
                     debug_assert_ne!(lender, me);
-                    self.tok_mut(r).remove_site(lender);
-                    self.tok_mut(r).lender = None;
-                    self.send_token(r, lender);
+                    tok.remove_site(lender);
+                    Some(lender)
                 }
+            };
+            if let Some(dest) = next {
+                self.send_token(r, dest);
             }
         }
         // [deviation 7] tokens we own but did not use can carry queued
@@ -1106,7 +1144,7 @@ impl Allocator for Lass {
             if self.t_required.contains(r) {
                 continue;
             }
-            let next = self.last_tok.get_mut(r).and_then(|t| t.dequeue());
+            let next = self.res.get_mut(r).and_then(|st| st.tok.dequeue());
             if let Some(next) = next {
                 self.send_token(r, next.sinit);
             }
@@ -1195,6 +1233,61 @@ mod tests {
         }
         assert_eq!(b.spares.kept.len(), S::MAX);
         assert!(b.spares.kept.iter().all(Vec::is_empty));
+    }
+
+    /// "Absent means initial": on a sparse table (m = 100 000) an entry
+    /// never touched and one materialized but untouched answer what a
+    /// dense table's (m = 80) entry answers — father, token, obsolescence —
+    /// on the elected site and on another.  (Request ids start at 1.)
+    #[test]
+    fn absent_and_untouched_entries_answer_alike() {
+        let r = 17;
+        let reqs = [
+            Request::Cnt {
+                r,
+                sinit: 1,
+                id: 1,
+                single: false,
+            },
+            Request::Cnt {
+                r,
+                sinit: 2,
+                id: 3,
+                single: true,
+            },
+            Request::Res(ResReq {
+                r,
+                sinit: 1,
+                id: 2,
+                mark: 1.5,
+            }),
+            Request::Loan(LoanReq {
+                r,
+                sinit: 2,
+                id: 1,
+                mark: 1.0,
+                missing: ResourceSet::singleton(r),
+            }),
+        ];
+        let answers = |node: &Lass| {
+            let obsolete: Vec<bool> = reqs.iter().map(|q| node.tok_obsolete(r, q)).collect();
+            (node.father(r), format!("{:?}", node.token(r)), obsolete)
+        };
+        for me in [0, 2] {
+            let dense = Lass::new(me, LassConfig::with_loan(3, 80));
+            let absent = Lass::new(me, LassConfig::with_loan(3, 100_000));
+            let mut touched = absent.clone();
+            res_entry(&mut touched.res, r, touched.initial_father);
+            assert!(dense.res.is_dense() && !absent.res.is_dense());
+            assert_eq!(
+                (absent.res.materialized(), touched.res.materialized()),
+                (0, 1)
+            );
+            let want = answers(&dense);
+            assert_eq!(want.0, if me == 0 { None } else { Some(0) });
+            assert_eq!(answers(&absent), want, "absent entry, site {me}");
+            assert_eq!(answers(&touched), want, "untouched entry, site {me}");
+        }
     }
 
     #[test]

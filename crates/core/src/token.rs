@@ -91,15 +91,26 @@ impl Token {
         }
     }
 
+    /// Where site `s`'s pair is (`Ok`) or would go (`Err`).  Once every
+    /// site has a stamp — the paper's shape soon after warm-up — pair `s`
+    /// is site `s`, so that slot is tried before the search.
+    #[inline]
+    fn find(stamps: &[(NodeId, RequestId)], s: NodeId) -> Result<usize, usize> {
+        match stamps.get(s) {
+            Some(&(site, _)) if site == s => Ok(s),
+            _ => stamps.binary_search_by_key(&s, |&(site, _)| site),
+        }
+    }
+
     fn stamp(stamps: &[(NodeId, RequestId)], s: NodeId) -> RequestId {
-        match stamps.binary_search_by_key(&s, |&(site, _)| site) {
+        match Self::find(stamps, s) {
             Ok(i) => stamps[i].1,
             Err(_) => 0,
         }
     }
 
     fn set_stamp(stamps: &mut Vec<(NodeId, RequestId)>, s: NodeId, id: RequestId) {
-        match stamps.binary_search_by_key(&s, |&(site, _)| site) {
+        match Self::find(stamps, s) {
             Ok(i) => {
                 if id == 0 {
                     stamps.remove(i);
@@ -148,6 +159,12 @@ impl Token {
         self.w_queue.clear();
         self.w_loan = Vec::new();
         self.lender = None;
+    }
+
+    /// Has this token any buffer a `clone_from` into it would reuse?  A
+    /// never-used token has none, and keeping it as a spare saves nothing.
+    pub(crate) fn has_capacity(&self) -> bool {
+        self.last_req_c.capacity() + self.last_cs.capacity() + self.w_queue.capacity() > 0
     }
 
     /// Reserve the current counter value (and advance the counter).  Only
@@ -392,5 +409,27 @@ mod tests {
         // Pairs stay sorted by site whatever the insertion order.
         assert_eq!(t.last_req_c, vec![(3, 9)]);
         assert_eq!(t.last_cs, vec![(7, 2)]);
+    }
+
+    #[test]
+    fn stamp_slot_shortcut_agrees_with_the_search() {
+        let mut t = Token::new(0);
+        // Every site stamped: pair `s` is site `s` (the shortcut's case).
+        for s in 0..6 {
+            t.set_last_cs(s, 10 + s as RequestId);
+        }
+        assert!((0..6).all(|s| t.last_cs(s) == 10 + s as RequestId));
+        // A gap shifts later sites off their slot: slot 2 now holds site 3,
+        // so sites 3.. and the gap itself fall back to the search.
+        t.set_last_cs(2, 0);
+        assert_eq!(t.last_cs, vec![(0, 10), (1, 11), (3, 13), (4, 14), (5, 15)]);
+        assert_eq!((t.last_cs(2), t.last_cs(3), t.last_cs(5)), (0, 13, 15));
+        t.set_last_cs(4, 40);
+        t.set_last_cs(2, 20);
+        assert_eq!(
+            t.last_cs,
+            vec![(0, 10), (1, 11), (2, 20), (3, 13), (4, 40), (5, 15)]
+        );
+        assert_eq!(t.last_cs(6), 0);
     }
 }

@@ -44,9 +44,8 @@ use mra_protocol::link::Link;
 use mra_protocol::reliable::{Packet, Reliability, ReliabilityStats, RtoVerdict};
 use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
-use mra_types::{NodeId, ResourceSet, Time};
+use mra_types::{IdMap, NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Simulation parameters.
@@ -159,7 +158,7 @@ struct LaneEnt {
 /// links a node actually talks on).
 enum LaneTable {
     Dense(Vec<LaneEnt>),
-    Sparse(HashMap<u32, LaneEnt>),
+    Sparse(IdMap<u32, LaneEnt>),
 }
 
 /// Above this node count the lane table goes sparse.
@@ -170,7 +169,7 @@ impl LaneTable {
         if n <= LANE_DENSE_MAX_NODES {
             LaneTable::Dense(vec![LaneEnt::default(); n * n + n])
         } else {
-            LaneTable::Sparse(HashMap::new())
+            LaneTable::Sparse(IdMap::default())
         }
     }
 

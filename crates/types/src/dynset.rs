@@ -679,7 +679,7 @@ impl ExactSizeIterator for SetIter {}
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn insert_remove_contains_small() {
@@ -841,7 +841,7 @@ mod tests {
             seed
         };
         let mut s = DynSet::new();
-        let mut model: HashSet<usize> = HashSet::new();
+        let mut model: BTreeSet<usize> = BTreeSet::new();
         for _ in 0..4000 {
             let v = (next() % 1024) as usize;
             match next() % 3 {

@@ -13,6 +13,8 @@
 //!   [`NodeSet`] are typed aliases.
 //! * [`ResTable`] — per-resource state storage, dense for small universes
 //!   and lazily materialized at 100k-resource scale.
+//! * [`IdMap`] / [`IdHasher`] — the hash map for program-minted ids, one
+//!   multiply per key (`ResTable`'s sparse side, the simulator's lanes).
 //! * [`NodeId`] / [`ResourceId`] / [`RequestId`] — plain index aliases.
 //! * [`env_flag`] — the one parser of the workspace's boolean `MRA_*`
 //!   environment knobs.
@@ -22,7 +24,7 @@ pub mod restable;
 pub mod time;
 
 pub use dynset::{DynSet, SetIter};
-pub use restable::{ResTable, DENSE_TABLE_MAX};
+pub use restable::{IdHasher, IdMap, ResTable, DENSE_TABLE_MAX};
 pub use time::Time;
 
 /// A set of resources (`ResourceId`s).  The paper's `D`, `TOwned`,

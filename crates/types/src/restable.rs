@@ -1,4 +1,5 @@
-//! Per-resource state tables that scale to 100k+ resources.
+//! Per-resource state tables that scale to 100k+ resources, and the one
+//! hash every id-keyed map in the workspace uses.
 //!
 //! The protocol crates keep per-resource state (token directories, request
 //! counters, lazily created token instances).  At the paper's M = 80 a
@@ -9,11 +10,87 @@
 //! hash-mapped entries above it (entries materialized on first touch).
 //!
 //! The table deliberately exposes **no iteration** over its entries: a
-//! `HashMap` iterates in nondeterministic order, and determinism is the
+//! `HashMap` iterates in an order its hash decides, and determinism is the
 //! repo's core invariant.  Protocol logic must address entries by id.
+//!
+//! **Why the hash is fixed.**  The sparse side is an [`IdMap`]: one
+//! multiply per id ([`IdHasher`]) instead of std's randomly keyed SipHash,
+//! which cost more than the probe it chose (at 10 000 × 100 000 a quarter
+//! of the simulator's CPU was hash-table work).  SipHash's random key
+//! defends a map against keys chosen to collide; these keys are ids the
+//! program minted (`0..m`, lane numbers) or that cluster peers sent, and
+//! peers are trusted by the fault model already (node outages and lost or
+//! duplicated frames, DESIGN §8; Byzantine peers are parked).  A peer that
+//! sent a bad id could do worse than slow a probe down: a dense table
+//! panics on an id ≥ m.  And since nothing iterates the map, a fixed hash
+//! cannot reorder anything observable.
 
 use crate::ResourceId;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` keyed by ids the program minted, hashed by [`IdHasher`].
+/// The only way the workspace hashes an id (CI greps for any other
+/// `HashMap` or `HashSet` in the protocol and simulator crates).
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Fixed multiplicative hash for integer ids: FxHash's step
+/// (`(h.rotate_left(5) ^ x) · K` per word, no random state), then a
+/// rotation on `finish`.
+///
+/// The rotation is what makes it safe for hashbrown, which takes the bucket
+/// from the hash's *low* bits and a one-byte tag from its top seven.  The
+/// low `k` bits of a product depend only on the low `k` bits of the id, so
+/// without it the ids `0, 4096, 8192, …` would all hash to bucket 0 of a
+/// 4 096-bucket table.  The best-mixed bits of a product are its high ones;
+/// rotating left by 26 brings bits 38–49 down to the bucket index (the
+/// finish rustc-hash 2 uses).  `tests/prop_restable.rs` pins both
+/// properties on strided ids.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    /// FxHash's 64-bit multiplier.
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    /// Arbitrary bytes, eight at a time (ids take the typed paths below).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
 
 /// Largest universe for which [`ResTable`] materializes a dense vector.
 /// 4096 × a few machine words per entry keeps paper-scale tables flat and
@@ -23,7 +100,7 @@ pub const DENSE_TABLE_MAX: usize = 4096;
 #[derive(Clone)]
 enum Repr<T> {
     Dense(Vec<T>),
-    Sparse(HashMap<ResourceId, T>),
+    Sparse(IdMap<ResourceId, T>),
 }
 
 /// A map from `ResourceId` in `0..m` to `T`, dense for small `m` and
@@ -44,7 +121,7 @@ impl<T> ResTable<T> {
             }
         } else {
             ResTable {
-                repr: Repr::Sparse(HashMap::new()),
+                repr: Repr::Sparse(IdMap::default()),
             }
         }
     }
