@@ -105,11 +105,12 @@ pub fn precedes(mark_a: f64, a: NodeId, mark_b: f64, b: NodeId) -> bool {
 /// Total-order comparison used to keep token wait queues sorted.
 #[inline]
 pub fn order_key(mark: f64, site: NodeId) -> (u64, NodeId) {
-    // `total_cmp`-compatible bit trick: for non-negative finite floats the
-    // IEEE-754 bit pattern orders identically to the value.  Marks are
-    // always ≥ 0 (averages/sums of non-negative counters), asserted in
-    // debug builds.
-    debug_assert!(mark >= 0.0 && mark.is_finite(), "invalid mark {mark}");
+    // `total_cmp`-compatible bit trick: for finite floats with the sign
+    // bit clear the IEEE-754 bit pattern orders identically to the value.
+    // Marks are averages/sums of non-negative counters, and the decoder
+    // refuses any other (`-0.0` included, which `>= 0.0` would pass);
+    // asserted in debug builds.
+    debug_assert!(mark.is_sign_positive() && mark.is_finite(), "invalid mark {mark}");
     (mark.to_bits(), site)
 }
 

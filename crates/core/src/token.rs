@@ -17,14 +17,29 @@
 
 use crate::messages::{LoanReq, Request, ResReq};
 use crate::policy::order_key;
+use mra_protocol::wire::{put_u64, put_usize, DecodeError, WireReader};
 use mra_types::{NodeId, RequestId, ResourceId};
+
+/// Index of `lastReqC` in [`Stamps::ids`] and [`Token::nonzero`].
+const REQ_C: usize = 0;
+/// Index of `lastCS` in [`Stamps::ids`] and [`Token::nonzero`].
+const CS: usize = 1;
+
+/// One site's row of the stamp table: `lastReqC[site]` and `lastCS[site]`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Stamps {
+    site: NodeId,
+    ids: [RequestId; 2],
+}
 
 /// The unique token of one resource.
 ///
-/// The `lastReqC`/`lastCS` timestamp maps are stored sparsely: only sites
-/// with a nonzero stamp appear, sorted by site id.  A fresh stamp is 0 for
-/// every site, so a fresh token costs O(1) memory regardless of `n` — the
-/// property that lets a 10k-node system hold 100k tokens.
+/// `lastReqC` and `lastCS` live in one sparse table: a row per site with
+/// either stamp nonzero, sorted by site.  A fresh stamp is 0 for every
+/// site, so a fresh token costs O(1) memory regardless of `n` — the
+/// property that lets a 10k-node system hold 100k tokens.  The two maps
+/// cover nearly the same sites once a run warms up, so one table is one
+/// search per obsolete test and one vector per snapshot instead of two.
 #[derive(Debug)]
 pub struct Token {
     /// The resource this token controls.
@@ -32,14 +47,14 @@ pub struct Token {
     /// Next counter value to hand out (starts at 1; 0 means "not required"
     /// in request vectors).
     pub counter: u64,
-    /// `lastReqC[s]`: id of the last counter request from site `s` answered
-    /// by a holder.  Sparse `(site, id)` pairs, sorted by site, nonzero ids
-    /// only.
-    pub(crate) last_req_c: Vec<(NodeId, RequestId)>,
-    /// `lastCS[s]`: id of the last critical-section request of site `s`
-    /// that has been satisfied (updated by `s` itself at release time).
-    /// Same sparse representation as `last_req_c`.
-    pub(crate) last_cs: Vec<(NodeId, RequestId)>,
+    /// `lastReqC[s]` — id of the last counter request from site `s`
+    /// answered by a holder — and `lastCS[s]` — id of the last
+    /// critical-section request of site `s` that has been satisfied
+    /// (updated by `s` itself at release time).
+    stamps: Vec<Stamps>,
+    /// Nonzero `lastReqC` and `lastCS` entries in `stamps`: the lengths of
+    /// the two stamp lists on the wire.
+    nonzero: [usize; 2],
     /// Pending resource requests, sorted by `/` (mark, then site id).
     pub w_queue: Vec<ResReq>,
     /// Pending loan requests, sorted by `/`.
@@ -49,7 +64,7 @@ pub struct Token {
 }
 
 /// Field-wise on purpose: the derived `clone_from` is `*self = src.clone()`,
-/// which frees and reallocates all four vectors.  This one refills them in
+/// which frees and reallocates all three vectors.  This one refills them in
 /// place, so snapshotting a token into a spare one (`Lass::send_token`)
 /// costs no allocation once the spare's vectors are large enough.
 impl Clone for Token {
@@ -57,8 +72,8 @@ impl Clone for Token {
         Token {
             r: self.r,
             counter: self.counter,
-            last_req_c: self.last_req_c.clone(),
-            last_cs: self.last_cs.clone(),
+            stamps: self.stamps.clone(),
+            nonzero: self.nonzero,
             w_queue: self.w_queue.clone(),
             w_loan: self.w_loan.clone(),
             lender: self.lender,
@@ -68,84 +83,171 @@ impl Clone for Token {
     fn clone_from(&mut self, src: &Self) {
         self.r = src.r;
         self.counter = src.counter;
-        self.last_req_c.clone_from(&src.last_req_c);
-        self.last_cs.clone_from(&src.last_cs);
+        self.stamps.clone_from(&src.stamps);
+        self.nonzero = src.nonzero;
         self.w_queue.clone_from(&src.w_queue);
         self.w_loan.clone_from(&src.w_loan);
         self.lender = src.lender;
     }
 }
 
+/// Wire bytes of one `(site, id)` stamp: the least a stamp list's length
+/// prefix may claim per entry.
+const STAMP_BYTES: usize = 4 + 8;
+/// What a decoded stamp list is and must keep ([`DecodeError::Invalid`]).
+const REQ_C_RULE: &str = "Token.lastReqC (sites strictly increasing, ids nonzero)";
+const CS_RULE: &str = "Token.lastCS (sites strictly increasing, ids nonzero)";
+
+/// Read one `(site, id)` stamp of a list, which must be strictly sorted by
+/// site (`after` is the previous site) and carry a nonzero id: the
+/// invariants of the table the list is decoded into.
+fn get_stamp(
+    r: &mut WireReader<'_>,
+    after: Option<NodeId>,
+    what: &'static str,
+) -> Result<(NodeId, RequestId), DecodeError> {
+    let site = r.get_usize(what)?;
+    let id = r.get_u64(what)?;
+    if id == 0 || after.is_some_and(|prev| site <= prev) {
+        return Err(DecodeError::Invalid { what });
+    }
+    Ok((site, id))
+}
+
 impl Token {
     /// Fresh token for resource `r`.  All timestamps start at 0, so the
-    /// sparse maps start empty whatever the system size.
+    /// stamp table starts empty whatever the system size.
     pub fn new(r: ResourceId) -> Self {
         Token {
             r,
             counter: 1,
-            last_req_c: Vec::new(),
-            last_cs: Vec::new(),
+            stamps: Vec::new(),
+            nonzero: [0; 2],
             w_queue: Vec::new(),
             w_loan: Vec::new(),
             lender: None,
         }
     }
 
-    /// Where site `s`'s pair is (`Ok`) or would go (`Err`).  Once every
-    /// site has a stamp — the paper's shape soon after warm-up — pair `s`
+    /// Where site `s`'s row is (`Ok`) or would go (`Err`).  Once every
+    /// site has a stamp — the paper's shape soon after warm-up — row `s`
     /// is site `s`, so that slot is tried before the search.
     #[inline]
-    fn find(stamps: &[(NodeId, RequestId)], s: NodeId) -> Result<usize, usize> {
-        match stamps.get(s) {
-            Some(&(site, _)) if site == s => Ok(s),
-            _ => stamps.binary_search_by_key(&s, |&(site, _)| site),
+    fn find(&self, s: NodeId) -> Result<usize, usize> {
+        match self.stamps.get(s) {
+            Some(row) if row.site == s => Ok(s),
+            _ => self.stamps.binary_search_by_key(&s, |row| row.site),
         }
     }
 
-    fn stamp(stamps: &[(NodeId, RequestId)], s: NodeId) -> RequestId {
-        match Self::find(stamps, s) {
-            Ok(i) => stamps[i].1,
-            Err(_) => 0,
+    /// Site `s`'s two stamps (both 0 if it has no row).
+    #[inline]
+    fn ids(&self, s: NodeId) -> [RequestId; 2] {
+        match self.find(s) {
+            Ok(i) => self.stamps[i].ids,
+            Err(_) => [0; 2],
         }
     }
 
-    fn set_stamp(stamps: &mut Vec<(NodeId, RequestId)>, s: NodeId, id: RequestId) {
-        match Self::find(stamps, s) {
+    /// Record stamp `k` of site `s`: a row appears with its first nonzero
+    /// stamp and goes with its last.
+    fn set_stamp(&mut self, s: NodeId, k: usize, id: RequestId) {
+        let old = match self.find(s) {
             Ok(i) => {
-                if id == 0 {
-                    stamps.remove(i);
-                } else {
-                    stamps[i].1 = id;
+                let row = &mut self.stamps[i];
+                let old = std::mem::replace(&mut row.ids[k], id);
+                if row.ids == [0; 2] {
+                    self.stamps.remove(i);
                 }
+                old
             }
             Err(i) => {
                 if id != 0 {
-                    stamps.insert(i, (s, id));
+                    let mut row = Stamps { site: s, ids: [0; 2] };
+                    row.ids[k] = id;
+                    self.stamps.insert(i, row);
                 }
+                0
             }
-        }
+        };
+        self.nonzero[k] = self.nonzero[k] + usize::from(id != 0) - usize::from(old != 0);
     }
 
     /// `lastReqC[s]` (0 if never answered).
     #[inline]
     pub fn last_req_c(&self, s: NodeId) -> RequestId {
-        Self::stamp(&self.last_req_c, s)
+        self.ids(s)[REQ_C]
     }
 
     /// Record `lastReqC[s] = id`.
     pub fn set_last_req_c(&mut self, s: NodeId, id: RequestId) {
-        Self::set_stamp(&mut self.last_req_c, s, id);
+        self.set_stamp(s, REQ_C, id);
     }
 
     /// `lastCS[s]` (0 if site `s` has never completed a CS on `r`).
     #[inline]
     pub fn last_cs(&self, s: NodeId) -> RequestId {
-        Self::stamp(&self.last_cs, s)
+        self.ids(s)[CS]
     }
 
     /// Record `lastCS[s] = id`.
     pub fn set_last_cs(&mut self, s: NodeId, id: RequestId) {
-        Self::set_stamp(&mut self.last_cs, s, id);
+        self.set_stamp(s, CS, id);
+    }
+
+    /// Write the two stamp lists of the wire format (`lastReqC`, then
+    /// `lastCS`: each a count and its `(site, id)` pairs in site order)
+    /// straight from the rows.
+    pub(crate) fn encode_stamps(&self, out: &mut Vec<u8>) {
+        for k in [REQ_C, CS] {
+            put_usize(out, self.nonzero[k]);
+            for row in self.stamps.iter().filter(|row| row.ids[k] != 0) {
+                put_usize(out, row.site);
+                put_u64(out, row.ids[k]);
+            }
+        }
+    }
+
+    /// Read the two stamp lists [`Token::encode_stamps`] writes into this
+    /// token's empty table.  The `lastReqC` pairs become rows as they
+    /// come; the table is then shifted right by the `lastCS` count and the
+    /// `lastCS` pairs merge in from the front, so the write position never
+    /// passes an unread row and no temporary list is built.
+    pub(crate) fn decode_stamps(&mut self, r: &mut WireReader<'_>) -> Result<(), DecodeError> {
+        debug_assert!(self.stamps.is_empty(), "stamps decode into an empty table");
+        let n = r.get_len(STAMP_BYTES, "Token.lastReqC")?;
+        self.stamps.reserve_exact(n);
+        let mut after = None;
+        for _ in 0..n {
+            let (site, id) = get_stamp(r, after, REQ_C_RULE)?;
+            self.stamps.push(Stamps { site, ids: [id, 0] });
+            after = Some(site);
+        }
+        let m = r.get_len(STAMP_BYTES, "Token.lastCS")?;
+        self.stamps.resize(n + m, Stamps::default());
+        self.stamps.copy_within(0..n, m);
+        // Rows `i..` are unread `lastReqC` rows; `..w` is the merged table.
+        let (mut w, mut i) = (0, m);
+        let mut after = None;
+        for _ in 0..m {
+            let (site, id) = get_stamp(r, after, CS_RULE)?;
+            after = Some(site);
+            while i < n + m && self.stamps[i].site < site {
+                self.stamps[w] = self.stamps[i];
+                (w, i) = (w + 1, i + 1);
+            }
+            let mut row = Stamps { site, ids: [0, id] };
+            if i < n + m && self.stamps[i].site == site {
+                row.ids[REQ_C] = self.stamps[i].ids[REQ_C];
+                i += 1;
+            }
+            self.stamps[w] = row;
+            w += 1;
+        }
+        self.stamps.copy_within(i.., w);
+        self.stamps.truncate(w + (n + m - i));
+        self.nonzero = [n, m];
+        Ok(())
     }
 
     /// Drop everything the token carries but keep the capacity of its stamp
@@ -154,8 +256,8 @@ impl Token {
     /// rarely has one, and a spare that once did would hand its 288 bytes
     /// to every snapshot made from it.
     pub(crate) fn clear(&mut self) {
-        self.last_req_c.clear();
-        self.last_cs.clear();
+        self.stamps.clear();
+        self.nonzero = [0; 2];
         self.w_queue.clear();
         self.w_loan = Vec::new();
         self.lender = None;
@@ -164,7 +266,7 @@ impl Token {
     /// Has this token any buffer a `clone_from` into it would reuse?  A
     /// never-used token has none, and keeping it as a spare saves nothing.
     pub(crate) fn has_capacity(&self) -> bool {
-        self.last_req_c.capacity() + self.last_cs.capacity() + self.w_queue.capacity() > 0
+        self.stamps.capacity() + self.w_queue.capacity() > 0
     }
 
     /// Reserve the current counter value (and advance the counter).  Only
@@ -186,12 +288,12 @@ impl Token {
     /// * A single-resource `ReqCnt` acts as both, so either condition
     ///   retires it.
     pub fn obsolete(&self, req: &Request) -> bool {
-        let s = req.sinit();
+        let [req_c, cs] = self.ids(req.sinit());
         let id = req.id();
         match req {
-            Request::Cnt { single: false, .. } => id <= self.last_req_c(s),
-            Request::Cnt { single: true, .. } => id <= self.last_req_c(s) || self.cs_done(s, id),
-            Request::Res(_) | Request::Loan(_) => self.cs_done(s, id),
+            Request::Cnt { single: false, .. } => id <= req_c,
+            Request::Cnt { single: true, .. } => id <= req_c || id <= cs,
+            Request::Res(_) | Request::Loan(_) => id <= cs,
         }
     }
 
@@ -259,10 +361,9 @@ impl Token {
     }
 
     /// Approximate message size in integer units (metrics only).  Counts
-    /// the stamps actually carried on the wire: the sparse maps only ship
-    /// nonzero entries.
+    /// the stamps actually carried on the wire: only nonzero ones ship.
     pub fn weight(&self) -> usize {
-        2 + 2 * (self.last_req_c.len() + self.last_cs.len())
+        2 + 2 * (self.nonzero[REQ_C] + self.nonzero[CS])
             + 5 * self.w_queue.len()
             + 9 * self.w_loan.len()
     }
@@ -275,6 +376,10 @@ mod tests {
 
     fn res(r: ResourceId, s: NodeId, id: RequestId, mark: f64) -> ResReq {
         ResReq { r, sinit: s, id, mark }
+    }
+
+    fn row(site: NodeId, req_c: RequestId, cs: RequestId) -> Stamps {
+        Stamps { site, ids: [req_c, cs] }
     }
 
     #[test]
@@ -369,11 +474,11 @@ mod tests {
         spare.clear();
         assert_eq!(spare.weight(), 2, "a cleared token carries nothing");
         assert_eq!((spare.lender, spare.w_loan.capacity()), (None, 0));
-        let buffers = (spare.last_req_c.as_ptr(), spare.last_cs.as_ptr(), spare.w_queue.as_ptr());
+        let buffers = (spare.stamps.as_ptr(), spare.w_queue.as_ptr());
         spare.clone_from(&src);
         assert_eq!(format!("{spare:?}"), format!("{src:?}"));
         assert_eq!(
-            (spare.last_req_c.as_ptr(), spare.last_cs.as_ptr(), spare.w_queue.as_ptr()),
+            (spare.stamps.as_ptr(), spare.w_queue.as_ptr()),
             buffers,
             "clone_from must reuse the vectors it overwrites"
         );
@@ -406,9 +511,11 @@ mod tests {
         t.set_last_req_c(7, 0);
         assert_eq!(t.last_req_c(7), 0);
         assert_eq!(t.weight(), 2 + 2 * 2);
-        // Pairs stay sorted by site whatever the insertion order.
-        assert_eq!(t.last_req_c, vec![(3, 9)]);
-        assert_eq!(t.last_cs, vec![(7, 2)]);
+        // Rows stay sorted by site whatever the insertion order, and a row
+        // lives while either of its stamps is nonzero.
+        assert_eq!(t.stamps, [row(3, 9, 0), row(7, 0, 2)]);
+        t.set_last_cs(7, 0);
+        assert_eq!((t.stamps.as_slice(), t.weight()), ([row(3, 9, 0)].as_slice(), 2 + 2));
     }
 
     #[test]
@@ -422,14 +529,13 @@ mod tests {
         // A gap shifts later sites off their slot: slot 2 now holds site 3,
         // so sites 3.. and the gap itself fall back to the search.
         t.set_last_cs(2, 0);
-        assert_eq!(t.last_cs, vec![(0, 10), (1, 11), (3, 13), (4, 14), (5, 15)]);
+        let sites: Vec<NodeId> = t.stamps.iter().map(|row| row.site).collect();
+        assert_eq!(sites, [0, 1, 3, 4, 5]);
         assert_eq!((t.last_cs(2), t.last_cs(3), t.last_cs(5)), (0, 13, 15));
         t.set_last_cs(4, 40);
         t.set_last_cs(2, 20);
-        assert_eq!(
-            t.last_cs,
-            vec![(0, 10), (1, 11), (2, 20), (3, 13), (4, 40), (5, 15)]
-        );
+        let cs: Vec<RequestId> = t.stamps.iter().map(|row| row.ids[CS]).collect();
+        assert_eq!(cs, [10, 11, 20, 13, 40, 15]);
         assert_eq!(t.last_cs(6), 0);
     }
 }

@@ -18,11 +18,49 @@
 //!             | 1 vec<CounterVal>                     (Counters)
 //!             | 2 vec<Token>                          (Tokens)
 //! ```
+//!
+//! In memory a token keeps both stamp maps as one table of
+//! `(site, lastReqC, lastCS)` rows; the codec writes the two `stamps` lists
+//! from those rows and merges them back on decode, so the wire format is
+//! the two sparse lists above, unchanged.
+//!
+//! Decoding rejects ([`DecodeError::Invalid`]) what the handlers assume
+//! cannot happen: a mark that is not finite with the sign bit clear
+//! (`order_key` orders marks by their bit pattern), a stamp list not
+//! strictly sorted by site or holding a zero id (the table is searched by
+//! site and holds nonzero stamps only), and a wait or loan queue out of
+//! `/` order (insertion is a binary search).
 
 use crate::messages::{CounterVal, LassMsg, LoanReq, Request, ResReq};
+use crate::policy::order_key;
 use crate::token::Token;
 use mra_protocol::wire::{put_bool, put_f64, put_u64, put_usize, DecodeError, WireReader};
 use mra_protocol::WireCodec;
+use mra_types::NodeId;
+
+/// Read a scheduling mark: finite, with the sign bit clear (so `-0.0` too
+/// is refused), the only marks on which `order_key` agrees with `/`.
+fn get_mark(r: &mut WireReader<'_>, what: &'static str) -> Result<f64, DecodeError> {
+    let mark = r.get_f64(what)?;
+    if mark.is_sign_negative() || !mark.is_finite() {
+        return Err(DecodeError::Invalid { what });
+    }
+    Ok(mark)
+}
+
+/// Accept a decoded wait queue only in `/` order, the order its insertion
+/// search assumes.
+fn check_order<T>(
+    queue: &[T],
+    key: impl Fn(&T) -> (u64, NodeId),
+    what: &'static str,
+) -> Result<(), DecodeError> {
+    if queue.windows(2).all(|p| key(&p[0]) <= key(&p[1])) {
+        Ok(())
+    } else {
+        Err(DecodeError::Invalid { what })
+    }
+}
 
 impl WireCodec for ResReq {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -37,7 +75,7 @@ impl WireCodec for ResReq {
             r: r.get_usize("ResReq.r")?,
             sinit: r.get_usize("ResReq.sinit")?,
             id: r.get_u64("ResReq.id")?,
-            mark: r.get_f64("ResReq.mark")?,
+            mark: get_mark(r, "ResReq.mark (finite, sign bit clear)")?,
         })
     }
 }
@@ -56,7 +94,7 @@ impl WireCodec for LoanReq {
             r: r.get_usize("LoanReq.r")?,
             sinit: r.get_usize("LoanReq.sinit")?,
             id: r.get_u64("LoanReq.id")?,
-            mark: r.get_f64("LoanReq.mark")?,
+            mark: get_mark(r, "LoanReq.mark (finite, sign bit clear)")?,
             missing: WireCodec::decode(r)?,
         })
     }
@@ -118,23 +156,22 @@ impl WireCodec for Token {
     fn encode(&self, out: &mut Vec<u8>) {
         put_usize(out, self.r);
         put_u64(out, self.counter);
-        self.last_req_c.encode(out);
-        self.last_cs.encode(out);
+        self.encode_stamps(out);
         self.w_queue.encode(out);
         self.w_loan.encode(out);
         self.lender.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Token {
-            r: r.get_usize("Token.r")?,
-            counter: r.get_u64("Token.counter")?,
-            last_req_c: WireCodec::decode(r)?,
-            last_cs: WireCodec::decode(r)?,
-            w_queue: WireCodec::decode(r)?,
-            w_loan: WireCodec::decode(r)?,
-            lender: WireCodec::decode(r)?,
-        })
+        let mut t = Token::new(r.get_usize("Token.r")?);
+        t.counter = r.get_u64("Token.counter")?;
+        t.decode_stamps(r)?;
+        t.w_queue = WireCodec::decode(r)?;
+        check_order(&t.w_queue, |q| order_key(q.mark, q.sinit), "Token.wQueue (in / order)")?;
+        t.w_loan = WireCodec::decode(r)?;
+        check_order(&t.w_loan, |q| order_key(q.mark, q.sinit), "Token.wLoan (in / order)")?;
+        t.lender = WireCodec::decode(r)?;
+        Ok(t)
     }
 }
 
@@ -198,7 +235,7 @@ mod tests {
                 visited: NodeSet::singleton(255),
                 reqs: vec![
                     Request::Cnt { r: 1, sinit: 2, id: 3, single: true },
-                    Request::Res(ResReq { r: 0, sinit: 1, id: u64::MAX, mark: -2.5 }),
+                    Request::Res(ResReq { r: 0, sinit: 1, id: u64::MAX, mark: 2.5 }),
                     Request::Loan(LoanReq {
                         r: 2,
                         sinit: 3,
@@ -219,6 +256,105 @@ mod tests {
             assert_eq!(back.to_bytes(), bytes);
             assert_eq!(format!("{back:?}"), format!("{m:?}"));
         }
+    }
+
+    /// The token's wire bytes, written out field by field: both stamp kinds
+    /// over different site sets (row 4 carries both), a wait queue, a loan
+    /// queue and a lender.  A format change fails here even where the
+    /// round-trip laws would still hold.
+    #[test]
+    fn token_wire_bytes_are_pinned() {
+        let mut t = Token::new(3);
+        t.counter = 17;
+        t.set_last_cs(6, 1);
+        t.set_last_req_c(4, 2);
+        t.set_last_cs(0, 5);
+        t.set_last_req_c(1, 7);
+        t.set_last_cs(4, 9);
+        t.enqueue_res(ResReq { r: 3, sinit: 5, id: 3, mark: 2.0 });
+        t.enqueue_res(ResReq { r: 3, sinit: 2, id: 8, mark: 1.5 });
+        let missing = ResourceSet::singleton(3);
+        t.enqueue_loan(LoanReq { r: 3, sinit: 6, id: 4, mark: 0.75, missing });
+        t.lender = Some(1);
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            // LassMsg::Tokens, one token
+            2, 1, 0, 0, 0,
+            // r = 3, counter = 17
+            3, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0,
+            // lastReqC: 1 -> 7, 4 -> 2
+            2, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+            // lastCS: 0 -> 5, 4 -> 9, 6 -> 1
+            3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 6,
+            0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+            // wQueue: (site 2, id 8, mark 1.5), (site 5, id 3, mark 2.0)
+            2, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 248, 63,
+            3, 0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64,
+            // wLoan: (site 6, id 4, mark 0.75, missing {3})
+            1, 0, 0, 0, 3, 0, 0, 0, 6, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 232, 63,
+            1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+            // lender: Some(1)
+            1, 1, 0, 0, 0,
+        ];
+        let msg = LassMsg::Tokens(vec![t]);
+        assert_eq!(msg.to_bytes(), golden);
+        let back = LassMsg::from_bytes(golden).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+    }
+
+    /// A one-token frame with the given stamp lists and queues, written
+    /// without any of the checks the decoder applies.
+    fn token_frame(
+        req_c: &[(usize, u64)],
+        cs: &[(usize, u64)],
+        queue: &[ResReq],
+        loans: &[LoanReq],
+    ) -> Vec<u8> {
+        let mut out = vec![2];
+        put_usize(&mut out, 1);
+        put_usize(&mut out, 0);
+        put_u64(&mut out, 1);
+        req_c.to_vec().encode(&mut out);
+        cs.to_vec().encode(&mut out);
+        queue.to_vec().encode(&mut out);
+        loans.to_vec().encode(&mut out);
+        None::<usize>.encode(&mut out);
+        out
+    }
+
+    /// Does decoding `bytes` fail on the rule of the value named `value`?
+    fn rejected(bytes: &[u8], value: &str) -> bool {
+        let err = LassMsg::from_bytes(bytes).err();
+        matches!(err, Some(DecodeError::Invalid { what }) if what.starts_with(value))
+    }
+
+    #[test]
+    fn malformed_frames_are_rejected_one_rule_each() {
+        let res = |sinit, mark| ResReq { r: 0, sinit, id: 1, mark };
+        let loan = |sinit, mark| LoanReq { r: 0, sinit, id: 1, mark, missing: ResourceSet::EMPTY };
+        let ok = token_frame(&[(1, 7), (4, 2)], &[(0, 5), (4, 9), (6, 1)], &[], &[]);
+        assert!(LassMsg::from_bytes(&ok).is_ok());
+        // Marks: finite with the sign bit clear; `-0.0 >= 0.0` holds, yet
+        // it would sort last in a queue and first under `/`.
+        for mark in [-0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let reqs = vec![Request::Res(res(1, mark))];
+            let bytes = LassMsg::Requests { visited: NodeSet::EMPTY, reqs }.to_bytes();
+            assert!(rejected(&bytes, "ResReq.mark"), "mark {mark}");
+            let reqs = vec![Request::Loan(loan(1, mark))];
+            let bytes = LassMsg::Requests { visited: NodeSet::EMPTY, reqs }.to_bytes();
+            assert!(rejected(&bytes, "LoanReq.mark"), "mark {mark}");
+        }
+        // Stamp lists: strictly sorted by site...
+        assert!(rejected(&token_frame(&[(4, 2), (1, 7)], &[], &[], &[]), "Token.lastReqC"));
+        // ...so no site twice...
+        assert!(rejected(&token_frame(&[], &[(4, 9), (4, 9)], &[], &[]), "Token.lastCS"));
+        // ...and nonzero ids only.
+        assert!(rejected(&token_frame(&[(1, 0)], &[], &[], &[]), "Token.lastReqC"));
+        // Queues in `/` order: mark first, then site.
+        let queue = [res(5, 2.0), res(2, 1.5)];
+        assert!(rejected(&token_frame(&[], &[], &queue, &[]), "Token.wQueue"));
+        let loans = [loan(3, 1.0), loan(1, 1.0)];
+        assert!(rejected(&token_frame(&[], &[], &[], &loans), "Token.wLoan"));
     }
 
     #[test]

@@ -56,6 +56,12 @@ pub enum DecodeError {
         /// The claimed element count.
         len: usize,
     },
+    /// A well-formed value broke a rule the receiving handlers rely on
+    /// (a sort order, a sign, a nonzero id).
+    Invalid {
+        /// The value being decoded and the rule it must keep.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -66,6 +72,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadLen { what, len } => {
                 write!(f, "{what} length {len} exceeds remaining input")
             }
+            DecodeError::Invalid { what } => write!(f, "invalid {what}"),
         }
     }
 }

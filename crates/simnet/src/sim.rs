@@ -26,7 +26,7 @@
 //! writer *lane* that produced it (a directed link, or a node's local
 //! timer lane) and a per-lane push counter.  Per-node processing order —
 //! and hence per-lane push sequences — is the same under any shard count,
-//! so the keys, and therefore the heap order, the RNG draws and every
+//! so the keys, and therefore the pop order, the RNG draws and every
 //! metric, coincide exactly.
 //!
 //! Safety is *monitored*, not assumed: every grant is checked against the
@@ -46,6 +46,7 @@ use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{IdMap, NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Simulation parameters.
@@ -207,17 +208,27 @@ struct EvKey {
     slot: u32,
 }
 
-/// The simulator's event queue: a 4-ary min-heap of packed [`EvKey`]s over
-/// a free-list slab of event payloads.
+/// The simulator's event queue: a deque of frames in `(at, ord)` order
+/// beside a 4-ary min-heap of packed [`EvKey`]s over a free-list slab of
+/// event payloads.  Pops take the smaller head of the two, so the pop
+/// order is the one total `(at, ord)` order whichever side holds an event.
+///
+/// The deque exists because on constant-latency links a frame is almost
+/// always sent later than every frame in flight and so arrives after them
+/// all: a frame whose `at` is not earlier than the deque's last joins it
+/// (placed by `ord` among the equal-`at` tail), which costs a push and a
+/// pop instead of two sifts.  Every other frame, and every timer, takes
+/// the heap.  DESIGN §7.2 has the share each workload sends through it.
 ///
 /// 4-ary because sift-down dominates a discrete-event workload (every pop
 /// sifts, pushes often stop early): halving the tree depth trades two
 /// extra (adjacent, same-cache-line) comparisons per level for half the
 /// memory moves, and the hole-based sift moves each key once instead of
 /// swapping.  In steady state (constant event population) every push
-/// reuses a freed slot, so the queue performs no heap allocation after
-/// warmup.
+/// reuses a freed slot or deque cell, so the queue performs no heap
+/// allocation after warmup.
 struct EventQueue<M> {
+    frames: VecDeque<(Time, u64, Ev<M>)>,
     heap: Vec<EvKey>,
     slab: Vec<Option<Ev<M>>>,
     free: Vec<u32>,
@@ -226,6 +237,7 @@ struct EventQueue<M> {
 impl<M> EventQueue<M> {
     fn new() -> Self {
         EventQueue {
+            frames: VecDeque::new(),
             heap: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -233,6 +245,14 @@ impl<M> EventQueue<M> {
     }
 
     fn push(&mut self, at: Time, ord: u64, ev: Ev<M>) {
+        if matches!(ev, Ev::Frame { .. }) && self.frames.back().map_or(true, |b| b.0 <= at) {
+            let mut i = self.frames.len();
+            while i > 0 && (self.frames[i - 1].0, self.frames[i - 1].1) > (at, ord) {
+                i -= 1;
+            }
+            self.frames.insert(i, (at, ord, ev));
+            return;
+        }
         let slot = match self.free.pop() {
             Some(s) => {
                 debug_assert!(self.slab[s as usize].is_none());
@@ -269,6 +289,13 @@ impl<M> EventQueue<M> {
     }
 
     fn pop(&mut self) -> Option<(Time, u64, Ev<M>)> {
+        let frame_first = match (self.frames.front(), self.heap.first()) {
+            (Some(f), Some(h)) => (f.0, f.1) < (h.at, h.ord),
+            (f, _) => f.is_some(),
+        };
+        if frame_first {
+            return self.frames.pop_front();
+        }
         let heap = &mut self.heap;
         let top = *heap.first()?;
         let tail = heap.pop().expect("heap is non-empty");
@@ -309,17 +336,24 @@ impl<M> EventQueue<M> {
     /// Timestamp of the earliest queued event.
     #[inline]
     fn peek_at(&self) -> Option<Time> {
-        self.heap.first().map(|k| k.at)
+        let frame = self.frames.front().map(|f| f.0);
+        let heap = self.heap.first().map(|k| k.at);
+        match (frame, heap) {
+            (Some(f), Some(h)) => Some(f.min(h)),
+            (f, h) => f.or(h),
+        }
     }
 
     fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.frames.is_empty() && self.heap.is_empty()
     }
 
-    /// Pre-reserve heap, slab and free-list capacity for `extra` more
-    /// in-flight events, so a later population peak does not reallocate
-    /// (the zero-alloc guard pre-sizes for retransmission bursts).
+    /// Pre-reserve deque, heap, slab and free-list capacity for `extra`
+    /// more in-flight events, so a later population peak does not
+    /// reallocate (the zero-alloc guard pre-sizes for retransmission
+    /// bursts).
     fn reserve(&mut self, extra: usize) {
+        self.frames.reserve(extra);
         self.heap.reserve(extra);
         self.slab.reserve(extra);
         self.free.reserve(self.slab.capacity().saturating_sub(self.free.len()));
@@ -934,7 +968,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     ///
     /// Each shard gets its own [`EngineTracer`]; at the end of the run the
     /// per-shard buffers merge in canonical `(at, ord, seq)` order — the
-    /// exact key the event heaps order by — so the resulting trace (and
+    /// exact key the event queues order by — so the resulting trace (and
     /// its JSONL rendering) is **byte-identical for every shard count**,
     /// like everything else the engine produces.  Lamport stamps ride
     /// inside delivery events, so causality survives shard mailboxes,
@@ -1114,7 +1148,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let rel_stats = self.reliability_stats();
         // Safety replay for sharded runs: the per-shard enter/exit logs
         // merge into the global event order — `(at, ord)` is the exact key
-        // the heaps ordered by — and every grant is re-checked.
+        // the queues ordered by — and every grant is re-checked.
         if self.k > 1 {
             let total = self.shards.iter().map(|s| s.cs_log.len()).sum();
             let mut notes: Vec<CsNote> = Vec::with_capacity(total);
@@ -1165,6 +1199,9 @@ mod tests {
     use mra_core::{Lass, LassConfig};
     use mra_protocol::testkit::EchoPing;
     use mra_protocol::ProcState;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn fixed(n: usize, m: usize, size: usize) -> Vec<FixedWorkload> {
         (0..n)
@@ -1755,5 +1792,92 @@ mod tests {
         sim.init();
         while sim.step_window() {}
         sim.run();
+    }
+
+    /// The event a queue-property op pushes: a frame (`stamp` = its id) or
+    /// a timer (`node` = its id).
+    fn queue_ev(id: u64, frame: bool) -> Ev<()> {
+        if frame {
+            Ev::Frame { from: 0, to: 0, stamp: id, frame: Packet::Ack { ack: 0 } }
+        } else {
+            Ev::Think { node: id as usize }
+        }
+    }
+
+    type Popped = Option<(Time, u64, u64)>;
+
+    /// Pop the queue and the reference map once each, events as ids.
+    fn pop_both(
+        q: &mut EventQueue<()>,
+        model: &mut BTreeMap<(Time, u64), u64>,
+    ) -> (Popped, Popped) {
+        let got = q.pop().map(|(at, ord, ev)| match ev {
+            Ev::Frame { stamp, .. } => (at, ord, stamp),
+            Ev::Think { node } => (at, ord, node as u64),
+            _ => unreachable!("the property pushes frames and think timers only"),
+        });
+        (got, model.pop_first().map(|((at, ord), id)| (at, ord, id)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Deque plus heap is one priority queue: against a `BTreeMap` on
+        /// `(at, ord)`, every pop, `peek_at` and `is_empty` agree, whatever
+        /// mix of in-order frames, equal-`at` ties with shuffled `ord`,
+        /// late frames and timers is pushed between pops.  Each push also
+        /// lands on the side the routing rule names.
+        #[test]
+        fn event_queue_matches_a_sorted_map(
+            ops in vec((0u8..7, 0u64..40, any::<u64>()), 0..400)
+        ) {
+            let mut q = EventQueue::<()>::new();
+            let mut model = BTreeMap::<(Time, u64), u64>::new();
+            // `now`: the last popped time, below which the engine never
+            // schedules; `latest`: the latest frame pushed.
+            let (mut now, mut latest, mut next_id) = (0u64, 0u64, 0u64);
+            for (kind, dt, ord) in ops {
+                latest = latest.max(now);
+                let at = match kind {
+                    0 => latest + dt,    // sent after every frame in flight
+                    1 => latest,         // tied with the latest frame
+                    2 => now + dt,       // late: may precede the deque's last
+                    3 => now + 100 * dt, // a timer
+                    _ => {
+                        let (got, want) = pop_both(&mut q, &mut model);
+                        prop_assert_eq!(got, want);
+                        if let Some((at, ..)) = got {
+                            now = at.as_nanos();
+                        }
+                        continue;
+                    }
+                };
+                let key = (Time::from_nanos(at), ord);
+                if model.contains_key(&key) {
+                    continue; // the engine's keys are unique
+                }
+                let frame = kind < 3;
+                let to_deque = frame && q.frames.back().map_or(true, |b| b.0 <= key.0);
+                let sides = (q.frames.len(), q.heap.len());
+                next_id += 1;
+                q.push(key.0, key.1, queue_ev(next_id, frame));
+                model.insert(key, next_id);
+                let grew = if to_deque { (sides.0 + 1, sides.1) } else { (sides.0, sides.1 + 1) };
+                prop_assert_eq!((q.frames.len(), q.heap.len()), grew);
+                if frame {
+                    latest = latest.max(at);
+                }
+                prop_assert_eq!(q.peek_at(), model.keys().next().map(|k| k.0));
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+            }
+            loop {
+                let (got, want) = pop_both(&mut q, &mut model);
+                prop_assert_eq!(got, want);
+                if got.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(q.is_empty() && q.peek_at().is_none());
+        }
     }
 }
