@@ -124,7 +124,7 @@ impl LogHist {
         self.quantile(99.9)
     }
 
-    /// Fold `other` into `self`.  Merging per-shard histograms is exact:
+    /// Fold `other` into `self`.  Merging per-node histograms is exact:
     /// bucket counts add, so the merged quantiles equal what a single
     /// histogram over the union would report.
     pub fn merge(&mut self, other: &LogHist) {

@@ -24,8 +24,8 @@
 //! Integers are plain decimal `u64`; the only escapes the writer emits
 //! are `\"`, `\\` and `\u00XX` for control characters, and the parser
 //! accepts exactly JSON's escape repertoire.  The determinism test
-//! compares these bytes across shard counts, so the rendering must stay
-//! canonical: fixed key order, no whitespace.
+//! pins a digest of these bytes across commits, so the rendering must
+//! stay canonical: fixed key order, no whitespace.
 
 use crate::event::{EventKind, OwnedEvent, NO_PEER};
 use crate::tracer::TraceLog;

@@ -1,30 +1,30 @@
 //! The engine-side tracer: armed/disarmed causal event capture.
 //!
-//! One [`EngineTracer`] lives per execution domain — per shard in the
-//! simulator, one shared (mutex-guarded) instance in a TCP cluster run,
-//! one per `VirtualNet`.  Every hook starts with a single
-//! `if !self.armed { return }` check and is `#[inline]`, so a disarmed
-//! tracer costs one predictable branch per call site and touches no
-//! memory: the simulator's zero-alloc steady-state guard runs with these
-//! hooks compiled in.
+//! One [`EngineTracer`] lives per run — one per simulation, one shared
+//! (mutex-guarded) instance in a TCP cluster run, one per `VirtualNet`.
+//! Every hook starts with a single `if !self.armed { return }` check and
+//! is `#[inline]`, so a disarmed tracer costs one predictable branch per
+//! call site and touches no memory: the simulator's zero-alloc
+//! steady-state guard runs with these hooks compiled in.
 //!
 //! ## Ordering and determinism
 //!
 //! Events are recorded under the engine's canonical dispatch key
-//! `(at, ord)` — the same `(time, lane<<32|ctr)` key the sharded
-//! simulator already uses to make its schedule bit-identical for any
-//! shard count — plus a per-dispatch emission sequence `seq`.  Merging
-//! per-shard buffers and sorting by `(at, ord, seq)` therefore
-//! reconstructs the exact sequential-run order: byte-identical JSONL for
-//! k=1 and k=4 (certified by `sweep_determinism`).
+//! `(at, ord)` — the same `(time, lane<<32|ctr)` key the simulator's
+//! event queue pops by — plus a per-dispatch emission sequence `seq`.
+//! [`EngineTracer::finish`] sorts the buffer by `(at, ord, seq)`: the
+//! simulator already records in that order, and substrates whose
+//! dispatch keys do not follow wall-clock order (`VirtualNet`, TCP) get
+//! one canonical order too.  `trace_determinism` pins the rendered JSONL
+//! of one run across commits.
 //!
 //! ## Lamport stamping
 //!
 //! The tracer owns the per-node Lamport clocks.  A send ticks the
 //! sender's clock and returns the stamp; the engine carries that stamp
-//! *inside the delivery event / wire frame* (so it survives cross-shard
-//! mailboxes, loss, duplication and retransmission without any side
-//! channel), and the recv hook joins it: `C[to] = max(C[to], cause) + 1`.
+//! *inside the delivery event / wire frame* (so it survives loss,
+//! duplication and retransmission without any side channel), and the
+//! recv hook joins it: `C[to] = max(C[to], cause) + 1`.
 //! Retransmissions mint fresh stamps — a retransmitted frame is a later
 //! event than the original send, which keeps the order legitimately
 //! Lamport even under go-back-N.  Arming or disarming tracing never
@@ -62,7 +62,7 @@ pub struct TraceRec {
     pub ev: TraceEvent,
 }
 
-/// A captured event log (merged across shards, sorted canonically).
+/// A captured event log, sorted canonically.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceLog {
     /// Events in canonical `(at, ord, seq)` order.
@@ -72,17 +72,11 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Merge per-shard buffers into one canonically ordered log.
+    /// Sort one run's buffer into the canonical `(at, ord, seq)` order.
     ///
-    /// The engine guarantees every dispatch key `(at, ord)` is unique
-    /// across shards (single-writer lanes), and `seq` orders emissions
-    /// within a dispatch, so the sort has no ties: the merged order is
-    /// the sequential-run order, independent of shard count.
-    pub fn merge(parts: Vec<Vec<TraceRec>>, dropped: u64) -> TraceLog {
-        let mut recs: Vec<TraceRec> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts {
-            recs.extend(p);
-        }
+    /// Each engine keeps its dispatch keys `(at, ord)` unique and `seq`
+    /// orders emissions within a dispatch, so the sort has no ties.
+    pub fn merge(mut recs: Vec<TraceRec>, dropped: u64) -> TraceLog {
         recs.sort_unstable_by_key(|r| (r.at, r.ord, r.seq));
         TraceLog { recs, dropped }
     }
@@ -127,24 +121,6 @@ pub struct ObsReport {
     /// Aggregate transport counters (all-zero for substrates with no real
     /// wire: the TCP harnesses fill this in after the run).
     pub net: crate::NetCounters,
-}
-
-impl ObsReport {
-    /// Fold the tracers of one run — one per execution domain — into its
-    /// report: buffers merge in canonical order ([`TraceLog::merge`]), so
-    /// the trace is independent of how many domains the run used.
-    pub fn from_tracers(tracers: impl IntoIterator<Item = EngineTracer>) -> ObsReport {
-        let mut parts = Vec::new();
-        let mut dropped = 0;
-        for mut t in tracers {
-            if t.armed {
-                dropped += t.dropped;
-                parts.push(t.take_buf());
-            }
-        }
-        let trace = (!parts.is_empty()).then(|| TraceLog::merge(parts, dropped));
-        ObsReport { armed: trace.is_some(), trace, net: Default::default() }
-    }
 }
 
 /// The capture engine.  See the module docs for the ordering and
@@ -372,9 +348,14 @@ impl EngineTracer {
         buf
     }
 
-    /// Finish a single-domain run's tracer into its [`ObsReport`].
-    pub fn finish(self) -> ObsReport {
-        ObsReport::from_tracers([self])
+    /// Finish a run's tracer into its [`ObsReport`]: the buffer sorted
+    /// canonically ([`TraceLog::merge`]), or no trace when disarmed.
+    pub fn finish(mut self) -> ObsReport {
+        let trace = self.armed.then(|| {
+            let dropped = self.dropped;
+            TraceLog::merge(self.take_buf(), dropped)
+        });
+        ObsReport { armed: trace.is_some(), trace, net: Default::default() }
     }
 }
 
@@ -451,17 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_reconstructs_canonical_order() {
-        // Interleave two "shards" and check the merge sorts by (at, ord, seq).
+    fn finish_sorts_into_canonical_order() {
+        // Keys recorded out of order, as `VirtualNet` and TCP runs do:
+        // `finish` sorts by (at, ord, seq).
         let mut a = EngineTracer::armed(4, TraceMode::Unbounded);
-        let mut b = EngineTracer::armed(4, TraceMode::Unbounded);
         a.set_key(Time::from_nanos(10), 2);
         a.on_send(0, 1, "Req", 1);
-        b.set_key(Time::from_nanos(10), 1);
-        b.on_send(2, 3, "Req", 1);
+        a.set_key(Time::from_nanos(10), 1);
+        a.on_send(2, 3, "Req", 1);
         a.set_key(Time::from_nanos(5), 9);
         a.on_cs(EventKind::CsRequest, 0, 2);
-        let rep = ObsReport::from_tracers([a, b]);
+        let rep = a.finish();
         let log = rep.trace.as_ref().unwrap();
         let keys: Vec<(u64, u64)> = log.recs.iter().map(|r| (r.at.as_nanos(), r.ord)).collect();
         assert_eq!(keys, vec![(5, 9), (10, 1), (10, 2)]);

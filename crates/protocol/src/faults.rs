@@ -269,17 +269,6 @@ impl FaultStats {
     pub fn dropped_total(&self) -> u64 {
         self.dropped_link + self.dropped_partition + self.dropped_crash
     }
-
-    /// Fold another counter set into this one — used by sharded engines
-    /// that keep one fault layer per shard and aggregate at the end.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.dropped_link += other.dropped_link;
-        self.dropped_partition += other.dropped_partition;
-        self.dropped_crash += other.dropped_crash;
-        self.duplicated += other.duplicated;
-        self.deduped += other.deduped;
-        self.deferred += other.deferred;
-    }
 }
 
 /// splitmix64 finalizer: a statistically solid pure mix.

@@ -163,18 +163,6 @@ impl ReliabilityStats {
         }
         100.0 * self.overhead_frames() as f64 / self.data_sent as f64
     }
-
-    /// Fold another counter set into this one — used by sharded engines
-    /// that keep one session layer per shard and aggregate at the end.
-    pub fn absorb(&mut self, other: &ReliabilityStats) {
-        self.data_sent += other.data_sent;
-        self.retransmits += other.retransmits;
-        self.rto_fires += other.rto_fires;
-        self.acks_sent += other.acks_sent;
-        self.acks_piggybacked += other.acks_piggybacked;
-        self.dup_dropped += other.dup_dropped;
-        self.gap_dropped += other.gap_dropped;
-    }
 }
 
 /// One frame held in the retransmit window.

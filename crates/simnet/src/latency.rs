@@ -56,23 +56,6 @@ impl LatencyModel {
         }
     }
 
-    /// A lower bound on the latency of **any** message under this model —
-    /// the *lookahead* of the conservative windowed engine: an event
-    /// executing at time `t` can only schedule remote events at `t +
-    /// min_latency()` or later, so each shard can process a window of that
-    /// width before any cross-shard event is delivered.  `Zero` (and a
-    /// degenerate `Uniform` with `lo == Time::ZERO`) yields zero lookahead,
-    /// which forces the engine back to a single shard.
-    #[inline]
-    pub fn min_latency(&self) -> Time {
-        match self {
-            LatencyModel::Constant(t) => *t,
-            LatencyModel::Uniform { lo, .. } => *lo,
-            LatencyModel::Hierarchical { intra, inter, .. } => (*intra).min(*inter),
-            LatencyModel::Zero => Time::ZERO,
-        }
-    }
-
     /// The latency of one `src → dst` message when this model needs no
     /// randomness: `Constant`, `Zero` and `Hierarchical` are pure functions
     /// of the endpoints, so engines can skip borrowing (and advancing) the
@@ -196,32 +179,6 @@ mod tests {
             hi: Time::from_micros(20),
         };
         assert_eq!(jitter.sample_deterministic(0, 1), None);
-    }
-
-    #[test]
-    fn min_latency_bounds_every_sample() {
-        let models = [
-            LatencyModel::paper_lan(),
-            LatencyModel::Zero,
-            LatencyModel::Uniform {
-                lo: Time::from_micros(100),
-                hi: Time::from_micros(200),
-            },
-            LatencyModel::two_clusters(4, 2, Time::from_micros(100), Time::from_millis(5)),
-        ];
-        let mut rng = StdRng::seed_from_u64(7);
-        for model in models {
-            let lo = model.min_latency();
-            for src in 0..4 {
-                for dst in 0..4 {
-                    for _ in 0..16 {
-                        assert!(model.sample(src, dst, &mut rng) >= lo);
-                    }
-                }
-            }
-        }
-        assert_eq!(LatencyModel::paper_lan().min_latency(), Time::from_micros(600));
-        assert_eq!(LatencyModel::Zero.min_latency(), Time::ZERO);
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod metrics;
 pub mod obs {
     pub use mra_obs::*;
 }
+mod queue;
 pub mod sim;
 pub mod stats;
 pub mod trace;

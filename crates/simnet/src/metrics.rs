@@ -112,8 +112,7 @@ pub struct RunResult {
     /// Measurement window.
     pub window: (Time, Time),
     /// All requests *issued inside the window*, sorted by
-    /// `(issued, node)` — a canonical order independent of how (and on how
-    /// many shards) the run executed.
+    /// `(issued, node)` — a canonical order independent of release order.
     pub records: Vec<ReqRecord>,
     /// Per-resource busy time inside the window.
     pub busy: Vec<Time>,
@@ -145,11 +144,7 @@ pub struct RunResult {
     /// reliability is off, and under the TCP runtime, whose per-port
     /// sessions are not aggregated here).
     pub reliability: ReliabilityStats,
-    /// How many shards the simulator engine ran on (1 for the sequential
-    /// path and for TCP runs).
-    pub shards: usize,
-    /// Events processed per shard (sums to `events_processed`; empty for
-    /// the non-simulator runtimes).
+    /// Ignored; named only by `benchmark/`; ROADMAP 1(b) deletes it.
     pub shard_events: Vec<u64>,
     /// Observability capture: the causal event trace (when armed via
     /// `Sim::set_tracing` / `MRA_TRACE`; disarmed by default) and the
@@ -304,30 +299,6 @@ impl Collector {
         self.msg_by_kind.bump(kind, 1);
     }
 
-    /// Fold another shard's collector into this one.  Node ownership is
-    /// disjoint across shards, so `outstanding` entries never collide;
-    /// every aggregate is either a sum or a set union.  Record order is
-    /// irrelevant here — [`Collector::finish`] sorts canonically.
-    pub fn absorb(&mut self, other: Collector) {
-        debug_assert_eq!(self.window, other.window);
-        debug_assert_eq!(self.m, other.m);
-        debug_assert_eq!(self.outstanding.len(), other.outstanding.len());
-        for (mine, theirs) in self.outstanding.iter_mut().zip(other.outstanding) {
-            if let Some(rec) = theirs {
-                debug_assert!(mine.is_none(), "node owned by two shards");
-                *mine = Some(rec);
-            }
-        }
-        self.records.extend(other.records);
-        for (mine, theirs) in self.busy.iter_mut().zip(other.busy) {
-            *mine += theirs;
-        }
-        self.msgs_total += other.msgs_total;
-        self.msg_weight += other.msg_weight;
-        self.cs_completed += other.cs_completed;
-        self.msg_by_kind.merge(&other.msg_by_kind);
-    }
-
     fn fold(&mut self, rec: ReqRecord) {
         let (a, b) = self.window;
         if let (Some(g), Some(e)) = (rec.granted, rec.released) {
@@ -370,10 +341,9 @@ impl Collector {
             }
         }
         debug_assert_eq!(self.busy.len(), self.m);
-        // Canonical record order: records accumulate in *release* order —
-        // and, on a sharded run, grouped by shard — so sort by
-        // `(issued, node)` (unique: one outstanding request per node) to
-        // make the output independent of the execution layout.
+        // Canonical record order: records accumulate in *release* order,
+        // so sort by `(issued, node)` (unique: one outstanding request per
+        // node).
         self.records.sort_by_key(|r| (r.issued, r.node));
         RunResult {
             algo: algo.to_string(),
@@ -392,7 +362,6 @@ impl Collector {
             wall_ns: 0,
             faults: FaultStats::default(),
             reliability: ReliabilityStats::default(),
-            shards: 1,
             shard_events: Vec::new(),
             obs: ObsReport::default(),
         }
@@ -547,47 +516,6 @@ mod tests {
         c.on_message("A", 1);
         let res = c.finish("x", 1, t(10));
         assert_eq!(res.msg_by_kind, vec![("A", 3), ("B", 1)]);
-    }
-
-    #[test]
-    fn absorb_merges_shard_collectors() {
-        // One run split across two "shards" (node 0 / node 1) must finish
-        // to the same result as the sequential collector seeing both.
-        let build = |split: bool| {
-            let mut a = Collector::new(2, 2, (t(0), t(100)));
-            let mut b = Collector::new(2, 2, (t(0), t(100)));
-            {
-                let c = &mut a;
-                c.on_issue(0, ResourceSet::singleton(0), t(10), t(10));
-                c.on_grant(0, t(14));
-                c.on_release(0, t(20));
-                c.on_message("A", 2);
-            }
-            {
-                let c = if split { &mut b } else { &mut a };
-                c.on_issue(1, ResourceSet::singleton(1), t(5), t(5));
-                c.on_grant(1, t(8));
-                c.on_message("A", 2);
-                c.on_message("B", 1);
-                // Node 1 still in CS at the end: exercises `outstanding`.
-            }
-            if split {
-                a.absorb(b);
-            }
-            a.finish("x", 2, t(100))
-        };
-        let seq = build(false);
-        let merged = build(true);
-        assert_eq!(seq.cs_completed, merged.cs_completed);
-        assert_eq!(seq.msgs_total, merged.msgs_total);
-        assert_eq!(seq.msg_by_kind, merged.msg_by_kind);
-        assert_eq!(seq.busy, merged.busy);
-        assert_eq!(seq.records.len(), merged.records.len());
-        for (r, s) in seq.records.iter().zip(&merged.records) {
-            assert_eq!((r.node, r.issued, r.granted, r.released), (s.node, s.issued, s.granted, s.released));
-        }
-        // Canonical order: node 1 issued first, so it sorts first.
-        assert_eq!(merged.records[0].node, 1);
     }
 
     #[test]

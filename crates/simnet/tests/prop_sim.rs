@@ -40,7 +40,7 @@ fn quick_cfg(seed: u64, latency: LatencyModel) -> SimConfig {
         drain: Time::from_millis(400),
         active_nodes: None,
         max_events: 50_000_000,
-        shards: 1,
+        ..SimConfig::quick(seed)
     }
 }
 

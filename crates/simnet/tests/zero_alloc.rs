@@ -145,57 +145,6 @@ fn steady_state_dispatch_with_reliability_over_loss_is_allocation_free() {
     assert_zero_alloc_dispatch(Some(plan), Some(rel), 40, TraceMode::Ring(2_048));
 }
 
-/// The sharded engine's steady state must be allocation-free too: the
-/// probe runs the full fault + reliability machinery on **4 shards**
-/// (one node each, so every echo crosses shards) through
-/// [`Sim::step_window`], the loop `Sim::run` drives for every sharded
-/// run.  Windows drain and refill the cross-shard mail buffers every
-/// iteration; after warmup those buffers, the per-shard heaps and slabs,
-/// and the session tables must all have reached their peak footprint.
-#[test]
-fn steady_state_windowed_dispatch_on_4_shards_is_allocation_free() {
-    let plan = FaultPlan::new(0xFA17).drop_rate(0.0005).dup_rate(0.05);
-    let mut rel = Reliability::with_rto(Time::from_millis(5));
-    rel.window = 512;
-    let n = 4;
-    let protos: Vec<EchoProbe> = (0..n).map(|me| EchoProbe::new(me, 40)).collect();
-    let workloads: Vec<FixedWorkload> = (0..n)
-        .map(|_| FixedWorkload {
-            think: Time::from_millis(1),
-            cs: Time::from_millis(1),
-            m: 4,
-            size: 1,
-        })
-        .collect();
-    let mut cfg = SimConfig::quick(3);
-    cfg.latency = LatencyModel::paper_lan();
-    cfg.measure = Time::from_secs(3600);
-    cfg.drain = Time::from_secs(3600);
-    cfg.active_nodes = Some(0);
-    cfg.shards = 4;
-
-    let mut sim = Sim::new(protos, workloads, 4, cfg);
-    assert_eq!(sim.shards(), 4, "probe must actually run sharded");
-    sim.set_fault_plan(plan);
-    sim.set_reliability(rel);
-    sim.reserve_events(8_192);
-    sim.init();
-
-    for _ in 0..2_000 {
-        assert!(sim.step_window(), "probe ran out of events during warmup");
-    }
-
-    let before = allocs_on_this_thread();
-    for _ in 0..5_000 {
-        assert!(sim.step_window(), "probe ran out of events during measurement");
-    }
-    let delta = allocs_on_this_thread() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state windowed dispatch allocated {delta} times over 5k windows"
-    );
-}
-
 fn assert_zero_alloc_dispatch(
     plan: Option<FaultPlan>,
     reliability: Option<Reliability>,

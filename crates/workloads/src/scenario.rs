@@ -68,11 +68,7 @@ pub struct Scenario {
     /// Extension knob — §5.3 attributes the small-request waiting-time
     /// penalty to unevenly requested resources.
     pub skew: f64,
-    /// Simulator shard count: `None` defers to the `MRA_SIM_SHARDS`
-    /// environment variable at [`Scenario::sim_config`] time, `Some(k)`
-    /// pins it.  The results are bit-identical either way, and every
-    /// value runs on the calling thread — shards select the windowed
-    /// schedule, not a degree of parallelism.
+    /// Ignored; named only by `benchmark/`; ROADMAP 1(b) deletes it.
     pub shards: Option<usize>,
 }
 
@@ -96,7 +92,7 @@ impl Scenario {
 
     /// A scale-out shape far past the paper's testbed: the paper's
     /// workload parameters (φ = 4, medium load, γ = 0.6 ms LAN) on `n`
-    /// nodes and `m` resources — the sharded-engine scenarios run this at
+    /// nodes and `m` resources — the scale scenarios run this at
     /// 10 000 × 100 000.  The simulated window is deliberately short
     /// (20 ms warmup, 10 ms measurement, 0.5 s drain): at this node count
     /// a few simulated milliseconds are already millions of engine events,
@@ -137,7 +133,7 @@ impl Scenario {
             drain: self.drain,
             active_nodes: None,
             max_events: 400_000_000,
-            shards: self.shards.unwrap_or_else(SimConfig::env_shards),
+            ..SimConfig::quick(self.seed)
         }
     }
 
@@ -248,8 +244,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pin the simulator shard count (default: the `MRA_SIM_SHARDS`
-    /// environment variable, falling back to 1).
+    /// Ignored; named only by `benchmark/`; ROADMAP 1(b) deletes it.
     pub fn shards(mut self, k: usize) -> Self {
         self.sc.shards = Some(k);
         self

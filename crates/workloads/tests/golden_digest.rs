@@ -1,7 +1,7 @@
 //! Run digests pinned **across commits**.
 //!
 //! Every other determinism test compares two runs of the same build
-//! (threads 1 vs 4, shards 1 vs 3, seed vs seed); a change that shifts a
+//! (threads 1 vs 4, seed vs seed); a change that shifts a
 //! schedule consistently passes all of them.  The literals below were
 //! recorded at commit `89dbcc0` (the parent of the allocation-free LASS
 //! step) and say what "bit-identical to the simulator before" means: same
@@ -46,20 +46,17 @@ fn digest(r: &RunResult) -> u64 {
 }
 
 /// The paper's shape (32 × 80, φ = 16, high load) over 20 simulated
-/// seconds, on the sequential engine.
+/// seconds.
 fn paper(seed: u64) -> Scenario {
     let mut sc = Scenario::paper(Load::High, 16, seed);
     sc.measure = mra_types::Time::from_secs(20);
-    sc.shards = Some(1);
     sc
 }
 
 /// A shape whose sets leave `DynSet`'s inline range: 300 nodes (visited
 /// sets past bit 255), 3 000 resources (request and loan sets on the heap).
 fn heap_sets() -> Scenario {
-    let mut sc = Scenario::large(300, 3_000, 7);
-    sc.shards = Some(1);
-    sc
+    Scenario::large(300, 3_000, 7)
 }
 
 type Row<const K: usize> = [(Algorithm, u64); K];

@@ -1,10 +1,7 @@
 //! Determinism is the repo's core invariant (see `deterministic_given_seed`
-//! in `mra-sim`): neither layer of parallelism may bend it.  A sweep run
-//! with `MRA_THREADS=4` must produce **byte-identical** table and CSV
-//! output to `MRA_THREADS=1`, and so must a sweep whose *simulator engine*
-//! runs sharded (`MRA_SIM_SHARDS=2`) — the conservative windowed engine is
-//! bit-identical to the sequential one, so even the rendered artifacts
-//! cannot tell the layouts apart.
+//! in `mra-sim`): the sweep pool's parallelism may not bend it.  A sweep
+//! run with `MRA_THREADS=4` must produce **byte-identical** table and CSV
+//! output to `MRA_THREADS=1`.
 //!
 //! Everything lives in one function so the environment mutations cannot
 //! race another test in this binary.
@@ -71,29 +68,6 @@ fn mra_threads_4_is_byte_identical_to_mra_threads_1() {
     let (faults_tbl_par, faults_csv_par) = fig_faults_artifacts(42);
     let serve_par = fig_serve_artifacts();
     std::env::remove_var("MRA_THREADS");
-
-    // Through the real `MRA_SIM_SHARDS` plumbing: scenarios without a
-    // pinned shard count read the variable at sim-config time, so this
-    // sweep runs every simulation on the two-shard windowed engine.
-    std::env::set_var("MRA_SIM_SHARDS", "2");
-    let (tables_sharded, csv_sharded) = fig5_artifacts(42);
-    let (faults_tbl_sharded, faults_csv_sharded) = fig_faults_artifacts(42);
-    let serve_sharded = fig_serve_artifacts();
-    std::env::remove_var("MRA_SIM_SHARDS");
-    assert_eq!(
-        tables_seq, tables_sharded,
-        "fig5 tables diverged on the sharded engine"
-    );
-    assert_eq!(csv_seq, csv_sharded, "fig5 CSV diverged on the sharded engine");
-    assert_eq!(
-        faults_tbl_seq, faults_tbl_sharded,
-        "fig_faults table diverged on the sharded engine"
-    );
-    assert_eq!(
-        faults_csv_seq, faults_csv_sharded,
-        "fig_faults CSV diverged on the sharded engine"
-    );
-    assert_eq!(serve_seq, serve_sharded, "fig_serve diverged on the sharded engine");
 
     assert_eq!(tables_seq, tables_par, "fig5 tables diverged across thread counts");
     assert_eq!(csv_seq, csv_par, "fig5 CSV diverged across thread counts");

@@ -1,12 +1,13 @@
 //! Trace determinism: the observability layer must not weaken the engine's
-//! core invariant.  A traced run on the sharded engine (`MRA_SIM_SHARDS=4`)
-//! must produce a JSONL trace **byte-identical** to the sequential engine
-//! (k = 1) — per-shard tracers are merged in global `(time, ord, seq)` key
-//! order, so the rendered artifact cannot tell the layouts apart.
+//! core invariant.  The JSONL trace of one seeded run is pinned **across
+//! commits** as an FNV-1a digest of its bytes, recorded at commit
+//! `4ad8e7c`: a change that moves a trace byte — an event, a key, a
+//! Lamport stamp, the rendering — fails here, even if it moves every run
+//! of the same build consistently.  Re-record only for a deliberate change
+//! of the trace, and say so.
 //!
-//! One test function, like `sweep_determinism`: the environment mutations
-//! (`MRA_TRACE`, `MRA_SIM_SHARDS`) must not race another test in this
-//! binary.
+//! One test function: the environment mutation (`MRA_TRACE`) must not race
+//! another test in this binary.
 
 use mra_sim::obs::render_jsonl;
 use mra_workloads::{run, Algorithm, Load, Scenario};
@@ -30,30 +31,31 @@ fn traced_jsonl(seed: u64) -> String {
     render_jsonl(trace, &res.algo, res.n, res.m)
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
-fn traced_run_is_byte_identical_across_shard_counts() {
+fn traced_run_matches_its_pinned_digest() {
     std::env::set_var("MRA_TRACE", "on");
-
-    std::env::set_var("MRA_SIM_SHARDS", "1");
-    let seq = traced_jsonl(42);
-
-    std::env::set_var("MRA_SIM_SHARDS", "4");
-    let sharded = traced_jsonl(42);
-
-    std::env::remove_var("MRA_SIM_SHARDS");
+    let jsonl = traced_jsonl(42);
     std::env::remove_var("MRA_TRACE");
 
-    // Compare line counts first for a readable failure, then the bytes.
+    // Line and byte counts first for a readable failure, then the digest.
+    let got = (jsonl.lines().count(), jsonl.len(), fnv1a(jsonl.as_bytes()));
     assert_eq!(
-        seq.lines().count(),
-        sharded.lines().count(),
-        "trace length diverged between k=1 and k=4"
+        got,
+        (686, 75_692, 0xacb1_5214_9549_0483),
+        "JSONL trace moved: {} lines, {} bytes, digest {:#018x}",
+        got.0,
+        got.1,
+        got.2
     );
-    assert_eq!(seq, sharded, "JSONL trace diverged between k=1 and k=4");
 
-    // Sanity: this is a real trace with the full event vocabulary, not two
-    // empty strings agreeing.
+    // Sanity: this is a real trace with the full event vocabulary.
     for kind in ["\"k\":\"send\"", "\"k\":\"recv\"", "\"k\":\"cs-enter\""] {
-        assert!(seq.contains(kind), "trace missing {kind}");
+        assert!(jsonl.contains(kind), "trace missing {kind}");
     }
 }

@@ -136,8 +136,7 @@ where
             measure: Time::from_secs(60),
             drain: Time::from_secs(60),
             active_nodes: active,
-            max_events: 200_000_000,
-            shards: 1,
+            ..SimConfig::quick(SEED)
         };
         let mut sim = Sim::new(build(), workloads, M, cfg);
         sim.set_fault_plan(FaultPlan::new(SEED));
