@@ -17,14 +17,13 @@
 
 use mra_baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
 use mra_core::LassConfig;
-use mra_net::{run_solo_node, run_tcp_cluster, PeerDirectory, SoloConfig, TcpClusterConfig};
+use mra_net::{run_solo_node, run_tcp_cluster, PeerDirectory, TcpClusterConfig};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
 use mra_sim::{FixedWorkload, RunResult, WaitStats};
 use mra_types::Time;
 use std::process::exit;
-use std::time::Duration;
 
 const USAGE: &str = "\
 mra-node: distributed multi-resource allocation over real TCP
@@ -169,26 +168,30 @@ fn workload(opts: &Opts) -> FixedWorkload {
 /// Run either harness for one concrete protocol type.
 fn run_with<A>(protos: Vec<A>, active: usize, opts: &Opts) -> RunResult
 where
-    A: Allocator + Send + 'static,
+    A: Allocator + Send,
     A::Msg: WireCodec,
 {
     let n = protos.len();
-    let extra_latency = Time::from_micros(opts.latency_us);
-    let faults = FaultPlan::from_env();
-    let reliability = Reliability::from_env();
-    if let Some(plan) = &faults {
+    let cfg = TcpClusterConfig {
+        extra_latency: Time::from_micros(opts.latency_us),
+        active_nodes: Some(active),
+        faults: FaultPlan::from_env(),
+        reliability: Reliability::from_env(),
+        ..TcpClusterConfig::new(opts.rounds, opts.seed)
+    };
+    if let Some(plan) = &cfg.faults {
         eprintln!(
             "mra-node: fault shim active: drop={} seed={}{}",
             plan.link.drop,
             plan.seed,
-            if reliability.is_some() {
+            if cfg.reliability.is_some() {
                 " (recovered by the reliable session layer)"
             } else {
                 " (lossy runs may stall; set MRA_RELIABLE=1 to recover drops)"
             }
         );
     }
-    if let Some(rel) = &reliability {
+    if let Some(rel) = &cfg.reliability {
         eprintln!(
             "mra-node: reliable session layer on: rto={:.1}ms cap={:.1}ms (MRA_RTO_MS)",
             rel.rto.as_millis_f64(),
@@ -213,37 +216,11 @@ where
         }
         let mut protos = protos;
         let proto = protos.swap_remove(opts.id);
-        run_solo_node(
-            opts.id,
-            proto,
-            workload(opts),
-            opts.resources,
-            &dir,
-            SoloConfig {
-                rounds: opts.rounds,
-                seed: opts.seed,
-                extra_latency,
-                active,
-                connect_timeout: Duration::from_secs(30),
-                faults,
-                reliability,
-            },
-        )
-        .unwrap_or_else(|e| die(&format!("transport setup failed: {e}")))
+        run_solo_node(opts.id, proto, workload(opts), opts.resources, &dir, cfg)
+            .unwrap_or_else(|e| die(&format!("transport setup failed: {e}")))
     } else {
         let workloads: Vec<FixedWorkload> = (0..n).map(|_| workload(opts)).collect();
-        run_tcp_cluster(
-            protos,
-            workloads,
-            opts.resources,
-            TcpClusterConfig {
-                extra_latency,
-                active_nodes: Some(active),
-                faults,
-                reliability,
-                ..TcpClusterConfig::new(opts.rounds, opts.seed)
-            },
-        )
+        run_tcp_cluster(protos, workloads, opts.resources, cfg)
     }
 }
 

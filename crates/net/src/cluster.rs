@@ -1,57 +1,138 @@
-//! Cluster harnesses: spawn protocol nodes over the TCP mesh and collect
-//! the same [`RunResult`] metrics as the simulator.
+//! The two harnesses — a loopback cluster in one process and one node of
+//! a multi-process cluster — and what they share: the peer directory and
+//! the run configuration.
 //!
-//! Two deployment shapes share all the machinery:
+//! Both are callers of one private runner, `run_node`: bind a listener,
+//! mesh with every peer in the [`PeerDirectory`], drive the node loop
+//! until the shutdown reaches it, hand back the transport counters.
 //!
-//! * [`run_tcp_cluster`] — N nodes as threads of one process, connected
-//!   through real loopback sockets.  Safety is checked by the shared
-//!   [`SafetyMonitor`](mra_protocol::testkit::SafetyMonitor) exactly like
-//!   the other substrates, which makes this the integration point for
-//!   wire-level testing: same assertions, real TCP underneath.
-//! * [`run_solo_node`] — one node of a multi-process (or multi-host)
-//!   cluster, addressed through an explicit [`PeerDirectory`].  Each
-//!   process reports its own local metrics; cross-process safety is
-//!   enforced by the protocols themselves (the monitor can only see the
-//!   local node).
+//! * [`run_tcp_cluster`] — N nodes as scoped threads of one process,
+//!   sharing one run state, so the shared
+//!   [`SafetyMonitor`](mra_protocol::testkit::SafetyMonitor) sees every
+//!   node exactly like on the other substrates: same assertions, real TCP
+//!   underneath.
+//! * [`run_solo_node`] — one node per process (or host).  Each process
+//!   reports its own local metrics; cross-process safety is enforced by
+//!   the protocols themselves (the monitor can only see the local node).
+//!
+//! Shutdown is one protocol in both shapes: every active node but node 0
+//! reports `TAG_DONE` to node 0 when its quota is done; node 0 counts
+//! those reports and its own quota, then broadcasts `TAG_SHUTDOWN`.
 
-use crate::reactor::connect_reactor_mesh;
-use crate::runtime::{drive_node, NodeCfg, RunShared};
+use crate::reactor::ReactorPort;
+use crate::runtime::{drive_node, RunShared};
 use crate::sys;
-use crate::transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};
 use mra_obs::NetCounters;
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
-use mra_sim::{lock, RunResult, Workload};
+use mra_sim::{RunResult, Workload};
 use mra_types::{NodeId, Time};
 use std::io;
-use std::net::TcpListener;
-use std::sync::atomic::AtomicUsize;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener};
 
-/// Configuration of a loopback TCP cluster run.
+/// The cluster map: `NodeId → SocketAddr` for every node.
+#[derive(Clone, Debug)]
+pub struct PeerDirectory {
+    addrs: Vec<SocketAddr>,
+}
+
+impl PeerDirectory {
+    /// Directory over explicit addresses (index = node id).
+    pub fn new(addrs: Vec<SocketAddr>) -> Self {
+        assert!(!addrs.is_empty(), "empty peer directory");
+        PeerDirectory { addrs }
+    }
+
+    /// Parse a comma-separated `host:port,host:port,…` list (the
+    /// `mra-node --peers` format).  Blank entries — trailing commas,
+    /// doubled commas, stray whitespace — are tolerated and skipped;
+    /// a malformed entry is reported with its position in the list.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let mut addrs = Vec::new();
+        for (idx, entry) in spec.split(',').enumerate() {
+            let entry = entry.trim();
+            if entry.is_empty() {
+                continue; // tolerate `a,b,` and `a,,b`
+            }
+            let addr = entry.parse::<SocketAddr>().map_err(|e| {
+                format!("peer entry #{idx} ({entry:?}): {e}")
+            })?;
+            addrs.push(addr);
+        }
+        if addrs.is_empty() {
+            return Err("empty peer list".into());
+        }
+        Ok(PeerDirectory::new(addrs))
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.addrs.len()
+    }
+
+    /// True if the directory is empty (never: construction forbids it;
+    /// present for API completeness).
+    pub fn is_empty(&self) -> bool {
+        self.addrs.is_empty()
+    }
+
+    /// Address of node `id`.
+    pub fn addr(&self, id: NodeId) -> SocketAddr {
+        self.addrs[id]
+    }
+}
+
+/// Vestige kept only because `benchmark/src/{serve,probes}.rs` (frozen
+/// outside `benchmark` PRs) name it; the next such PR removes it and
+/// `TcpClusterConfig::backend`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetBackend {
+    /// The epoll/kqueue reactor, the only TCP transport.
+    Reactor,
+}
+
+/// Configuration of a TCP run, loopback cluster or solo node alike.  A
+/// multi-process cluster must start every process with the same values.
 #[derive(Clone, Debug)]
 pub struct TcpClusterConfig {
     /// Request/CS cycles per active node.
     pub rounds: usize,
     /// Master seed for workload randomness.
     pub seed: u64,
-    /// Artificial latency added on top of the real wire (`Time::ZERO`
-    /// measures the raw transport).
+    /// Artificial latency added on top of the real wire: the receiving
+    /// port holds each decoded message this long before handing it to the
+    /// node loop, and keeps acking, retransmitting and flushing while it
+    /// holds.  `Time::ZERO` measures the raw transport.  Together with
+    /// `faults` this forms the frame-level drop/delay shim.
     pub extra_latency: Time,
-    /// Only nodes `0..active` issue requests (`None` = all).
+    /// Only nodes `0..active` issue requests (`None` = all).  Node 0 is
+    /// always active: it coordinates the shutdown.
     pub active_nodes: Option<usize>,
-    /// Frame-level fault shim (see [`MeshConfig::faults`]).  A *lossy* plan
-    /// on a quota-based cluster run with `reliability` off can stall it
-    /// forever — lost tokens are never retransmitted; pair lossy plans
-    /// with [`TcpClusterConfig::reliability`] (drops are then recovered)
-    /// or keep them for bounded transport experiments.
+    /// Frame-level fault shim: each inbound link runs the plan's
+    /// deterministic per-link drop filter (`k`-th frame on a link sees the
+    /// same verdict as on the simulated substrates).  What TCP cannot
+    /// reproduce: duplicate frames (the kernel's sequence numbers already
+    /// absorb them, so dup verdicts are ignored here — unlike the
+    /// simulated substrates nothing aggregates per-link counters into
+    /// `RunResult::faults`) and time-based faults (partitions/outages name
+    /// *simulated* instants; a real wire has no such clock).  See
+    /// DESIGN.md §8.
+    ///
+    /// **Beware with quota-based runs and reliability off:** protocol
+    /// messages lost to a drop filter are gone for good — token-based
+    /// algorithms may then never finish their quota.  Enable
+    /// [`TcpClusterConfig::reliability`] to recover the drops, or keep
+    /// lossy plans for explicitly bounded transport experiments.
     pub faults: Option<FaultPlan>,
-    /// Reliable-delivery session layer (see [`MeshConfig::reliability`]):
-    /// sequence numbers, cumulative acks and timer-driven retransmission
-    /// around the frame codec, restoring exactly-once FIFO delivery under
-    /// a lossy `faults` shim.
+    /// Reliable-delivery session layer (`mra_protocol::reliable`): when
+    /// set, every protocol message travels as a sequenced
+    /// `TAG_RDATA` frame with a piggybacked cumulative ack, receivers ack
+    /// (standalone `TAG_RACK` frames) and dedup, and the port
+    /// retransmits unacked frames on a capped-backoff timer — so
+    /// [`TcpClusterConfig::faults`] drops are *recovered* instead of
+    /// absorbed into lost liveness.  `MRA_RELIABLE` / `MRA_RTO_MS` feed
+    /// this in the `mra-node` binary.
     pub reliability: Option<Reliability>,
     /// Vestige, read by nothing (see [`NetBackend`]).
     pub backend: NetBackend,
@@ -70,6 +151,40 @@ impl TcpClusterConfig {
             backend: NetBackend::Reactor,
         }
     }
+
+    /// Number of request-issuing nodes, `0..active`, of an `n`-node run.
+    pub(crate) fn active(&self, n: usize) -> usize {
+        self.active_nodes.unwrap_or(n)
+    }
+
+    /// Reject a configuration no `n`-node quota run can finish.
+    fn check(&self, n: usize) {
+        assert!(self.rounds >= 1, "a quota-based run needs at least one round");
+        let active = self.active(n);
+        assert!((1..=n).contains(&active), "active nodes {active} outside 1..={n}");
+    }
+}
+
+/// Run node `me` to the cluster-wide shutdown: mesh over `listener` with
+/// every peer in `dir`, drive the node loop, return the transport
+/// counters.  The two harnesses differ only in how many of these run in
+/// one process.
+fn run_node<A, W>(
+    me: NodeId,
+    proto: A,
+    workload: W,
+    listener: TcpListener,
+    dir: &PeerDirectory,
+    cfg: &TcpClusterConfig,
+    shared: &RunShared,
+) -> io::Result<NetCounters>
+where
+    A: Allocator,
+    A::Msg: WireCodec,
+    W: Workload,
+{
+    let port = ReactorPort::connect(me, listener, dir, cfg)?;
+    Ok(drive_node(me, dir.len(), proto, workload, port, shared, cfg))
 }
 
 /// File descriptors an `n`-node loopback cluster needs inside one
@@ -87,8 +202,9 @@ fn fd_budget(n: usize) -> u64 {
 /// on wall-clock time with real sockets and the wire codec in between.
 ///
 /// # Panics
-/// On any safety violation, and on transport setup failure (a loopback
-/// bind/connect failing means the host is misconfigured).
+/// On any safety violation, on a node thread's panic (its peers leave on
+/// the closed links, then the run fails), and on transport setup failure
+/// (a loopback bind/connect failing means the host is misconfigured).
 pub fn run_tcp_cluster<A, W>(
     protos: Vec<A>,
     workloads: Vec<W>,
@@ -96,18 +212,16 @@ pub fn run_tcp_cluster<A, W>(
     cfg: TcpClusterConfig,
 ) -> RunResult
 where
-    A: Allocator + Send + 'static,
+    A: Allocator + Send,
     A::Msg: WireCodec,
-    W: Workload + 'static,
+    W: Workload,
 {
     let n = protos.len();
     assert_eq!(n, workloads.len());
-    assert!(cfg.rounds >= 1, "a quota-based run needs at least one round");
-    let active = cfg.active_nodes.unwrap_or(n);
-    assert!(active >= 1 && active <= n);
+    cfg.check(n);
 
     // Bind every listener up front so the concurrent connect phase cannot
-    // race a missing acceptor (see `connect_reactor_mesh`).
+    // race a missing acceptor (see `ReactorPort::connect`).
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
         .collect();
@@ -122,94 +236,38 @@ where
     // exceed the hard one; bump it best-effort (256 nodes ≈ 66 k fds).
     let _ = sys::raise_nofile_limit(fd_budget(n));
 
-    let shared = Arc::new(RunShared::new(n, m));
-    let remaining = Arc::new(AtomicUsize::new(active));
-    // One counters slot per node: each port leaves its transport tallies
-    // there when it drops and the harness folds them into the run's
-    // observability report.
-    let slots: Vec<Arc<Mutex<NetCounters>>> = (0..n)
-        .map(|_| Arc::new(Mutex::new(NetCounters::default())))
-        .collect();
-    let mesh = MeshConfig {
-        extra_latency: cfg.extra_latency,
-        connect_timeout: Duration::from_secs(10),
-        faults: cfg.faults.clone(),
-        reliability: cfg.reliability,
-        counters_slot: None,
-    };
-
+    let shared = RunShared::new(n, m);
     let algo = protos[0].name().to_string();
-    let mut handles = Vec::with_capacity(n);
-    for (i, ((proto, workload), listener)) in protos
-        .into_iter()
-        .zip(workloads)
-        .zip(listeners)
-        .enumerate()
-    {
-        let shared = Arc::clone(&shared);
-        let dir = dir.clone();
-        let remaining = Arc::clone(&remaining);
-        let mesh = MeshConfig {
-            counters_slot: Some(Arc::clone(&slots[i])),
-            ..mesh.clone()
-        };
-        let node_cfg = NodeCfg {
-            rounds: cfg.rounds,
-            seed: cfg.seed,
-            is_active: i < active,
-        };
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("mra-tcp-node-{i}"))
-                .spawn(move || {
-                    let port =
-                        connect_reactor_mesh(i, listener, &dir, PortCtrl::Cluster(remaining), mesh)
-                            .expect("TCP mesh setup");
-                    drive_node(i, n, proto, workload, port, &shared, node_cfg);
-                })
-                .expect("spawn node thread"),
-        );
-    }
-    for h in handles {
-        h.join().expect("node thread panicked");
-    }
+    let counters: Vec<NetCounters> = std::thread::scope(|s| {
+        let (dir, cfg, shared) = (&dir, &cfg, &shared);
+        let nodes = protos.into_iter().zip(workloads).zip(listeners).enumerate();
+        let handles: Vec<_> = nodes
+            .map(|(i, ((proto, workload), listener))| {
+                std::thread::Builder::new()
+                    .name(format!("mra-tcp-node-{i}"))
+                    .spawn_scoped(s, move || {
+                        run_node(i, proto, workload, listener, dir, cfg, shared)
+                            .expect("TCP mesh setup")
+                    })
+                    .expect("spawn node thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .collect()
+    });
 
-    let mut res = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("thread leaked a RunShared reference"))
-        .into_result(&algo, n);
-    for slot in &slots {
-        res.obs.net.merge(&lock(slot));
+    let mut res = shared.into_result(&algo, n);
+    for c in &counters {
+        res.obs.net.merge(c);
     }
     res
 }
 
-/// Configuration of one standalone node in a multi-process cluster.
-#[derive(Clone, Debug)]
-pub struct SoloConfig {
-    /// Request/CS cycles per active node.
-    pub rounds: usize,
-    /// Master seed (must match across all processes of the cluster).
-    pub seed: u64,
-    /// Artificial latency on top of the real wire.
-    pub extra_latency: Time,
-    /// Number of request-issuing nodes, `0..active`.  Node 0 must be
-    /// active: it coordinates the distributed shutdown.
-    pub active: usize,
-    /// How long to keep retrying connections while peers start up.
-    pub connect_timeout: Duration,
-    /// Frame-level fault shim for this node's inbound links (see
-    /// [`MeshConfig::faults`]); every process must install the same plan
-    /// for the cluster-wide fault pattern to be coherent.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery session layer (see [`MeshConfig::reliability`]);
-    /// every process must enable it for the session framing to be
-    /// coherent (`MRA_RELIABLE=1` across the cluster).
-    pub reliability: Option<Reliability>,
-}
-
 /// Run node `me` of a multi-process cluster on the current thread (it
 /// spawns none), binding `dir.addr(me)` and meshing with every peer in
-/// `dir`.
+/// `dir`.  Every process must pass the same `cfg`.
 ///
 /// Returns this node's local metrics once the cluster-wide shutdown
 /// (coordinated through `Done` frames at node 0) releases it.
@@ -219,7 +277,7 @@ pub fn run_solo_node<A, W>(
     workload: W,
     m: usize,
     dir: &PeerDirectory,
-    cfg: SoloConfig,
+    cfg: TcpClusterConfig,
 ) -> io::Result<RunResult>
 where
     A: Allocator,
@@ -228,40 +286,16 @@ where
 {
     let n = dir.len();
     assert!(me < n, "node id {me} outside directory 0..{n}");
-    assert!(cfg.rounds >= 1, "a quota-based run needs at least one round");
-    assert!(cfg.active >= 1 && cfg.active <= n);
+    cfg.check(n);
 
     let listener = TcpListener::bind(dir.addr(me))?;
     let _ = sys::raise_nofile_limit((4 * n + 64) as u64);
     let shared = RunShared::new(n, m);
     let algo = proto.name().to_string();
-    let slot = Arc::new(Mutex::new(NetCounters::default()));
-    let node_cfg = NodeCfg {
-        rounds: cfg.rounds,
-        seed: cfg.seed,
-        is_active: me < cfg.active,
-    };
-    let port = connect_reactor_mesh(
-        me,
-        listener,
-        dir,
-        PortCtrl::Solo {
-            active: cfg.active,
-            done_seen: 0,
-            self_done: false,
-        },
-        MeshConfig {
-            extra_latency: cfg.extra_latency,
-            connect_timeout: cfg.connect_timeout,
-            faults: cfg.faults.clone(),
-            reliability: cfg.reliability,
-            counters_slot: Some(Arc::clone(&slot)),
-        },
-    )?;
-    drive_node(me, n, proto, workload, port, &shared, node_cfg);
+    let counters = run_node(me, proto, workload, listener, dir, &cfg, &shared)?;
 
     let mut res = shared.into_result(&algo, n);
-    res.obs.net.merge(&lock(&slot));
+    res.obs.net.merge(&counters);
     Ok(res)
 }
 
@@ -405,23 +439,9 @@ mod tests {
                     m: 6,
                     size: 2,
                 };
-                run_solo_node(
-                    i,
-                    cfg.build_nodes().remove(i),
-                    workload,
-                    6,
-                    &dir,
-                    SoloConfig {
-                        rounds: 4,
-                        seed: 3,
-                        extra_latency: Time::ZERO,
-                        active: n,
-                        connect_timeout: Duration::from_secs(10),
-                        faults: None,
-                        reliability: None,
-                    },
-                )
-                .expect("solo node run")
+                let proto = cfg.build_nodes().remove(i);
+                run_solo_node(i, proto, workload, 6, &dir, TcpClusterConfig::new(4, 3))
+                    .expect("solo node run")
             }));
         }
         let results: Vec<RunResult> =
@@ -430,5 +450,46 @@ mod tests {
             assert_eq!(res.cs_completed, 4, "node {i}");
             assert_eq!(res.censored, 0, "node {i}");
         }
+    }
+
+    #[test]
+    fn directory_parse() {
+        let d = PeerDirectory::parse("127.0.0.1:9000, 127.0.0.1:9001").unwrap();
+        assert_eq!(d.len(), 2);
+        assert!(!d.is_empty());
+        assert_eq!(d.addr(1).port(), 9001);
+        assert!(PeerDirectory::parse("not-an-addr").is_err());
+        assert!(PeerDirectory::parse("").is_err());
+    }
+
+    #[test]
+    fn directory_parse_tolerates_trailing_commas_and_blank_entries() {
+        // Trailing comma (the classic shell-generated list), doubled
+        // commas and stray whitespace all parse to the same directory.
+        for spec in [
+            "127.0.0.1:9000,127.0.0.1:9001,",
+            "127.0.0.1:9000,,127.0.0.1:9001",
+            " 127.0.0.1:9000 , 127.0.0.1:9001 , ",
+        ] {
+            let d = PeerDirectory::parse(spec).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+            assert_eq!(d.len(), 2, "{spec:?}");
+            assert_eq!(d.addr(0).port(), 9000);
+            assert_eq!(d.addr(1).port(), 9001);
+        }
+        // A list of only separators is still empty.
+        assert_eq!(
+            PeerDirectory::parse(", ,").unwrap_err(),
+            "empty peer list"
+        );
+    }
+
+    #[test]
+    fn directory_parse_reports_the_offending_entry_with_its_index() {
+        let err = PeerDirectory::parse("127.0.0.1:9000,bogus:addr,127.0.0.1:9001")
+            .expect_err("malformed entry must fail");
+        assert!(err.contains("#1"), "missing index: {err}");
+        assert!(err.contains("bogus:addr"), "missing entry text: {err}");
+        let err = PeerDirectory::parse("nope").expect_err("must fail");
+        assert!(err.contains("#0"), "{err}");
     }
 }

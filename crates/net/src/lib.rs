@@ -15,28 +15,28 @@
 //!   that live
 //!   next to each protocol's message types (no serde: the wire format is
 //!   specified in `mra_protocol::wire`).
-//! * [`transport`] — what the transport and the harnesses share: the
-//!   peer directory (`NodeId → SocketAddr`), mesh parameters and the
-//!   transport-level shutdown coordination.
-//! * [`reactor`] — the TCP transport: a [`ReactorPort`] per node owns
-//!   every peer socket and drives them through the [`polling`]
+//! * `reactor` (crate-private) — the TCP transport: one port per node
+//!   owns every peer socket and drives them through the [`polling`]
 //!   epoll/kqueue shim (so TCP runs need a unix host; the other two
 //!   substrates stay portable) **on the node's own thread**, inside the
 //!   `recv` the node loop waits in — one thread per node, no hand-off per
 //!   message.  One **bidirectional** connection per unordered pair (TCP
 //!   keeps each direction FIFO), write coalescing (many frames +
 //!   piggybacked acks per `write(2)`), and reliability RTOs, connect
-//!   retries and the node's own think/CS deadline bounding one wait.
+//!   retries and the node's own think/CS deadline bounding one wait.  The
+//!   port also counts finished nodes for the shutdown.
 //! * `runtime` (crate-private) — the per-node event loop: workload timers,
 //!   the allocator step, grant/release accounting against the shared
-//!   safety monitor and collector.  It has one port type and one caller
-//!   per harness, so it is concrete and lives here, beside its transport.
+//!   safety monitor and collector.  It has one port type and one caller,
+//!   so it is concrete and lives here, beside its transport.
 //! * [`sys`] — raw-FFI odds and ends `std` lacks: nonblocking
 //!   `connect(2)`, listen-backlog deepening, fd rlimit raising, process
 //!   CPU time and voluntary context switches for the benchmark and the
 //!   wake-up guard (`tests/wakeups.rs`).
-//! * [`cluster`] — harnesses: [`run_tcp_cluster`] spawns an N-node
-//!   loopback cluster in one process (with full
+//! * `cluster` (crate-private) — the harnesses, two callers of one node
+//!   runner over one [`TcpClusterConfig`] and a [`PeerDirectory`]:
+//!   [`run_tcp_cluster`] runs an N-node loopback cluster as threads of
+//!   one process (with full
 //!   [`SafetyMonitor`](mra_protocol::testkit::SafetyMonitor) coverage);
 //!   [`run_solo_node`] runs one node of a multi-process cluster.
 //!
@@ -67,13 +67,10 @@
 //! assert_eq!(res.cs_completed, 6); // 3 nodes x 2 rounds, zero violations
 //! ```
 
-pub mod cluster;
+mod cluster;
 pub mod frame;
-pub mod reactor;
+mod reactor;
 mod runtime;
 pub mod sys;
-pub mod transport;
 
-pub use cluster::{run_solo_node, run_tcp_cluster, SoloConfig, TcpClusterConfig};
-pub use reactor::{connect_reactor_mesh, ReactorPort};
-pub use transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};
+pub use cluster::{run_solo_node, run_tcp_cluster, NetBackend, PeerDirectory, TcpClusterConfig};

@@ -33,15 +33,18 @@
 //!
 //! Retransmission and acking therefore happen *inside* `recv`: a node
 //! that stops calling it stops its transport, and a node loop never does
-//! (see `runtime`).  See DESIGN.md §12 for the full contract.
+//! (see `runtime`).  The port also runs the shutdown protocol: node 0
+//! counts finished active nodes (its own quota and every `TAG_DONE`) and
+//! broadcasts `TAG_SHUTDOWN` once all are done.  See DESIGN.md §12 for
+//! the full contract.
 //!
 //! Everything here is unix-only (the vendored poller has no backend
 //! elsewhere): `mra-net`'s TCP substrate requires epoll or kqueue.  On
-//! other platforms the stub `connect_reactor_mesh` below keeps the crate
+//! other platforms the stub `ReactorPort::connect` below keeps the crate
 //! compiling and reports `Unsupported`.
 
 #[cfg(unix)]
-pub use imp::{connect_reactor_mesh, ReactorPort};
+pub(crate) use imp::ReactorPort;
 
 #[cfg(unix)]
 mod imp {
@@ -49,25 +52,27 @@ mod imp {
         begin_frame, end_frame, split_rack, split_rdata, FrameBuf, WriteBuf, READ_CHUNK, TAG_DONE,
         TAG_MSG, TAG_RACK, TAG_RDATA, TAG_SHUTDOWN,
     };
+    use crate::cluster::{PeerDirectory, TcpClusterConfig};
     use crate::runtime::PortEvent;
     use crate::sys;
-    use crate::transport::{DoneAct, MeshConfig, PeerDirectory, PortCtrl};
     use mra_obs::NetCounters;
     use mra_protocol::faults::{FrameFate, LinkFilter};
     use mra_protocol::reliable::{Reliability, RtoVerdict, RxBatch, RxVerdict, TxSession};
     use mra_protocol::WireCodec;
-    use mra_sim::lock;
     use mra_types::{NodeId, Time};
     use polling::{Event, Events, Poller};
     use std::collections::VecDeque;
     use std::io::{self, Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     /// Wait this long between connect retries (a peer process may not
     /// have bound its listener yet — solo deployments).
     const RETRY_DELAY: Duration = Duration::from_millis(20);
+    /// Keep retrying outbound connects this long before the link is
+    /// declared dead.  It only bounds a failure: peers of a multi-process
+    /// cluster may start later than this node.
+    const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
     /// Reads serviced per connection per turn (~256 KiB).  See
     /// [`ReactorPort::service_read`] — the bound keeps one flooding peer
     /// from starving everyone else's acks and timers.
@@ -143,11 +148,17 @@ mod imp {
 
     /// A node's end of the mesh: every socket, session and transport
     /// timer, driven by the thread that calls its `recv`.
-    pub struct ReactorPort<M: WireCodec + Clone> {
+    pub(crate) struct ReactorPort<M: WireCodec + Clone> {
         me: NodeId,
         n: usize,
         addrs: Vec<SocketAddr>,
-        ctrl: PortCtrl,
+        /// Request-issuing nodes, `0..active`; node 0 waits for all of
+        /// them before it broadcasts the shutdown.
+        active: usize,
+        /// Finished active nodes node 0 has counted (itself included).
+        done_seen: usize,
+        /// Has this node finished its own quota?
+        self_done: bool,
         poller: Poller,
         /// Registered under key `n`; pending handshakes follow from `n + 1`.
         listener: TcpListener,
@@ -159,14 +170,14 @@ mod imp {
         /// Per-inbound-link fault filters (`None` off-plan and at `me`).
         filters: Vec<Option<LinkFilter>>,
         /// Deliverable events in arrival order, each held until its
-        /// instant: arrival plus [`MeshConfig::extra_latency`].  The delay
-        /// is constant, so the head is always the earliest.  The session
-        /// layer already ran: data frames enter deduplicated and acked.
+        /// instant: arrival plus [`TcpClusterConfig::extra_latency`].  The
+        /// delay is constant, so the head is always the earliest.  The
+        /// session layer already ran: data frames enter deduplicated and
+        /// acked.
         inbox: VecDeque<(Instant, PortEvent<M>)>,
         extra: Duration,
         connect_deadline: Instant,
         counters: NetCounters,
-        slot: Option<Arc<Mutex<NetCounters>>>,
         /// Reusable encode scratch (one frame at a time).
         buf: Vec<u8>,
         /// Reusable decode scratch (frame body, tag at `[0]`).
@@ -174,6 +185,74 @@ mod imp {
     }
 
     impl<M: WireCodec + Clone> ReactorPort<M> {
+        /// Build node `me`'s mesh.  Returns immediately with the outbound
+        /// connects started: completing them, accepting and handshaking
+        /// proceed inside the port's `recv`, and frames sent before the
+        /// mesh completes park in the per-peer write queues.  The caller
+        /// must have bound `listener` (on `dir.addr(me)` or, for loopback
+        /// harnesses, wherever the directory says) before any node starts
+        /// connecting: a connect then completes against the listen backlog
+        /// even while the acceptor is still connecting out.
+        pub(crate) fn connect(
+            me: NodeId,
+            listener: TcpListener,
+            dir: &PeerDirectory,
+            cfg: &TcpClusterConfig,
+        ) -> io::Result<Self> {
+            let n = dir.len();
+            assert!(me < n, "node id {me} outside directory 0..{n}");
+            let poller = Poller::new()?;
+            listener.set_nonblocking(true)?;
+            // std listens with backlog 128; every smaller peer SYNs at once
+            // in a big mesh, and an overflow costs whole TCP-retry seconds.
+            let _ = sys::listen_backlog(&listener, 4096);
+            poller.add(&listener, Event::readable(n))?;
+
+            let filters = (0..n)
+                .map(|peer| {
+                    (peer != me)
+                        .then(|| cfg.faults.as_ref().map(|plan| LinkFilter::new(plan, peer, me, n)))
+                        .flatten()
+                })
+                .collect();
+            let conns = (0..n)
+                .map(|peer| PeerConn {
+                    stream: None,
+                    connected: false,
+                    wbuf: WriteBuf::new(),
+                    rbuf: FrameBuf::new(),
+                    want_write: false,
+                    retry_at: None,
+                    dead: peer == me,
+                })
+                .collect();
+            let mut port = ReactorPort {
+                me,
+                n,
+                addrs: (0..n).map(|i| dir.addr(i)).collect(),
+                active: cfg.active(n),
+                done_seen: 0,
+                self_done: false,
+                poller,
+                listener,
+                events: Events::new(),
+                conns,
+                pending: Vec::new(),
+                sess: cfg.reliability.map(|r| Sessions::new(r, n)),
+                filters,
+                inbox: VecDeque::new(),
+                extra: cfg.extra_latency.to_std(),
+                connect_deadline: Instant::now() + CONNECT_TIMEOUT,
+                counters: NetCounters::default(),
+                buf: Vec::with_capacity(256),
+                scratch: Vec::with_capacity(256),
+            };
+            for peer in (me + 1)..n {
+                port.start_connect(peer);
+            }
+            Ok(port)
+        }
+
         /// Queue `msg` for delivery to `to`: encoded into the peer's
         /// write queue now, on the wire at the next turn.  Sends after
         /// shutdown are dropped — the run is already over.  `_stamp` is
@@ -193,27 +272,46 @@ mod imp {
             self.wait(Some(deadline))
         }
 
-        /// This node just completed its round quota.  The port coordinates
-        /// the cluster-wide shutdown; `true` means this node was the last
-        /// active finisher and must exit immediately (the shutdown it just
-        /// broadcast releases everyone else).
+        /// This node just completed its round quota.  Any node but 0
+        /// reports [`TAG_DONE`] to node 0 and keeps serving; node 0 counts
+        /// itself.  `true` means node 0 has now counted every active node
+        /// and broadcast the shutdown: it must exit at once (the broadcast
+        /// releases everyone else).
         pub(crate) fn quota_done(&mut self) -> bool {
-            match self.ctrl.self_done(self.me) {
-                DoneAct::LastFinisher => {
-                    self.broadcast_shutdown();
-                    true
-                }
-                DoneAct::ReportDone => {
-                    self.queue_ctrl(0, TAG_DONE, "Done");
-                    false
-                }
-                DoneAct::Wait => false,
+            self.self_done = true;
+            if self.me != 0 {
+                self.queue_ctrl(0, TAG_DONE, "Done");
+                return false;
             }
+            self.count_done()
+        }
+
+        /// Count one finished active node at node 0 — its own quota or a
+        /// peer's [`TAG_DONE`].  Once node 0 is done itself and the count
+        /// covers every active node, queue [`TAG_SHUTDOWN`] to every peer
+        /// and return `true`.
+        fn count_done(&mut self) -> bool {
+            self.done_seen += 1;
+            let all = self.self_done && self.done_seen >= self.active;
+            if all {
+                for peer in 0..self.n {
+                    self.queue_ctrl(peer, TAG_SHUTDOWN, "Shutdown");
+                }
+            }
+            all
         }
 
         /// The transport counters so far.
-        pub fn counters(&self) -> &NetCounters {
+        #[cfg(test)]
+        pub(crate) fn counters(&self) -> &NetCounters {
             &self.counters
+        }
+
+        /// Drain (see [`Self::drain`]) and hand back the transport
+        /// counters: the harness folds them into the run's report.
+        pub(crate) fn into_counters(mut self) -> NetCounters {
+            self.drain();
+            std::mem::take(&mut self.counters)
         }
 
         /// Pop the next due event, turning the reactor until there is one
@@ -276,8 +374,8 @@ mod imp {
             waited.map(drop)
         }
 
-        /// Hand `ev` to the node loop, [`MeshConfig::extra_latency`] from
-        /// now.
+        /// Hand `ev` to the node loop, [`TcpClusterConfig::extra_latency`]
+        /// from now.
         fn deliver(&mut self, ev: PortEvent<M>) {
             self.inbox.push_back((Instant::now() + self.extra, ev));
         }
@@ -341,13 +439,6 @@ mod imp {
             self.conns[to].wbuf.queue(&self.buf);
             self.counters.frames_out += 1;
             self.counters.by_kind.bump(label, 1);
-        }
-
-        /// Queue [`TAG_SHUTDOWN`] to every peer (last finisher).
-        fn broadcast_shutdown(&mut self) {
-            for peer in 0..self.n {
-                self.queue_ctrl(peer, TAG_SHUTDOWN, "Shutdown");
-            }
         }
 
         /// Connect retries and retransmit timers.
@@ -718,7 +809,8 @@ mod imp {
                     };
                     // Drop verdicts lose the frame here (the wire-level
                     // loss point); duplicate verdicts are absorbed — TCP
-                    // already delivered exactly once (see `MeshConfig`).
+                    // already delivered exactly once (see
+                    // `TcpClusterConfig::faults`).
                     if let Some(f) = self.filters[peer].as_mut() {
                         if f.next_fate() == FrameFate::Drop {
                             return true;
@@ -764,8 +856,7 @@ mod imp {
                     true
                 }
                 TAG_DONE => {
-                    if self.ctrl.peer_done() {
-                        self.broadcast_shutdown();
+                    if self.count_done() {
                         self.deliver(PortEvent::Shutdown);
                     }
                     true
@@ -864,14 +955,13 @@ mod imp {
         fn all_flushed(&self) -> bool {
             self.conns.iter().all(|c| c.parked() == 0 || c.stream.is_none())
         }
-    }
 
-    impl<M: WireCodec + Clone> Drop for ReactorPort<M> {
         /// Write out what is parked — the last finisher's shutdown
         /// broadcast, a burst sent just before exit — for at most
-        /// `DRAIN_LIMIT`, then publish the counters.  Timers no longer
+        /// `DRAIN_LIMIT`; what a stuck peer has not taken by then is
+        /// discarded, so a second drain returns at once.  Timers no longer
         /// run: nothing is retransmitted or acked for a node that left.
-        fn drop(&mut self) {
+        fn drain(&mut self) {
             let limit = Instant::now() + DRAIN_LIMIT;
             loop {
                 self.flush_all();
@@ -880,88 +970,26 @@ mod imp {
                     break;
                 }
             }
-            if let Some(slot) = &self.slot {
-                *lock(slot) = std::mem::take(&mut self.counters);
+            for c in &mut self.conns {
+                c.wbuf.clear();
             }
         }
     }
 
-    /// Build node `me`'s mesh.  Returns immediately with the outbound
-    /// connects started: completing them, accepting and handshaking
-    /// proceed inside the port's `recv`, and frames sent before the mesh
-    /// completes park in the per-peer write queues.  The caller must have
-    /// bound `listener` (on `dir.addr(me)` or, for loopback harnesses,
-    /// wherever the directory says) before any node starts connecting: a
-    /// connect then completes against the listen backlog even while the
-    /// acceptor is still connecting out.
-    pub fn connect_reactor_mesh<M>(
-        me: NodeId,
-        listener: TcpListener,
-        dir: &PeerDirectory,
-        ctrl: PortCtrl,
-        cfg: MeshConfig,
-    ) -> io::Result<ReactorPort<M>>
-    where
-        M: WireCodec + Clone,
-    {
-        let n = dir.len();
-        assert!(me < n, "node id {me} outside directory 0..{n}");
-        let poller = Poller::new()?;
-        listener.set_nonblocking(true)?;
-        // std listens with backlog 128; every smaller peer SYNs at once
-        // in a big mesh, and an overflow costs whole TCP-retry seconds.
-        let _ = sys::listen_backlog(&listener, 4096);
-        poller.add(&listener, Event::readable(n))?;
-
-        let filters = (0..n)
-            .map(|peer| {
-                (peer != me)
-                    .then(|| cfg.faults.as_ref().map(|plan| LinkFilter::new(plan, peer, me, n)))
-                    .flatten()
-            })
-            .collect();
-        let conns = (0..n)
-            .map(|peer| PeerConn {
-                stream: None,
-                connected: false,
-                wbuf: WriteBuf::new(),
-                rbuf: FrameBuf::new(),
-                want_write: false,
-                retry_at: None,
-                dead: peer == me,
-            })
-            .collect();
-        let mut port = ReactorPort {
-            me,
-            n,
-            addrs: (0..n).map(|i| dir.addr(i)).collect(),
-            ctrl,
-            poller,
-            listener,
-            events: Events::new(),
-            conns,
-            pending: Vec::new(),
-            sess: cfg.reliability.map(|r| Sessions::new(r, n)),
-            filters,
-            inbox: VecDeque::new(),
-            extra: cfg.extra_latency.to_std(),
-            connect_deadline: Instant::now() + cfg.connect_timeout,
-            counters: NetCounters::default(),
-            slot: cfg.counters_slot,
-            buf: Vec::with_capacity(256),
-            scratch: Vec::with_capacity(256),
-        };
-        for peer in (me + 1)..n {
-            port.start_connect(peer);
+    impl<M: WireCodec + Clone> Drop for ReactorPort<M> {
+        /// The same drain as [`ReactorPort::into_counters`], for a port
+        /// dropped without it (a node loop unwinding from a panic).
+        fn drop(&mut self) {
+            self.drain();
         }
-        Ok(port)
     }
 }
 
 #[cfg(not(unix))]
 mod stub {
+    use crate::cluster::{PeerDirectory, TcpClusterConfig};
     use crate::runtime::PortEvent;
-    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
+    use mra_obs::NetCounters;
     use mra_protocol::WireCodec;
     use mra_types::NodeId;
     use std::io;
@@ -969,10 +997,21 @@ mod stub {
     use std::net::TcpListener;
 
     /// Unsupported on this platform (no epoll/kqueue); exists only to
-    /// keep the crate compiling — `connect_reactor_mesh` never returns one.
-    pub struct ReactorPort<M: WireCodec + Clone>(PhantomData<M>);
+    /// keep the crate compiling — `connect` never returns one.
+    pub(crate) struct ReactorPort<M: WireCodec + Clone>(PhantomData<M>);
 
     impl<M: WireCodec + Clone> ReactorPort<M> {
+        pub(crate) fn connect(
+            _me: NodeId,
+            _listener: TcpListener,
+            _dir: &PeerDirectory,
+            _cfg: &TcpClusterConfig,
+        ) -> io::Result<Self> {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "mra-net's TCP transport needs epoll or kqueue (unix only)",
+            ))
+        }
         pub(crate) fn send(&mut self, _to: NodeId, _msg: M, _stamp: u64) {
             unreachable!("reactor transport is unix-only")
         }
@@ -985,60 +1024,47 @@ mod stub {
         pub(crate) fn quota_done(&mut self) -> bool {
             unreachable!("reactor transport is unix-only")
         }
-    }
-
-    pub fn connect_reactor_mesh<M>(
-        _me: NodeId,
-        _listener: TcpListener,
-        _dir: &PeerDirectory,
-        _ctrl: PortCtrl,
-        _cfg: MeshConfig,
-    ) -> io::Result<ReactorPort<M>>
-    where
-        M: WireCodec + Clone,
-    {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "mra-net's TCP transport needs epoll or kqueue (unix only)",
-        ))
+        pub(crate) fn into_counters(self) -> NetCounters {
+            unreachable!("reactor transport is unix-only")
+        }
     }
 }
 
 #[cfg(not(unix))]
-pub use stub::{connect_reactor_mesh, ReactorPort};
+pub(crate) use stub::ReactorPort;
 
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::cluster::{PeerDirectory, TcpClusterConfig};
     use crate::runtime::PortEvent;
-    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
     use mra_protocol::faults::{FaultPlan, FrameFate, LinkFilter};
     use mra_protocol::reliable::Reliability;
     use mra_types::{NodeId, Time};
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
     type Port = ReactorPort<u64>;
 
-    /// A two-node loopback mesh under `shim`, `remaining` active nodes:
-    /// node 0 runs `node0` on its own thread, node 1's port comes back.
+    /// A plain two-node port configuration (the round quota and the seed
+    /// are the node loop's; a port never reads them).
+    fn plain() -> TcpClusterConfig {
+        TcpClusterConfig::new(1, 0)
+    }
+
+    /// A two-node loopback mesh under `shim`: node 0 runs `node0` on its
+    /// own thread, node 1's port comes back.
     fn mesh_pair(
-        shim: MeshConfig,
-        remaining: usize,
+        shim: TcpClusterConfig,
         node0: impl FnOnce(Port) + Send + 'static,
     ) -> (Port, JoinHandle<()>, PeerDirectory) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let dir = PeerDirectory::new(vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()]);
-        let remaining = Arc::new(AtomicUsize::new(remaining));
-        let (d0, cfg0, r0) = (dir.clone(), shim.clone(), Arc::clone(&remaining));
-        let t = std::thread::spawn(move || {
-            node0(connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap())
-        });
-        let p1 = connect_reactor_mesh(1, l1, &dir, PortCtrl::Cluster(remaining), shim).unwrap();
+        let (d0, cfg0) = (dir.clone(), shim.clone());
+        let t = std::thread::spawn(move || node0(Port::connect(0, l0, &d0, &cfg0).unwrap()));
+        let p1 = Port::connect(1, l1, &dir, &shim).unwrap();
         (p1, t, dir)
     }
 
@@ -1065,7 +1091,7 @@ mod tests {
 
     #[test]
     fn two_node_reactor_mesh_moves_messages() {
-        let (mut p1, t, dir) = mesh_pair(MeshConfig::default(), 2, |mut p0| {
+        let (mut p1, t, dir) = mesh_pair(plain(), |mut p0| {
             p0.send(1, 0xDEAD_BEEF, 0);
             assert_eq!(expect_msg(&mut p0), (1, 7));
         });
@@ -1102,8 +1128,8 @@ mod tests {
     /// Node 0 sends `0..frames` to node 1 and drops its port at once —
     /// the connect is still in flight, every frame parked behind the
     /// handshake.  Returns what node 1 received before the EOF.
-    fn send_then_drop(shim: MeshConfig, frames: u64) -> Vec<u64> {
-        let (mut p1, t, _) = mesh_pair(shim, 2, move |mut p0| {
+    fn send_then_drop(shim: TcpClusterConfig, frames: u64) -> Vec<u64> {
+        let (mut p1, t, _) = mesh_pair(shim, move |mut p0| {
             for k in 0..frames {
                 p0.send(1, k, 0);
             }
@@ -1139,7 +1165,7 @@ mod tests {
             .count() as u64;
         assert!(expected > 0 && expected < FRAMES, "degenerate plan");
 
-        let got = send_then_drop(MeshConfig { faults: Some(plan), ..MeshConfig::default() }, FRAMES);
+        let got = send_then_drop(TcpClusterConfig { faults: Some(plan), ..plain() }, FRAMES);
         assert_eq!(got.len() as u64, expected, "shim lost the wrong frames");
         // FIFO survives the shim: payloads arrive in send order.
         assert!(got.windows(2).all(|w| w[0] < w[1]));
@@ -1149,7 +1175,7 @@ mod tests {
     fn reactor_drop_while_connecting_delivers_every_parked_frame() {
         // Regression: the drain used to call a link whose connect was
         // still in flight "flushed" and close it with its frames parked.
-        assert_eq!(send_then_drop(MeshConfig::default(), 200), (0..200).collect::<Vec<u64>>());
+        assert_eq!(send_then_drop(plain(), 200), (0..200).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1159,12 +1185,12 @@ mod tests {
         // receiver must *not* send one standalone ack per data frame.
         const FRAMES: u64 = 200;
         let plan = FaultPlan::new(0xC0FFEE).drop_rate(0.3).dup_rate(0.1);
-        let shim = MeshConfig {
+        let shim = TcpClusterConfig {
             faults: Some(plan),
             reliability: Some(Reliability::with_rto(Time::from_millis(5))),
-            ..MeshConfig::default()
+            ..plain()
         };
-        let (mut p1, t, _) = mesh_pair(shim, 2, |mut p0| {
+        let (mut p1, t, _) = mesh_pair(shim, |mut p0| {
             for k in 0..FRAMES {
                 p0.send(1, k, 0);
             }
@@ -1195,7 +1221,7 @@ mod tests {
         // between two turns — must share write syscalls: strictly fewer
         // `write(2)`s than frames.
         const BURST: u64 = 100;
-        let (mut p1, t, _) = mesh_pair(MeshConfig::default(), 2, |mut p0| {
+        let (mut p1, t, _) = mesh_pair(plain(), |mut p0| {
             for k in 0..BURST {
                 p0.send(1, k, 0);
             }
@@ -1242,15 +1268,13 @@ mod tests {
         // The listener for node 1 is now dropped: node 0's connects get
         // refused and retried while its frame sits parked.
         let dir = PeerDirectory::new(vec![l0.local_addr().unwrap(), a1]);
-        let shim = MeshConfig {
+        let shim = TcpClusterConfig {
             reliability: Some(Reliability::with_rto(Time::from_millis(250))),
-            ..MeshConfig::default()
+            ..plain()
         };
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let (d0, cfg0, r0) = (dir.clone(), shim.clone(), Arc::clone(&remaining));
+        let (d0, cfg0) = (dir.clone(), shim.clone());
         let t = std::thread::spawn(move || {
-            let mut p0: Port =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
+            let mut p0 = Port::connect(0, l0, &d0, &cfg0).unwrap();
             p0.send(1, 42, 0);
             assert_eq!(expect_msg(&mut p0), (1, 7));
             let c0 = p0.counters();
@@ -1264,8 +1288,7 @@ mod tests {
         // while the connection cannot form.
         std::thread::sleep(Duration::from_secs(2));
         let l1 = bind_retry(a1);
-        let mut p1: Port =
-            connect_reactor_mesh(1, l1, &dir, PortCtrl::Cluster(remaining), shim).unwrap();
+        let mut p1 = Port::connect(1, l1, &dir, &shim).unwrap();
         assert_eq!(expect_msg(&mut p1), (0, 42), "the parked frame");
         p1.send(0, 7, 0);
         serve_until_gone(&mut p1, t);
@@ -1280,11 +1303,11 @@ mod tests {
         // runs every turn even while inbound is saturated.
         const FRAMES: u64 = 20_000;
         const BURST: u64 = 500;
-        let shim = MeshConfig {
+        let shim = TcpClusterConfig {
             reliability: Some(Reliability::with_rto(Time::from_millis(200))),
-            ..MeshConfig::default()
+            ..plain()
         };
-        let (mut p1, t, _) = mesh_pair(shim, 2, |mut p0| {
+        let (mut p1, t, _) = mesh_pair(shim, |mut p0| {
             for k in 0..FRAMES {
                 p0.send(1, k, 0);
                 if (k + 1) % BURST == 0 && k + 1 < FRAMES {
@@ -1322,12 +1345,12 @@ mod tests {
         // sleep with it.)
         const ROUNDS: u64 = 30;
         let extra = Time::from_millis(3);
-        let shim = MeshConfig {
+        let shim = TcpClusterConfig {
             extra_latency: extra,
             reliability: Some(Reliability::with_rto(Time::from_millis(2))),
-            ..MeshConfig::default()
+            ..plain()
         };
-        let (mut p1, t, _) = mesh_pair(shim, 2, move |mut p0| {
+        let (mut p1, t, _) = mesh_pair(shim, move |mut p0| {
             for k in 0..ROUNDS {
                 let sent = Instant::now();
                 p0.send(1, k, 0);
@@ -1345,10 +1368,28 @@ mod tests {
     }
 
     #[test]
-    fn reactor_last_finisher_shutdown_reaches_peer() {
-        let (mut p1, t, _) = mesh_pair(MeshConfig::default(), 1, |mut p0| {
-            assert!(p0.quota_done());
+    fn node_0_counts_every_active_quota_then_releases_the_peers() {
+        // Node 0 the only active node: its own quota is the whole count,
+        // so it broadcasts at once.
+        let only_0 = TcpClusterConfig { active_nodes: Some(1), ..plain() };
+        let (mut p1, t, _) = mesh_pair(only_0, |mut p0| assert!(p0.quota_done()));
+        assert!(matches!(p1.recv(), PortEvent::Shutdown));
+        t.join().unwrap();
+
+        // Both active, node 1 done first: it reports and keeps serving.
+        // Node 0 counts the report without shutting down; its own quota
+        // then completes the count and releases node 1.
+        let (mut p1, t, _) = mesh_pair(plain(), |mut p0| {
+            let limit = Instant::now() + Duration::from_secs(20);
+            while p0.counters().frames_in == 0 {
+                assert!(Instant::now() < limit, "node 1's Done never arrived");
+                let tick = Instant::now() + Duration::from_millis(5);
+                assert!(matches!(p0.recv_deadline(tick), PortEvent::TimedOut));
+            }
+            assert!(p0.quota_done(), "node 0 counted itself and the report");
         });
+        assert!(!p1.quota_done(), "only node 0 broadcasts the shutdown");
+        assert_eq!(p1.counters().by_kind.get("Done"), 1);
         assert!(matches!(p1.recv(), PortEvent::Shutdown));
         t.join().unwrap();
     }

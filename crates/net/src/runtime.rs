@@ -1,13 +1,13 @@
 //! The wall-clock node loop, beside the one transport it runs over.
 //!
-//! Every node of a TCP run — a thread of [`crate::run_tcp_cluster`] or the
-//! whole process of [`crate::run_solo_node`] — drives the same event loop:
-//! wait for either a message or a workload timer, feed the protocol state
-//! machine, flush its outbox, and account grants/releases against the
-//! shared [`SafetyMonitor`] and [`Collector`].  [`drive_node`] is that
-//! loop and [`ReactorPort`] its only port, so nothing here is generic over
-//! a transport and nothing leaves the crate: the harnesses in
-//! [`crate::cluster`] are the public surface.
+//! Every node of a TCP run — a thread of `run_tcp_cluster` or the whole
+//! process of `run_solo_node` — drives the same event loop: wait for
+//! either a message or a workload timer, feed the protocol state machine,
+//! flush its outbox, and account grants/releases against the shared
+//! [`SafetyMonitor`] and [`Collector`].  [`drive_node`] is that loop and
+//! `ReactorPort` its only port, so nothing here is generic over a
+//! transport and nothing leaves the crate: the harnesses in `cluster` are
+//! the public surface.
 //!
 //! The loop is the node's only thread.  The wait *is* the transport: the
 //! port's `recv` / `recv_deadline` run the reactor (flush what the last
@@ -18,11 +18,12 @@
 //! Lifecycle per active node: think → request → wait for grant → hold the
 //! critical section → release, repeated `rounds` times.  After its quota a
 //! node parks but keeps serving protocol traffic (forwarding requests,
-//! relaying tokens) until the cluster-wide shutdown signal — coordinated by
-//! the port, see [`ReactorPort::quota_done`] — reaches it.
+//! relaying tokens) until the cluster-wide shutdown — which the port
+//! coordinates, see `ReactorPort::quota_done` — reaches it.
 
+use crate::cluster::TcpClusterConfig;
 use crate::reactor::ReactorPort;
-use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, TraceMode};
+use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, NetCounters, TraceMode};
 use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireCodec, WireMsg};
 use mra_sim::driver::{node_rng, Driver, DriverState, Workload};
@@ -116,19 +117,11 @@ impl RunShared {
     }
 }
 
-/// Per-node run parameters.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct NodeCfg {
-    /// Request/CS cycles this node must complete (ignored when passive).
-    pub rounds: usize,
-    /// Master seed; each node derives its own stream from it.
-    pub seed: u64,
-    /// Passive nodes never issue requests; they only serve protocol
-    /// traffic (e.g. a central coordinator).
-    pub is_active: bool,
-}
-
-/// Run one node to completion over `port`.
+/// Run one node over `port` until the cluster-wide shutdown reaches it;
+/// returns the port's transport counters.  Nodes `0..cfg.active(n)` run
+/// `cfg.rounds` request/CS cycles (the harness checked it is at least
+/// one); the rest are passive and only serve protocol traffic (e.g. a
+/// central coordinator).
 ///
 /// # Panics
 /// On any safety violation (monitored exactly like the simulator) and on
@@ -140,18 +133,14 @@ pub(crate) fn drive_node<A, W>(
     mut workload: W,
     mut port: ReactorPort<A::Msg>,
     shared: &RunShared,
-    cfg: NodeCfg,
-) where
+    cfg: &TcpClusterConfig,
+) -> NetCounters
+where
     A: Allocator,
     A::Msg: WireCodec,
     W: Workload,
 {
-    // The loop always runs a full request/CS cycle before decrementing, so
-    // a zero quota on an active node would underflow instead of no-opping.
-    assert!(
-        !cfg.is_active || cfg.rounds >= 1,
-        "active node {me} needs a round quota of at least 1"
-    );
+    let is_active = me < cfg.active(n);
     let mut ctx: Ctx<A::Msg> = Ctx::new(me, n);
     let mut driver = Driver::new();
     let mut rng = node_rng(cfg.seed, me);
@@ -160,13 +149,13 @@ pub(crate) fn drive_node<A, W>(
     proto.on_init(&mut ctx);
     flush_and_grants(me, &mut ctx, &mut driver, &mut workload, &mut port, shared, &mut None);
 
-    let mut rounds_left = if cfg.is_active { cfg.rounds } else { 0 };
+    let mut rounds_left = if is_active { cfg.rounds } else { 0 };
     // The pending timer: think expiry or CS expiry, depending on state.
-    let mut deadline: Option<Instant> = cfg.is_active.then(|| {
+    let mut deadline: Option<Instant> = is_active.then(|| {
         workload.set_now(shared.now());
         Instant::now() + workload.think_time(&mut rng).to_std()
     });
-    if !cfg.is_active {
+    if !is_active {
         driver.park();
     }
 
@@ -177,7 +166,7 @@ pub(crate) fn drive_node<A, W>(
         };
 
         match event {
-            PortEvent::Shutdown => return,
+            PortEvent::Shutdown => break,
             PortEvent::Msg { from, stamp, msg } => {
                 ctx.set_now(shared.now());
                 if let Some(obs) = &shared.obs {
@@ -253,7 +242,7 @@ pub(crate) fn drive_node<A, W>(
                             driver.park();
                             if port.quota_done() {
                                 // Last finisher: shutdown broadcast, exit.
-                                return;
+                                break;
                             }
                         } else {
                             workload.set_now(shared.now());
@@ -268,6 +257,7 @@ pub(crate) fn drive_node<A, W>(
             }
         }
     }
+    port.into_counters()
 }
 
 /// Drain the outbox onto the port and turn a grant edge into CS

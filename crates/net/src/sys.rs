@@ -8,7 +8,7 @@
 //!
 //! Non-unix builds get honest fallbacks: blocking connect, no-op backlog
 //! and rlimit tweaks, zero for CPU time and context switches (the
-//! reactor itself is unix-only — see [`crate::reactor`]).
+//! reactor itself is unix-only, so a TCP run there reports `Unsupported`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

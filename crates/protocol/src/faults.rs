@@ -102,7 +102,7 @@ pub struct Outage {
 
 /// A complete, seeded fault scenario.  Built with the fluent methods and
 /// installed on an engine (`Sim::set_fault_plan`,
-/// `VirtualNet::install_faults`, `MeshConfig::faults`).
+/// `VirtualNet::install_faults`, `TcpClusterConfig::faults`).
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Seed of the counter-hash; all frame verdicts derive from it.

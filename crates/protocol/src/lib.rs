@@ -169,21 +169,10 @@ impl<M> Ctx<M> {
     /// Engine-side: drain the queued outgoing messages in send order.
     ///
     /// Allocates a fresh `Vec` per call; engine hot loops should prefer
-    /// [`Ctx::drain_outbox_into`], which reuses a caller-owned buffer.
+    /// [`Ctx::drain_outbox`], which drains in place and keeps the capacity.
     #[inline]
     pub fn take_outbox(&mut self) -> Vec<(NodeId, M)> {
         std::mem::take(&mut self.outbox)
-    }
-
-    /// Engine-side: move the queued outgoing messages into `buf` in send
-    /// order, leaving the internal outbox empty but with its capacity
-    /// intact.  Steady-state dispatch thus performs no heap allocation
-    /// once both buffers are warm.  For engines whose send path does not
-    /// need the `Ctx` borrow released, [`Ctx::drain_outbox`] avoids even
-    /// the buffer hand-off.
-    #[inline]
-    pub fn drain_outbox_into(&mut self, buf: &mut Vec<(NodeId, M)>) {
-        buf.append(&mut self.outbox);
     }
 
     /// Engine-side: drain the queued outgoing messages in place, in send
@@ -195,7 +184,8 @@ impl<M> Ctx<M> {
         self.outbox.drain(..)
     }
 
-    /// True if there are buffered outgoing messages (test helper).
+    /// True if there are buffered outgoing messages.  Engines ask before
+    /// draining, so a step that sent nothing skips the send path.
     #[inline]
     pub fn has_output(&self) -> bool {
         !self.outbox.is_empty()
@@ -257,26 +247,6 @@ mod tests {
         let out = ctx.take_outbox();
         assert_eq!(out.iter().map(|(to, _)| *to).collect::<Vec<_>>(), vec![1, 2, 1]);
         assert!(!ctx.has_output());
-    }
-
-    #[test]
-    fn drain_into_reuses_buffer_and_keeps_capacity() {
-        let mut ctx: Ctx<Ping> = Ctx::new(0, 3);
-        let mut buf: Vec<(usize, Ping)> = Vec::new();
-        ctx.send(1, Ping);
-        ctx.send(2, Ping);
-        ctx.drain_outbox_into(&mut buf);
-        assert_eq!(buf.iter().map(|(to, _)| *to).collect::<Vec<_>>(), vec![1, 2]);
-        assert!(!ctx.has_output());
-        let outbox_cap = ctx.outbox.capacity();
-        assert!(outbox_cap >= 2, "drained outbox must keep its capacity");
-        buf.clear();
-        // Second round: neither side needs to grow again.
-        ctx.send(2, Ping);
-        ctx.drain_outbox_into(&mut buf);
-        assert_eq!(ctx.outbox.capacity(), outbox_cap);
-        assert_eq!(buf.len(), 1);
-        assert!(buf.capacity() >= 2);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! completes its round quota with zero safety violations, for LASS and for
 //! a baseline.  A safety violation panics inside the shared
 //! `SafetyMonitor` (same checker as every other substrate), so plain
-//! completion is the assertion.
+//! completion is the assertion.  A node that panics fails the run instead
+//! of hanging it.
 //!
 //! Honors `MRA_FAST=1` by shrinking the per-node round quota.
 
@@ -11,8 +12,9 @@ use mra::core::LassConfig;
 use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
-use mra::sim::FixedWorkload;
-use mra::types::Time;
+use mra::sim::{FixedWorkload, Workload};
+use mra::types::{ResourceSet, Time};
+use rand::rngs::StdRng;
 
 const N: usize = 8;
 const M: usize = 16;
@@ -161,4 +163,44 @@ fn lass_handles_emulated_wan_latency_over_tcp() {
     );
     assert_eq!(res.cs_completed, 12);
     assert_eq!(res.censored, 0);
+}
+
+/// A [`FixedWorkload`] that panics on its `fail_at`-th request, `None`
+/// meaning never.
+struct FailingWorkload {
+    inner: FixedWorkload,
+    fail_at: Option<usize>,
+    issued: usize,
+}
+
+impl Workload for FailingWorkload {
+    fn think_time(&mut self, rng: &mut StdRng) -> Time {
+        self.inner.think_time(rng)
+    }
+
+    fn next_request(&mut self, rng: &mut StdRng) -> (ResourceSet, Time) {
+        self.issued += 1;
+        assert!(Some(self.issued) != self.fail_at, "workload failure on request {}", self.issued);
+        self.inner.next_request(rng)
+    }
+}
+
+#[test]
+#[should_panic(expected = "node thread panicked")]
+fn a_panicking_node_fails_the_run_instead_of_hanging_it() {
+    // Node 2 dies on its 3rd request.  Its port closes every link as the
+    // thread unwinds; each peer reads the EOF as the end of the run and
+    // leaves, so the harness joins them all and fails the run — no node
+    // waits forever for a shutdown that node 0 can no longer count.
+    let workloads = workloads()
+        .into_iter()
+        .enumerate()
+        .map(|(i, inner)| FailingWorkload { inner, fail_at: (i == 2).then_some(3), issued: 0 })
+        .collect();
+    run_tcp_cluster(
+        LassConfig::with_loan(N, M).build_nodes(),
+        workloads,
+        M,
+        TcpClusterConfig::new(12, 0xDEAD),
+    );
 }
