@@ -1339,15 +1339,16 @@ mod tests {
     #[test]
     fn reactor_extra_latency_delays_delivery_not_acks() {
         // Emulated latency above the RTO on a perfect link: a message is
-        // held in the inbox for 3 ms, but the port keeps turning while it
-        // holds — the ack leaves at once and nothing retransmits.  (A
+        // held in the inbox for 100 ms, but the port keeps turning while
+        // it holds — the ack leaves at once and nothing retransmits.  (A
         // node loop that slept out the latency would put its transport to
-        // sleep with it.)
-        const ROUNDS: u64 = 30;
-        let extra = Time::from_millis(3);
+        // sleep with it.)  The 50 ms margin between an ack sent at once
+        // and the RTO is far above scheduler noise on a loaded host.
+        const ROUNDS: u64 = 5;
+        let extra = Time::from_millis(100);
         let shim = TcpClusterConfig {
             extra_latency: extra,
-            reliability: Some(Reliability::with_rto(Time::from_millis(2))),
+            reliability: Some(Reliability::with_rto(Time::from_millis(50))),
             ..plain()
         };
         let (mut p1, t, _) = mesh_pair(shim, move |mut p0| {

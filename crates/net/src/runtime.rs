@@ -3,11 +3,12 @@
 //! Every node of a TCP run — a thread of `run_tcp_cluster` or the whole
 //! process of `run_solo_node` — drives the same event loop: wait for
 //! either a message or a workload timer, feed the protocol state machine,
-//! flush its outbox, and account grants/releases against the shared
-//! [`SafetyMonitor`] and [`Collector`].  [`drive_node`] is that loop and
-//! `ReactorPort` its only port, so nothing here is generic over a
-//! transport and nothing leaves the crate: the harnesses in `cluster` are
-//! the public surface.
+//! flush its outbox, and record each request's issue, grant and release
+//! through the node's [`Driver`] into the run's one [`RunLog`], which
+//! every node of the run shares behind one lock.  [`drive_node`] is that
+//! loop and `ReactorPort` its only port, so nothing here is generic over
+//! a transport and nothing leaves the crate: the harnesses in `cluster`
+//! are the public surface.
 //!
 //! The loop is the node's only thread.  The wait *is* the transport: the
 //! port's `recv` / `recv_deadline` run the reactor (flush what the last
@@ -23,14 +24,13 @@
 
 use crate::cluster::TcpClusterConfig;
 use crate::reactor::ReactorPort;
-use mra_obs::{trace_mode_from_env, EngineTracer, EventKind, NetCounters, TraceMode};
-use mra_protocol::testkit::SafetyMonitor;
+use mra_obs::{trace_mode_from_env, NetCounters};
 use mra_protocol::{Allocator, Ctx, WireCodec, WireMsg};
-use mra_sim::driver::{node_rng, Driver, DriverState, Workload};
+use mra_sim::driver::{Driver, DriverState, RunLog, Workload};
 use mra_sim::lock;
-use mra_sim::metrics::{Collector, RunResult};
+use mra_sim::metrics::RunResult;
 use mra_types::{NodeId, Time};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One delivery from the port to the node loop.
@@ -53,21 +53,16 @@ pub(crate) enum PortEvent<M> {
     Shutdown,
 }
 
-/// State shared by every node of one run: safety monitoring, metrics and
+/// State shared by every node of one run: the run's one [`RunLog`] and
 /// the common epoch that turns wall-clock instants into [`Time`] stamps.
 #[derive(Debug)]
 pub(crate) struct RunShared {
-    /// Mutual-exclusion safety checker (panics on violation).
-    pub monitor: Mutex<SafetyMonitor>,
-    /// Metrics accumulator.
-    pub collector: Mutex<Collector>,
-    /// Causal tracer, `Some` only when armed via `MRA_TRACE` /
-    /// `MRA_TRACE_FILE` (see [`mra_obs::trace_mode_from_env`]).  Disarmed
-    /// runs pay exactly one `Option` check per hook site — the tracer
-    /// itself is never constructed.  Real-time runs have no deterministic
-    /// dispatch key, so every event is keyed `(shared.now(), 0)`; the
-    /// per-record sequence number keeps the merged order stable.
-    pub obs: Option<Mutex<EngineTracer>>,
+    /// Metrics, safety monitor and causal tracer, behind one lock.
+    pub log: Mutex<RunLog>,
+    /// Whether the tracer is armed (via `MRA_TRACE` / `MRA_TRACE_FILE`,
+    /// see [`mra_obs::trace_mode_from_env`]): a disarmed run takes no lock
+    /// on receive.
+    pub traced: bool,
     /// Wall-clock origin of the run.
     pub epoch: Instant,
 }
@@ -75,17 +70,12 @@ pub(crate) struct RunShared {
 impl RunShared {
     /// Fresh shared state for `n` nodes and `m` resources.  The collector
     /// window is open-ended (clamped to the actual end by
-    /// [`Collector::finish`]).  Tracing arms from the environment
-    /// ([`mra_obs::trace_mode_from_env`]).
+    /// [`RunLog::finish`]).  Tracing arms from the environment.
     pub fn new(n: usize, m: usize) -> Self {
-        let obs = match trace_mode_from_env() {
-            TraceMode::Off => None,
-            mode => Some(Mutex::new(EngineTracer::armed(n, mode))),
-        };
+        let log = RunLog::new(n, m, (Time::ZERO, Time::MAX), trace_mode_from_env());
         RunShared {
-            monitor: Mutex::new(SafetyMonitor::new(n, m)),
-            collector: Mutex::new(Collector::new(n, m, (Time::ZERO, Time::MAX))),
-            obs,
+            traced: log.tracer.is_armed(),
+            log: Mutex::new(log),
             epoch: Instant::now(),
         }
     }
@@ -95,8 +85,19 @@ impl RunShared {
         Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
+    /// Lock the run's log.  Real-time runs have no deterministic dispatch
+    /// key, so an armed tracer records under `(now, 0)`; the per-record
+    /// sequence number keeps the merged order stable.
+    pub fn log(&self) -> MutexGuard<'_, RunLog> {
+        let mut log = lock(&self.log);
+        if self.traced {
+            log.tracer.set_key(self.now(), 0);
+        }
+        log
+    }
+
     /// Close the run once every node loop has returned: stamp the end
-    /// time, check the monitor, fold the tracer and finish the collector.
+    /// time, check the monitor and finish the log.
     ///
     /// # Panics
     /// If the monitor still has a node inside its CS or a resource marked
@@ -104,16 +105,11 @@ impl RunShared {
     /// must be empty — a leak means a grant/release pair corrupted it.
     pub fn into_result(self, algo: &str, n: usize) -> RunResult {
         let end = self.now();
-        let monitor = self.monitor.into_inner().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(monitor.concurrency(), 0, "node left inside CS after the run");
-        assert_eq!(monitor.held_resources(), 0, "resources leaked after the run");
-        monitor.assert_conservation();
-        let collector = self.collector.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut res = collector.finish(algo, n, end);
-        if let Some(tracer) = self.obs {
-            res.obs = tracer.into_inner().unwrap_or_else(|e| e.into_inner()).finish();
-        }
-        res
+        let log = self.log.into_inner().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(log.monitor.concurrency(), 0, "node left inside CS after the run");
+        assert_eq!(log.monitor.held_resources(), 0, "resources leaked after the run");
+        log.monitor.assert_conservation();
+        log.finish(algo, n, end)
     }
 }
 
@@ -142,175 +138,96 @@ where
 {
     let is_active = me < cfg.active(n);
     let mut ctx: Ctx<A::Msg> = Ctx::new(me, n);
-    let mut driver = Driver::new();
-    let mut rng = node_rng(cfg.seed, me);
+    let mut driver = Driver::new(me, cfg.seed);
+    let mut rounds_left = if is_active { cfg.rounds } else { 0 };
+    // The pending timer: think expiry or CS expiry, depending on state.
+    let mut deadline: Option<Instant> = None;
+    // Did the last step end a critical section?
+    let mut released = false;
 
     ctx.set_now(shared.now());
     proto.on_init(&mut ctx);
-    flush_and_grants(me, &mut ctx, &mut driver, &mut workload, &mut port, shared, &mut None);
-
-    let mut rounds_left = if is_active { cfg.rounds } else { 0 };
-    // The pending timer: think expiry or CS expiry, depending on state.
-    let mut deadline: Option<Instant> = is_active.then(|| {
-        workload.set_now(shared.now());
-        Instant::now() + workload.think_time(&mut rng).to_std()
-    });
-    if !is_active {
+    if is_active {
+        deadline = Some(Instant::now() + driver.think(&mut workload, shared.now()).to_std());
+    } else {
         driver.park();
     }
 
     loop {
+        // Finish the last step.  Its outbox drains in place (its capacity
+        // is the reused buffer) under one log lock: every message of the
+        // burst shares the tracer key, disambiguated by its seq.
+        if ctx.has_output() {
+            let mut log = shared.log();
+            for (to, msg) in ctx.drain_outbox() {
+                let (kind, weight) = (msg.kind(), msg.weight());
+                log.collector.on_message(kind, weight);
+                let stamp = log.tracer.on_send(me, to, kind, weight as u32);
+                port.send(to, msg, stamp);
+            }
+        }
+        if ctx.take_granted() {
+            let cs = driver.grant(&mut workload, shared.now(), || shared.log());
+            deadline = Some(Instant::now() + cs.to_std());
+        }
+        // A release counts against the quota once its messages are queued.
+        if released {
+            rounds_left -= 1;
+            if rounds_left > 0 {
+                let think = driver.think(&mut workload, shared.now());
+                deadline = Some(Instant::now() + think.to_std());
+            } else {
+                driver.park();
+                if port.quota_done() {
+                    // Last finisher: shutdown broadcast, exit.
+                    break;
+                }
+            }
+        }
+
         let event = match deadline {
             Some(d) => port.recv_deadline(d),
             None => port.recv(),
         };
-
-        match event {
+        released = match event {
             PortEvent::Shutdown => break,
             PortEvent::Msg { from, stamp, msg } => {
                 ctx.set_now(shared.now());
-                if let Some(obs) = &shared.obs {
-                    let mut t = lock(obs);
-                    t.set_key(shared.now(), 0);
-                    t.on_recv(from, me, msg.kind(), msg.weight() as u32, stamp);
+                if shared.traced {
+                    let (kind, weight) = (msg.kind(), msg.weight() as u32);
+                    shared.log().tracer.on_recv(from, me, kind, weight, stamp);
                 }
                 proto.on_message(&mut ctx, from, msg);
-                flush_and_grants(
-                    me,
-                    &mut ctx,
-                    &mut driver,
-                    &mut workload,
-                    &mut port,
-                    shared,
-                    &mut deadline,
-                );
+                false
             }
+            // Timer fired; Waiting/Parked never arm one.
             PortEvent::TimedOut => {
-                // Timer fired.
+                let now = shared.now();
+                deadline = None;
+                ctx.set_now(now);
                 match driver.state() {
                     DriverState::Thinking => {
-                        let now = shared.now();
-                        workload.set_now(now);
-                        let set = driver.issue(&mut workload, &mut rng);
-                        // Open-loop workloads claim the request's intended
-                        // arrival; closed-loop ones arrive at issue.
-                        let arrival = workload.intended_arrival().unwrap_or(now).min(now);
-                        if let Some(obs) = &shared.obs {
-                            let mut t = lock(obs);
-                            t.set_key(now, 0);
-                            t.on_cs(EventKind::CsRequest, me, set.len() as u32);
-                        }
-                        lock(&shared.collector).on_issue(me, set.clone(), now, arrival);
-                        deadline = None; // wait for the grant
-                        ctx.set_now(shared.now());
+                        let set = driver.issue(&mut workload, now, || shared.log());
                         proto.request(&mut ctx, set);
-                        flush_and_grants(
-                            me,
-                            &mut ctx,
-                            &mut driver,
-                            &mut workload,
-                            &mut port,
-                            shared,
-                            &mut deadline,
-                        );
+                        false
                     }
                     DriverState::InCs => {
-                        if let Some(obs) = &shared.obs {
-                            let mut t = lock(obs);
-                            t.set_key(shared.now(), 0);
-                            t.on_cs(EventKind::CsExit, me, 0);
-                        }
-                        let now = shared.now();
-                        lock(&shared.collector).on_release(me, now);
-                        workload.on_release(now);
-                        lock(&shared.monitor).exit(me);
-                        driver.released();
-                        ctx.set_now(shared.now());
+                        driver.release(&mut workload, now, || shared.log());
                         proto.release(&mut ctx);
-                        deadline = None;
-                        flush_and_grants(
-                            me,
-                            &mut ctx,
-                            &mut driver,
-                            &mut workload,
-                            &mut port,
-                            shared,
-                            &mut deadline,
-                        );
-                        rounds_left -= 1;
-                        if rounds_left == 0 {
-                            driver.park();
-                            if port.quota_done() {
-                                // Last finisher: shutdown broadcast, exit.
-                                break;
-                            }
-                        } else {
-                            workload.set_now(shared.now());
-                            deadline = Some(
-                                Instant::now() + workload.think_time(&mut rng).to_std(),
-                            );
-                        }
+                        true
                     }
-                    // Waiting/Parked never arm a timer.
                     other => unreachable!("timer in state {other:?}"),
                 }
             }
-        }
+        };
     }
     port.into_counters()
-}
-
-/// Drain the outbox onto the port and turn a grant edge into CS
-/// bookkeeping (+ CS-end timer).  The outbox drains in place (its
-/// capacity is the reused buffer), under one collector lock per burst.
-fn flush_and_grants<M: WireMsg + WireCodec, W: Workload>(
-    me: NodeId,
-    ctx: &mut Ctx<M>,
-    driver: &mut Driver,
-    workload: &mut W,
-    port: &mut ReactorPort<M>,
-    shared: &RunShared,
-    deadline: &mut Option<Instant>,
-) {
-    if ctx.has_output() {
-        let mut collector = lock(&shared.collector);
-        // One tracer lock per outbox burst; every message in the burst
-        // shares the key (now, 0), disambiguated by the tracer's seq.
-        let mut obs = shared.obs.as_ref().map(|m| {
-            let mut t = lock(m);
-            t.set_key(shared.now(), 0);
-            t
-        });
-        for (to, msg) in ctx.drain_outbox() {
-            collector.on_message(msg.kind(), msg.weight());
-            let stamp = match obs.as_deref_mut() {
-                Some(t) => t.on_send(me, to, msg.kind(), msg.weight() as u32),
-                None => 0,
-            };
-            port.send(to, msg, stamp);
-        }
-    }
-    if ctx.take_granted() {
-        let set = driver.current_set();
-        let size = set.len() as u32;
-        lock(&shared.monitor).enter(me, set);
-        let now = shared.now();
-        lock(&shared.collector).on_grant(me, now);
-        workload.on_grant(now);
-        if let Some(obs) = &shared.obs {
-            let mut t = lock(obs);
-            t.set_key(now, 0);
-            t.on_cs(EventKind::CsEnter, me, size);
-        }
-        let cs = driver.granted();
-        *deadline = Some(Instant::now() + cs.to_std());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_types::ResourceSet;
+    use mra_sim::FixedWorkload;
 
     /// The post-run monitor check guards both wall-clock harnesses (TCP
     /// cluster and solo), not the cluster alone.
@@ -318,7 +235,9 @@ mod tests {
     #[should_panic(expected = "node left inside CS after the run")]
     fn into_result_rejects_a_holder_left_inside() {
         let shared = RunShared::new(2, 2);
-        lock(&shared.monitor).enter(1, ResourceSet::singleton(0));
+        let (mut d, mut wl) = (Driver::new(1, 0), one_resource());
+        d.issue(&mut wl, Time::ZERO, || shared.log());
+        d.grant(&mut wl, Time::ZERO, || shared.log());
         shared.into_result("x", 2);
     }
 
@@ -328,12 +247,22 @@ mod tests {
     fn a_cs_two_hours_in_is_still_counted() {
         let shared = RunShared::new(1, 1);
         let at = |ms| Time::from_secs(7200) + Time::from_millis(ms);
-        let mut c = shared.collector.into_inner().unwrap();
-        c.on_issue(0, ResourceSet::singleton(0), at(0), at(0));
-        c.on_grant(0, at(1));
-        c.on_release(0, at(3));
-        let res = c.finish("x", 1, at(4));
+        let (mut d, mut wl) = (Driver::new(0, 0), one_resource());
+        d.issue(&mut wl, at(0), || shared.log());
+        d.grant(&mut wl, at(1), || shared.log());
+        d.release(&mut wl, at(3), || shared.log());
+        let res = shared.log.into_inner().unwrap().finish("x", 1, at(4));
         assert_eq!(res.cs_completed, 1);
         assert_eq!(res.busy[0], Time::from_millis(2));
+    }
+
+    /// Requests for resource 0 alone.
+    fn one_resource() -> FixedWorkload {
+        FixedWorkload {
+            think: Time::ZERO,
+            cs: Time::ZERO,
+            m: 1,
+            size: 1,
+        }
     }
 }

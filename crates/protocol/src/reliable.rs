@@ -29,7 +29,7 @@
 //!   retransmit timer recovers the gap.
 //!
 //! The state containers come in two granularities: [`TxSession`] /
-//! [`RxSession`] for substrates that own one link at a time (the TCP
+//! [`RxBatch`] for substrates that own one link at a time (the TCP
 //! transport keeps one pair per peer), and [`ReliableState`] for engines
 //! that own all `n²` links of a run (`Sim`, `VirtualNet` — which reach it
 //! only through [`crate::link::Link`]).  All buffers are
@@ -300,17 +300,27 @@ pub enum RxVerdict {
     Gap,
 }
 
-/// Receiver half of one directed link session.
+/// Receiver half of one directed link session: the next in-order
+/// sequence number and the ack-owed flag.  Every substrate keeps one per
+/// directed link ([`ReliableState`] one per link, the TCP reactor one per
+/// peer).  An owed ack rides piggybacked on the next outbound data frame,
+/// or is flushed as one standalone ack frame per servicing pass, instead
+/// of one ack write per received frame.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct RxSession {
+pub struct RxBatch {
     expected: u64,
+    owed: bool,
 }
 
-impl RxSession {
+impl RxBatch {
     /// Classify an arriving sequence number, advancing the window on an
-    /// in-order frame.
+    /// in-order frame.  Every data frame — delivered, stale or gap — marks
+    /// an ack owed: duplicates must be re-acked (the ack that would have
+    /// cleared them may have been lost), and re-acking on a gap costs
+    /// nothing since the flag batches.
     pub fn accept(&mut self, seq: u64) -> RxVerdict {
         use std::cmp::Ordering::*;
+        self.owed = true;
         match seq.cmp(&self.expected) {
             Equal => {
                 self.expected += 1;
@@ -325,33 +335,6 @@ impl RxSession {
     pub fn cum(&self) -> u64 {
         self.expected
     }
-}
-
-/// [`RxSession`] plus the ack-owed flag: the receiver half every substrate
-/// keeps per directed link ([`ReliableState`] one per link, the TCP
-/// reactor one per peer).  An owed ack rides piggybacked on the next
-/// outbound data frame, or is flushed as one standalone ack frame per
-/// servicing pass, instead of one ack write per received frame.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RxBatch {
-    sess: RxSession,
-    owed: bool,
-}
-
-impl RxBatch {
-    /// Classify an arriving sequence number.  Every data frame — delivered,
-    /// stale or gap — marks an ack owed: duplicates must be re-acked (the
-    /// ack that would have cleared them may have been lost), and re-acking
-    /// on a gap costs nothing since the flag batches.
-    pub fn accept(&mut self, seq: u64) -> RxVerdict {
-        self.owed = true;
-        self.sess.accept(seq)
-    }
-
-    /// The cumulative ack value: every `seq < cum()` has been delivered.
-    pub fn cum(&self) -> u64 {
-        self.sess.cum()
-    }
 
     /// Is a cumulative ack owed to the peer?
     pub fn ack_owed(&self) -> bool {
@@ -362,7 +345,7 @@ impl RxBatch {
     /// flag: the data frame carries the ack, so no standalone ack is due.
     pub fn piggyback(&mut self) -> u64 {
         self.owed = false;
-        self.sess.cum()
+        self.expected
     }
 
     /// Consume the owed flag and return the value to send as a standalone
@@ -371,7 +354,7 @@ impl RxBatch {
     pub fn take_owed(&mut self) -> Option<u64> {
         if self.owed {
             self.owed = false;
-            Some(self.sess.cum())
+            Some(self.expected)
         } else {
             None
         }
@@ -685,7 +668,7 @@ mod tests {
 
     #[test]
     fn rx_session_delivers_exactly_once_in_order() {
-        let mut rx = RxSession::default();
+        let mut rx = RxBatch::default();
         assert_eq!(rx.accept(0), RxVerdict::Deliver);
         assert_eq!(rx.accept(0), RxVerdict::Stale, "retransmitted duplicate");
         assert_eq!(rx.accept(2), RxVerdict::Gap, "frame 1 was lost");

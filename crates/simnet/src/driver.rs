@@ -11,11 +11,21 @@
 //! 4. hold the resources for α, release, go to 1.
 //!
 //! The driver is engine-agnostic: both the discrete-event simulator and
-//! `mra-net`'s wall-clock node loop embed it.
+//! `mra-net`'s wall-clock node loop embed it.  It is the one place a
+//! request's lifecycle is recorded: each edge calls the workload hooks and
+//! every recorder of the run's [`RunLog`] in one fixed order, and returns
+//! only what the engine must schedule.  An edge takes the log as a function
+//! that hands it out (a TCP run's under its lock) and calls it once, around
+//! the recorders only: no workload hook runs under that lock.
 
+use crate::metrics::{Collector, RunResult};
+use mra_obs::EventKind::{CsEnter, CsExit, CsRequest};
+use mra_obs::{EngineTracer, TraceMode};
+use mra_protocol::testkit::SafetyMonitor;
 use mra_types::{NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::DerefMut;
 
 /// Node `node`'s private random stream under master seed `seed` — the one
 /// derivation every engine uses, so a workload draws the same think times
@@ -77,23 +87,62 @@ pub enum DriverState {
     Parked,
 }
 
+/// Everything one run records about its requests: the metrics, the
+/// online safety check and the causal trace.  The simulator owns one;
+/// the nodes of a TCP run share one behind one lock.
+#[derive(Debug)]
+pub struct RunLog {
+    /// Metrics accumulator.
+    pub collector: Collector,
+    /// Mutual-exclusion safety checker (panics on violation).
+    pub monitor: SafetyMonitor,
+    /// Causal tracer; disarmed unless the run was built with a trace mode.
+    pub tracer: EngineTracer,
+}
+
+impl RunLog {
+    /// Recorders for `n` nodes and `m` resources, measuring inside
+    /// `window` and tracing in `mode` (`TraceMode::Off` disarms).
+    pub fn new(n: usize, m: usize, window: (Time, Time), mode: TraceMode) -> Self {
+        RunLog {
+            collector: Collector::new(n, m, window),
+            monitor: SafetyMonitor::new(n, m),
+            tracer: EngineTracer::armed(n, mode),
+        }
+    }
+
+    /// Close the run at `end`: finish the collector and fold the trace
+    /// into the result's `obs`.
+    pub fn finish(self, algo: &str, n: usize, end: Time) -> RunResult {
+        let mut res = self.collector.finish(algo, n, end);
+        res.obs = self.tracer.finish();
+        res
+    }
+}
+
 /// Driver bookkeeping for one node.
 #[derive(Debug)]
 pub struct Driver {
+    me: NodeId,
     state: DriverState,
     /// CS duration of the outstanding request.
     cs_len: Time,
-    /// Resource set of the outstanding request.
+    /// Resource set of the outstanding request, until the grant hands it
+    /// to the monitor.
     set: ResourceSet,
+    /// The node's workload stream ([`node_rng`]).
+    rng: StdRng,
 }
 
 impl Driver {
-    /// A fresh driver (thinking).
-    pub fn new() -> Self {
+    /// A fresh driver (thinking) for node `me` under master seed `seed`.
+    pub fn new(me: NodeId, seed: u64) -> Self {
         Driver {
+            me,
             state: DriverState::Thinking,
             cs_len: Time::ZERO,
             set: ResourceSet::new(),
+            rng: node_rng(seed, me),
         }
     }
 
@@ -102,48 +151,82 @@ impl Driver {
         self.state
     }
 
-    /// Called when the think timer fires: draw a request.  Returns the set
-    /// to request (engine calls `Allocator::request`).
-    pub fn issue<W: Workload>(&mut self, wl: &mut W, rng: &mut StdRng) -> ResourceSet {
+    /// Start a think period at `now`; returns its length.
+    pub fn think<W: Workload>(&mut self, wl: &mut W, now: Time) -> Time {
         debug_assert_eq!(self.state, DriverState::Thinking);
-        let (set, cs) = wl.next_request(rng);
+        wl.set_now(now);
+        wl.think_time(&mut self.rng)
+    }
+
+    /// The think timer fired at `now`: draw and record a request.  Returns
+    /// the set to request (the engine calls `Allocator::request`).
+    pub fn issue<W: Workload, L: DerefMut<Target = RunLog>>(
+        &mut self,
+        wl: &mut W,
+        now: Time,
+        log: impl FnOnce() -> L,
+    ) -> ResourceSet {
+        debug_assert_eq!(self.state, DriverState::Thinking);
+        wl.set_now(now);
+        let (set, cs) = wl.next_request(&mut self.rng);
         debug_assert!(!set.is_empty());
+        // An open-loop workload claims the request's intended arrival;
+        // closed-loop ones arrive when they issue.
+        let arrival = wl.intended_arrival().unwrap_or(now).min(now);
         self.state = DriverState::Waiting;
         self.set = set.clone();
         self.cs_len = cs;
+        let mut log = log();
+        log.tracer.on_cs(CsRequest, self.me, set.len() as u32);
+        log.collector.on_issue(self.me, set.clone(), now, arrival);
         set
     }
 
-    /// Called on grant.  Returns the CS duration to schedule the release.
-    pub fn granted(&mut self) -> Time {
+    /// The protocol granted the request at `now`: record the CS entry.
+    /// Returns the CS duration (the engine schedules the release).
+    ///
+    /// # Panics
+    /// If the grant overlaps another node's critical section.
+    pub fn grant<W: Workload, L: DerefMut<Target = RunLog>>(
+        &mut self,
+        wl: &mut W,
+        now: Time,
+        log: impl FnOnce() -> L,
+    ) -> Time {
         debug_assert_eq!(self.state, DriverState::Waiting);
+        let size = self.set.len() as u32;
+        let mut log = log();
+        log.monitor.enter(self.me, std::mem::take(&mut self.set));
+        log.collector.on_grant(self.me, now);
+        log.tracer.on_cs(CsEnter, self.me, size);
+        drop(log);
+        wl.on_grant(now);
         self.state = DriverState::InCs;
         self.cs_len
     }
 
-    /// Called when the CS timer fires (engine then calls
-    /// `Allocator::release`).  Returns the resource set that was held.
-    pub fn released(&mut self) -> ResourceSet {
+    /// The CS timer fired at `now`: record the release (the engine then
+    /// calls `Allocator::release`).
+    pub fn release<W: Workload, L: DerefMut<Target = RunLog>>(
+        &mut self,
+        wl: &mut W,
+        now: Time,
+        log: impl FnOnce() -> L,
+    ) {
         debug_assert_eq!(self.state, DriverState::InCs);
+        let mut log = log();
+        log.collector.on_release(self.me, now);
+        log.monitor.exit(self.me);
+        log.tracer.on_cs(CsExit, self.me, 0);
+        drop(log);
+        wl.on_release(now);
         self.state = DriverState::Thinking;
-        std::mem::take(&mut self.set)
     }
 
     /// Stop issuing (drain phase).
     pub fn park(&mut self) {
         debug_assert_eq!(self.state, DriverState::Thinking);
         self.state = DriverState::Parked;
-    }
-
-    /// The outstanding request's resource set.
-    pub fn current_set(&self) -> ResourceSet {
-        self.set.clone()
-    }
-}
-
-impl Default for Driver {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -180,27 +263,52 @@ impl Workload for FixedWorkload {
 mod tests {
     use super::*;
 
+    /// Requests resources {0, 1} for 10 ms after 5 ms of thought, each
+    /// claiming an intended arrival after its issue instant.
+    struct LateArrival;
+
+    impl Workload for LateArrival {
+        fn think_time(&mut self, _: &mut StdRng) -> Time {
+            Time::from_millis(5)
+        }
+        fn next_request(&mut self, _: &mut StdRng) -> (ResourceSet, Time) {
+            ([0, 1].into_iter().collect(), Time::from_millis(10))
+        }
+        fn intended_arrival(&self) -> Option<Time> {
+            Some(Time::from_secs(60))
+        }
+    }
+
+    /// One cycle through the four edges records request → enter → exit,
+    /// clamps a late arrival to the issue instant, and has the monitor
+    /// hold the set exactly between grant and release.
     #[test]
     fn lifecycle_roundtrip() {
-        let mut d = Driver::new();
-        let mut wl = FixedWorkload {
-            think: Time::from_millis(5),
-            cs: Time::from_millis(10),
-            m: 6,
-            size: 2,
-        };
-        let mut rng = StdRng::seed_from_u64(7);
+        let (mut d, mut wl) = (Driver::new(1, 7), LateArrival);
+        let mut log = RunLog::new(2, 6, (Time::ZERO, Time::MAX), TraceMode::Unbounded);
+        let ms = Time::from_millis;
         assert_eq!(d.state(), DriverState::Thinking);
-        let set = d.issue(&mut wl, &mut rng);
+        assert_eq!(d.think(&mut wl, ms(0)), ms(5));
+        let set = d.issue(&mut wl, ms(5), || &mut log);
         assert_eq!(set.len(), 2);
         assert_eq!(d.state(), DriverState::Waiting);
-        assert_eq!(d.granted(), Time::from_millis(10));
+        assert_eq!(log.monitor.held_resources(), 0);
+        assert_eq!(d.grant(&mut wl, ms(7), || &mut log), ms(10));
         assert_eq!(d.state(), DriverState::InCs);
-        let released = d.released();
-        assert_eq!(released, set);
+        assert_eq!(log.monitor.held_resources(), 2);
+        d.release(&mut wl, ms(17), || &mut log);
+        assert_eq!(log.monitor.held_resources(), 0);
         assert_eq!(d.state(), DriverState::Thinking);
         d.park();
         assert_eq!(d.state(), DriverState::Parked);
+
+        let res = log.finish("x", 2, ms(20));
+        assert_eq!(res.cs_completed, 1);
+        let rec = &res.records[0];
+        assert_eq!((rec.arrival, rec.issued), (ms(5), ms(5)));
+        let trace = res.obs.trace.expect("armed");
+        let kinds: Vec<_> = trace.recs.iter().map(|r| r.ev.kind).collect();
+        assert_eq!(kinds, [CsRequest, CsEnter, CsExit]);
     }
 
     #[test]

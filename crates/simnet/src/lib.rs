@@ -16,7 +16,8 @@
 //! * [`sim`] — the event loop ([`sim::Sim`]), virtual clock and FIFO links;
 //! * [`latency`] — latency models (constant, jittered, hierarchical
 //!   two-cluster "cloud" topology for the paper's future-work experiment);
-//! * [`driver`] — the per-node request/CS/think lifecycle
+//! * [`driver`] — the per-node request/CS/think lifecycle and the one
+//!   place it is recorded, into a run's [`driver::RunLog`]
 //!   ([`driver::Workload`] is implemented by `mra-workloads`);
 //! * [`metrics`] — per-request records, use-rate accounting and summaries;
 //! * [`stats`] — small numerically careful helpers (mean/std/percentiles);
@@ -25,8 +26,9 @@
 //! * [`trace`] — ASCII Gantt rendering of runs (the paper's Fig. 1 / 4).
 //!
 //! The wall-clock counterpart — the same [`driver::Driver`],
-//! [`Workload`] and [`metrics::Collector`] under real threads and real
-//! sockets — is `mra-net`, which owns its node loop.
+//! [`Workload`] and [`driver::RunLog`] under real threads and real
+//! sockets, one `RunLog` per run behind one lock — is `mra-net`, which
+//! owns its node loop.
 
 pub mod driver;
 /// Deterministic fault injection (re-exported from

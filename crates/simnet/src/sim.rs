@@ -20,15 +20,14 @@
 //! against the holders of every resource (a violation panics), so each
 //! simulated experiment doubles as a large randomized protocol test.
 
-use crate::driver::{node_rng, Driver, DriverState, Workload};
+use crate::driver::{node_rng, Driver, DriverState, RunLog, Workload};
 use crate::latency::LatencyModel;
-use crate::metrics::{Collector, RunResult};
+use crate::metrics::RunResult;
 use crate::queue::EventQueue;
-use mra_obs::{EngineTracer, EventKind, TraceMode};
+use mra_obs::{EngineTracer, TraceMode};
 use mra_protocol::faults::{Admit, FaultPlan, FaultStats};
 use mra_protocol::link::Link;
 use mra_protocol::reliable::{Packet, Reliability, ReliabilityStats, RtoVerdict};
-use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{IdMap, NodeId, Time};
 use rand::rngs::StdRng;
@@ -168,7 +167,6 @@ fn mk_ord(lane: u32, e: &mut LaneEnt) -> u64 {
 struct SimNode<M> {
     ctx: Ctx<M>,
     driver: Driver,
-    rng: StdRng,
     /// Per-node network RNG (jittered latency draws by this node's sends):
     /// giving each sender its own stream keeps the draw sequence
     /// independent of global event interleaving.
@@ -235,11 +233,10 @@ pub struct Sim<A: Allocator, W: Workload> {
     horizon_cut: bool,
     /// Fault plan and session layer, if installed.
     link: Link<A::Msg>,
-    collector: Collector,
-    monitor: SafetyMonitor,
-    /// Causal tracing; disarmed by default (every hook is a
-    /// single-branch no-op — the zero-alloc guard covers this state).
-    tracer: EngineTracer,
+    /// Metrics, safety monitor and causal tracer.  The tracer is
+    /// disarmed by default (every hook is a single-branch no-op — the
+    /// zero-alloc guard covers this state).
+    log: RunLog,
     latency: LatencyModel,
     stop_issuing: Time,
     end_at: Time,
@@ -261,8 +258,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let nodes = (0..n)
             .map(|i| SimNode {
                 ctx: Ctx::new(i, n),
-                driver: Driver::new(),
-                rng: node_rng(cfg.seed, i),
+                driver: Driver::new(i, cfg.seed),
                 net_rng: node_rng(cfg.seed ^ 0xDEAD_BEEF_CAFE_F00D, i),
             })
             .collect();
@@ -280,9 +276,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             events: 0,
             horizon_cut: false,
             link: Link::new(n),
-            collector: Collector::new(n, m, window),
-            monitor: SafetyMonitor::new(n, m),
-            tracer: EngineTracer::disarmed(),
+            log: RunLog::new(n, m, window, TraceMode::Off),
             latency: cfg.latency,
             stop_issuing: window.1,
             end_at: window.1 + cfg.drain,
@@ -353,9 +347,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     /// If called after [`Sim::init`].
     pub fn set_tracing(&mut self, mode: TraceMode) {
         assert!(!self.initialized, "arm tracing before init()");
-        if mode != TraceMode::Off {
-            self.tracer = EngineTracer::armed(self.n, mode);
-        }
+        self.log.tracer = EngineTracer::armed(self.n, mode);
     }
 
     /// Pre-reserve event-queue capacity for `slots` more in-flight events.
@@ -388,13 +380,13 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             // the 0 → 0 self-link no protocol ever sends on.  Crucially
             // these keys are tracer-only: no engine lane counter is minted
             // for them, so arming tracing cannot perturb the schedule.
-            self.tracer.set_key(Time::ZERO, i as u64);
+            self.log.tracer.set_key(Time::ZERO, i as u64);
             self.schedule_outbox(i);
         }
         for i in 0..self.active {
-            let workload = &mut self.workloads[i];
-            workload.set_now(Time::ZERO);
-            let think = workload.think_time(&mut self.nodes[i].rng);
+            let think = self.nodes[i]
+                .driver
+                .think(&mut self.workloads[i], Time::ZERO);
             self.sched.push_local(i, think, Ev::Think { node: i });
         }
     }
@@ -419,8 +411,8 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             let lat = self.latency.sample(from, to, net_rng);
             // Only an armed tracer reads the kind and the weight, and
             // `weight()` walks every token a message carries.
-            let stamp = if self.tracer.is_armed() {
-                self.tracer.on_send(from, to, msg.kind(), msg.weight() as u32)
+            let stamp = if self.log.tracer.is_armed() {
+                self.log.tracer.on_send(from, to, msg.kind(), msg.weight() as u32)
             } else {
                 0
             };
@@ -463,15 +455,10 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
 
     fn post_dispatch(&mut self, i: NodeId) {
         self.schedule_outbox(i);
-        if self.nodes[i].ctx.take_granted() {
-            let set = self.nodes[i].driver.current_set();
-            let size = set.len() as u32;
+        let SimNode { ctx, driver, .. } = &mut self.nodes[i];
+        if ctx.take_granted() {
             let now = self.now;
-            self.monitor.enter(i, set);
-            self.collector.on_grant(i, now);
-            self.workloads[i].on_grant(now);
-            self.tracer.on_cs(EventKind::CsEnter, i, size);
-            let cs = self.nodes[i].driver.granted();
+            let cs = driver.grant(&mut self.workloads[i], now, || &mut self.log);
             self.sched.push_local(i, now + cs, Ev::CsEnd { node: i });
         }
     }
@@ -486,7 +473,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         );
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.tracer.set_key(at, ord);
+        self.log.tracer.set_key(at, ord);
         if !matches!(ev, Ev::Frame { .. }) {
             // A down node (paused or crashed) runs none of its timers —
             // its application lifecycle stops (a frozen node holds its
@@ -503,7 +490,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                 // Fault admission at event pop: the zero-alloc hot path is
                 // preserved — decisions are pure hashes over pre-sized
                 // tables, a deferral re-pushes into the free-list slab.
-                match self.link.arrive(&mut self.tracer, from, to, Some(at), stamp, &frame) {
+                match self.link.arrive(&mut self.log.tracer, from, to, Some(at), stamp, &frame) {
                     Admit::Drop => return,
                     Admit::Defer(until) => {
                         self.defer(to, at, until, Ev::Frame { from, to, stamp, frame });
@@ -518,8 +505,10 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                         // point, so exactly one recv is traced per
                         // accepted frame.
                         let (kind, weight) = (msg.kind(), msg.weight());
-                        self.tracer.on_recv(from, to, kind, weight as u32, stamp);
-                        self.collector.on_message(kind, weight);
+                        self.log
+                            .tracer
+                            .on_recv(from, to, kind, weight as u32, stamp);
+                        self.log.collector.on_message(kind, weight);
                         let ctx = &mut self.nodes[to].ctx;
                         ctx.set_now(at);
                         self.protos[to].on_message(ctx, from, msg);
@@ -554,7 +543,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                     // A retransmission is a later event than the original
                     // send: it mints a fresh Lamport stamp.
                     let stamp =
-                        self.tracer.on_retransmit(from, to, msg.kind(), msg.weight() as u32);
+                        self.log.tracer.on_retransmit(from, to, msg.kind(), msg.weight() as u32);
                     let frame = Packet::Data { session: Some(session), msg: msg.clone() };
                     self.sched.send(from, to, at, lat, stamp, frame);
                 }
@@ -562,36 +551,23 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                 self.sched.push_local(from, at + delay, Ev::Rto { from, to });
             }
             Ev::Think { node: i } => {
-                let SimNode { ctx, driver, rng, .. } = &mut self.nodes[i];
+                let SimNode { ctx, driver, .. } = &mut self.nodes[i];
                 if at >= self.stop_issuing {
                     driver.park();
                     return;
                 }
-                let workload = &mut self.workloads[i];
-                workload.set_now(at);
-                let set = driver.issue(workload, rng);
-                // An open-loop workload claims the request's intended
-                // arrival; closed-loop ones arrive when they issue.
-                let arrival = workload.intended_arrival().unwrap_or(at).min(at);
-                self.tracer.on_cs(EventKind::CsRequest, i, set.len() as u32);
-                self.collector.on_issue(i, set.clone(), at, arrival);
+                let set = driver.issue(&mut self.workloads[i], at, || &mut self.log);
                 ctx.set_now(at);
                 self.protos[i].request(ctx, set);
                 self.post_dispatch(i);
             }
             Ev::CsEnd { node: i } => {
-                self.collector.on_release(i, at);
-                self.monitor.exit(i);
-                self.tracer.on_cs(EventKind::CsExit, i, 0);
                 let node = &mut self.nodes[i];
-                node.driver.released();
+                node.driver.release(&mut self.workloads[i], at, || &mut self.log);
                 node.ctx.set_now(at);
                 self.protos[i].release(&mut node.ctx);
                 self.post_dispatch(i);
-                let workload = &mut self.workloads[i];
-                workload.on_release(at);
-                workload.set_now(at);
-                let think = workload.think_time(&mut self.nodes[i].rng);
+                let think = self.nodes[i].driver.think(&mut self.workloads[i], at);
                 self.sched.push_local(i, at + think, Ev::Think { node: i });
             }
         }
@@ -662,13 +638,12 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                 }
             }
         }
-        let mut res = self.collector.finish(algo, self.n, self.now.min(self.end_at));
+        let mut res = self.log.finish(algo, self.n, self.now.min(self.end_at));
         res.events_processed = self.events;
         res.wall_ns = wall_ns;
         res.faults = self.link.fault_stats();
         res.reliability = self.link.session_stats();
         res.shard_events = vec![self.events];
-        res.obs = self.tracer.finish();
         res
     }
 }
