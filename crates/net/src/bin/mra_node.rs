@@ -58,7 +58,6 @@ ENVIRONMENT:
                      protocol frame with probability P (deterministic per
                      link).  Without MRA_RELIABLE lost tokens are never
                      retransmitted and a lossy quota run can stall.
-  MRA_FAULT_SEED=S   seed of the fault decision hash (default 0xFA17)
   MRA_RELIABLE=1     enable the reliable session layer: sequence numbers,
                      cumulative acks and timer-driven retransmission turn
                      MRA_LOSS drops into latency instead of lost liveness

@@ -211,15 +211,6 @@ impl FaultPlan {
             .unwrap_or(self.link)
     }
 
-    /// The fault-plan seed from `MRA_FAULT_SEED`, or `default` when unset
-    /// or unparsable.
-    pub fn env_seed(default: u64) -> u64 {
-        std::env::var("MRA_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(default)
-    }
-
     /// The loss rate from `MRA_LOSS` (clamped to `[0, 1]`), if set.
     pub fn env_loss() -> Option<f64> {
         std::env::var("MRA_LOSS")
@@ -228,10 +219,10 @@ impl FaultPlan {
             .map(|p| p.clamp(0.0, 1.0))
     }
 
-    /// A plan from the environment: `Some` when `MRA_LOSS` is set, with the
-    /// seed from `MRA_FAULT_SEED` (default `0xFA17`).
+    /// A plan from the environment: `Some` when `MRA_LOSS` is set, seeded
+    /// with `0xFA17`.
     pub fn from_env() -> Option<FaultPlan> {
-        Self::env_loss().map(|p| FaultPlan::new(Self::env_seed(0xFA17)).drop_rate(p))
+        Self::env_loss().map(|p| FaultPlan::new(0xFA17).drop_rate(p))
     }
 }
 

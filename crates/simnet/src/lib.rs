@@ -31,23 +31,6 @@
 //! owns its node loop.
 
 pub mod driver;
-/// Deterministic fault injection (re-exported from
-/// [`mra_protocol::faults`], where the model lives so the virtual test
-/// network can share it): [`faults::FaultPlan`] describes per-link
-/// drop/duplicate probabilities, partitions with scheduled heal and
-/// per-node pause/crash-restart windows; [`Sim::set_fault_plan`]
-/// threads it through the event loop.
-pub mod faults {
-    pub use mra_protocol::faults::*;
-}
-/// The reliable-delivery session layer (re-exported from
-/// [`mra_protocol::reliable`], where the per-link session protocol lives
-/// so all substrates share it): [`reliable::Reliability`] configures RTO
-/// and backoff; [`Sim::set_reliability`] threads it through the event
-/// loop, restoring exactly-once FIFO delivery under lossy fault plans.
-pub mod reliable {
-    pub use mra_protocol::reliable::*;
-}
 pub mod latency;
 pub mod metrics;
 /// Causal tracing, counters and trace analysis
@@ -64,10 +47,8 @@ pub mod stats;
 pub mod trace;
 
 pub use driver::{FixedWorkload, Workload};
-pub use faults::{FaultPlan, FaultStats};
 pub use latency::LatencyModel;
 pub use metrics::{ReqRecord, RunResult, WaitStats};
-pub use reliable::{Reliability, ReliabilityStats};
 pub use sim::{Sim, SimConfig};
 pub use trace::render_gantt;
 

@@ -30,12 +30,12 @@
 //! allocation bound that makes always-on tracing deployable.
 
 use mra_core::{LassConfig, LassMsg};
+use mra_protocol::faults::FaultPlan;
+use mra_protocol::reliable::Reliability;
 use mra_protocol::testkit::EchoProbe;
 use mra_protocol::wire::put_u32;
 use mra_protocol::WireCodec;
-use mra_sim::faults::FaultPlan;
 use mra_sim::obs::TraceMode;
-use mra_sim::reliable::Reliability;
 use mra_sim::{FixedWorkload, LatencyModel, Sim, SimConfig, Workload};
 use mra_types::{ResourceSet, Time};
 use rand::rngs::StdRng;

@@ -6,21 +6,20 @@
 //! loads.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin ablation_loan
+//! cargo run -p mra-workloads --release --bin ablation_loan
 //! ```
 
-use mra_bench::save_csv;
-use mra_workloads::experiments::{ablation_loan, measure_secs_default};
+use mra_workloads::experiments::{ablation_loan, measure_secs_or};
 use mra_workloads::Load;
 
 fn main() {
-    let secs = measure_secs_default();
+    let secs = measure_secs_or(10.0);
     let thresholds = [0usize, 1, 2, 3, 4];
     for load in [Load::Medium, Load::High] {
         for phi in [4usize, 8, 16] {
             let t = ablation_loan(&thresholds, phi, load, 42, secs);
             println!("{}", t.render());
-            save_csv(&t, &format!("ablation_loan_{}_phi{}.csv", load.label(), phi));
+            t.save_csv(&format!("ablation_loan_{}_phi{}.csv", load.label(), phi));
         }
     }
 }

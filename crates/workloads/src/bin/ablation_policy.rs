@@ -3,20 +3,19 @@
 //! counter values; this harness compares all implemented policies.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin ablation_policy
+//! cargo run -p mra-workloads --release --bin ablation_policy
 //! ```
 
-use mra_bench::save_csv;
-use mra_workloads::experiments::{ablation_policy, measure_secs_default};
+use mra_workloads::experiments::{ablation_policy, measure_secs_or};
 use mra_workloads::Load;
 
 fn main() {
-    let secs = measure_secs_default();
+    let secs = measure_secs_or(10.0);
     for load in [Load::Medium, Load::High] {
         for phi in [4usize, 16, 80] {
             let t = ablation_policy(phi, load, 42, secs);
             println!("{}", t.render());
-            save_csv(&t, &format!("ablation_policy_{}_phi{}.csv", load.label(), phi));
+            t.save_csv(&format!("ablation_policy_{}_phi{}.csv", load.label(), phi));
         }
     }
 }

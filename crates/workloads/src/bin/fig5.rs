@@ -3,15 +3,14 @@
 //! paper's evaluation.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin fig5
+//! cargo run -p mra-workloads --release --bin fig5
 //! ```
 
-use mra_bench::save_csv;
-use mra_workloads::experiments::{fig5, fig5_tables, measure_secs_default, FIG5_PHIS};
+use mra_workloads::experiments::{fig5, fig5_tables, measure_secs_or, FIG5_PHIS};
 use mra_workloads::{Load, Table};
 
 fn main() {
-    let secs = measure_secs_default();
+    let secs = measure_secs_or(10.0);
     let seed = 42;
     eprintln!("fig5: sweeping phi over {FIG5_PHIS:?} at {secs}s per run (seed {seed})");
     let t0 = std::time::Instant::now();
@@ -35,7 +34,7 @@ fn main() {
             r.cs_completed.to_string(),
         ]);
     }
-    save_csv(&csv, "fig5_use_rate.csv");
+    csv.save_csv("fig5_use_rate.csv");
 
     // Headline of §5.2: the LASS/BL improvement factor range.
     let mut ratios: Vec<f64> = Vec::new();

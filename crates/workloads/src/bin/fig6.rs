@@ -3,16 +3,15 @@
 //! and high (b) load.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin fig6
+//! cargo run -p mra-workloads --release --bin fig6
 //! ```
 
-use mra_bench::save_csv;
 use mra_sim::WaitStats;
-use mra_workloads::experiments::{fig6, fig6_table, measure_secs_default};
+use mra_workloads::experiments::{fig6, fig6_table, measure_secs_or};
 use mra_workloads::{Algorithm, Load, Table};
 
 fn main() {
-    let secs = measure_secs_default();
+    let secs = measure_secs_or(10.0);
     let seed = 42;
     eprintln!("fig6: phi=4, both loads, {secs}s per run (seed {seed})");
     let rows = fig6(&[Load::Medium, Load::High], seed, secs);
@@ -34,7 +33,7 @@ fn main() {
             r.censored.to_string(),
         ]);
     }
-    save_csv(&csv, "fig6_waiting_time.csv");
+    csv.save_csv("fig6_waiting_time.csv");
 
     // Headline of §5.3: BL-vs-LASS waiting-time factor per load.
     for load in [Load::Medium, Load::High] {

@@ -7,15 +7,14 @@
 //! directly visible.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin fig7
+//! cargo run -p mra-workloads --release --bin fig7
 //! ```
 
-use mra_bench::save_csv;
-use mra_workloads::experiments::{fig7, fig7_tables, measure_secs_default};
+use mra_workloads::experiments::{fig7, fig7_tables, measure_secs_or};
 use mra_workloads::{run, Algorithm, Load, Scenario, Table};
 
 fn main() {
-    let secs = measure_secs_default();
+    let secs = measure_secs_or(10.0);
     let seed = 42;
     eprintln!("fig7: phi=80, 6 size buckets, {secs}s per run (seed {seed})");
     let rows = fig7(&[Load::Medium, Load::High], seed, secs);
@@ -38,7 +37,7 @@ fn main() {
             r.wait.count.to_string(),
         ]);
     }
-    save_csv(&csv, "fig7_wait_by_size.csv");
+    csv.save_csv("fig7_wait_by_size.csv");
 
     // Extension: skewed resource popularity exposes the small-request
     // penalty the paper discusses (§5.3 last paragraph).
@@ -66,5 +65,5 @@ fn main() {
         }
     }
     println!("{}", skew_table.render());
-    save_csv(&skew_table, "fig7_skew_extension.csv");
+    skew_table.save_csv("fig7_skew_extension.csv");
 }

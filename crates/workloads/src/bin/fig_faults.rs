@@ -4,19 +4,21 @@
 //! FIFO restored by retransmission) — on a deterministic [`FaultPlan`].
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin fig_faults            # full grid
-//! cargo run -p mra-bench --release --bin fig_faults -- --smoke # CI grid
+//! cargo run -p mra-workloads --release --bin fig_faults            # full grid
+//! cargo run -p mra-workloads --release --bin fig_faults -- --smoke # CI grid
 //! ```
 //!
-//! Environment: `MRA_FAULT_SEED` seeds the drop decisions, `MRA_LOSS`
-//! restricts the sweep to `{0, loss}` (a quick single-point comparison),
-//! `MRA_RELIABLE` pins the ablation to one mode (default: both),
-//! `MRA_RTO_MS` tunes the reliability-on retransmission timeout, and
-//! `MRA_MEASURE_SECS` / `MRA_FAST` scale the simulated window as usual.
+//! The drop decisions are seeded with `0xFA17`, as in
+//! [`FaultPlan::from_env`].
+//!
+//! Environment: `MRA_LOSS` restricts the sweep to `{0, loss}` (a quick
+//! single-point comparison), `MRA_RELIABLE` pins the ablation to one mode
+//! (default: both), `MRA_RTO_MS` tunes the reliability-on retransmission
+//! timeout, and `MRA_MEASURE_SECS` / `MRA_FAST` scale the simulated window
+//! as usual.
 
-use mra_bench::save_csv;
-use mra_sim::faults::FaultPlan;
-use mra_sim::reliable::Reliability;
+use mra_protocol::faults::FaultPlan;
+use mra_protocol::reliable::Reliability;
 use mra_workloads::experiments::{
     fig_faults, fig_faults_csv, fig_faults_table, measure_secs_or, sweep_reliability,
     FIG_FAULTS_LOSSES,
@@ -26,7 +28,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let secs = measure_secs_or(if smoke { 2.0 } else { 8.0 });
     let seed = 42;
-    let fault_seed = FaultPlan::env_seed(0xFA17);
+    let fault_seed = 0xFA17;
     let losses: Vec<f64> = if let Some(loss) = FaultPlan::env_loss() {
         vec![0.0, loss]
     } else if smoke {
@@ -48,6 +50,6 @@ fn main() {
     let t0 = std::time::Instant::now();
     let rows = fig_faults(&losses, &modes, seed, fault_seed, secs);
     println!("{}", fig_faults_table(&rows).render());
-    save_csv(&fig_faults_csv(&rows), "fig_faults.csv");
+    fig_faults_csv(&rows).save_csv("fig_faults.csv");
     eprintln!("fig_faults done in {:?}", t0.elapsed());
 }

@@ -5,13 +5,15 @@
 //! column repeats exactly.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin fig_serve
+//! cargo run -p mra-workloads --release --bin fig_serve
 //! ```
 //!
 //! Environment: `MRA_MEASURE_SECS` / `MRA_FAST` scale the simulated window
-//! as usual (2 s full, 0.5 s fast).
+//! as usual (2 s full, 0.5 s fast).  `MRA_TRACE_FILE` writes each run's
+//! trace as JSONL, overwriting the last; under `MRA_THREADS=1` the file
+//! ends up holding the last grid point's trace, ready for `mra-trace
+//! --check`.
 
-use mra_bench::save_csv;
 use mra_workloads::experiments::{fig_serve, fig_serve_table, measure_secs_or};
 
 fn main() {
@@ -19,5 +21,5 @@ fn main() {
     eprintln!("fig_serve: 8 load points at {secs}s per run");
     let table = fig_serve_table(&fig_serve(secs));
     println!("{}", table.render());
-    save_csv(&table, "fig_serve.csv");
+    table.save_csv("fig_serve.csv");
 }

@@ -5,15 +5,14 @@
 //! counter-based design keeps its per-conflict communication profile.
 //!
 //! ```text
-//! cargo run -p mra-bench --release --bin scaling
+//! cargo run -p mra-workloads --release --bin scaling
 //! ```
 
-use mra_bench::save_csv;
-use mra_workloads::experiments::measure_secs_default;
+use mra_workloads::experiments::measure_secs_or;
 use mra_workloads::{pool, run, Algorithm, Load, Scenario, Table};
 
 fn main() {
-    let secs = measure_secs_default();
+    let secs = measure_secs_or(10.0);
     let mut t = Table::new(
         "Scaling sweep (phi = 4, high load, M = 2.5N)",
         &["N", "M", "algorithm", "use rate [%]", "mean wait [ms]", "msgs/cs"],
@@ -54,5 +53,5 @@ fn main() {
         t.row(row);
     }
     println!("{}", t.render());
-    save_csv(&t, "scaling.csv");
+    t.save_csv("scaling.csv");
 }

@@ -2,8 +2,9 @@
 //!
 //! Each `figN` function runs the corresponding sweep of the paper's
 //! evaluation and returns both structured rows and a rendered [`Table`]
-//! whose series match what the figure plots.  The `mra-bench` binaries are
-//! thin wrappers around these functions.
+//! whose series match what the figure plots.  This crate's binaries
+//! (`src/bin/`, one per figure and ablation) are thin wrappers around these
+//! functions.
 //!
 //! Runtime scaling: the full paper grid at 32×80 takes minutes; set
 //! `MRA_FAST=1` (or `MRA_MEASURE_SECS=<s>`) to shrink the measurement
@@ -13,26 +14,20 @@
 //! sequential run) — control the worker count with `MRA_THREADS`.
 
 use crate::pool;
-use crate::runner::{run, run_configured, Algorithm};
+use crate::runner::{run, run_configured, run_serve, Algorithm, ServeScenario};
 use crate::scenario::{Load, Scenario};
-use crate::serve_runner::{run_serve, ServeScenario};
 use crate::table::Table;
+use mra_protocol::faults::FaultPlan;
+use mra_protocol::reliable::Reliability;
 use mra_serve::ServeConfig;
-use mra_sim::faults::FaultPlan;
-use mra_sim::reliable::Reliability;
 use mra_sim::WaitStats;
 use mra_types::{env_flag, Time};
 
-/// Measurement window (seconds) honoring `MRA_MEASURE_SECS` / `MRA_FAST`,
-/// for the figure sweeps (10 s full, 2 s fast).
-pub fn measure_secs_default() -> f64 {
-    env_measure_secs().unwrap_or_else(|| if mra_fast() { 2.0 } else { 10.0 })
-}
-
-/// Measurement window for callers with their own default: `MRA_MEASURE_SECS`
-/// wins outright, `MRA_FAST=1` quarters the default (floor 0.2 s), otherwise
-/// the default stands. Examples and smoke tests route through this so CI can
-/// shrink every simulation window with one environment variable.
+/// Measurement window (seconds) around a caller's default (the figure
+/// binaries pass 10 s): `MRA_MEASURE_SECS` wins outright, `MRA_FAST=1`
+/// quarters the default (floor 0.2 s), otherwise the default stands.
+/// Binaries, examples and smoke tests route through this so CI can shrink
+/// every simulation window with one environment variable.
 pub fn measure_secs_or(default: f64) -> f64 {
     env_measure_secs().unwrap_or_else(|| {
         if mra_fast() {
@@ -355,9 +350,9 @@ pub fn sweep_reliability() -> Reliability {
 /// Fault-robustness ablation: loss rate × reliability mode × algorithm
 /// (all six protocol families) on an 8-node paper-LAN scenario, measuring
 /// CS-throughput degradation as the network loses frames — and how much of
-/// it the reliable session layer (`mra_sim::reliable`) buys back, at what
-/// retransmission overhead.  `fault_seed` seeds the deterministic drop
-/// decisions (`MRA_FAULT_SEED` in the binary); the workload seed stays
+/// it the reliable session layer (`mra_protocol::reliable`) buys back, at
+/// what retransmission overhead.  `fault_seed` seeds the deterministic
+/// drop decisions (`0xFA17` in the binary); the workload seed stays
 /// separate so loss is the *only* difference between grid columns.  Grid
 /// points run in parallel (`MRA_THREADS`), output in input order.
 pub fn fig_faults(
@@ -779,7 +774,7 @@ mod tests {
 
     #[test]
     fn measure_default_is_positive() {
-        assert!(measure_secs_default() > 0.0);
+        assert!(measure_secs_or(10.0) > 0.0);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Implements §5.1 of the paper: the workload model (parameters α, β, γ, ρ
 //! and φ), scenario presets for the *medium load* and *high load*
 //! configurations, one-call experiment runners for every algorithm, text
-//! table / CSV rendering, and the per-figure experiment definitions used by
-//! `mra-bench` to regenerate each figure of the evaluation.
+//! table / CSV rendering, and the per-figure experiment definitions.  Its
+//! binaries (`src/bin/`) regenerate each figure and ablation of the
+//! evaluation as a table and a CSV under `target/experiments/`, and
+//! `mra-trace` analyzes the JSONL traces the runs write.
 //!
 //! ## The workload model
 //!
@@ -33,13 +35,11 @@ pub mod experiments;
 pub mod pool;
 pub mod runner;
 pub mod scenario;
-pub mod serve_runner;
 pub mod table;
 pub mod workload;
 
 pub use pool::{configured_threads, sweep};
-pub use runner::{run, Algorithm};
-pub use serve_runner::{run_serve, ServeOutcome, ServeScenario};
+pub use runner::{run, run_serve, Algorithm, ServeOutcome, ServeScenario};
 pub use scenario::{Load, Scenario, ScenarioBuilder};
 pub use table::Table;
 pub use workload::PaperWorkload;

@@ -1,7 +1,21 @@
 //! Minimal text-table and CSV rendering for experiment output.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// Directory where experiment CSVs are written: `experiments/` under the
+/// workspace's target directory, whatever the current directory is.  A
+/// relative `CARGO_TARGET_DIR` is anchored at the workspace root; an
+/// absolute one is used as it is.
+pub fn experiments_dir() -> PathBuf {
+    let workspace_root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/workloads sits two levels below the workspace root");
+    let target = std::env::var_os("CARGO_TARGET_DIR").unwrap_or_else(|| "target".into());
+    // `join` replaces the base when `target` is absolute.
+    workspace_root.join(target).join("experiments")
+}
 
 /// A simple column-aligned table that can also be written as CSV.
 #[derive(Clone, Debug)]
@@ -100,6 +114,15 @@ impl Table {
         }
         std::fs::write(path, self.to_csv())
     }
+
+    /// Write the CSV as `name` under [`experiments_dir`], reporting the path.
+    pub fn save_csv(&self, name: &str) {
+        let path = experiments_dir().join(name);
+        match self.write_csv(&path) {
+            Ok(()) => println!("[csv] wrote {}", path.display()),
+            Err(e) => eprintln!("[csv] FAILED to write {}: {e}", path.display()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -147,5 +170,12 @@ mod tests {
         let s = std::fs::read_to_string(&path).unwrap();
         assert!(s.starts_with("phi,algo,use%"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn experiments_dir_does_not_depend_on_cwd() {
+        let dir = experiments_dir();
+        assert!(dir.is_absolute(), "{}", dir.display());
+        assert!(dir.ends_with("experiments"), "{}", dir.display());
     }
 }
