@@ -470,15 +470,9 @@ impl Lass {
     }
 
     /// [`Lass::flush_all`] for a handler whose requests start here: the
-    /// visited set is `{me}` — built only if a request is actually staged
-    /// (past 256 nodes it lives on the heap, and most handlers stage none).
+    /// visited set is `{me}`.
     fn flush_own(&mut self, ctx: &mut Ctx<LassMsg>) {
-        let visited = if self.stage.get().buf_req.open.is_empty() {
-            NodeSet::new()
-        } else {
-            NodeSet::singleton(self.me)
-        };
-        self.flush_all(ctx, &visited);
+        self.flush_all(ctx, &NodeSet::singleton(self.me));
     }
 
     // ------------------------------------------------------------------
@@ -701,7 +695,7 @@ impl Lass {
                     true
                 }
                 Request::Loan(ref lr) => {
-                    tok.enqueue_loan(lr.clone());
+                    tok.enqueue_loan(LoanReq::clone(lr));
                     true
                 }
             }
@@ -740,7 +734,7 @@ impl Lass {
                     continue; // [guard] own request met by ownership
                 }
                 match req {
-                    Request::Loan(lr) => self.process_req_loan(lr),
+                    Request::Loan(lr) => self.process_req_loan(*lr),
                     ref q => {
                         // Single-resource counter requests behave as
                         // resource requests everywhere below (§4.6.1).
@@ -1024,13 +1018,13 @@ impl Lass {
             let father = self.father(r).expect("missing resource has a father");
             self.stage.get().buf_req.push(
                 father,
-                Request::Loan(LoanReq {
+                Request::Loan(Box::new(LoanReq {
                     r,
                     sinit: self.me,
                     id: self.cur_id,
                     mark,
                     missing: missing.clone(),
-                }),
+                })),
             );
         }
     }
@@ -1261,13 +1255,13 @@ mod tests {
                 id: 2,
                 mark: 1.5,
             }),
-            Request::Loan(LoanReq {
+            Request::Loan(Box::new(LoanReq {
                 r,
                 sinit: 2,
                 id: 1,
                 mark: 1.0,
                 missing: ResourceSet::singleton(r),
-            }),
+            })),
         ];
         let answers = |node: &Lass| {
             let obsolete: Vec<bool> = reqs.iter().map(|q| node.tok_obsolete(r, q)).collect();

@@ -130,7 +130,7 @@ impl WireCodec for Request {
                 single: r.get_bool("Request::Cnt.single")?,
             }),
             1 => Ok(Request::Res(ResReq::decode(r)?)),
-            2 => Ok(Request::Loan(LoanReq::decode(r)?)),
+            2 => Ok(Request::Loan(Box::new(LoanReq::decode(r)?))),
             tag => Err(DecodeError::BadTag { what: "Request", tag }),
         }
     }
@@ -236,13 +236,13 @@ mod tests {
                 reqs: vec![
                     Request::Cnt { r: 1, sinit: 2, id: 3, single: true },
                     Request::Res(ResReq { r: 0, sinit: 1, id: u64::MAX, mark: 2.5 }),
-                    Request::Loan(LoanReq {
+                    Request::Loan(Box::new(LoanReq {
                         r: 2,
                         sinit: 3,
                         id: 1,
                         mark: 8.0,
                         missing: ResourceSet::singleton(2),
-                    }),
+                    })),
                 ],
             },
             LassMsg::Counters(vec![CounterVal { r: 9, val: u64::MAX, id: 1 }]),
@@ -340,7 +340,7 @@ mod tests {
             let reqs = vec![Request::Res(res(1, mark))];
             let bytes = LassMsg::Requests { visited: NodeSet::EMPTY, reqs }.to_bytes();
             assert!(rejected(&bytes, "ResReq.mark"), "mark {mark}");
-            let reqs = vec![Request::Loan(loan(1, mark))];
+            let reqs = vec![Request::Loan(Box::new(loan(1, mark)))];
             let bytes = LassMsg::Requests { visited: NodeSet::EMPTY, reqs }.to_bytes();
             assert!(rejected(&bytes, "LoanReq.mark"), "mark {mark}");
         }

@@ -63,13 +63,13 @@ fn obsolete_loan_request_is_dropped() {
     assert!(c[0].take_granted());
     nodes[0].release(&mut c[0]);
     // Inject: pretend node 1 finished CS id 3 (future ids must still work).
-    let stale = Request::Loan(LoanReq {
+    let stale = Request::Loan(Box::new(LoanReq {
         r: 0,
         sinit: 1,
         id: 0, // ids start at 1, so 0 is trivially obsolete (≤ lastCS = 0)
         mark: 1.0,
         missing: ResourceSet::singleton(0),
-    });
+    }));
     nodes[0].on_message(
         &mut c[0],
         1,

@@ -81,7 +81,7 @@ fn any_request() -> impl Strategy<Value = Request> {
         (0usize..256, 0usize..256, any_counter(), any::<bool>())
             .prop_map(|(r, sinit, id, single)| Request::Cnt { r, sinit, id, single }),
         any_res_req().prop_map(Request::Res),
-        any_loan_req().prop_map(Request::Loan),
+        any_loan_req().prop_map(|l| Request::Loan(Box::new(l))),
     ]
 }
 
@@ -227,13 +227,13 @@ fn boundary_values_roundtrip() {
     let full = ResourceSet::full(256);
     assert_roundtrip(&LassMsg::Requests {
         visited: full.clone(),
-        reqs: vec![Request::Loan(LoanReq {
+        reqs: vec![Request::Loan(Box::new(LoanReq {
             r: 255,
             sinit: 255,
             id: u64::MAX,
             mark: f64::MAX,
             missing: full.clone(),
-        })],
+        }))],
     })
     .unwrap();
     assert_roundtrip(&MadMsg::Request { origin: 255, ts: u64::MAX, set: full.clone() }).unwrap();
@@ -245,7 +245,13 @@ fn boundary_values_roundtrip() {
     assert_roundtrip(&CentralMsg::Request { set: big.clone() }).unwrap();
     assert_roundtrip(&LassMsg::Requests {
         visited: NodeSet::EMPTY,
-        reqs: vec![Request::Loan(LoanReq { r: 99_999, sinit: 0, id: 1, mark: 0.5, missing: big })],
+        reqs: vec![Request::Loan(Box::new(LoanReq {
+            r: 99_999,
+            sinit: 0,
+            id: 1,
+            mark: 0.5,
+            missing: big,
+        }))],
     })
     .unwrap();
 

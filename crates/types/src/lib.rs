@@ -7,9 +7,10 @@
 //! * [`Time`] — a nanosecond-resolution instant/duration used as virtual time
 //!   by the discrete-event simulator and as real time by the TCP
 //!   runtime.
-//! * [`DynSet`] — a set of indices: four inline words while every element
-//!   is below 256, its sorted nonzero 64-bit words past that, so a set
-//!   costs what it holds whatever the universe.  [`ResourceSet`] and
+//! * [`DynSet`] — a set of indices: a 256-bit inline bitmap while every
+//!   element is below 256, up to eight sorted elements of any value in the
+//!   same inline bytes, its sorted nonzero 64-bit words past both, so a
+//!   set costs what it holds whatever the universe.  [`ResourceSet`] and
 //!   [`NodeSet`] are typed aliases.
 //! * [`ResTable`] — per-resource state storage, dense for small universes
 //!   and lazily materialized at 100k-resource scale.
@@ -49,11 +50,6 @@ pub type ResourceId = usize;
 /// Each site increments its own counter at every new request, so the pair
 /// `(NodeId, RequestId)` uniquely identifies a critical-section request.
 pub type RequestId = u64;
-
-/// Capacity of the inline fast path of [`DynSet`].  The paper evaluates
-/// N = 32 processes and M = 80 resources; sets whose elements stay below
-/// this bound never touch the heap.
-pub const MAX_UNIVERSE: usize = 256;
 
 /// Is the boolean environment knob `name` switched on?  On means `1`,
 /// `true`, `yes` or `on` (ASCII case-insensitive, surrounding whitespace
