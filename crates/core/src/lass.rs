@@ -31,7 +31,7 @@
 
 use crate::messages::{CounterVal, LassMsg, LoanReq, Request, ResReq};
 use crate::policy::{precedes, SchedulingPolicy};
-use crate::token::Token;
+use crate::token::{Seen, Token};
 use mra_protocol::{Allocator, Ctx, ProcState};
 use mra_types::{NodeId, NodeSet, RequestId, ResTable, ResourceId, ResourceSet};
 
@@ -106,55 +106,6 @@ pub struct LassStats {
     pub yields: u64,
 }
 
-/// Emptied values kept for their heap capacity: the payload vectors of
-/// consumed messages, the token snapshots `process_update` overwrites.
-///
-/// Two rules.  **Bounded:** a stash keeps one value for every
-/// [`Spares::MISSES_PER_SPARE`] times it was found empty ([`Spares::take`]),
-/// and never more than [`Spares::MAX`] — a node that sends in bursts of
-/// eight soon keeps eight, one of 10 000 nodes that sends a message now and
-/// then keeps none (a spare it would not reuse is only resident memory).
-/// **Capacity, never payload:** callers empty a value before they
-/// [`Spares::put`] it, so nothing a message carried outlives its
-/// handler here.
-#[derive(Clone)]
-struct Spares<T> {
-    kept: Vec<T>,
-    /// How many times `take` came back empty-handed (saturating).
-    misses: usize,
-}
-
-impl<T> Spares<T> {
-    /// Constants, not knobs: a handler answers a handful of messages, and a
-    /// stash that ran dry four times belongs to a node that keeps sending.
-    const MAX: usize = 8;
-    const MISSES_PER_SPARE: usize = 4;
-
-    fn take(&mut self) -> Option<T> {
-        let spare = self.kept.pop();
-        if spare.is_none() && self.misses < Self::MAX * Self::MISSES_PER_SPARE {
-            self.misses += 1;
-        }
-        spare
-    }
-
-    fn put(&mut self, emptied: T) {
-        if self.kept.len() < self.misses / Self::MISSES_PER_SPARE {
-            self.kept.push(emptied);
-        }
-    }
-}
-
-// (Not derived: the derive would ask for `T: Default`.)
-impl<T> Default for Spares<T> {
-    fn default() -> Self {
-        Spares {
-            kept: Vec::new(),
-            misses: 0,
-        }
-    }
-}
-
 /// The aggregation buffer of one message kind (§4.2.2): items staged per
 /// destination, built directly in the `Vec` that travels as the message
 /// payload.
@@ -162,30 +113,49 @@ impl<T> Default for Spares<T> {
 /// Ordering contract (run digests depend on it): [`Batches::flush`] emits
 /// destinations in the order of their first [`Batches::push`] since the last
 /// flush, and each batch holds its items in push order.
+///
+/// Spares keep two rules.  **Bounded:** one is kept for every
+/// [`Batches::MISSES_PER_SPARE`] times `push` found none, and never more
+/// than [`Batches::MAX_SPARES`] — a node that sends in bursts of eight soon
+/// keeps eight, one of 10 000 nodes that sends a message now and then keeps
+/// none (a spare it would not reuse is only resident memory).  **Capacity,
+/// never payload:** a spare is emptied before it is kept, so nothing a
+/// message carried outlives its handler here.
 #[derive(Clone)]
 struct Batches<T> {
     /// Open batches; drained in place by `flush`, so the capacity stays.
     open: Vec<(NodeId, Vec<T>)>,
-    /// Payload vectors of received messages, for the next batches.
-    spares: Spares<Vec<T>>,
+    /// Emptied payload vectors of received messages, for the next batches.
+    spares: Vec<Vec<T>>,
+    /// How many times `push` found no spare (saturating).
+    misses: usize,
 }
 
 impl<T> Default for Batches<T> {
     fn default() -> Self {
         Batches {
             open: Vec::new(),
-            spares: Spares::default(),
+            spares: Vec::new(),
+            misses: 0,
         }
     }
 }
 
 impl<T> Batches<T> {
+    /// Constants, not knobs: a handler answers a handful of messages, and a
+    /// node that ran out of spares four times is one that keeps sending.
+    const MAX_SPARES: usize = 8;
+    const MISSES_PER_SPARE: usize = 4;
+
     /// Stage `item` for `dest`.
     fn push(&mut self, dest: NodeId, item: T) {
         match self.open.iter_mut().find(|(d, _)| *d == dest) {
             Some((_, batch)) => batch.push(item),
             None => {
-                let mut batch = self.spares.take().unwrap_or_default();
+                let mut batch = self.spares.pop().unwrap_or_else(|| {
+                    self.misses = (self.misses + 1).min(Self::MAX_SPARES * Self::MISSES_PER_SPARE);
+                    Vec::new()
+                });
                 batch.push(item);
                 self.open.push((dest, batch));
             }
@@ -201,26 +171,26 @@ impl<T> Batches<T> {
 
     /// Keep the payload vector of a consumed message for a later batch.
     fn recycle(&mut self, mut payload: Vec<T>) {
-        payload.clear();
-        self.spares.put(payload);
+        if self.spares.len() < self.misses / Self::MISSES_PER_SPARE {
+            payload.clear();
+            self.spares.push(payload);
+        }
     }
 }
 
 /// What a handler stages and what it recycles: one heap block per node,
-/// allocated when the node first handles anything.  Inline, these 200 bytes
-/// made `Lass` 640 bytes instead of 448, and a fleet is moved several times
-/// while it is built (10 000 nodes per run of the scale-out shape: 4.4 →
-/// 4.9 ms of set-up); allocated with the node, 32 boxes showed in the 55 µs
-/// it takes to set up the paper's shape.
+/// allocated when the node first handles anything.  Inline, these 168 bytes
+/// would make `Lass` 512 bytes instead of 352, and a fleet is moved several
+/// times while it is built (10 000 nodes per run of the scale-out shape:
+/// 4.4 → 4.9 ms of set-up, measured with 200 bytes inline); allocated with
+/// the node, 32 boxes showed in the 55 µs it takes to set up the paper's
+/// shape.
 #[derive(Clone, Default)]
 struct Staging {
     // --- aggregation buffers (§4.2.2) ---
     buf_req: Batches<Request>,
     buf_cnt: Batches<CounterVal>,
-    buf_tok: Batches<Token>,
-    /// Cleared token snapshots: `process_update` retires the stale snapshot
-    /// it overwrites here, `send_token` refills one with `clone_from`.
-    spare_toks: Spares<Token>,
+    buf_tok: Batches<Box<Token>>,
 }
 
 /// A `T` on the heap from its first use on.
@@ -235,14 +205,18 @@ impl<T: Default> OnDemand<T> {
 
 /// What a site knows about one resource: the paper's `tokDir[r]`,
 /// `lastTok[r]` and pending history, kept together so that a handler finds
-/// all three with one table lookup.
+/// all three with one table lookup.  80 bytes: the token itself is here
+/// only while this site owns it, boxed.
 #[derive(Clone)]
 struct ResState {
     /// Father pointer in the resource's tree; `None` iff this site holds
     /// the token (is the tree root).
     father: Option<NodeId>,
-    /// Last known snapshot of the token; authoritative only while owned.
-    tok: Token,
+    /// The token, `Some` only while this site owns it.  `None` on an owned
+    /// resource means a fresh token, boxed on its first change.
+    held: Option<Box<Token>>,
+    /// The token's counter and stamps when it last left this site.
+    seen: Seen,
     /// Requests forwarded towards the holder, replayed on token receipt
     /// (§4.2.1).
     pending: Vec<Request>,
@@ -250,11 +224,26 @@ struct ResState {
 
 impl ResState {
     /// The state of a resource this site has not touched yet.
-    fn initial(r: ResourceId, father: Option<NodeId>) -> Self {
+    fn initial(father: Option<NodeId>) -> Self {
         ResState {
             father,
-            tok: Token::new(r),
+            held: None,
+            seen: Seen::FRESH,
             pending: Vec::new(),
+        }
+    }
+
+    /// The owned token of resource `r`, boxed on its first change.
+    fn token_mut(&mut self, r: ResourceId) -> &mut Token {
+        self.held.get_or_insert_with(|| Box::new(Token::new(r)))
+    }
+
+    /// Is `req` obsolete against the token while held, else against its
+    /// stamps when it left (fresh if it never did)?
+    fn obsolete(&self, req: &Request) -> bool {
+        match &self.held {
+            Some(t) => t.obsolete(req),
+            None => self.seen.obsolete(req),
         }
     }
 }
@@ -264,7 +253,7 @@ impl ResState {
 /// reach an entry; a free function so that a handler can hold the entry
 /// while it touches the node's other fields.
 fn res_entry(res: &mut ResTable<ResState>, r: ResourceId, father: Option<NodeId>) -> &mut ResState {
-    res.get_or(r, |r| ResState::initial(r, father))
+    res.get_or(r, |_| ResState::initial(father))
 }
 
 /// `MyVector[r] = v` on the sparse pair vector.
@@ -311,20 +300,20 @@ fn convert_single(
 /// One site's LASS state (annex A figure 9).
 ///
 /// Per-resource state lives in one [`ResTable`] of `ResState { father,
-/// tok, pending }`: a dense vector at paper scale (M ≤ 4096), a map
+/// held, seen, pending }`: a dense vector at paper scale (M ≤ 4096), a map
 /// materialized on first touch above — a node only pays for the resources
 /// it actually touches, which is what lets 10k nodes each face 100k
 /// resources.  An absent entry means the initial state: the father pointer
-/// is the elected site (none on the elected site itself), the token
-/// snapshot is fresh, the pending history is empty.  Handlers look a
-/// resource up once and work on the entry they got (DESIGN §10.1 counts
-/// the lookups per handler).
+/// is the elected site (none on the elected site itself), the token is
+/// fresh, the pending history is empty.  Handlers look a resource up once
+/// and work on the entry they got (DESIGN §10.1 counts the lookups per
+/// handler).
 #[derive(Clone)]
 pub struct Lass {
     cfg: LassConfig,
     me: NodeId,
     state: ProcState,
-    /// Father pointer, token snapshot and pending history per resource.
+    /// Father pointer, token, departure stamps and history per resource.
     res: ResTable<ResState>,
     /// Father pointer of a resource this site has not touched: the
     /// elected site, none on the elected site itself.
@@ -346,7 +335,7 @@ pub struct Lass {
     loan_asked: bool,
     /// Whether the current CS was entered thanks to borrowed tokens.
     borrowed_in_cs: bool,
-    /// Aggregation buffers and spare token snapshots.
+    /// Aggregation buffers.
     stage: OnDemand<Staging>,
     /// Event counters.
     pub stats: LassStats,
@@ -362,7 +351,7 @@ impl Lass {
         Lass {
             me,
             state: ProcState::Idle,
-            res: ResTable::new_with(cfg.m, |r| ResState::initial(r, initial_father)),
+            res: ResTable::new_with(cfg.m, |_| ResState::initial(initial_father)),
             initial_father,
             my_vector: Vec::new(),
             t_required: ResourceSet::new(),
@@ -409,11 +398,13 @@ impl Lass {
         }
     }
 
-    /// The token snapshot for `r` (authoritative iff owned).  Untouched
-    /// resources yield a fresh token; diagnostics only — clones.
+    /// The token of `r` if owned; otherwise its counter and stamps when it
+    /// last left this site, with empty queues (fresh if it never did).
+    /// Diagnostics only — clones.
     pub fn token(&self, r: ResourceId) -> Token {
         match self.res.get(r) {
-            Some(st) => st.tok.clone(),
+            Some(ResState { held: Some(t), .. }) => Token::clone(t),
+            Some(st) => st.seen.token(r),
             None => Token::new(r),
         }
     }
@@ -442,15 +433,19 @@ impl Lass {
     // Sparse-table plumbing
     // ------------------------------------------------------------------
 
-    /// The token snapshot of `r`, if `r` has been touched.
-    fn tok(&self, r: ResourceId) -> Option<&Token> {
-        self.res.get(r).map(|st| &st.tok)
+    /// The token of `r`, if held boxed (an owned token that never left is
+    /// fresh: no lender, empty queues, all-zero stamps).
+    fn held(&self, r: ResourceId) -> Option<&Token> {
+        self.res.get(r).and_then(|st| st.held.as_deref())
     }
 
-    /// Is `req` obsolete w.r.t. the snapshot of `r`?  An untouched token
-    /// has all-zero stamps, so nothing is obsolete against it.
+    /// Is `req` obsolete w.r.t. what this site knows of `r`'s token?
+    /// Nothing is, against an untouched one.
     fn tok_obsolete(&self, r: ResourceId, req: &Request) -> bool {
-        self.tok(r).is_some_and(|t| t.obsolete(req))
+        self.res.get(r).is_some_and(|st| {
+            debug_assert!(st.held.is_none() || self.t_owned.contains(r), "token {r} held unowned");
+            st.obsolete(req)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -479,22 +474,16 @@ impl Lass {
     // Token plumbing
     // ------------------------------------------------------------------
 
-    /// `SendToken` (annex A line 102): snapshot the token to `dest`, rewire
-    /// the father pointer and drop ownership.
+    /// `SendToken` (annex A line 102): move the token to `dest`, keep its
+    /// stamps, rewire the father pointer and drop ownership.
     fn send_token(&mut self, r: ResourceId, dest: NodeId) {
         debug_assert!(self.t_owned.contains(r), "sending unowned token {r}");
         debug_assert_ne!(dest, self.me, "token self-send");
         let st = res_entry(&mut self.res, r, self.initial_father);
-        let stage = self.stage.get();
-        let snapshot = match stage.spare_toks.take() {
-            Some(mut spare) => {
-                spare.clone_from(&st.tok);
-                spare
-            }
-            None => st.tok.clone(),
-        };
-        stage.buf_tok.push(dest, snapshot);
+        let tok = st.held.take().unwrap_or_else(|| Box::new(Token::new(r)));
+        st.seen.record(&tok);
         st.father = Some(dest);
+        self.stage.get().buf_tok.push(dest, tok);
         self.t_owned.remove(r);
     }
 
@@ -504,7 +493,7 @@ impl Lass {
         self.borrowed_in_cs = self
             .t_required
             .iter()
-            .any(|r| self.tok(r).is_some_and(|t| t.lender.is_some()));
+            .any(|r| self.held(r).is_some_and(|t| t.lender.is_some()));
         if self.borrowed_in_cs {
             self.stats.loans_used += 1;
         }
@@ -516,7 +505,7 @@ impl Lass {
     fn take_counter_locally(&mut self, r: ResourceId) {
         debug_assert!(self.t_owned.contains(r));
         let (me, id) = (self.me, self.cur_id);
-        let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+        let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
         reserve_counter(tok, &mut self.my_vector, me, id);
     }
 
@@ -559,7 +548,7 @@ impl Lass {
         if self
             .t_owned
             .iter()
-            .any(|r| self.tok(r).is_some_and(|t| t.lender.is_some()))
+            .any(|r| self.held(r).is_some_and(|t| t.lender.is_some()))
         {
             return false;
         }
@@ -584,7 +573,7 @@ impl Lass {
 
     fn process_req_loan(&mut self, req: LoanReq) {
         debug_assert!(self.t_owned.contains(req.r));
-        if self.tok(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
+        if self.held(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
             return; // obsolete
         }
         if req.sinit == self.me {
@@ -597,7 +586,7 @@ impl Lass {
             let me = self.me;
             for r2 in req.missing.iter() {
                 debug_assert!(self.t_owned.contains(r2));
-                let tok = &mut res_entry(&mut self.res, r2, self.initial_father).tok;
+                let tok = res_entry(&mut self.res, r2, self.initial_father).token_mut(r2);
                 tok.lender = Some(me);
                 // The borrower's queued ReqRes is satisfied by the loan
                 // (annex A line 201).
@@ -607,12 +596,14 @@ impl Lass {
             self.t_lent = req.missing;
         } else {
             let r = req.r;
-            if !self.t_required.contains(r) || self.state == ProcState::WaitS {
+            let free = !self.t_required.contains(r) || self.state == ProcState::WaitS;
+            let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
+            if free {
                 // Not a possible loan, but the token itself is free to go.
-                res_entry(&mut self.res, r, self.initial_father).tok.remove_site(req.sinit);
+                tok.remove_site(req.sinit);
                 self.send_token(r, req.sinit);
             } else {
-                res_entry(&mut self.res, r, self.initial_father).tok.enqueue_loan(req);
+                tok.enqueue_loan(req);
             }
         }
     }
@@ -621,7 +612,7 @@ impl Lass {
     // processUpdate (annex A line 133)
     // ------------------------------------------------------------------
 
-    fn process_update(&mut self, mut t: Token) {
+    fn process_update(&mut self, mut t: Box<Token>) {
         let r = t.r;
         debug_assert!(!self.t_owned.contains(r), "duplicate token {r}");
         if t.lender == Some(self.me) {
@@ -631,22 +622,14 @@ impl Lass {
         }
         let me = self.me;
         let st = res_entry(&mut self.res, r, self.initial_father);
-        // The snapshot left behind when the token last went away is dead
-        // now; its vectors serve the next `send_token` — if it has any (an
-        // entry materialized by a father pointer holds a never-used token).
-        let mut stale = std::mem::replace(&mut st.tok, t);
         let stage = self.stage.get();
-        if stale.has_capacity() {
-            stale.clear();
-            stage.spare_toks.put(stale);
-        }
         self.t_owned.insert(r);
         st.father = None;
         self.t_lent.remove(r);
         // [guard] our own queued request (left behind when we yielded this
         // token earlier) is satisfied by ownership; purge it so it can never
         // be "granted" back to ourselves.
-        let tok = &mut st.tok;
+        let tok = st.held.insert(t);
         tok.remove_site(me);
         if self.cnt_needed.remove(r) {
             reserve_counter(tok, &mut self.my_vector, me, self.cur_id);
@@ -753,7 +736,7 @@ impl Lass {
                         } = *q
                         {
                             // Plain counter request: reply with the value.
-                            let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+                            let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
                             tok.set_last_req_c(sinit, id);
                             let val = tok.take_counter();
                             self.stage.get().buf_cnt.push(sinit, CounterVal { r, val, id });
@@ -775,13 +758,13 @@ impl Lass {
                             && self.t_required.contains(r)
                             && precedes(self.mark(), self.me, rr.mark, rr.sinit);
                         if lent || overtaking {
-                            self.push_pending(r, req);
+                            self.push_pending(r, &req);
                             continue;
                         }
                     }
                 }
                 if !visited.contains(father) {
-                    self.push_pending(r, req.clone());
+                    self.push_pending(r, &req);
                     self.stage.get().buf_req.push(father, req);
                 }
                 // else: a site on the visited path keeps it in its pending
@@ -793,16 +776,17 @@ impl Lass {
         self.flush_all(ctx, &visited);
     }
 
-    fn push_pending(&mut self, r: ResourceId, req: Request) {
+    /// Keep `req` in `r`'s pending history, copied only if it is new there.
+    fn push_pending(&mut self, r: ResourceId, req: &Request) {
         // One live entry per (site, kind) is enough: ids only grow.
-        let key = (req.sinit(), std::mem::discriminant(&req));
+        let key = (req.sinit(), std::mem::discriminant(req));
         let hist = &mut res_entry(&mut self.res, r, self.initial_father).pending;
         hist.retain(|q| (q.sinit(), std::mem::discriminant(q)) != key || q.id() >= req.id());
         if !hist
             .iter()
             .any(|q| (q.sinit(), std::mem::discriminant(q)) == key && q.id() >= req.id())
         {
-            hist.push(req);
+            hist.push(req.clone());
         }
     }
 
@@ -812,7 +796,7 @@ impl Lass {
     fn resolve_conflict(&mut self, req: &Request) {
         let r = req.r();
         let my_mark = self.mark();
-        let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+        let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
         let rr = match *req {
             Request::Res(ref rr) => rr.clone(),
             Request::Cnt { sinit, id, .. } => convert_single(tok, self.cfg.policy, sinit, id),
@@ -870,7 +854,8 @@ impl Lass {
     // Receive Token (annex A line 208)
     // ------------------------------------------------------------------
 
-    fn on_tokens(&mut self, ctx: &mut Ctx<LassMsg>, mut toks: Vec<Token>) {
+    #[allow(clippy::vec_box)] // each token keeps its one box as it moves
+    fn on_tokens(&mut self, ctx: &mut Ctx<LassMsg>, mut toks: Vec<Box<Token>>) {
         for t in toks.drain(..) {
             self.process_update(t);
         }
@@ -885,8 +870,8 @@ impl Lass {
             let mut returned = false;
             let my_mark = self.mark();
             for r in self.t_owned.iter() {
-                let Some(tok) = self.res.get_mut(r).map(|st| &mut st.tok) else {
-                    continue; // untouched token: not borrowed
+                let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
+                    continue; // fresh token: not borrowed
                 };
                 // [deviation 3] clear the loan marker on return.
                 let Some(lender) = tok.lender.take() else {
@@ -935,8 +920,8 @@ impl Lass {
             if !self.t_owned.contains(r) {
                 continue; // handed away by a previous iteration's loan
             }
-            let Some(tok) = self.res.get_mut(r).map(|st| &mut st.tok) else {
-                continue; // untouched token: empty queue
+            let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
+                continue; // fresh token: empty queue
             };
             let Some(&ResReq { sinit, mark, .. }) = tok.head() else {
                 continue;
@@ -980,8 +965,8 @@ impl Lass {
             if !self.t_owned.contains(r) {
                 continue;
             }
-            let Some(tok) = self.res.get_mut(r).map(|st| &mut st.tok) else {
-                continue; // untouched token: nothing queued
+            let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
+                continue; // fresh token: nothing queued
             };
             if tok.w_loan.is_empty() {
                 continue;
@@ -1114,7 +1099,7 @@ impl Allocator for Lass {
         let id = self.cur_id;
         for r in self.t_required.iter() {
             debug_assert!(self.t_owned.contains(r));
-            let tok = &mut res_entry(&mut self.res, r, self.initial_father).tok;
+            let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
             tok.set_last_cs(me, id);
             let next = match tok.lender.take() {
                 None => tok.dequeue().map(|next| next.sinit),
@@ -1138,7 +1123,7 @@ impl Allocator for Lass {
             if self.t_required.contains(r) {
                 continue;
             }
-            let next = self.res.get_mut(r).and_then(|st| st.tok.dequeue());
+            let next = self.res.get_mut(r).and_then(|st| st.held.as_mut()?.dequeue());
             if let Some(next) = next {
                 self.send_token(r, next.sinit);
             }
@@ -1192,17 +1177,17 @@ mod tests {
 
     #[test]
     fn spares_keep_one_per_four_misses_emptied_and_bounded() {
-        type S = Spares<Vec<u32>>;
+        type S = Batches<u32>;
         let mut b: Batches<u32> = Batches::default();
         // Never found empty: nothing is worth keeping.
         b.recycle(vec![1, 2, 3]);
-        assert!(b.spares.kept.is_empty());
+        assert!(b.spares.is_empty());
         // Found empty a few times: still nothing (a node that rarely sends).
         for _ in 1..S::MISSES_PER_SPARE {
             b.push(1, 7);
             b.flush(|_, _| ());
             b.recycle(vec![4]);
-            assert!(b.spares.kept.is_empty());
+            assert!(b.spares.is_empty());
         }
         // The next miss earns one spare — emptied, capacity intact.
         b.push(1, 7);
@@ -1211,22 +1196,22 @@ mod tests {
         let buffer = payload.as_ptr();
         b.recycle(payload);
         b.recycle(vec![4]);
-        assert_eq!(b.spares.kept.len(), 1);
+        assert_eq!(b.spares.len(), 1);
         b.push(2, 8);
         b.flush(|_, batch| {
             assert_eq!(batch, vec![8]);
             assert_eq!((batch.as_ptr(), batch.capacity()), (buffer, 32));
         });
         // However often it runs dry, a stash stops at MAX.
-        for dest in 0..2 * S::MAX * S::MISSES_PER_SPARE {
+        for dest in 0..2 * S::MAX_SPARES * S::MISSES_PER_SPARE {
             b.push(dest, 0);
         }
         b.flush(|_, _| ());
-        for _ in 0..3 * S::MAX {
+        for _ in 0..3 * S::MAX_SPARES {
             b.recycle(vec![1]);
         }
-        assert_eq!(b.spares.kept.len(), S::MAX);
-        assert!(b.spares.kept.iter().all(Vec::is_empty));
+        assert_eq!(b.spares.len(), S::MAX_SPARES);
+        assert!(b.spares.iter().all(Vec::is_empty));
     }
 
     /// "Absent means initial": on a sparse table (m = 100 000) an entry
@@ -1282,6 +1267,40 @@ mod tests {
             assert_eq!(answers(&absent), want, "absent entry, site {me}");
             assert_eq!(answers(&touched), want, "untouched entry, site {me}");
         }
+    }
+
+    /// The token leaves with its queue; the sender keeps the counter and
+    /// stamps it left with, and still drops what those stamps retire.
+    #[test]
+    fn a_sent_token_leaves_its_stamps_not_a_copy() {
+        assert!(std::mem::size_of::<ResState>() <= 80, "an entry holds no token inline");
+        let mut nodes = LassConfig::without_loan(3, 1).build_nodes();
+        let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
+        nodes[0].request(&mut ctxs[0], ResourceSet::singleton(0));
+        assert!(ctxs[0].take_granted());
+        for s in [2, 1] {
+            nodes[s].request(&mut ctxs[s], ResourceSet::singleton(0));
+            let (_, msg) = ctxs[s].take_outbox().pop().unwrap();
+            nodes[0].on_message(&mut ctxs[0], s, msg);
+        }
+        nodes[0].release(&mut ctxs[0]);
+        let out = ctxs[0].take_outbox();
+        let LassMsg::Tokens(toks) = &out[0].1 else {
+            panic!("expected the token, got {:?}", out[0].1);
+        };
+        assert_eq!(toks[0].w_queue.len(), 1, "the other request travels with the token");
+        let left = nodes[0].token(0);
+        assert_eq!((left.counter, left.last_cs(0), left.last_req_c(1)), (toks[0].counter, 1, 1));
+        assert!(left.w_queue.is_empty() && left.w_loan.is_empty() && left.lender.is_none());
+        // Our served ReqRes and site 1's answered ReqCnt1 are not forwarded
+        // to the new holder.
+        let stale = vec![
+            Request::Res(ResReq { r: 0, sinit: 0, id: 1, mark: 1.0 }),
+            Request::Cnt { r: 0, sinit: 1, id: 1, single: true },
+        ];
+        let msg = LassMsg::Requests { visited: NodeSet::singleton(1), reqs: stale };
+        nodes[0].on_message(&mut ctxs[0], 1, msg);
+        assert!(!ctxs[0].has_output());
     }
 
     #[test]

@@ -137,8 +137,9 @@ pub enum LassMsg {
     },
     /// A batch of counter replies, sent directly to the requester.
     Counters(Vec<CounterVal>),
-    /// A batch of resource tokens, sent directly to their next holder.
-    Tokens(Vec<Token>),
+    /// A batch of resource tokens, sent directly to their next holder: each
+    /// moves in the one box it keeps for life.
+    Tokens(Vec<Box<Token>>),
 }
 
 impl WireMsg for LassMsg {
@@ -167,7 +168,7 @@ impl WireMsg for LassMsg {
                     .sum::<usize>()
             }
             LassMsg::Counters(cs) => 3 * cs.len(),
-            LassMsg::Tokens(ts) => ts.iter().map(Token::weight).sum(),
+            LassMsg::Tokens(ts) => ts.iter().map(|t| t.weight()).sum(),
         }
     }
 }

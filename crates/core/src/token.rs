@@ -14,6 +14,11 @@
 //! * `wLoan` — pending loan requests, same order;
 //! * `lender` — when the token travels as a loan, the owner it must return
 //!   to.
+//!
+//! Being unique, a token moves rather than being copied: it lives in one
+//! box from the first time it leaves its elected site, the message carries
+//! that box, and the site it left keeps only a `Seen` — the counter and
+//! stamps at departure, which is all it reads of `lastTok[r]`.
 
 use crate::messages::{LoanReq, Request, ResReq};
 use crate::policy::order_key;
@@ -39,8 +44,9 @@ struct Stamps {
 /// site, so a fresh token costs O(1) memory regardless of `n` — the
 /// property that lets a 10k-node system hold 100k tokens.  The two maps
 /// cover nearly the same sites once a run warms up, so one table is one
-/// search per obsolete test and one vector per snapshot instead of two.
-#[derive(Debug)]
+/// search per obsolete test and one vector to copy into a departing
+/// holder's `Seen` instead of two.
+#[derive(Clone, Debug)]
 pub struct Token {
     /// The resource this token controls.
     pub r: ResourceId,
@@ -63,31 +69,68 @@ pub struct Token {
     pub lender: Option<NodeId>,
 }
 
-/// Field-wise on purpose: the derived `clone_from` is `*self = src.clone()`,
-/// which frees and reallocates all three vectors.  This one refills them in
-/// place, so snapshotting a token into a spare one (`Lass::send_token`)
-/// costs no allocation once the spare's vectors are large enough.
-impl Clone for Token {
-    fn clone(&self) -> Self {
-        Token {
-            r: self.r,
-            counter: self.counter,
-            stamps: self.stamps.clone(),
-            nonzero: self.nonzero,
-            w_queue: self.w_queue.clone(),
-            w_loan: self.w_loan.clone(),
-            lender: self.lender,
-        }
+/// Where site `s`'s row of `rows` is (`Ok`) or would go (`Err`).  Once
+/// every site has a stamp — the paper's shape soon after warm-up — row `s`
+/// is site `s`, so that slot is tried before the search.
+#[inline]
+fn find(rows: &[Stamps], s: NodeId) -> Result<usize, usize> {
+    match rows.get(s) {
+        Some(row) if row.site == s => Ok(s),
+        _ => rows.binary_search_by_key(&s, |row| row.site),
+    }
+}
+
+/// Site `s`'s two stamps in `rows` (both 0 if it has no row).
+#[inline]
+fn ids(rows: &[Stamps], s: NodeId) -> [RequestId; 2] {
+    match find(rows, s) {
+        Ok(i) => rows[i].ids,
+        Err(_) => [0; 2],
+    }
+}
+
+/// [`Token::obsolete`] against the stamp table `rows` — a token's, or the
+/// one its last holder kept ([`Seen`]).
+fn obsolete(rows: &[Stamps], req: &Request) -> bool {
+    let [req_c, cs] = ids(rows, req.sinit());
+    let id = req.id();
+    match req {
+        Request::Cnt { single: false, .. } => id <= req_c,
+        Request::Cnt { single: true, .. } => id <= req_c || id <= cs,
+        Request::Res(_) | Request::Loan(_) => id <= cs,
+    }
+}
+
+/// What a site keeps of a token it sent away: the counter and stamp rows
+/// at departure, the paper's `lastTok[r]` as far as anything reads it
+/// (obsolete requests are dropped against it).  The queues and the lender
+/// went with the token, which has one copy only.
+#[derive(Clone, Debug)]
+pub(crate) struct Seen {
+    counter: u64,
+    stamps: Vec<Stamps>,
+}
+
+impl Seen {
+    /// What a site knows of a token it has never sent: a fresh one.
+    pub(crate) const FRESH: Seen = Seen { counter: 1, stamps: Vec::new() };
+
+    /// Keep `tok`'s counter and stamps as it leaves (rows refilled in place).
+    pub(crate) fn record(&mut self, tok: &Token) {
+        self.counter = tok.counter;
+        self.stamps.clone_from(&tok.stamps);
     }
 
-    fn clone_from(&mut self, src: &Self) {
-        self.r = src.r;
-        self.counter = src.counter;
-        self.stamps.clone_from(&src.stamps);
-        self.nonzero = src.nonzero;
-        self.w_queue.clone_from(&src.w_queue);
-        self.w_loan.clone_from(&src.w_loan);
-        self.lender = src.lender;
+    /// Is `req` obsolete with respect to the departed token?
+    pub(crate) fn obsolete(&self, req: &Request) -> bool {
+        obsolete(&self.stamps, req)
+    }
+
+    /// The departed token of resource `r` as far as it is known: counter
+    /// and stamps, empty queues (diagnostics).
+    pub(crate) fn token(&self, r: ResourceId) -> Token {
+        let nonzero = [REQ_C, CS].map(|k| self.stamps.iter().filter(|row| row.ids[k] != 0).count());
+        Token { counter: self.counter, stamps: self.stamps.clone(), nonzero, ..Token::new(r) }
     }
 }
 
@@ -129,30 +172,10 @@ impl Token {
         }
     }
 
-    /// Where site `s`'s row is (`Ok`) or would go (`Err`).  Once every
-    /// site has a stamp — the paper's shape soon after warm-up — row `s`
-    /// is site `s`, so that slot is tried before the search.
-    #[inline]
-    fn find(&self, s: NodeId) -> Result<usize, usize> {
-        match self.stamps.get(s) {
-            Some(row) if row.site == s => Ok(s),
-            _ => self.stamps.binary_search_by_key(&s, |row| row.site),
-        }
-    }
-
-    /// Site `s`'s two stamps (both 0 if it has no row).
-    #[inline]
-    fn ids(&self, s: NodeId) -> [RequestId; 2] {
-        match self.find(s) {
-            Ok(i) => self.stamps[i].ids,
-            Err(_) => [0; 2],
-        }
-    }
-
     /// Record stamp `k` of site `s`: a row appears with its first nonzero
     /// stamp and goes with its last.
     fn set_stamp(&mut self, s: NodeId, k: usize, id: RequestId) {
-        let old = match self.find(s) {
+        let old = match find(&self.stamps, s) {
             Ok(i) => {
                 let row = &mut self.stamps[i];
                 let old = std::mem::replace(&mut row.ids[k], id);
@@ -176,7 +199,7 @@ impl Token {
     /// `lastReqC[s]` (0 if never answered).
     #[inline]
     pub fn last_req_c(&self, s: NodeId) -> RequestId {
-        self.ids(s)[REQ_C]
+        ids(&self.stamps, s)[REQ_C]
     }
 
     /// Record `lastReqC[s] = id`.
@@ -187,7 +210,7 @@ impl Token {
     /// `lastCS[s]` (0 if site `s` has never completed a CS on `r`).
     #[inline]
     pub fn last_cs(&self, s: NodeId) -> RequestId {
-        self.ids(s)[CS]
+        ids(&self.stamps, s)[CS]
     }
 
     /// Record `lastCS[s] = id`.
@@ -250,25 +273,6 @@ impl Token {
         Ok(())
     }
 
-    /// Drop everything the token carries but keep the capacity of its stamp
-    /// and queue vectors: what is left is only worth refilling with
-    /// `clone_from`.  The loan queue goes entirely — a travelling token
-    /// rarely has one, and a spare that once did would hand its 288 bytes
-    /// to every snapshot made from it.
-    pub(crate) fn clear(&mut self) {
-        self.stamps.clear();
-        self.nonzero = [0; 2];
-        self.w_queue.clear();
-        self.w_loan = Vec::new();
-        self.lender = None;
-    }
-
-    /// Has this token any buffer a `clone_from` into it would reuse?  A
-    /// never-used token has none, and keeping it as a spare saves nothing.
-    pub(crate) fn has_capacity(&self) -> bool {
-        self.stamps.capacity() + self.w_queue.capacity() > 0
-    }
-
     /// Reserve the current counter value (and advance the counter).  Only
     /// the token holder may call this — exclusivity of the counter is
     /// exactly what the token guarantees.
@@ -288,13 +292,7 @@ impl Token {
     /// * A single-resource `ReqCnt` acts as both, so either condition
     ///   retires it.
     pub fn obsolete(&self, req: &Request) -> bool {
-        let [req_c, cs] = self.ids(req.sinit());
-        let id = req.id();
-        match req {
-            Request::Cnt { single: false, .. } => id <= req_c,
-            Request::Cnt { single: true, .. } => id <= req_c || id <= cs,
-            Request::Res(_) | Request::Loan(_) => id <= cs,
-        }
+        obsolete(&self.stamps, req)
     }
 
     /// Has site `s` completed its critical section `id` (or a later one)?
@@ -453,35 +451,6 @@ mod tests {
         assert!(!t.enqueue_loan(l(3, 1, 2.0)));
         assert_eq!(t.w_loan[0].sinit, 1);
         assert_eq!(t.w_loan[1].sinit, 3);
-    }
-
-    #[test]
-    fn clone_from_refills_a_cleared_token_in_place() {
-        let mut src = Token::new(3);
-        src.counter = 9;
-        src.set_last_req_c(1, 4);
-        src.set_last_cs(2, 5);
-        src.enqueue_res(res(3, 1, 6, 2.0));
-        src.lender = Some(2);
-        let mut spare = src.clone();
-        spare.enqueue_loan(LoanReq {
-            r: 3,
-            sinit: 4,
-            id: 1,
-            mark: 1.0,
-            missing: ResourceSet::singleton(3),
-        });
-        spare.clear();
-        assert_eq!(spare.weight(), 2, "a cleared token carries nothing");
-        assert_eq!((spare.lender, spare.w_loan.capacity()), (None, 0));
-        let buffers = (spare.stamps.as_ptr(), spare.w_queue.as_ptr());
-        spare.clone_from(&src);
-        assert_eq!(format!("{spare:?}"), format!("{src:?}"));
-        assert_eq!(
-            (spare.stamps.as_ptr(), spare.w_queue.as_ptr()),
-            buffers,
-            "clone_from must reuse the vectors it overwrites"
-        );
     }
 
     #[test]

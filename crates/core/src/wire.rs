@@ -175,6 +175,17 @@ impl WireCodec for Token {
     }
 }
 
+/// A token travels boxed; its bytes are the token's.
+impl WireCodec for Box<Token> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        Token::encode(self, out);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+        Token::decode(r).map(Box::new)
+    }
+}
+
 impl WireCodec for LassMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -246,7 +257,7 @@ mod tests {
                 ],
             },
             LassMsg::Counters(vec![CounterVal { r: 9, val: u64::MAX, id: 1 }]),
-            LassMsg::Tokens(vec![tok]),
+            LassMsg::Tokens(vec![Box::new(tok)]),
         ];
         for m in &msgs {
             let bytes = m.to_bytes();
@@ -296,7 +307,7 @@ mod tests {
             // lender: Some(1)
             1, 1, 0, 0, 0,
         ];
-        let msg = LassMsg::Tokens(vec![t]);
+        let msg = LassMsg::Tokens(vec![Box::new(t)]);
         assert_eq!(msg.to_bytes(), golden);
         let back = LassMsg::from_bytes(golden).unwrap();
         assert_eq!(format!("{back:?}"), format!("{msg:?}"));

@@ -227,7 +227,7 @@ fn idle_token_arrival_does_not_grant() {
     // node 1 (as a stale grant would).
     let token = nodes[0].token(0).clone();
     // Make node 0 lose ownership so the system stays consistent.
-    nodes[1].on_message(&mut c[1], 0, LassMsg::Tokens(vec![token]));
+    nodes[1].on_message(&mut c[1], 0, LassMsg::Tokens(vec![Box::new(token)]));
     assert!(!c[1].take_granted(), "no CS entry while idle");
     assert_eq!(nodes[1].state(), ProcState::Idle);
     assert!(nodes[1].owned().contains(0), "token absorbed for later");

@@ -123,7 +123,7 @@ fn any_lass_msg() -> impl Strategy<Value = LassMsg> {
             0..8
         )
         .prop_map(LassMsg::Counters),
-        vec(any_token(), 0..4).prop_map(LassMsg::Tokens),
+        vec(any_token().prop_map(Box::new), 0..4).prop_map(LassMsg::Tokens),
     ]
 }
 
@@ -262,7 +262,7 @@ fn boundary_values_roundtrip() {
         t.set_last_req_c(s, u64::MAX);
         t.set_last_cs(s, u64::MAX);
     }
-    assert_roundtrip(&LassMsg::Tokens(vec![t])).unwrap();
+    assert_roundtrip(&LassMsg::Tokens(vec![Box::new(t)])).unwrap();
 
     // Empty batches are legal wire messages.
     assert_roundtrip(&LassMsg::Counters(Vec::new())).unwrap();

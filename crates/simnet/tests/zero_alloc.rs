@@ -13,9 +13,9 @@
 //!
 //! The LASS cases run the paper's closed-loop workload over `mra-core`'s
 //! protocol step: its handlers recycle the payload vectors they receive
-//! and the token snapshots they overwrite, so what is left to allocate is
-//! what legitimately grows (token queues, pending histories, the
-//! collector's records) — a budget, not zero.  The same counter (by bytes)
+//! and move each token in the one box it keeps, so what is left to
+//! allocate is what legitimately grows (token queues, pending histories,
+//! the collector's records) — a budget, not zero.  The same counter (by bytes)
 //! checks that a corrupt frame cannot make the decoder reserve more than
 //! the frame itself.
 //!
@@ -255,16 +255,17 @@ fn lass_alloc_per_event(n: usize, m: usize, phi: usize, rho: f64, events: u64) -
 }
 
 /// The paper's shape (32 × 80, φ = 16, high load): every set is a bitmap,
-/// so what the LASS step allocates is its own doing.  Measured 0.455, and
-/// 112 bytes per event; before loan requests were boxed (one allocation
-/// per loan) it read 0.436 and 151 bytes.  Before the handlers recycled
-/// payload vectors and token snapshots it read 4.6.
+/// so what the LASS step allocates is its own doing.  Measured 0.341, and
+/// 66 bytes per event, since a sent token moves instead of being copied
+/// (0.455 and 112 bytes while each send copied it into a recycled
+/// snapshot); before loan requests were boxed it read 0.436 and 151 bytes,
+/// before the handlers recycled payload vectors and snapshots 4.6.
 #[test]
 fn lass_step_on_the_paper_shape_stays_within_its_allocation_budget() {
     let (per_event, _) = lass_alloc_per_event(32, 80, 16, 0.1, 200_000);
     assert!(
-        per_event <= 0.5,
-        "LASS on the paper shape allocated {per_event:.3} times per event (budget 0.5)"
+        per_event <= 0.45,
+        "LASS on the paper shape allocated {per_event:.3} times per event (budget 0.45)"
     );
 }
 
@@ -284,15 +285,18 @@ fn lass_step_on_a_heap_set_shape_stays_within_its_allocation_budget() {
     );
 }
 
-/// Measured 0.94 (1.34 when every set past id 255 was a heap block, 1.70
-/// with universe-sized bitmaps, 4.81 before the handlers recycled their
-/// buffers).  The margin, about 30 %, absorbs workload drift, not a
-/// regression of the mechanism.
-const HEAP_SET_BUDGET: f64 = 1.2;
+/// Measured 0.875 (0.94 while a sent token was copied, 1.34 when every set
+/// past id 255 was a heap block, 1.70 with universe-sized bitmaps, 4.81
+/// before the handlers recycled their buffers).  The margin, about 25 %,
+/// absorbs workload drift, not a regression of the mechanism.
+const HEAP_SET_BUDGET: f64 = 1.1;
 
 /// What a set costs must follow what it holds, not the universe it is
 /// drawn from: the same fleet over 100 000 resources (the `sim-scale`
-/// universe).  Measured 1.69 allocations and 1 940 bytes per event (2.36
+/// universe).  Measured 1.85 allocations and 1 663 bytes per event (1.69
+/// and 1 940 while a sent token was copied: each token now gets one box for
+/// its life, the first time it leaves the elected site, and over 100 000
+/// resources first departures still happen in the measured window; 2.36
 /// and 2 004 when every set past id 255 was a heap block); with sets sized
 /// by their largest element (12.5 KB here) it read 26 728 bytes.
 #[test]
@@ -309,7 +313,8 @@ fn lass_step_over_a_large_universe_allocates_bytes_by_set_size_not_universe_size
     );
 }
 
-/// About 30 % over the 1.69 measured above, as for [`HEAP_SET_BUDGET`].
+/// About 20 % over the 1.85 measured above (30 % over the 1.69 it was
+/// set for); the rise is the one box per token, not a leak.
 const LARGE_UNIVERSE_BUDGET: f64 = 2.2;
 
 /// A three-element set at the far end of that universe, and its clone,
