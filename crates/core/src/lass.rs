@@ -34,6 +34,7 @@ use crate::policy::{precedes, SchedulingPolicy};
 use crate::token::{Seen, Token};
 use mra_protocol::{Allocator, Ctx, ProcState};
 use mra_types::{NodeId, NodeSet, RequestId, ResTable, ResourceId, ResourceSet};
+use std::cell::Cell;
 
 /// Static configuration of a LASS system (identical on every node).
 #[derive(Clone, Copy, Debug)]
@@ -114,13 +115,13 @@ pub struct LassStats {
 /// destinations in the order of their first [`Batches::push`] since the last
 /// flush, and each batch holds its items in push order.
 ///
-/// Spares keep two rules.  **Bounded:** one is kept for every
+/// Spares keep two rules, per thread since a thread's handlers share one
+/// [`Staging`].  **Bounded:** one is kept for every
 /// [`Batches::MISSES_PER_SPARE`] times `push` found none, and never more
-/// than [`Batches::MAX_SPARES`] — a node that sends in bursts of eight soon
-/// keeps eight, one of 10 000 nodes that sends a message now and then keeps
-/// none (a spare it would not reuse is only resident memory).  **Capacity,
-/// never payload:** a spare is emptied before it is kept, so nothing a
-/// message carried outlives its handler here.
+/// than [`Batches::MAX_SPARES`] — a thread whose handlers send in bursts of
+/// eight soon keeps eight, and never more, however many nodes it runs.
+/// **Capacity, never payload:** a spare is emptied before it is kept, so
+/// nothing a message carried outlives its handler here.
 #[derive(Clone)]
 struct Batches<T> {
     /// Open batches; drained in place by `flush`, so the capacity stays.
@@ -178,13 +179,14 @@ impl<T> Batches<T> {
     }
 }
 
-/// What a handler stages and what it recycles: one heap block per node,
-/// allocated when the node first handles anything.  Inline, these 168 bytes
-/// would make `Lass` 512 bytes instead of 352, and a fleet is moved several
-/// times while it is built (10 000 nodes per run of the scale-out shape:
-/// 4.4 → 4.9 ms of set-up, measured with 200 bytes inline); allocated with
-/// the node, 32 boxes showed in the 55 µs it takes to set up the paper's
-/// shape.
+/// What a handler stages and what it recycles: one heap block per thread,
+/// lent to a node's handler on its first push or recycle and handed back
+/// by its flush, which every handler ends with.  Its buffers are empty
+/// between handlers, so no node keeps one: a simulator runs one handler at
+/// a time, and 10 000 nodes of the scale-out shape share one block instead
+/// of holding about 6 MB of blocks that are almost never warm.  A handler
+/// that panics keeps what it borrowed, so nothing it staged can reach
+/// another node; the thread makes a new block when it next needs one.
 #[derive(Clone, Default)]
 struct Staging {
     // --- aggregation buffers (§4.2.2) ---
@@ -193,13 +195,27 @@ struct Staging {
     buf_tok: Batches<Box<Token>>,
 }
 
-/// A `T` on the heap from its first use on.
-#[derive(Clone)]
-struct OnDemand<T>(Option<Box<T>>);
+thread_local! {
+    /// The thread's [`Staging`] while no handler has borrowed it.
+    static STAGING: Cell<Option<Box<Staging>>> = const { Cell::new(None) };
+}
 
-impl<T: Default> OnDemand<T> {
-    fn get(&mut self) -> &mut T {
-        self.0.get_or_insert_with(Box::default)
+impl Staging {
+    /// The block lent to the running handler (`Lass::stage`), borrowed
+    /// from the thread on first use.
+    fn lent(stage: &mut Option<Box<Staging>>) -> &mut Staging {
+        stage.get_or_insert_with(|| STAGING.take().unwrap_or_default())
+    }
+
+    /// Hand a flushed block back to the thread.
+    fn give_back(self: Box<Self>) {
+        debug_assert!(
+            self.buf_req.open.is_empty()
+                && self.buf_cnt.open.is_empty()
+                && self.buf_tok.open.is_empty(),
+            "staging handed back with open batches"
+        );
+        STAGING.set(Some(self));
     }
 }
 
@@ -335,8 +351,9 @@ pub struct Lass {
     loan_asked: bool,
     /// Whether the current CS was entered thanks to borrowed tokens.
     borrowed_in_cs: bool,
-    /// Aggregation buffers.
-    stage: OnDemand<Staging>,
+    /// The thread's aggregation buffers while a handler runs; `None`
+    /// between handlers.
+    stage: Option<Box<Staging>>,
     /// Event counters.
     pub stats: LassStats,
 }
@@ -365,7 +382,7 @@ impl Lass {
             t_lent: ResourceSet::new(),
             loan_asked: false,
             borrowed_in_cs: false,
-            stage: OnDemand(None),
+            stage: None,
             stats: LassStats::default(),
             cfg,
         }
@@ -454,14 +471,18 @@ impl Lass {
 
     /// Send everything the handler staged: responses first (`SendBuf`:
     /// counters, then tokens), then requests (`SendBufReq`), every batch of
-    /// requests tagged with the same visited set.
+    /// requests tagged with the same visited set.  Then hand the staging
+    /// back to the thread.
     fn flush_all(&mut self, ctx: &mut Ctx<LassMsg>, visited: &NodeSet) {
-        let stage = self.stage.get();
+        let Some(mut stage) = self.stage.take() else {
+            return; // nothing staged or recycled
+        };
         stage.buf_cnt.flush(|to, vals| ctx.send(to, LassMsg::Counters(vals)));
         stage.buf_tok.flush(|to, toks| ctx.send(to, LassMsg::Tokens(toks)));
         stage.buf_req.flush(|to, reqs| {
             ctx.send(to, LassMsg::Requests { visited: visited.clone(), reqs })
         });
+        stage.give_back();
     }
 
     /// [`Lass::flush_all`] for a handler whose requests start here: the
@@ -483,7 +504,7 @@ impl Lass {
         let tok = st.held.take().unwrap_or_else(|| Box::new(Token::new(r)));
         st.seen.record(&tok);
         st.father = Some(dest);
-        self.stage.get().buf_tok.push(dest, tok);
+        Staging::lent(&mut self.stage).buf_tok.push(dest, tok);
         self.t_owned.remove(r);
     }
 
@@ -523,7 +544,7 @@ impl Lass {
         for r in self.t_required.iter() {
             if !self.t_owned.contains(r) {
                 let father = self.father(r).expect("non-owner has a father");
-                self.stage.get().buf_req.push(
+                Staging::lent(&mut self.stage).buf_req.push(
                     father,
                     Request::Res(ResReq {
                         r,
@@ -622,7 +643,7 @@ impl Lass {
         }
         let me = self.me;
         let st = res_entry(&mut self.res, r, self.initial_father);
-        let stage = self.stage.get();
+        let stage = Staging::lent(&mut self.stage);
         self.t_owned.insert(r);
         st.father = None;
         self.t_lent.remove(r);
@@ -739,7 +760,9 @@ impl Lass {
                             let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
                             tok.set_last_req_c(sinit, id);
                             let val = tok.take_counter();
-                            self.stage.get().buf_cnt.push(sinit, CounterVal { r, val, id });
+                            Staging::lent(&mut self.stage)
+                                .buf_cnt
+                                .push(sinit, CounterVal { r, val, id });
                         } else {
                             // ReqRes (or converted single): conflict.
                             self.resolve_conflict(q);
@@ -765,13 +788,13 @@ impl Lass {
                 }
                 if !visited.contains(father) {
                     self.push_pending(r, &req);
-                    self.stage.get().buf_req.push(father, req);
+                    Staging::lent(&mut self.stage).buf_req.push(father, req);
                 }
                 // else: a site on the visited path keeps it in its pending
                 // history; the token must cross that path (lemma 6).
             }
         }
-        self.stage.get().buf_req.recycle(reqs);
+        Staging::lent(&mut self.stage).buf_req.recycle(reqs);
         visited.insert(self.me);
         self.flush_all(ctx, &visited);
     }
@@ -843,7 +866,7 @@ impl Lass {
                 res_entry(&mut self.res, c.r, self.initial_father).father = Some(from);
             }
         }
-        self.stage.get().buf_cnt.recycle(vals);
+        Staging::lent(&mut self.stage).buf_cnt.recycle(vals);
         if self.state == ProcState::WaitS && self.cnt_needed.is_empty() {
             self.on_counters_complete();
         }
@@ -859,7 +882,7 @@ impl Lass {
         for t in toks.drain(..) {
             self.process_update(t);
         }
-        self.stage.get().buf_tok.recycle(toks);
+        Staging::lent(&mut self.stage).buf_tok.recycle(toks);
         let requesting = matches!(self.state, ProcState::WaitS | ProcState::WaitCS);
         if requesting && self.t_required.is_subset(&self.t_owned) {
             self.enter_cs(ctx);
@@ -1001,7 +1024,7 @@ impl Lass {
         let mark = self.mark();
         for r in missing.iter() {
             let father = self.father(r).expect("missing resource has a father");
-            self.stage.get().buf_req.push(
+            Staging::lent(&mut self.stage).buf_req.push(
                 father,
                 Request::Loan(Box::new(LoanReq {
                     r,
@@ -1048,7 +1071,7 @@ impl Allocator for Lass {
                 // processUpdate reserves the counter on token arrival.
                 self.cnt_needed.insert(r);
                 let father = self.father(r).expect("non-owner has a father");
-                self.stage.get().buf_req.push(
+                Staging::lent(&mut self.stage).buf_req.push(
                     father,
                     Request::Cnt {
                         r,
@@ -1069,7 +1092,7 @@ impl Allocator for Lass {
             } else {
                 self.cnt_needed.insert(r);
                 let father = self.father(r).expect("non-owner has a father");
-                self.stage.get().buf_req.push(
+                Staging::lent(&mut self.stage).buf_req.push(
                     father,
                     Request::Cnt {
                         r,
@@ -1301,6 +1324,49 @@ mod tests {
         let msg = LassMsg::Requests { visited: NodeSet::singleton(1), reqs: stale };
         nodes[0].on_message(&mut ctxs[0], 1, msg);
         assert!(!ctxs[0].has_output());
+    }
+
+    /// The staging is lent for one handler: after every entry point the
+    /// node holds none, and the thread's block has no open batch.  Site 1
+    /// asks site 0 for counters while site 0 holds two of them in its
+    /// critical section and site 2 waits for the third, so every entry
+    /// point and message kind runs.
+    #[test]
+    fn every_entry_point_hands_its_staging_back_flushed() {
+        use mra_protocol::testkit::VirtualNet;
+        use rand::SeedableRng;
+        let check = |net: &VirtualNet<Lass>| {
+            assert!(
+                (0..3).all(|i| net.node(i).stage.is_none()),
+                "a site kept its staging"
+            );
+            let stage = STAGING.take().expect("the block went back to the thread");
+            let open = [
+                stage.buf_req.open.len(),
+                stage.buf_cnt.open.len(),
+                stage.buf_tok.open.len(),
+            ];
+            STAGING.set(Some(stage));
+            assert_eq!(open, [0; 3], "open batches between handlers");
+        };
+        let mut net = VirtualNet::new(LassConfig::with_loan(3, 4).build_nodes(), 4);
+        for (i, set) in [(1, vec![1, 2, 3]), (0, vec![0, 1, 2]), (2, vec![3])] {
+            net.request(i, set.into_iter().collect());
+            check(&net);
+        }
+        let (mut rng, mut done) = (rand::rngs::StdRng::seed_from_u64(1), 0);
+        loop {
+            while net.deliver_one(&mut rng) {
+                check(&net);
+            }
+            let Some(i) = (0..3).find(|&i| net.in_cs(i)) else {
+                break;
+            };
+            net.release(i);
+            check(&net);
+            done += 1;
+        }
+        assert_eq!(done, 3, "every site ran its critical section");
     }
 
     #[test]

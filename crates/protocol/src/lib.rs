@@ -79,7 +79,9 @@ pub trait WireMsg: Clone + fmt::Debug + Send + 'static {
 ///
 /// Collects outgoing messages (the engine drains them after the handler
 /// returns, preserving send order on each link) and the `granted` edge
-/// signal raised when the process enters its critical section.
+/// signal raised when the process enters its critical section.  Between
+/// handlers it holds nothing, so an engine that runs one handler at a time
+/// keeps one and points it at each dispatching node ([`Ctx::set_me`]).
 #[derive(Clone)]
 pub struct Ctx<M> {
     now: Time,
@@ -113,6 +115,22 @@ impl<M> Ctx<M> {
     #[inline]
     pub fn set_now(&mut self, t: Time) {
         self.now = t;
+    }
+
+    /// Point the context at node `me` (engine-side, before a handler; the
+    /// outbox must have been drained and the grant edge taken).
+    #[inline]
+    pub fn set_me(&mut self, me: NodeId) {
+        assert!(
+            me < self.n_nodes,
+            "node id {me} out of range 0..{}",
+            self.n_nodes
+        );
+        debug_assert!(
+            self.outbox.is_empty() && !self.granted,
+            "context not drained"
+        );
+        self.me = me;
     }
 
     /// This node's identifier.
@@ -267,6 +285,18 @@ mod tests {
     fn ctx_rejects_self_send() {
         let mut ctx: Ctx<Ping> = Ctx::new(1, 3);
         ctx.send(1, Ping);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 sent a message to itself")]
+    fn set_me_moves_the_self_send_check() {
+        let mut ctx: Ctx<Ping> = Ctx::new(0, 3);
+        ctx.send(2, Ping);
+        ctx.drain_outbox();
+        ctx.set_me(2);
+        ctx.send(0, Ping);
+        ctx.drain_outbox();
+        ctx.send(2, Ping);
     }
 
     #[test]

@@ -163,9 +163,9 @@ fn mk_ord(lane: u32, e: &mut LaneEnt) -> u64 {
 
 /// Per-node engine state.  The protocol and workload instances stay in
 /// the vectors the caller passed to [`Sim::new`]: building a simulation
-/// moves no node.
-struct SimNode<M> {
-    ctx: Ctx<M>,
+/// moves no node.  A handler's context is not here: it holds nothing
+/// between handlers, so the engine keeps one ([`Sim`]'s `ctx`).
+struct SimNode {
     driver: Driver,
     /// Per-node network RNG (jittered latency draws by this node's sends):
     /// giving each sender its own stream keeps the draw sequence
@@ -225,7 +225,10 @@ impl<M> Sched<M> {
 pub struct Sim<A: Allocator, W: Workload> {
     protos: Vec<A>,
     workloads: Vec<W>,
-    nodes: Vec<SimNode<A::Msg>>,
+    nodes: Vec<SimNode>,
+    /// The one handler context, pointed at each dispatching node; empty
+    /// between handlers.
+    ctx: Ctx<A::Msg>,
     sched: Sched<A::Msg>,
     n: usize,
     now: Time,
@@ -257,7 +260,6 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let window = (cfg.warmup, cfg.warmup + cfg.measure);
         let nodes = (0..n)
             .map(|i| SimNode {
-                ctx: Ctx::new(i, n),
                 driver: Driver::new(i, cfg.seed),
                 net_rng: node_rng(cfg.seed ^ 0xDEAD_BEEF_CAFE_F00D, i),
             })
@@ -266,6 +268,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             protos,
             workloads,
             nodes,
+            ctx: Ctx::new(0, n),
             sched: Sched {
                 n,
                 queue: EventQueue::new(),
@@ -368,11 +371,12 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn init(&mut self) {
         assert!(!self.initialized, "Sim::init() called twice");
         self.initialized = true;
-        for (proto, node) in self.protos.iter_mut().zip(&mut self.nodes) {
-            node.ctx.set_now(Time::ZERO);
-            proto.on_init(&mut node.ctx);
-        }
         for i in 0..self.n {
+            // The context is shared, so each node's init outbox goes out
+            // before the next node's `on_init`: the same queue order as
+            // all `on_init`s first, since `on_init` touches no engine state.
+            self.point_ctx(i, Time::ZERO);
+            self.protos[i].on_init(&mut self.ctx);
             // Init-time sends run before any dispatch has set a trace key:
             // give each node's init outbox a synthetic per-node key.  It
             // cannot collide with real dispatch keys — those are
@@ -395,7 +399,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         // Disjoint field borrows: the outbox drains in place (its capacity
         // is the reused buffer) while the queue and lane table are
         // updated — no per-dispatch side buffer, no copies.
-        let SimNode { ctx, net_rng, .. } = &mut self.nodes[from];
+        let (ctx, net_rng) = (&mut self.ctx, &mut self.nodes[from].net_rng);
         if !ctx.has_output() {
             // Common case: the handler replied with nothing (counter
             // updates, absorbed tokens).
@@ -453,12 +457,20 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         self.sched.push_local(node, when, ev);
     }
 
+    /// Hand the one context to node `i`'s handler at `at`.
+    #[inline]
+    fn point_ctx(&mut self, i: NodeId, at: Time) {
+        self.ctx.set_me(i);
+        self.ctx.set_now(at);
+    }
+
     fn post_dispatch(&mut self, i: NodeId) {
         self.schedule_outbox(i);
-        let SimNode { ctx, driver, .. } = &mut self.nodes[i];
-        if ctx.take_granted() {
+        if self.ctx.take_granted() {
             let now = self.now;
-            let cs = driver.grant(&mut self.workloads[i], now, || &mut self.log);
+            let cs = self.nodes[i]
+                .driver
+                .grant(&mut self.workloads[i], now, || &mut self.log);
             self.sched.push_local(i, now + cs, Ev::CsEnd { node: i });
         }
     }
@@ -509,9 +521,8 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                             .tracer
                             .on_recv(from, to, kind, weight as u32, stamp);
                         self.log.collector.on_message(kind, weight);
-                        let ctx = &mut self.nodes[to].ctx;
-                        ctx.set_now(at);
-                        self.protos[to].on_message(ctx, from, msg);
+                        self.point_ctx(to, at);
+                        self.protos[to].on_message(&mut self.ctx, from, msg);
                         self.post_dispatch(to);
                     }
                 }
@@ -551,21 +562,22 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                 self.sched.push_local(from, at + delay, Ev::Rto { from, to });
             }
             Ev::Think { node: i } => {
-                let SimNode { ctx, driver, .. } = &mut self.nodes[i];
+                let driver = &mut self.nodes[i].driver;
                 if at >= self.stop_issuing {
                     driver.park();
                     return;
                 }
                 let set = driver.issue(&mut self.workloads[i], at, || &mut self.log);
-                ctx.set_now(at);
-                self.protos[i].request(ctx, set);
+                self.point_ctx(i, at);
+                self.protos[i].request(&mut self.ctx, set);
                 self.post_dispatch(i);
             }
             Ev::CsEnd { node: i } => {
-                let node = &mut self.nodes[i];
-                node.driver.release(&mut self.workloads[i], at, || &mut self.log);
-                node.ctx.set_now(at);
-                self.protos[i].release(&mut node.ctx);
+                self.nodes[i]
+                    .driver
+                    .release(&mut self.workloads[i], at, || &mut self.log);
+                self.point_ctx(i, at);
+                self.protos[i].release(&mut self.ctx);
                 self.post_dispatch(i);
                 let think = self.nodes[i].driver.think(&mut self.workloads[i], at);
                 self.sched.push_local(i, at + think, Ev::Think { node: i });
@@ -1129,6 +1141,34 @@ mod tests {
             got[0],
             got[1]
         );
+    }
+
+    /// Two simulations stepped in turn on one thread give the digests they
+    /// give alone: neither the engine's one context nor the LASS staging
+    /// that every handler on the thread borrows carries anything from one
+    /// node or run to another.
+    #[test]
+    fn interleaved_simulations_match_their_solo_digests() {
+        let build = |seed| {
+            let cfg = LassConfig::with_loan(5, 10);
+            Sim::new(
+                cfg.build_nodes(),
+                fixed(5, 10, 3),
+                10,
+                SimConfig::quick(seed),
+            )
+        };
+        let solo = [41, 42].map(|seed| fingerprint(&build(seed).run()));
+        assert_ne!(solo[0], solo[1], "the seeds must give different runs");
+        let mut sims = [41, 42].map(build);
+        sims.iter_mut().for_each(Sim::init);
+        let mut live = [true; 2];
+        while live.contains(&true) {
+            for (sim, live) in sims.iter_mut().zip(&mut live) {
+                *live = *live && sim.step();
+            }
+        }
+        assert_eq!(sims.map(|sim| fingerprint(&sim.run())), solo);
     }
 
     /// A broken allocator: every request is granted on the spot, so two
