@@ -219,33 +219,36 @@ impl Staging {
     }
 }
 
-/// What a site knows about one resource: the paper's `tokDir[r]`,
-/// `lastTok[r]` and pending history, kept together so that a handler finds
-/// all three with one table lookup.  80 bytes: the token itself is here
-/// only while this site owns it, boxed.
+/// What a site knows about one resource's token: the paper's `tokDir[r]`
+/// and `lastTok[r]`, kept together so that a handler finds both with one
+/// table lookup.  40 bytes, what every entry needs: the token itself is
+/// here only while this site owns it, boxed, and the pending history,
+/// which few entries ever hold, has its own table ([`Lass`]).
 #[derive(Clone)]
 struct ResState {
     /// Father pointer in the resource's tree; `None` iff this site holds
-    /// the token (is the tree root).
-    father: Option<NodeId>,
+    /// the token (is the tree root).  A site in 32 bits, as on the wire.
+    father: Option<u32>,
     /// The token, `Some` only while this site owns it.  `None` on an owned
     /// resource means a fresh token, boxed on its first change.
     held: Option<Box<Token>>,
     /// The token's counter and stamps when it last left this site.
     seen: Seen,
-    /// Requests forwarded towards the holder, replayed on token receipt
-    /// (§4.2.1).
-    pending: Vec<Request>,
+}
+
+/// A site as an entry's father pointer keeps it (`Lass::new` checks that
+/// every site fits in 32 bits).
+fn site32(s: NodeId) -> u32 {
+    s as u32
 }
 
 impl ResState {
     /// The state of a resource this site has not touched yet.
     fn initial(father: Option<NodeId>) -> Self {
         ResState {
-            father,
+            father: father.map(site32),
             held: None,
-            seen: Seen::FRESH,
-            pending: Vec::new(),
+            seen: Seen::fresh(),
         }
     }
 
@@ -315,22 +318,28 @@ fn convert_single(
 
 /// One site's LASS state (annex A figure 9).
 ///
-/// Per-resource state lives in one [`ResTable`] of `ResState { father,
-/// held, seen, pending }`: a dense vector at paper scale (M ≤ 4096), a map
-/// materialized on first touch above — a node only pays for the resources
-/// it actually touches, which is what lets 10k nodes each face 100k
-/// resources.  An absent entry means the initial state: the father pointer
-/// is the elected site (none on the elected site itself), the token is
-/// fresh, the pending history is empty.  Handlers look a resource up once
-/// and work on the entry they got (DESIGN §10.1 counts the lookups per
-/// handler).
+/// Per-resource state lives in two [`ResTable`]s, each a dense vector at
+/// paper scale (M ≤ 4096) and a map materialized on first write above — a
+/// node only pays for the resources it actually touches, which is what
+/// lets 10k nodes each face 100k resources.  `res` holds `ResState {
+/// father, held, seen }`, which every touched resource needs; `pending`
+/// holds the forwarded-request histories, which only a resource this site
+/// forwarded a request for needs.  An absent entry means the initial
+/// state: the father pointer is the elected site (none on the elected site
+/// itself), the token is fresh, the pending history is empty.  Handlers
+/// look a resource up once per table they need and work on the entry they
+/// got (DESIGN §10.1 counts the lookups per handler).
 #[derive(Clone)]
 pub struct Lass {
     cfg: LassConfig,
     me: NodeId,
     state: ProcState,
-    /// Father pointer, token, departure stamps and history per resource.
+    /// Father pointer, token and departure stamps per resource.
     res: ResTable<ResState>,
+    /// Requests forwarded towards each resource's holder, replayed when
+    /// its token arrives (§4.2.1).  Forwarding writes here only, so a
+    /// resource this site merely forwards for has no `res` entry.
+    pending: ResTable<Vec<Request>>,
     /// Father pointer of a resource this site has not touched: the
     /// elected site, none on the elected site itself.
     initial_father: Option<NodeId>,
@@ -362,6 +371,7 @@ impl Lass {
     /// Create the instance of site `me`.
     pub fn new(me: NodeId, cfg: LassConfig) -> Self {
         assert!(me < cfg.n);
+        assert!(u32::try_from(cfg.n).is_ok(), "sites are 32-bit ids");
         assert!(cfg.m >= 1);
         let is_elected = me == cfg.elected;
         let initial_father = if is_elected { None } else { Some(cfg.elected) };
@@ -369,6 +379,7 @@ impl Lass {
             me,
             state: ProcState::Idle,
             res: ResTable::new_with(cfg.m, |_| ResState::initial(initial_father)),
+            pending: ResTable::new_with(cfg.m, |_| Vec::new()),
             initial_father,
             my_vector: Vec::new(),
             t_required: ResourceSet::new(),
@@ -410,7 +421,7 @@ impl Lass {
     /// Father pointer of resource `r`'s tree (`None` = this site is root).
     pub fn father(&self, r: ResourceId) -> Option<NodeId> {
         match self.res.get(r) {
-            Some(st) => st.father,
+            Some(st) => st.father.map(|f| f as NodeId),
             None => self.initial_father,
         }
     }
@@ -503,7 +514,7 @@ impl Lass {
         let st = res_entry(&mut self.res, r, self.initial_father);
         let tok = st.held.take().unwrap_or_else(|| Box::new(Token::new(r)));
         st.seen.record(&tok);
-        st.father = Some(dest);
+        st.father = Some(site32(dest));
         Staging::lent(&mut self.stage).buf_tok.push(dest, tok);
         self.t_owned.remove(r);
     }
@@ -657,11 +668,11 @@ impl Lass {
         }
         // Replay the pending history for r (§4.2.1): requests we forwarded
         // may never have reached the holder; now that the token is here, we
-        // are the holder.  The history leaves the entry while the token
-        // beside it serves the replay, and is filtered in place: only
-        // resource and loan requests stay (they may have to be replayed
-        // again).
-        let mut history = std::mem::take(&mut st.pending);
+        // are the holder.  The history is filtered in place: only resource
+        // and loan requests stay (they may have to be replayed again).
+        let Some(history) = self.pending.get_mut(r) else {
+            return; // never forwarded a request for r
+        };
         let policy = self.cfg.policy;
         history.retain(|req| {
             if tok.obsolete(req) {
@@ -711,10 +722,9 @@ impl Lass {
         // buffer cut in place leaves a tail the allocator cannot merge.)
         if history.capacity() >= 4 * history.len().max(2) {
             let mut tight = Vec::with_capacity(2 * history.len());
-            tight.append(&mut history);
-            history = tight;
+            tight.append(history);
+            *history = tight;
         }
-        st.pending = history;
     }
 
     // ------------------------------------------------------------------
@@ -800,10 +810,13 @@ impl Lass {
     }
 
     /// Keep `req` in `r`'s pending history, copied only if it is new there.
+    /// Only the history table is written: above 4 096 resources this is
+    /// where a history entry first materializes, and `r`'s `ResState`
+    /// stays absent if nothing else touched it.
     fn push_pending(&mut self, r: ResourceId, req: &Request) {
         // One live entry per (site, kind) is enough: ids only grow.
         let key = (req.sinit(), std::mem::discriminant(req));
-        let hist = &mut res_entry(&mut self.res, r, self.initial_father).pending;
+        let hist = self.pending.get_or(r, |_| Vec::new());
         hist.retain(|q| (q.sinit(), std::mem::discriminant(q)) != key || q.id() >= req.id());
         if !hist
             .iter()
@@ -863,7 +876,7 @@ impl Lass {
             if self.cfg.opt_shortcut_on_counter {
                 // Path shortcut: the replier held the token just now.
                 debug_assert!(!self.t_owned.contains(c.r));
-                res_entry(&mut self.res, c.r, self.initial_father).father = Some(from);
+                res_entry(&mut self.res, c.r, self.initial_father).father = Some(site32(from));
             }
         }
         Staging::lent(&mut self.stage).buf_cnt.recycle(vals);
@@ -1296,7 +1309,8 @@ mod tests {
     /// stamps it left with, and still drops what those stamps retire.
     #[test]
     fn a_sent_token_leaves_its_stamps_not_a_copy() {
-        assert!(std::mem::size_of::<ResState>() <= 80, "an entry holds no token inline");
+        assert!(std::mem::size_of::<ResState>() <= 40, "an entry holds no token or history inline");
+        assert!(std::mem::size_of::<Token>() <= 152, "a token holds two stamp rows inline");
         let mut nodes = LassConfig::without_loan(3, 1).build_nodes();
         let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
         nodes[0].request(&mut ctxs[0], ResourceSet::singleton(0));
@@ -1324,6 +1338,39 @@ mod tests {
         let msg = LassMsg::Requests { visited: NodeSet::singleton(1), reqs: stale };
         nodes[0].on_message(&mut ctxs[0], 1, msg);
         assert!(!ctxs[0].has_output());
+    }
+
+    /// Forwarding a request writes its history entry and nothing else:
+    /// over 100 000 resources the forwarder materializes no `ResState`.
+    /// The history survives until the token reaches the forwarder, is
+    /// replayed into the token's queue there, and stays for a later replay
+    /// after the token leaves again.
+    #[test]
+    fn a_forwarded_request_is_replayed_from_its_own_table() {
+        let r = 99_999;
+        let mut nodes = LassConfig::without_loan(3, 100_000).build_nodes();
+        let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
+        let theirs = Request::Res(ResReq { r, sinit: 2, id: 1, mark: 1.0 });
+        let msg = LassMsg::Requests { visited: NodeSet::singleton(2), reqs: vec![theirs.clone()] };
+        nodes[1].on_message(&mut ctxs[1], 2, msg);
+        let out = ctxs[1].take_outbox();
+        assert!(matches!(&out[..], [(0, LassMsg::Requests { reqs, .. })] if reqs[..] == [theirs.clone()]));
+        assert_eq!((nodes[1].res.materialized(), nodes[1].pending.materialized()), (0, 1));
+        // The forwarded copy is still on its way when site 1 asks for the
+        // token itself and gets it.
+        nodes[1].request(&mut ctxs[1], ResourceSet::singleton(r));
+        let (_, ask) = ctxs[1].take_outbox().pop().unwrap();
+        nodes[0].on_message(&mut ctxs[0], 1, ask);
+        let (to, tok) = ctxs[0].take_outbox().pop().unwrap();
+        assert!(to == 1 && matches!(tok, LassMsg::Tokens(_)));
+        nodes[1].on_message(&mut ctxs[1], 0, tok);
+        assert!(ctxs[1].take_granted());
+        let queued: Vec<NodeId> = nodes[1].token(r).w_queue.iter().map(|q| q.sinit).collect();
+        assert_eq!(queued, [2], "the history was replayed into the queue");
+        nodes[1].release(&mut ctxs[1]);
+        let out = ctxs[1].take_outbox();
+        assert!(matches!(&out[..], [(2, LassMsg::Tokens(_))]), "the token went to the replayed request");
+        assert_eq!(nodes[1].pending.get(r).map(Vec::as_slice), Some([theirs].as_slice()));
     }
 
     /// The staging is lent for one handler: after every entry point the

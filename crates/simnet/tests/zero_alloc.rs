@@ -29,7 +29,7 @@
 //! into its pre-sized ring with zero allocations after arming — the fixed
 //! allocation bound that makes always-on tracing deployable.
 
-use mra_core::{LassConfig, LassMsg, Request};
+use mra_core::{LassConfig, LassMsg, Request, Token};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::testkit::EchoProbe;
@@ -298,7 +298,9 @@ const HEAP_SET_BUDGET: f64 = 1.0;
 
 /// What a set costs must follow what it holds, not the universe it is
 /// drawn from: the same fleet over 100 000 resources (the `sim-scale`
-/// universe).  Measured 1.65 allocations and 1 653 bytes per event (1.85
+/// universe).  Measured 1.377 allocations and 1 531 bytes per event (1.651
+/// and 1 653 while every token kept its stamp rows on the heap and every
+/// entry a pending-history vector; 1.85
 /// and 1 663 while each node kept its own staging; 1.69 and 1 940 while a
 /// sent token was copied: each token now gets one box for its life, the
 /// first time it leaves the elected site, and over 100 000 resources first
@@ -319,8 +321,9 @@ fn lass_step_over_a_large_universe_allocates_bytes_by_set_size_not_universe_size
     );
 }
 
-/// About 15 % over the 1.65 measured above.
-const LARGE_UNIVERSE_BUDGET: f64 = 1.9;
+/// About 15 % over the 1.377 measured above (1.9 until token stamp rows
+/// went inline).
+const LARGE_UNIVERSE_BUDGET: f64 = 1.6;
 
 /// A three-element set at the far end of that universe, and its clone,
 /// live inline: no allocation at all.
@@ -334,6 +337,23 @@ fn a_sparse_set_over_a_large_universe_is_a_few_dozen_bytes() {
         bytes == 0 && copy == set,
         "{bytes} bytes for {set:?} and its clone"
     );
+}
+
+/// A token stamped by two sites keeps both rows in itself; a third site
+/// moves the rows to one heap block, and every stamp still reads back.
+#[test]
+fn a_token_stamped_by_two_sites_allocates_nothing() {
+    let before = (allocs_on_this_thread(), bytes_on_this_thread());
+    let mut t = Token::new(99_999);
+    t.set_last_req_c(9_000, 3);
+    t.set_last_cs(17, 2);
+    t.set_last_req_c(17, 4);
+    let bytes = bytes_on_this_thread() - before.1;
+    assert_eq!(bytes, 0, "{bytes} bytes for a token stamped by two sites");
+    t.set_last_cs(4_242, 5);
+    assert_eq!(allocs_on_this_thread() - before.0, 1, "a third site is one heap block");
+    let stamps = [17, 4_242, 9_000].map(|s| (t.last_req_c(s), t.last_cs(s)));
+    assert_eq!(stamps, [(4, 2), (0, 5), (3, 0)]);
 }
 
 /// A set is as large as its bitmap form, and a request item as its
