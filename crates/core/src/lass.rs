@@ -267,6 +267,80 @@ impl ResState {
     }
 }
 
+/// The requests a site forwarded towards one resource's holder (§4.2.1),
+/// in the order they were kept: inline while there is at most one, which
+/// is most histories (14 353 of 18 165 on the 10 000-site shape), a heap
+/// vector past that.  As with a token's stamp rows, the count alone
+/// decides the form, in both directions.
+#[derive(Clone)]
+enum History {
+    Inline(Option<Request>),
+    Heap(Vec<Request>),
+}
+
+impl History {
+    const EMPTY: History = History::Inline(None);
+
+    #[cfg(test)]
+    fn as_slice(&self) -> &[Request] {
+        match self {
+            History::Inline(None) => &[],
+            History::Inline(Some(req)) => std::slice::from_ref(req),
+            History::Heap(reqs) => reqs,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Request] {
+        match self {
+            History::Inline(None) => &mut [],
+            History::Inline(Some(req)) => std::slice::from_mut(req),
+            History::Heap(reqs) => reqs,
+        }
+    }
+
+    fn push(&mut self, req: Request) {
+        match self {
+            History::Inline(slot) => match slot.take() {
+                None => *slot = Some(req),
+                Some(first) => {
+                    // Four: what `Vec` itself first reserves for requests.
+                    let mut reqs = Vec::with_capacity(4);
+                    reqs.extend([first, req]);
+                    *self = History::Heap(reqs);
+                }
+            },
+            History::Heap(reqs) => reqs.push(req),
+        }
+    }
+
+    /// Keep the requests `keep` accepts, in order.  A replay usually
+    /// retires most of what piled up while the token was away: one request
+    /// left goes back inline, and more left in under a quarter of their
+    /// buffer move to a tight one (2 560 buffers held at their peak are
+    /// 3.4 MB on the 32 x 80 shape, a quarter of that run's heap; not
+    /// `shrink_to`: a buffer cut in place leaves a tail the allocator
+    /// cannot merge).
+    fn retain(&mut self, mut keep: impl FnMut(&Request) -> bool) {
+        match self {
+            History::Inline(slot) => {
+                if slot.as_ref().is_some_and(|req| !keep(req)) {
+                    *slot = None;
+                }
+            }
+            History::Heap(reqs) => {
+                reqs.retain(keep);
+                if reqs.len() <= 1 {
+                    *self = History::Inline(reqs.pop());
+                } else if reqs.capacity() >= 4 * reqs.len() {
+                    let mut tight = Vec::with_capacity(2 * reqs.len());
+                    tight.append(reqs);
+                    *reqs = tight;
+                }
+            }
+        }
+    }
+}
+
 /// `res`'s entry for `r`, materialized on first touch with `father` (the
 /// node's `initial_father`) as its father pointer.  The one way handlers
 /// reach an entry; a free function so that a handler can hold the entry
@@ -339,7 +413,7 @@ pub struct Lass {
     /// Requests forwarded towards each resource's holder, replayed when
     /// its token arrives (§4.2.1).  Forwarding writes here only, so a
     /// resource this site merely forwards for has no `res` entry.
-    pending: ResTable<Vec<Request>>,
+    pending: ResTable<History>,
     /// Father pointer of a resource this site has not touched: the
     /// elected site, none on the elected site itself.
     initial_father: Option<NodeId>,
@@ -379,7 +453,7 @@ impl Lass {
             me,
             state: ProcState::Idle,
             res: ResTable::new_with(cfg.m, |_| ResState::initial(initial_father)),
-            pending: ResTable::new_with(cfg.m, |_| Vec::new()),
+            pending: ResTable::new_with(cfg.m, |_| History::EMPTY),
             initial_father,
             my_vector: Vec::new(),
             t_required: ResourceSet::new(),
@@ -715,16 +789,6 @@ impl Lass {
                 }
             }
         });
-        // A replay usually retires most of what piled up while the token was
-        // away.  A history left in under a quarter of its buffer moves to a
-        // tight one: 2 560 buffers held at their peak are 3.4 MB on the
-        // 32 x 80 shape, a quarter of that run's heap.  (Not `shrink_to`: a
-        // buffer cut in place leaves a tail the allocator cannot merge.)
-        if history.capacity() >= 4 * history.len().max(2) {
-            let mut tight = Vec::with_capacity(2 * history.len());
-            tight.append(history);
-            *history = tight;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -814,15 +878,19 @@ impl Lass {
     /// where a history entry first materializes, and `r`'s `ResState`
     /// stays absent if nothing else touched it.
     fn push_pending(&mut self, r: ResourceId, req: &Request) {
-        // One live entry per (site, kind) is enough: ids only grow.
-        let key = (req.sinit(), std::mem::discriminant(req));
-        let hist = self.pending.get_or(r, |_| Vec::new());
-        hist.retain(|q| (q.sinit(), std::mem::discriminant(q)) != key || q.id() >= req.id());
-        if !hist
-            .iter()
-            .any(|q| (q.sinit(), std::mem::discriminant(q)) == key && q.id() >= req.id())
-        {
-            hist.push(req.clone());
+        // One live entry per (site, kind) is enough: ids only grow.  A
+        // newer request replaces its older one and moves to the end, as if
+        // removed and pushed, without the history changing its length.
+        let key = |q: &Request| (q.sinit(), std::mem::discriminant(q));
+        let hist = self.pending.get_or(r, |_| History::EMPTY);
+        let reqs = hist.as_mut_slice();
+        match reqs.iter().position(|q| key(q) == key(req)) {
+            Some(i) if reqs[i].id() >= req.id() => {}
+            Some(i) => {
+                reqs[i..].rotate_left(1);
+                reqs[reqs.len() - 1] = req.clone();
+            }
+            None => hist.push(req.clone()),
         }
     }
 
@@ -1370,7 +1438,36 @@ mod tests {
         nodes[1].release(&mut ctxs[1]);
         let out = ctxs[1].take_outbox();
         assert!(matches!(&out[..], [(2, LassMsg::Tokens(_))]), "the token went to the replayed request");
-        assert_eq!(nodes[1].pending.get(r).map(Vec::as_slice), Some([theirs].as_slice()));
+        assert_eq!(nodes[1].pending.get(r).map(History::as_slice), Some([theirs].as_slice()));
+    }
+
+    /// A history holds one request in itself and more on the heap; a
+    /// replay that leaves one or none brings it back inline, and a newer
+    /// request of the same site and kind replaces the older one at the end.
+    #[test]
+    fn a_history_crosses_the_inline_boundary_both_ways() {
+        assert!(std::mem::size_of::<History>() <= 40, "a history is one request wide");
+        let res = |sinit, id| Request::Res(ResReq { r: 0, sinit, id, mark: 1.0 });
+        let cnt = |sinit, id| Request::Cnt { r: 0, sinit, id, single: false };
+        let mut node = Lass::new(0, LassConfig::without_loan(3, 1));
+        let form = |node: &Lass| match node.pending.get(0) {
+            Some(History::Inline(_)) => "inline",
+            _ => "heap",
+        };
+        node.push_pending(0, &res(1, 1));
+        node.push_pending(0, &res(1, 1));
+        assert_eq!(form(&node), "inline");
+        node.push_pending(0, &cnt(1, 2));
+        node.push_pending(0, &res(2, 1));
+        node.push_pending(0, &res(1, 3));
+        let hist = node.pending.get_mut(0).unwrap();
+        assert_eq!(hist.as_slice(), [cnt(1, 2), res(2, 1), res(1, 3)]);
+        hist.retain(|q| q.sinit() == 2);
+        assert_eq!(form(&node), "inline");
+        let hist = node.pending.get_mut(0).unwrap();
+        assert_eq!(hist.as_slice(), [res(2, 1)]);
+        hist.retain(|_| false);
+        assert!(hist.as_slice().is_empty() && form(&node) == "inline");
     }
 
     /// The staging is lent for one handler: after every entry point the

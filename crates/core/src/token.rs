@@ -258,6 +258,24 @@ fn get_stamp(
     Ok((site, id))
 }
 
+/// Read a stamp list's length prefix and check every pair it claims,
+/// leaving them unread.  The prefix is bounded by the frame at
+/// [`STAMP_BYTES`] a pair, but a row takes twice that, so the table grows
+/// for a list only once all its pairs are valid.
+fn get_stamp_count(
+    r: &mut WireReader<'_>,
+    what: &'static str,
+    rule: &'static str,
+) -> Result<usize, DecodeError> {
+    let len = r.get_len(STAMP_BYTES, what)?;
+    let mut ahead = r.clone();
+    let mut after = None;
+    for _ in 0..len {
+        after = Some(get_stamp(&mut ahead, after, rule)?.0);
+    }
+    Ok(len)
+}
+
 impl Token {
     /// Fresh token for resource `r`.  All timestamps start at 0, so the
     /// stamp table starts empty whatever the system size.
@@ -336,10 +354,11 @@ impl Token {
     /// token's empty table.  The `lastReqC` pairs become rows as they
     /// come; the table is then shifted right by the `lastCS` count and the
     /// `lastCS` pairs merge in from the front, so the write position never
-    /// passes an unread row and no temporary list is built.
+    /// passes an unread row and no temporary list is built.  Each list is
+    /// checked before the table grows for it.
     pub(crate) fn decode_stamps(&mut self, r: &mut WireReader<'_>) -> Result<(), DecodeError> {
         debug_assert!(self.stamps.as_slice().is_empty(), "stamps decode into an empty table");
-        let n = r.get_len(STAMP_BYTES, "Token.lastReqC")?;
+        let n = get_stamp_count(r, "Token.lastReqC", REQ_C_RULE)?;
         self.stamps.resize(n);
         let mut after = None;
         for row in self.stamps.as_mut_slice() {
@@ -347,7 +366,7 @@ impl Token {
             *row = Stamps { site, ids: [id, 0] };
             after = Some(site);
         }
-        let m = r.get_len(STAMP_BYTES, "Token.lastCS")?;
+        let m = get_stamp_count(r, "Token.lastCS", CS_RULE)?;
         self.stamps.resize(n + m);
         let rows = self.stamps.as_mut_slice();
         rows.copy_within(0..n, m);

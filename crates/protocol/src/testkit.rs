@@ -20,12 +20,17 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::VecDeque;
 
+/// [`SafetyMonitor`]'s holder slot of a resource no site holds.
+const FREE: u32 = u32::MAX;
+
 /// Records who is inside a critical section with which resources and panics
 /// on any exclusivity violation.  Shared by the test network and reusable by
 /// other engines.
 #[derive(Clone, Debug)]
 pub struct SafetyMonitor {
-    holder: Vec<Option<NodeId>>,
+    /// The site in CS with each resource, `FREE` if none: 4 bytes a
+    /// resource, where an optional `NodeId` takes 16.
+    holder: Vec<u32>,
     in_cs: Vec<Option<ResourceSet>>,
     /// Total number of critical sections entered so far.
     pub cs_entered: u64,
@@ -34,8 +39,9 @@ pub struct SafetyMonitor {
 impl SafetyMonitor {
     /// Monitor for `n` nodes and `m` resources.
     pub fn new(n: usize, m: usize) -> Self {
+        assert!(n <= FREE as usize, "sites are 32-bit ids below {FREE}");
         SafetyMonitor {
-            holder: vec![None; m],
+            holder: vec![FREE; m],
             in_cs: vec![None; n],
             cs_entered: 0,
         }
@@ -52,13 +58,14 @@ impl SafetyMonitor {
             "node {who} entered CS twice without releasing"
         );
         for r in set.iter() {
-            if let Some(other) = self.holder[r] {
+            let other = self.holder[r];
+            if other != FREE {
                 panic!(
                     "SAFETY VIOLATION: resource {r} granted to node {who} \
                      while still held by node {other}"
                 );
             }
-            self.holder[r] = Some(who);
+            self.holder[r] = who as u32;
         }
         self.in_cs[who] = Some(set);
         self.cs_entered += 1;
@@ -77,11 +84,10 @@ impl SafetyMonitor {
             .unwrap_or_else(|| panic!("node {who} released without being in CS"));
         for r in set.iter() {
             assert_eq!(
-                self.holder[r],
-                Some(who),
+                self.holder[r] as usize, who,
                 "HOLDER CORRUPTION: node {who} releasing resource {r} it does not hold"
             );
-            self.holder[r] = None;
+            self.holder[r] = FREE;
         }
     }
 
@@ -97,7 +103,7 @@ impl SafetyMonitor {
 
     /// Number of resources currently marked held.
     pub fn held_resources(&self) -> usize {
-        self.holder.iter().filter(|h| h.is_some()).count()
+        self.holder.iter().filter(|&&h| h != FREE).count()
     }
 
     /// Assert the conservation invariant of granted resources: every held
@@ -108,9 +114,11 @@ impl SafetyMonitor {
     /// # Panics
     /// On any holder/CS-table disagreement.
     pub fn assert_conservation(&self) {
-        for (r, h) in self.holder.iter().enumerate() {
-            if let Some(w) = h {
-                let ok = self.in_cs[*w].as_ref().is_some_and(|set| set.contains(r));
+        for (r, &w) in self.holder.iter().enumerate() {
+            if w != FREE {
+                let ok = self.in_cs[w as usize]
+                    .as_ref()
+                    .is_some_and(|set| set.contains(r));
                 assert!(
                     ok,
                     "RESOURCE LEAK: resource {r} marked held by node {w}, \
@@ -122,8 +130,7 @@ impl SafetyMonitor {
             if let Some(set) = s {
                 for r in set.iter() {
                     assert_eq!(
-                        self.holder[r],
-                        Some(w),
+                        self.holder[r] as usize, w,
                         "RESOURCE LEAK: node {w} in CS with resource {r} \
                          not attributed to it in the holder table"
                     );

@@ -82,7 +82,9 @@ impl std::error::Error for DecodeError {}
 /// Cursor over an encoded byte slice.
 ///
 /// All `get_*` methods advance the cursor and fail with
-/// [`DecodeError::Eof`] on truncation.
+/// [`DecodeError::Eof`] on truncation.  A clone reads ahead without
+/// moving the original.
+#[derive(Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -113,6 +113,9 @@ pub struct RunResult {
     pub window: (Time, Time),
     /// All requests *issued inside the window*, sorted by
     /// `(issued, node)` — a canonical order independent of release order.
+    /// Ties (a node issuing twice at one instant, with zero think and hold
+    /// time) keep release order.  [`Collector::finish`] orders them in
+    /// place: no copy of the records is made.
     pub records: Vec<ReqRecord>,
     /// Per-resource busy time inside the window.
     pub busy: Vec<Time>,
@@ -341,10 +344,7 @@ impl Collector {
             }
         }
         debug_assert_eq!(self.busy.len(), self.m);
-        // Canonical record order: records accumulate in *release* order,
-        // so sort by `(issued, node)` (unique: one outstanding request per
-        // node).
-        self.records.sort_by_key(|r| (r.issued, r.node));
+        order_by_issue(&mut self.records);
         RunResult {
             algo: algo.to_string(),
             n,
@@ -364,6 +364,37 @@ impl Collector {
             reliability: ReliabilityStats::default(),
             shard_events: Vec::new(),
             obs: ObsReport::default(),
+        }
+    }
+}
+
+/// Put `records`, which accumulate in *release* order, in the canonical
+/// `(issued, node)` order, ties kept in release order: a node that thinks
+/// and holds for zero time issues twice at one instant.  A stable sort of
+/// the records would allocate a scratch copy of them all, the largest
+/// transient of a run; instead 4-byte indices are sorted (unstably, which
+/// allocates nothing, with the index as the last key, which makes it the
+/// stable order) and the permutation is applied in place, one cycle at a
+/// time.
+fn order_by_issue(records: &mut [ReqRecord]) {
+    let len = u32::try_from(records.len()).expect("fewer than 2^32 records");
+    let mut order: Vec<u32> = (0..len).collect();
+    order.sort_unstable_by_key(|&i| {
+        let rec = &records[i as usize];
+        (rec.issued, rec.node, i)
+    });
+    // `order[k]` is the index the record that belongs at `k` had; a
+    // placed slot points at itself.
+    for start in 0..order.len() {
+        let mut k = start;
+        loop {
+            let from = order[k] as usize;
+            order[k] = k as u32;
+            if from == start {
+                break;
+            }
+            records.swap(k, from);
+            k = from;
         }
     }
 }
@@ -429,6 +460,43 @@ mod tests {
         assert_eq!(res.records[0].serve_wait(), Some(t(10)));
         assert!((res.wait_stats().mean_ms - 4.0).abs() < 1e-9);
         assert!((res.serve_stats().mean_ms - 10.0).abs() < 1e-9);
+    }
+
+    /// `finish` gives exactly the order a stable sort by `(issued, node)`
+    /// gives: ties between nodes go by node, a node's two requests at one
+    /// instant stay in release order.
+    #[test]
+    fn records_are_ordered_by_issue_with_ties_in_release_order() {
+        let mut c = Collector::new(3, 4, (t(0), t(1_000)));
+        let cycle = |c: &mut Collector, node, r, issued, released| {
+            c.on_issue(node, ResourceSet::singleton(r), t(issued), t(issued));
+            c.on_grant(node, t(issued));
+            c.on_release(node, t(released));
+        };
+        // Released 10, 11, 12, 20; issued 10, 10, 10, 5.
+        cycle(&mut c, 0, 0, 10, 10); // zero think, zero hold: ...
+        cycle(&mut c, 1, 2, 10, 11);
+        cycle(&mut c, 0, 1, 10, 12); // ... node 0 issues again at 10
+        cycle(&mut c, 2, 3, 5, 20);
+        // Enough ties for the sort past its small-slice path: node 2 - i % 3
+        // issues at 100 + i / 9 with zero hold time, so each instant has
+        // three requests from each node, released in turn.
+        for i in 0..90 {
+            let at = 100 + i / 9;
+            cycle(&mut c, 2 - (i % 3) as usize, i as usize % 4, at, at);
+        }
+        let keys = |rs: &[ReqRecord]| -> Vec<_> {
+            let key = |r: &ReqRecord| (r.node, r.issued, r.set.iter().next(), r.released);
+            rs.iter().map(key).collect()
+        };
+        let mut stable = c.records.clone();
+        stable.sort_by_key(|r| (r.issued, r.node));
+        let res = c.finish("x", 3, t(1_000));
+        assert_eq!(keys(&res.records), keys(&stable));
+        let head = res.records[..4]
+            .iter()
+            .map(|r| (r.node, r.set.iter().next()));
+        assert!(head.eq([(2, Some(3)), (0, Some(0)), (0, Some(1)), (1, Some(2))]));
     }
 
     #[test]

@@ -84,16 +84,20 @@ fn ten_thousand_nodes_match_their_pinned_digests() {
     }
 }
 
-/// Measured 25 MB over the three runs above in a release build (30 MB
-/// while every token kept its stamp rows on the heap and every LASS entry
-/// a pending-history vector; 34 MB while every node kept its own handler
-/// context and LASS staging block; 38 MB while every site kept a full copy
-/// of each token it had sent or seen pass; 41 MB before small sets stopped
-/// allocating); with every set a 12.5 KB bitmap of the universe, and each
-/// algorithm run twice, the test peaked at 751 MB.  Run with `--ignored` the process holds nothing
-/// else.
+/// Measured 25-26 MB over the three runs above in a release build, from
+/// run to run, both before and after the records were ordered in place
+/// and one-request histories went inline (a run here measures a 10 ms
+/// window and keeps about 2 300 records; the ceiling was 36 MB until
+/// then).  Earlier readings: 30 MB while every token kept its
+/// stamp rows on the heap and every LASS entry a pending-history vector;
+/// 34 MB while every node kept its own handler context and LASS staging
+/// block; 38 MB while every site kept a full copy of each token it had
+/// sent or seen pass; 41 MB before small sets stopped allocating; with
+/// every set a 12.5 KB bitmap of the universe, and each algorithm run
+/// twice, the test peaked at 751 MB.  Run with `--ignored` the process
+/// holds nothing else.
 #[cfg(target_os = "linux")]
-const PEAK_RSS_CEILING_MB: f64 = 36.0;
+const PEAK_RSS_CEILING_MB: f64 = 32.0;
 
 /// `VmHWM` of this process, from `/proc/self/status`.
 #[cfg(target_os = "linux")]
