@@ -358,9 +358,7 @@ impl Allocator for BouabdallahLaforest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     #[test]
     fn elected_node_acquires_from_control_token() {
@@ -423,43 +421,25 @@ mod tests {
 
     #[test]
     fn random_runs_safe_and_live() {
-        for seed in 0..12 {
-            let mut net = VirtualNet::new(BouabdallahLaforest::build_nodes(5, 8), 8);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let cfg = ExerciseCfg {
-                rounds_per_node: 6,
-                max_req_size: 4,
-                m: 8,
-                hold_steps: 3,
-                active_nodes: None,
-                step_cap: 3_000_000,
-            };
-            let rep = run_random_workload(&mut net, &cfg, &mut rng);
-            assert_eq!(rep.cs_completed, 30, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn exactly_one_resource_token_each_when_quiet() {
-        let mut net = VirtualNet::new(BouabdallahLaforest::build_nodes(4, 6), 6);
-        let mut rng = StdRng::seed_from_u64(5);
+        let net = VirtualNet::new(BouabdallahLaforest::build_nodes(5, 8), 8);
         let cfg = ExerciseCfg {
-            rounds_per_node: 5,
-            max_req_size: 3,
-            m: 6,
-            hold_steps: 2,
+            rounds_per_node: 6,
+            max_req_size: 4,
+            m: 8,
+            hold_steps: 3,
             active_nodes: None,
             step_cap: 3_000_000,
         };
-        run_random_workload(&mut net, &cfg, &mut rng);
-        // Every resource token is held by at most one node; tokens still in
-        // the control token account for the rest.
-        let mut held_by_nodes = ResourceSet::new();
-        for i in 0..4 {
-            let h = net.node(i).held();
-            assert!(held_by_nodes.is_disjoint(&h), "resource token duplicated");
-            held_by_nodes.union_with(&h);
-        }
+        check_schedules(&net, &cfg, 0..12, |net, _| {
+            // Quiet: every resource token is held by at most one node;
+            // tokens still in the control token account for the rest.
+            let mut held_by_nodes = ResourceSet::new();
+            for i in 0..5 {
+                let h = net.node(i).held();
+                assert!(held_by_nodes.is_disjoint(&h), "resource token duplicated");
+                held_by_nodes.union_with(&h);
+            }
+        });
     }
 }
 
@@ -468,9 +448,7 @@ mod chain_epoch_regression {
     use super::*;
     use mra_protocol::faults::FaultPlan;
     use mra_protocol::reliable::Reliability;
-    use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use mra_protocol::testkit::{run_random_workload, ExerciseCfg, Schedule, VirtualNet};
 
     /// Replays the schedule that exposed the epoch-less chain corruption
     /// (PR 5): a dropped `INQUIRE` retransmitted maximally late arrived
@@ -484,7 +462,7 @@ mod chain_epoch_regression {
         let mut net = VirtualNet::new(BouabdallahLaforest::build_nodes(8, 16), 16);
         net.install_faults(&FaultPlan::new(7896035992339410799).drop_rate(0.20));
         net.enable_reliability(Reliability::default());
-        let mut rng = StdRng::seed_from_u64(5932657913863570347);
+        let mut schedule = Schedule::seeded(5932657913863570347);
         let rep = run_random_workload(
             &mut net,
             &ExerciseCfg {
@@ -495,7 +473,7 @@ mod chain_epoch_regression {
                 active_nodes: None,
                 step_cap: 2_000_000,
             },
-            &mut rng,
+            &mut schedule,
         );
         assert_eq!(rep.cs_completed, 24);
         assert!(rep.starved.is_empty());

@@ -265,9 +265,7 @@ impl Allocator for Maddi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     #[test]
     fn elected_holder_enters_immediately() {
@@ -309,43 +307,24 @@ mod tests {
 
     #[test]
     fn random_runs_safe_and_live() {
-        for seed in 0..12 {
-            let mut net = VirtualNet::new(Maddi::build_nodes(5, 8), 8);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let cfg = ExerciseCfg {
-                rounds_per_node: 6,
-                max_req_size: 4,
-                m: 8,
-                hold_steps: 3,
-                active_nodes: None,
-                step_cap: 3_000_000,
-            };
-            let rep = run_random_workload(&mut net, &cfg, &mut rng);
-            assert_eq!(rep.cs_completed, 30, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn tokens_unique_when_quiet() {
-        let mut net = VirtualNet::new(Maddi::build_nodes(4, 6), 6);
-        let mut rng = StdRng::seed_from_u64(3);
+        let net = VirtualNet::new(Maddi::build_nodes(5, 8), 8);
         let cfg = ExerciseCfg {
-            rounds_per_node: 5,
-            max_req_size: 3,
-            m: 6,
-            hold_steps: 2,
+            rounds_per_node: 6,
+            max_req_size: 4,
+            m: 8,
+            hold_steps: 3,
             active_nodes: None,
             step_cap: 3_000_000,
         };
-        run_random_workload(&mut net, &cfg, &mut rng);
-        let mut seen = ResourceSet::new();
-        let mut total = 0;
-        for i in 0..4 {
-            let h = net.node(i).held();
-            assert!(seen.is_disjoint(&h));
-            seen.union_with(&h);
-            total += h.len();
-        }
-        assert_eq!(total, 6, "every token exists exactly once");
+        check_schedules(&net, &cfg, 0..12, |net, _| {
+            // Quiet: every token exists exactly once.
+            let mut seen = ResourceSet::new();
+            for i in 0..5 {
+                let h = net.node(i).held();
+                assert!(seen.is_disjoint(&h), "token duplicated");
+                seen.union_with(&h);
+            }
+            assert_eq!(seen, ResourceSet::full(8), "token lost");
+        });
     }
 }

@@ -3,31 +3,32 @@
 //! safety (monitored), liveness (completion), token conservation.
 
 use mra_baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
-use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
+use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use mra_protocol::Allocator;
 use mra_types::ResourceSet;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn exercise<A: Allocator>(
-    net: &mut VirtualNet<A>,
+/// Four rounds per active node under `seed`'s schedule (the harness
+/// asserts every one completes), then `check` at quiescence.
+fn exercise<A: Allocator + Clone>(
+    nodes: Vec<A>,
     n_active: usize,
     m: usize,
     phi: usize,
-    rounds: usize,
     seed: u64,
-) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
+    mut check: impl FnMut(&mut VirtualNet<A>),
+) where
+    A::Msg: Clone,
+{
     let cfg = ExerciseCfg {
-        rounds_per_node: rounds,
+        rounds_per_node: 4,
         max_req_size: phi.min(m),
         m,
         hold_steps: 2,
         active_nodes: Some(n_active),
         step_cap: 2_000_000,
     };
-    run_random_workload(net, &cfg, &mut rng).cs_completed
+    check_schedules(&VirtualNet::new(nodes, m), &cfg, [seed], |net, _| check(net));
 }
 
 proptest! {
@@ -35,52 +36,47 @@ proptest! {
 
     #[test]
     fn incremental_safe_live(seed in any::<u64>(), n in 2usize..6, m in 2usize..9, phi in 1usize..5) {
-        let mut net = VirtualNet::new(Incremental::build_nodes(n, m), m);
-        let done = exercise(&mut net, n, m, phi, 4, seed);
-        prop_assert_eq!(done as usize, 4 * n);
-        // After quiescence no node still claims resources.
-        for i in 0..n {
-            prop_assert!(net.node(i).acquired().is_empty(), "acquired set not cleared");
-        }
+        exercise(Incremental::build_nodes(n, m), n, m, phi, seed, |net| {
+            // After quiescence no node still claims resources.
+            for i in 0..n {
+                assert!(net.node(i).acquired().is_empty(), "acquired set not cleared");
+            }
+        });
     }
 
     #[test]
     fn bouabdallah_laforest_safe_live(seed in any::<u64>(), n in 2usize..6, m in 2usize..9, phi in 1usize..5) {
-        let mut net = VirtualNet::new(BouabdallahLaforest::build_nodes(n, m), m);
-        let done = exercise(&mut net, n, m, phi, 4, seed);
-        prop_assert_eq!(done as usize, 4 * n);
-        // Resource tokens never duplicated across holders.
-        let mut seen = ResourceSet::new();
-        for i in 0..n {
-            let h = net.node(i).held();
-            prop_assert!(seen.is_disjoint(&h), "duplicated resource token");
-            seen.union_with(&h);
-        }
+        exercise(BouabdallahLaforest::build_nodes(n, m), n, m, phi, seed, |net| {
+            // Resource tokens never duplicated across holders.
+            let mut seen = ResourceSet::new();
+            for i in 0..n {
+                let h = net.node(i).held();
+                assert!(seen.is_disjoint(&h), "duplicated resource token");
+                seen.union_with(&h);
+            }
+        });
     }
 
     #[test]
     fn maddi_safe_live(seed in any::<u64>(), n in 2usize..6, m in 2usize..8, phi in 1usize..5) {
-        let mut net = VirtualNet::new(Maddi::build_nodes(n, m), m);
-        let done = exercise(&mut net, n, m, phi, 4, seed);
-        prop_assert_eq!(done as usize, 4 * n);
-        let mut seen = ResourceSet::new();
-        let mut total = 0usize;
-        for i in 0..n {
-            let h = net.node(i).held();
-            prop_assert!(seen.is_disjoint(&h));
-            seen.union_with(&h);
-            total += h.len();
-        }
-        prop_assert_eq!(total, m, "every Maddi token exists exactly once");
+        exercise(Maddi::build_nodes(n, m), n, m, phi, seed, |net| {
+            let mut seen = ResourceSet::new();
+            let mut total = 0usize;
+            for i in 0..n {
+                let h = net.node(i).held();
+                assert!(seen.is_disjoint(&h), "duplicated resource token");
+                seen.union_with(&h);
+                total += h.len();
+            }
+            assert_eq!(total, m, "every Maddi token exists exactly once");
+        });
     }
 
     #[test]
     fn central_safe_live(seed in any::<u64>(), clients in 2usize..6, m in 2usize..9, phi in 1usize..5,
                          greedy in any::<bool>()) {
         let policy = if greedy { GrantPolicy::Greedy } else { GrantPolicy::Conservative };
-        let mut net = VirtualNet::new(Central::build_nodes(clients, policy), m);
-        let done = exercise(&mut net, clients, m, phi, 4, seed);
-        prop_assert_eq!(done as usize, 4 * clients);
+        exercise(Central::build_nodes(clients, policy), clients, m, phi, seed, |_| {});
     }
 
     /// The central scheduler's core invariant under an arbitrary

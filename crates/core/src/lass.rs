@@ -1477,8 +1477,7 @@ mod tests {
     /// point and message kind runs.
     #[test]
     fn every_entry_point_hands_its_staging_back_flushed() {
-        use mra_protocol::testkit::VirtualNet;
-        use rand::SeedableRng;
+        use mra_protocol::testkit::{Schedule, VirtualNet};
         let check = |net: &VirtualNet<Lass>| {
             assert!(
                 (0..3).all(|i| net.node(i).stage.is_none()),
@@ -1498,9 +1497,9 @@ mod tests {
             net.request(i, set.into_iter().collect());
             check(&net);
         }
-        let (mut rng, mut done) = (rand::rngs::StdRng::seed_from_u64(1), 0);
+        let (mut schedule, mut done) = (Schedule::seeded(1), 0);
         loop {
-            while net.deliver_one(&mut rng) {
+            while net.deliver_one(&mut schedule) {
                 check(&net);
             }
             let Some(i) = (0..3).find(|&i| net.in_cs(i)) else {

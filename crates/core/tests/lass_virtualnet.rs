@@ -1,24 +1,30 @@
 //! Randomized-interleaving safety and liveness tests for LASS.
 //!
 //! These run the full protocol over `VirtualNet`, which delivers messages in
-//! a seeded random order (per-link FIFO), panics on any mutual-exclusion
-//! violation and detects deadlocks.  Together with the step cap they check
-//! the paper's three properties: safety (theorem 1), liveness (theorem 3)
-//! and the concurrency property (non-conflicting requests overlap).
+//! the order a seeded `Schedule` picks (per-link FIFO), panics on any
+//! mutual-exclusion violation and detects deadlocks.  Together with the
+//! step cap they check the paper's three properties: safety (theorem 1),
+//! liveness (theorem 3) and the concurrency property (non-conflicting
+//! requests overlap).
 
+use mra_baselines::BouabdallahLaforest;
 use mra_core::{Lass, LassConfig, SchedulingPolicy};
-use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
+use mra_protocol::faults::FaultPlan;
+use mra_protocol::reliable::Reliability;
+use mra_protocol::testkit::{
+    check_schedules, run_random_workload, ExerciseCfg, Schedule, VirtualNet,
+};
+use mra_protocol::Allocator;
 use mra_types::ResourceSet;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::ops::Range;
 
 fn net_for(cfg: LassConfig) -> VirtualNet<Lass> {
     VirtualNet::new(cfg.build_nodes(), cfg.m)
 }
 
-fn exercise(cfg: LassConfig, seed: u64, rounds: usize, phi: usize) -> VirtualNet<Lass> {
-    let mut net = net_for(cfg);
-    let mut rng = StdRng::seed_from_u64(seed);
+/// Every seed's run completes (the harness asserts it) and leaves each
+/// token in exactly one place.
+fn exercise(cfg: LassConfig, seeds: Range<u64>, rounds: usize, phi: usize) {
     let ex = ExerciseCfg {
         rounds_per_node: rounds,
         max_req_size: phi,
@@ -27,9 +33,9 @@ fn exercise(cfg: LassConfig, seed: u64, rounds: usize, phi: usize) -> VirtualNet
         active_nodes: None,
         step_cap: 3_000_000,
     };
-    let rep = run_random_workload(&mut net, &ex, &mut rng);
-    assert_eq!(rep.cs_completed as usize, rounds * cfg.n, "seed {seed}");
-    net
+    check_schedules(&net_for(cfg), &ex, seeds, |net, _| {
+        assert_token_uniqueness(net, cfg.n, cfg.m)
+    });
 }
 
 /// After quiescence every token must exist exactly once (lemmas 1–3).
@@ -54,67 +60,48 @@ fn assert_token_uniqueness(net: &VirtualNet<Lass>, n: usize, m: usize) {
 
 #[test]
 fn without_loan_random_runs_are_safe_and_live() {
-    for seed in 0..15 {
-        let cfg = LassConfig::without_loan(5, 8);
-        let net = exercise(cfg, seed, 6, 4);
-        assert_token_uniqueness(&net, 5, 8);
-    }
+    exercise(LassConfig::without_loan(5, 8), 0..15, 6, 4);
 }
 
 #[test]
 fn with_loan_random_runs_are_safe_and_live() {
-    for seed in 0..15 {
-        let cfg = LassConfig::with_loan(5, 8);
-        let net = exercise(cfg, 1000 + seed, 6, 4);
-        assert_token_uniqueness(&net, 5, 8);
-    }
+    exercise(LassConfig::with_loan(5, 8), 1000..1015, 6, 4);
 }
 
 #[test]
 fn large_loan_threshold_is_safe() {
-    for seed in 0..6 {
-        let mut cfg = LassConfig::with_loan(4, 6);
-        cfg.loan = Some(3);
-        let net = exercise(cfg, 2000 + seed, 5, 4);
-        assert_token_uniqueness(&net, 4, 6);
-    }
+    let mut cfg = LassConfig::with_loan(4, 6);
+    cfg.loan = Some(3);
+    exercise(cfg, 2000..2006, 5, 4);
 }
 
 #[test]
 fn optimizations_off_still_correct() {
-    for seed in 0..6 {
-        let mut cfg = LassConfig::without_loan(4, 6);
-        cfg.opt_single_resource = false;
-        cfg.opt_stop_forwarding = false;
-        cfg.opt_shortcut_on_counter = false;
-        let net = exercise(cfg, 3000 + seed, 5, 3);
-        assert_token_uniqueness(&net, 4, 6);
-    }
+    let mut cfg = LassConfig::without_loan(4, 6);
+    cfg.opt_single_resource = false;
+    cfg.opt_stop_forwarding = false;
+    cfg.opt_shortcut_on_counter = false;
+    exercise(cfg, 3000..3006, 5, 3);
 }
 
 #[test]
 fn each_optimization_alone_is_correct() {
     for (bit, seed0) in [(0, 4000u64), (1, 5000), (2, 6000)] {
-        for seed in 0..4 {
-            let mut cfg = LassConfig::with_loan(4, 6);
-            cfg.opt_single_resource = bit == 0;
-            cfg.opt_stop_forwarding = bit == 1;
-            cfg.opt_shortcut_on_counter = bit == 2;
-            let net = exercise(cfg, seed0 + seed, 4, 3);
-            assert_token_uniqueness(&net, 4, 6);
-        }
+        let mut cfg = LassConfig::with_loan(4, 6);
+        cfg.opt_single_resource = bit == 0;
+        cfg.opt_stop_forwarding = bit == 1;
+        cfg.opt_shortcut_on_counter = bit == 2;
+        exercise(cfg, seed0..seed0 + 4, 4, 3);
     }
 }
 
 #[test]
 fn all_policies_are_safe_and_live() {
     for (pi, policy) in SchedulingPolicy::all().into_iter().enumerate() {
-        for seed in 0..4 {
-            let mut cfg = LassConfig::with_loan(4, 6);
-            cfg.policy = policy;
-            let net = exercise(cfg, 7000 + 10 * pi as u64 + seed, 4, 3);
-            assert_token_uniqueness(&net, 4, 6);
-        }
+        let mut cfg = LassConfig::with_loan(4, 6);
+        cfg.policy = policy;
+        let seed0 = 7000 + 10 * pi as u64;
+        exercise(cfg, seed0..seed0 + 4, 4, 3);
     }
 }
 
@@ -122,57 +109,42 @@ fn all_policies_are_safe_and_live() {
 fn full_contention_single_resource() {
     // Everyone fights for the same resource: degenerates to mutual
     // exclusion; exercises the single-resource optimization heavily.
-    for seed in 0..8 {
-        let cfg = LassConfig::with_loan(6, 1);
-        let net = exercise(cfg, 8000 + seed, 6, 1);
-        assert_token_uniqueness(&net, 6, 1);
-    }
+    exercise(LassConfig::with_loan(6, 1), 8000..8008, 6, 1);
 }
 
 #[test]
 fn whole_set_requests_serialize() {
     // Every request asks for all resources: zero concurrency possible,
     // heavy queue churn.
-    for seed in 0..6 {
-        let cfg = LassConfig::with_loan(4, 5);
-        let mut net = net_for(cfg);
-        let mut rng = StdRng::seed_from_u64(9000 + seed);
-        let ex = ExerciseCfg {
-            rounds_per_node: 5,
-            max_req_size: 5,
-            m: 5,
-            hold_steps: 2,
-            active_nodes: None,
-            step_cap: 3_000_000,
-        };
-        let rep = run_random_workload(&mut net, &ex, &mut rng);
-        assert_eq!(rep.cs_completed, 20);
-        assert_token_uniqueness(&net, 4, 5);
-    }
+    let ex = ExerciseCfg {
+        rounds_per_node: 5,
+        max_req_size: 5,
+        m: 5,
+        hold_steps: 2,
+        active_nodes: None,
+        step_cap: 3_000_000,
+    };
+    check_schedules(&net_for(LassConfig::with_loan(4, 5)), &ex, 9000..9006, |net, _| {
+        assert_token_uniqueness(net, 4, 5)
+    });
 }
 
 #[test]
 fn concurrency_property_is_exploited() {
     // Plenty of resources, small requests: disjoint requests must overlap
     // at least sometimes across seeds.
+    let ex = ExerciseCfg {
+        rounds_per_node: 5,
+        max_req_size: 2,
+        m: 24,
+        hold_steps: 6,
+        active_nodes: None,
+        step_cap: 3_000_000,
+    };
     let mut saw_overlap = false;
-    for seed in 0..10 {
-        let cfg = LassConfig::without_loan(6, 24);
-        let mut net = net_for(cfg);
-        let mut rng = StdRng::seed_from_u64(10_000 + seed);
-        let ex = ExerciseCfg {
-            rounds_per_node: 5,
-            max_req_size: 2,
-            m: 24,
-            hold_steps: 6,
-            active_nodes: None,
-            step_cap: 3_000_000,
-        };
-        let rep = run_random_workload(&mut net, &ex, &mut rng);
-        if rep.max_concurrency >= 2 {
-            saw_overlap = true;
-        }
-    }
+    check_schedules(&net_for(LassConfig::without_loan(6, 24)), &ex, 10_000..10_010, |_, rep| {
+        saw_overlap |= rep.max_concurrency >= 2
+    });
     assert!(
         saw_overlap,
         "non-conflicting requests never overlapped — concurrency property broken"
@@ -182,33 +154,61 @@ fn concurrency_property_is_exploited() {
 #[test]
 fn bigger_system_stress() {
     // One heavier configuration closer to the paper's shape (scaled down).
-    let cfg = LassConfig::with_loan(8, 16);
-    let net = exercise(cfg, 424242, 8, 6);
-    assert_token_uniqueness(&net, 8, 16);
+    exercise(LassConfig::with_loan(8, 16), 424242..424243, 8, 6);
+}
+
+/// Run `net` under the seeded schedule, then under the replay of the picks
+/// it recorded: both runs must report alike and leave every node in the same
+/// state, holding the same resources (`held`).  Returns the run's
+/// `(actions, delivered)`.
+fn replays_alike<A>(
+    net: &VirtualNet<A>,
+    seed: u64,
+    held: impl Fn(&A) -> ResourceSet,
+) -> (u64, u64)
+where
+    A: Allocator + Clone,
+    A::Msg: Clone,
+{
+    let ex = ExerciseCfg {
+        rounds_per_node: 5,
+        max_req_size: 4,
+        m: 8,
+        hold_steps: 3,
+        active_nodes: None,
+        step_cap: 3_000_000,
+    };
+    let (mut seeded, mut replayed) = (net.clone(), net.clone());
+    let mut schedule = Schedule::seeded(seed);
+    let rep = run_random_workload(&mut seeded, &ex, &mut schedule);
+    let replay = run_random_workload(&mut replayed, &ex, &mut Schedule::replay(schedule.picks()));
+    assert_eq!(rep, replay, "the replay reports differently");
+    for i in 0..net.len() {
+        assert_eq!(
+            (seeded.state(i), held(seeded.node(i))),
+            (replayed.state(i), held(replayed.node(i))),
+            "node {i} ends differently under the replay"
+        );
+    }
+    (rep.actions, rep.delivered)
 }
 
 #[test]
 fn deterministic_given_seed() {
-    let run = |seed: u64| -> (u64, u64) {
-        let cfg = LassConfig::with_loan(5, 8);
-        let mut net = net_for(cfg);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ex = ExerciseCfg {
-            rounds_per_node: 5,
-            max_req_size: 4,
-            m: 8,
-            hold_steps: 3,
-            active_nodes: None,
-            step_cap: 3_000_000,
-        };
-        let rep = run_random_workload(&mut net, &ex, &mut rng);
-        (rep.actions, rep.delivered)
-    };
-    assert_eq!(run(77), run(77), "same seed must give identical runs");
+    let lass = net_for(LassConfig::with_loan(5, 8));
+    assert_eq!(
+        replays_alike(&lass, 77, Lass::owned),
+        replays_alike(&lass, 77, Lass::owned),
+        "same seed must give identical runs"
+    );
+    let mut bl = VirtualNet::new(BouabdallahLaforest::build_nodes(5, 8), 8);
+    bl.install_faults(&FaultPlan::new(77).drop_rate(0.20));
+    bl.enable_reliability(Reliability::default());
+    replays_alike(&bl, 77, BouabdallahLaforest::held);
 }
 
 /// The merged harness with no plan is the old perfect-link harness: same
-/// RNG draws in the same order, hence the same schedule.  The literals
+/// draws in the same order, hence the same schedule.  The literals
 /// are `(actions, delivered, cs_completed, max_concurrency)` of
 /// `run_random_workload` at the commit before the merge, seeds 0..32.
 #[test]
@@ -250,7 +250,7 @@ fn merged_harness_reproduces_the_perfect_link_schedule() {
     for (seed, want) in BEFORE.iter().enumerate() {
         let cfg = LassConfig::with_loan(5, 8);
         let mut net = net_for(cfg);
-        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let mut schedule = Schedule::seeded(seed as u64);
         let ex = ExerciseCfg {
             rounds_per_node: 6,
             max_req_size: 4,
@@ -259,7 +259,7 @@ fn merged_harness_reproduces_the_perfect_link_schedule() {
             active_nodes: None,
             step_cap: 3_000_000,
         };
-        let r = run_random_workload(&mut net, &ex, &mut rng);
+        let r = run_random_workload(&mut net, &ex, &mut schedule);
         let got = (r.actions, r.delivered, r.cs_completed, r.max_concurrency);
         assert_eq!(got, *want, "seed {seed}");
         assert!(r.starved.is_empty());

@@ -3,11 +3,9 @@
 //! strict total order for arbitrary marks.
 
 use mra_core::{precedes, Lass, LassConfig, SchedulingPolicy};
-use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
+use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use mra_types::ResourceSet;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn policy_strategy() -> impl Strategy<Value = SchedulingPolicy> {
     prop_oneof![
@@ -46,40 +44,36 @@ proptest! {
             opt_stop_forwarding: stop_fwd,
             opt_shortcut_on_counter: shortcut,
         };
-        let mut net = VirtualNet::new(cfg.build_nodes(), m);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rounds = 4;
         let ex = ExerciseCfg {
-            rounds_per_node: rounds,
+            rounds_per_node: 4,
             max_req_size: m.min(4),
             m,
             hold_steps: 2,
             active_nodes: None,
             step_cap: 2_000_000,
         };
-        let rep = run_random_workload(&mut net, &ex, &mut rng);
-        prop_assert_eq!(rep.cs_completed as usize, rounds * n);
-
-        // Token uniqueness at quiescence (lemmas 1-3 of the proof annex).
-        prop_assert_eq!(net.in_flight(), 0);
-        let mut union = ResourceSet::new();
-        let mut total = 0usize;
-        for i in 0..n {
-            let owned = net.node(i).owned();
-            prop_assert!(union.is_disjoint(&owned));
-            union.union_with(&owned);
-            total += owned.len();
-        }
-        prop_assert_eq!(total, m);
-
-        // Nobody is left lending or borrowing.
-        for i in 0..n {
-            prop_assert!(net.node(i).lent().is_empty());
-            let node: &Lass = net.node(i);
-            for r in node.owned().iter() {
-                prop_assert_eq!(node.token(r).lender, None);
+        check_schedules(&VirtualNet::new(cfg.build_nodes(), m), &ex, [seed], |net, _| {
+            // Token uniqueness at quiescence (lemmas 1-3 of the proof annex).
+            assert_eq!(net.in_flight(), 0);
+            let mut union = ResourceSet::new();
+            let mut total = 0usize;
+            for i in 0..n {
+                let owned = net.node(i).owned();
+                assert!(union.is_disjoint(&owned), "token owned twice");
+                union.union_with(&owned);
+                total += owned.len();
             }
-        }
+            assert_eq!(total, m, "token lost");
+
+            // Nobody is left lending or borrowing.
+            for i in 0..n {
+                assert!(net.node(i).lent().is_empty(), "node {i} still lends");
+                let node: &Lass = net.node(i);
+                for r in node.owned().iter() {
+                    assert_eq!(node.token(r).lender, None, "node {i} still borrows");
+                }
+            }
+        });
     }
 
     /// `/` (definition 1) is a strict total order for any marks ≥ 0.
@@ -117,8 +111,6 @@ proptest! {
     #[test]
     fn counter_values_grow_monotonically(seed in any::<u64>()) {
         let cfg = LassConfig::without_loan(4, 3);
-        let mut net = VirtualNet::new(cfg.build_nodes(), 3);
-        let mut rng = StdRng::seed_from_u64(seed);
         let ex = ExerciseCfg {
             rounds_per_node: 5,
             max_req_size: 3,
@@ -127,19 +119,21 @@ proptest! {
             active_nodes: None,
             step_cap: 2_000_000,
         };
-        run_random_workload(&mut net, &ex, &mut rng);
-        // At quiescence the owner's counter is authoritative: it equals
-        // 1 + (number of values handed out), and every handed-out value was
-        // unique by construction (only the holder increments).  We verify
-        // the owner's counter is strictly the max over all snapshots.
-        for r in 0..3 {
-            let owner_counter = (0..4)
-                .find(|&i| net.node(i).owned().contains(r))
-                .map(|i| net.node(i).token(r).counter)
-                .expect("token exists");
-            for i in 0..4 {
-                prop_assert!(net.node(i).token(r).counter <= owner_counter);
+        check_schedules(&VirtualNet::new(cfg.build_nodes(), 3), &ex, [seed], |net, _| {
+            // At quiescence the owner's counter is authoritative: it equals
+            // 1 + (number of values handed out), and every handed-out value
+            // was unique by construction (only the holder increments).  We
+            // verify the owner's counter is strictly the max over all
+            // snapshots.
+            for r in 0..3 {
+                let owner_counter = (0..4)
+                    .find(|&i| net.node(i).owned().contains(r))
+                    .map(|i| net.node(i).token(r).counter)
+                    .expect("token exists");
+                for i in 0..4 {
+                    assert!(net.node(i).token(r).counter <= owner_counter, "counter {r} regressed");
+                }
             }
-        }
+        });
     }
 }

@@ -3,10 +3,8 @@
 //! interleavings.
 
 use mra_mutex::{MutexAllocator, NaimiTrehel};
-use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
+use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn cfg(rounds: usize) -> ExerciseCfg {
     ExerciseCfg {
@@ -34,13 +32,11 @@ proptest! {
                 MutexAllocator::new(nt, "nt")
             })
             .collect();
-        let mut net = VirtualNet::new(nodes, 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rep = run_random_workload(&mut net, &cfg(4), &mut rng);
-        prop_assert_eq!(rep.cs_completed as usize, 4 * n);
-        prop_assert_eq!(rep.max_concurrency, 1);
-        // Exactly one token survives.
-        let holders = (0..n).filter(|&i| net.node(i).inner().holds_token()).count();
-        prop_assert_eq!(holders, 1);
+        check_schedules(&VirtualNet::new(nodes, 1), &cfg(4), [seed], |net, rep| {
+            assert_eq!(rep.max_concurrency, 1);
+            // Exactly one token survives.
+            let holders = (0..n).filter(|&i| net.node(i).inner().holds_token()).count();
+            assert_eq!(holders, 1, "token count");
+        });
     }
 }

@@ -88,7 +88,7 @@ impl PeerDirectory {
 /// `TcpClusterConfig::backend`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetBackend {
-    /// The epoll/kqueue reactor, the only TCP transport.
+    /// The epoll reactor, the only TCP transport.
     Reactor,
 }
 

@@ -17,7 +17,7 @@
 //!   specified in `mra_protocol::wire`).
 //! * `reactor` (crate-private) — the TCP transport: one port per node
 //!   owns every peer socket and drives them through the [`polling`]
-//!   epoll/kqueue shim (so TCP runs need a unix host; the other two
+//!   epoll shim (so TCP runs need a Linux host; the other two
 //!   substrates stay portable) **on the node's own thread**, inside the
 //!   `recv` the node loop waits in — one thread per node, no hand-off per
 //!   message.  One **bidirectional** connection per unordered pair (TCP

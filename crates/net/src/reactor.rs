@@ -1,5 +1,5 @@
 //! The TCP transport: each node's own thread drives *every* peer socket
-//! through an epoll/kqueue poller, between two steps of its protocol.
+//! through an epoll poller, between two steps of its protocol.
 //!
 //! A thread and a connection per directed link would cost `n-1` reader
 //! threads and `2(n-1)` sockets per node and one `write(2)` per frame —
@@ -38,10 +38,10 @@
 //! broadcasts `TAG_SHUTDOWN` once all are done.  See DESIGN.md §12 for
 //! the full contract.
 //!
-//! Everything here is unix-only (the vendored poller has no backend
-//! elsewhere): `mra-net`'s TCP substrate requires epoll or kqueue.  On
-//! other platforms the stub `ReactorPort::connect` below keeps the crate
-//! compiling and reports `Unsupported`.
+//! `mra-net`'s TCP substrate requires epoll (Linux).  On another unix the
+//! vendored poller's stub makes `ReactorPort::connect` report
+//! `Unsupported`; off unix the stub `ReactorPort` below keeps the crate
+//! compiling and reports the same.
 
 #[cfg(unix)]
 pub(crate) use imp::ReactorPort;
@@ -996,7 +996,7 @@ mod stub {
     use std::marker::PhantomData;
     use std::net::TcpListener;
 
-    /// Unsupported on this platform (no epoll/kqueue); exists only to
+    /// Unsupported on this platform (no epoll); exists only to
     /// keep the crate compiling — `connect` never returns one.
     pub(crate) struct ReactorPort<M: WireCodec + Clone>(PhantomData<M>);
 
@@ -1009,7 +1009,7 @@ mod stub {
         ) -> io::Result<Self> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "mra-net's TCP transport needs epoll or kqueue (unix only)",
+                "mra-net's TCP transport needs epoll (Linux only)",
             ))
         }
         pub(crate) fn send(&mut self, _to: NodeId, _msg: M, _stamp: u64) {

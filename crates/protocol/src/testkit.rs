@@ -1,10 +1,12 @@
 //! A synchronous virtual network with randomized message interleaving.
 //!
 //! `VirtualNet` is the workhorse for protocol unit tests and property-based
-//! tests: it delivers messages one at a time in a (seeded) random order while
-//! preserving per-link FIFO, checks the *safety* property on every critical
-//! section entry (no two processes ever hold the same resource), and detects
-//! deadlocks (*liveness* failures) as stalls with pending requests.
+//! tests: it delivers messages one at a time in an order drawn from a
+//! [`Schedule`] while preserving per-link FIFO, checks the *safety* property
+//! on every critical section entry (no two processes ever hold the same
+//! resource), and detects deadlocks (*liveness* failures) as stalls with
+//! pending requests.  [`check_schedules`] runs a workload per seed and turns
+//! any failure into a short [`Schedule::replay`] literal.
 //!
 //! There is no notion of time here — only causality and interleaving — which
 //! makes it ideal for exploring protocol corner cases that a timed simulator
@@ -17,8 +19,11 @@ use crate::{Allocator, Ctx, ProcState, WireMsg};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceMode};
 use mra_types::{NodeId, ResourceSet, Time};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{RngCore, SeedableRng};
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Once;
 
 /// [`SafetyMonitor`]'s holder slot of a resource no site holds.
 const FREE: u32 = u32::MAX;
@@ -199,6 +204,62 @@ impl Allocator for EchoProbe {
 
     fn name(&self) -> &'static str {
         "echo-probe"
+    }
+}
+
+/// The one source of every choice a [`VirtualNet`] run makes: which action,
+/// which link, the request size and which resources.  A schedule is the
+/// sequence of its picks, and it records each pick it serves, so any run can
+/// be replayed from [`Schedule::picks`] alone.
+#[derive(Debug)]
+pub struct Schedule {
+    /// The generator of a seeded schedule; `None` when replaying.
+    rng: Option<StdRng>,
+    /// The literal a replay serves.
+    script: Vec<u32>,
+    /// Every pick served so far, in order.
+    picks: Vec<u32>,
+}
+
+impl Schedule {
+    /// Picks drawn from `StdRng::seed_from_u64(seed)`, each
+    /// `next_u64() % bound`: exactly the draws of `gen_range(0..bound)`.
+    pub fn seeded(seed: u64) -> Self {
+        Schedule { rng: Some(StdRng::seed_from_u64(seed)), script: Vec::new(), picks: Vec::new() }
+    }
+
+    /// Picks served from `picks` (each modulo its bound), then `0` past the
+    /// end, so a shortened literal is still a schedule.
+    pub fn replay(picks: &[u32]) -> Self {
+        Schedule { rng: None, script: picks.to_vec(), picks: Vec::new() }
+    }
+
+    /// One choice in `0..bound`.
+    ///
+    /// # Panics
+    /// If `bound` is 0 or above 2^32.
+    pub fn pick(&mut self, bound: usize) -> usize {
+        assert!(
+            bound > 0 && bound as u64 <= 1 << 32,
+            "pick bound {bound} outside 1..=2^32"
+        );
+        let word = match &mut self.rng {
+            Some(rng) => rng.next_u64(),
+            None => self.script.get(self.picks.len()).map_or(0, |&p| p.into()),
+        };
+        let pick = (word % bound as u64) as u32;
+        self.picks.push(pick);
+        pick as usize
+    }
+
+    /// Every pick served so far, in order: the literal that replays them.
+    pub fn picks(&self) -> &[u32] {
+        &self.picks
+    }
+
+    /// Was the last pick served past the end of a replayed literal?
+    fn past_end(&self) -> bool {
+        self.rng.is_none() && self.picks.len() > self.script.len()
     }
 }
 
@@ -444,29 +505,23 @@ impl<A: Allocator> VirtualNet<A> {
         self.after_dispatch(i);
     }
 
-    /// Deliver one randomly chosen in-flight message (FIFO per link).
-    /// Returns `false` if nothing was in flight.
-    pub fn deliver_one(&mut self, rng: &mut StdRng) -> bool {
-        let nonempty: Vec<usize> = (0..self.links.len())
-            .filter(|&l| !self.links[l].is_empty())
-            .collect();
-        if nonempty.is_empty() {
+    /// Deliver the head message of the link `schedule` picks among those
+    /// with a frame in flight (FIFO per link).  Returns `false`, picking
+    /// nothing, if nothing was in flight.
+    pub fn deliver_one(&mut self, schedule: &mut Schedule) -> bool {
+        let open = self.deliverable().count();
+        if open == 0 {
             return false;
         }
-        let link = nonempty[rng.gen_range(0..nonempty.len())];
-        self.deliver_from_link(link);
+        let link = self.deliverable().nth(schedule.pick(open));
+        self.deliver_from_link(link.expect("pick below the open-link count"));
         true
     }
 
-    /// Deliver the head message of a specific `(src, dst)` link, if any.
-    /// Lets tests script exact interleavings (e.g. the paper's Fig. 3).
-    pub fn deliver_link(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let link = src * self.n + dst;
-        if self.links[link].is_empty() {
-            return false;
-        }
-        self.deliver_from_link(link);
-        true
+    /// What can happen next on the wire: the links with a frame in flight,
+    /// in link order.
+    fn deliverable(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.links.len()).filter(|&l| !self.links[l].is_empty())
     }
 
     fn deliver_from_link(&mut self, link: usize) {
@@ -501,13 +556,14 @@ impl<A: Allocator> VirtualNet<A> {
         }
     }
 
-    /// Deliver messages in random order until the network is quiet.
+    /// Deliver messages in the order `schedule` picks until the network is
+    /// quiet.
     ///
     /// # Panics
     /// If more than `cap` deliveries happen (runaway message loop).
-    pub fn run_until_quiet(&mut self, rng: &mut StdRng, cap: u64) {
+    pub fn run_until_quiet(&mut self, schedule: &mut Schedule, cap: u64) {
         let mut count = 0u64;
-        while self.deliver_one(rng) {
+        while self.deliver_one(schedule) {
             count += 1;
             assert!(count <= cap, "network did not quiesce within {cap} deliveries");
         }
@@ -600,12 +656,9 @@ where
         report.truncated = true;
         return;
     }
-    // Enabled actions: one per non-empty link, plus Release per node in CS.
+    // Enabled actions: one per deliverable link, plus Release per node in CS.
     let mut acted = false;
-    for link in 0..net.links.len() {
-        if net.links[link].is_empty() {
-            continue;
-        }
+    for link in net.deliverable() {
         acted = true;
         let mut next = net.clone();
         next.deliver_from_link(link);
@@ -675,7 +728,7 @@ impl Default for ExerciseCfg {
 }
 
 /// Outcome of [`run_random_workload`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExerciseReport {
     /// Critical sections completed (== rounds_per_node × active nodes
     /// whenever liveness is owed).
@@ -696,13 +749,14 @@ pub struct ExerciseReport {
     pub reliability: ReliabilityStats,
 }
 
-/// Drive a (possibly faulty) network with a random workload under a random
-/// interleaving and check the invariants throughout.
+/// Drive a (possibly faulty) network with a random workload under the
+/// interleaving `schedule` picks and check the invariants throughout.
 ///
 /// Every active node performs `rounds_per_node` request/CS/release cycles
-/// with uniformly random resource sets.  Actions (deliver a message, issue a
-/// request, progress a CS) are chosen uniformly at random, so every
-/// interleaving has positive probability.  Checked:
+/// with resource sets the schedule picks.  Each action (deliver a message,
+/// issue a request, progress a CS) is one pick among the enabled ones, so
+/// every interleaving has positive probability under a seeded schedule.
+/// Checked:
 ///
 /// * **safety** — continuously, via the [`SafetyMonitor`];
 /// * **conservation** — at quiescence nobody is left in CS and the holder
@@ -724,7 +778,7 @@ pub struct ExerciseReport {
 pub fn run_random_workload<A: Allocator>(
     net: &mut VirtualNet<A>,
     cfg: &ExerciseCfg,
-    rng: &mut StdRng,
+    schedule: &mut Schedule,
 ) -> ExerciseReport {
     let owed = net.owes_liveness();
     let n_active = cfg.active_nodes.unwrap_or(net.len());
@@ -777,7 +831,7 @@ pub fn run_random_workload<A: Allocator>(
             }
             // The clockless retransmission timer: unacked session frames go
             // back on the wire and the scheduler resumes (0 with sessions
-            // off).  Counted as an action — without a random draw — so
+            // off).  Counted as an action — without a pick — so
             // `step_cap` still bounds a pathological no-progress loop.
             if net.retransmit_all() == 0 {
                 let states: Vec<String> = (0..net.len())
@@ -793,15 +847,20 @@ pub fn run_random_workload<A: Allocator>(
                 );
             }
         } else {
-            match candidates[rng.gen_range(0..candidates.len())] {
+            match candidates[schedule.pick(candidates.len())] {
                 Act::Deliver => {
-                    net.deliver_one(rng);
+                    net.deliver_one(schedule);
                 }
                 Act::Issue(i) => {
-                    let size = rng.gen_range(1..=cfg.max_req_size);
+                    let size = 1 + schedule.pick(cfg.max_req_size);
                     let mut set = ResourceSet::new();
                     while set.len() < size {
-                        set.insert(rng.gen_range(0..cfg.m));
+                        // A taken resource is picked again; past a replay's
+                        // end every pick is 0, so there the lowest free one
+                        // is taken instead.
+                        if !set.insert(schedule.pick(cfg.m)) && schedule.past_end() {
+                            set.insert((0..cfg.m).find(|&r| !set.contains(r)).unwrap());
+                        }
                     }
                     quota[i] -= 1;
                     holds[i] = cfg.hold_steps;
@@ -856,14 +915,190 @@ pub fn run_random_workload<A: Allocator>(
     }
 }
 
+/// Re-runs [`check_schedules`] spends minimising one failing schedule.
+const SHRINK_RUNS: u32 = 2_000;
+
+/// The property entry point: for each seed, run a clone of `net` through
+/// [`run_random_workload`] under [`Schedule::seeded`], then `check` the
+/// net and its report.
+///
+/// # Panics
+/// When a run panics, in the harness or in `check`.  The recorded picks
+/// are first minimised: chunks of halving size are deleted, then single
+/// picks are lowered toward 0, and a candidate is kept while it still
+/// fails the same way (the same message up to its first digit).  The
+/// panic names the seed and prints the minimised run as a
+/// `Schedule::replay(&[…])` literal that [`run_random_workload`] replays.
+pub fn check_schedules<A>(
+    net: &VirtualNet<A>,
+    cfg: &ExerciseCfg,
+    seeds: impl IntoIterator<Item = u64>,
+    mut check: impl FnMut(&mut VirtualNet<A>, &ExerciseReport),
+) where
+    A: Allocator + Clone,
+    A::Msg: Clone,
+{
+    for seed in seeds {
+        let mut schedule = Schedule::seeded(seed);
+        let Err(first) = run_checked(net, cfg, &mut schedule, &mut check) else {
+            continue;
+        };
+        let seeded_picks = schedule.picks.len();
+        let mut last = None;
+        let (best, runs) = minimise(schedule.picks, |candidate| {
+            let mut replay = Schedule::replay(&candidate);
+            let failure = quietly(|| run_checked(net, cfg, &mut replay, &mut check)).err()?;
+            if failure_kind(&failure.message) != failure_kind(&first.message) {
+                return None;
+            }
+            last = Some(failure);
+            // Keep only the picks the failing run read, as it served them.
+            replay.picks.truncate(candidate.len());
+            Some(replay.picks)
+        });
+        let last = last.as_ref().unwrap_or(&first);
+        let literal: Vec<String> = best.iter().map(u32::to_string).collect();
+        panic!(
+            "{}\n\ncheck_schedules: seed {seed} failed after {} deliveries ({seeded_picks} \
+             picks); {runs} re-runs minimised it to {} deliveries ({} picks), which fail \
+             with:\n{}\nreplay it with:\n    Schedule::replay(&[{}])",
+            first.message,
+            first.delivered,
+            last.delivered,
+            best.len(),
+            last.message,
+            literal.join(", "),
+        );
+    }
+}
+
+/// Shrink the failing pick sequence `best` within [`SHRINK_RUNS`] re-runs:
+/// delete chunks of halving size, then lower single picks toward 0, until
+/// a round deletes nothing.  `fails` re-runs a candidate and returns the
+/// picks its run served if it still fails.  Returns the shortest failing
+/// sequence and the re-runs spent.
+fn minimise(
+    mut best: Vec<u32>,
+    mut fails: impl FnMut(Vec<u32>) -> Option<Vec<u32>>,
+) -> (Vec<u32>, u32) {
+    let mut runs = 0;
+    loop {
+        let before = best.len();
+        let mut chunk = best.len() / 2;
+        while chunk > 0 {
+            let mut at = 0;
+            while at < best.len() {
+                if runs == SHRINK_RUNS {
+                    return (best, runs);
+                }
+                runs += 1;
+                let mut candidate = best.clone();
+                candidate.drain(at..(at + chunk).min(best.len()));
+                match fails(candidate) {
+                    Some(found) => best = found,
+                    None => at += chunk,
+                }
+            }
+            chunk /= 2;
+        }
+        let mut at = 0;
+        while at < best.len() {
+            for lower in [0, best[at] / 2, best[at].saturating_sub(1)] {
+                if lower >= best[at] {
+                    continue;
+                }
+                if runs == SHRINK_RUNS {
+                    return (best, runs);
+                }
+                runs += 1;
+                let mut candidate = best.clone();
+                candidate[at] = lower;
+                if let Some(found) = fails(candidate) {
+                    best = found;
+                    break;
+                }
+            }
+            at += 1;
+        }
+        if best.len() == before {
+            return (best, runs);
+        }
+    }
+}
+
+/// A run that panicked: its message and the deliveries it made first.
+struct Failure {
+    message: String,
+    delivered: u64,
+}
+
+/// One run of a clone of `net` under `schedule`, then `check`.
+fn run_checked<A>(
+    net: &VirtualNet<A>,
+    cfg: &ExerciseCfg,
+    schedule: &mut Schedule,
+    check: &mut impl FnMut(&mut VirtualNet<A>, &ExerciseReport),
+) -> Result<(), Failure>
+where
+    A: Allocator + Clone,
+    A::Msg: Clone,
+{
+    let mut net = net.clone();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        let report = run_random_workload(&mut net, cfg, schedule);
+        check(&mut net, &report);
+    }));
+    outcome.map_err(|payload| Failure {
+        message: panic_message(&*payload),
+        delivered: net.delivered(),
+    })
+}
+
+/// The text a panic carried.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<String>() {
+        Some(text) => text.clone(),
+        None => payload.downcast_ref::<&str>().unwrap_or(&"a non-text panic").to_string(),
+    }
+}
+
+/// What kind of failure `message` reports: its text up to the first digit,
+/// so the same violation between other nodes or resources still matches.
+fn failure_kind(message: &str) -> &str {
+    &message[..message.find(|c: char| c.is_ascii_digit()).unwrap_or(message.len())]
+}
+
+thread_local! {
+    /// Set while this thread's panics are expected and go unprinted.
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with this thread's panic output silenced.  The hook that reads
+/// the flag is installed once and passes every other panic on, so tests on
+/// other threads keep theirs.
+fn quietly<R>(f: impl FnOnce() -> R) -> R {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let print = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(Cell::get) {
+                print(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(true));
+    let r = f();
+    QUIET.with(|q| q.set(false));
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WireMsg;
-    use rand::SeedableRng;
 
     /// A trivially safe "protocol": a single-node system that grants itself.
     /// Exercises the harness plumbing.
+    #[derive(Clone)]
     struct Solo {
         state: ProcState,
     }
@@ -900,27 +1135,34 @@ mod tests {
     #[test]
     fn solo_workload_completes() {
         let mut net = VirtualNet::new(vec![Solo { state: ProcState::Idle }], 4);
-        let mut rng = StdRng::seed_from_u64(7);
         let cfg = ExerciseCfg {
             rounds_per_node: 10,
             max_req_size: 2,
             m: 4,
             ..Default::default()
         };
-        let rep = run_random_workload(&mut net, &cfg, &mut rng);
+        let rep = run_random_workload(&mut net.clone(), &cfg, &mut Schedule::seeded(7));
         assert_eq!(rep.cs_completed, 10);
         assert_eq!(rep.delivered, 0);
+        // The literal ends inside a 2-resource request, where every pick is
+        // 0: the harness takes the lowest free resource instead.
+        let rep = run_random_workload(&mut net, &cfg, &mut Schedule::replay(&[0, 1]));
+        assert_eq!(rep.cs_completed, 10);
     }
 
     /// A minimal two-node token lock (m = 1) for exercising the fault
     /// harness with real message traffic: the token starts at node 0; a
     /// node without it asks the peer; the holder hands it over when idle
     /// (or right after its own release).
+    #[derive(Clone)]
     struct TinyLock {
         me: NodeId,
         has_token: bool,
         peer_wants: bool,
         state: ProcState,
+        /// A planted bug: the holder hands the token over on `Req` even
+        /// while it is in CS.
+        yields_in_cs: bool,
     }
 
     impl TinyLock {
@@ -931,6 +1173,7 @@ mod tests {
                     has_token: me == 0,
                     peer_wants: false,
                     state: ProcState::Idle,
+                    yields_in_cs: false,
                 })
                 .collect()
         }
@@ -959,7 +1202,8 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<TinyMsg>, _from: NodeId, msg: TinyMsg) {
             match msg {
                 TinyMsg::Req => {
-                    if self.has_token && self.state == ProcState::Idle {
+                    // A holder is idle or in CS.
+                    if self.has_token && (self.state == ProcState::Idle || self.yields_in_cs) {
                         self.has_token = false;
                         ctx.send(self.peer(), TinyMsg::Tok);
                     } else {
@@ -1016,8 +1260,7 @@ mod tests {
     fn faulty_harness_clean_plan_completes_everything() {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.install_faults(&crate::faults::FaultPlan::new(5));
-        let mut rng = StdRng::seed_from_u64(3);
-        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut Schedule::seeded(3));
         assert_eq!(rep.cs_completed, 12);
         assert!(rep.starved.is_empty());
         assert_eq!(rep.stats, FaultStats::default());
@@ -1026,8 +1269,7 @@ mod tests {
     #[test]
     fn faulty_harness_without_any_plan_behaves_like_clean() {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
-        let mut rng = StdRng::seed_from_u64(4);
-        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut Schedule::seeded(4));
         assert_eq!(rep.cs_completed, 12);
     }
 
@@ -1036,10 +1278,9 @@ mod tests {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.install_faults(&crate::faults::FaultPlan::new(5).drop_rate(0.4).dup_rate(0.2));
         net.enable_reliability(crate::reliable::Reliability::default());
-        let mut rng = StdRng::seed_from_u64(11);
         // The harness itself asserts full completion: with the session
         // layer on, a 40% drop rate is recovered and liveness is owed.
-        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut Schedule::seeded(11));
         assert_eq!(rep.cs_completed, 12);
         assert!(rep.starved.is_empty());
         assert!(rep.stats.dropped_link > 0, "the plan did drop frames");
@@ -1051,8 +1292,7 @@ mod tests {
     fn reliability_on_clean_links_costs_no_retransmission() {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.enable_reliability(crate::reliable::Reliability::default());
-        let mut rng = StdRng::seed_from_u64(3);
-        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut Schedule::seeded(3));
         assert_eq!(rep.cs_completed, 12);
         assert_eq!(rep.reliability.retransmits, 0);
         assert_eq!(rep.reliability.gap_dropped, 0);
@@ -1064,8 +1304,7 @@ mod tests {
     fn total_loss_starves_the_tokenless_node_but_stays_safe() {
         let mut net = VirtualNet::new(TinyLock::pair(), 1);
         net.install_faults(&crate::faults::FaultPlan::new(5).drop_rate(1.0));
-        let mut rng = StdRng::seed_from_u64(11);
-        let rep = run_random_workload(&mut net, &tiny_cfg(4), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(4), &mut Schedule::seeded(11));
         // Node 0 holds the token and completes locally; node 1's requests
         // all vanish on the wire.
         assert_eq!(rep.cs_completed, 4);
@@ -1087,8 +1326,7 @@ mod tests {
         // Crash and partition windows make the plan lossy on paper, so
         // the harness would tolerate starvation — there must be none.
         assert!(!net.owes_liveness());
-        let mut rng = StdRng::seed_from_u64(3);
-        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut rng);
+        let rep = run_random_workload(&mut net, &tiny_cfg(6), &mut Schedule::seeded(3));
         assert_eq!(rep.cs_completed, 12);
         assert!(rep.starved.is_empty());
         assert_eq!(rep.stats, FaultStats::default());
@@ -1099,21 +1337,70 @@ mod tests {
         let run = |seed: u64| {
             let mut net = VirtualNet::new(TinyLock::pair(), 1);
             net.install_faults(&crate::faults::FaultPlan::new(seed).drop_rate(0.3));
-            let mut rng = StdRng::seed_from_u64(9);
-            let rep = run_random_workload(&mut net, &tiny_cfg(5), &mut rng);
+            let mut schedule = Schedule::seeded(9);
+            let rep = run_random_workload(&mut net, &tiny_cfg(5), &mut schedule);
             (rep.cs_completed, rep.stats)
         };
         assert_eq!(run(21), run(21));
     }
 
     #[test]
+    fn replay_serves_its_literal_then_zeros_and_every_pick_is_below_its_bound() {
+        let mut replay = Schedule::replay(&[4, 9, u32::MAX]);
+        assert_eq!(replay.pick(5), 4);
+        assert_eq!(replay.pick(4), 1, "a literal pick is taken modulo its bound");
+        assert_eq!(replay.pick(1), 0);
+        assert!(!replay.past_end());
+        assert_eq!((0..8).map(|_| replay.pick(3)).collect::<Vec<_>>(), [0; 8]);
+        assert!(replay.past_end());
+        assert_eq!(replay.picks(), [4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let mut seeded = Schedule::seeded(5);
+        for bound in (1..200).chain([1 << 20, 1 << 32]) {
+            assert!(seeded.pick(bound) < bound);
+        }
+        assert_eq!(seeded.picks().len(), 201);
+    }
+
+    /// Unwind `f` quietly and return its panic message.
+    fn panic_text(f: impl FnOnce()) -> String {
+        panic_message(&*quietly(|| panic::catch_unwind(AssertUnwindSafe(f))).unwrap_err())
+    }
+
+    #[test]
+    fn check_schedules_minimises_a_planted_bug_into_a_replay() {
+        let mut nodes = TinyLock::pair();
+        nodes.iter_mut().for_each(|node| node.yields_in_cs = true);
+        let (net, cfg) = (VirtualNet::new(nodes, 1), tiny_cfg(6));
+        let run = |schedule: &mut Schedule| {
+            quietly(|| run_checked(&net, &cfg, schedule, &mut |_, _| {}))
+        };
+        let first = (0..20)
+            .map(Schedule::seeded)
+            .find_map(|mut seeded| run(&mut seeded).err().map(|_| seeded.picks.len()))
+            .expect("the planted bug fails some seed");
+        let text = panic_text(|| check_schedules(&net, &cfg, 0..20, |_, _| {}));
+        assert!(text.starts_with("SAFETY VIOLATION"), "{text}");
+        let literal: Vec<u32> = text
+            .split("Schedule::replay(&[")
+            .nth(1)
+            .and_then(|rest| rest.split("])").next())
+            .expect("the panic prints a replay literal")
+            .split(", ")
+            .filter(|p| !p.is_empty())
+            .map(|p| p.parse().unwrap())
+            .collect();
+        assert!(literal.len() <= first, "{} picks, first failure {first}", literal.len());
+        let replayed = run(&mut Schedule::replay(&literal)).unwrap_err().message;
+        assert!(replayed.starts_with("SAFETY VIOLATION"), "{replayed}");
+        assert!(text.contains(&format!("fail with:\n{replayed}\n")), "{text}");
+    }
+
+    #[test]
     fn monitor_catches_double_grant() {
         let mut mon = SafetyMonitor::new(2, 3);
         mon.enter(0, ResourceSet::singleton(1));
-        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mon.enter(1, ResourceSet::singleton(1));
-        }));
-        assert!(boom.is_err(), "expected safety panic");
+        let boom = panic_text(|| mon.enter(1, ResourceSet::singleton(1)));
+        assert!(boom.starts_with("SAFETY VIOLATION"), "{boom}");
     }
 
     #[test]

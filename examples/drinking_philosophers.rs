@@ -16,10 +16,8 @@
 //! ```
 
 use mra::core::LassConfig;
-use mra::protocol::testkit::VirtualNet;
+use mra::protocol::testkit::{Schedule, VirtualNet};
 use mra::types::ResourceSet;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const N: usize = 5; // philosophers == bottles around the table
 
@@ -30,7 +28,7 @@ fn adjacent_bottles(philosopher: usize) -> [usize; 2] {
 fn main() {
     let cfg = LassConfig::with_loan(N, N);
     let mut net = VirtualNet::new(cfg.build_nodes(), N);
-    let mut rng = StdRng::seed_from_u64(2024);
+    let mut schedule = Schedule::seeded(2024);
 
     let mut sessions = vec![0usize; N];
     let mut max_drinking_at_once = 0;
@@ -38,23 +36,21 @@ fn main() {
 
     println!("{N} drinking philosophers, {rounds} sessions each\n");
     while sessions.iter().any(|&s| s < rounds) {
-        // Random scheduler step: deliver protocol traffic or act.
-        if rng.gen_bool(0.6) && net.deliver_one(&mut rng) {
+        // Random scheduler step: deliver protocol traffic (3 in 5) or act.
+        if schedule.pick(5) < 3 && net.deliver_one(&mut schedule) {
             // a message moved
         } else {
-            let p = rng.gen_range(0..N);
+            let p = schedule.pick(N);
             if net.in_cs(p) {
                 sessions[p] += 1;
                 net.release(p);
             } else if net.state(p) == mra::protocol::ProcState::Idle && sessions[p] < rounds {
-                // Thirsty: grab one or both adjacent bottles.
+                // Thirsty: grab both adjacent bottles (1 in 2) or one.
                 let [a, b] = adjacent_bottles(p);
-                let set: ResourceSet = if rng.gen_bool(0.5) {
-                    [a, b].into_iter().collect()
-                } else if rng.gen_bool(0.5) {
-                    ResourceSet::singleton(a)
-                } else {
-                    ResourceSet::singleton(b)
+                let set: ResourceSet = match schedule.pick(4) {
+                    0 | 1 => [a, b].into_iter().collect(),
+                    2 => ResourceSet::singleton(a),
+                    _ => ResourceSet::singleton(b),
                 };
                 net.request(p, set);
             }

@@ -24,7 +24,7 @@ use mra::core::LassConfig;
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::protocol::testkit::{
-    run_random_workload, ExerciseCfg, VirtualNet,
+    check_schedules, run_random_workload, ExerciseCfg, Schedule, VirtualNet,
 };
 use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::{Allocator, WireCodec};
@@ -32,7 +32,6 @@ use mra::sim::{FixedWorkload, LatencyModel, RunResult, Sim, SimConfig, Workload}
 use mra::types::{ResourceSet, Time};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const N: usize = 8;
 const M: usize = 16;
@@ -98,13 +97,13 @@ where
 
     // Substrate 1: the synchronous virtual network (no clock — the quota
     // lives in the exercise config).  `run_random_workload` asserts full
-    // completion, and the per-node quota caps each node at ROUNDS, so
-    // completing n_active × ROUNDS total *is* the per-node vector
-    // [ROUNDS; n_active].
+    // completion and conservation, and the per-node quota caps each node
+    // at ROUNDS, so completing n_active × ROUNDS total *is* the per-node
+    // vector [ROUNDS; n_active].
     let mut net = VirtualNet::new(build(), M);
     net.install_faults(&FaultPlan::new(SEED)); // the fault-free plan
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let vnet_rep = run_random_workload(
+    let mut schedule = Schedule::seeded(SEED);
+    run_random_workload(
         &mut net,
         &ExerciseCfg {
             rounds_per_node: ROUNDS,
@@ -114,10 +113,8 @@ where
             active_nodes: active,
             step_cap: 2_000_000,
         },
-        &mut rng,
+        &mut schedule,
     );
-    assert_eq!(vnet_rep.cs_completed as usize, n_active * ROUNDS);
-    net.monitor.assert_conservation();
     let vnet_counts = vec![ROUNDS; n_active];
 
     // Substrate 2: the discrete-event simulator, paper LAN latency,
@@ -211,28 +208,24 @@ fn central_cs_entered_per_node_agrees_across_substrates() {
 /// reliable session layer on.  The harness itself asserts full completion
 /// (the plan is recoverable, so liveness is owed), zero post-quiesce
 /// resource leaks via `SafetyMonitor::assert_conservation`, and the
-/// re-armed deadlock panic.
-fn survives_loss<A: Allocator>(nodes: Vec<A>, active: Option<usize>, seed: u64, fault_seed: u64) {
+/// re-armed deadlock panic; `check_schedules` minimises any failure.
+fn survives_loss<A: Allocator + Clone>(nodes: Vec<A>, active: Option<usize>, seed: u64, fault_seed: u64)
+where
+    A::Msg: Clone,
+{
     eprintln!("survives_loss: algo={} seed={seed} fault_seed={fault_seed}", nodes[0].name());
-    let n_active = active.unwrap_or(nodes.len());
     let mut net = VirtualNet::new(nodes, M);
     net.install_faults(&FaultPlan::new(fault_seed).drop_rate(0.20));
     net.enable_reliability(Reliability::default());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rep = run_random_workload(
-        &mut net,
-        &ExerciseCfg {
-            rounds_per_node: 3,
-            max_req_size: 3,
-            m: M,
-            hold_steps: 2,
-            active_nodes: active,
-            step_cap: 2_000_000,
-        },
-        &mut rng,
-    );
-    assert_eq!(rep.cs_completed as usize, 3 * n_active);
-    assert!(rep.starved.is_empty(), "starved under reliability: {:?}", rep.starved);
+    let cfg = ExerciseCfg {
+        rounds_per_node: 3,
+        max_req_size: 3,
+        m: M,
+        hold_steps: 2,
+        active_nodes: active,
+        step_cap: 2_000_000,
+    };
+    check_schedules(&net, &cfg, [seed], |_, _| {});
 }
 
 proptest! {

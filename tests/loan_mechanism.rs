@@ -2,20 +2,18 @@
 //! scheduling feature that distinguishes "With loan" from "Without loan".
 
 use mra::core::{Lass, LassConfig};
-use mra::protocol::testkit::VirtualNet;
+use mra::protocol::testkit::{check_schedules, ExerciseCfg, Schedule, VirtualNet};
 use mra::protocol::ProcState;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Build a 3-node, 3-resource system where node 1 waits for exactly one
 /// missing resource held by node 0 — the textbook loan setup.
 ///
 /// Node 0 ends in CS holding {0}, also *owning* token 2 without using it;
 /// node 1 in `waitCS` owns {1} and misses {2}.
-fn loan_setup() -> (VirtualNet<Lass>, StdRng) {
+fn loan_setup() -> (VirtualNet<Lass>, Schedule) {
     let cfg = LassConfig::with_loan(3, 3);
     let mut net = VirtualNet::new(cfg.build_nodes(), 3);
-    let mut rng = StdRng::seed_from_u64(9);
+    let mut schedule = Schedule::seeded(9);
 
     // Node 0 (elected) requests {0, 2}: purely local, straight to CS.
     net.request(0, [0, 2].into_iter().collect());
@@ -25,11 +23,11 @@ fn loan_setup() -> (VirtualNet<Lass>, StdRng) {
     // require it... it owns it but r=1 is unrequired so the ReqCnt pulls
     // the token), token 2 is in use.
     net.request(1, [1, 2].into_iter().collect());
-    net.run_until_quiet(&mut rng, 200);
+    net.run_until_quiet(&mut schedule, 200);
     assert_eq!(net.state(1), ProcState::WaitCS);
     assert!(net.node(1).owned().contains(1));
     assert!(!net.node(1).owned().contains(2));
-    (net, rng)
+    (net, schedule)
 }
 
 #[test]
@@ -44,14 +42,14 @@ fn loan_requested_when_one_resource_missing() {
 
 #[test]
 fn loan_denied_while_lender_in_cs_served_at_release() {
-    let (mut net, mut rng) = loan_setup();
+    let (mut net, mut schedule) = loan_setup();
     // When node 0 releases, the pending loan (or the queued ReqRes) hands
     // token 2 to node 1.
     net.release(0);
-    net.run_until_quiet(&mut rng, 200);
+    net.run_until_quiet(&mut schedule, 200);
     assert!(net.in_cs(1), "node 1 completed via release path");
     net.release(1);
-    net.run_until_quiet(&mut rng, 100);
+    net.run_until_quiet(&mut schedule, 100);
 }
 
 #[test]
@@ -60,29 +58,27 @@ fn loan_granted_by_idle_owner() {
     // (or direct grant) must be served without any release happening.
     let cfg = LassConfig::with_loan(3, 3);
     let mut net = VirtualNet::new(cfg.build_nodes(), 3);
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut schedule = Schedule::seeded(11);
 
     // Node 0 cycles through a request so it ends idle but still owning
     // all tokens.
     net.request(0, [0, 1, 2].into_iter().collect());
     assert!(net.in_cs(0));
     net.release(0);
-    net.run_until_quiet(&mut rng, 50);
+    net.run_until_quiet(&mut schedule, 50);
     assert_eq!(net.state(0), ProcState::Idle);
 
     // Node 1 requests two resources; everything must flow from the idle
     // owner with no extra CS activity.
     net.request(1, [0, 2].into_iter().collect());
-    net.run_until_quiet(&mut rng, 200);
+    net.run_until_quiet(&mut schedule, 200);
     assert!(net.in_cs(1));
 }
 
 #[test]
 fn without_loan_config_never_requests_loans() {
     let cfg = LassConfig::without_loan(4, 6);
-    let mut net = VirtualNet::new(cfg.build_nodes(), 6);
-    let mut rng = StdRng::seed_from_u64(13);
-    let ex = mra::protocol::testkit::ExerciseCfg {
+    let ex = ExerciseCfg {
         rounds_per_node: 6,
         max_req_size: 4,
         m: 6,
@@ -90,34 +86,32 @@ fn without_loan_config_never_requests_loans() {
         active_nodes: None,
         step_cap: 2_000_000,
     };
-    mra::protocol::testkit::run_random_workload(&mut net, &ex, &mut rng);
-    for i in 0..4 {
-        assert_eq!(net.node(i).stats.loans_requested, 0);
-        assert_eq!(net.node(i).stats.loans_granted, 0);
-    }
+    check_schedules(&VirtualNet::new(cfg.build_nodes(), 6), &ex, [13], |net, _| {
+        for i in 0..4 {
+            assert_eq!(net.node(i).stats.loans_requested, 0, "node {i} asked for a loan");
+            assert_eq!(net.node(i).stats.loans_granted, 0, "node {i} lent");
+        }
+    });
 }
 
 #[test]
 fn loans_do_happen_under_random_load() {
     // With threshold 2 and tight resources, loans must actually fire across
     // seeds — the mechanism is not dead code.
+    let mut cfg = LassConfig::with_loan(4, 5);
+    cfg.loan = Some(2);
+    let ex = ExerciseCfg {
+        rounds_per_node: 8,
+        max_req_size: 4,
+        m: 5,
+        hold_steps: 4,
+        active_nodes: None,
+        step_cap: 3_000_000,
+    };
     let mut total_granted = 0;
-    for seed in 0..12 {
-        let mut cfg = LassConfig::with_loan(4, 5);
-        cfg.loan = Some(2);
-        let mut net = VirtualNet::new(cfg.build_nodes(), 5);
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let ex = mra::protocol::testkit::ExerciseCfg {
-            rounds_per_node: 8,
-            max_req_size: 4,
-            m: 5,
-            hold_steps: 4,
-            active_nodes: None,
-            step_cap: 3_000_000,
-        };
-        mra::protocol::testkit::run_random_workload(&mut net, &ex, &mut rng);
+    check_schedules(&VirtualNet::new(cfg.build_nodes(), 5), &ex, 1000..1012, |net, _| {
         total_granted += (0..4).map(|i| net.node(i).stats.loans_granted).sum::<u64>();
-    }
+    });
     assert!(
         total_granted > 0,
         "no loan was ever granted across 12 random runs"
@@ -131,28 +125,28 @@ fn failed_loans_return_tokens_and_preserve_liveness() {
     // Failed loans are rare, so keep scanning until one is seen (runs are
     // fast); the cap only bounds a pathological regression where the path
     // went dead.
+    let mut cfg = LassConfig::with_loan(5, 6);
+    cfg.loan = Some(3);
+    let net = VirtualNet::new(cfg.build_nodes(), 6);
+    let ex = ExerciseCfg {
+        rounds_per_node: 6,
+        max_req_size: 5,
+        m: 6,
+        hold_steps: 3,
+        active_nodes: None,
+        step_cap: 3_000_000,
+    };
     let mut total_failed = 0;
-    for seed in 0..200 {
-        let mut cfg = LassConfig::with_loan(5, 6);
-        cfg.loan = Some(3);
-        let mut net = VirtualNet::new(cfg.build_nodes(), 6);
-        let mut rng = StdRng::seed_from_u64(5000 + seed);
-        let ex = mra::protocol::testkit::ExerciseCfg {
-            rounds_per_node: 6,
-            max_req_size: 5,
-            m: 6,
-            hold_steps: 3,
-            active_nodes: None,
-            step_cap: 3_000_000,
-        };
-        mra::protocol::testkit::run_random_workload(&mut net, &ex, &mut rng);
-        for i in 0..5 {
-            total_failed += net.node(i).stats.loans_failed;
-            assert!(net.node(i).lent().is_empty(), "stranded loan at node {i}");
-            for r in net.node(i).owned().iter() {
-                assert_eq!(net.node(i).token(r).lender, None);
+    for seed in 5000..5200 {
+        check_schedules(&net, &ex, [seed], |net, _| {
+            for i in 0..5 {
+                total_failed += net.node(i).stats.loans_failed;
+                assert!(net.node(i).lent().is_empty(), "stranded loan at node {i}");
+                for r in net.node(i).owned().iter() {
+                    assert_eq!(net.node(i).token(r).lender, None, "node {i} still borrows");
+                }
             }
-        }
+        });
         if total_failed > 0 {
             break;
         }

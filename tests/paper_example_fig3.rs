@@ -11,11 +11,9 @@
 //!   critical section and becomes the root of both trees (Fig. 3(c)).
 
 use mra::core::{LassConfig, LassMsg};
-use mra::protocol::testkit::VirtualNet;
+use mra::protocol::testkit::{Schedule, VirtualNet};
 use mra::protocol::ProcState;
 use mra::types::ResourceSet;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const RED: usize = 0;
 const BLUE: usize = 1;
@@ -25,11 +23,11 @@ const BLUE: usize = 1;
 fn fig3_initial() -> VirtualNet<mra::core::Lass> {
     let cfg = LassConfig::with_loan(3, 2);
     let mut net = VirtualNet::new(cfg.build_nodes(), 2);
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut schedule = Schedule::seeded(1);
 
     // s3 acquires blue (token migrates from the elected node 0).
     net.request(2, ResourceSet::singleton(BLUE));
-    net.run_until_quiet(&mut rng, 100);
+    net.run_until_quiet(&mut schedule, 100);
     assert!(net.in_cs(2), "s3 in CS on blue");
     assert!(net.node(2).owned().contains(BLUE));
 
@@ -43,7 +41,7 @@ fn fig3_initial() -> VirtualNet<mra::core::Lass> {
 #[test]
 fn fig3_walkthrough() {
     let mut net = fig3_initial();
-    let mut rng = StdRng::seed_from_u64(2);
+    let mut schedule = Schedule::seeded(2);
 
     // Fig. 3(b): s2 asks for both resources.
     let both: ResourceSet = [RED, BLUE].into_iter().collect();
@@ -53,7 +51,7 @@ fn fig3_walkthrough() {
     // The ReqCnt for red reaches s1 directly; for blue the father pointer
     // still names the elected node 0, which forwards to s3 — deliver
     // everything and let the counters come back.
-    net.run_until_quiet(&mut rng, 200);
+    net.run_until_quiet(&mut schedule, 200);
     assert_eq!(
         net.state(1),
         ProcState::WaitCS,
@@ -70,13 +68,13 @@ fn fig3_walkthrough() {
 
     // s1 exits its critical section: the red token goes to s2.
     net.release(0);
-    net.run_until_quiet(&mut rng, 100);
+    net.run_until_quiet(&mut schedule, 100);
     assert!(net.node(1).owned().contains(RED));
     assert_eq!(net.state(1), ProcState::WaitCS, "still missing blue");
 
     // s3 exits: the blue token completes s2's request (Fig. 3(c)).
     net.release(2);
-    net.run_until_quiet(&mut rng, 100);
+    net.run_until_quiet(&mut schedule, 100);
     assert!(net.in_cs(1), "s2 enters CS with both resources");
     assert!(net.node(1).owned().contains(RED) && net.node(1).owned().contains(BLUE));
 
@@ -88,7 +86,7 @@ fn fig3_walkthrough() {
     assert_eq!(net.node(2).father(BLUE), Some(1));
 
     net.release(1);
-    net.run_until_quiet(&mut rng, 100);
+    net.run_until_quiet(&mut schedule, 100);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //!   message loss: a lost message may starve a node, never double-grant);
 //! * **conservation** — after quiescence no granted resource leaks: every
 //!   CS entry was matched by an exit and the holder table is empty
-//!   (asserted inside [`run_random_workload`]);
+//!   (asserted inside [`check_schedules`]' run of the workload);
 //! * **fault-aware liveness** — starvation is tolerated *only* under a
 //!   lossy plan; with drops disabled every request must complete.
 //!
@@ -26,16 +26,14 @@ use mra::core::LassConfig;
 use mra::obs::{check_events, TraceMode};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
-use mra::protocol::testkit::{run_random_workload, ExerciseCfg, ExerciseReport, VirtualNet};
+use mra::protocol::testkit::{check_schedules, ExerciseCfg, ExerciseReport, VirtualNet};
 use mra::protocol::Allocator;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Run one protocol fleet under `plan`; safety, conservation and
 /// fault-aware liveness are asserted inside the harness, and the armed
 /// trace must come back causally consistent.
-fn exercise<A: Allocator>(
+fn exercise<A: Allocator + Clone>(
     nodes: Vec<A>,
     m: usize,
     active: Option<usize>,
@@ -43,14 +41,16 @@ fn exercise<A: Allocator>(
     plan: &FaultPlan,
     reliable: bool,
     seed: u64,
-) -> ExerciseReport {
+) -> ExerciseReport
+where
+    A::Msg: Clone,
+{
     let mut net = VirtualNet::new(nodes, m);
     net.arm_tracing(TraceMode::Unbounded);
     net.install_faults(plan);
     if reliable {
         net.enable_reliability(Reliability::default());
     }
-    let mut rng = StdRng::seed_from_u64(seed);
     let cfg = ExerciseCfg {
         rounds_per_node: 3,
         max_req_size: phi.min(m).max(1),
@@ -59,20 +59,23 @@ fn exercise<A: Allocator>(
         active_nodes: active,
         step_cap: 2_000_000,
     };
-    let report = run_random_workload(&mut net, &cfg, &mut rng);
-    let obs = net.take_obs();
-    let trace = obs.trace.expect("tracing was armed");
-    // Unbounded mode never overwrites, so the full positional checks run.
-    assert_eq!(trace.dropped, 0);
-    let check = check_events(&trace.to_owned_events(), trace.dropped);
-    assert!(
-        check.ok(),
-        "CAUSAL VIOLATIONS: {} over {} events (reliable={reliable}): {:?}",
-        check.violations,
-        check.events,
-        check.details
-    );
-    report
+    let mut report = None;
+    check_schedules(&net, &cfg, [seed], |net, rep| {
+        let obs = net.take_obs();
+        let trace = obs.trace.expect("tracing was armed");
+        // Unbounded mode never overwrites, so the full positional checks run.
+        assert_eq!(trace.dropped, 0);
+        let check = check_events(&trace.to_owned_events(), trace.dropped);
+        assert!(
+            check.ok(),
+            "CAUSAL VIOLATIONS: {} over {} events (reliable={reliable}): {:?}",
+            check.violations,
+            check.events,
+            check.details
+        );
+        report = Some(rep.clone());
+    });
+    report.expect("a passing seed was checked")
 }
 
 /// One full sweep of the six-algorithm matrix under one plan.  Returns the
