@@ -424,6 +424,13 @@ pub struct Lass {
     t_required: ResourceSet,
     /// Owned tokens.
     t_owned: ResourceSet,
+    /// The work list: owned tokens that may carry work — a queued
+    /// `ReqRes`, a queued loan or a lender ([`Token::has_work`]).  Every
+    /// owned token with work is on it; one whose work is done may linger
+    /// until a scan passes it.  The handlers' "every owned token" scans
+    /// (annex A lines 217–252) walk this list, in the same ascending
+    /// order, instead of every owned token.
+    work: ResourceSet,
     /// Required resources whose counter value is still missing.
     cnt_needed: ResourceSet,
     /// Current request id (incremented per request).
@@ -462,6 +469,7 @@ impl Lass {
             } else {
                 ResourceSet::new()
             },
+            work: ResourceSet::new(),
             cnt_needed: ResourceSet::new(),
             cur_id: 0,
             t_lent: ResourceSet::new(),
@@ -550,6 +558,25 @@ impl Lass {
         })
     }
 
+    /// The work list's invariant, checked at the end of every entry point
+    /// in debug builds: every owned token with work is on the list (one
+    /// whose work is done may be too).  Walks the owned set in place, so
+    /// it allocates nothing.  Only on a dense table (at most 4 096
+    /// resources, every test shape but the large-universe ones): above,
+    /// the walk is a hash probe per owned token per handler, and the
+    /// elected site owns nearly all 100 000 of them.
+    fn debug_check_work_list(&self) {
+        debug_assert!(
+            !self.res.is_dense()
+                || self.t_owned.all(|r| {
+                    self.work.contains(r) || !self.held(r).is_some_and(Token::has_work)
+                }),
+            "site {}: an owned token with work is off the work list {:?}",
+            self.me,
+            self.work
+        );
+    }
+
     // ------------------------------------------------------------------
     // Aggregation buffers (§4.2.2)
     // ------------------------------------------------------------------
@@ -591,6 +618,7 @@ impl Lass {
         st.father = Some(site32(dest));
         Staging::lent(&mut self.stage).buf_tok.push(dest, tok);
         self.t_owned.remove(r);
+        self.work.remove(r);
     }
 
     fn enter_cs(&mut self, ctx: &mut Ctx<LassMsg>) {
@@ -599,7 +627,7 @@ impl Lass {
         self.borrowed_in_cs = self
             .t_required
             .iter()
-            .any(|r| self.held(r).is_some_and(|t| t.lender.is_some()));
+            .any(|r| self.work.contains(r) && self.held(r).is_some_and(|t| t.lender.is_some()));
         if self.borrowed_in_cs {
             self.stats.loans_used += 1;
         }
@@ -652,7 +680,7 @@ impl Lass {
         }
         // None of our owned tokens may itself be borrowed...
         if self
-            .t_owned
+            .work
             .iter()
             .any(|r| self.held(r).is_some_and(|t| t.lender.is_some()))
         {
@@ -710,6 +738,7 @@ impl Lass {
                 self.send_token(r, req.sinit);
             } else {
                 tok.enqueue_loan(req);
+                self.work.insert(r);
             }
         }
     }
@@ -744,51 +773,54 @@ impl Lass {
         // may never have reached the holder; now that the token is here, we
         // are the holder.  The history is filtered in place: only resource
         // and loan requests stay (they may have to be replayed again).
-        let Some(history) = self.pending.get_mut(r) else {
-            return; // never forwarded a request for r
-        };
-        let policy = self.cfg.policy;
-        history.retain(|req| {
-            if tok.obsolete(req) {
-                return false; // retired for good
-            }
-            if req.sinit() == me {
-                // [guard] our own request: ownership of the token satisfies
-                // it (counter taken above; CS entry checked by the caller).
-                return false;
-            }
-            match *req {
-                Request::Cnt {
-                    single: false,
-                    sinit,
-                    id,
-                    ..
-                } => {
-                    tok.set_last_req_c(sinit, id);
-                    let val = tok.take_counter();
-                    stage.buf_cnt.push(sinit, CounterVal { r, val, id });
-                    false
+        if let Some(history) = self.pending.get_mut(r) {
+            let policy = self.cfg.policy;
+            history.retain(|req| {
+                if tok.obsolete(req) {
+                    return false; // retired for good
                 }
-                Request::Cnt {
-                    single: true,
-                    sinit,
-                    id,
-                    ..
-                } => {
-                    let rr = convert_single(tok, policy, sinit, id);
-                    tok.enqueue_res(rr);
-                    false
+                if req.sinit() == me {
+                    // [guard] our own request: ownership of the token
+                    // satisfies it (counter taken above; CS entry checked
+                    // by the caller).
+                    return false;
                 }
-                Request::Res(ref rr) => {
-                    tok.enqueue_res(rr.clone());
-                    true
+                match *req {
+                    Request::Cnt {
+                        single: false,
+                        sinit,
+                        id,
+                        ..
+                    } => {
+                        tok.set_last_req_c(sinit, id);
+                        let val = tok.take_counter();
+                        stage.buf_cnt.push(sinit, CounterVal { r, val, id });
+                        false
+                    }
+                    Request::Cnt {
+                        single: true,
+                        sinit,
+                        id,
+                        ..
+                    } => {
+                        let rr = convert_single(tok, policy, sinit, id);
+                        tok.enqueue_res(rr);
+                        false
+                    }
+                    Request::Res(ref rr) => {
+                        tok.enqueue_res(rr.clone());
+                        true
+                    }
+                    Request::Loan(ref lr) => {
+                        tok.enqueue_loan(LoanReq::clone(lr));
+                        true
+                    }
                 }
-                Request::Loan(ref lr) => {
-                    tok.enqueue_loan(LoanReq::clone(lr));
-                    true
-                }
-            }
-        });
+            });
+        }
+        if tok.has_work() {
+            self.work.insert(r);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -925,6 +957,7 @@ impl Lass {
         } else {
             // (waitCS ∧ we precede) ∨ inCS: the request waits.
             tok.enqueue_res(rr);
+            self.work.insert(r);
         }
     }
 
@@ -973,7 +1006,7 @@ impl Lass {
             // 217-223).
             let mut returned = false;
             let my_mark = self.mark();
-            for r in self.t_owned.iter() {
+            for r in self.work.iter() {
                 let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
                     continue; // fresh token: not borrowed
                 };
@@ -1017,17 +1050,18 @@ impl Lass {
     /// Annex A lines 226–238: after a token arrives, re-examine every owned
     /// token's queue; yield whenever the head has priority over us (or
     /// unconditionally if we are still in `waitS`, idle, or do not require
-    /// the resource).
+    /// the resource).  Only tokens on the work list can have a queue; one
+    /// whose work is done leaves the list here.
     fn reschedule_owned(&mut self) {
         let my_mark = self.mark();
-        for r in self.t_owned.iter() {
-            if !self.t_owned.contains(r) {
-                continue; // handed away by a previous iteration's loan
-            }
+        for r in self.work.iter() {
             let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
                 continue; // fresh token: empty queue
             };
             let Some(&ResReq { sinit, mark, .. }) = tok.head() else {
+                if !tok.has_work() {
+                    self.work.remove(r);
+                }
                 continue;
             };
             debug_assert_ne!(sinit, self.me, "own request queued in own token");
@@ -1063,11 +1097,12 @@ impl Lass {
         }
     }
 
-    /// Annex A lines 241–247: retry queued loan requests of owned tokens.
+    /// Annex A lines 241–247: retry queued loan requests of owned tokens
+    /// (those on the work list).
     fn retry_pending_loans(&mut self) {
-        for r in self.t_owned.iter() {
+        for r in self.work.iter() {
             if !self.t_owned.contains(r) {
-                continue;
+                continue; // handed away by a previous iteration's loan
             }
             let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
                 continue; // fresh token: nothing queued
@@ -1130,6 +1165,7 @@ impl Allocator for Lass {
             LassMsg::Counters(vals) => self.on_counters(ctx, from, vals),
             LassMsg::Tokens(toks) => self.on_tokens(ctx, toks),
         }
+        self.debug_check_work_list();
     }
 
     /// `Request_CS` (annex A line 68).
@@ -1138,6 +1174,7 @@ impl Allocator for Lass {
         assert!(!resources.is_empty(), "empty request");
         debug_assert!(resources.iter().all(|r| r < self.cfg.m));
         self.cur_id += 1;
+        assert!(self.cur_id <= u64::from(u32::MAX), "a token stamps request ids in 32 bits");
         self.t_required = resources;
         self.cnt_needed.clear();
         self.loan_asked = false;
@@ -1162,6 +1199,7 @@ impl Allocator for Lass {
                     },
                 );
                 self.flush_own(ctx);
+                self.debug_check_work_list();
                 return;
             }
         }
@@ -1191,6 +1229,7 @@ impl Allocator for Lass {
             debug_assert!(self.t_required.is_subset(&self.t_owned));
             self.enter_cs(ctx);
         }
+        self.debug_check_work_list();
     }
 
     /// `Release_CS` (annex A line 85).
@@ -1223,7 +1262,7 @@ impl Allocator for Lass {
         // [deviation 7] tokens we own but did not use can carry queued
         // requests (e.g. they returned from a borrower mid-CS); serve them
         // now — release() never visits them otherwise.
-        for r in self.t_owned.iter() {
+        for r in self.work.iter() {
             if self.t_required.contains(r) {
                 continue;
             }
@@ -1241,6 +1280,7 @@ impl Allocator for Lass {
         // liveness hole.
         self.retry_pending_loans();
         self.flush_own(ctx);
+        self.debug_check_work_list();
     }
 
     fn state(&self) -> ProcState {
@@ -1378,7 +1418,9 @@ mod tests {
     #[test]
     fn a_sent_token_leaves_its_stamps_not_a_copy() {
         assert!(std::mem::size_of::<ResState>() <= 40, "an entry holds no token or history inline");
-        assert!(std::mem::size_of::<Token>() <= 152, "a token holds two stamp rows inline");
+        let row = std::mem::size_of::<crate::token::Stamps>();
+        assert_eq!(row, 12, "a stamp row is a site and two ids, 32 bits each");
+        assert!(std::mem::size_of::<Token>() <= 128, "a token holds two stamp rows inline");
         let mut nodes = LassConfig::without_loan(3, 1).build_nodes();
         let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
         nodes[0].request(&mut ctxs[0], ResourceSet::singleton(0));
@@ -1406,6 +1448,67 @@ mod tests {
         let msg = LassMsg::Requests { visited: NodeSet::singleton(1), reqs: stale };
         nodes[0].on_message(&mut ctxs[0], 1, msg);
         assert!(!ctxs[0].has_output());
+    }
+
+    /// The elected site of a 100 000-resource system holds one returned
+    /// token with a queued `ReqRes` beside its ~100 000 fresh ones.  That
+    /// token is its whole work list, and releasing sends exactly it.
+    #[test]
+    fn release_sends_the_one_token_with_work_among_100_000_fresh_ones() {
+        let r = 99_999;
+        let mut nodes = LassConfig::with_loan(3, 100_000).build_nodes();
+        let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
+        let deliver = |nodes: &mut Vec<Lass>, ctxs: &mut Vec<Ctx<LassMsg>>, from: usize| {
+            for (to, msg) in ctxs[from].take_outbox() {
+                nodes[to].on_message(&mut ctxs[to], from, msg);
+            }
+        };
+        // Site 1 takes the token and enters its critical section; site 0
+        // asks for it back and queues there.
+        nodes[1].request(&mut ctxs[1], ResourceSet::singleton(r));
+        deliver(&mut nodes, &mut ctxs, 1);
+        deliver(&mut nodes, &mut ctxs, 0);
+        assert!(ctxs[1].take_granted());
+        nodes[0].request(&mut ctxs[0], ResourceSet::singleton(r));
+        deliver(&mut nodes, &mut ctxs, 0);
+        // The release returns the token to site 0, whose critical section
+        // then queues site 2's request on it.
+        nodes[1].release(&mut ctxs[1]);
+        deliver(&mut nodes, &mut ctxs, 1);
+        assert!(ctxs[0].take_granted());
+        nodes[2].request(&mut ctxs[2], ResourceSet::singleton(r));
+        deliver(&mut nodes, &mut ctxs, 2);
+        assert_eq!(nodes[0].owned().len(), 100_000);
+        assert_eq!(nodes[0].work.to_vec(), [r]);
+        nodes[0].release(&mut ctxs[0]);
+        let out = ctxs[0].take_outbox();
+        let [(2, LassMsg::Tokens(toks))] = &out[..] else {
+            panic!("expected token {r} for site 2 alone, got {out:?}");
+        };
+        assert_eq!(toks.iter().map(|t| t.r).collect::<Vec<_>>(), [r]);
+        assert!(nodes[0].work.is_empty() && nodes[0].owned().len() == 99_999);
+    }
+
+    /// A loan request queued on a token with nothing else queued puts the
+    /// token on the work list, so the owner's release retries it and lends.
+    #[test]
+    fn a_lone_queued_loan_is_lent_at_release() {
+        let mut nodes = LassConfig::with_loan(2, 2).build_nodes();
+        let mut ctxs: Vec<Ctx<LassMsg>> = (0..2).map(|i| Ctx::new(i, 2)).collect();
+        nodes[0].request(&mut ctxs[0], [0, 1].into_iter().collect());
+        assert!(ctxs[0].take_granted());
+        let loan = LoanReq { r: 0, sinit: 1, id: 1, mark: 1.0, missing: ResourceSet::singleton(0) };
+        let reqs = vec![Request::Loan(Box::new(loan))];
+        let msg = LassMsg::Requests { visited: NodeSet::singleton(1), reqs };
+        nodes[0].on_message(&mut ctxs[0], 1, msg);
+        assert!(!ctxs[0].has_output(), "no loan while in CS");
+        assert_eq!((nodes[0].token(0).w_queue.len(), nodes[0].token(0).w_loan.len()), (0, 1));
+        nodes[0].release(&mut ctxs[0]);
+        let out = ctxs[0].take_outbox();
+        let [(1, LassMsg::Tokens(toks))] = &out[..] else {
+            panic!("expected the loan of token 0, got {out:?}");
+        };
+        assert_eq!((toks[0].r, toks[0].lender), (0, Some(0)));
     }
 
     /// Forwarding a request writes its history entry and nothing else:

@@ -22,7 +22,7 @@
 
 use crate::messages::{LoanReq, Request, ResReq};
 use crate::policy::order_key;
-use mra_protocol::wire::{put_u64, put_usize, DecodeError, WireReader};
+use mra_protocol::wire::{put_u32, put_u64, put_usize, DecodeError, WireReader};
 use mra_types::{NodeId, RequestId, ResourceId};
 
 /// Index of `lastReqC` in [`Stamps::ids`] and [`Token::nonzero`].
@@ -30,11 +30,21 @@ const REQ_C: usize = 0;
 /// Index of `lastCS` in [`Stamps::ids`] and [`Token::nonzero`].
 const CS: usize = 1;
 
-/// One site's row of the stamp table: `lastReqC[site]` and `lastCS[site]`.
+/// One site's row of the stamp table: `lastReqC[site]` and `lastCS[site]`,
+/// 12 bytes.  A site is 32-bit everywhere (`Lass::new`), and so is a
+/// stamped request id: `Lass::request` asserts it of its own ids, and the
+/// decoder refuses a larger one in a `ReqCnt` or a stamp list.  Reads widen
+/// the id back to a [`RequestId`]; the wire carries it as `u64`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Stamps {
-    site: NodeId,
-    ids: [RequestId; 2],
+pub(crate) struct Stamps {
+    site: u32,
+    ids: [u32; 2],
+}
+
+/// A site or request id as a stamp row keeps it.  Checked: an id that
+/// does not fit must not alias a smaller one.
+fn stamp32(v: u64, what: &str) -> u32 {
+    u32::try_from(v).unwrap_or_else(|_| panic!("{what} {v} does not fit a 32-bit stamp"))
 }
 
 /// Rows a token keeps without a heap block.  At 10 000 sites most tokens
@@ -165,19 +175,20 @@ pub struct Token {
 /// every site has a stamp — the paper's shape soon after warm-up — row `s`
 /// is site `s`, so that slot is tried before the search.
 #[inline]
-fn find(rows: &[Stamps], s: NodeId) -> Result<usize, usize> {
-    match rows.get(s) {
-        Some(row) if row.site == s => Ok(s),
+fn find(rows: &[Stamps], s: u32) -> Result<usize, usize> {
+    match rows.get(s as usize) {
+        Some(row) if row.site == s => Ok(s as usize),
         _ => rows.binary_search_by_key(&s, |row| row.site),
     }
 }
 
-/// Site `s`'s two stamps in `rows` (both 0 if it has no row).
+/// Site `s`'s two stamps in `rows` (both 0 if it has no row, as for a
+/// site past 32 bits, which none can have).
 #[inline]
 fn ids(rows: &[Stamps], s: NodeId) -> [RequestId; 2] {
-    match find(rows, s) {
-        Ok(i) => rows[i].ids,
-        Err(_) => [0; 2],
+    match u32::try_from(s).map(|s| find(rows, s)) {
+        Ok(Ok(i)) => rows[i].ids.map(RequestId::from),
+        _ => [0; 2],
     }
 }
 
@@ -197,8 +208,8 @@ fn obsolete(rows: &[Stamps], req: &Request) -> bool {
 /// at departure, the paper's `lastTok[r]` as far as anything reads it
 /// (obsolete requests are dropped against it).  The queues and the lender
 /// went with the token, which has one copy only.  The rows sit in an
-/// exact-size box (24 bytes with the counter, none allocated while
-/// empty), refilled in place while the row count stays.
+/// exact-size box of 12 bytes a row (24 bytes with the counter, none
+/// allocated while empty), refilled in place while the row count stays.
 #[derive(Clone, Debug)]
 pub(crate) struct Seen {
     counter: u64,
@@ -239,19 +250,20 @@ impl Seen {
 /// prefix may claim per entry.
 const STAMP_BYTES: usize = 4 + 8;
 /// What a decoded stamp list is and must keep ([`DecodeError::Invalid`]).
-const REQ_C_RULE: &str = "Token.lastReqC (sites strictly increasing, ids nonzero)";
-const CS_RULE: &str = "Token.lastCS (sites strictly increasing, ids nonzero)";
+const REQ_C_RULE: &str = "Token.lastReqC (sites strictly increasing, ids in 1..2^32)";
+const CS_RULE: &str = "Token.lastCS (sites strictly increasing, ids in 1..2^32)";
 
 /// Read one `(site, id)` stamp of a list, which must be strictly sorted by
-/// site (`after` is the previous site) and carry a nonzero id: the
-/// invariants of the table the list is decoded into.
+/// site (`after` is the previous site) and carry a nonzero id below 2^32:
+/// the invariants of the table the list is decoded into.  (A site is a
+/// `u32` on the wire, so it always fits its row.)
 fn get_stamp(
     r: &mut WireReader<'_>,
-    after: Option<NodeId>,
+    after: Option<u32>,
     what: &'static str,
-) -> Result<(NodeId, RequestId), DecodeError> {
-    let site = r.get_usize(what)?;
-    let id = r.get_u64(what)?;
+) -> Result<(u32, u32), DecodeError> {
+    let site = r.get_u32(what)?;
+    let id = u32::try_from(r.get_u64(what)?).unwrap_or(0);
     if id == 0 || after.is_some_and(|prev| site <= prev) {
         return Err(DecodeError::Invalid { what });
     }
@@ -292,8 +304,10 @@ impl Token {
     }
 
     /// Record stamp `k` of site `s`: a row appears with its first nonzero
-    /// stamp and goes with its last.
+    /// stamp and goes with its last.  Panics if `s` or `id` does not fit
+    /// 32 bits.
     fn set_stamp(&mut self, s: NodeId, k: usize, id: RequestId) {
+        let (s, id) = (stamp32(s as u64, "site"), stamp32(id, "stamped request id"));
         let old = match find(self.stamps.as_slice(), s) {
             Ok(i) => {
                 let row = &mut self.stamps.as_mut_slice()[i];
@@ -344,8 +358,8 @@ impl Token {
         for k in [REQ_C, CS] {
             put_usize(out, self.nonzero[k]);
             for row in self.stamps.as_slice().iter().filter(|row| row.ids[k] != 0) {
-                put_usize(out, row.site);
-                put_u64(out, row.ids[k]);
+                put_u32(out, row.site);
+                put_u64(out, u64::from(row.ids[k]));
             }
         }
     }
@@ -479,6 +493,13 @@ impl Token {
         true
     }
 
+    /// Does the token carry work for its holder: a queued resource or loan
+    /// request, or a lender to go back to?  A site keeps every owned token
+    /// that does on its work list.
+    pub(crate) fn has_work(&self) -> bool {
+        !self.w_queue.is_empty() || !self.w_loan.is_empty() || self.lender.is_some()
+    }
+
     /// Approximate message size in integer units (metrics only).  Counts
     /// the stamps actually carried on the wire: only nonzero ones ship.
     pub fn weight(&self) -> usize {
@@ -497,7 +518,7 @@ mod tests {
         ResReq { r, sinit: s, id, mark }
     }
 
-    fn row(site: NodeId, req_c: RequestId, cs: RequestId) -> Stamps {
+    fn row(site: u32, req_c: u32, cs: u32) -> Stamps {
         Stamps { site, ids: [req_c, cs] }
     }
 
@@ -608,6 +629,23 @@ mod tests {
         assert_eq!((t.stamps.as_slice(), t.weight()), ([row(3, 9, 0)].as_slice(), 2 + 2));
     }
 
+    /// A stamp row holds 32-bit ids: `u32::MAX` reads back whole, and an
+    /// id past it is refused rather than cut to another id.
+    #[test]
+    fn stamps_hold_32_bit_ids_and_refuse_larger_ones() {
+        let mut t = Token::new(0);
+        let max = RequestId::from(u32::MAX);
+        t.set_last_req_c(7, max);
+        t.set_last_cs(7, max - 1);
+        assert_eq!((t.last_req_c(7), t.last_cs(7)), (max, max - 1));
+        let retired = Request::Cnt { r: 0, sinit: 7, id: max, single: false };
+        assert!(t.obsolete(&retired));
+        let res = Request::Res(ResReq { r: 0, sinit: 7, id: max + 1, mark: 1.0 });
+        assert!(!t.obsolete(&res), "an id past the stamp is live");
+        let refused = std::panic::catch_unwind(move || t.set_last_cs(7, max + 1));
+        assert!(refused.is_err());
+    }
+
     #[test]
     fn stamp_slot_shortcut_agrees_with_the_search() {
         let mut t = Token::new(0);
@@ -619,12 +657,12 @@ mod tests {
         // A gap shifts later sites off their slot: slot 2 now holds site 3,
         // so sites 3.. and the gap itself fall back to the search.
         t.set_last_cs(2, 0);
-        let sites: Vec<NodeId> = t.stamps.as_slice().iter().map(|row| row.site).collect();
+        let sites: Vec<u32> = t.stamps.as_slice().iter().map(|row| row.site).collect();
         assert_eq!(sites, [0, 1, 3, 4, 5]);
         assert_eq!((t.last_cs(2), t.last_cs(3), t.last_cs(5)), (0, 13, 15));
         t.set_last_cs(4, 40);
         t.set_last_cs(2, 20);
-        let cs: Vec<RequestId> = t.stamps.as_slice().iter().map(|row| row.ids[CS]).collect();
+        let cs: Vec<u32> = t.stamps.as_slice().iter().map(|row| row.ids[CS]).collect();
         assert_eq!(cs, [10, 11, 20, 13, 40, 15]);
         assert_eq!(t.last_cs(6), 0);
     }
@@ -641,7 +679,8 @@ mod tests {
             assert!(rows.windows(2).all(|p| p[0].site < p[1].site), "unsorted {rows:?}");
             for s in 0..8 {
                 let searched = rows.binary_search_by_key(&s, |row| row.site).map_or([0; 2], |i| rows[i].ids);
-                assert_eq!(ids(rows, s), searched, "site {s}");
+                let searched = searched.map(RequestId::from);
+                assert_eq!(ids(rows, s as NodeId), searched, "site {s}");
             }
         };
         let mut t = Token::new(0);

@@ -28,8 +28,10 @@
 //! cannot happen: a mark that is not finite with the sign bit clear
 //! (`order_key` orders marks by their bit pattern), a stamp list not
 //! strictly sorted by site or holding a zero id (the table is searched by
-//! site and holds nonzero stamps only), and a wait or loan queue out of
-//! `/` order (insertion is a binary search).
+//! site and holds nonzero stamps only), a wait or loan queue out of `/`
+//! order (insertion is a binary search), and a stamped id of 2^32 or more
+//! — in a stamp list or a `ReqCnt`, whose id a holder stamps — since a
+//! table row keeps ids in 32 bits.  Every other id stays a full `u64`.
 
 use crate::messages::{CounterVal, LassMsg, LoanReq, Request, ResReq};
 use crate::policy::order_key;
@@ -46,6 +48,16 @@ fn get_mark(r: &mut WireReader<'_>, what: &'static str) -> Result<f64, DecodeErr
         return Err(DecodeError::Invalid { what });
     }
     Ok(mark)
+}
+
+/// Read the id of a request a holder stamps into a token (`lastReqC`):
+/// carried as a `u64`, it must fit the stamp row's 32 bits.
+fn get_stamped_id(r: &mut WireReader<'_>, what: &'static str) -> Result<u64, DecodeError> {
+    let id = r.get_u64(what)?;
+    if u32::try_from(id).is_err() {
+        return Err(DecodeError::Invalid { what });
+    }
+    Ok(id)
 }
 
 /// Accept a decoded wait queue only in `/` order, the order its insertion
@@ -126,7 +138,7 @@ impl WireCodec for Request {
             0 => Ok(Request::Cnt {
                 r: r.get_usize("Request::Cnt.r")?,
                 sinit: r.get_usize("Request::Cnt.sinit")?,
-                id: r.get_u64("Request::Cnt.id")?,
+                id: get_stamped_id(r, "Request::Cnt.id (below 2^32)")?,
                 single: r.get_bool("Request::Cnt.single")?,
             }),
             1 => Ok(Request::Res(ResReq::decode(r)?)),
@@ -366,6 +378,35 @@ mod tests {
         assert!(rejected(&token_frame(&[], &[], &queue, &[]), "Token.wQueue"));
         let loans = [loan(3, 1.0), loan(1, 1.0)];
         assert!(rejected(&token_frame(&[], &[], &[], &loans), "Token.wLoan"));
+    }
+
+    /// A token keeps stamped ids in 32 bits: a `ReqCnt` id (a holder
+    /// stamps it as `lastReqC`) or a stamp-list id of 2^32 is refused, and
+    /// `u32::MAX` goes through.  A site is a `u32` on the wire, so none can
+    /// be too large.  Ids that are never stamped keep 64 bits.
+    #[test]
+    fn stamped_ids_must_fit_32_bits() {
+        let big = 1u64 << 32;
+        let max = u64::from(u32::MAX);
+        let cnt = |id| LassMsg::Requests {
+            visited: NodeSet::EMPTY,
+            reqs: vec![Request::Cnt { r: 0, sinit: 1, id, single: false }],
+        };
+        assert!(rejected(&cnt(big).to_bytes(), "Request::Cnt.id"));
+        assert!(rejected(&token_frame(&[(1, big)], &[], &[], &[]), "Token.lastReqC"));
+        assert!(rejected(&token_frame(&[], &[(0, 5), (2, big)], &[], &[]), "Token.lastCS"));
+        let bytes = cnt(max).to_bytes();
+        assert_eq!(LassMsg::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+        let bytes = token_frame(&[(1, max), (3, 1)], &[(1, max)], &[], &[]);
+        let LassMsg::Tokens(toks) = LassMsg::from_bytes(&bytes).unwrap() else {
+            panic!("a token frame decodes to tokens");
+        };
+        let t = &toks[0];
+        assert_eq!((t.last_req_c(1), t.last_cs(1), t.last_req_c(3)), (max, max, 1));
+        assert_eq!(LassMsg::Tokens(toks).to_bytes(), bytes);
+        let res = Request::Res(ResReq { r: 0, sinit: 1, id: u64::MAX, mark: 1.0 });
+        let bytes = LassMsg::Requests { visited: NodeSet::EMPTY, reqs: vec![res] }.to_bytes();
+        assert!(LassMsg::from_bytes(&bytes).is_ok());
     }
 
     #[test]

@@ -52,6 +52,18 @@ fn any_counter() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// A request id a token stamps (`lastReqC`, `lastCS`, a `ReqCnt`'s id):
+/// 32 bits, boundary values included.
+fn any_stamped_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(1u64),
+        Just(u64::from(u32::MAX)),
+        Just(u64::from(u32::MAX) - 1),
+        any::<u32>().prop_map(u64::from),
+    ]
+}
+
 /// Scheduling marks.  The protocol only ever produces finite marks with the
 /// sign bit clear (`order_key` asserts it, the decoder refuses any other,
 /// `-0.0` included), so generators stay inside that range; bit-exact
@@ -78,7 +90,7 @@ fn any_loan_req() -> impl Strategy<Value = LoanReq> {
 
 fn any_request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (0usize..256, 0usize..256, any_counter(), any::<bool>())
+        (0usize..256, 0usize..256, any_stamped_id(), any::<bool>())
             .prop_map(|(r, sinit, id, single)| Request::Cnt { r, sinit, id, single }),
         any_res_req().prop_map(Request::Res),
         any_loan_req().prop_map(|l| Request::Loan(Box::new(l))),
@@ -91,14 +103,14 @@ fn any_token() -> impl Strategy<Value = Token> {
         vec(any_res_req(), 0..6),
         vec(any_loan_req(), 0..4),
         prop_oneof![Just(None), (0usize..256).prop_map(Some)],
-        vec(any_counter(), 0..8),
+        vec(any_stamped_id(), 0..8),
     )
         .prop_map(|((r, counter, n), w_queue, w_loan, lender, stamps)| {
             let mut t = Token::new(r);
             t.counter = counter;
             for (i, s) in stamps.iter().enumerate() {
                 t.set_last_req_c(i % n, *s);
-                t.set_last_cs((i + 1) % n, s.wrapping_mul(3));
+                t.set_last_cs((i + 1) % n, s.wrapping_mul(3) & u64::from(u32::MAX));
             }
             // Route queue entries through the real insertion paths so the
             // encoded token is one the protocol could actually produce.
@@ -255,12 +267,13 @@ fn boundary_values_roundtrip() {
     })
     .unwrap();
 
-    // Boundary counters everywhere a token carries them.
+    // Boundary counters everywhere a token carries them (stamped ids are
+    // 32-bit).
     let mut t = Token::new(255);
     t.counter = u64::MAX;
     for s in 0..32 {
-        t.set_last_req_c(s, u64::MAX);
-        t.set_last_cs(s, u64::MAX);
+        t.set_last_req_c(s, u64::from(u32::MAX));
+        t.set_last_cs(s, u64::from(u32::MAX));
     }
     assert_roundtrip(&LassMsg::Tokens(vec![Box::new(t)])).unwrap();
 

@@ -1150,6 +1150,68 @@ mod tests {
         assert_eq!(rep.cs_completed, 10);
     }
 
+    /// A protocol that sends from `on_init`: node 0 pings every peer, and a
+    /// peer answers a first ping once.  It never requests.
+    #[derive(Clone)]
+    struct InitPing {
+        me: NodeId,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    struct Ping(u8);
+    impl WireMsg for Ping {
+        fn kind(&self) -> &'static str {
+            "Ping"
+        }
+    }
+
+    impl Allocator for InitPing {
+        type Msg = Ping;
+        fn on_init(&mut self, ctx: &mut Ctx<Ping>) {
+            if self.me == 0 {
+                for peer in 1..ctx.n_nodes() {
+                    ctx.send(peer, Ping(0));
+                }
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Ping>, from: NodeId, msg: Ping) {
+            if msg.0 == 0 {
+                ctx.send(from, Ping(1));
+            }
+        }
+        fn request(&mut self, _ctx: &mut Ctx<Ping>, _resources: ResourceSet) {
+            unreachable!("never requests");
+        }
+        fn release(&mut self, _ctx: &mut Ctx<Ping>) {
+            unreachable!("never releases");
+        }
+        fn state(&self) -> ProcState {
+            ProcState::Idle
+        }
+        fn name(&self) -> &'static str {
+            "init-ping"
+        }
+    }
+
+    /// Frames sent from `on_init` are in flight before tracing can be
+    /// armed; arming stamps them with send events, so the trace of the run
+    /// is causally complete: one send per delivered frame, no delivery
+    /// without its send.
+    #[test]
+    fn arming_after_init_traces_the_frames_already_in_flight() {
+        let mut net = VirtualNet::new((0..4).map(|me| InitPing { me }).collect(), 1);
+        assert_eq!(net.in_flight(), 3);
+        net.arm_tracing(TraceMode::Unbounded);
+        net.run_until_quiet(&mut Schedule::seeded(5), 100);
+        assert_eq!(net.delivered(), 6);
+        let trace = net.take_obs().trace.expect("tracing was armed");
+        let events = trace.to_owned_events();
+        let check = mra_obs::check_events(&events, trace.dropped);
+        assert!(check.ok(), "{:?}", check.details);
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+        assert_eq!((count(EventKind::Send), count(EventKind::Recv)), (6, 6));
+    }
+
     /// A minimal two-node token lock (m = 1) for exercising the fault
     /// harness with real message traffic: the token starts at node 0; a
     /// node without it asks the peer; the holder hands it over when idle

@@ -667,6 +667,15 @@ impl DynSet {
         SetIter { words, pos: 0 }
     }
 
+    /// Does `f` hold for every element?  Visits them in increasing order
+    /// and stops at the first that fails.  Unlike [`DynSet::iter`] it walks
+    /// the set in place, so it never allocates, and the set stays borrowed
+    /// meanwhile.
+    pub fn all(&self, mut f: impl FnMut(usize) -> bool) -> bool {
+        let mut buf = NO_CHUNKS;
+        self.chunks(&mut buf).iter().all(|&c| chunk_elements(c).all(&mut f))
+    }
+
     /// Collect into a `Vec<usize>` (convenience for tests and display).
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()

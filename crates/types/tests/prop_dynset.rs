@@ -113,6 +113,23 @@ fn agrees(d: &DynSet, m: &BTreeSet<usize>) -> Result<(), TestCaseError> {
     prop_assert_eq!(d.first(), m.first().copied());
     prop_assert_eq!(d.last(), m.last().copied());
     prop_assert!(d.iter().eq(m.iter().copied()));
+    // `all` visits the elements in order, in place, up to the first that
+    // fails.
+    let mut seen = Vec::new();
+    prop_assert!(d.all(|e| {
+        seen.push(e);
+        true
+    }));
+    prop_assert!(seen.iter().eq(m.iter()));
+    if let Some(&stop) = m.iter().nth(m.len() / 2) {
+        seen.clear();
+        prop_assert!(!d.all(|e| {
+            seen.push(e);
+            e != stop
+        }));
+        prop_assert_eq!(seen.last(), Some(&stop));
+        prop_assert_eq!(seen.len(), m.len() / 2 + 1);
+    }
     prop_assert_eq!(d.iter().len(), m.len());
     let mut rest = d.iter();
     rest.next();
