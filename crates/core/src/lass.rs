@@ -29,12 +29,15 @@
 //! Deviations from the paper's pseudo-code are marked `[deviation N]` and
 //! catalogued in DESIGN.md §6.
 
+mod store;
+
 use crate::messages::{CounterVal, LassMsg, LoanReq, Request, ResReq};
 use crate::policy::{precedes, SchedulingPolicy};
-use crate::token::{Seen, Token};
+use crate::token::Token;
 use mra_protocol::{Allocator, Ctx, ProcState};
-use mra_types::{NodeId, NodeSet, RequestId, ResTable, ResourceId, ResourceSet};
+use mra_types::{NodeId, NodeSet, RequestId, ResourceId, ResourceSet};
 use std::cell::Cell;
+use store::{Held, Store};
 
 /// Static configuration of a LASS system (identical on every node).
 #[derive(Clone, Copy, Debug)]
@@ -219,134 +222,10 @@ impl Staging {
     }
 }
 
-/// What a site knows about one resource's token: the paper's `tokDir[r]`
-/// and `lastTok[r]`, kept together so that a handler finds both with one
-/// table lookup.  40 bytes, what every entry needs: the token itself is
-/// here only while this site owns it, boxed, and the pending history,
-/// which few entries ever hold, has its own table ([`Lass`]).
-#[derive(Clone)]
-struct ResState {
-    /// Father pointer in the resource's tree; `None` iff this site holds
-    /// the token (is the tree root).  A site in 32 bits, as on the wire.
-    father: Option<u32>,
-    /// The token, `Some` only while this site owns it.  `None` on an owned
-    /// resource means a fresh token, boxed on its first change.
-    held: Option<Box<Token>>,
-    /// The token's counter and stamps when it last left this site.
-    seen: Seen,
-}
-
-/// A site as an entry's father pointer keeps it (`Lass::new` checks that
-/// every site fits in 32 bits).
-fn site32(s: NodeId) -> u32 {
-    s as u32
-}
-
-impl ResState {
-    /// The state of a resource this site has not touched yet.
-    fn initial(father: Option<NodeId>) -> Self {
-        ResState {
-            father: father.map(site32),
-            held: None,
-            seen: Seen::fresh(),
-        }
-    }
-
-    /// The owned token of resource `r`, boxed on its first change.
-    fn token_mut(&mut self, r: ResourceId) -> &mut Token {
-        self.held.get_or_insert_with(|| Box::new(Token::new(r)))
-    }
-
-    /// Is `req` obsolete against the token while held, else against its
-    /// stamps when it left (fresh if it never did)?
-    fn obsolete(&self, req: &Request) -> bool {
-        match &self.held {
-            Some(t) => t.obsolete(req),
-            None => self.seen.obsolete(req),
-        }
-    }
-}
-
-/// The requests a site forwarded towards one resource's holder (§4.2.1),
-/// in the order they were kept: inline while there is at most one, which
-/// is most histories (14 353 of 18 165 on the 10 000-site shape), a heap
-/// vector past that.  As with a token's stamp rows, the count alone
-/// decides the form, in both directions.
-#[derive(Clone)]
-enum History {
-    Inline(Option<Request>),
-    Heap(Vec<Request>),
-}
-
-impl History {
-    const EMPTY: History = History::Inline(None);
-
-    #[cfg(test)]
-    fn as_slice(&self) -> &[Request] {
-        match self {
-            History::Inline(None) => &[],
-            History::Inline(Some(req)) => std::slice::from_ref(req),
-            History::Heap(reqs) => reqs,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Request] {
-        match self {
-            History::Inline(None) => &mut [],
-            History::Inline(Some(req)) => std::slice::from_mut(req),
-            History::Heap(reqs) => reqs,
-        }
-    }
-
-    fn push(&mut self, req: Request) {
-        match self {
-            History::Inline(slot) => match slot.take() {
-                None => *slot = Some(req),
-                Some(first) => {
-                    // Four: what `Vec` itself first reserves for requests.
-                    let mut reqs = Vec::with_capacity(4);
-                    reqs.extend([first, req]);
-                    *self = History::Heap(reqs);
-                }
-            },
-            History::Heap(reqs) => reqs.push(req),
-        }
-    }
-
-    /// Keep the requests `keep` accepts, in order.  A replay usually
-    /// retires most of what piled up while the token was away: one request
-    /// left goes back inline, and more left in under a quarter of their
-    /// buffer move to a tight one (2 560 buffers held at their peak are
-    /// 3.4 MB on the 32 x 80 shape, a quarter of that run's heap; not
-    /// `shrink_to`: a buffer cut in place leaves a tail the allocator
-    /// cannot merge).
-    fn retain(&mut self, mut keep: impl FnMut(&Request) -> bool) {
-        match self {
-            History::Inline(slot) => {
-                if slot.as_ref().is_some_and(|req| !keep(req)) {
-                    *slot = None;
-                }
-            }
-            History::Heap(reqs) => {
-                reqs.retain(keep);
-                if reqs.len() <= 1 {
-                    *self = History::Inline(reqs.pop());
-                } else if reqs.capacity() >= 4 * reqs.len() {
-                    let mut tight = Vec::with_capacity(2 * reqs.len());
-                    tight.append(reqs);
-                    *reqs = tight;
-                }
-            }
-        }
-    }
-}
-
-/// `res`'s entry for `r`, materialized on first touch with `father` (the
-/// node's `initial_father`) as its father pointer.  The one way handlers
-/// reach an entry; a free function so that a handler can hold the entry
-/// while it touches the node's other fields.
-fn res_entry(res: &mut ResTable<ResState>, r: ResourceId, father: Option<NodeId>) -> &mut ResState {
-    res.get_or(r, |_| ResState::initial(father))
+/// `SendToken` (annex A line 102): `tok` leaves for `dest` in the
+/// handler's token batch for it.
+fn send_token(stage: &mut Option<Box<Staging>>, tok: Held<'_>, dest: NodeId) {
+    Staging::lent(stage).buf_tok.push(dest, tok.depart(dest));
 }
 
 /// `MyVector[r] = v` on the sparse pair vector.
@@ -372,6 +251,13 @@ fn reserve_counter(
     set_vector(my_vector, tok.r, v);
 }
 
+/// The holder of `tok` answers site `sinit`'s counter request `id` with
+/// the counter's next value.
+fn answer_counter(tok: &mut Token, sinit: NodeId, id: RequestId) -> CounterVal {
+    tok.set_last_req_c(sinit, id);
+    CounterVal { r: tok.r, val: tok.take_counter(), id }
+}
+
 /// §4.6.1: the holder of `tok` turns a single-resource `ReqCnt` into a
 /// `ReqRes`, computing the mark itself from the counter value it assigns.
 fn convert_single(
@@ -392,45 +278,22 @@ fn convert_single(
 
 /// One site's LASS state (annex A figure 9).
 ///
-/// Per-resource state lives in two [`ResTable`]s, each a dense vector at
-/// paper scale (M ≤ 4096) and a map materialized on first write above — a
-/// node only pays for the resources it actually touches, which is what
-/// lets 10k nodes each face 100k resources.  `res` holds `ResState {
-/// father, held, seen }`, which every touched resource needs; `pending`
-/// holds the forwarded-request histories, which only a resource this site
-/// forwarded a request for needs.  An absent entry means the initial
-/// state: the father pointer is the elected site (none on the elected site
-/// itself), the token is fresh, the pending history is empty.  Handlers
-/// look a resource up once per table they need and work on the entry they
-/// got (DESIGN §10.1 counts the lookups per handler).
+/// What the site knows per resource — `tokDir`, `lastTok`, the owned
+/// tokens, the pending histories — is in its store (`lass::store`), which
+/// handlers reach through a narrow API; they look a resource up once per
+/// table they need (DESIGN §10.1 counts the lookups per handler).
 #[derive(Clone)]
 pub struct Lass {
     cfg: LassConfig,
     me: NodeId,
     state: ProcState,
-    /// Father pointer, token and departure stamps per resource.
-    res: ResTable<ResState>,
-    /// Requests forwarded towards each resource's holder, replayed when
-    /// its token arrives (§4.2.1).  Forwarding writes here only, so a
-    /// resource this site merely forwards for has no `res` entry.
-    pending: ResTable<History>,
-    /// Father pointer of a resource this site has not touched: the
-    /// elected site, none on the elected site itself.
-    initial_father: Option<NodeId>,
+    /// Per-resource state, owned tokens and the work list.
+    store: Store,
     /// Counter vector of the current request: sparse `(resource, value)`
     /// pairs sorted by resource, nonzero values only (zero = not required).
     my_vector: Vec<(ResourceId, u64)>,
     /// Resources of the current request.
     t_required: ResourceSet,
-    /// Owned tokens.
-    t_owned: ResourceSet,
-    /// The work list: owned tokens that may carry work — a queued
-    /// `ReqRes`, a queued loan or a lender ([`Token::has_work`]).  Every
-    /// owned token with work is on it; one whose work is done may linger
-    /// until a scan passes it.  The handlers' "every owned token" scans
-    /// (annex A lines 217–252) walk this list, in the same ascending
-    /// order, instead of every owned token.
-    work: ResourceSet,
     /// Required resources whose counter value is still missing.
     cnt_needed: ResourceSet,
     /// Current request id (incremented per request).
@@ -454,22 +317,13 @@ impl Lass {
         assert!(me < cfg.n);
         assert!(u32::try_from(cfg.n).is_ok(), "sites are 32-bit ids");
         assert!(cfg.m >= 1);
-        let is_elected = me == cfg.elected;
-        let initial_father = if is_elected { None } else { Some(cfg.elected) };
+        let initial_father = (me != cfg.elected).then_some(cfg.elected);
         Lass {
             me,
             state: ProcState::Idle,
-            res: ResTable::new_with(cfg.m, |_| ResState::initial(initial_father)),
-            pending: ResTable::new_with(cfg.m, |_| History::EMPTY),
-            initial_father,
+            store: Store::new(cfg.m, initial_father),
             my_vector: Vec::new(),
             t_required: ResourceSet::new(),
-            t_owned: if is_elected {
-                ResourceSet::full(cfg.m)
-            } else {
-                ResourceSet::new()
-            },
-            work: ResourceSet::new(),
             cnt_needed: ResourceSet::new(),
             cur_id: 0,
             t_lent: ResourceSet::new(),
@@ -487,7 +341,7 @@ impl Lass {
 
     /// Set of tokens currently owned.
     pub fn owned(&self) -> ResourceSet {
-        self.t_owned.clone()
+        self.store.owned().clone()
     }
 
     /// Set of resources currently lent out.
@@ -502,21 +356,14 @@ impl Lass {
 
     /// Father pointer of resource `r`'s tree (`None` = this site is root).
     pub fn father(&self, r: ResourceId) -> Option<NodeId> {
-        match self.res.get(r) {
-            Some(st) => st.father.map(|f| f as NodeId),
-            None => self.initial_father,
-        }
+        self.store.father(r)
     }
 
     /// The token of `r` if owned; otherwise its counter and stamps when it
     /// last left this site, with empty queues (fresh if it never did).
     /// Diagnostics only — clones.
     pub fn token(&self, r: ResourceId) -> Token {
-        match self.res.get(r) {
-            Some(ResState { held: Some(t), .. }) => Token::clone(t),
-            Some(st) => st.seen.token(r),
-            None => Token::new(r),
-        }
+        self.store.token(r)
     }
 
     /// Current request id.
@@ -537,44 +384,6 @@ impl Lass {
     /// The scheduling mark `A(MyVector)` of the current request.
     pub fn mark(&self) -> f64 {
         self.cfg.policy.mark_sparse(self.my_vector.iter().map(|&(_, v)| v))
-    }
-
-    // ------------------------------------------------------------------
-    // Sparse-table plumbing
-    // ------------------------------------------------------------------
-
-    /// The token of `r`, if held boxed (an owned token that never left is
-    /// fresh: no lender, empty queues, all-zero stamps).
-    fn held(&self, r: ResourceId) -> Option<&Token> {
-        self.res.get(r).and_then(|st| st.held.as_deref())
-    }
-
-    /// Is `req` obsolete w.r.t. what this site knows of `r`'s token?
-    /// Nothing is, against an untouched one.
-    fn tok_obsolete(&self, r: ResourceId, req: &Request) -> bool {
-        self.res.get(r).is_some_and(|st| {
-            debug_assert!(st.held.is_none() || self.t_owned.contains(r), "token {r} held unowned");
-            st.obsolete(req)
-        })
-    }
-
-    /// The work list's invariant, checked at the end of every entry point
-    /// in debug builds: every owned token with work is on the list (one
-    /// whose work is done may be too).  Walks the owned set in place, so
-    /// it allocates nothing.  Only on a dense table (at most 4 096
-    /// resources, every test shape but the large-universe ones): above,
-    /// the walk is a hash probe per owned token per handler, and the
-    /// elected site owns nearly all 100 000 of them.
-    fn debug_check_work_list(&self) {
-        debug_assert!(
-            !self.res.is_dense()
-                || self.t_owned.all(|r| {
-                    self.work.contains(r) || !self.held(r).is_some_and(Token::has_work)
-                }),
-            "site {}: an owned token with work is off the work list {:?}",
-            self.me,
-            self.work
-        );
     }
 
     // ------------------------------------------------------------------
@@ -603,44 +412,15 @@ impl Lass {
         self.flush_all(ctx, &NodeSet::singleton(self.me));
     }
 
-    // ------------------------------------------------------------------
-    // Token plumbing
-    // ------------------------------------------------------------------
-
-    /// `SendToken` (annex A line 102): move the token to `dest`, keep its
-    /// stamps, rewire the father pointer and drop ownership.
-    fn send_token(&mut self, r: ResourceId, dest: NodeId) {
-        debug_assert!(self.t_owned.contains(r), "sending unowned token {r}");
-        debug_assert_ne!(dest, self.me, "token self-send");
-        let st = res_entry(&mut self.res, r, self.initial_father);
-        let tok = st.held.take().unwrap_or_else(|| Box::new(Token::new(r)));
-        st.seen.record(&tok);
-        st.father = Some(site32(dest));
-        Staging::lent(&mut self.stage).buf_tok.push(dest, tok);
-        self.t_owned.remove(r);
-        self.work.remove(r);
-    }
-
     fn enter_cs(&mut self, ctx: &mut Ctx<LassMsg>) {
         debug_assert_ne!(self.state, ProcState::InCS);
-        debug_assert!(self.t_required.is_subset(&self.t_owned));
-        self.borrowed_in_cs = self
-            .t_required
-            .iter()
-            .any(|r| self.work.contains(r) && self.held(r).is_some_and(|t| t.lender.is_some()));
+        debug_assert!(self.t_required.is_subset(self.store.owned()));
+        self.borrowed_in_cs = self.t_required.iter().any(|r| self.store.borrowed(r));
         if self.borrowed_in_cs {
             self.stats.loans_used += 1;
         }
         self.state = ProcState::InCS;
         ctx.grant();
-    }
-
-    /// Reserve the counter of an owned token for the current request.
-    fn take_counter_locally(&mut self, r: ResourceId) {
-        debug_assert!(self.t_owned.contains(r));
-        let (me, id) = (self.me, self.cur_id);
-        let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
-        reserve_counter(tok, &mut self.my_vector, me, id);
     }
 
     // ------------------------------------------------------------------
@@ -655,17 +435,10 @@ impl Lass {
         self.state = ProcState::WaitCS;
         let mark = self.mark();
         for r in self.t_required.iter() {
-            if !self.t_owned.contains(r) {
+            if !self.store.owned().contains(r) {
                 let father = self.father(r).expect("non-owner has a father");
-                Staging::lent(&mut self.stage).buf_req.push(
-                    father,
-                    Request::Res(ResReq {
-                        r,
-                        sinit: self.me,
-                        id: self.cur_id,
-                        mark,
-                    }),
-                );
+                let req = Request::Res(ResReq { r, sinit: self.me, id: self.cur_id, mark });
+                Staging::lent(&mut self.stage).buf_req.push(father, req);
             }
         }
     }
@@ -675,15 +448,11 @@ impl Lass {
     // ------------------------------------------------------------------
 
     fn can_lend(&self, req: &LoanReq) -> bool {
-        if !req.missing.is_subset(&self.t_owned) {
+        if !req.missing.is_subset(self.store.owned()) {
             return false;
         }
         // None of our owned tokens may itself be borrowed...
-        if self
-            .work
-            .iter()
-            .any(|r| self.held(r).is_some_and(|t| t.lender.is_some()))
-        {
+        if self.store.owned_with_work().any(|r| self.store.borrowed(r)) {
             return false;
         }
         // ...we must not have lent already, and must not be in CS.
@@ -706,8 +475,8 @@ impl Lass {
     // ------------------------------------------------------------------
 
     fn process_req_loan(&mut self, req: LoanReq) {
-        debug_assert!(self.t_owned.contains(req.r));
-        if self.held(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
+        debug_assert!(self.store.owned().contains(req.r));
+        if self.store.held(req.r).is_some_and(|t| t.cs_done(req.sinit, req.id)) {
             return; // obsolete
         }
         if req.sinit == self.me {
@@ -719,26 +488,23 @@ impl Lass {
             self.stats.loans_granted += 1;
             let me = self.me;
             for r2 in req.missing.iter() {
-                debug_assert!(self.t_owned.contains(r2));
-                let tok = res_entry(&mut self.res, r2, self.initial_father).token_mut(r2);
+                let mut tok = self.store.held_mut(r2);
                 tok.lender = Some(me);
                 // The borrower's queued ReqRes is satisfied by the loan
                 // (annex A line 201).
                 tok.remove_site(req.sinit);
-                self.send_token(r2, req.sinit);
+                send_token(&mut self.stage, tok, req.sinit);
             }
             self.t_lent = req.missing;
         } else {
-            let r = req.r;
-            let free = !self.t_required.contains(r) || self.state == ProcState::WaitS;
-            let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
+            let free = !self.t_required.contains(req.r) || self.state == ProcState::WaitS;
+            let mut tok = self.store.held_mut(req.r);
             if free {
                 // Not a possible loan, but the token itself is free to go.
                 tok.remove_site(req.sinit);
-                self.send_token(r, req.sinit);
+                send_token(&mut self.stage, tok, req.sinit);
             } else {
                 tok.enqueue_loan(req);
-                self.work.insert(r);
             }
         }
     }
@@ -749,31 +515,27 @@ impl Lass {
 
     fn process_update(&mut self, mut t: Box<Token>) {
         let r = t.r;
-        debug_assert!(!self.t_owned.contains(r), "duplicate token {r}");
         if t.lender == Some(self.me) {
             // [deviation 3] a token we lent came home; it is ours again,
             // not "borrowed from ourselves".
             t.lender = None;
         }
         let me = self.me;
-        let st = res_entry(&mut self.res, r, self.initial_father);
         let stage = Staging::lent(&mut self.stage);
-        self.t_owned.insert(r);
-        st.father = None;
         self.t_lent.remove(r);
+        let (mut tok, pending) = self.store.arrive(t);
         // [guard] our own queued request (left behind when we yielded this
         // token earlier) is satisfied by ownership; purge it so it can never
         // be "granted" back to ourselves.
-        let tok = st.held.insert(t);
         tok.remove_site(me);
         if self.cnt_needed.remove(r) {
-            reserve_counter(tok, &mut self.my_vector, me, self.cur_id);
+            reserve_counter(&mut tok, &mut self.my_vector, me, self.cur_id);
         }
         // Replay the pending history for r (§4.2.1): requests we forwarded
         // may never have reached the holder; now that the token is here, we
         // are the holder.  The history is filtered in place: only resource
         // and loan requests stay (they may have to be replayed again).
-        if let Some(history) = self.pending.get_mut(r) {
+        if let Some(history) = pending {
             let policy = self.cfg.policy;
             history.retain(|req| {
                 if tok.obsolete(req) {
@@ -792,9 +554,7 @@ impl Lass {
                         id,
                         ..
                     } => {
-                        tok.set_last_req_c(sinit, id);
-                        let val = tok.take_counter();
-                        stage.buf_cnt.push(sinit, CounterVal { r, val, id });
+                        stage.buf_cnt.push(sinit, answer_counter(&mut tok, sinit, id));
                         false
                     }
                     Request::Cnt {
@@ -803,7 +563,7 @@ impl Lass {
                         id,
                         ..
                     } => {
-                        let rr = convert_single(tok, policy, sinit, id);
+                        let rr = convert_single(&mut tok, policy, sinit, id);
                         tok.enqueue_res(rr);
                         false
                     }
@@ -817,9 +577,6 @@ impl Lass {
                     }
                 }
             });
-        }
-        if tok.has_work() {
-            self.work.insert(r);
         }
     }
 
@@ -836,10 +593,10 @@ impl Lass {
         for req in reqs.drain(..) {
             let r = req.r();
             let sinit = req.sinit();
-            if self.tok_obsolete(r, &req) {
+            if self.store.obsolete(r, &req) {
                 continue;
             }
-            if self.t_owned.contains(r) {
+            if self.store.owned().contains(r) {
                 if sinit == self.me {
                     continue; // [guard] own request met by ownership
                 }
@@ -848,27 +605,17 @@ impl Lass {
                     ref q => {
                         // Single-resource counter requests behave as
                         // resource requests everywhere below (§4.6.1).
-                        let acts_as_res = !matches!(
-                            q,
-                            Request::Cnt { single: false, .. }
-                        );
+                        let acts_as_res = !matches!(q, Request::Cnt { single: false, .. });
                         if !self.t_required.contains(r)
                             || (self.state == ProcState::WaitS && acts_as_res)
                         {
                             // Holder does not need r (or is still counting
                             // and yields): hand the token over.
-                            self.send_token(r, sinit);
-                        } else if let Request::Cnt {
-                            single: false, id, ..
-                        } = *q
-                        {
+                            send_token(&mut self.stage, self.store.held_mut(r), sinit);
+                        } else if let Request::Cnt { single: false, id, .. } = *q {
                             // Plain counter request: reply with the value.
-                            let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
-                            tok.set_last_req_c(sinit, id);
-                            let val = tok.take_counter();
-                            Staging::lent(&mut self.stage)
-                                .buf_cnt
-                                .push(sinit, CounterVal { r, val, id });
+                            let val = answer_counter(&mut self.store.held_mut(r), sinit, id);
+                            Staging::lent(&mut self.stage).buf_cnt.push(sinit, val);
                         } else {
                             // ReqRes (or converted single): conflict.
                             self.resolve_conflict(q);
@@ -887,13 +634,13 @@ impl Lass {
                             && self.t_required.contains(r)
                             && precedes(self.mark(), self.me, rr.mark, rr.sinit);
                         if lent || overtaking {
-                            self.push_pending(r, &req);
+                            self.store.history_mut(r).keep(&req);
                             continue;
                         }
                     }
                 }
                 if !visited.contains(father) {
-                    self.push_pending(r, &req);
+                    self.store.history_mut(r).keep(&req);
                     Staging::lent(&mut self.stage).buf_req.push(father, req);
                 }
                 // else: a site on the visited path keeps it in its pending
@@ -905,37 +652,16 @@ impl Lass {
         self.flush_all(ctx, &visited);
     }
 
-    /// Keep `req` in `r`'s pending history, copied only if it is new there.
-    /// Only the history table is written: above 4 096 resources this is
-    /// where a history entry first materializes, and `r`'s `ResState`
-    /// stays absent if nothing else touched it.
-    fn push_pending(&mut self, r: ResourceId, req: &Request) {
-        // One live entry per (site, kind) is enough: ids only grow.  A
-        // newer request replaces its older one and moves to the end, as if
-        // removed and pushed, without the history changing its length.
-        let key = |q: &Request| (q.sinit(), std::mem::discriminant(q));
-        let hist = self.pending.get_or(r, |_| History::EMPTY);
-        let reqs = hist.as_mut_slice();
-        match reqs.iter().position(|q| key(q) == key(req)) {
-            Some(i) if reqs[i].id() >= req.id() => {}
-            Some(i) => {
-                reqs[i..].rotate_left(1);
-                reqs[reqs.len() - 1] = req.clone();
-            }
-            None => hist.push(req.clone()),
-        }
-    }
-
     /// Owner in `waitCS`/`inCS` receives a conflicting `ReqRes`, or a
     /// single-resource `ReqCnt` it converts into one (annex A lines
     /// 176–184): yield to strictly higher priority, queue otherwise.
     fn resolve_conflict(&mut self, req: &Request) {
         let r = req.r();
         let my_mark = self.mark();
-        let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
+        let mut tok = self.store.held_mut(r);
         let rr = match *req {
             Request::Res(ref rr) => rr.clone(),
-            Request::Cnt { sinit, id, .. } => convert_single(tok, self.cfg.policy, sinit, id),
+            Request::Cnt { sinit, id, .. } => convert_single(&mut tok, self.cfg.policy, sinit, id),
             Request::Loan(_) => unreachable!("loan requests are not conflicts"),
         };
         if tok.queue_contains(rr.sinit, rr.id) {
@@ -946,18 +672,12 @@ impl Lass {
         {
             // The newcomer overtakes us: queue ourselves, hand the token
             // over directly.
-            tok.enqueue_res(ResReq {
-                r,
-                sinit: self.me,
-                id: self.cur_id,
-                mark: my_mark,
-            });
+            tok.enqueue_res(ResReq { r, sinit: self.me, id: self.cur_id, mark: my_mark });
             self.stats.yields += 1;
-            self.send_token(r, rr.sinit);
+            send_token(&mut self.stage, tok, rr.sinit);
         } else {
             // (waitCS ∧ we precede) ∨ inCS: the request waits.
             tok.enqueue_res(rr);
-            self.work.insert(r);
         }
     }
 
@@ -976,8 +696,7 @@ impl Lass {
             self.cnt_needed.remove(c.r);
             if self.cfg.opt_shortcut_on_counter {
                 // Path shortcut: the replier held the token just now.
-                debug_assert!(!self.t_owned.contains(c.r));
-                res_entry(&mut self.res, c.r, self.initial_father).father = Some(site32(from));
+                self.store.set_father(c.r, from);
             }
         }
         Staging::lent(&mut self.stage).buf_cnt.recycle(vals);
@@ -998,7 +717,7 @@ impl Lass {
         }
         Staging::lent(&mut self.stage).buf_tok.recycle(toks);
         let requesting = matches!(self.state, ProcState::WaitS | ProcState::WaitCS);
-        if requesting && self.t_required.is_subset(&self.t_owned) {
+        if requesting && self.t_required.is_subset(self.store.owned()) {
             self.enter_cs(ctx);
         } else if self.state != ProcState::InCS {
             // The loan failed (or the token is a stale grant): return every
@@ -1006,9 +725,9 @@ impl Lass {
             // 217-223).
             let mut returned = false;
             let my_mark = self.mark();
-            for r in self.work.iter() {
-                let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
-                    continue; // fresh token: not borrowed
+            for r in self.store.owned_with_work() {
+                let Some(mut tok) = self.store.with_work(r) else {
+                    continue; // sent away earlier in this walk
                 };
                 // [deviation 3] clear the loan marker on return.
                 let Some(lender) = tok.lender.take() else {
@@ -1021,14 +740,9 @@ impl Lass {
                 // would be lost forever (liveness hole in the paper's
                 // pseudo-code — see DESIGN.md §6).
                 if self.state == ProcState::WaitCS && self.t_required.contains(r) {
-                    tok.enqueue_res(ResReq {
-                        r,
-                        sinit: self.me,
-                        id: self.cur_id,
-                        mark: my_mark,
-                    });
+                    tok.enqueue_res(ResReq { r, sinit: self.me, id: self.cur_id, mark: my_mark });
                 }
-                self.send_token(r, lender);
+                send_token(&mut self.stage, tok, lender);
                 returned = true;
             }
             if returned {
@@ -1050,18 +764,14 @@ impl Lass {
     /// Annex A lines 226–238: after a token arrives, re-examine every owned
     /// token's queue; yield whenever the head has priority over us (or
     /// unconditionally if we are still in `waitS`, idle, or do not require
-    /// the resource).  Only tokens on the work list can have a queue; one
-    /// whose work is done leaves the list here.
+    /// the resource).  Only tokens on the work list can have a queue.
     fn reschedule_owned(&mut self) {
         let my_mark = self.mark();
-        for r in self.work.iter() {
-            let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
-                continue; // fresh token: empty queue
+        for r in self.store.owned_with_work() {
+            let Some(mut tok) = self.store.with_work(r) else {
+                continue; // sent away earlier in this walk
             };
             let Some(&ResReq { sinit, mark, .. }) = tok.head() else {
-                if !tok.has_work() {
-                    self.work.remove(r);
-                }
                 continue;
             };
             debug_assert_ne!(sinit, self.me, "own request queued in own token");
@@ -1084,15 +794,10 @@ impl Lass {
             if yield_now {
                 tok.dequeue();
                 if self.state == ProcState::WaitCS && self.t_required.contains(r) {
-                    tok.enqueue_res(ResReq {
-                        r,
-                        sinit: self.me,
-                        id: self.cur_id,
-                        mark: my_mark,
-                    });
+                    tok.enqueue_res(ResReq { r, sinit: self.me, id: self.cur_id, mark: my_mark });
                     self.stats.yields += 1;
                 }
-                self.send_token(r, sinit);
+                send_token(&mut self.stage, tok, sinit);
             }
         }
     }
@@ -1100,19 +805,13 @@ impl Lass {
     /// Annex A lines 241–247: retry queued loan requests of owned tokens
     /// (those on the work list).
     fn retry_pending_loans(&mut self) {
-        for r in self.work.iter() {
-            if !self.t_owned.contains(r) {
-                continue; // handed away by a previous iteration's loan
-            }
-            let Some(tok) = self.res.get_mut(r).and_then(|st| st.held.as_deref_mut()) else {
-                continue; // fresh token: nothing queued
+        for r in self.store.owned_with_work() {
+            let queued = match self.store.with_work(r) {
+                Some(mut tok) if !tok.w_loan.is_empty() => std::mem::take(&mut tok.w_loan),
+                _ => continue, // nothing queued, or lent by a previous iteration
             };
-            if tok.w_loan.is_empty() {
-                continue;
-            }
-            let queued = std::mem::take(&mut tok.w_loan);
             for lr in queued {
-                if self.t_owned.contains(lr.r) {
+                if self.store.owned().contains(lr.r) {
                     self.process_req_loan(lr);
                 }
             }
@@ -1128,7 +827,7 @@ impl Lass {
         if self.state != ProcState::WaitCS || self.loan_asked {
             return;
         }
-        let missing = self.t_required.difference(&self.t_owned);
+        let missing = self.t_required.difference(self.store.owned());
         // [deviation 5] the paper's text says "smaller or equal to a given
         // threshold" (§4.5); the pseudo-code uses equality.  `≤` dominates
         // and coincides at the paper's threshold of 1.
@@ -1140,16 +839,8 @@ impl Lass {
         let mark = self.mark();
         for r in missing.iter() {
             let father = self.father(r).expect("missing resource has a father");
-            Staging::lent(&mut self.stage).buf_req.push(
-                father,
-                Request::Loan(Box::new(LoanReq {
-                    r,
-                    sinit: self.me,
-                    id: self.cur_id,
-                    mark,
-                    missing: missing.clone(),
-                })),
-            );
+            let loan = LoanReq { r, sinit: self.me, id: self.cur_id, mark, missing: missing.clone() };
+            Staging::lent(&mut self.stage).buf_req.push(father, Request::Loan(Box::new(loan)));
         }
     }
 }
@@ -1165,7 +856,6 @@ impl Allocator for Lass {
             LassMsg::Counters(vals) => self.on_counters(ctx, from, vals),
             LassMsg::Tokens(toks) => self.on_tokens(ctx, toks),
         }
-        self.debug_check_work_list();
     }
 
     /// `Request_CS` (annex A line 68).
@@ -1179,57 +869,31 @@ impl Allocator for Lass {
         self.cnt_needed.clear();
         self.loan_asked = false;
 
-        // §4.6.1: single-resource requests skip the counter phase; the
-        // holder computes the mark.  (Only when the token is remote —
-        // locally we just take the counter.)
-        if self.cfg.opt_single_resource && self.t_required.len() == 1 {
-            let r = self.t_required.first().expect("non-empty");
-            if !self.t_owned.contains(r) {
-                self.state = ProcState::WaitCS;
-                // processUpdate reserves the counter on token arrival.
-                self.cnt_needed.insert(r);
-                let father = self.father(r).expect("non-owner has a father");
-                Staging::lent(&mut self.stage).buf_req.push(
-                    father,
-                    Request::Cnt {
-                        r,
-                        sinit: self.me,
-                        id: self.cur_id,
-                        single: true,
-                    },
-                );
-                self.flush_own(ctx);
-                self.debug_check_work_list();
-                return;
-            }
-        }
-
-        self.state = ProcState::WaitS;
+        // §4.6.1: a single-resource request whose token is remote skips the
+        // counter phase: the holder computes the mark, and processUpdate
+        // reserves the counter on token arrival.  (Locally we just take the
+        // counter.)
+        let single = self.cfg.opt_single_resource
+            && self.t_required.len() == 1
+            && !self.t_required.is_subset(self.store.owned());
+        self.state = if single { ProcState::WaitCS } else { ProcState::WaitS };
         for r in self.t_required.iter() {
-            if self.t_owned.contains(r) {
-                self.take_counter_locally(r);
+            if self.store.owned().contains(r) {
+                let mut tok = self.store.held_mut(r);
+                reserve_counter(&mut tok, &mut self.my_vector, self.me, self.cur_id);
             } else {
                 self.cnt_needed.insert(r);
                 let father = self.father(r).expect("non-owner has a father");
-                Staging::lent(&mut self.stage).buf_req.push(
-                    father,
-                    Request::Cnt {
-                        r,
-                        sinit: self.me,
-                        id: self.cur_id,
-                        single: false,
-                    },
-                );
+                let req = Request::Cnt { r, sinit: self.me, id: self.cur_id, single };
+                Staging::lent(&mut self.stage).buf_req.push(father, req);
             }
         }
         self.flush_own(ctx);
         if self.cnt_needed.is_empty() {
             // Every required token is already here: counters were taken
             // locally and the CS can start at once.
-            debug_assert!(self.t_required.is_subset(&self.t_owned));
             self.enter_cs(ctx);
         }
-        self.debug_check_work_list();
     }
 
     /// `Release_CS` (annex A line 85).
@@ -1241,8 +905,7 @@ impl Allocator for Lass {
         let me = self.me;
         let id = self.cur_id;
         for r in self.t_required.iter() {
-            debug_assert!(self.t_owned.contains(r));
-            let tok = res_entry(&mut self.res, r, self.initial_father).token_mut(r);
+            let mut tok = self.store.held_mut(r);
             tok.set_last_cs(me, id);
             let next = match tok.lender.take() {
                 None => tok.dequeue().map(|next| next.sinit),
@@ -1256,19 +919,21 @@ impl Allocator for Lass {
                 }
             };
             if let Some(dest) = next {
-                self.send_token(r, dest);
+                send_token(&mut self.stage, tok, dest);
             }
         }
         // [deviation 7] tokens we own but did not use can carry queued
         // requests (e.g. they returned from a borrower mid-CS); serve them
         // now — release() never visits them otherwise.
-        for r in self.work.iter() {
+        for r in self.store.owned_with_work() {
             if self.t_required.contains(r) {
                 continue;
             }
-            let next = self.res.get_mut(r).and_then(|st| st.held.as_mut()?.dequeue());
-            if let Some(next) = next {
-                self.send_token(r, next.sinit);
+            let Some(mut tok) = self.store.with_work(r) else {
+                continue;
+            };
+            if let Some(next) = tok.dequeue() {
+                send_token(&mut self.stage, tok, next.sinit);
             }
         }
         self.t_required.clear();
@@ -1280,7 +945,6 @@ impl Allocator for Lass {
         // liveness hole.
         self.retry_pending_loans();
         self.flush_own(ctx);
-        self.debug_check_work_list();
     }
 
     fn state(&self) -> ProcState {
@@ -1358,66 +1022,10 @@ mod tests {
         assert!(b.spares.iter().all(Vec::is_empty));
     }
 
-    /// "Absent means initial": on a sparse table (m = 100 000) an entry
-    /// never touched and one materialized but untouched answer what a
-    /// dense table's (m = 80) entry answers — father, token, obsolescence —
-    /// on the elected site and on another.  (Request ids start at 1.)
-    #[test]
-    fn absent_and_untouched_entries_answer_alike() {
-        let r = 17;
-        let reqs = [
-            Request::Cnt {
-                r,
-                sinit: 1,
-                id: 1,
-                single: false,
-            },
-            Request::Cnt {
-                r,
-                sinit: 2,
-                id: 3,
-                single: true,
-            },
-            Request::Res(ResReq {
-                r,
-                sinit: 1,
-                id: 2,
-                mark: 1.5,
-            }),
-            Request::Loan(Box::new(LoanReq {
-                r,
-                sinit: 2,
-                id: 1,
-                mark: 1.0,
-                missing: ResourceSet::singleton(r),
-            })),
-        ];
-        let answers = |node: &Lass| {
-            let obsolete: Vec<bool> = reqs.iter().map(|q| node.tok_obsolete(r, q)).collect();
-            (node.father(r), format!("{:?}", node.token(r)), obsolete)
-        };
-        for me in [0, 2] {
-            let dense = Lass::new(me, LassConfig::with_loan(3, 80));
-            let absent = Lass::new(me, LassConfig::with_loan(3, 100_000));
-            let mut touched = absent.clone();
-            res_entry(&mut touched.res, r, touched.initial_father);
-            assert!(dense.res.is_dense() && !absent.res.is_dense());
-            assert_eq!(
-                (absent.res.materialized(), touched.res.materialized()),
-                (0, 1)
-            );
-            let want = answers(&dense);
-            assert_eq!(want.0, if me == 0 { None } else { Some(0) });
-            assert_eq!(answers(&absent), want, "absent entry, site {me}");
-            assert_eq!(answers(&touched), want, "untouched entry, site {me}");
-        }
-    }
-
     /// The token leaves with its queue; the sender keeps the counter and
     /// stamps it left with, and still drops what those stamps retire.
     #[test]
     fn a_sent_token_leaves_its_stamps_not_a_copy() {
-        assert!(std::mem::size_of::<ResState>() <= 40, "an entry holds no token or history inline");
         let row = std::mem::size_of::<crate::token::Stamps>();
         assert_eq!(row, 12, "a stamp row is a site and two ids, 32 bits each");
         assert!(std::mem::size_of::<Token>() <= 128, "a token holds two stamp rows inline");
@@ -1479,14 +1087,14 @@ mod tests {
         nodes[2].request(&mut ctxs[2], ResourceSet::singleton(r));
         deliver(&mut nodes, &mut ctxs, 2);
         assert_eq!(nodes[0].owned().len(), 100_000);
-        assert_eq!(nodes[0].work.to_vec(), [r]);
+        assert!(nodes[0].store.owned_with_work().eq([r]));
         nodes[0].release(&mut ctxs[0]);
         let out = ctxs[0].take_outbox();
         let [(2, LassMsg::Tokens(toks))] = &out[..] else {
             panic!("expected token {r} for site 2 alone, got {out:?}");
         };
         assert_eq!(toks.iter().map(|t| t.r).collect::<Vec<_>>(), [r]);
-        assert!(nodes[0].work.is_empty() && nodes[0].owned().len() == 99_999);
+        assert!(nodes[0].store.owned_with_work().next().is_none() && nodes[0].owned().len() == 99_999);
     }
 
     /// A loan request queued on a token with nothing else queued puts the
@@ -1526,7 +1134,7 @@ mod tests {
         nodes[1].on_message(&mut ctxs[1], 2, msg);
         let out = ctxs[1].take_outbox();
         assert!(matches!(&out[..], [(0, LassMsg::Requests { reqs, .. })] if reqs[..] == [theirs.clone()]));
-        assert_eq!((nodes[1].res.materialized(), nodes[1].pending.materialized()), (0, 1));
+        assert_eq!(nodes[1].store.materialized(), (0, 1));
         // The forwarded copy is still on its way when site 1 asks for the
         // token itself and gets it.
         nodes[1].request(&mut ctxs[1], ResourceSet::singleton(r));
@@ -1541,36 +1149,7 @@ mod tests {
         nodes[1].release(&mut ctxs[1]);
         let out = ctxs[1].take_outbox();
         assert!(matches!(&out[..], [(2, LassMsg::Tokens(_))]), "the token went to the replayed request");
-        assert_eq!(nodes[1].pending.get(r).map(History::as_slice), Some([theirs].as_slice()));
-    }
-
-    /// A history holds one request in itself and more on the heap; a
-    /// replay that leaves one or none brings it back inline, and a newer
-    /// request of the same site and kind replaces the older one at the end.
-    #[test]
-    fn a_history_crosses_the_inline_boundary_both_ways() {
-        assert!(std::mem::size_of::<History>() <= 40, "a history is one request wide");
-        let res = |sinit, id| Request::Res(ResReq { r: 0, sinit, id, mark: 1.0 });
-        let cnt = |sinit, id| Request::Cnt { r: 0, sinit, id, single: false };
-        let mut node = Lass::new(0, LassConfig::without_loan(3, 1));
-        let form = |node: &Lass| match node.pending.get(0) {
-            Some(History::Inline(_)) => "inline",
-            _ => "heap",
-        };
-        node.push_pending(0, &res(1, 1));
-        node.push_pending(0, &res(1, 1));
-        assert_eq!(form(&node), "inline");
-        node.push_pending(0, &cnt(1, 2));
-        node.push_pending(0, &res(2, 1));
-        node.push_pending(0, &res(1, 3));
-        let hist = node.pending.get_mut(0).unwrap();
-        assert_eq!(hist.as_slice(), [cnt(1, 2), res(2, 1), res(1, 3)]);
-        hist.retain(|q| q.sinit() == 2);
-        assert_eq!(form(&node), "inline");
-        let hist = node.pending.get_mut(0).unwrap();
-        assert_eq!(hist.as_slice(), [res(2, 1)]);
-        hist.retain(|_| false);
-        assert!(hist.as_slice().is_empty() && form(&node) == "inline");
+        assert_eq!(nodes[1].store.history(r), Some([theirs].as_slice()));
     }
 
     /// The staging is lent for one handler: after every entry point the

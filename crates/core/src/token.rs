@@ -17,8 +17,8 @@
 //!
 //! Being unique, a token moves rather than being copied: it lives in one
 //! box from the first time it leaves its elected site, the message carries
-//! that box, and the site it left keeps only a `Seen` — the counter and
-//! stamps at departure, which is all it reads of `lastTok[r]`.
+//! that box, and the site it left keeps only the counter and stamps at
+//! departure, which is all it reads of `lastTok[r]` (`lass::store`).
 
 use crate::messages::{LoanReq, Request, ResReq};
 use crate::policy::order_key;
@@ -144,10 +144,10 @@ impl std::fmt::Debug for Rows {
 /// site, so a fresh token costs O(1) memory regardless of `n` — the
 /// property that lets a 10k-node system hold 100k tokens.  The two maps
 /// cover nearly the same sites once a run warms up, so one table is one
-/// search per obsolete test and one slice to copy into a departing
-/// holder's `Seen` instead of two.  Up to two rows live in the token
-/// itself and more on the heap: on the 10 000-site shape 46 103 of 49 370
-/// held tokens have at most two, so they keep no stamp block at all.
+/// search per obsolete test and one slice for a departing holder to keep
+/// instead of two.  Up to two rows live in the token itself and more on
+/// the heap: on the 10 000-site shape 46 103 of 49 370 held tokens have at
+/// most two, so they keep no stamp block at all.
 #[derive(Clone, Debug)]
 pub struct Token {
     /// The resource this token controls.
@@ -193,56 +193,14 @@ fn ids(rows: &[Stamps], s: NodeId) -> [RequestId; 2] {
 }
 
 /// [`Token::obsolete`] against the stamp table `rows` — a token's, or the
-/// one its last holder kept ([`Seen`]).
-fn obsolete(rows: &[Stamps], req: &Request) -> bool {
+/// one its last holder kept.
+pub(crate) fn obsolete(rows: &[Stamps], req: &Request) -> bool {
     let [req_c, cs] = ids(rows, req.sinit());
     let id = req.id();
     match req {
         Request::Cnt { single: false, .. } => id <= req_c,
         Request::Cnt { single: true, .. } => id <= req_c || id <= cs,
         Request::Res(_) | Request::Loan(_) => id <= cs,
-    }
-}
-
-/// What a site keeps of a token it sent away: the counter and stamp rows
-/// at departure, the paper's `lastTok[r]` as far as anything reads it
-/// (obsolete requests are dropped against it).  The queues and the lender
-/// went with the token, which has one copy only.  The rows sit in an
-/// exact-size box of 12 bytes a row (24 bytes with the counter, none
-/// allocated while empty), refilled in place while the row count stays.
-#[derive(Clone, Debug)]
-pub(crate) struct Seen {
-    counter: u64,
-    stamps: Box<[Stamps]>,
-}
-
-impl Seen {
-    /// What a site knows of a token it has never sent: a fresh one.
-    pub(crate) fn fresh() -> Seen {
-        Seen { counter: 1, stamps: Box::default() }
-    }
-
-    /// Keep `tok`'s counter and stamps as it leaves.
-    pub(crate) fn record(&mut self, tok: &Token) {
-        self.counter = tok.counter;
-        let rows = tok.stamps.as_slice();
-        if self.stamps.len() == rows.len() {
-            self.stamps.copy_from_slice(rows);
-        } else {
-            self.stamps = rows.into();
-        }
-    }
-
-    /// Is `req` obsolete with respect to the departed token?
-    pub(crate) fn obsolete(&self, req: &Request) -> bool {
-        obsolete(&self.stamps, req)
-    }
-
-    /// The departed token of resource `r` as far as it is known: counter
-    /// and stamps, empty queues (diagnostics).
-    pub(crate) fn token(&self, r: ResourceId) -> Token {
-        let nonzero = [REQ_C, CS].map(|k| self.stamps.iter().filter(|row| row.ids[k] != 0).count());
-        Token { counter: self.counter, stamps: Rows::from_slice(&self.stamps), nonzero, ..Token::new(r) }
     }
 }
 
@@ -301,6 +259,18 @@ impl Token {
             w_loan: Vec::new(),
             lender: None,
         }
+    }
+
+    /// The token of resource `r` as a site that sent it knows it: `counter`
+    /// and the stamp `rows` it left with, empty queues (diagnostics).
+    pub(crate) fn with_stamps(r: ResourceId, counter: u64, rows: &[Stamps]) -> Token {
+        let nonzero = [REQ_C, CS].map(|k| rows.iter().filter(|row| row.ids[k] != 0).count());
+        Token { counter, stamps: Rows::from_slice(rows), nonzero, ..Token::new(r) }
+    }
+
+    /// The stamp rows, sorted by site.
+    pub(crate) fn stamp_rows(&self) -> &[Stamps] {
+        self.stamps.as_slice()
     }
 
     /// Record stamp `k` of site `s`: a row appears with its first nonzero

@@ -6,10 +6,12 @@
 //!
 //! 1. **No recv before send** — every `recv` of stamp `s` on link
 //!    `peer → node` must appear after a `send` or `retransmit` that
-//!    minted `s` on that link, in canonical trace order.  Stamp `0`
-//!    recvs are exempt: minted stamps start at 1, so a zero cause marks
-//!    a substrate that does not stamp the wire (real TCP, see
-//!    DESIGN.md §11.2) — there is no send to match against.
+//!    minted `s` on that link, in canonical trace order.  Minted stamps
+//!    start at 1, so a recv of stamp `0` matches no send and fails —
+//!    except in an *unstamped* trace, one whose every recv has cause 0:
+//!    real TCP does not stamp the wire yet (DESIGN.md §11.2), so there
+//!    is no send to match against.  Sim and VirtualNet stamp every data
+//!    frame, so one nonzero cause makes a trace stamped throughout.
 //! 2. **Lamport monotonicity** — each node's clock is strictly
 //!    increasing over its own events.  `fault-verdict` records are
 //!    excluded: a dropped delivery is a network observation, not an
@@ -77,6 +79,8 @@ pub fn check_events(events: &[OwnedEvent], dropped: u64) -> CheckReport {
     // Per-(from, to, tag) transmission and delivery counts.
     let mut tx: HashMap<(u32, u32, String), u64> = HashMap::new();
     let mut rx: HashMap<(u32, u32, String), u64> = HashMap::new();
+    // The TCP exemption from check 1 (module docs).
+    let unstamped_tcp = !events.iter().any(|e| e.kind == EventKind::Recv && e.cause != 0);
 
     for (i, e) in events.iter().enumerate() {
         match e.kind {
@@ -85,7 +89,7 @@ pub fn check_events(events: &[OwnedEvent], dropped: u64) -> CheckReport {
                 *tx.entry((e.node, e.peer, e.tag.clone())).or_insert(0) += 1;
             }
             EventKind::Recv => {
-                if rep.full && e.cause != 0 && !sent.contains(&(e.peer, e.node, e.cause)) {
+                if rep.full && !unstamped_tcp && !sent.contains(&(e.peer, e.node, e.cause)) {
                     rep.flag(format!(
                         "event {i}: recv of {} stamp {} on {}->{} with no prior send",
                         e.tag, e.cause, e.peer, e.node
@@ -258,8 +262,8 @@ mod tests {
 
     /// The TCP substrate stamps sends from its local clocks but delivers
     /// recvs with cause 0 (the wire carries no stamp, DESIGN.md §11.2):
-    /// the positional send-match is exempt for stamp-0 recvs while
-    /// monotonicity and conservation still apply.
+    /// in a trace whose every recv has cause 0 the positional send-match
+    /// is exempt, while monotonicity and conservation still apply.
     #[test]
     fn stamp_zero_recvs_are_exempt_from_send_matching() {
         let run = vec![
@@ -276,6 +280,17 @@ mod tests {
         over.push(ev(EventKind::Recv, 0, 1, "Grant", 3, 0, 16));
         let rep = check_events(&over, 0);
         assert!(rep.details.iter().any(|d| d.contains("exceed")), "{:?}", rep.details);
+    }
+
+    /// In a stamped trace a recv of stamp 0 matches no send: a copy that
+    /// reached the wire without a stamp, or without a send event, fails.
+    #[test]
+    fn a_stamp_zero_recv_in_a_stamped_trace_is_flagged() {
+        let mut run = good_run();
+        run[4].cause = 0;
+        let rep = check_events(&run, 0);
+        assert_eq!(rep.violations, 1, "{:?}", rep.details);
+        assert!(rep.details[0].contains("Grant stamp 0 on 1->0 with no prior send"));
     }
 
     #[test]
