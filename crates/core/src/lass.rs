@@ -236,26 +236,24 @@ fn set_vector(vector: &mut Vec<(ResourceId, u64)>, r: ResourceId, v: u64) {
     }
 }
 
+/// The holder of `tok` serves site `sinit`'s counter request `id`: it
+/// records the request as answered and hands out the counter's next value.
+fn answer_counter(tok: &mut Token, sinit: NodeId, id: RequestId) -> CounterVal {
+    tok.set_last_req_c(sinit, id);
+    CounterVal { r: tok.r, val: tok.take_counter(), id }
+}
+
 /// The owner `me` of `tok` reserves its counter for its own request `id`
-/// (`MyVector[r]`).
+/// (`MyVector[r]`).  [deviation 2] it records its own counter request as
+/// served, so a wandering duplicate `ReqCnt` of ours becomes obsolete.
 fn reserve_counter(
     tok: &mut Token,
     my_vector: &mut Vec<(ResourceId, u64)>,
     me: NodeId,
     id: RequestId,
 ) {
-    let v = tok.take_counter();
-    // [deviation 2] record the served counter request so a wandering
-    // duplicate ReqCnt of ours becomes obsolete.
-    tok.set_last_req_c(me, id);
-    set_vector(my_vector, tok.r, v);
-}
-
-/// The holder of `tok` answers site `sinit`'s counter request `id` with
-/// the counter's next value.
-fn answer_counter(tok: &mut Token, sinit: NodeId, id: RequestId) -> CounterVal {
-    tok.set_last_req_c(sinit, id);
-    CounterVal { r: tok.r, val: tok.take_counter(), id }
+    let c = answer_counter(tok, me, id);
+    set_vector(my_vector, c.r, c.val);
 }
 
 /// §4.6.1: the holder of `tok` turns a single-resource `ReqCnt` into a
@@ -266,14 +264,8 @@ fn convert_single(
     sinit: NodeId,
     id: RequestId,
 ) -> ResReq {
-    let val = tok.take_counter();
-    tok.set_last_req_c(sinit, id);
-    ResReq {
-        r: tok.r,
-        sinit,
-        id,
-        mark: policy.mark_single(val),
-    }
+    let c = answer_counter(tok, sinit, id);
+    ResReq { r: c.r, sinit, id, mark: policy.mark_single(c.val) }
 }
 
 /// One site's LASS state (annex A figure 9).
@@ -1117,39 +1109,6 @@ mod tests {
             panic!("expected the loan of token 0, got {out:?}");
         };
         assert_eq!((toks[0].r, toks[0].lender), (0, Some(0)));
-    }
-
-    /// Forwarding a request writes its history entry and nothing else:
-    /// over 100 000 resources the forwarder materializes no `ResState`.
-    /// The history survives until the token reaches the forwarder, is
-    /// replayed into the token's queue there, and stays for a later replay
-    /// after the token leaves again.
-    #[test]
-    fn a_forwarded_request_is_replayed_from_its_own_table() {
-        let r = 99_999;
-        let mut nodes = LassConfig::without_loan(3, 100_000).build_nodes();
-        let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
-        let theirs = Request::Res(ResReq { r, sinit: 2, id: 1, mark: 1.0 });
-        let msg = LassMsg::Requests { visited: NodeSet::singleton(2), reqs: vec![theirs.clone()] };
-        nodes[1].on_message(&mut ctxs[1], 2, msg);
-        let out = ctxs[1].take_outbox();
-        assert!(matches!(&out[..], [(0, LassMsg::Requests { reqs, .. })] if reqs[..] == [theirs.clone()]));
-        assert_eq!(nodes[1].store.materialized(), (0, 1));
-        // The forwarded copy is still on its way when site 1 asks for the
-        // token itself and gets it.
-        nodes[1].request(&mut ctxs[1], ResourceSet::singleton(r));
-        let (_, ask) = ctxs[1].take_outbox().pop().unwrap();
-        nodes[0].on_message(&mut ctxs[0], 1, ask);
-        let (to, tok) = ctxs[0].take_outbox().pop().unwrap();
-        assert!(to == 1 && matches!(tok, LassMsg::Tokens(_)));
-        nodes[1].on_message(&mut ctxs[1], 0, tok);
-        assert!(ctxs[1].take_granted());
-        let queued: Vec<NodeId> = nodes[1].token(r).w_queue.iter().map(|q| q.sinit).collect();
-        assert_eq!(queued, [2], "the history was replayed into the queue");
-        nodes[1].release(&mut ctxs[1]);
-        let out = ctxs[1].take_outbox();
-        assert!(matches!(&out[..], [(2, LassMsg::Tokens(_))]), "the token went to the replayed request");
-        assert_eq!(nodes[1].store.history(r), Some([theirs].as_slice()));
     }
 
     /// The staging is lent for one handler: after every entry point the

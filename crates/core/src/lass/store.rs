@@ -296,18 +296,6 @@ impl Store {
             None => Token::new(r),
         }
     }
-
-    /// Entries materialized in the two tables.
-    #[cfg(test)]
-    pub(super) fn materialized(&self) -> (usize, usize) {
-        (self.res.materialized(), self.pending.materialized())
-    }
-
-    /// The history of `r`, if one was ever kept.
-    #[cfg(test)]
-    pub(super) fn history(&self, r: ResourceId) -> Option<&[Request]> {
-        self.pending.get(r).map(History::as_slice)
-    }
 }
 
 /// An owned token open for change.  When the guard drops, the token is on
@@ -360,7 +348,10 @@ impl Drop for Held<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{LoanReq, ResReq};
+    use crate::lass::LassConfig;
+    use crate::messages::{LassMsg, LoanReq, ResReq};
+    use mra_protocol::{Allocator, Ctx};
+    use mra_types::NodeSet;
 
     /// "Absent means initial": on a sparse table (m = 100 000) an entry
     /// never touched and one materialized but untouched answer what a
@@ -422,6 +413,40 @@ mod tests {
         assert!(history.is_none());
         drop(held);
         assert_eq!(list(&store), [99_999], "a token arriving on loan has work");
+    }
+
+    /// Forwarding a request writes its history entry and nothing else:
+    /// over 100 000 resources the forwarder materializes no `ResState`.
+    /// The history survives until the token reaches the forwarder, is
+    /// replayed into the token's queue there, and stays for a later replay
+    /// after the token leaves again.
+    #[test]
+    fn a_forwarded_request_is_replayed_from_its_own_table() {
+        let r = 99_999;
+        let mut nodes = LassConfig::without_loan(3, 100_000).build_nodes();
+        let mut ctxs: Vec<Ctx<LassMsg>> = (0..3).map(|i| Ctx::new(i, 3)).collect();
+        let theirs = Request::Res(ResReq { r, sinit: 2, id: 1, mark: 1.0 });
+        let msg = LassMsg::Requests { visited: NodeSet::singleton(2), reqs: vec![theirs.clone()] };
+        nodes[1].on_message(&mut ctxs[1], 2, msg);
+        let out = ctxs[1].take_outbox();
+        assert!(matches!(&out[..], [(0, LassMsg::Requests { reqs, .. })] if reqs[..] == [theirs.clone()]));
+        let store = &nodes[1].store;
+        assert_eq!((store.res.materialized(), store.pending.materialized()), (0, 1));
+        // The forwarded copy is still on its way when site 1 asks for the
+        // token itself and gets it.
+        nodes[1].request(&mut ctxs[1], ResourceSet::singleton(r));
+        let (_, ask) = ctxs[1].take_outbox().pop().unwrap();
+        nodes[0].on_message(&mut ctxs[0], 1, ask);
+        let (to, tok) = ctxs[0].take_outbox().pop().unwrap();
+        assert!(to == 1 && matches!(tok, LassMsg::Tokens(_)));
+        nodes[1].on_message(&mut ctxs[1], 0, tok);
+        assert!(ctxs[1].take_granted());
+        let queued: Vec<NodeId> = nodes[1].token(r).w_queue.iter().map(|q| q.sinit).collect();
+        assert_eq!(queued, [2], "the history was replayed into the queue");
+        nodes[1].release(&mut ctxs[1]);
+        let out = ctxs[1].take_outbox();
+        assert!(matches!(&out[..], [(2, LassMsg::Tokens(_))]), "the token went to the replayed request");
+        assert_eq!(nodes[1].store.pending.get(r).map(History::as_slice), Some([theirs].as_slice()));
     }
 
     /// A history holds one request in itself and more on the heap; a

@@ -65,9 +65,10 @@ fn count(size: usize) {
     let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
 }
 
-/// The live heap moves by `delta` bytes, and its block count by `blocks`.  A `realloc` moves it by the
-/// difference of its sizes: the heap holding both blocks while one is
-/// copied into the other is the allocator's business, not the program's.
+/// The live heap moves by `delta` bytes, and its block count by `blocks`.
+/// A `realloc` moves it by the difference of its sizes: the heap holding
+/// both blocks while one is copied into the other is the allocator's
+/// business, not the program's.
 fn live(delta: i64, blocks: i64) {
     let _ = BLOCKS.try_with(|c| c.set(c.get() + blocks));
     let _ = LIVE.try_with(|live| {
