@@ -358,7 +358,7 @@ impl Allocator for BouabdallahLaforest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+    use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     #[test]
     fn elected_node_acquires_from_control_token() {
@@ -448,7 +448,7 @@ mod chain_epoch_regression {
     use super::*;
     use mra_protocol::faults::FaultPlan;
     use mra_protocol::reliable::Reliability;
-    use mra_protocol::testkit::{run_random_workload, ExerciseCfg, Schedule, VirtualNet};
+    use mra_testkit::{run_random_workload, ExerciseCfg, Schedule, VirtualNet};
 
     /// Replays the schedule that exposed the epoch-less chain corruption
     /// (PR 5): a dropped `INQUIRE` retransmitted maximally late arrived

@@ -253,7 +253,7 @@ impl Allocator for Central {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+    use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     fn set(rs: &[usize]) -> ResourceSet {
         rs.iter().copied().collect()

@@ -182,7 +182,7 @@ impl Allocator for Incremental {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+    use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     #[test]
     fn elected_acquires_locally() {

@@ -265,7 +265,7 @@ impl Allocator for Maddi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+    use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     #[test]
     fn elected_holder_enters_immediately() {

@@ -3,8 +3,8 @@
 //! safety (monitored), liveness (completion), token conservation.
 
 use mra_baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
-use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use mra_protocol::Allocator;
+use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use mra_types::ResourceSet;
 use proptest::prelude::*;
 

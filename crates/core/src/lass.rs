@@ -1118,7 +1118,7 @@ mod tests {
     /// point and message kind runs.
     #[test]
     fn every_entry_point_hands_its_staging_back_flushed() {
-        use mra_protocol::testkit::{Schedule, VirtualNet};
+        use mra_testkit::{Schedule, VirtualNet};
         let check = |net: &VirtualNet<Lass>| {
             assert!(
                 (0..3).all(|i| net.node(i).stage.is_none()),

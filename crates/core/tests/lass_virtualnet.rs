@@ -11,10 +11,8 @@ use mra_baselines::BouabdallahLaforest;
 use mra_core::{Lass, LassConfig, SchedulingPolicy};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
-use mra_protocol::testkit::{
-    check_schedules, run_random_workload, ExerciseCfg, Schedule, VirtualNet,
-};
 use mra_protocol::Allocator;
+use mra_testkit::{check_schedules, run_random_workload, ExerciseCfg, Schedule, VirtualNet};
 use mra_types::ResourceSet;
 use std::ops::Range;
 

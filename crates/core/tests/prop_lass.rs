@@ -3,7 +3,7 @@
 //! strict total order for arbitrary marks.
 
 use mra_core::{precedes, Lass, LassConfig, SchedulingPolicy};
-use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use mra_types::ResourceSet;
 use proptest::prelude::*;
 

@@ -97,7 +97,7 @@ impl<T: Clone + Send + 'static> Allocator for MutexAllocator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+    use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 
     fn nt_net(n: usize) -> VirtualNet<MutexAllocator<()>> {
         let nodes = (0..n)

@@ -3,7 +3,7 @@
 //! interleavings.
 
 use mra_mutex::{MutexAllocator, NaimiTrehel};
-use mra_protocol::testkit::{check_schedules, ExerciseCfg, VirtualNet};
+use mra_testkit::{check_schedules, ExerciseCfg, VirtualNet};
 use proptest::prelude::*;
 
 fn cfg(rounds: usize) -> ExerciseCfg {

@@ -7,8 +7,9 @@
 //! records a "granted" signal.  This makes the same protocol code runnable
 //! under three substrates without modification:
 //!
-//! 1. [`testkit::VirtualNet`] — a synchronous, randomized-interleaving
-//!    network used for unit tests and property-based safety/liveness tests;
+//! 1. `mra-testkit`'s `VirtualNet` — a synchronous, randomized-interleaving
+//!    network used for unit tests and property-based safety/liveness tests
+//!    (a dev-only crate; every engine shares [`testkit::SafetyMonitor`]);
 //! 2. `mra-sim`'s discrete-event simulator — adds virtual time, link
 //!    latencies and the paper's workload model (the substrate used for all
 //!    figure reproductions);

@@ -16,8 +16,8 @@
 //! ```
 
 use mra::core::LassConfig;
-use mra::protocol::testkit::{Schedule, VirtualNet};
 use mra::types::ResourceSet;
+use mra_testkit::{Schedule, VirtualNet};
 
 const N: usize = 5; // philosophers == bottles around the table
 

@@ -23,13 +23,11 @@ use mra::baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Mad
 use mra::core::LassConfig;
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
-use mra::protocol::testkit::{
-    check_schedules, run_random_workload, ExerciseCfg, Schedule, VirtualNet,
-};
 use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::{Allocator, WireCodec};
 use mra::sim::{FixedWorkload, LatencyModel, RunResult, Sim, SimConfig, Workload};
 use mra::types::{ResourceSet, Time};
+use mra_testkit::{check_schedules, run_random_workload, ExerciseCfg, Schedule, VirtualNet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 

@@ -9,8 +9,8 @@
 
 use mra::baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
 use mra::core::LassConfig;
-use mra::protocol::testkit::{explore_exhaustive, VirtualNet};
 use mra::types::{NodeId, ResourceSet};
+use mra_testkit::{explore_exhaustive, VirtualNet};
 
 const BUDGET: u64 = 3_000_000;
 

@@ -2,8 +2,8 @@
 //! scheduling feature that distinguishes "With loan" from "Without loan".
 
 use mra::core::{Lass, LassConfig};
-use mra::protocol::testkit::{check_schedules, ExerciseCfg, Schedule, VirtualNet};
 use mra::protocol::ProcState;
+use mra_testkit::{check_schedules, ExerciseCfg, Schedule, VirtualNet};
 
 /// Build a 3-node, 3-resource system where node 1 waits for exactly one
 /// missing resource held by node 0 — the textbook loan setup.

@@ -11,9 +11,9 @@
 //!   critical section and becomes the root of both trees (Fig. 3(c)).
 
 use mra::core::{LassConfig, LassMsg};
-use mra::protocol::testkit::{Schedule, VirtualNet};
 use mra::protocol::ProcState;
 use mra::types::ResourceSet;
+use mra_testkit::{Schedule, VirtualNet};
 
 const RED: usize = 0;
 const BLUE: usize = 1;

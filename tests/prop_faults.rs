@@ -26,8 +26,8 @@ use mra::core::LassConfig;
 use mra::obs::{check_events, TraceMode};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
-use mra::protocol::testkit::{check_schedules, ExerciseCfg, ExerciseReport, VirtualNet};
 use mra::protocol::Allocator;
+use mra_testkit::{check_schedules, ExerciseCfg, ExerciseReport, VirtualNet};
 use proptest::prelude::*;
 
 /// Run one protocol fleet under `plan`; safety, conservation and

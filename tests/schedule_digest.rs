@@ -31,10 +31,10 @@ use mra::baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Mad
 use mra::core::LassConfig;
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
-use mra::protocol::testkit::{run_random_workload, ExerciseCfg, Schedule, VirtualNet};
 use mra::protocol::{Allocator, Ctx, ProcState, WireCodec};
 use mra::types::{NodeId, ResourceSet};
 use mra::workloads::Algorithm;
+use mra_testkit::{run_random_workload, ExerciseCfg, Schedule, VirtualNet};
 use std::cell::RefCell;
 
 /// Contiguous seeds `0..SEEDS` per family and cell.
@@ -180,7 +180,7 @@ where
     TAPE.with(|tape| {
         let mut tape = tape.borrow_mut();
         for &pick in schedule.picks() {
-            tape.fold(u64::from(pick));
+            tape.fold(pick);
         }
         tape.h
     })
